@@ -13,7 +13,7 @@
 5. In a directory holding only ``BENCHMARK.json`` and ``perfbench/``, the
    benchmark exits non-zero without printing a result.
 
-Takes about three minutes; exits non-zero on the first failed test.
+Takes about five minutes; exits non-zero on the first failed test.
 """
 
 from __future__ import annotations

@@ -141,10 +141,10 @@ def _gate_checks(op: GateOp):
 
 class Gate:
     name = "gate"
-    # One block is one gate pass: ~12-15 s with one BLAS thread. Three passes
+    # One block is one gate pass: ~11-15 s with one BLAS thread. Four passes
     # give a median that one slow pass cannot move.
     nominal_block_s = 13.0
-    min_blocks = 3
+    min_blocks = 4
 
     def generate(self, seed: int, seconds: int):
         # The gate's inputs are the criteria's own fixed defaults; the seed
