@@ -387,7 +387,7 @@ def selftest(fast):
         raise SystemExit(EXIT_TOLERANCE)
 
 
-def run():  # pragma: no cover
+def run():
     try:
         main(standalone_mode=True)
     except TorusGasError as exc:

@@ -11,8 +11,8 @@ giving v_k = +/- i sqrt(mu^2 + (2 pi k/W)^2). The determinant per mode is then
 a ratio of cosh factors and the full grand partition function is a product
 over |mu| values with squared multiplicity (the two signed Fourier modes). An
 independent oracle discretizes the coupled one-dimensional integral equations
-per mode and diagonalizes the block matrix; closed form and oracle are
-compared throughout.
+per mode into [[0, A], [A^T, 0]] with A = iB, B real, whose spectrum is
++/- i times the singular values of B; closed form and oracle are compared.
 
 The product over modes diverges logarithmically with the mode cutoff (the
 short-distance +/- collapse at Gamma = 2), so extensive quantities are defined
@@ -24,7 +24,7 @@ independent and equals -2 log( q^{1/12} prod(1-q^{2n}) ) at q = exp(-pi W/L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     FitIllConditioned,
     GridTooCoarse,
     JumpPoint,
+    ParameterOutOfRange,
     SingularSeparation,
     TruncationInsufficient,
 )
@@ -126,13 +127,11 @@ class ModeSpectrum:
     mu: float
     roots: np.ndarray
     lambdas: np.ndarray
+    W: float
 
     @property
     def residuals(self) -> np.ndarray:
-        W = self._W
-        return np.abs(np.cosh(W * np.sqrt(self.mu**2 + self.roots**2 + 0j)) - 1.0)
-
-    _W: float = field(default=1.0, repr=False)
+        return np.abs(np.cosh(self.W * np.sqrt(self.mu**2 + self.roots**2 + 0j)) - 1.0)
 
 
 def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
@@ -142,39 +141,44 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     k = 0..k_max and the corresponding lambdas 2*pi/v.
     """
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+        raise ParameterOutOfRange("k_max must be >= 0")
     mu = math.pi * (2 * n + 1) / geom.L
     ks = np.arange(0, k_max + 1)
     mags = np.sqrt(mu**2 + (2.0 * math.pi * ks / geom.W) ** 2)
     roots = np.concatenate([1j * mags, -1j * mags])
     lambdas = 2.0 * math.pi / roots
-    return ModeSpectrum(n=n, mu=mu, roots=roots, lambdas=lambdas, _W=geom.W)
+    return ModeSpectrum(n=n, mu=mu, roots=roots, lambdas=lambdas, W=geom.W)
 
 
-def mode_matrix(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
-    """Block matrix of the discretized coupled equations for mode n.
-
-    Midpoint grid y_i = (i+1/2) W/M; the a-equation couples to b through
-    g_n(y'-y) and the b-equation back through g_n(y-y'), so the block is
-    [[0, A], [A^T, 0]] with A_ij = (pi theta1'/theta4) h g_n(y_i - y_j).
-    """
+def _mode_block(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
+    """Block A of the discretized coupled equations for mode n on the midpoint
+    grid y_i = (i+1/2) W/M: the a-equation couples to b through g_n(y'-y) and
+    the b-equation back through g_n(y-y'), so the operator is [[0, A], [A^T, 0]]
+    with A_ij = (pi theta1'/theta4) h g_n(y_i - y_j)."""
     if M < 16:
         raise GridTooCoarse("need at least 16 grid points")
     h = geom.W / M
     ys = (np.arange(M) + 0.5) * h
     diff = ys[:, None] - ys[None, :]
-    nome = geom.nome_WL
-    pref = math.pi * theta1_prime0(nome).real / theta4(0.0, nome).real
-    A = pref * h * _g_fourier_raw(n, diff.ravel(), geom).reshape(M, M)
-    top = np.hstack([np.zeros((M, M), dtype=complex), A])
-    bottom = np.hstack([A.T, np.zeros((M, M), dtype=complex)])
-    return np.vstack([top, bottom])
+    pref = math.pi * theta1_prime0(geom.nome_WL).real / theta4(0.0, geom.nome_WL).real
+    return pref * h * _g_fourier_raw(n, diff.ravel(), geom).reshape(M, M)
+
+
+def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
+    """Singular values sigma_j, descending, of the real B = A/i for mode n: g_n
+    is 2i times a real function, so [[0, A], [A^T, 0]] has eigenvalues +/- i sigma_j."""
+    return np.linalg.svd(_mode_block(n, geom, M).imag, compute_uv=False)
+
+
+def mode_matrix(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
+    """Dense 2M x 2M operator [[0, A], [A^T, 0]] of mode n (test reference)."""
+    A = _mode_block(n, geom, M)
+    return np.block([[np.zeros_like(A), A], [A.T, np.zeros_like(A)]])
 
 
 def mode_oracle(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
-    """Eigenvalues of the discretized mode-n operator, sorted by |lambda| desc."""
-    vals = np.linalg.eigvals(mode_matrix(n, geom, M))
-    return vals[np.argsort(-np.abs(vals))]
+    """Discretized mode-n spectrum +/- i sigma_j(B), sorted by |lambda| desc."""
+    return np.outer(_mode_sigma(n, geom, M), [1j, -1j]).ravel()
 
 
 def oracle_leading_magnitudes(
@@ -182,16 +186,12 @@ def oracle_leading_magnitudes(
 ) -> np.ndarray:
     """Richardson-extrapolated leading distinct |lambda| magnitudes.
 
-    The discretization converges with order ~2 (midpoint rule, jump on the
-    diagonal handled by averaging); extrapolating M and 2M removes the leading
-    error term. Magnitudes are de-duplicated (k >= 1 roots are doubly
-    degenerate) with a relative tolerance.
+    The discretized |lambda| are the singular values sigma_j(B); they converge
+    with order ~2 (midpoint rule, jump on the diagonal handled by averaging),
+    and extrapolating M and 2M removes the leading error term. They are
+    de-duplicated (k >= 1 roots are doubly degenerate) with a relative tolerance.
     """
-    mags = []
-    for M in Ms:
-        ev = mode_oracle(n, geom, M)
-        mags.append(_distinct_magnitudes(np.abs(ev), k_count))
-    coarse, fine = mags
+    coarse, fine = (_distinct_magnitudes(_mode_sigma(n, geom, M), k_count) for M in Ms)
     w = 2.0**order
     return (w * fine - coarse) / (w - 1.0)
 
@@ -207,9 +207,9 @@ def _distinct_magnitudes(mags: np.ndarray, count: int, rtol: float = 1e-6) -> np
 
 
 def mode_logdet(n: int, geom: TorusGeometry, M: int, zeta: float) -> float:
-    """log det(1 + zeta K_n) from the discretized spectrum of mode n."""
-    ev = mode_oracle(n, geom, M)
-    return float(np.sum(np.log(1.0 + zeta * ev)).real)
+    """log det(1 + zeta K_n) of the discretized mode-n operator: its eigenvalues
+    +/- i sigma_j pair into sum_j log(1 + (zeta sigma_j)^2) = log det(I + zeta^2 B B^T)."""
+    return float(np.sum(np.log1p((zeta * _mode_sigma(n, geom, M)) ** 2)))
 
 
 def mode_logdet_extrapolated(n: int, geom: TorusGeometry, M: int, zeta: float) -> float:
@@ -244,7 +244,7 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     if n_max < 1:
         raise TruncationInsufficient("need at least one mode pair")
     if zeta < 0:
-        raise ValueError("zeta must be >= 0")
+        raise ParameterOutOfRange("zeta must be >= 0")
     q4 = theta4(0.0, geom.nome_WL).real
     total = 2.0 * math.log(q4)
     for j in range(1, n_max + 1):
@@ -325,7 +325,7 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     finite-size term; ``fit_pressure`` extracts both.
     """
     if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+        raise ParameterOutOfRange("cutoff must be >= 1")
     if zeta == 0.0:
         return 0.0
     x = (np.arange(1, cutoff + 1) - 0.5) / L

@@ -13,6 +13,10 @@ class NomeOutOfRange(TorusGasError):
     """Nome q outside the supported domain (|q| must be < 1, and <= 0.95)."""
 
 
+class ParameterOutOfRange(TorusGasError, ValueError):
+    """A numeric argument lies outside its documented domain."""
+
+
 class PrecisionUnreachable(TorusGasError):
     """Requested tail bound cannot be met within the term cap."""
 

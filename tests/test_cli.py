@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import importlib
 import json
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from torusgas.cli import main
+from torusgas.errors import NomeOutOfRange
 
 runner = CliRunner()
 
@@ -124,3 +129,20 @@ class TestCasimir:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert abs(payload["modular_shift_logWL"] - 0.6931471805599453) < 1e-12
+
+
+class TestEntryPoint:
+    def test_named_error_exits_two(self, monkeypatch, capsys):
+        """The configured ``torusgas`` script maps a TorusGasError to exit 2."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["torusgas"]
+        module, attr = target.split(":")
+        entry = getattr(importlib.import_module(module), attr)
+        args = ["ocp", "--W", "0.01"]
+        assert isinstance(runner.invoke(main, args).exception, NomeOutOfRange)
+        monkeypatch.setattr(sys, "argv", ["torusgas", *args])
+        with pytest.raises(SystemExit) as info:
+            entry()
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")

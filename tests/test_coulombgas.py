@@ -1,11 +1,13 @@
 """Coulomb-gas kernel, mode spectra, grand partition function, pressure fit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from torusgas.coulombgas import (
+    _distinct_magnitudes,
     dlog_xi2_dzeta_sq,
     eigen_roots,
     fit_pressure,
@@ -14,12 +16,20 @@ from torusgas.coulombgas import (
     kernel_from_fourier,
     log_xi2_asymptotic,
     log_xi2_closed,
+    mode_logdet,
+    mode_matrix,
     mode_oracle,
     oracle_leading_magnitudes,
     pressure_sum,
     xi2_closed,
 )
-from torusgas.errors import GridTooCoarse, JumpPoint, SingularSeparation
+from torusgas.errors import (
+    GridTooCoarse,
+    JumpPoint,
+    ParameterOutOfRange,
+    SingularSeparation,
+    TorusGasError,
+)
 from torusgas.geometry import TorusGeometry
 from torusgas.theta import eta_q, theta1, theta4
 
@@ -96,6 +106,14 @@ class TestEigenRoots:
         spec = eigen_roots(1, GEOM, 3)
         assert np.allclose(np.sort(spec.roots.imag), -np.sort(spec.roots.imag)[::-1])
 
+    def test_residuals_use_geometry_height(self):
+        geom = TorusGeometry(1.0, 2.5, 1)
+        spec = eigen_roots(1, geom, 4)
+        assert spec.W == geom.W
+        assert spec.residuals.max() < 1e-12
+        # negative control: the same roots checked at the wrong height W = 1
+        assert dataclasses.replace(spec, W=1.0).residuals.max() > 1e-2
+
 
 class TestModeOracle:
     def test_spectrum_in_pairs(self):
@@ -113,6 +131,41 @@ class TestModeOracle:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             mode_oracle(0, GEOM, 8)
+
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("n", [0, 1, -2, 5])
+    def test_block_is_purely_imaginary(self, n, M):
+        """A = iB with B real: the fact the singular-value route rests on."""
+        assert np.all(mode_matrix(n, GEOM, M)[:M, M:].real == 0.0)
+
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("n", [0, 1, -2, 5])
+    def test_logdet_against_dense_eigvals(self, n, M):
+        """mode_logdet against sum log(1 + zeta lambda) over the dense 2M x 2M
+        spectrum; the conjugate-transpose form I - zeta^2 A A^H (a negative
+        control) misses it by more than 1e-3."""
+        dense = mode_matrix(n, GEOM, M)
+        ev = np.linalg.eigvals(dense)
+        A = dense[:M, M:]
+        for zeta in (0.1, 0.5, 2.0):
+            ref = float(np.sum(np.log(1.0 + zeta * ev)).real)
+            assert abs(mode_logdet(n, GEOM, M, zeta) - ref) < 1e-12
+            wrong = np.linalg.slogdet(np.eye(M) - zeta**2 * A @ A.conj().T)[1]
+            assert abs(wrong - ref) > 1e-3
+
+    @pytest.mark.parametrize("n", [0, 1, -2, 5])
+    def test_magnitudes_against_dense_eigvals(self, n):
+        dense = {
+            M: np.sort(np.abs(np.linalg.eigvals(mode_matrix(n, GEOM, M))))[::-1]
+            for M in (16, 32)
+        }
+        for M, ref in dense.items():
+            got = np.sort(np.abs(mode_oracle(n, GEOM, M)))[::-1]
+            assert np.max(np.abs(got - ref) / ref) < 1e-12
+        coarse, fine = (_distinct_magnitudes(dense[M], 3) for M in (16, 32))
+        ref = (4.0 * fine - coarse) / 3.0
+        got = oracle_leading_magnitudes(n, GEOM, 3, Ms=(16, 32))
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_convergence_to_closed_roots(self, n):
@@ -158,6 +211,23 @@ class TestGrandPartition:
         fd = (log_xi2_closed(d, GEOM, 8) - log_xi2_closed(0.0, GEOM, 8)) / d**2
         roots = dlog_xi2_dzeta_sq(GEOM, 8)
         assert abs(fd - roots) / roots < 1e-6
+
+
+class TestNamedErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: eigen_roots(0, GEOM, -1),
+            lambda: log_xi2_closed(-0.1, GEOM, 8),
+            lambda: pressure_sum(1.0, 4.0, 0),
+        ],
+        ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff"],
+    )
+    def test_out_of_range_argument(self, call):
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert isinstance(info.value, TorusGasError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestPressure:
