@@ -33,11 +33,25 @@ from .errors import (
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
+    PrecisionUnreachable,
     SingularSeparation,
     TruncationInsufficient,
 )
 from .geometry import TorusGeometry
 from .theta import eta_q, lattice_distance, theta1, theta1_prime0, theta4
+
+
+def _theta_constants(geom: TorusGeometry) -> tuple[float, float]:
+    """Real (theta1'(0), theta4(0)) at q = exp(-pi W/L); refuses a theta4(0)
+    that the series cancelled to <= 0 near the nome cap."""
+    nome = geom.nome_WL
+    t4 = theta4(0.0, nome).real
+    if not t4 > 0.0:
+        raise PrecisionUnreachable(
+            f"theta4(0) series cancels to {t4} at W/L = {geom.W / geom.L:.4g} "
+            f"(q = {nome.q.real:.4g})"
+        )
+    return theta1_prime0(nome).real, t4
 
 
 def kernel_K(w: complex, z: complex, geom: TorusGeometry):
@@ -51,8 +65,8 @@ def kernel_K(w: complex, z: complex, geom: TorusGeometry):
     u = math.pi * (np.asarray(w, dtype=complex) - z) / geom.L
     if np.any(lattice_distance(u, nome) < 1e-9):
         raise SingularSeparation("w - z lies on the period lattice")
-    pref = math.pi * theta1_prime0(nome).real / (geom.L * theta4(0.0, nome).real)
-    return pref * theta4(u, nome) / theta1(u, nome)
+    tp, t4 = _theta_constants(geom)
+    return math.pi * tp / (geom.L * t4) * theta4(u, nome) / theta1(u, nome)
 
 
 def g_fourier(n: int, y, geom: TorusGeometry):
@@ -80,9 +94,9 @@ def g_fourier(n: int, y, geom: TorusGeometry):
 def _g_fourier_raw(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     """Branchwise bounded evaluation; y = 0 entries get the jump midpoint."""
     L, W = geom.L, geom.W
-    nome = geom.nome_WL
     q = geom.q_WL
-    c = 2j * theta4(0.0, nome).real / theta1_prime0(nome).real
+    tp, t4 = _theta_constants(geom)
+    c = 2j * t4 / tp
     b = 2 * n + 1
     beta = abs(b)
     denom = 1.0 - q**beta
@@ -109,8 +123,8 @@ def kernel_from_fourier(w: complex, z: complex, geom: TorusGeometry, tol: float 
     total = 0j
     for n in range(n_lo, n_hi + 1):
         total += g_fourier(n, y, geom) * np.exp(1j * math.pi * (2 * n + 1) * x / geom.L)
-    pref = math.pi * theta1_prime0(geom.nome_WL).real / (geom.L * theta4(0.0, geom.nome_WL).real)
-    return pref * total
+    tp, t4 = _theta_constants(geom)
+    return math.pi * tp / (geom.L * t4) * total
 
 
 @dataclass(frozen=True)
@@ -160,8 +174,8 @@ def _mode_block(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     h = geom.W / M
     ys = (np.arange(M) + 0.5) * h
     diff = ys[:, None] - ys[None, :]
-    pref = math.pi * theta1_prime0(geom.nome_WL).real / theta4(0.0, geom.nome_WL).real
-    return pref * h * _g_fourier_raw(n, diff.ravel(), geom).reshape(M, M)
+    tp, t4 = _theta_constants(geom)
+    return math.pi * tp / t4 * h * _g_fourier_raw(n, diff.ravel(), geom).reshape(M, M)
 
 
 def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
@@ -245,7 +259,7 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
         raise TruncationInsufficient("need at least one mode pair")
     if zeta < 0:
         raise ParameterOutOfRange("zeta must be >= 0")
-    q4 = theta4(0.0, geom.nome_WL).real
+    _, q4 = _theta_constants(geom)
     total = 2.0 * math.log(q4)
     for j in range(1, n_max + 1):
         mu = math.pi * (2 * j - 1) / geom.L
@@ -275,7 +289,7 @@ def xi2_closed(
     if zeta == 0.0:
         if n_max < 1:
             raise TruncationInsufficient("need at least one mode pair")
-        q4 = theta4(0.0, geom.nome_WL).real
+        _, q4 = _theta_constants(geom)
         return q4 * q4
     return math.exp(log_xi2_closed(zeta, geom, n_max))
 
@@ -288,7 +302,7 @@ def oracle_log_xi2(zeta: float, geom: TorusGeometry, n_pairs: int, M: int) -> fl
     log-det enters twice. Per-mode determinants are Richardson extrapolated
     around the nominal grid M.
     """
-    q4 = theta4(0.0, geom.nome_WL).real
+    _, q4 = _theta_constants(geom)
     total = 2.0 * math.log(q4)
     for j in range(1, n_pairs + 1):
         total += 2.0 * mode_logdet_extrapolated(j - 1, geom, M, zeta)

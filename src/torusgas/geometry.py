@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoincidentPoints, DimensionMismatch
+from .errors import CoincidentPoints, DimensionMismatch, ParameterOutOfRange
 from .theta import Nome, lattice_distance
 
 
@@ -24,9 +24,9 @@ class TorusGeometry:
 
     def __post_init__(self):
         if self.L <= 0 or self.W <= 0:
-            raise ValueError("periods L, W must be positive")
+            raise ParameterOutOfRange("periods L, W must be positive")
         if self.N < 1:
-            raise ValueError("N must be >= 1")
+            raise ParameterOutOfRange("N must be >= 1")
 
     @property
     def rho(self) -> float:

@@ -20,7 +20,6 @@ from .theta import (
     Nome,
     SeriesPrecision,
     f_N,
-    f_N_complex,
     lattice_distance,
     theta1,
     theta3,
@@ -101,11 +100,7 @@ def theta_vandermonde_residual(
         pair = complex(np.prod(theta1(math.pi * (xs[ju] - xs[iu]), nome, precision)))
     else:
         pair = 1.0 + 0j
-    if nome.is_real_positive():
-        fn = f_N(N, nome, precision)
-    else:
-        fn = f_N_complex(N, nome, precision)
-    rhs = head * fn * pair
+    rhs = head * f_N(N, nome, precision) * pair
 
     scale = float(np.prod(np.max(np.abs(np.atleast_2d(mat)), axis=1)))
     return IdentityResidual.from_sides(lhs, rhs, scale=scale)

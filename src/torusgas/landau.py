@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch
-from .theta import Nome, f_N, f_N_complex, theta1, theta3
+from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
+from .theta import Nome, f_N, theta1, theta3
 
 _FLUX_TOL = 1e-12
 
@@ -35,9 +35,9 @@ class MagneticSetup:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("N must be >= 1")
+            raise ParameterOutOfRange("N must be >= 1")
         if self.l <= 0 or self.L <= 0 or self.W2 <= 0:
-            raise ValueError("l, L, W2 must be positive")
+            raise ParameterOutOfRange("l, L, W2 must be positive")
         target = 2.0 * math.pi * self.l**2 * self.N / self.L
         if abs(self.W2 - target) > _FLUX_TOL * max(1.0, abs(self.W2)):
             raise FluxMismatch(
@@ -67,7 +67,7 @@ class MagneticSetup:
 def flux_constraint(N: int, l: float, L: float) -> float:
     """Second-period height W2 = 2*pi*l^2*N/L enclosing exactly N flux quanta."""
     if N < 1 or l <= 0 or L <= 0:
-        raise ValueError("need N >= 1 and positive l, L")
+        raise ParameterOutOfRange("need N >= 1 and positive l, L")
     return 2.0 * math.pi * l * l * N / L
 
 
@@ -143,11 +143,7 @@ def factored_state(config, setup: MagneticSetup) -> complex:
     zbar = np.conj(zs)
 
     exponent = ((N - 1) * (3 * N + 2)) // 2
-    if nome.is_real_positive():
-        fn = f_N(N, nome)
-    else:
-        fn = f_N_complex(N, nome)
-    pref = (1j ** (exponent % 4)) * fn
+    pref = (1j ** (exponent % 4)) * f_N(N, nome)
     pref /= math.sqrt(math.factorial(N)) * (setup.L * N * setup.l * math.sqrt(math.pi)) ** (N / 2.0)
     gauss = math.exp(-float(np.sum(zs.imag**2)) / (2.0 * setup.l**2))
 

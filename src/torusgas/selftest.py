@@ -47,13 +47,13 @@ class CriterionResult:
 
 
 def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.time() - t0)
+    return CriterionResult(name, passed, detail, time.perf_counter() - t0)
 
 
 def check_identity_suite(seed: int = 2024) -> CriterionResult:
     """Vandermonde-type and Cauchy-type theta determinant identities:
     100 random draws per size, relative residual < 1e-9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -85,7 +85,7 @@ def check_identity_suite(seed: int = 2024) -> CriterionResult:
 def check_wavefunction_factorization(seed: int = 7) -> CriterionResult:
     """Determinant and product forms of the filled-level state agree up to one
     configuration-independent constant, 50 random draws per N <= 5, 1e-9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -111,7 +111,7 @@ def check_wavefunction_factorization(seed: int = 7) -> CriterionResult:
 def check_electrostatics() -> CriterionResult:
     """Double periodicity to 1e-10, five-point Laplacian equals 2*pi/(LW) to
     1e-4 relative at h = 1e-3, and the -log|z-z'| short-distance law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     geom = TorusGeometry(1.3, 0.9, 1)
     z, zp = 0.41 + 0.23j, 0.87 + 0.55j
     ok = True
@@ -147,7 +147,7 @@ def check_electrostatics() -> CriterionResult:
 def check_partition_integrals(samples: int = 1_000_000, seed: int = 424242) -> CriterionResult:
     """Defining integral against its closed form: N = 1 by adaptive quadrature
     to 1e-6 relative; N = 2 by Monte Carlo within 3 sigma at <= 1% sigma."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
     for L, W in ((1.0, 1.0), (2.0, 1.0)):
@@ -165,7 +165,7 @@ def check_partition_integrals(samples: int = 1_000_000, seed: int = 424242) -> C
 def check_partition_chain() -> CriterionResult:
     """The prefactor and product closed forms agree to 1e-10 under exactly one
     nome convention, uniformly over N in 1..6 and W/L in {0.5, 1, 2}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-10
     worst_resolved = 0.0
     other_min = math.inf
@@ -188,7 +188,7 @@ def check_partition_chain() -> CriterionResult:
 def check_mode_spectrum() -> CriterionResult:
     """Closed-form eigenvalue roots against the discretized operator spectrum,
     Richardson extrapolated from M in {100, 200}: < 1e-3 relative."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     geom = TorusGeometry(1.0, 1.0, 1)
     worst = 0.0
     for n in (0, 1, 2):
@@ -207,7 +207,7 @@ def check_mode_spectrum() -> CriterionResult:
 def check_grand_partition() -> CriterionResult:
     """Grand partition function: empty-gas value theta4(0;q)^2 exactly, and the
     closed form against the oracle determinant at zeta*L = 0.5 within 1e-3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     geom = TorusGeometry(1.0, 1.0, 1)
     empty = abs(xi2_closed(0.0, geom, 8) - theta4(0.0, geom.nome_WL).real ** 2)
     lc = log_xi2_closed(0.5, geom, 8)
@@ -226,7 +226,7 @@ def check_pressure_term() -> CriterionResult:
     """The 1/L coefficient of the regularized mode sum has magnitude pi/6
     within 1% and is stable within 1% between cutoff densities 40 and 80.
     The sum itself carries the coefficient with a minus sign."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     Ls = np.arange(4, 17, dtype=float)
     target = math.pi / 6.0
     c40 = fit_pressure(1.0, Ls, 40).c
@@ -249,7 +249,7 @@ def check_universality() -> CriterionResult:
     rectangles the printed nome conventions differ by exactly log(W/L) (to
     1e-10) and evaluating both at q = exp(-pi W/L) restores equality. Ladder
     fits reproduce the resolved term within 2%."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     details = []
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .coulombgas import log_xi2_asymptotic
 from .geometry import TorusGeometry
 from .plasma import free_energy
@@ -107,8 +109,6 @@ def casimir_report(
 def _ocp_ladder_remainder(geom: TorusGeometry, Ns=(2, 3, 4, 5, 6, 8)) -> float:
     """Intercept of beta*F(N) over an N ladder at unit density and the given
     aspect ratio; the bulk term is linear in N so the fit is exact."""
-    import numpy as np
-
     totals, ns = [], []
     for N in Ns:
         L = math.sqrt(N * geom.L / geom.W)

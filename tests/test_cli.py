@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from torusgas.cli import main
-from torusgas.errors import NomeOutOfRange
+from torusgas.cli import main, run
+from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
 
 runner = CliRunner()
 
@@ -144,5 +144,25 @@ class TestEntryPoint:
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])
         with pytest.raises(SystemExit) as info:
             entry()
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["ocp", "--L", "-1"], ParameterOutOfRange),
+            (["theta", "--q", "0.3", "--eps", "0"], ParameterOutOfRange),
+            (["landau", "--N", "0"], ParameterOutOfRange),
+            (["tcg", "--W", "0.02"], PrecisionUnreachable),
+        ],
+        ids=["ocp-negative-L", "theta-zero-eps", "landau-zero-N", "tcg-theta4-cancelled"],
+    )
+    def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
+        """Out-of-range input and a cancelled theta4(0) series end in a named
+        error, which ``run`` maps to exit 2 (a raw ValueError would exit 1)."""
+        assert isinstance(runner.invoke(main, args).exception, error)
+        monkeypatch.setattr(sys, "argv", ["torusgas", *args])
+        with pytest.raises(SystemExit) as info:
+            run()
         assert info.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")

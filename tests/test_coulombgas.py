@@ -20,6 +20,7 @@ from torusgas.coulombgas import (
     mode_matrix,
     mode_oracle,
     oracle_leading_magnitudes,
+    oracle_log_xi2,
     pressure_sum,
     xi2_closed,
 )
@@ -27,6 +28,7 @@ from torusgas.errors import (
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
+    PrecisionUnreachable,
     SingularSeparation,
     TorusGasError,
 )
@@ -228,6 +230,26 @@ class TestNamedErrors:
             call()
         assert isinstance(info.value, TorusGasError)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: log_xi2_closed(0.5, g, 8),
+            lambda g: xi2_closed(0.0, g, 8),
+            lambda g: oracle_log_xi2(0.5, g, 2, 32),
+            lambda g: kernel_K(0.3 + 0.005j, 0.0, g),
+            lambda g: kernel_from_fourier(0.3 + 0.005j, 0.0, g),
+            lambda g: g_fourier(0, 0.005, g),
+            lambda g: mode_logdet(0, g, 32, 0.5),
+        ],
+        ids=["log_xi2_closed", "xi2_closed", "oracle_log_xi2", "kernel_K",
+             "kernel_from_fourier", "g_fourier", "mode_logdet"],
+    )
+    def test_cancelled_theta4_refused(self, call):
+        """At W/L = 0.02 (q = 0.939) the theta4(0) series cancels to 0; every
+        closed form and kernel that needs it refuses instead of returning junk."""
+        with pytest.raises(PrecisionUnreachable):
+            call(TorusGeometry(1.0, 0.02, 1))
 
 
 class TestPressure:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusgas.electrostatics import nbody_weight, ocp_log_boltzmann
-from torusgas.errors import DegenerateGeometry, FluxMismatch
+from torusgas.errors import DegenerateGeometry, FluxMismatch, ParameterOutOfRange
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.landau import (
     MagneticSetup,
@@ -35,6 +35,25 @@ class TestFluxConstraint:
     def test_setup_rejects_wrong_flux(self):
         with pytest.raises(FluxMismatch):
             MagneticSetup(l=0.25, L=1.0, W1=0.0, W2=1.0, N=3)
+
+
+class TestNamedErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: TorusGeometry(-1.0, 1.0, 1),
+            lambda: TorusGeometry(1.0, 1.0, 0),
+            lambda: MagneticSetup(l=0.25, L=1.0, W1=0.0, W2=1.0, N=0),
+            lambda: MagneticSetup(l=-0.25, L=1.0, W1=0.0, W2=1.0, N=3),
+            lambda: flux_constraint(0, 0.25, 1.0),
+        ],
+        ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
+             "flux_constraint-N"],
+    )
+    def test_out_of_range_argument(self, call):
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
 
 class TestGauge:

@@ -5,14 +5,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
-from torusgas.errors import NomeOutOfRange, PrecisionUnreachable
+from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
+from torusgas.landau import MagneticSetup
 from torusgas.theta import (
     Nome,
     SeriesPrecision,
     eta_q,
     f_N,
+    lattice_distance,
     log_abs_theta1,
     theta1,
     theta1_prime0,
@@ -209,3 +213,111 @@ class TestFN:
     def test_domain(self):
         with pytest.raises(NomeOutOfRange):
             f_N(3, 0.0)
+
+    def test_real_nome_gives_float(self):
+        assert isinstance(f_N(4, Nome.from_aspect(0.7, 1.0)), float)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_skewed_torus_against_mpmath(self, N):
+        """Complex nome of a skewed torus (W1 != 0): N^(N/2) q^(-e/24)
+        (q^2; q^2)_inf^(-e/2), e = (N-1)(N-2), with q^(-e/24) on the tau branch."""
+        nome = MagneticSetup.from_flux(L=1.0, N=N, l=0.25, W1=0.3).nome
+        assert not nome.is_real_positive()
+        e = (N - 1) * (N - 2)
+        tau = mp.mpc(nome.tau.real, nome.tau.imag)
+        q = mp.exp(1j * mp.pi * tau)
+        ref = complex(
+            mp.mpf(N) ** (mp.mpf(N) / 2)
+            * mp.exp(-1j * mp.pi * tau * e / 24)
+            * mp.qp(q**2, q**2) ** (-(e // 2))
+        )
+        got = f_N(N, nome)
+        assert isinstance(got, complex)
+        assert abs(got - ref) < 1e-12 * abs(ref)
+
+
+class TestNamedErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SeriesPrecision(epsilon=0.0),
+            lambda: SeriesPrecision(max_terms=0),
+            lambda: f_N(0, 0.3),
+        ],
+        ids=["SeriesPrecision-epsilon", "SeriesPrecision-max_terms", "f_N-N"],
+    )
+    def test_out_of_range_argument(self, call):
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+
+# Property tests: seeded (derandomized) so the suite stays reproducible.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+NOMES = st.floats(0.05, 0.9)
+UNIT = st.floats(-1.0, 1.0)
+
+
+def _envelope(z: complex, nome: Nome) -> float:
+    """Modulus of the quasi-periodicity multiplier that carries the reduced
+    series to z: the natural size of theta there, whatever cancels inside."""
+    k = round(z.imag / (math.pi * nome.tau.imag))
+    return math.exp(2 * k * z.imag - math.pi * nome.tau.imag * k * k)
+
+
+def _close(got: complex, ref: complex, z: complex, nome: Nome, tol: float = 1e-11) -> bool:
+    return abs(got - ref) <= tol * max(1.0, abs(ref), _envelope(z, nome))
+
+
+class TestThetaProperties:
+    @PROPERTY
+    @given(q=NOMES, x=UNIT, y=UNIT)
+    def test_quasi_periodicity(self, q, x, y):
+        """theta(z + pi) and theta(z + pi*tau) against theta(z), for 1, 3, 4."""
+        nome = Nome.from_q(q)
+        z = complex(math.pi * x, math.pi * nome.tau.imag * y)
+        mult = -nome.q * np.exp(2j * z)   # theta1, theta4: -q e^(2iz); theta3: +q e^(2iz)
+        for theta, half_sign, tau_sign in ((theta1, -1, 1), (theta3, 1, -1), (theta4, 1, 1)):
+            v = theta(z, nome)
+            assert _close(theta(z + math.pi, nome), half_sign * v, z, nome)
+            assert _close(tau_sign * mult * theta(z + math.pi * nome.tau, nome), v, z, nome)
+
+    @PROPERTY
+    @given(q=NOMES, x=UNIT, y=st.floats(-5.0, 5.0))
+    def test_log_abs_matches_direct(self, q, x, y):
+        nome = Nome.from_q(q)
+        z = complex(math.pi * x, math.pi * nome.tau.imag * y)
+        direct = abs(theta1(z, nome))
+        assume(direct > 0.0)
+        got = log_abs_theta1(z, nome)
+        assert abs(got - math.log(direct)) <= 1e-12 * max(1.0, abs(got))
+
+    @PROPERTY
+    @given(q=NOMES, x=UNIT, y=UNIT, k=st.integers(1, 1000))
+    def test_far_from_strip(self, q, x, y, k):
+        """|Im z| >> Im tau: log|theta1(z + k pi tau)| = log|theta1(z)|
+        + pi Im(tau) k^2 + 2 k Im z, far past where theta1 itself overflows."""
+        nome = Nome.from_q(q)
+        z = complex(math.pi * x, math.pi * nome.tau.imag * y)
+        assume(lattice_distance(z, nome) > 1e-3)
+        base = log_abs_theta1(z, nome)
+        expected = base + math.pi * nome.tau.imag * k * k + 2 * k * z.imag
+        got = log_abs_theta1(z + k * math.pi * nome.tau, nome)
+        # the series has an absolute tail bound, so where it cancels to a small
+        # value its log is good to about 1e-14 / |series| (q -> 1 on Re z = 0)
+        series = math.exp(base) / _envelope(z, nome)
+        assert abs(got - expected) <= 1e-12 * abs(expected) + 1e-12 / series
+
+    @PROPERTY
+    @given(q=NOMES, k=st.integers(-3, 3), t=UNIT, real_half=st.booleans())
+    def test_half_integer_reduction_boundary(self, q, k, t, real_half):
+        """On Re z = (k+1/2) pi or Im z = (k+1/2) pi Im(tau), where the reduction
+        rounds a half-integer with np.rint, all three thetas match mpmath."""
+        nome = Nome.from_q(q)
+        if real_half:
+            z = complex((k + 0.5) * math.pi, math.pi * nome.tau.imag * t)
+        else:
+            z = complex(math.pi * t, (k + 0.5) * math.pi * nome.tau.imag)
+        for n, theta in ((1, theta1), (3, theta3), (4, theta4)):
+            ref = complex(mp.jtheta(n, mp.mpc(z.real, z.imag), q))
+            assert _close(theta(z, nome), ref, z, nome)
