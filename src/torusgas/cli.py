@@ -29,8 +29,7 @@ from .coulombgas import (
 from .electrostatics import phi_periodic, phi_quasi
 from .errors import TorusGasError
 from .geometry import TorusGeometry
-from .identities import draw_identity_points, draw_species_pair, frobenius_residual, theta_vandermonde_residual
-from .landau import MagneticSetup, factored_state, psi_lll, slater_state
+from .landau import MagneticSetup, psi_lll
 from .plasma import free_energy, verify_partition_mc, verify_partition_quadrature, zn_closed
 from .theta import Nome, SeriesPrecision, eta_q, theta1, theta1_prime0, theta3, theta4
 from .universality import casimir_report
@@ -161,22 +160,18 @@ def greens(L, W, grid, zp, out):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def verify_identities(n_max, draws, seed, q, tol, out):
-    """Random-draw residuals of the determinant identities (CSV; exit 1 on failure)."""
+    """Random-draw residuals of the determinant identities, in the gate's draw
+    order: every Vandermonde size, then every Frobenius size (CSV; exit 1 on
+    failure)."""
     nome = _physics_nome(q)
     rng = np.random.default_rng(seed)
     rows = []
     failed = False
-    for N in range(1, n_max + 1):
-        for d in range(draws):
-            if N >= 2:
-                xs = draw_identity_points(rng, N, nome)
-                r = theta_vandermonde_residual(xs, 0.05 + 0.02j, nome, N)
-                rows.append(["vandermonde", N, seed, d, r.abs_residual, r.rel_residual, int(r.near_zero)])
-                failed |= not r.passes(tol)
-            ws, zs = draw_species_pair(rng, N, nome)
-            r = frobenius_residual(ws, zs, 0.1 + 0.05j, nome)
-            rows.append(["frobenius", N, seed, d, r.abs_residual, r.rel_residual, int(r.near_zero)])
-            failed |= not r.passes(tol)
+    for identity, N, d, r in _selftest.identity_draws(
+        rng, nome, range(2, n_max + 1), range(1, n_max + 1), draws
+    ):
+        rows.append([identity, N, seed, d, r.abs_residual, r.rel_residual, int(r.near_zero)])
+        failed |= not r.passes(tol)
     header = ["identity", "size", "seed", "draw", "abs_residual", "rel_residual", "near_zero"]
     _emit(_csv_text(header, rows), out)
     if failed:
@@ -204,13 +199,7 @@ def landau(N, L, grid, m, draws, seed, tol, out):
             rows.append([x, y, abs(psi_lll(m, complex(x, y), setup)) ** 2])
     _emit(_csv_text(["x", "y", "abs_psi_sq"], rows), out)
 
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(draws):
-        zs = rng.uniform(0, setup.L, N) + 1j * rng.uniform(0, setup.W2, N)
-        ratios.append(slater_state(zs, setup) / factored_state(zs, setup))
-    ratios = np.asarray(ratios)
-    spread = float(np.max(np.abs(ratios - np.mean(ratios))) / abs(np.mean(ratios)))
+    spread, _ = _selftest.factorization_spread(setup, np.random.default_rng(seed), draws)
     click.echo(f"factorization ratio spread: {spread:.3e}", err=True)
     if spread > tol:
         raise SystemExit(EXIT_TOLERANCE)
@@ -260,7 +249,6 @@ def ocp(N, L, W, samples, seed, tol, fmt, out):
         if seed is None:
             raise click.UsageError("--seed is required for the Monte Carlo check")
         chk = verify_partition_mc(geom, samples=samples, seed=seed)
-        pull = abs(chk.estimate.value - chk.closed_form) / chk.estimate.std_error
         payload["monte_carlo"] = {
             "value": chk.estimate.value,
             "std_error": chk.estimate.std_error,
@@ -268,9 +256,9 @@ def ocp(N, L, W, samples, seed, tol, fmt, out):
             "seed": chk.estimate.seed,
             "closed_form": chk.closed_form,
             "rel_deviation": chk.rel_deviation,
-            "pull_sigma": pull,
+            "pull_sigma": chk.pull,
         }
-        failed |= pull > 3.0
+        failed |= not chk.pull < _selftest.MC_MAX_PULL
     _emit_payload(payload, fmt, out)
     if failed:
         raise SystemExit(EXIT_TOLERANCE)

@@ -110,14 +110,15 @@ def _g_fourier_raw(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     return c * vals
 
 
-def kernel_from_fourier(w: complex, z: complex, geom: TorusGeometry, tol: float = 1e-12):
-    """Resynthesize the kernel from its Fourier coefficients (oracle route)."""
+def kernel_from_fourier(w: complex, z: complex, geom: TorusGeometry):
+    """Resynthesize the kernel from its Fourier coefficients (oracle route),
+    truncated where the dropped terms fall below 1e-12."""
     d = complex(w - z)
     x, y = d.real, d.imag
     if y == 0.0:
         raise JumpPoint("Fourier synthesis needs y != 0")
     depth = min(abs(y), geom.W - abs(y))
-    bmax = max(3, math.ceil(geom.L * math.log(1.0 / tol) / (math.pi * depth)))
+    bmax = max(3, math.ceil(geom.L * math.log(1e12) / (math.pi * depth)))
     n_lo = -(bmax + 1) // 2 - 1
     n_hi = (bmax + 1) // 2 + 1
     total = 0j
@@ -196,7 +197,7 @@ def mode_oracle(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
 
 
 def oracle_leading_magnitudes(
-    n: int, geom: TorusGeometry, k_count: int, Ms=(100, 200), order: float = 2.0
+    n: int, geom: TorusGeometry, k_count: int, Ms=(100, 200)
 ) -> np.ndarray:
     """Richardson-extrapolated leading distinct |lambda| magnitudes.
 
@@ -206,14 +207,13 @@ def oracle_leading_magnitudes(
     de-duplicated (k >= 1 roots are doubly degenerate) with a relative tolerance.
     """
     coarse, fine = (_distinct_magnitudes(_mode_sigma(n, geom, M), k_count) for M in Ms)
-    w = 2.0**order
-    return (w * fine - coarse) / (w - 1.0)
+    return (4.0 * fine - coarse) / 3.0
 
 
-def _distinct_magnitudes(mags: np.ndarray, count: int, rtol: float = 1e-6) -> np.ndarray:
+def _distinct_magnitudes(mags: np.ndarray, count: int) -> np.ndarray:
     out = []
     for m in mags:
-        if not out or abs(m - out[-1]) > rtol * max(out[-1], 1e-30):
+        if not out or abs(m - out[-1]) > 1e-6 * max(out[-1], 1e-30):
             out.append(float(m))
         if len(out) == count:
             break
@@ -269,23 +269,8 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     return total
 
 
-def xi2_closed(
-    zeta: float, geom: TorusGeometry, n_max: int, strict: bool = False
-) -> float:
-    """Closed-form grand partition function; equals theta4(0;q)^2 at zeta = 0.
-
-    With strict=True, requires the first omitted factor to differ from 1 by
-    less than 1e-14 (only attainable for tiny zeta*L; the product needs a
-    cutoff otherwise, which is the renormalization the pressure fit handles).
-    """
-    if strict and zeta > 0:
-        mu = math.pi * (2 * (n_max + 1) - 1) / geom.L
-        X = geom.W * math.hypot(mu, 2.0 * math.pi * zeta)
-        Y = geom.W * mu
-        if abs(_log_cosh_ratio(X, Y)) > 1e-14:
-            raise TruncationInsufficient(
-                f"mode {n_max + 1} still contributes at zeta = {zeta}"
-            )
+def xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
+    """Closed-form grand partition function; equals theta4(0;q)^2 at zeta = 0."""
     if zeta == 0.0:
         if n_max < 1:
             raise TruncationInsufficient("need at least one mode pair")
@@ -397,10 +382,7 @@ class GrandPotentialBreakdown:
 
 
 def log_xi2_asymptotic(
-    zeta: float,
-    geom: TorusGeometry,
-    cutoff_density: int,
-    scales=(1.0, 1.5, 2.0, 2.5, 3.0),
+    zeta: float, geom: TorusGeometry, cutoff_density: int
 ) -> GrandPotentialBreakdown:
     """Ladder fit of -log Xi = b * area + c at fixed aspect ratio and zeta.
 
@@ -409,7 +391,7 @@ def log_xi2_asymptotic(
     -2 log eta_q(e^{-pi W/L}).
     """
     areas, vals = [], []
-    for s in scales:
+    for s in (1.0, 1.5, 2.0, 2.5, 3.0):
         L, W = geom.L * s, geom.W * s
         n_max = int(round(cutoff_density * L))
         g = TorusGeometry(L, W, 1)

@@ -16,11 +16,22 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints
+from .errors import CoincidentPoints, PrecisionUnreachable
 from .geometry import ParticleConfig, TorusGeometry
 from .theta import lattice_distance, log_abs_theta1, theta1, theta1_prime0
 
 _COINCIDENT_TOL = 1e-9
+
+
+def _theta1_prime0(geom: TorusGeometry) -> float:
+    """Real theta1'(0) at q = exp(-pi W/L) for the closed forms that take its
+    log; refuses a value the series cancelled to <= 0 near the nome cap."""
+    tp = theta1_prime0(geom.nome_WL).real
+    if not tp > 0.0:
+        raise PrecisionUnreachable(
+            f"theta1'(0) series cancels to {tp} at W/L = {geom.W / geom.L:.4g}"
+        )
+    return tp
 
 
 def _pair_log_theta(z, zp, geom: TorusGeometry):
@@ -35,7 +46,7 @@ def phi_quasi(z, zp, geom: TorusGeometry):
 
     Periodic in x; a shift y -> y + W adds -(pi/L)(2(y-y') + W).
     """
-    norm = math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real))
+    norm = math.log(geom.L / (math.pi * _theta1_prime0(geom)))
     return -(norm + _pair_log_theta(z, zp, geom))
 
 
@@ -55,7 +66,7 @@ def background_I(yp: float, geom: TorusGeometry) -> float:
     independent of x' by periodicity. Verified against adaptive quadrature in
     the test suite.
     """
-    tp = theta1_prime0(geom.nome_WL).real
+    tp = _theta1_prime0(geom)
     return (
         geom.area / 3.0 * math.log(tp / 2.0)
         + math.pi * (yp - geom.W / 2.0) ** 2
@@ -76,7 +87,7 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     """
     geom.check_distinct(config.zs)
     N = len(config)
-    tp = theta1_prime0(geom.nome_WL).real
+    tp = _theta1_prime0(geom)
     val = N * Gamma / 2.0 * math.log(math.pi * tp / geom.L)
     val -= Gamma * N * N / 6.0 * math.log(tp / 2.0)
     val -= math.pi * geom.rho * Gamma * float(np.sum((config.ys - geom.W / 2.0) ** 2))
@@ -91,10 +102,14 @@ def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     """Center-of-mass weight |theta1(pi sum_j (conj(z_j) - (L - iW)/2)/L; q)|^2.
 
     Non-negative; vanishes when the shifted center of mass hits the lattice.
+    Raises PrecisionUnreachable when the weight overflows a float.
     """
     s = np.sum(np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0)
-    val = theta1(math.pi * s / geom.L, geom.nome_WL)
-    return float(abs(val) ** 2)
+    mag = float(np.abs(theta1(math.pi * s / geom.L, geom.nome_WL)))
+    weight = mag * mag
+    if not math.isfinite(weight):
+        raise PrecisionUnreachable(f"center-of-mass weight |theta1|^2 = {weight} is not finite")
+    return weight
 
 
 def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
@@ -110,7 +125,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
     N = len(config)
     L, W = geom.L, geom.W
     rho = geom.rho
-    tp = theta1_prime0(geom.nome_WL).real
+    tp = _theta1_prime0(geom)
     log_norm = math.log(math.pi * tp / L)
 
     u1 = 0.0

@@ -18,7 +18,7 @@ class ParameterOutOfRange(TorusGasError, ValueError):
 
 
 class PrecisionUnreachable(TorusGasError):
-    """Requested tail bound cannot be met within the term cap."""
+    """A value is out of reach in double precision: tail bound, cancellation or overflow."""
 
 
 class DimensionMismatch(TorusGasError):
@@ -71,7 +71,3 @@ class TruncationInsufficient(TorusGasError):
 
 class FitIllConditioned(TorusGasError):
     """Ladder fit design matrix is rank deficient or near singular."""
-
-
-class ToleranceExceeded(TorusGasError):
-    """A verification residual exceeded its configured tolerance."""

@@ -62,7 +62,7 @@ class TorusGeometry:
         y = np.mod(zs.imag, self.W)
         return x + 1j * y
 
-    def check_distinct(self, zs, threshold: float = 1e-9) -> None:
+    def check_distinct(self, zs) -> None:
         """Raise CoincidentPoints if any pair coincides modulo the lattice."""
         zs = np.asarray(zs, dtype=complex)
         if len(zs) < 2:
@@ -70,7 +70,7 @@ class TorusGeometry:
         diffs = np.pi * (zs[:, None] - zs[None, :]) / self.L
         dist = lattice_distance(diffs, self.nome_WL)
         np.fill_diagonal(dist, np.inf)
-        if np.any(dist < threshold):
+        if np.any(dist < 1e-9):
             raise CoincidentPoints("two coordinates coincide modulo the lattice")
 
 

@@ -54,11 +54,11 @@ class IdentityResidual:
         near_zero = m < 1e-5 * max(scale, _TINY)
         return cls(lhs, rhs, a, a / max(m, _TINY), scale, near_zero)
 
-    def passes(self, rel_tol: float, abs_factor: float = 1e-12) -> bool:
+    def passes(self, rel_tol: float) -> bool:
         """Relative test for well-sized values; absolute test against
-        abs_factor * scale for cancellation-limited ones."""
+        1e-12 * scale for cancellation-limited ones."""
         if self.near_zero:
-            return self.abs_residual < abs_factor * max(self.scale, 1.0)
+            return self.abs_residual < 1e-12 * max(self.scale, 1.0)
         return self.rel_residual < rel_tol
 
 
@@ -167,27 +167,27 @@ def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
     return IdentityResidual.from_sides(det, complex(const))
 
 
-def draw_identity_points(rng: np.random.Generator, N: int, nome, min_sep: float = 1e-3):
+def draw_identity_points(rng: np.random.Generator, N: int, nome):
     """Random points with Re in [0,1), Im in [-0.2, 0.2], rejecting draws whose
-    pairwise theta1 arguments sit within ``min_sep`` of a lattice point."""
+    pairwise theta1 arguments sit within 1e-3 of a lattice point."""
     nome = Nome.coerce(nome)
     for _ in range(1000):
         xs = rng.uniform(0.0, 1.0, N) + 1j * rng.uniform(-0.2, 0.2, N)
         diffs = math.pi * (xs[:, None] - xs[None, :])
         dist = lattice_distance(diffs, nome)
         np.fill_diagonal(dist, np.inf)
-        if np.all(dist > min_sep):
+        if np.all(dist > 1e-3):
             return xs
     raise SingularConfiguration("could not draw a well-separated configuration")
 
 
-def draw_species_pair(rng: np.random.Generator, N: int, nome, min_sep: float = 1e-3):
+def draw_species_pair(rng: np.random.Generator, N: int, nome):
     """Two point sets (ws, zs) whose intra-set differences and cross
-    separations w_j - z_k all stay ``min_sep`` away from the theta1 zeros."""
+    separations w_j - z_k all stay 1e-3 away from the theta1 zeros."""
     nome = Nome.coerce(nome)
     for _ in range(1000):
-        ws = draw_identity_points(rng, N, nome, min_sep)
-        zs = draw_identity_points(rng, N, nome, min_sep)
-        if np.all(lattice_distance(ws[:, None] - zs[None, :], nome) > min_sep):
+        ws = draw_identity_points(rng, N, nome)
+        zs = draw_identity_points(rng, N, nome)
+        if np.all(lattice_distance(ws[:, None] - zs[None, :], nome) > 1e-3):
             return ws, zs
     raise SingularConfiguration("could not draw a well-separated species pair")

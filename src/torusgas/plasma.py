@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .electrostatics import _theta1_prime0
 from .errors import (
     DimensionMismatch,
     InsufficientSamples,
@@ -32,7 +33,7 @@ from .errors import (
     SeedRequired,
 )
 from .geometry import TorusGeometry
-from .theta import eta_q, f_N, qpochhammer_sq, theta1, theta1_prime0
+from .theta import eta_q, f_N, qpochhammer_sq, theta1
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,15 @@ class PartitionCheck:
     closed_form: float
     rel_deviation: float
 
+    @property
+    def pull(self) -> float:
+        """|estimate - closed form| in units of the estimate's error measure."""
+        return abs(self.estimate.value - self.closed_form) / self.estimate.std_error
+
 
 def _log_middle(N: int, geom: TorusGeometry) -> float:
     q = geom.q_WL
-    tp = theta1_prime0(geom.nome_WL).real
+    tp = _theta1_prime0(geom)
     rho = N / geom.area
     val = N * math.log(math.pi * tp / geom.L)
     val -= (N * N / 3.0) * math.log(tp / 2.0)
@@ -190,9 +196,7 @@ def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.nd
     return vals
 
 
-def verify_partition_quadrature(
-    geom: TorusGeometry, abs_tol: float = 1e-9
-) -> PartitionCheck:
+def verify_partition_quadrature(geom: TorusGeometry) -> PartitionCheck:
     """Adaptive 2d quadrature of the N = 1 integral against the closed form."""
     if geom.N != 1:
         raise DimensionMismatch("quadrature check is for N = 1")
@@ -203,21 +207,16 @@ def verify_partition_quadrature(
         )
 
     value, err = integrate.dblquad(
-        f, 0.0, geom.L, 0.0, geom.W, epsabs=abs_tol, epsrel=1e-10
+        f, 0.0, geom.L, 0.0, geom.W, epsabs=1e-9, epsrel=1e-10
     )
     closed = partition_integral_closed(1, geom)
-    if err > max(abs_tol, 1e-7 * abs(value)) * 100:
+    if err > max(1e-9, 1e-7 * abs(value)) * 100:
         raise QuadratureNonConvergence(f"dblquad error estimate {err}")
     est = IntegralEstimate(value=value, std_error=err, samples=0, seed=0)
     return PartitionCheck(est, closed, abs(value - closed) / closed)
 
 
-def verify_partition_mc(
-    geom: TorusGeometry,
-    samples: int,
-    seed: int | None,
-    batch: int = 100_000,
-) -> PartitionCheck:
+def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> PartitionCheck:
     """Uniform-sampling Monte Carlo for the N in {2, 3} integral.
 
     Plain uniform sampling is unbiased and the integrand is bounded on the
@@ -237,7 +236,7 @@ def verify_partition_mc(
     total_sq = 0.0
     done = 0
     while done < samples:
-        b = min(batch, samples - done)
+        b = min(100_000, samples - done)
         x = rng.uniform(0.0, geom.L, (b, N))
         y = rng.uniform(0.0, geom.W, (b, N))
         vals = _integrand_batch(x, y, geom)

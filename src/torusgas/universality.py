@@ -59,10 +59,7 @@ class CasimirReport:
 
 
 def casimir_report(
-    geom: TorusGeometry,
-    zeta: float = 0.5,
-    run_ladders: bool = False,
-    cutoff_density: int = 8,
+    geom: TorusGeometry, zeta: float = 0.5, run_ladders: bool = False
 ) -> CasimirReport:
     """Assemble the three O(1) terms and quantify every convention gap.
 
@@ -88,7 +85,7 @@ def casimir_report(
 
     fitted = {}
     if run_ladders:
-        br = log_xi2_asymptotic(zeta, geom, cutoff_density)
+        br = log_xi2_asymptotic(zeta, geom, 8)
         fitted["tcg_ladder_remainder"] = br.o1_fitted
         fitted["tcg_ladder_vs_resolved"] = br.o1_fitted - resolved
         fitted["ocp_ladder_remainder"] = _ocp_ladder_remainder(geom)
@@ -106,11 +103,11 @@ def casimir_report(
     )
 
 
-def _ocp_ladder_remainder(geom: TorusGeometry, Ns=(2, 3, 4, 5, 6, 8)) -> float:
+def _ocp_ladder_remainder(geom: TorusGeometry) -> float:
     """Intercept of beta*F(N) over an N ladder at unit density and the given
     aspect ratio; the bulk term is linear in N so the fit is exact."""
     totals, ns = [], []
-    for N in Ns:
+    for N in (2, 3, 4, 5, 6, 8):
         L = math.sqrt(N * geom.L / geom.W)
         g = TorusGeometry(L, N / L, N)
         totals.append(free_energy(N, g).total)

@@ -1,15 +1,19 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import csv
 import importlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from torusgas.cli import main, run
 from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
+from torusgas.selftest import MC_MAX_PULL, identity_draws
+from torusgas.theta import Nome
 
 runner = CliRunner()
 
@@ -51,6 +55,19 @@ class TestVerifyIdentities:
         assert rows[0].startswith("identity,size,seed,draw")
         assert len(rows) == 1 + 4 * 3 + 4 * 2  # frobenius for N=1..3, vandermonde N=2..3
 
+    def test_rows_follow_gate_draw_order(self, tmp_path):
+        """One row per (identity, size, draw): every Vandermonde size, then
+        every Frobenius size, with the residuals of the gate's own draw loop."""
+        out = tmp_path / "residuals.csv"
+        args = ["verify-identities", "--n", "3", "--draws", "4", "--seed", "7", "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        rng = np.random.default_rng(7)
+        draws = identity_draws(rng, Nome.from_q(0.3), range(2, 4), range(1, 4), 4)
+        assert [(r[0], int(r[1]), int(r[3]), float(r[5])) for r in rows] == [
+            (identity, N, d, res.rel_residual) for identity, N, d, res in draws
+        ]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["verify-identities", "--n", "2", "--draws", "3", "--seed", "42"]
@@ -90,6 +107,17 @@ class TestOcp:
         payload = json.loads(res.output)
         assert payload["monte_carlo"]["pull_sigma"] < 3.0
 
+    def test_pull_only_rule(self):
+        """ocp passes on the pull alone; this run's sigma/value would fail the
+        gate's extra 1% floor."""
+        res = runner.invoke(
+            main, ["ocp", "--N", "3", "--W", "0.05", "--samples", "100000", "--seed", "9"]
+        )
+        assert res.exit_code == 0
+        mc = json.loads(res.output)["monte_carlo"]
+        assert mc["pull_sigma"] < MC_MAX_PULL
+        assert mc["std_error"] / mc["value"] > 0.01
+
 
 class TestLandau:
     def test_grid_and_selftest(self):
@@ -98,6 +126,13 @@ class TestLandau:
         )
         assert res.exit_code == 0
         assert "x,y,abs_psi_sq" in res.output
+        assert "factorization ratio spread" in res.output
+
+    def test_unreachable_tolerance_exits_one(self):
+        res = runner.invoke(
+            main, ["landau", "--N", "3", "--draws", "7", "--seed", "5", "--tol", "1e-18"]
+        )
+        assert res.exit_code == 1
         assert "factorization ratio spread" in res.output
 
 
@@ -154,12 +189,22 @@ class TestEntryPoint:
             (["theta", "--q", "0.3", "--eps", "0"], ParameterOutOfRange),
             (["landau", "--N", "0"], ParameterOutOfRange),
             (["tcg", "--W", "0.02"], PrecisionUnreachable),
+            (["ocp", "--W", "0.0193"], PrecisionUnreachable),
+            (["greens", "--W", "0.0193", "--grid", "2"], PrecisionUnreachable),
         ],
-        ids=["ocp-negative-L", "theta-zero-eps", "landau-zero-N", "tcg-theta4-cancelled"],
+        ids=[
+            "ocp-negative-L",
+            "theta-zero-eps",
+            "landau-zero-N",
+            "tcg-theta4-cancelled",
+            "ocp-theta1-prime-cancelled",
+            "greens-theta1-prime-cancelled",
+        ],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
-        """Out-of-range input and a cancelled theta4(0) series end in a named
-        error, which ``run`` maps to exit 2 (a raw ValueError would exit 1)."""
+        """Out-of-range input and a cancelled theta4(0) or theta1'(0) series end
+        in a named error, which ``run`` maps to exit 2 (a raw ValueError would
+        exit 1)."""
         assert isinstance(runner.invoke(main, args).exception, error)
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])
         with pytest.raises(SystemExit) as info:

@@ -14,8 +14,9 @@ from torusgas.electrostatics import (
     phi_periodic,
     phi_quasi,
 )
-from torusgas.errors import CoincidentPoints
+from torusgas.errors import CoincidentPoints, PrecisionUnreachable
 from torusgas.geometry import ParticleConfig, TorusGeometry
+from torusgas.plasma import zn_closed
 from torusgas.theta import log_abs_theta1
 
 GEOM = TorusGeometry(L=1.3, W=0.9, N=1)
@@ -177,3 +178,40 @@ class TestNBodyWeight:
         for _ in range(5):
             cfg = ParticleConfig.random(g, rng)
             assert nbody_weight(cfg, g) >= 0.0
+
+    @pytest.mark.parametrize("W", [20.0, 40.0], ids=["overflow", "nan"])
+    def test_unrepresentable_weight_is_named(self, W):
+        """A weight beyond the float range raises a named error: |theta1|^2
+        overflows at W/L = 20, and the theta series itself turns nan at 40."""
+        g = TorusGeometry(1.0, W, 6)
+        cfg = ParticleConfig.from_raw(0.3 + 0.01j + 0.05 * np.arange(6), g)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PrecisionUnreachable):
+            nbody_weight(cfg, g)
+
+
+class TestNearNomeCap:
+    def test_theta1_prime0_consumers_refuse_or_finish(self):
+        """Near the nome cap q = 0.95 the theta1'(0) series cancels to rounding
+        noise whose sign varies with W/L. Every closed form that takes its log
+        returns a finite value or raises PrecisionUnreachable, never a raw
+        ValueError."""
+        refused = 0
+        for WL in np.linspace(0.01633, 0.021, 50):
+            g = TorusGeometry(1.0, WL, 3)
+            cfg = ParticleConfig.from_raw([0.1 + 0.3j * WL, 0.45 + 0.6j * WL, 0.8 + 0.1j * WL], g)
+            z, zp = 0.3 + 0.2j * WL, 0.6 + 0.7j * WL
+            consumers = (
+                lambda: phi_quasi(z, zp, g),
+                lambda: phi_periodic(z, zp, g),
+                lambda: background_I(0.3 * WL, g),
+                lambda: ocp_log_boltzmann(cfg, 2.0, g),
+                lambda: coulomb_energy_terms(cfg, g),
+                lambda: zn_closed(1, g).log_middle,
+                lambda: zn_closed(3, g).log_middle,
+            )
+            for consumer in consumers:
+                try:
+                    assert np.all(np.isfinite(consumer()))
+                except PrecisionUnreachable:
+                    refused += 1
+        assert refused > 0   # the sweep reaches cancelled points
