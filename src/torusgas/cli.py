@@ -211,7 +211,8 @@ def landau(N, L, grid, m, draws, seed, tol, out):
 @click.option("--W", "W", type=float, default=1.0, show_default=True)
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=None, help="required for N >= 2")
-@click.option("--tol", type=float, default=1e-6, show_default=True, help="quadrature deviation gate")
+@click.option("--tol", type=float, default=_selftest.QUAD_MAX_REL, show_default=True,
+              help="quadrature deviation gate")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def ocp(N, L, W, samples, seed, tol, fmt, out):
@@ -244,7 +245,7 @@ def ocp(N, L, W, samples, seed, tol, fmt, out):
             "closed_form": chk.closed_form,
             "rel_deviation": chk.rel_deviation,
         }
-        failed |= chk.rel_deviation > tol
+        failed |= not chk.rel_deviation < tol
     elif N in (2, 3):
         if seed is None:
             raise click.UsageError("--seed is required for the Monte Carlo check")

@@ -18,18 +18,21 @@ import numpy as np
 
 from .errors import CoincidentPoints, PrecisionUnreachable
 from .geometry import ParticleConfig, TorusGeometry
-from .theta import lattice_distance, log_abs_theta1, theta1, theta1_prime0
+from .theta import _rounding_floor, lattice_distance, log_abs_theta1, theta1, theta1_prime0
 
 _COINCIDENT_TOL = 1e-9
 
 
 def _theta1_prime0(geom: TorusGeometry) -> float:
     """Real theta1'(0) at q = exp(-pi W/L) for the closed forms that take its
-    log; refuses a value the series cancelled to <= 0 near the nome cap."""
-    tp = theta1_prime0(geom.nome_WL).real
-    if not tp > 0.0:
+    log; refuses a value the series cancelled to its rounding floor near the
+    nome cap."""
+    nome = geom.nome_WL
+    tp = theta1_prime0(nome).real
+    if not tp > _rounding_floor(1, nome):
         raise PrecisionUnreachable(
-            f"theta1'(0) series cancels to {tp} at W/L = {geom.W / geom.L:.4g}"
+            f"theta1'(0) series cancels to {tp} at W/L = {geom.W / geom.L:.4g}, "
+            "within its rounding floor"
         )
     return tp
 

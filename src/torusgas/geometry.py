@@ -6,12 +6,17 @@ are complex z = x + i y and are stored canonically reduced into that domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoincidentPoints, DimensionMismatch, ParameterOutOfRange
 from .theta import Nome, lattice_distance
+
+# Nome.from_aspect costs a complex exponential and a validation per access; a
+# closed form reads a geometry's nome many times.
+_nome = functools.lru_cache(maxsize=64)(Nome.from_aspect)
 
 
 @dataclass(frozen=True)
@@ -40,12 +45,12 @@ class TorusGeometry:
     @property
     def nome_WL(self) -> Nome:
         """q = exp(-pi W / L), the nome of theta arguments scaled by pi/L."""
-        return Nome.from_aspect(self.W, self.L)
+        return _nome(self.W, self.L)
 
     @property
     def nome_LW(self) -> Nome:
         """q = exp(-pi L / W), the modularly transformed candidate."""
-        return Nome.from_aspect(self.L, self.W)
+        return _nome(self.L, self.W)
 
     @property
     def q_WL(self) -> float:

@@ -97,7 +97,15 @@ def psi_lll(m: int, z, setup: MagneticSetup):
     """
     if not 0 <= m <= setup.N - 1:
         raise DimensionMismatch(f"m = {m} outside 0..{setup.N - 1}")
-    z = np.asarray(z, dtype=complex)
+    vals = _psi(m, np.asarray(z, dtype=complex), setup)
+    if vals.ndim == 0:
+        return complex(vals)
+    return vals
+
+
+def _psi(m, z: np.ndarray, setup: MagneticSetup) -> np.ndarray:
+    """psi_lll with levels m and positions z broadcast against each other, so
+    a whole Slater matrix takes one theta3 call."""
     tau = setup.tau
     zbar = np.conj(z)
     gauss = np.exp(-(z.imag**2) / (2.0 * setup.l**2))
@@ -105,10 +113,7 @@ def psi_lll(m: int, z, setup: MagneticSetup):
     q_pow = np.exp(1j * math.pi * tau * m * m / setup.N)
     plane = np.exp(-2j * math.pi * m * zbar / setup.L)
     big = theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
-    vals = gauss * norm * q_pow * plane * big
-    if vals.ndim == 0:
-        return complex(vals)
-    return vals
+    return gauss * norm * q_pow * plane * big
 
 
 def slater_state(config, setup: MagneticSetup) -> complex:
@@ -121,7 +126,7 @@ def slater_state(config, setup: MagneticSetup) -> complex:
     zs = _coords(config)
     if len(zs) != setup.N:
         raise DimensionMismatch(f"{len(zs)} coordinates for N = {setup.N}")
-    mat = np.column_stack([psi_lll(m, zs, setup) for m in range(setup.N)])
+    mat = _psi(np.arange(setup.N), zs[:, None], setup)   # mat[j, m] = psi_m(z_j)
     return complex(np.linalg.det(mat)) / math.sqrt(math.factorial(setup.N))
 
 

@@ -189,11 +189,16 @@ def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.nd
     z = x + 1j * y
     gauss = np.exp(-2.0 * math.pi * rho * np.sum((y - W / 2.0) ** 2, axis=1))
     com_arg = math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=1) / L
-    vals = gauss * np.abs(theta1(com_arg, nome)) ** 2
+    vals = gauss * _abs2(theta1(com_arg, nome))
     for j in range(N):
         for k in range(j + 1, N):
-            vals *= np.abs(theta1(math.pi * (z[:, k] - z[:, j]) / L, nome)) ** 2
+            vals *= _abs2(theta1(math.pi * (z[:, k] - z[:, j]) / L, nome))
     return vals
+
+
+def _abs2(t: np.ndarray) -> np.ndarray:
+    """|t|^2 as re^2 + im^2, without the square root np.abs takes."""
+    return t.real**2 + t.imag**2
 
 
 def verify_partition_quadrature(geom: TorusGeometry) -> PartitionCheck:

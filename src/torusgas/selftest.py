@@ -5,8 +5,8 @@ route at a fixed tolerance and returns a :class:`CriterionResult`; ``run_all``
 executes the whole gate. The CLI ``selftest`` subcommand and the acceptance
 test module both drive these functions. The CLI ``verify-identities``,
 ``landau`` and ``ocp`` subcommands run the same loops at user-chosen sizes
-through ``identity_draws``, ``factorization_spread`` and ``MC_MAX_PULL``, so
-the pass/fail logic lives in exactly one place.
+through ``identity_draws``, ``factorization_spread``, ``MC_MAX_PULL`` and
+``QUAD_MAX_REL``, so the pass/fail logic lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .universality import casimir_report
 
 
 MC_MAX_PULL = 3.0   # a Monte Carlo estimate passes within this many standard errors
+QUAD_MAX_REL = 1e-6  # the N = 1 quadrature passes below this relative deviation
 
 
 @dataclass(frozen=True)
@@ -161,14 +162,15 @@ def check_electrostatics() -> CriterionResult:
 
 
 def check_partition_integrals(samples: int = 1_000_000, seed: int = 424242) -> CriterionResult:
-    """Defining integral against its closed form: N = 1 by adaptive quadrature
-    to 1e-6 relative; N = 2 by Monte Carlo, pull < MC_MAX_PULL at <= 1% sigma."""
+    """Defining integral against its closed form: N = 1 by adaptive quadrature,
+    relative deviation < QUAD_MAX_REL; N = 2 by Monte Carlo, pull < MC_MAX_PULL
+    at <= 1% sigma."""
     t0 = time.perf_counter()
     details = []
     ok = True
     for L, W in ((1.0, 1.0), (2.0, 1.0)):
         chk = verify_partition_quadrature(TorusGeometry(L, W, 1))
-        ok &= chk.rel_deviation < 1e-6
+        ok &= chk.rel_deviation < QUAD_MAX_REL
         details.append(f"quad L={L} W={W}: rel {chk.rel_deviation:.2e}")
     chk = verify_partition_mc(TorusGeometry(1.0, 1.0, 2), samples=samples, seed=seed)
     sigma_rel = chk.estimate.std_error / chk.estimate.value

@@ -2,16 +2,22 @@
 
 One private series engine serves theta1, theta3, theta4, log|theta1| and
 theta1'(0). ``_coefficients`` builds the truncation index n* and the series
-coefficients once per (Nome, SeriesPrecision) and caches them; ``_evaluate``
-reduces the argument into the fundamental strip |Re u| <= pi/2,
-|Im u| <= pi*Im(tau)/2, sums the series there and applies the exact
-quasi-periodicity multiplier, so evaluation stays well conditioned for
-arbitrary arguments. f_N, qpochhammer_sq and eta_q share one cached
-(q^2; q^2)_inf product.
+coefficients once per (Nome, SeriesPrecision) and caches them, together with
+each series rewritten as a polynomial in x = e^(2iu) and 1/x.
+``_evaluate`` reduces the argument into the fundamental strip |Re u| <= pi/2,
+|Im u| <= pi*Im(tau)/2, takes one exponential per point and runs one Horner
+recurrence over the stacked pair (x, 1/x), so the cost per point does not
+grow with a transcendental per term; theta1 carries a factor sin(u), which
+keeps it relatively accurate next to its zero. The exact quasi-periodicity
+multiplier then restores theta at the original argument, so evaluation stays
+well conditioned for arbitrary arguments; a value that overflows a double
+raises PrecisionUnreachable (log|theta1| never does). f_N, qpochhammer_sq and
+eta_q share one cached (q^2; q^2)_inf product.
 
 The series are summed to an absolute tail bound, so ``Nome`` refuses
 |q| > 0.95; towards that cap theta4(0) and theta1'(0) lose relative accuracy
-to cancellation. No modular transformation tau -> -1/tau is applied.
+to cancellation, and the same cache holds the rounding floor below which
+they are noise. No modular transformation tau -> -1/tau is applied.
 
 Conventions (q = e^{i*pi*tau}, Im tau > 0):
 
@@ -34,6 +40,10 @@ import numpy as np
 from .errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
 
 _QMAX = 0.95
+# Below this |u| theta1's factor sin(u) is taken by np.sin: (e^(iu) - e^(-iu))/2i
+# has relative error ~ eps cosh(Im u) / |sin u|, at most ~2 eps for |u| >= 1/2 in
+# the strip but growing as eps/|u| towards the zero at u = 0.
+_SINE_CANCEL = 0.5
 
 
 @dataclass(frozen=True)
@@ -170,47 +180,112 @@ def _as_output(values, scalar_input):
     return values
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
-    """(frequencies, coefficients) of each series at a nonzero nome, by theta index.
+    """The theta series at a nonzero nome, as read-only arrays by theta index.
 
-    theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4 add
+    ``terms[kind]`` is (frequencies, coefficients): theta1 sums
+    2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4 add
     2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1; j = 1..n*. The
     q-powers are taken on the tau branch.
+
+    ``horner[kind]`` is (constant, a), the series as constant + p(x) + p(1/x)
+    with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ..., a_1], leading
+    coefficient first. theta3/theta4 take a_j = c_j / 2 and constant 1.
+    theta1 is sin(u) times such a sum: sin((2j-1)u) / sin(u) = 1 + 2 sum_{k<j}
+    cos(2ku), so a_k = sum_{j>k} c_j and the constant is sum_j c_j. Factoring
+    sin(u) out keeps theta1 relatively accurate next to its zero at u = 0.
+
+    ``floor[kind]`` is n* eps sum|terms| for theta1'(0) (kind 1) and theta4(0)
+    (kind 4). Near the nome cap the series cancel these constants to rounding
+    noise of either sign, so a value at or below the floor is unresolved.
+
+    Only the few nomes in use at a time need an entry.
     """
     js = np.arange(1, precision.n_star(abs(nome.q)) + 1)
     odd = 2.0 * (-1.0) ** (js - 1) * np.exp(1j * math.pi * nome.tau * (js - 0.5) ** 2)
     even3 = 2.0 * np.exp(1j * math.pi * nome.tau * js**2)
-    series = {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, (-1.0) ** js * even3)}
-    for arrays in series.values():
-        for a in arrays:
-            a.setflags(write=False)  # cached: every caller shares these arrays
+    even4 = (-1.0) ** js * even3
+    tails = np.cumsum(odd[::-1])[::-1]
+    eps = len(js) * np.finfo(float).eps
+    series = {
+        "terms": {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, even4)},
+        "horner": {
+            1: (complex(tails[0]), tails[:0:-1].copy()),
+            3: (1.0, 0.5 * even3[::-1]),
+            4: (1.0, 0.5 * even4[::-1]),
+        },
+        "floor": {
+            1: eps * float(np.sum(np.abs(odd) * (2 * js - 1))),
+            4: eps * (1.0 + float(np.sum(np.abs(even4)))),
+        },
+    }
+    for freqs, coeffs in series["terms"].values():  # cached: every caller shares them
+        freqs.setflags(write=False)
+        coeffs.setflags(write=False)
+    for _, coeffs in series["horner"].values():
+        coeffs.setflags(write=False)
     return series
+
+
+def _rounding_floor(kind: int, nome: Nome) -> float:
+    """The default-precision rounding floor of theta1'(0) (kind 1) or theta4(0)
+    (kind 4); see ``_coefficients``."""
+    return _coefficients(nome, DEFAULT_PRECISION)["floor"][kind]
 
 
 def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision, log_abs: bool = False):
     """theta_kind(z; q) for kind 1, 3 or 4, or log|theta1(z; q)| with ``log_abs``.
 
     With z = u + m*pi + n*pi*tau and u in the fundamental strip, the series is
-    summed at u and the multiplier q^(-n^2) e^(-2inu), times (-1)^(m+n) for
-    theta1 and (-1)^n for theta4, restores theta(z). For log_abs its exact log
-    modulus enters additively, so arguments far from the strip are safe.
+    summed at u by one Horner recurrence on the pair (x, 1/x), x = e^(2iu): one
+    exponential per point (and one sine for theta1) whatever the number of
+    terms. The multiplier q^(-n^2) e^(-2inu), times (-1)^(m+n) for theta1 and
+    (-1)^n for theta4, restores theta(z). For log_abs its exact log modulus
+    enters additively, so arguments far from the strip are safe; otherwise a
+    value that overflows raises PrecisionUnreachable.
     """
     z_arr = np.asarray(z, dtype=complex)
+    scalar = z_arr.ndim == 0
     if nome.q == 0:  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
-        return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), z_arr.ndim == 0)
+        return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), scalar)
     u, m, n = _reduce(z_arr, nome.tau)
-    freqs, coeffs = _coefficients(nome, precision)[kind]
-    trig = np.sin if kind == 1 else np.cos
-    series = np.tensordot(coeffs, trig(np.multiply.outer(freqs, u)), axes=(0, 0))
-    if kind != 1:
-        series = 1.0 + series
+    if scalar:  # numpy scalars: the same arithmetic without 0-d array overhead
+        u, m, n = u[()], m[()], n[()]
+    const, coeffs = _coefficients(nome, precision)["horner"][kind]
+    w = np.exp(1j * u)
+    iw = 1.0 / w
+    xs = np.array((w, iw))
+    xs *= xs   # (x, 1/x) stacked, so one recurrence serves both
+    acc = coeffs[0] * xs
+    for c in coeffs[1:]:
+        acc += c
+        acc *= xs
+    series = const + acc[0] + acc[1]
+    if kind == 1:  # sin(u) = (w - 1/w)/2i, by np.sin where that cancels
+        if scalar:
+            sine = np.sin(u)
+        else:
+            sine = (w - iw) * -0.5j
+            np.sin(u, out=sine, where=np.abs(u) < _SINE_CANCEL)
+        series = sine * series
     if log_abs:
         vals = math.pi * nome.tau.imag * n * n + 2 * n * u.imag + np.log(np.abs(series))
-        return float(vals) if z_arr.ndim == 0 else vals
-    sign = 1.0 if kind == 3 else (-1.0) ** (m + n if kind == 1 else n)
-    vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * series
-    return _as_output(vals, z_arr.ndim == 0)
+        return float(vals) if scalar else vals
+    if kind != 3:  # (-1)^(m+n) or (-1)^n, exact for every integer-valued k
+        series = (1.0 - 2.0 * np.fmod(m + n if kind == 1 else n, 2) ** 2) * series
+    if n.any():  # some point lies outside the strip
+        series = np.exp(_shift_exponent(u, n, nome.tau)) * series
+    vals = complex(series) if scalar else series
+    total = vals if scalar else vals.sum()  # inf or nan in any value spreads to it
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        bad = ~np.isfinite(vals)
+        if np.isfinite(z_arr[bad]).any():
+            raise PrecisionUnreachable(
+                f"theta{kind} of a finite argument overflows a double "
+                f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
+            )
+    return vals
 
 
 def theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
@@ -245,7 +320,7 @@ def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> compl
     nome = Nome.coerce(nome)
     if nome.q == 0:
         return 0j
-    freqs, coeffs = _coefficients(nome, precision)[1]
+    freqs, coeffs = _coefficients(nome, precision)["terms"][1]
     return complex(np.sum(coeffs * freqs))
 
 

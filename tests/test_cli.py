@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from torusgas import cli
 from torusgas.cli import main, run
 from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
-from torusgas.selftest import MC_MAX_PULL, identity_draws
+from torusgas.plasma import IntegralEstimate, PartitionCheck
+from torusgas.selftest import MC_MAX_PULL, QUAD_MAX_REL, identity_draws
 from torusgas.theta import Nome
 
 runner = CliRunner()
@@ -94,6 +97,21 @@ class TestOcp:
         payload = json.loads(res.output)
         assert payload["resolved_nome"] == "W/L"
         assert payload["quadrature"]["rel_deviation"] < 1e-6
+
+    def test_quadrature_rule_is_the_gate_rule(self):
+        tol = next(p for p in main.commands["ocp"].params if p.name == "tol")
+        assert tol.default == QUAD_MAX_REL
+
+    def test_nan_quadrature_deviation_exits_one(self, monkeypatch):
+        """A NaN deviation fails the N = 1 check instead of passing `> tol`."""
+        def nan_check(geom):
+            est = IntegralEstimate(value=math.nan, std_error=math.nan, samples=0, seed=0)
+            return PartitionCheck(est, 1.0, math.nan)
+
+        monkeypatch.setattr(cli, "verify_partition_quadrature", nan_check)
+        res = runner.invoke(main, ["ocp", "--N", "1"])
+        assert res.exit_code == 1
+        assert math.isnan(json.loads(res.output)["quadrature"]["rel_deviation"])
 
     def test_n2_requires_seed(self):
         res = runner.invoke(main, ["ocp", "--N", "2"])

@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
+from torusgas.geometry import TorusGeometry
 from torusgas.landau import MagneticSetup
 from torusgas.theta import (
+    DEFAULT_PRECISION,
     Nome,
     SeriesPrecision,
+    _coefficients,
+    _reduce,
+    _rounding_floor,
+    _shift_exponent,
     eta_q,
     f_N,
     lattice_distance,
@@ -321,3 +327,154 @@ class TestThetaProperties:
         for n, theta in ((1, theta1), (3, theta3), (4, theta4)):
             ref = complex(mp.jtheta(n, mp.mpc(z.real, z.imag), q))
             assert _close(theta(z, nome), ref, z, nome)
+
+
+# The series core against independent references over the whole aspect range.
+ASPECTS = (0.1, 0.15, 0.3, 1.0, 3.0, 10.0, 20.0, 61.0)
+KINDS = ((1, theta1), (3, theta3), (4, theta4))
+
+
+def _strip_points(wl: float, k: int = 100):
+    """k seeded points in the fundamental strip, and the same points shifted
+    by m*pi + n*pi*tau with |m| <= 3, n = +-1."""
+    gen = np.random.default_rng(int(wl * 100))
+    inside = math.pi * gen.uniform(-0.5, 0.5, k) + 1j * math.pi * wl * gen.uniform(-0.5, 0.5, k)
+    shift = gen.integers(-3, 4, k) * math.pi + gen.choice([-1, 1], k) * 1j * math.pi * wl
+    return inside, inside + shift
+
+
+def _trig_sum(kind: int, z, nome: Nome):
+    """The earlier engine, kept as a reference: sin/cos of every term at every
+    point, contracted with the coefficients by tensordot."""
+    u, m, n = _reduce(np.asarray(z, dtype=complex), nome.tau)
+    freqs, coeffs = _coefficients(nome, DEFAULT_PRECISION)["terms"][kind]
+    trig = np.sin if kind == 1 else np.cos
+    series = np.tensordot(coeffs, trig(np.multiply.outer(freqs, u)), axes=(0, 0))
+    if kind != 1:
+        series = 1.0 + series
+    sign = 1.0 if kind == 3 else (-1.0) ** (m + n if kind == 1 else n)
+    return sign * np.exp(_shift_exponent(u, n, nome.tau)) * series
+
+
+def _rel(got, ref) -> float:
+    return float(np.max(np.abs(np.asarray(got) - ref) / np.abs(ref)))
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("wl", ASPECTS)
+    def test_against_mpmath(self, wl):
+        """Relative error <= 1e-13 for W/L >= 0.15 and <= 1e-12 at 0.1, inside
+        the strip and shifted out of it. 60 digits: at W/L = 61 mpmath's
+        jtheta is itself off by ~1e-13 at 30."""
+        tol = 1e-13 if wl >= 0.15 else 1e-12
+        nome = Nome.from_aspect(wl, 1.0)
+        with mp.workdps(60):
+            q = mp.exp(-mp.pi * mp.mpf(wl))
+            for pts in _strip_points(wl):
+                zs = [mp.mpc(z.real, z.imag) for z in pts]
+                for kind, theta in KINDS:
+                    ref = np.array([complex(mp.jtheta(kind, z, q)) for z in zs])
+                    assert _rel(theta(pts, nome), ref) <= tol, (kind, wl)
+                ref = np.array([float(mp.log(abs(mp.jtheta(1, z, q)))) for z in zs])
+                got = log_abs_theta1(pts, nome)
+                assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= tol
+
+    @pytest.mark.parametrize("wl", ASPECTS)
+    def test_against_trig_sum(self, wl):
+        """The Horner recurrence reproduces the per-term sin/cos sum."""
+        tol = 1e-13 if wl >= 0.15 else 1e-12
+        nome = Nome.from_aspect(wl, 1.0)
+        for pts in _strip_points(wl):
+            for kind, theta in KINDS:
+                assert _rel(theta(pts, nome), _trig_sum(kind, pts, nome)) <= tol, (kind, wl)
+
+    @pytest.mark.parametrize("wl", (0.05, 1.0, 20.0))
+    def test_scalar_matches_one_element_array(self, wl):
+        nome = Nome.from_aspect(wl, 1.0)
+        for z in np.concatenate(_strip_points(wl, 10)):
+            for _, theta in KINDS:
+                one = theta(z, nome)
+                assert isinstance(one, complex)
+                assert abs(one - theta(np.array([z]), nome)[0]) <= 1e-15 * abs(one)
+            lg = log_abs_theta1(z, nome)
+            assert abs(lg - log_abs_theta1(np.array([z]), nome)[0]) <= 1e-15 * max(1.0, abs(lg))
+
+    def test_batch_matches_per_point(self):
+        """1e5 plasma-like points (n in {-1, 0, 1}) evaluated at once equal the
+        same points evaluated one at a time (every 10th, to bound the run time)."""
+        nome = Nome.from_aspect(1.0, 1.0)
+        gen = np.random.default_rng(3)
+        z = math.pi * gen.uniform(0, 1, 100_000) + 1j * math.pi * gen.uniform(-1, 1, 100_000)
+        batch = theta1(z, nome)[::10]
+        single = np.array([theta1(complex(v), nome) for v in z[::10]])
+        assert _rel(batch, single) <= 1e-15
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    def test_relative_accuracy_next_to_zero(self, q):
+        """theta1 keeps relative accuracy as z -> 0, where sums of e^(+-i(2j-1)z)
+        cancel: the sine is factored out of the series. (Towards the nome cap
+        the series cancels theta1'(0) itself, so q stays moderate here.)"""
+        nome = Nome.from_q(q)
+        zs = np.array([1e-3, 1e-6 + 1e-6j, -2e-9j, 3e-12 - 1e-12j])
+        ref = np.array([complex(mp.jtheta(1, mp.mpc(z.real, z.imag), q)) for z in zs])
+        assert _rel(theta1(zs, nome), ref) <= 1e-14
+        for z, r in zip(zs, ref):
+            assert abs(theta1(complex(z), nome) - r) <= 1e-14 * abs(r)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+class TestOverflow:
+    """theta of a finite argument whose quasi-periodicity multiplier overflows."""
+
+    @staticmethod
+    def _center_of_mass(W: float):
+        geom = TorusGeometry(1.0, W, 6)
+        zs = 0.3 + 0.01j + 0.05 * np.arange(6)
+        return math.pi * np.sum(np.conj(zs) - (geom.L - 1j * geom.W) / 2.0) / geom.L, geom.nome_WL
+
+    @pytest.mark.parametrize("theta", [theta1, theta3, theta4])
+    def test_refused_by_name(self, theta):
+        z, nome = self._center_of_mass(40.0)
+        with pytest.raises(PrecisionUnreachable):
+            theta(z, nome)
+        with pytest.raises(PrecisionUnreachable):
+            theta(np.array([0.3, z]), nome)
+
+    def test_log_modulus_is_exempt(self):
+        z, nome = self._center_of_mass(40.0)
+        assert math.isfinite(log_abs_theta1(z, nome))
+
+    def test_representable_value_passes(self):
+        z, nome = self._center_of_mass(20.0)
+        assert math.isfinite(abs(theta1(z, nome)))
+
+    def test_non_finite_argument_is_not_an_overflow(self):
+        out = theta1(np.array([0.3, complex(math.nan, 0.0)]), 0.3)
+        assert math.isfinite(abs(out[0])) and np.isnan(out[1])
+
+
+class TestRoundingFloor:
+    def test_bounds_the_error_near_the_cap(self):
+        """n* eps sum|terms| bounds the actual error of theta4(0) and theta1'(0)
+        where the series cancel them (W/L from the cap to 0.2)."""
+        with mp.workdps(40):
+            for wl in np.geomspace(0.01633, 0.2, 25):
+                nome = Nome.from_aspect(wl, 1.0)
+                q = mp.exp(-mp.pi * mp.mpf(wl))
+                t4 = float(mp.jtheta(4, 0, q))
+                t1 = float(mp.jtheta(1, 0, q, 1))
+                assert abs(theta4(0.0, nome).real - t4) <= _rounding_floor(4, nome)
+                assert abs(theta1_prime0(nome).real - t1) <= _rounding_floor(1, nome)
+
+
+class TestGeometryNome:
+    def test_memoised_plain_properties(self):
+        """nome_WL / nome_LW stay plain properties (benchmark tracers wrap
+        their fget) and return the same cached Nome on every access."""
+        for name in ("nome_WL", "nome_LW"):
+            assert type(TorusGeometry.__dict__[name]) is property
+        g = TorusGeometry(1.3, 0.7, 2)
+        assert g.nome_WL is g.nome_WL
+        assert g.nome_WL is TorusGeometry(1.3, 0.7, 5).nome_WL
+        assert g.nome_WL == Nome.from_aspect(0.7, 1.3)
+        assert g.nome_LW == Nome.from_aspect(1.3, 0.7)
