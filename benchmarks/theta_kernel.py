@@ -16,7 +16,7 @@ Points are drawn uniformly over the cell Re u in [0, pi), Im u in
 plasma integrand. Every timing is the best of several repeats inside a worker;
 ROUNDS workers per side run alternately (baseline first in even rounds), and
 the result is the median over rounds with the quartiles as the noise. The
-record, with the machine and library versions, goes to ``BENCH_5.json`` at the
+record, with the machine and library versions, goes to ``BENCH_6.json`` at the
 repository root.
 """
 
@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ASPECTS = (0.02, 0.05, 0.2, 1.0, 5.0)
 BIG = 100_000
 ROUNDS = 5
-OUT = ROOT / "BENCH_5.json"
+OUT = ROOT / "BENCH_6.json"
 
 
 def _best(fn, number: int, repeat: int) -> float:

@@ -82,7 +82,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([[repr(v) if isinstance(v, float) else v for v in row] for row in rows])
+    writer.writerows([[repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows])
     return buf.getvalue()
 
 

@@ -33,25 +33,17 @@ from .errors import (
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
-    PrecisionUnreachable,
     SingularSeparation,
     TruncationInsufficient,
 )
 from .geometry import TorusGeometry
-from .theta import _rounding_floor, eta_q, lattice_distance, theta1, theta1_prime0, theta4
+from .theta import eta_q, lattice_distance, theta1, theta1_prime0, theta4
 
 
 def _theta_constants(geom: TorusGeometry) -> tuple[float, float]:
-    """Real (theta1'(0), theta4(0)) at q = exp(-pi W/L); refuses a theta4(0)
-    that the series cancelled to its rounding floor near the nome cap."""
+    """Real (theta1'(0), theta4(0)) at q = exp(-pi W/L)."""
     nome = geom.nome_WL
-    t4 = theta4(0.0, nome).real
-    if not t4 > _rounding_floor(4, nome):
-        raise PrecisionUnreachable(
-            f"theta4(0) series cancels to {t4} at W/L = {geom.W / geom.L:.4g} "
-            f"(q = {nome.q.real:.4g}), within its rounding floor"
-        )
-    return theta1_prime0(nome).real, t4
+    return theta1_prime0(nome).real, theta4(0.0, nome).real
 
 
 def kernel_K(w: complex, z: complex, geom: TorusGeometry):

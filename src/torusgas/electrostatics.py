@@ -18,23 +18,9 @@ import numpy as np
 
 from .errors import CoincidentPoints, PrecisionUnreachable
 from .geometry import ParticleConfig, TorusGeometry
-from .theta import _rounding_floor, lattice_distance, log_abs_theta1, theta1, theta1_prime0
+from .theta import lattice_distance, log_abs_theta1, theta1, theta1_prime0
 
 _COINCIDENT_TOL = 1e-9
-
-
-def _theta1_prime0(geom: TorusGeometry) -> float:
-    """Real theta1'(0) at q = exp(-pi W/L) for the closed forms that take its
-    log; refuses a value the series cancelled to its rounding floor near the
-    nome cap."""
-    nome = geom.nome_WL
-    tp = theta1_prime0(nome).real
-    if not tp > _rounding_floor(1, nome):
-        raise PrecisionUnreachable(
-            f"theta1'(0) series cancels to {tp} at W/L = {geom.W / geom.L:.4g}, "
-            "within its rounding floor"
-        )
-    return tp
 
 
 def _pair_log_theta(z, zp, geom: TorusGeometry):
@@ -49,7 +35,7 @@ def phi_quasi(z, zp, geom: TorusGeometry):
 
     Periodic in x; a shift y -> y + W adds -(pi/L)(2(y-y') + W).
     """
-    norm = math.log(geom.L / (math.pi * _theta1_prime0(geom)))
+    norm = math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real))
     return -(norm + _pair_log_theta(z, zp, geom))
 
 
@@ -69,7 +55,7 @@ def background_I(yp: float, geom: TorusGeometry) -> float:
     independent of x' by periodicity. Verified against adaptive quadrature in
     the test suite.
     """
-    tp = _theta1_prime0(geom)
+    tp = theta1_prime0(geom.nome_WL).real
     return (
         geom.area / 3.0 * math.log(tp / 2.0)
         + math.pi * (yp - geom.W / 2.0) ** 2
@@ -90,7 +76,7 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     """
     geom.check_distinct(config.zs)
     N = len(config)
-    tp = _theta1_prime0(geom)
+    tp = theta1_prime0(geom.nome_WL).real
     val = N * Gamma / 2.0 * math.log(math.pi * tp / geom.L)
     val -= Gamma * N * N / 6.0 * math.log(tp / 2.0)
     val -= math.pi * geom.rho * Gamma * float(np.sum((config.ys - geom.W / 2.0) ** 2))
@@ -128,7 +114,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
     N = len(config)
     L, W = geom.L, geom.W
     rho = geom.rho
-    tp = _theta1_prime0(geom)
+    tp = theta1_prime0(geom.nome_WL).real
     log_norm = math.log(math.pi * tp / L)
 
     u1 = 0.0

@@ -132,20 +132,19 @@ def frobenius_residual(
     if np.any(lattice_distance(sep, nome) < 1e-9):
         raise SingularConfiguration("some w_j - z_k lies on the lattice")
 
-    t1_sep = theta1(sep, nome, precision)
-    F = (-1.0) ** (N * (N - 1) // 2) + 0j
-    if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
-        F *= complex(np.prod(theta1(ws[ju] - ws[iu], nome, precision)))
-        F *= complex(np.prod(theta1(zs[ju] - zs[iu], nome, precision)))
-    F /= np.prod(t1_sep)
-    lhs = theta4(np.sum(ws - zs) - alpha, nome, precision) * F
+    # one theta1 call over the separations and both sets' pair differences,
+    # one theta4 call over sum(w - z) - alpha, alpha and the separations - alpha
+    iu, ju = np.triu_indices(N, k=1)
+    t1 = theta1(np.concatenate([sep.ravel(), ws[ju] - ws[iu], zs[ju] - zs[iu]]), nome, precision)
+    t1_sep = t1[: N * N].reshape(N, N)
+    F = (-1.0) ** (N * (N - 1) // 2) * complex(np.prod(t1[N * N :])) / np.prod(t1_sep)
+    t4_args = np.concatenate([[np.sum(ws - zs) - alpha, alpha], (sep - alpha).ravel()])
+    t4 = theta4(t4_args, nome, precision)
+    lhs = t4[0] * F
 
-    t4_alpha = theta4(alpha, nome, precision)
-    mat = theta4(sep - alpha, nome, precision) / (t4_alpha * t1_sep)
-    rhs = t4_alpha * complex(np.linalg.det(np.atleast_2d(mat)))
-
-    scale = float(np.prod(np.max(np.abs(np.atleast_2d(mat)), axis=1))) * abs(t4_alpha)
+    mat = t4[2:].reshape(N, N) / (t4[1] * t1_sep)
+    rhs = t4[1] * complex(np.linalg.det(mat))
+    scale = float(np.prod(np.max(np.abs(mat), axis=1))) * abs(t4[1])
     return IdentityResidual.from_sides(complex(lhs), rhs, scale=scale)
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .electrostatics import _theta1_prime0
 from .errors import (
     DimensionMismatch,
     InsufficientSamples,
@@ -33,7 +32,7 @@ from .errors import (
     SeedRequired,
 )
 from .geometry import TorusGeometry
-from .theta import eta_q, f_N, qpochhammer_sq, theta1
+from .theta import eta_q, f_N, qpochhammer_sq, theta1, theta1_prime0
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class PartitionCheck:
 
 def _log_middle(N: int, geom: TorusGeometry) -> float:
     q = geom.q_WL
-    tp = _theta1_prime0(geom)
+    tp = theta1_prime0(geom.nome_WL).real
     rho = N / geom.area
     val = N * math.log(math.pi * tp / geom.L)
     val -= (N * N / 3.0) * math.log(tp / 2.0)

@@ -14,10 +14,11 @@ well conditioned for arbitrary arguments; a value that overflows a double
 raises PrecisionUnreachable (log|theta1| never does). f_N, qpochhammer_sq and
 eta_q share one cached (q^2; q^2)_inf product.
 
-The series are summed to an absolute tail bound, so ``Nome`` refuses
-|q| > 0.95; towards that cap theta4(0) and theta1'(0) lose relative accuracy
-to cancellation, and the same cache holds the rounding floor below which
-they are noise. No modular transformation tau -> -1/tau is applied.
+The series are summed to an absolute tail bound, which towards q -> 1 cancels
+theta4(0) and theta1'(0) to noise. So a real nome with Im(tau) = t < 1 is
+summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)), where |q'| <= e^(-pi):
+every real nome up to the cap |q| <= 0.95 is then accurate in relative terms.
+Complex (skewed-torus) nomes are summed directly.
 
 Conventions (q = e^{i*pi*tau}, Im tau > 0):
 
@@ -58,12 +59,8 @@ class Nome:
     tau: complex
 
     def __post_init__(self):
-        if abs(self.q) >= 1.0:
-            raise NomeOutOfRange(f"|q| = {abs(self.q)} >= 1")
-        if abs(self.q) > _QMAX:
-            raise NomeOutOfRange(
-                f"|q| = {abs(self.q)} > {_QMAX}; the theta series lose accuracy there"
-            )
+        if abs(self.q) > _QMAX:  # the accepted domain, every real nome accurate up to it
+            raise NomeOutOfRange(f"|q| = {abs(self.q)} outside the accepted domain |q| <= {_QMAX}")
         if self.q != 0 and not (self.tau.imag > 0):
             raise NomeOutOfRange(f"Im(tau) = {self.tau.imag} must be positive")
 
@@ -180,70 +177,96 @@ def _as_output(values, scalar_input):
     return values
 
 
+def _terms(tau: complex, precision: SeriesPrecision) -> dict:
+    """(frequencies, coefficients) by theta index, q-powers on the tau branch:
+    theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4
+    add 2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1; j = 1..n*."""
+    js = np.arange(1, precision.n_star(math.exp(-math.pi * tau.imag)) + 1)
+    odd = 2.0 * (-1.0) ** (js - 1) * np.exp(1j * math.pi * tau * (js - 0.5) ** 2)
+    even3 = 2.0 * np.exp(1j * math.pi * tau * js**2)
+    return {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, (-1.0) ** js * even3)}
+
+
 @functools.lru_cache(maxsize=64)
 def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
-    """The theta series at a nonzero nome, as read-only arrays by theta index.
+    """The theta series of a nonzero nome, as read-only arrays by theta index.
 
-    ``terms[kind]`` is (frequencies, coefficients): theta1 sums
-    2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4 add
-    2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1; j = 1..n*. The
-    q-powers are taken on the tau branch.
+    ``terms`` holds the series at tau (see ``_terms``). ``modular`` is t when
+    tau = it with t < 1, else None: there the series at tau cancel towards
+    q -> 1, so the dual tau' = -1/tau = i/t is summed, |q'| <= e^(-pi).
 
-    ``horner[kind]`` is (constant, a), the series as constant + p(x) + p(1/x)
-    with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ..., a_1], leading
-    coefficient first. theta3/theta4 take a_j = c_j / 2 and constant 1.
+    ``horner[kind]`` is (constant, a), the series summed as constant + p(x) +
+    p(1/x) with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ..., a_1],
+    leading coefficient first. theta3/theta4 take a_j = c_j / 2 and constant 1.
     theta1 is sin(u) times such a sum: sin((2j-1)u) / sin(u) = 1 + 2 sum_{k<j}
     cos(2ku), so a_k = sum_{j>k} c_j and the constant is sum_j c_j. Factoring
     sin(u) out keeps theta1 relatively accurate next to its zero at u = 0.
-
-    ``floor[kind]`` is n* eps sum|terms| for theta1'(0) (kind 1) and theta4(0)
-    (kind 4). Near the nome cap the series cancel these constants to rounding
-    noise of either sign, so a value at or below the floor is unresolved.
-
-    Only the few nomes in use at a time need an entry.
+    When modular, kinds 1, 3 and 4 hold -i t^(-1/2) theta1, t^(-1/2) theta3
+    and t^(-1/2) theta1 at tau' (DLMF 20.7.30-32). ``prime0`` is theta1'(0) =
+    sum_j (2j-1) c_j of the summed series, times t^(-3/2) when modular.
     """
-    js = np.arange(1, precision.n_star(abs(nome.q)) + 1)
-    odd = 2.0 * (-1.0) ** (js - 1) * np.exp(1j * math.pi * nome.tau * (js - 0.5) ** 2)
-    even3 = 2.0 * np.exp(1j * math.pi * nome.tau * js**2)
-    even4 = (-1.0) ** js * even3
+    terms = _terms(nome.tau, precision)
+    t = nome.tau.imag
+    modular = nome.tau.real == 0 and t < 1.0
+    summed = _terms(1j / t, precision) if modular else terms
+    freqs, odd = summed[1]
     tails = np.cumsum(odd[::-1])[::-1]
-    eps = len(js) * np.finfo(float).eps
-    series = {
-        "terms": {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, even4)},
-        "horner": {
-            1: (complex(tails[0]), tails[:0:-1].copy()),
-            3: (1.0, 0.5 * even3[::-1]),
-            4: (1.0, 0.5 * even4[::-1]),
-        },
-        "floor": {
-            1: eps * float(np.sum(np.abs(odd) * (2 * js - 1))),
-            4: eps * (1.0 + float(np.sum(np.abs(even4)))),
-        },
+    const1, a1, a3 = complex(tails[0]), tails[:0:-1].copy(), 0.5 * summed[3][1][::-1]
+    if modular:
+        r = t**-0.5
+        horner = {1: (-1j * r * const1, -1j * r * a1), 3: (r, r * a3), 4: (r * const1, r * a1)}
+    else:
+        horner = {1: (const1, a1), 3: (1.0, a3), 4: (1.0, 0.5 * summed[4][1][::-1])}
+    for fs, coeffs in terms.values():  # cached: every caller shares them
+        fs.setflags(write=False)
+        coeffs.setflags(write=False)
+    for _, coeffs in horner.values():
+        coeffs.setflags(write=False)
+    return {
+        "terms": terms,
+        "horner": horner,
+        "modular": t if modular else None,
+        "prime0": complex(np.sum(odd * freqs)) * (t**-1.5 if modular else 1.0),
     }
-    for freqs, coeffs in series["terms"].values():  # cached: every caller shares them
-        freqs.setflags(write=False)
-        coeffs.setflags(write=False)
-    for _, coeffs in series["horner"].values():
-        coeffs.setflags(write=False)
+
+
+def _horner(const, coeffs, v, odd: bool, scalar: bool):
+    """const + p(x) + p(1/x) at x = e^(2iv), times sin(v) when ``odd``, by one
+    Horner recurrence on the stacked pair (x, 1/x): one exponential per point."""
+    w = np.exp(1j * v)
+    iw = 1.0 / w
+    xs = np.array((w, iw))
+    xs *= xs
+    acc = coeffs[0] * xs
+    for c in coeffs[1:]:
+        acc += c
+        acc *= xs
+    series = const + acc[0] + acc[1]
+    if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
+        if scalar:
+            sine = np.sin(v)
+        else:
+            sine = (w - iw) * -0.5j
+            np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
+        series = sine * series
     return series
-
-
-def _rounding_floor(kind: int, nome: Nome) -> float:
-    """The default-precision rounding floor of theta1'(0) (kind 1) or theta4(0)
-    (kind 4); see ``_coefficients``."""
-    return _coefficients(nome, DEFAULT_PRECISION)["floor"][kind]
 
 
 def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision, log_abs: bool = False):
     """theta_kind(z; q) for kind 1, 3 or 4, or log|theta1(z; q)| with ``log_abs``.
 
-    With z = u + m*pi + n*pi*tau and u in the fundamental strip, the series is
-    summed at u by one Horner recurrence on the pair (x, 1/x), x = e^(2iu): one
-    exponential per point (and one sine for theta1) whatever the number of
-    terms. The multiplier q^(-n^2) e^(-2inu), times (-1)^(m+n) for theta1 and
-    (-1)^n for theta4, restores theta(z). For log_abs its exact log modulus
-    enters additively, so arguments far from the strip are safe; otherwise a
-    value that overflows raises PrecisionUnreachable.
+    z = u + m*pi + n*pi*tau with u in the fundamental strip. Directly, the
+    series is summed at u and the multiplier q^(-n^2) e^(-2inu) restores
+    theta(z). For tau = it, t < 1, DLMF 20.7.30-32 give
+
+        theta(u | it) = t^(-1/2) e^(-u^2/(pi t)) * theta'(iu/t | i/t)
+
+    with theta' = -i theta1, theta3 and theta2 for theta1, theta3 and theta4,
+    theta2(v) = theta1(v + pi/2); iu/t lies in the dual strip, where the shift
+    n is a sign, so e^(-(u + n pi tau)^2/(pi t)) is the multiplier. Both then
+    take (-1)^(m+n) for theta1 and (-1)^n for theta4. For log_abs the log
+    modulus of the multiplier enters additively, so arguments far from the
+    strip are safe; otherwise a value that overflows raises PrecisionUnreachable.
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
@@ -252,29 +275,28 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision, log_abs: boo
     u, m, n = _reduce(z_arr, nome.tau)
     if scalar:  # numpy scalars: the same arithmetic without 0-d array overhead
         u, m, n = u[()], m[()], n[()]
-    const, coeffs = _coefficients(nome, precision)["horner"][kind]
-    w = np.exp(1j * u)
-    iw = 1.0 / w
-    xs = np.array((w, iw))
-    xs *= xs   # (x, 1/x) stacked, so one recurrence serves both
-    acc = coeffs[0] * xs
-    for c in coeffs[1:]:
-        acc += c
-        acc *= xs
-    series = const + acc[0] + acc[1]
-    if kind == 1:  # sin(u) = (w - 1/w)/2i, by np.sin where that cancels
-        if scalar:
-            sine = np.sin(u)
-        else:
-            sine = (w - iw) * -0.5j
-            np.sin(u, out=sine, where=np.abs(u) < _SINE_CANCEL)
-        series = sine * series
+    shifted = n.any()   # some point lies outside the strip
+    coefficients = _coefficients(nome, precision)
+    const, coeffs = coefficients["horner"][kind]
+    t = coefficients["modular"]
+    if t is None:
+        series = _horner(const, coeffs, u, kind == 1, scalar)
+    else:
+        half = 0.5 * math.pi if kind == 4 else 0.0
+        series = _horner(const, coeffs, u * (1j / t) + half, kind != 3, scalar)
+        # -(a + ib)^2/(pi t), a + ib = u + n*pi*tau: real arithmetic rounds scalars as arrays
+        a, b = u.real, u.imag + math.pi * t * n if shifted else u.imag
+        log_mod = (b - a) * (b + a) / (math.pi * t)
     if log_abs:
-        vals = math.pi * nome.tau.imag * n * n + 2 * n * u.imag + np.log(np.abs(series))
+        if t is None:
+            log_mod = math.pi * nome.tau.imag * n * n + 2 * n * u.imag
+        vals = log_mod + np.log(np.abs(series))
         return float(vals) if scalar else vals
     if kind != 3:  # (-1)^(m+n) or (-1)^n, exact for every integer-valued k
         series = (1.0 - 2.0 * np.fmod(m + n if kind == 1 else n, 2) ** 2) * series
-    if n.any():  # some point lies outside the strip
+    if t is not None:
+        series = np.exp(log_mod - 2j * (a * b / (math.pi * t))) * series
+    elif shifted:
         series = np.exp(_shift_exponent(u, n, nome.tau)) * series
     vals = complex(series) if scalar else series
     total = vals if scalar else vals.sum()  # inf or nan in any value spreads to it
@@ -312,7 +334,8 @@ def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
 
 
 def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> complex:
-    """d theta1 / dz at z = 0, from the differentiated series.
+    """d theta1 / dz at z = 0, from the differentiated series at tau, or as
+    t^(-3/2) theta1'(0 | i/t) for tau = it, t < 1, where that one cancels.
 
     Equals 2 q^(1/4) prod (1-q^(2n))^3; the product route is kept as an
     independent check in the test suite.
@@ -320,8 +343,7 @@ def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> compl
     nome = Nome.coerce(nome)
     if nome.q == 0:
         return 0j
-    freqs, coeffs = _coefficients(nome, precision)["terms"][1]
-    return complex(np.sum(coeffs * freqs))
+    return _coefficients(nome, precision)["prime0"]
 
 
 def theta1_product(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from torusgas import coulombgas
 from torusgas.coulombgas import (
     _distinct_magnitudes,
     dlog_xi2_dzeta_sq,
@@ -28,7 +29,6 @@ from torusgas.errors import (
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
-    PrecisionUnreachable,
     SingularSeparation,
     TorusGasError,
 )
@@ -245,11 +245,15 @@ class TestNamedErrors:
         ids=["log_xi2_closed", "xi2_closed", "oracle_log_xi2", "kernel_K",
              "kernel_from_fourier", "g_fourier", "mode_logdet"],
     )
-    def test_cancelled_theta4_refused(self, call):
-        """At W/L = 0.02 (q = 0.939) the theta4(0) series cancels to 0; every
-        closed form and kernel that needs it refuses instead of returning junk."""
-        with pytest.raises(PrecisionUnreachable):
-            call(TorusGeometry(1.0, 0.02, 1))
+    def test_cancelled_theta4_refused(self, call, mpmath_reference):
+        """At W/L = 0.02 (q = 0.939) the direct theta4(0) series cancels to
+        noise; the modular route resolves it, so every closed form and kernel
+        that needs it matches the same form on mpmath theta values."""
+        g = TorusGeometry(1.0, 0.02, 1)
+        got = call(g)
+        ref = mpmath_reference(lambda: call(g), coulombgas)
+        assert np.isfinite(got)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 class TestPressure:

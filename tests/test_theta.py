@@ -18,7 +18,6 @@ from torusgas.theta import (
     SeriesPrecision,
     _coefficients,
     _reduce,
-    _rounding_floor,
     _shift_exponent,
     eta_q,
     f_N,
@@ -331,6 +330,7 @@ class TestThetaProperties:
 
 # The series core against independent references over the whole aspect range.
 ASPECTS = (0.1, 0.15, 0.3, 1.0, 3.0, 10.0, 20.0, 61.0)
+NEAR_CAP = (0.0164, 0.02, 0.03, 0.05)   # q from the cap 0.95 down to 0.85
 KINDS = ((1, theta1), (3, theta3), (4, theta4))
 
 
@@ -361,12 +361,11 @@ def _rel(got, ref) -> float:
 
 
 class TestSeriesKernel:
-    @pytest.mark.parametrize("wl", ASPECTS)
+    @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
     def test_against_mpmath(self, wl):
-        """Relative error <= 1e-13 for W/L >= 0.15 and <= 1e-12 at 0.1, inside
-        the strip and shifted out of it. 60 digits: at W/L = 61 mpmath's
-        jtheta is itself off by ~1e-13 at 30."""
-        tol = 1e-13 if wl >= 0.15 else 1e-12
+        """Relative error <= 1e-13 from the nome cap to W/L = 61, inside the
+        strip and shifted out of it. 60 digits: at W/L = 61 mpmath's jtheta is
+        itself off by ~1e-13 at 30."""
         nome = Nome.from_aspect(wl, 1.0)
         with mp.workdps(60):
             q = mp.exp(-mp.pi * mp.mpf(wl))
@@ -374,10 +373,10 @@ class TestSeriesKernel:
                 zs = [mp.mpc(z.real, z.imag) for z in pts]
                 for kind, theta in KINDS:
                     ref = np.array([complex(mp.jtheta(kind, z, q)) for z in zs])
-                    assert _rel(theta(pts, nome), ref) <= tol, (kind, wl)
+                    assert _rel(theta(pts, nome), ref) <= 1e-13, (kind, wl)
                 ref = np.array([float(mp.log(abs(mp.jtheta(1, z, q)))) for z in zs])
                 got = log_abs_theta1(pts, nome)
-                assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= tol
+                assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("wl", ASPECTS)
     def test_against_trig_sum(self, wl):
@@ -409,11 +408,11 @@ class TestSeriesKernel:
         single = np.array([theta1(complex(v), nome) for v in z[::10]])
         assert _rel(batch, single) <= 1e-15
 
-    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.95])
     def test_relative_accuracy_next_to_zero(self, q):
         """theta1 keeps relative accuracy as z -> 0, where sums of e^(+-i(2j-1)z)
-        cancel: the sine is factored out of the series. (Towards the nome cap
-        the series cancels theta1'(0) itself, so q stays moderate here.)"""
+        cancel: the sine is factored out of the series, also of the dual series
+        that serves q up to the cap."""
         nome = Nome.from_q(q)
         zs = np.array([1e-3, 1e-6 + 1e-6j, -2e-9j, 3e-12 - 1e-12j])
         ref = np.array([complex(mp.jtheta(1, mp.mpc(z.real, z.imag), q)) for z in zs])
@@ -453,18 +452,18 @@ class TestOverflow:
         assert math.isfinite(abs(out[0])) and np.isnan(out[1])
 
 
-class TestRoundingFloor:
-    def test_bounds_the_error_near_the_cap(self):
-        """n* eps sum|terms| bounds the actual error of theta4(0) and theta1'(0)
-        where the series cancel them (W/L from the cap to 0.2)."""
-        with mp.workdps(40):
+class TestNearCapConstants:
+    def test_relative_error_near_the_cap(self):
+        """theta4(0) and theta1'(0), which the direct series cancel towards
+        q -> 1, match mpmath to 1e-13 relative from the cap to W/L = 0.2."""
+        with mp.workdps(60):
             for wl in np.geomspace(0.01633, 0.2, 25):
                 nome = Nome.from_aspect(wl, 1.0)
                 q = mp.exp(-mp.pi * mp.mpf(wl))
                 t4 = float(mp.jtheta(4, 0, q))
                 t1 = float(mp.jtheta(1, 0, q, 1))
-                assert abs(theta4(0.0, nome).real - t4) <= _rounding_floor(4, nome)
-                assert abs(theta1_prime0(nome).real - t1) <= _rounding_floor(1, nome)
+                assert abs(theta4(0.0, nome).real - t4) <= 1e-13 * t4
+                assert abs(theta1_prime0(nome).real - t1) <= 1e-13 * t1
 
 
 class TestGeometryNome:
