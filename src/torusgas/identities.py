@@ -4,11 +4,15 @@ Three families are covered: the theta-Vandermonde factorizations of N x N theta
 determinants, the Frobenius determinant identity for theta4/theta1 kernels, and
 the Fourier determinants with their closed-form constants. Each check returns
 an :class:`IdentityResidual` rather than a bare bool so callers can log and
-threshold however they need.
+threshold however they need. The two theta identities are evaluated on
+stacks of D configurations, shape (D, N), with one theta call per kind and one
+stacked determinant per stack; the public residual functions are the D = 1
+case, and ``selftest.identity_draws`` passes all draws of one size at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +66,37 @@ class IdentityResidual:
         return self.rel_residual < rel_tol
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs(N: int):
+    """Read-only (iu, ju) index arrays of the pairs j < k of N points."""
+    iu, ju = np.triu_indices(N, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def _residuals(lhs, rhs, scale) -> list[IdentityResidual]:
+    """One residual per configuration of a stack's (lhs, rhs, scale) arrays."""
+    sides = zip(lhs, rhs, scale)
+    return [IdentityResidual.from_sides(complex(a), complex(b), float(s)) for a, b, s in sides]
+
+
+def _vandermonde_sides(X, alpha, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+    """(lhs, rhs, scale) of the theta-Vandermonde identity at each row of the
+    (D, N) stack X: one theta call per kind over the whole stack, one
+    stacked determinant."""
+    nome = Nome.coerce(nome)
+    N = X.shape[1]
+    column, head = (theta3, theta3) if N % 2 == 1 else (theta1, theta4)
+    args = math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N)
+    mat = column(args, nome.root(N), precision)
+    iu, ju = _pairs(N)
+    rhs = head(math.pi * np.sum(X + alpha, axis=1), nome, precision) * f_N(N, nome, precision)
+    rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome, precision), axis=1)
+    scale = np.prod(np.max(np.abs(mat), axis=2), axis=1)
+    return np.linalg.det(mat), rhs, scale
+
+
 def theta_vandermonde_residual(
     xs,
     alpha: complex,
@@ -82,28 +117,29 @@ def theta_vandermonde_residual(
         N = len(xs)
     if len(xs) != N:
         raise DimensionMismatch(f"got {len(xs)} points for N = {N}")
+    return _residuals(*_vandermonde_sides(xs[None], alpha, nome, precision))[0]
+
+
+def _frobenius_sides(Ws, Zs, alpha, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+    """(lhs, rhs, scale) of the Frobenius identity at each row pair of the
+    (D, N) stacks Ws, Zs: one theta1 call over the separations and both sets'
+    pair differences, one theta4 call, one stacked determinant."""
     nome = Nome.coerce(nome)
-    root = nome.root(N)
+    D, N = Ws.shape
+    sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
+    if np.any(lattice_distance(sep, nome) < 1e-9):
+        raise SingularConfiguration("some w_j - z_k lies on the lattice")
 
-    ls = np.arange(1, N + 1)
-    args = math.pi * (xs[:, None] + alpha - ls[None, :] / N)
-    if N % 2 == 1:
-        mat = theta3(args, root, precision)
-        head = theta3(math.pi * np.sum(xs + alpha), nome, precision)
-    else:
-        mat = theta1(args, root, precision)
-        head = theta4(math.pi * np.sum(xs + alpha), nome, precision)
-    lhs = complex(np.linalg.det(np.atleast_2d(mat)))
-
-    if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
-        pair = complex(np.prod(theta1(math.pi * (xs[ju] - xs[iu]), nome, precision)))
-    else:
-        pair = 1.0 + 0j
-    rhs = head * f_N(N, nome, precision) * pair
-
-    scale = float(np.prod(np.max(np.abs(np.atleast_2d(mat)), axis=1)))
-    return IdentityResidual.from_sides(lhs, rhs, scale=scale)
+    iu, ju = _pairs(N)
+    t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome, precision)
+    t1_sep = t1[:, : N * N]
+    F = (-1.0) ** (N * (N - 1) // 2) * np.prod(t1[:, N * N :], axis=1) / np.prod(t1_sep, axis=1)
+    heads = np.sum(Ws - Zs, axis=1) - alpha
+    t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome, precision)
+    norm = t4[:, 1]
+    mat = (t4[:, 2:] / (norm[:, None] * t1_sep)).reshape(D, N, N)
+    scale = np.prod(np.max(np.abs(mat), axis=2), axis=1) * np.abs(norm)
+    return t4[:, 0] * F, norm * np.linalg.det(mat), scale
 
 
 def frobenius_residual(
@@ -125,27 +161,7 @@ def frobenius_residual(
     zs = np.asarray(zs, dtype=complex)
     if ws.shape != zs.shape:
         raise DimensionMismatch(f"|ws| = {len(ws)} but |zs| = {len(zs)}")
-    N = len(ws)
-    nome = Nome.coerce(nome)
-
-    sep = ws[:, None] - zs[None, :]
-    if np.any(lattice_distance(sep, nome) < 1e-9):
-        raise SingularConfiguration("some w_j - z_k lies on the lattice")
-
-    # one theta1 call over the separations and both sets' pair differences,
-    # one theta4 call over sum(w - z) - alpha, alpha and the separations - alpha
-    iu, ju = np.triu_indices(N, k=1)
-    t1 = theta1(np.concatenate([sep.ravel(), ws[ju] - ws[iu], zs[ju] - zs[iu]]), nome, precision)
-    t1_sep = t1[: N * N].reshape(N, N)
-    F = (-1.0) ** (N * (N - 1) // 2) * complex(np.prod(t1[N * N :])) / np.prod(t1_sep)
-    t4_args = np.concatenate([[np.sum(ws - zs) - alpha, alpha], (sep - alpha).ravel()])
-    t4 = theta4(t4_args, nome, precision)
-    lhs = t4[0] * F
-
-    mat = t4[2:].reshape(N, N) / (t4[1] * t1_sep)
-    rhs = t4[1] * complex(np.linalg.det(mat))
-    scale = float(np.prod(np.max(np.abs(mat), axis=1))) * abs(t4[1])
-    return IdentityResidual.from_sides(complex(lhs), rhs, scale=scale)
+    return _residuals(*_frobenius_sides(ws[None], zs[None], alpha, nome, precision))[0]
 
 
 def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:

@@ -29,10 +29,11 @@ from .coulombgas import (
 from .electrostatics import phi_periodic, phi_quasi
 from .geometry import TorusGeometry
 from .identities import (
+    _frobenius_sides,
+    _residuals,
+    _vandermonde_sides,
     draw_identity_points,
     draw_species_pair,
-    frobenius_residual,
-    theta_vandermonde_residual,
 )
 from .landau import MagneticSetup, factorization_ratio
 from .plasma import verify_partition_mc, verify_partition_quadrature, zn_closed
@@ -60,15 +61,16 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
     """Seeded residuals of the theta-Vandermonde identity at every size in
     ``vandermonde_sizes``, then of the Frobenius identity at every size in
     ``frobenius_sizes``, ``draws`` random draws each. Yields
-    ``(identity, N, draw, IdentityResidual)``."""
+    ``(identity, N, draw, IdentityResidual)``. The draws of one size are taken
+    in turn from ``rng``, then evaluated as one stack (``identities``)."""
     for N in vandermonde_sizes:
-        for d in range(draws):
-            xs = draw_identity_points(rng, N, q)
-            yield "vandermonde", N, d, theta_vandermonde_residual(xs, 0.05 + 0.02j, q, N)
+        X = np.array([draw_identity_points(rng, N, q) for _ in range(draws)]).reshape(draws, N)
+        for d, r in enumerate(_residuals(*_vandermonde_sides(X, 0.05 + 0.02j, q))):
+            yield "vandermonde", N, d, r
     for N in frobenius_sizes:
-        for d in range(draws):
-            ws, zs = draw_species_pair(rng, N, q)
-            yield "frobenius", N, d, frobenius_residual(ws, zs, 0.1 + 0.05j, q)
+        WZ = np.array([draw_species_pair(rng, N, q) for _ in range(draws)]).reshape(draws, 2, N)
+        for d, r in enumerate(_residuals(*_frobenius_sides(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, q))):
+            yield "frobenius", N, d, r
 
 
 def factorization_spread(setup: MagneticSetup, rng: np.random.Generator, draws: int):

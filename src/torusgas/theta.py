@@ -191,9 +191,10 @@ def _terms(tau: complex, precision: SeriesPrecision) -> dict:
 def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
     """The theta series of a nonzero nome, as read-only arrays by theta index.
 
-    ``terms`` holds the series at tau (see ``_terms``). ``modular`` is t when
-    tau = it with t < 1, else None: there the series at tau cancel towards
-    q -> 1, so the dual tau' = -1/tau = i/t is summed, |q'| <= e^(-pi).
+    ``modular`` is t when tau = it with t < 1, else None: there the series at
+    tau (see ``_terms``) cancel towards q -> 1, so only the series at the dual
+    tau' = -1/tau = i/t is built and summed, |q'| <= e^(-pi), and the cap
+    ``max_terms`` applies to its n*.
 
     ``horner[kind]`` is (constant, a), the series summed as constant + p(x) +
     p(1/x) with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ..., a_1],
@@ -205,10 +206,9 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
     and t^(-1/2) theta1 at tau' (DLMF 20.7.30-32). ``prime0`` is theta1'(0) =
     sum_j (2j-1) c_j of the summed series, times t^(-3/2) when modular.
     """
-    terms = _terms(nome.tau, precision)
     t = nome.tau.imag
     modular = nome.tau.real == 0 and t < 1.0
-    summed = _terms(1j / t, precision) if modular else terms
+    summed = _terms(1j / t if modular else nome.tau, precision)
     freqs, odd = summed[1]
     tails = np.cumsum(odd[::-1])[::-1]
     const1, a1, a3 = complex(tails[0]), tails[:0:-1].copy(), 0.5 * summed[3][1][::-1]
@@ -217,13 +217,9 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
         horner = {1: (-1j * r * const1, -1j * r * a1), 3: (r, r * a3), 4: (r * const1, r * a1)}
     else:
         horner = {1: (const1, a1), 3: (1.0, a3), 4: (1.0, 0.5 * summed[4][1][::-1])}
-    for fs, coeffs in terms.values():  # cached: every caller shares them
-        fs.setflags(write=False)
-        coeffs.setflags(write=False)
-    for _, coeffs in horner.values():
+    for _, coeffs in horner.values():  # cached: every caller shares them
         coeffs.setflags(write=False)
     return {
-        "terms": terms,
         "horner": horner,
         "modular": t if modular else None,
         "prime0": complex(np.sum(odd * freqs)) * (t**-1.5 if modular else 1.0),

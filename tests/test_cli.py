@@ -36,6 +36,18 @@ class TestTheta:
         res = runner.invoke(main, ["theta", "--q", "0.99"])
         assert res.exit_code == 2
 
+    def test_max_terms_caps_the_summed_series(self):
+        """At q = 0.9 the dual series that is summed needs n* = 3 terms, so a
+        cap of 10 suffices although the direct series would need 20."""
+        args = ["theta", "--q", "0.9", "--z", "0.5"]
+        capped = runner.invoke(main, args + ["--max-terms", "10"])
+        assert capped.exit_code == 0
+        ref = json.loads(runner.invoke(main, args).output)
+        for key, value in json.loads(capped.output).items():
+            pair = (value, ref[key])
+            a, b = (complex(v["re"], v["im"]) if isinstance(v, dict) else v for v in pair)
+            assert abs(a - b) <= 1e-14 * abs(b), key
+
 
 class TestGreens:
     def test_csv_shape(self):

@@ -1,19 +1,25 @@
 """Determinant identities: factorizations, degeneracies, closed-form constants."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from torusgas import identities, selftest
+from torusgas.cli import main
 from torusgas.errors import SingularConfiguration
 from torusgas.identities import (
+    _frobenius_sides,
     draw_identity_points,
     draw_species_pair,
     fourier_det_constant,
     frobenius_residual,
     theta_vandermonde_residual,
 )
-from torusgas.theta import Nome, theta3
+from torusgas.selftest import check_identity_suite, identity_draws
+from torusgas.theta import DEFAULT_PRECISION, Nome, theta3
 
 
 class TestThetaVandermonde:
@@ -112,3 +118,75 @@ class TestFourierDeterminant:
     def test_closed_form(self, N, half):
         r = fourier_det_constant(N, half_shift=half)
         assert r.rel_residual < 1e-10
+
+
+def _per_draw(rng, q, vandermonde_sizes, frobenius_sizes, draws):
+    """The gate's draw loop with one public residual call per draw: the
+    reference for the stacked evaluation in ``identity_draws``."""
+    for N in vandermonde_sizes:
+        for d in range(draws):
+            xs = draw_identity_points(rng, N, q)
+            yield "vandermonde", N, d, theta_vandermonde_residual(xs, 0.05 + 0.02j, q, N)
+    for N in frobenius_sizes:
+        for d in range(draws):
+            ws, zs = draw_species_pair(rng, N, q)
+            yield "frobenius", N, d, frobenius_residual(ws, zs, 0.1 + 0.05j, q)
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    def test_matches_per_draw_calls(self, q):
+        sizes = (range(2, 7), range(1, 5), 20)
+        stacked = list(identity_draws(np.random.default_rng(2024), q, *sizes))
+        single = list(_per_draw(np.random.default_rng(2024), q, *sizes))
+        assert [row[:3] for row in stacked] == [row[:3] for row in single]
+        for (_, N, d, a), (_, _, _, b) in zip(stacked, single):
+            assert abs(a.lhs - b.lhs) <= 1e-14 * abs(b.lhs), (N, d)
+            assert abs(a.rhs - b.rhs) <= 1e-14 * abs(b.rhs), (N, d)
+            assert a.scale == b.scale and a.near_zero == b.near_zero, (N, d)
+
+    def test_one_lattice_draw_in_a_stack_raises(self):
+        rng = np.random.default_rng(3)
+        pairs = [draw_species_pair(rng, 3, 0.3) for _ in range(5)]
+        Ws = np.array([w for w, _ in pairs])
+        Zs = np.array([z for _, z in pairs])
+        _frobenius_sides(Ws, Zs, 0.1, 0.3)   # well separated
+        Zs[2, 1] = Ws[2, 0] - math.pi        # w_0 - z_1 = pi, a zero of theta1
+        with pytest.raises(SingularConfiguration):
+            _frobenius_sides(Ws, Zs, 0.1, 0.3)
+
+    def test_cli_rows_match_per_draw_calls(self, tmp_path):
+        out = tmp_path / "residuals.csv"
+        args = ["verify-identities", "--n", "4", "--draws", "5", "--seed", "7", "--out", str(out)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        rng = np.random.default_rng(7)
+        single = list(_per_draw(rng, Nome.from_q(0.3), range(2, 5), range(1, 5), 5))
+        assert [(r[0], int(r[1]), int(r[3])) for r in rows] == [row[:3] for row in single]
+        for r, (_, _, _, res) in zip(rows, single):
+            assert abs(float(r[4]) - res.abs_residual) <= 1e-15
+            assert abs(float(r[5]) - res.rel_residual) <= 1e-15
+
+
+class TestIdentitySuiteControls:
+    """The stacked identity-suite criterion fails on known-wrong identities."""
+
+    def test_fails_with_f_N_at_q_squared(self, monkeypatch):
+        f_N = identities.f_N
+
+        def wrong(N, nome, precision=DEFAULT_PRECISION):
+            return f_N(N, Nome.coerce(nome).power(2), precision)
+
+        monkeypatch.setattr(identities, "f_N", wrong)
+        assert not check_identity_suite().passed
+
+    def test_fails_without_frobenius_sign(self, monkeypatch):
+        sides = selftest._frobenius_sides
+
+        def unsigned(Ws, Zs, alpha, nome, precision=DEFAULT_PRECISION):
+            lhs, rhs, scale = sides(Ws, Zs, alpha, nome, precision)
+            N = Ws.shape[1]
+            return (-1.0) ** (N * (N - 1) // 2) * lhs, rhs, scale   # undoes (-1)^(N(N-1)/2)
+
+        monkeypatch.setattr(selftest, "_frobenius_sides", unsigned)
+        assert not check_identity_suite().passed

@@ -16,9 +16,9 @@ from torusgas.theta import (
     DEFAULT_PRECISION,
     Nome,
     SeriesPrecision,
-    _coefficients,
     _reduce,
     _shift_exponent,
+    _terms,
     eta_q,
     f_N,
     lattice_distance,
@@ -347,7 +347,7 @@ def _trig_sum(kind: int, z, nome: Nome):
     """The earlier engine, kept as a reference: sin/cos of every term at every
     point, contracted with the coefficients by tensordot."""
     u, m, n = _reduce(np.asarray(z, dtype=complex), nome.tau)
-    freqs, coeffs = _coefficients(nome, DEFAULT_PRECISION)["terms"][kind]
+    freqs, coeffs = _terms(nome.tau, DEFAULT_PRECISION)[kind]
     trig = np.sin if kind == 1 else np.cos
     series = np.tensordot(coeffs, trig(np.multiply.outer(freqs, u)), axes=(0, 0))
     if kind != 1:
