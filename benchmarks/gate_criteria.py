@@ -1,9 +1,10 @@
 """Seconds per ``selftest`` criterion and per full gate pass, one checkout
 against another.
 
-    python benchmarks/gate_criteria.py --baseline ../parent
+    python benchmarks/gate_criteria.py --baseline ../parent BENCH_7.json
 
-``--baseline`` is another checkout (the parent), compared with this one.
+``--baseline`` is another checkout (the parent), compared with this one; the
+last argument is the file the JSON record goes to, which must not exist yet.
 
 Each worker is a fresh process with one BLAS thread that imports ``torusgas``
 from ``<checkout>/src`` and runs the nine criteria of ``selftest.ALL_CHECKS``
@@ -13,26 +14,19 @@ prints; a pass's time is the wall time of all nine. Each worker keeps the
 best over its passes. ROUNDS workers per side run alternately (baseline first
 in even rounds), and the result is the median over rounds with the quartiles
 as the noise. The record, with the machine, library versions and every
-criterion's printed detail (its residuals), goes to ``BENCH_7.json`` at the
-repository root.
+criterion's printed detail (its residuals), goes to the output file.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-from theta_kernel import _machine, _summary
+from theta_kernel import _args, _machine, _rounds, _summary
 
-ROOT = Path(__file__).resolve().parent.parent
 PASSES = 3
 ROUNDS = 5
-OUT = ROOT / "BENCH_7.json"
 
 
 def measure(src: str) -> dict:
@@ -56,30 +50,12 @@ def measure(src: str) -> dict:
     }
 
 
-def _worker(checkout: Path) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(checkout / "src")],
-        env=env, check=True, capture_output=True, text=True,
-    )
-    return json.loads(proc.stdout)
-
-
 def main() -> None:
     if len(sys.argv) == 3 and sys.argv[1] == "--worker":
         print(json.dumps(measure(sys.argv[2])))
         return
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", type=Path, required=True,
-                    help="checkout to compare against (its src/ is imported)")
-    args = ap.parse_args()
-
-    sides = {"parent": args.baseline.resolve(), "change": ROOT}
-    runs = {name: [] for name in sides}
-    for r in range(ROUNDS):
-        order = list(sides) if r % 2 == 0 else list(reversed(sides))
-        for name in order:
-            runs[name].append(_worker(sides[name]))
+    args = _args(__doc__)
+    runs = _rounds(__file__, args.baseline, ROUNDS)
     record = {
         "harness": "benchmarks/gate_criteria.py",
         "rounds": ROUNDS,
@@ -96,11 +72,12 @@ def main() -> None:
             for name, rs in runs.items()
         },
     }
-    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    with args.out.open("x") as f:
+        f.write(json.dumps(record, indent=2) + "\n")
     print(f"{'criterion':28s} {'parent s [q1, q3]':>26s} {'change s [q1, q3]':>26s}  ratio")
     for crit in record["results"]["parent"]["seconds"]:
         cells = []
-        for name in sides:
+        for name in runs:
             m = record["results"][name]["seconds"][crit]
             cells.append(f"{m['median']:8.3f} [{m['q1']:6.3f}, {m['q3']:6.3f}]")
         ratio = (record["results"]["change"]["seconds"][crit]["median"]

@@ -1,13 +1,17 @@
 """Micro-benchmark of the theta series kernel, one checkout against another.
 
-    python benchmarks/theta_kernel.py --baseline ../parent
+    python benchmarks/theta_kernel.py --baseline ../parent BENCH_6.json
 
-``--baseline`` is another checkout (the parent), compared with this one.
+``--baseline`` is another checkout (the parent), compared with this one; the
+last argument is the file the JSON record goes to, which must not exist yet.
 
 For each W/L in {0.02, 0.05, 0.2, 1, 5} (q = exp(-pi W/L)) it times, in fresh
 worker processes that import ``torusgas`` from ``<checkout>/src``:
 
-* ``theta1`` on 1e5 points, in ns per point (the plasma Monte Carlo regime);
+* ``theta1`` on 8192 points, in ns per point: the plasma Monte Carlo regime,
+  whose integrand runs in row blocks of ``plasma._MC_BLOCK`` = 8192 samples;
+* ``theta1`` on 1e5 points, in ns per point: a large vectorised call, whose
+  fresh temporaries page-fault in on every call;
 * one scalar call of ``theta1``, ``theta4`` and ``log_abs_theta1``, in us;
 * one 6-point call of ``theta1`` (the pair differences of 4 particles), in us.
 
@@ -16,8 +20,7 @@ Points are drawn uniformly over the cell Re u in [0, pi), Im u in
 plasma integrand. Every timing is the best of several repeats inside a worker;
 ROUNDS workers per side run alternately (baseline first in even rounds), and
 the result is the median over rounds with the quartiles as the noise. The
-record, with the machine and library versions, goes to ``BENCH_6.json`` at the
-repository root.
+record, with the machine and library versions, goes to the output file.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ASPECTS = (0.02, 0.05, 0.2, 1.0, 5.0)
+BLOCK = 8192
 BIG = 100_000
 ROUNDS = 5
-OUT = ROOT / "BENCH_6.json"
 
 
 def _best(fn, number: int, repeat: int) -> float:
@@ -57,9 +60,10 @@ def measure(src: str) -> dict:
         def cell(n):
             return np.pi * rng.uniform(0, 1, n) + 1j * np.pi * wl * rng.uniform(-1, 1, n)
 
-        big, six, one = cell(BIG), cell(6), complex(cell(1)[0])
+        big, block, six, one = cell(BIG), cell(BLOCK), cell(6), complex(cell(1)[0])
         theta1(big, nome)   # fill the coefficient caches
         out[str(wl)] = {
+            "theta1_block_ns_per_point": _best(lambda: theta1(block, nome), 10, 5) / BLOCK * 1e9,
             "theta1_ns_per_point": _best(lambda: theta1(big, nome), 2, 5) / BIG * 1e9,
             "theta1_scalar_us": _best(lambda: theta1(one, nome), 2000, 5) * 1e6,
             "theta4_scalar_us": _best(lambda: theta4(one, nome), 2000, 5) * 1e6,
@@ -69,13 +73,36 @@ def measure(src: str) -> dict:
     return out
 
 
-def _worker(checkout: Path) -> dict:
+def _args(doc: str) -> argparse.Namespace:
+    """The arguments every harness takes: ``--baseline`` and the output file,
+    which is refused if it exists so that no earlier record is overwritten."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+    ap.add_argument("--baseline", type=Path, required=True,
+                    help="checkout to compare against (its src/ is imported)")
+    ap.add_argument("out", type=Path, help="JSON record to write; must not exist")
+    args = ap.parse_args()
+    if args.out.exists():
+        ap.error(f"{args.out} exists; give a new path rather than overwrite a record")
+    return args
+
+
+def _rounds(script: str, baseline: Path, rounds: int) -> dict[str, list]:
+    """Worker results by side ("parent", "change") over ``rounds`` rounds.
+
+    Each worker is ``script --worker <checkout>/src`` in a fresh process with
+    one BLAS thread that prints its measurement as JSON; the sides alternate,
+    the baseline first in even rounds."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(checkout / "src")],
-        env=env, check=True, capture_output=True, text=True,
-    )
-    return json.loads(proc.stdout)
+    sides = {"parent": baseline.resolve(), "change": ROOT}
+    runs = {name: [] for name in sides}
+    for r in range(rounds):
+        for name in list(sides) if r % 2 == 0 else list(reversed(sides)):
+            proc = subprocess.run(
+                [sys.executable, script, "--worker", str(sides[name] / "src")],
+                env=env, check=True, capture_output=True, text=True,
+            )
+            runs[name].append(json.loads(proc.stdout))
+    return runs
 
 
 def _summary(runs: list[dict]) -> dict:
@@ -114,32 +141,25 @@ def main() -> None:
     if len(sys.argv) == 3 and sys.argv[1] == "--worker":
         print(json.dumps(measure(sys.argv[2])))
         return
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", type=Path, required=True,
-                    help="checkout to compare against (its src/ is imported)")
-    args = ap.parse_args()
-
-    sides = {"parent": args.baseline.resolve(), "change": ROOT}
-    runs = {name: [] for name in sides}
-    for r in range(ROUNDS):
-        order = list(sides) if r % 2 == 0 else list(reversed(sides))
-        for name in order:
-            runs[name].append(_worker(sides[name]))
+    args = _args(__doc__)
+    runs = _rounds(__file__, args.baseline, ROUNDS)
     record = {
         "harness": "benchmarks/theta_kernel.py",
         "rounds": ROUNDS,
-        "points": BIG,
+        "points": {"block": BLOCK, "big": BIG},
         "machine": _machine(),
         "noise": "median over rounds; q1/q3 are the quartiles over rounds, each round the best of 5 repeats",
         "results": {name: _summary(rs) for name, rs in runs.items()},
     }
-    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    with args.out.open("x") as f:
+        f.write(json.dumps(record, indent=2) + "\n")
     for wl in map(str, ASPECTS):
         cells = []
-        for name in sides:
+        for name in runs:
             m = record["results"][name][wl]
             cells.append(
-                f"{name}: {m['theta1_ns_per_point']['median']:6.0f} ns/pt "
+                f"{name}: {m['theta1_block_ns_per_point']['median']:6.0f} ns/pt@{BLOCK} "
+                f"{m['theta1_ns_per_point']['median']:6.0f} ns/pt@{BIG} "
                 f"{m['theta1_scalar_us']['median']:5.1f} us/scalar "
                 f"{m['theta1_6pt_us']['median']:5.1f} us/6pt"
             )

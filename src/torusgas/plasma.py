@@ -15,6 +15,16 @@ exact (all N, all aspect ratios) for q = exp(-pi W/L) with the (rho/2)^{-N/2}
 normalization, which fixes both the nome convention and the overall constant
 of the product form. The defining 2N-dimensional integral is verified by
 adaptive quadrature (N = 1) and seeded Monte Carlo (N = 2, 3).
+
+The Monte Carlo draws its samples in batches of 100,000 rows but evaluates the
+integrand over row blocks of ``_MC_BLOCK`` rows. A 1e5-row theta call builds
+1.6-3.2 MB complex temporaries that the allocator hands back to the operating
+system when freed, so every call faults them in again as zero-filled pages
+(about 12,000 minor faults per 1e5-row call at N = 2); an 8192-row block
+reuses the same memory and takes none, and a Monte Carlo call at 1e5 samples
+takes 55-66% of its former time (2-core Xeon, N = 2 and 3, W/L 0.5-2).
+Every row is evaluated by the same elementwise arithmetic, so the values are
+bit-identical to a single call over the batch.
 """
 
 from __future__ import annotations
@@ -220,12 +230,21 @@ def verify_partition_quadrature(geom: TorusGeometry) -> PartitionCheck:
     return PartitionCheck(est, closed, abs(value - closed) / closed)
 
 
+# Rows per integrand call in the Monte Carlo: small enough that the theta
+# temporaries are reused rather than page-faulted in afresh (4096-16384 time
+# the same at N = 2; N = 3 at W/L = 0.5 is slower from 16384 up).
+_MC_BLOCK = 8192
+
+
 def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> PartitionCheck:
     """Uniform-sampling Monte Carlo for the N in {2, 3} integral.
 
     Plain uniform sampling is unbiased and the integrand is bounded on the
     torus, so the standard error scales as 1/sqrt(samples). Deterministic for
-    a given seed.
+    a given seed: the coordinates are drawn in batches of 100,000 rows, and
+    each batch is evaluated in row blocks of ``_MC_BLOCK``, which gives the
+    same values as one call over the batch without page-faulting its
+    temporaries in afresh (see the module docstring).
     """
     if geom.N not in (2, 3):
         raise DimensionMismatch("Monte Carlo check is for N in {2, 3}")
@@ -243,7 +262,10 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> 
         b = min(100_000, samples - done)
         x = rng.uniform(0.0, geom.L, (b, N))
         y = rng.uniform(0.0, geom.W, (b, N))
-        vals = _integrand_batch(x, y, geom)
+        vals = np.concatenate([
+            _integrand_batch(x[i:i + _MC_BLOCK], y[i:i + _MC_BLOCK], geom)
+            for i in range(0, b, _MC_BLOCK)
+        ])
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
         done += b

@@ -128,6 +128,26 @@ class TestMonteCarlo:
         with pytest.raises(DimensionMismatch):
             verify_partition_mc(TorusGeometry(1.0, 1.0, 4), samples=100_000, seed=1)
 
+    @pytest.mark.parametrize("N, WL, samples", [(2, 1.0, 123_457), (3, 0.5, 100_000)])
+    def test_row_blocks_match_one_call_per_batch(self, N, WL, samples):
+        """The integrand runs over row blocks of _MC_BLOCK; value and error are
+        bit-identical to one _integrand_batch call per 100,000-row draw."""
+        geom = TorusGeometry(1.0, WL, N)
+        rng = np.random.default_rng(29)
+        total = total_sq = 0.0
+        for b in (100_000, samples - 100_000):
+            if b:
+                x = rng.uniform(0.0, geom.L, (b, N))
+                y = rng.uniform(0.0, geom.W, (b, N))
+                vals = _integrand_batch(x, y, geom)
+                total += float(np.sum(vals))
+                total_sq += float(np.sum(vals * vals))
+        mean = total / samples
+        vol = geom.area**N
+        est = verify_partition_mc(geom, samples=samples, seed=29).estimate
+        assert est.value == vol * mean
+        assert est.std_error == vol * math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
 
 class TestIntegrandConsistency:
     def test_matches_boltzmann_times_weight(self):

@@ -477,3 +477,37 @@ class TestGeometryNome:
         assert g.nome_WL is TorusGeometry(1.3, 0.7, 5).nome_WL
         assert g.nome_WL == Nome.from_aspect(0.7, 1.3)
         assert g.nome_LW == Nome.from_aspect(1.3, 0.7)
+
+
+class TestReduceScalar:
+    """A 0-d argument is reduced in Python float arithmetic; it must give the
+    bits of the array path, signed zeros and ties to even included."""
+
+    @staticmethod
+    def _bits(u, m, n):
+        return (float(u.real).hex(), float(u.imag).hex(), float(m).hex(), float(n).hex())
+
+    @pytest.mark.parametrize("wl", [1.0, 0.3])   # direct nome, modular nome
+    def test_scalar_matches_array_bit_for_bit(self, wl):
+        tau = Nome.from_aspect(wl, 1.0).tau
+        gen = np.random.default_rng(17)
+        k = 500
+        inside = math.pi * gen.uniform(-0.5, 0.5, k) + 1j * math.pi * wl * gen.uniform(-0.5, 0.5, k)
+        zs = inside + gen.integers(-2, 3, k) * math.pi + gen.integers(-2, 3, k) * math.pi * tau
+        ties = [s * h * math.pi for s in (1, -1) for h in (0.5, 1.5, 2.5)]
+        ties += [s * h * math.pi * tau for s in (1, -1) for h in (0.5, 1.5)]
+        zs = np.concatenate([zs, ties, [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+        u, m, n = _reduce(zs, tau)
+        for i, z in enumerate(zs):
+            got = _reduce(np.asarray(z), tau)
+            assert all(type(v) in (np.complex128, np.float64) for v in got)
+            assert self._bits(*got) == self._bits(u[i], m[i], n[i]), z
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scalar_takes_the_array_path(self):
+        tau = Nome.from_aspect(1.0, 1.0).tau
+        for z in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, 1.7e308)):
+            got = _reduce(np.asarray(z), tau)
+            ref = _reduce(np.array([z]), tau)
+            assert all(type(v) in (np.complex128, np.float64) for v in got)
+            assert self._bits(*got) == self._bits(*(r[0] for r in ref))
