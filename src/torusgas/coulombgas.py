@@ -12,7 +12,9 @@ a ratio of cosh factors and the full grand partition function is a product
 over |mu| values with squared multiplicity (the two signed Fourier modes). An
 independent oracle discretizes the coupled one-dimensional integral equations
 per mode into [[0, A], [A^T, 0]] with A = iB, B real, whose spectrum is
-+/- i times the singular values of B; closed form and oracle are compared.
++/- i times the singular values of B. B is circulant (the kernel is W-periodic
+in y), so they are |FFT| of its first column, in O(M log M) time and O(M)
+memory; closed form and oracle are compared.
 
 The product over modes diverges logarithmically with the mode cutoff (the
 short-distance +/- collapse at Gamma = 2), so extensive quantities are defined
@@ -173,8 +175,18 @@ def _mode_block(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
 
 def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     """Singular values sigma_j, descending, of the real B = A/i for mode n: g_n
-    is 2i times a real function, so [[0, A], [A^T, 0]] has eigenvalues +/- i sigma_j."""
-    return np.linalg.svd(_mode_block(n, geom, M).imag, compute_uv=False)
+    is 2i times a real function, so [[0, A], [A^T, 0]] has eigenvalues +/- i sigma_j.
+
+    g_n is W-periodic in y (its lower branch is the upper one at y + W), so on
+    the midpoint grid B_ij depends only on (i - j) mod M: B is circulant, and
+    its singular values are |FFT| of its first column, g_n at y = i h (the
+    jump midpoint at i = 0)."""
+    if M < 16:
+        raise GridTooCoarse("need at least 16 grid points")
+    h = geom.W / M
+    tp, t4 = _theta_constants(geom)
+    column = math.pi * tp / t4 * h * _g_fourier_raw(n, np.arange(M) * h, geom).imag
+    return np.sort(np.abs(np.fft.fft(column)))[::-1]
 
 
 def mode_matrix(n: int, geom: TorusGeometry, M: int) -> np.ndarray:

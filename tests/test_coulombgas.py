@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from torusgas import coulombgas
+from torusgas import coulombgas, selftest
 from torusgas.coulombgas import (
     _distinct_magnitudes,
     dlog_xi2_dzeta_sq,
@@ -184,6 +185,78 @@ class TestModeOracle:
             got = np.abs(mode_oracle(0, GEOM, M)[0])
             errs.append(abs(got - exact))
         assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]
+
+
+SHAPES = [(1.0, 1.0), (1.0, 0.5), (2.0, 1.0), (4.0, 8.0)]
+
+
+class TestCirculantRoute:
+    """The oracle takes the spectrum of the circulant B as |FFT| of its first
+    column; the dense block of ``mode_matrix`` is the reference."""
+
+    @pytest.mark.parametrize("LW", SHAPES)
+    @pytest.mark.parametrize("n", [0, 1, 3, 7, -2])
+    def test_block_is_circulant(self, n, LW):
+        g = TorusGeometry(*LW, 1)
+        for M in (16, 64, 200):
+            B = mode_matrix(n, g, M)[:M, M:].imag
+            shifted = np.roll(np.roll(B, 1, 0), 1, 1)
+            assert np.max(np.abs(B - shifted)) <= 1e-13 * np.max(np.abs(B))
+
+    @pytest.mark.parametrize("LW", SHAPES)
+    @pytest.mark.parametrize("n", [0, 1, 3, 7, -2])
+    def test_fft_against_dense_svd(self, n, LW):
+        """Magnitudes to 1e-13 of sigma_max; log-dets to 1e-13 relative (the
+        dense slogdet itself carries ~1e-13 absolute at log-dets ~ 60)."""
+        g = TorusGeometry(*LW, 1)
+        for M in (16, 64, 200, 400):
+            B = mode_matrix(n, g, M)[:M, M:].imag
+            ref = np.linalg.svd(B, compute_uv=False)
+            got = np.sort(np.abs(mode_oracle(n, g, M)))[::-1]
+            assert np.max(np.abs(got - np.repeat(ref, 2))) <= 1e-13 * ref[0]
+            for zeta in (0.1, 0.5, 2.0):
+                dense = np.linalg.slogdet(np.eye(M) + zeta**2 * B @ B.T)[1]
+                assert abs(mode_logdet(n, g, M, zeta) - dense) <= 1e-13 * max(1.0, dense)
+
+    def test_no_dense_block_on_the_oracle_path(self):
+        """A dense 3200 x 3200 complex block alone would take 164 MB."""
+        tracemalloc.start()
+        try:
+            oracle_log_xi2(0.5, GEOM, 8, M=3200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+class TestOracleCriteriaControls:
+    """The tightened mode-spectrum and grand-partition criteria fail on
+    known-wrong variants of the quantities they compare."""
+
+    def test_grand_partition_fails_without_extrapolation(self, monkeypatch):
+        """One grid M = 3200 per mode, no Richardson ladder: off by ~1e-2."""
+
+        def single_grid(zeta, geom, n_pairs, M):
+            _, q4 = coulombgas._theta_constants(geom)
+            logdets = sum(mode_logdet(j - 1, geom, M, zeta) for j in range(1, n_pairs + 1))
+            return 2.0 * math.log(q4) + 2.0 * logdets
+
+        monkeypatch.setattr(selftest, "oracle_log_xi2", single_grid)
+        assert not selftest.check_grand_partition().passed
+
+    def test_mode_spectrum_fails_on_perturbed_roots(self, monkeypatch):
+        """Roots off by a factor 1 + 1e-6: caught at 1e-9, not at the old 1e-3."""
+
+        def perturbed(n, geom, k_max):
+            spec = eigen_roots(n, geom, k_max)
+            roots = spec.roots * (1.0 + 1e-6)
+            return dataclasses.replace(spec, roots=roots, lambdas=2.0 * math.pi / roots)
+
+        monkeypatch.setattr(selftest, "eigen_roots", perturbed)
+        result = selftest.check_mode_spectrum()
+        assert not result.passed
+        worst = float(result.detail.split("deviation ")[1].split()[0])
+        assert 1e-9 < worst < 1e-3
 
 
 class TestGrandPartition:
