@@ -87,21 +87,24 @@ def g_fourier(n: int, y, geom: TorusGeometry):
 
 def _g_fourier_raw(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     """Branchwise bounded evaluation; y = 0 entries get the jump midpoint."""
-    L, W = geom.L, geom.W
-    q = geom.q_WL
     tp, t4 = _theta_constants(geom)
-    c = 2j * t4 / tp
+    return 2j * t4 / tp * _g_branches(n, y, geom)
+
+
+def _g_branches(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
+    """The real, theta-free part of g_n(y): g_n = 2i (theta4(0)/theta1'(0))
+    times this, whose lower branch (-W < y < 0) is its upper one at y + W."""
+    L, W = geom.L, geom.W
     b = 2 * n + 1
     beta = abs(b)
-    denom = 1.0 - q**beta
+    denom = 1.0 - geom.q_WL**beta
     if b > 0:
         upper = -np.exp(-math.pi * b * y / L) / denom          # 0 < y < W
         lower = -np.exp(-math.pi * b * (y + W) / L) / denom    # -W < y < 0
     else:
         upper = np.exp(math.pi * beta * (y - W) / L) / denom   # 0 < y < W
         lower = np.exp(math.pi * beta * y / L) / denom         # -W < y < 0
-    vals = np.where(y > 0, upper, np.where(y < 0, lower, 0.5 * (upper + lower)))
-    return c * vals
+    return np.where(y > 0, upper, np.where(y < 0, lower, 0.5 * (upper + lower)))
 
 
 def kernel_from_fourier(w: complex, z: complex, geom: TorusGeometry):
@@ -163,14 +166,14 @@ def _mode_block(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     """Block A of the discretized coupled equations for mode n on the midpoint
     grid y_i = (i+1/2) W/M: the a-equation couples to b through g_n(y'-y) and
     the b-equation back through g_n(y-y'), so the operator is [[0, A], [A^T, 0]]
-    with A_ij = (pi theta1'/theta4) h g_n(y_i - y_j)."""
+    with A_ij = (pi theta1'/theta4) h g_n(y_i - y_j). The theta constants
+    cancel against those of g_n: A_ij = 2 pi i h _g_branches(y_i - y_j)."""
     if M < 16:
         raise GridTooCoarse("need at least 16 grid points")
     h = geom.W / M
     ys = (np.arange(M) + 0.5) * h
     diff = ys[:, None] - ys[None, :]
-    tp, t4 = _theta_constants(geom)
-    return math.pi * tp / t4 * h * _g_fourier_raw(n, diff.ravel(), geom).reshape(M, M)
+    return 2j * math.pi * h * _g_branches(n, diff.ravel(), geom).reshape(M, M)
 
 
 def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
@@ -179,13 +182,12 @@ def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
 
     g_n is W-periodic in y (its lower branch is the upper one at y + W), so on
     the midpoint grid B_ij depends only on (i - j) mod M: B is circulant, and
-    its singular values are |FFT| of its first column, g_n at y = i h (the
-    jump midpoint at i = 0)."""
+    its singular values are |FFT| of its first column, B_i0 = 2 pi h
+    _g_branches(i h) (the jump midpoint at i = 0); no theta constant enters."""
     if M < 16:
         raise GridTooCoarse("need at least 16 grid points")
     h = geom.W / M
-    tp, t4 = _theta_constants(geom)
-    column = math.pi * tp / t4 * h * _g_fourier_raw(n, np.arange(M) * h, geom).imag
+    column = 2.0 * math.pi * h * _g_branches(n, np.arange(M) * h, geom)
     return np.sort(np.abs(np.fft.fft(column)))[::-1]
 
 

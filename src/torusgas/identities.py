@@ -8,6 +8,13 @@ threshold however they need. The two theta identities are evaluated on
 stacks of D configurations, shape (D, N), with one theta call per kind and one
 stacked determinant per stack; the public residual functions are the D = 1
 case, and ``selftest.identity_draws`` passes all draws of one size at once.
+
+The random draws are stacked the same way: ``_draw_points`` and
+``_draw_pairs`` draw a round of attempts with one generator call, test their
+separations with one ``lattice_distance`` call and draw again only the
+shortfall. They read the generator exactly as drawing one set after another
+would, so every seeded residual is unchanged; ``draw_identity_points`` and
+``draw_species_pair`` are their D = 1 case.
 """
 
 from __future__ import annotations
@@ -182,27 +189,82 @@ def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
     return IdentityResidual.from_sides(det, complex(const))
 
 
+_BOUNDS = (np.array([[0.0], [-0.2]]), np.array([[1.0], [0.2]]))  # (Re, Im) ranges of a point
+_MAX_REJECTIONS = 1000   # rejections in a row after which a draw is refused
+
+
+def _first_passing(draw, passes, D: int, what: str) -> np.ndarray:
+    """The first D candidates of the stream ``draw(k)`` (the next k, stacked)
+    for which ``passes`` (one bool per candidate) holds: the ones a loop that
+    draws and tests one candidate at a time until it accepts would return.
+
+    Each round draws the shortfall, capped at the rejections left before the
+    limit, and tests it with one call. A round never holds a candidate after
+    the last one the loop would read, so the stream ends where the loop's
+    ends. _MAX_REJECTIONS rejections in a row since the last acceptance raise
+    SingularConfiguration, where the loop would give up.
+    """
+    kept = []
+    need = D
+    run = 0   # rejections since the last acceptance
+    while need:
+        cands = draw(min(need, _MAX_REJECTIONS - run))
+        ok = passes(cands)
+        kept.append(cands[ok])
+        hits = np.flatnonzero(ok)
+        need -= len(hits)
+        run = len(ok) - 1 - hits[-1] if len(hits) else run + len(ok)
+        if run == _MAX_REJECTIONS:
+            raise SingularConfiguration(f"could not draw a well-separated {what}")
+    return np.concatenate(kept) if kept else draw(0)
+
+
+def _draw_points(rng: np.random.Generator, D: int, N: int, nome) -> np.ndarray:
+    """D random point sets, shape (D, N), Re in [0, 1) and Im in [-0.2, 0.2],
+    rejecting sets whose pairwise theta1 arguments pi (x_j - x_k) sit within
+    1e-3 of a lattice point. One ``rng.uniform`` call draws a round's
+    attempts, each the N real parts then the N imaginary parts, so the stream
+    is that of drawing the sets one after another."""
+    nome = Nome.coerce(nome)
+    iu, ju = _pairs(N)
+
+    def draw(k):
+        U = rng.uniform(*_BOUNDS, (k, 2, N))
+        return U[:, 0] + 1j * U[:, 1]
+
+    def passes(X):
+        return np.all(lattice_distance(math.pi * (X[:, iu] - X[:, ju]), nome) > 1e-3, axis=1)
+
+    return _first_passing(draw, passes, D, "configuration")
+
+
+def _draw_pairs(rng: np.random.Generator, D: int, N: int, nome) -> np.ndarray:
+    """D species pairs, shape (D, 2, N): consecutive sets (ws, zs) of
+    ``_draw_points``, rejecting pairs with a cross separation w_j - z_k
+    within 1e-3 of a lattice point. A rejected pair's two sets are dropped
+    and the next two sets form the next candidate."""
+    nome = Nome.coerce(nome)
+
+    def draw(k):
+        return _draw_points(rng, 2 * k, N, nome).reshape(k, 2, N)
+
+    def passes(WZ):
+        cross = WZ[:, 0, :, None] - WZ[:, 1, None, :]
+        return np.all(lattice_distance(cross, nome) > 1e-3, axis=(1, 2))
+
+    return _first_passing(draw, passes, D, "species pair")
+
+
 def draw_identity_points(rng: np.random.Generator, N: int, nome):
     """Random points with Re in [0,1), Im in [-0.2, 0.2], rejecting draws whose
-    pairwise theta1 arguments sit within 1e-3 of a lattice point."""
-    nome = Nome.coerce(nome)
-    for _ in range(1000):
-        xs = rng.uniform(0.0, 1.0, N) + 1j * rng.uniform(-0.2, 0.2, N)
-        diffs = math.pi * (xs[:, None] - xs[None, :])
-        dist = lattice_distance(diffs, nome)
-        np.fill_diagonal(dist, np.inf)
-        if np.all(dist > 1e-3):
-            return xs
-    raise SingularConfiguration("could not draw a well-separated configuration")
+    pairwise theta1 arguments sit within 1e-3 of a lattice point (the D = 1
+    case of the stacked draw)."""
+    return _draw_points(rng, 1, N, nome)[0]
 
 
 def draw_species_pair(rng: np.random.Generator, N: int, nome):
     """Two point sets (ws, zs) whose intra-set differences and cross
-    separations w_j - z_k all stay 1e-3 away from the theta1 zeros."""
-    nome = Nome.coerce(nome)
-    for _ in range(1000):
-        ws = draw_identity_points(rng, N, nome)
-        zs = draw_identity_points(rng, N, nome)
-        if np.all(lattice_distance(ws[:, None] - zs[None, :], nome) > 1e-3):
-            return ws, zs
-    raise SingularConfiguration("could not draw a well-separated species pair")
+    separations w_j - z_k all stay 1e-3 away from the theta1 zeros (the
+    D = 1 case of the stacked draw)."""
+    ws, zs = _draw_pairs(rng, 1, N, nome)[0]
+    return ws, zs

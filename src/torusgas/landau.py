@@ -8,6 +8,12 @@ N-particle determinant ``slater_state`` factorizes into a center-of-mass theta
 function times a theta-Vandermonde pair product, ``factored_state``; the two
 closed forms are evaluated independently and compared through the constancy of
 their ratio, which absorbs the overall root-of-unity bookkeeping.
+
+Both forms take one configuration (N,) or a (D, N) stack: ``factorization_ratio``
+builds every Slater matrix of a stack with one theta3 call and takes one
+stacked determinant, and the product form makes one call per theta kind over
+the stack. ``slater_state`` and ``factored_state`` are the single
+configuration, whose center-of-mass theta takes theta's scalar path.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
+from .identities import _pairs
 from .theta import Nome, f_N, theta1, theta3
 
 _FLUX_TOL = 1e-12
@@ -123,11 +130,7 @@ def slater_state(config, setup: MagneticSetup) -> complex:
     algebraically identical to pulling the Gaussian and q-power prefactors out
     front, and keeps the matrix entries O(1).
     """
-    zs = _coords(config)
-    if len(zs) != setup.N:
-        raise DimensionMismatch(f"{len(zs)} coordinates for N = {setup.N}")
-    mat = _psi(np.arange(setup.N), zs[:, None], setup)   # mat[j, m] = psi_m(z_j)
-    return complex(np.linalg.det(mat)) / math.sqrt(math.factorial(setup.N))
+    return complex(_slater(_coords(config, setup, 1), setup))
 
 
 def factored_state(config, setup: MagneticSetup) -> complex:
@@ -140,40 +143,54 @@ def factored_state(config, setup: MagneticSetup) -> complex:
 
     with s = 3 for N odd and s = 1 for N even.
     """
-    zs = _coords(config)
+    return complex(_factored(_coords(config, setup, 1), setup))
+
+
+def factorization_ratio(configs, setup: MagneticSetup) -> np.ndarray:
+    """slater_state / factored_state across a (D, N) stack of configurations.
+
+    The ratio is a configuration-independent constant (a root of unity); its
+    constancy is the numerical content of the determinant factorization.
+    """
+    zs = _coords(configs, setup, 2)
+    return _slater(zs, setup) / _factored(zs, setup)
+
+
+def _slater(zs: np.ndarray, setup: MagneticSetup):
+    """slater_state of one configuration (N,) or of each row of a (D, N)
+    stack: one theta3 call for every Slater matrix, one stacked determinant."""
+    mat = _psi(np.arange(setup.N), zs[..., :, None], setup)   # mat[..., j, m] = psi_m(z_j)
+    return np.linalg.det(mat) / math.sqrt(math.factorial(setup.N))
+
+
+def _factored(zs: np.ndarray, setup: MagneticSetup):
+    """factored_state of one configuration (N,) or of each row of a (D, N)
+    stack. One configuration takes theta's scalar path for the center of
+    mass; a stack takes one call per theta kind."""
     N = setup.N
-    if len(zs) != N:
-        raise DimensionMismatch(f"{len(zs)} coordinates for N = {N}")
     nome = setup.nome
     zbar = np.conj(zs)
 
     exponent = ((N - 1) * (3 * N + 2)) // 2
     pref = (1j ** (exponent % 4)) * f_N(N, nome)
     pref /= math.sqrt(math.factorial(N)) * (setup.L * N * setup.l * math.sqrt(math.pi)) ** (N / 2.0)
-    gauss = math.exp(-float(np.sum(zs.imag**2)) / (2.0 * setup.l**2))
+    gauss = np.exp(-np.sum(zs.imag**2, axis=-1) / (2.0 * setup.l**2))
 
-    if N % 2 == 1:
-        com = theta3(-math.pi * np.sum(zbar) / setup.L, nome)
-    else:
-        com = theta1(-math.pi * np.sum(zbar) / setup.L, nome)
+    com = (theta3 if N % 2 == 1 else theta1)(-math.pi * np.sum(zbar, axis=-1) / setup.L, nome)
     pair = 1.0 + 0j
     if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
-        pair = complex(np.prod(theta1(-math.pi * (zbar[ju] - zbar[iu]) / setup.L, nome)))
-    return complex(pref * gauss * com * pair)
+        iu, ju = _pairs(N)
+        pair = np.prod(theta1(-math.pi * (zbar[..., ju] - zbar[..., iu]) / setup.L, nome), axis=-1)
+    return pref * gauss * com * pair
 
 
-def factorization_ratio(configs, setup: MagneticSetup) -> np.ndarray:
-    """slater_state / factored_state across configurations.
-
-    The ratio is a configuration-independent constant (a root of unity); its
-    constancy is the numerical content of the determinant factorization.
-    """
-    return np.array(
-        [slater_state(c, setup) / factored_state(c, setup) for c in configs]
-    )
-
-
-def _coords(config) -> np.ndarray:
-    zs = getattr(config, "zs", config)
-    return np.asarray(zs, dtype=complex)
+def _coords(config, setup: MagneticSetup, ndim: int) -> np.ndarray:
+    """Complex coordinates of one configuration (ndim 1, shape (N,)) or of a
+    (D, N) stack (ndim 2), checked against the flux integer N."""
+    try:
+        zs = np.asarray(getattr(config, "zs", config), dtype=complex)
+    except ValueError as exc:   # a ragged stack, say
+        raise DimensionMismatch(f"not an array of coordinates: {exc}") from None
+    if zs.ndim != ndim or zs.shape[-1] != setup.N:
+        raise DimensionMismatch(f"coordinates of shape {zs.shape} for N = {setup.N}")
+    return zs

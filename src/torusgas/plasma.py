@@ -24,7 +24,10 @@ system when freed, so every call faults them in again as zero-filled pages
 reuses the same memory and takes none, and a Monte Carlo call at 1e5 samples
 takes 55-66% of its former time (2-core Xeon, N = 2 and 3, W/L 0.5-2).
 Every row is evaluated by the same elementwise arithmetic, so the values are
-bit-identical to a single call over the batch.
+bit-identical to a single call over the batch. The integrand reduces over the
+last axis, so the N = 1 quadrature passes one configuration of shape (N,)
+and theta1 takes its scalar path: the gate's two quadratures take about half
+their former time (2-core Xeon), with the same number of evaluations.
 """
 
 from __future__ import annotations
@@ -185,23 +188,26 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
 
 
 def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
-    """Vectorized integrand over a (batch, N) block of coordinates:
+    """Vectorized integrand over the last axis of (..., N) coordinates, one
+    configuration (N,) or a (batch, N) block:
 
         e^{-2 pi rho sum (y_j - W/2)^2}
         |theta1(pi sum (conj(z_j) - (L - iW)/2)/L; q)|^2
         prod_{j<k} |theta1(pi (z_k - z_j)/L; q)|^2
+
+    A single configuration gives a scalar and takes theta's scalar path.
     """
     L, W = geom.L, geom.W
-    N = x.shape[1]
+    N = x.shape[-1]
     rho = N / geom.area
     nome = geom.nome_WL
     z = x + 1j * y
-    gauss = np.exp(-2.0 * math.pi * rho * np.sum((y - W / 2.0) ** 2, axis=1))
-    com_arg = math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=1) / L
+    gauss = np.exp(-2.0 * math.pi * rho * np.sum((y - W / 2.0) ** 2, axis=-1))
+    com_arg = math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L
     vals = gauss * _abs2(theta1(com_arg, nome))
     for j in range(N):
         for k in range(j + 1, N):
-            vals *= _abs2(theta1(math.pi * (z[:, k] - z[:, j]) / L, nome))
+            vals *= _abs2(theta1(math.pi * (z[..., k] - z[..., j]) / L, nome))
     return vals
 
 
@@ -216,9 +222,7 @@ def verify_partition_quadrature(geom: TorusGeometry) -> PartitionCheck:
         raise DimensionMismatch("quadrature check is for N = 1")
 
     def f(y, x):
-        return float(
-            _integrand_batch(np.array([[x]]), np.array([[y]]), geom)[0]
-        )
+        return float(_integrand_batch(np.array([x]), np.array([y]), geom))
 
     value, err = integrate.dblquad(
         f, 0.0, geom.L, 0.0, geom.W, epsabs=1e-9, epsrel=1e-10

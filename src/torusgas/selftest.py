@@ -28,13 +28,7 @@ from .coulombgas import (
 )
 from .electrostatics import phi_periodic, phi_quasi
 from .geometry import TorusGeometry
-from .identities import (
-    _frobenius_sides,
-    _residuals,
-    _vandermonde_sides,
-    draw_identity_points,
-    draw_species_pair,
-)
+from .identities import _draw_pairs, _draw_points, _frobenius_sides, _residuals, _vandermonde_sides
 from .landau import MagneticSetup, factorization_ratio
 from .plasma import verify_partition_mc, verify_partition_quadrature, zn_closed
 from .theta import theta4
@@ -61,26 +55,26 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
     """Seeded residuals of the theta-Vandermonde identity at every size in
     ``vandermonde_sizes``, then of the Frobenius identity at every size in
     ``frobenius_sizes``, ``draws`` random draws each. Yields
-    ``(identity, N, draw, IdentityResidual)``. The draws of one size are taken
-    in turn from ``rng``, then evaluated as one stack (``identities``)."""
+    ``(identity, N, draw, IdentityResidual)``. The draws of one size are one
+    stacked draw from ``rng``, the stream of drawing them in turn, evaluated
+    as one stack (``identities``)."""
     for N in vandermonde_sizes:
-        X = np.array([draw_identity_points(rng, N, q) for _ in range(draws)]).reshape(draws, N)
+        X = _draw_points(rng, draws, N, q)
         for d, r in enumerate(_residuals(*_vandermonde_sides(X, 0.05 + 0.02j, q))):
             yield "vandermonde", N, d, r
     for N in frobenius_sizes:
-        WZ = np.array([draw_species_pair(rng, N, q) for _ in range(draws)]).reshape(draws, 2, N)
+        WZ = _draw_pairs(rng, draws, N, q)
         for d, r in enumerate(_residuals(*_frobenius_sides(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, q))):
             yield "frobenius", N, d, r
 
 
 def factorization_spread(setup: MagneticSetup, rng: np.random.Generator, draws: int):
     """Slater/product ratio over ``draws`` uniform configurations in the cell:
-    returns the spread max|r - mean|/|mean| and the mean ratio."""
-    configs = [
-        rng.uniform(0, setup.L, setup.N) + 1j * rng.uniform(0, setup.W2, setup.N)
-        for _ in range(draws)
-    ]
-    ratios = factorization_ratio(configs, setup)
+    returns the spread max|r - mean|/|mean| and the mean ratio. One
+    ``rng.uniform`` call draws every configuration, each its N x then its N y
+    coordinates, the stream of drawing them one after another."""
+    U = rng.uniform(0.0, [[setup.L], [setup.W2]], (draws, 2, setup.N))
+    ratios = factorization_ratio(U[:, 0] + 1j * U[:, 1], setup)
     mean = np.mean(ratios)
     return float(np.max(np.abs(ratios - mean)) / abs(mean)), mean
 

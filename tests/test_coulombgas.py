@@ -218,6 +218,29 @@ class TestCirculantRoute:
                 dense = np.linalg.slogdet(np.eye(M) + zeta**2 * B @ B.T)[1]
                 assert abs(mode_logdet(n, g, M, zeta) - dense) <= 1e-13 * max(1.0, dense)
 
+    @pytest.mark.parametrize("LW", SHAPES)
+    @pytest.mark.parametrize("n", [0, 3, -2])
+    def test_block_is_the_scaled_kernel_coefficient(self, n, LW):
+        """A_ij = (pi theta1'(0)/theta4(0)) h g_n(y_i - y_j): the block built
+        without the theta constants is the one they define."""
+        g = TorusGeometry(*LW, 1)
+        M = 32
+        h = g.W / M
+        ys = (np.arange(M) + 0.5) * h
+        diff = (ys[:, None] - ys[None, :]).ravel()
+        tp, t4 = coulombgas._theta_constants(g)
+        ref = (math.pi * tp / t4 * h * coulombgas._g_fourier_raw(n, diff, g)).reshape(M, M)
+        A = mode_matrix(n, g, M)[:M, M:]
+        assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_oracle_evaluates_no_theta_constant(self, monkeypatch):
+        def refuse(geom):
+            raise AssertionError("theta constants evaluated on the oracle path")
+
+        monkeypatch.setattr(coulombgas, "_theta_constants", refuse)
+        mode_logdet(0, GEOM, 64, 0.5)
+        oracle_leading_magnitudes(1, GEOM, 3)
+
     def test_no_dense_block_on_the_oracle_path(self):
         """A dense 3200 x 3200 complex block alone would take 164 MB."""
         tracemalloc.start()

@@ -11,6 +11,8 @@ from torusgas import identities, selftest
 from torusgas.cli import main
 from torusgas.errors import SingularConfiguration
 from torusgas.identities import (
+    _draw_pairs,
+    _draw_points,
     _frobenius_sides,
     draw_identity_points,
     draw_species_pair,
@@ -19,7 +21,7 @@ from torusgas.identities import (
     theta_vandermonde_residual,
 )
 from torusgas.selftest import check_identity_suite, identity_draws
-from torusgas.theta import DEFAULT_PRECISION, Nome, theta3
+from torusgas.theta import DEFAULT_PRECISION, Nome, lattice_distance, theta3
 
 
 class TestThetaVandermonde:
@@ -190,3 +192,161 @@ class TestIdentitySuiteControls:
 
         monkeypatch.setattr(selftest, "_frobenius_sides", unsigned)
         assert not check_identity_suite().passed
+
+
+def _loop_points(rng, N, nome):
+    """The per-draw rejection loop the stacked draw replaces, kept here as
+    its reference: one attempt at a time, 1000 attempts at most."""
+    nome = Nome.coerce(nome)
+    for _ in range(1000):
+        xs = rng.uniform(0.0, 1.0, N) + 1j * rng.uniform(-0.2, 0.2, N)
+        diffs = math.pi * (xs[:, None] - xs[None, :])
+        dist = lattice_distance(diffs, nome)
+        np.fill_diagonal(dist, np.inf)
+        if np.all(dist > 1e-3):
+            return xs
+    raise SingularConfiguration("could not draw a well-separated configuration")
+
+
+def _loop_pair(rng, N, nome):
+    """Per-draw reference of a species pair: two loop draws, retried as a
+    pair up to 1000 times."""
+    nome = Nome.coerce(nome)
+    for _ in range(1000):
+        ws = _loop_points(rng, N, nome)
+        zs = _loop_points(rng, N, nome)
+        if np.all(lattice_distance(ws[:, None] - zs[None, :], nome) > 1e-3):
+            return ws, zs
+    raise SingularConfiguration("could not draw a well-separated species pair")
+
+
+class _Coarse:
+    """A generator whose draws are rounded down to quarters of their range,
+    so points often coincide and draws are rejected. Counts the values it
+    hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.values = 0
+
+    def uniform(self, low, high, size):
+        r = np.floor(4.0 * self.rng.random(size)) / 4.0
+        self.values += r.size
+        return low + (np.asarray(high) - low) * r
+
+
+class _Constant:
+    """A generator whose every value is the middle of its range."""
+
+    def __init__(self):
+        self.values = 0
+
+    def uniform(self, low, high, size):
+        self.values += math.prod(np.atleast_1d(size))
+        return np.broadcast_to((np.asarray(low) + high) / 2.0, size)
+
+
+class TestStackedDrawStream:
+    """The stacked draws pick the per-draw loop's sets from the same stream."""
+
+    @pytest.mark.parametrize("D", [1, 7, 100])
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_points_bitwise(self, N, q, D):
+        stacked_rng, loop_rng = np.random.default_rng(900 + N), np.random.default_rng(900 + N)
+        X = _draw_points(stacked_rng, D, N, q)
+        ref = np.array([_loop_points(loop_rng, N, q) for _ in range(D)])
+        assert X.shape == (D, N)
+        assert np.array_equal(X.view(float), ref.view(float))
+        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("D", [1, 7, 100])
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_pairs_bitwise(self, N, q, D):
+        stacked_rng, loop_rng = np.random.default_rng(950 + N), np.random.default_rng(950 + N)
+        WZ = _draw_pairs(stacked_rng, D, N, q)
+        ref = np.array([_loop_pair(loop_rng, N, q) for _ in range(D)])
+        assert WZ.shape == (D, 2, N)
+        assert np.array_equal(WZ.view(float), ref.view(float))
+        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_forced_rejections_same_stream(self, N):
+        """Coarse draws are rejected often (at N = 4 over a third of the sets
+        and most pairs), so the stacked draws take several rounds; they
+        still keep the loop's picks and read exactly as many values."""
+        stacked, loop = _Coarse(5), _Coarse(5)
+        X = _draw_points(stacked, 60, N, 0.3)
+        ref = np.array([_loop_points(loop, N, 0.3) for _ in range(60)])
+        assert np.array_equal(X.view(float), ref.view(float))
+        assert stacked.values == loop.values > 60 * 2 * N
+        assert stacked.rng.bit_generator.state == loop.rng.bit_generator.state
+
+        start = stacked.values
+        WZ = _draw_pairs(stacked, 30, N, 0.3)
+        ref = np.array([_loop_pair(loop, N, 0.3) for _ in range(30)])
+        assert np.array_equal(WZ.view(float), ref.view(float))
+        assert stacked.values == loop.values > start + 30 * 2 * 2 * N
+        assert stacked.rng.bit_generator.state == loop.rng.bit_generator.state
+
+    def test_cap_counts_rejections_in_a_row(self):
+        """Over a thousand rejections in total, none a thousand in a row:
+        every set is drawn, as in the loop."""
+        stacked, loop = _Coarse(6), _Coarse(6)
+        X = _draw_points(stacked, 2500, 4, 0.3)
+        ref = np.array([_loop_points(loop, 4, 0.3) for _ in range(2500)])
+        assert stacked.values > (2500 + 1000) * 2 * 4
+        assert np.array_equal(X.view(float), ref.view(float))
+
+    def test_public_draws_are_the_single_case(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(draw_identity_points(a, 3, 0.3), _loop_points(b, 3, 0.3))
+        ws, zs = draw_species_pair(a, 3, 0.3)
+        ref_ws, ref_zs = _loop_pair(b, 3, 0.3)
+        assert np.array_equal(ws, ref_ws) and np.array_equal(zs, ref_zs)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_no_draws(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert _draw_points(rng, 0, 3, 0.3).shape == (0, 3)
+        assert _draw_pairs(rng, 0, 3, 0.3).shape == (0, 2, 3)
+        assert rng.bit_generator.state == state
+
+
+class TestDrawCaps:
+    """1000 rejections in a row still refuse a draw, after reading as many
+    values as the per-draw loop."""
+
+    @pytest.mark.parametrize("D", [1, 5])
+    def test_point_sets(self, D):
+        stacked, loop = _Constant(), _Constant()
+        with pytest.raises(SingularConfiguration, match="configuration"):
+            _draw_points(stacked, D, 3, 0.3)
+        with pytest.raises(SingularConfiguration, match="configuration"):
+            _loop_points(loop, 3, 0.3)
+        assert stacked.values == loop.values == 1000 * 2 * 3
+        with pytest.raises(SingularConfiguration, match="configuration"):
+            draw_identity_points(_Constant(), 3, 0.3)
+
+    @pytest.mark.parametrize("D", [1, 5])
+    def test_species_pairs(self, D):
+        """At N = 1 every set is accepted and every pair coincides."""
+        stacked, loop = _Constant(), _Constant()
+        with pytest.raises(SingularConfiguration, match="species pair"):
+            _draw_pairs(stacked, D, 1, 0.3)
+        with pytest.raises(SingularConfiguration, match="species pair"):
+            _loop_pair(loop, 1, 0.3)
+        assert stacked.values == loop.values == 1000 * 2 * 2
+        with pytest.raises(SingularConfiguration, match="species pair"):
+            draw_species_pair(_Constant(), 1, 0.3)
+
+    def test_species_pair_sets(self):
+        """At N >= 2 the first set of a pair already reaches its own cap."""
+        stacked, loop = _Constant(), _Constant()
+        with pytest.raises(SingularConfiguration, match="configuration"):
+            _draw_pairs(stacked, 4, 2, 0.3)
+        with pytest.raises(SingularConfiguration, match="configuration"):
+            _loop_pair(loop, 2, 0.3)
+        assert stacked.values == loop.values == 1000 * 2 * 2

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from torusgas import landau, selftest
 from torusgas.electrostatics import nbody_weight, ocp_log_boltzmann
-from torusgas.errors import DegenerateGeometry, FluxMismatch, ParameterOutOfRange
+from torusgas.errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.landau import (
     MagneticSetup,
@@ -17,6 +18,8 @@ from torusgas.landau import (
     psi_lll,
     slater_state,
 )
+from torusgas.selftest import check_wavefunction_factorization, factorization_spread
+from torusgas.theta import DEFAULT_PRECISION, Nome, theta3
 
 rng = np.random.default_rng(55)
 
@@ -187,3 +190,75 @@ class TestManyBody:
             det = p0[:, None] * p1[None, :] - p0[None, :] * p1[:, None]
             total = float(np.sum(np.abs(det) ** 2)) / 2.0 * cell**2
         assert abs(total - 1.0) < 1e-6
+
+
+class TestStackedRatio:
+    """factorization_ratio evaluates a (D, N) stack at once."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_configuration_states(self, N):
+        setup = MagneticSetup.plasma_mapping(L=1.2, N=N)
+        r = np.random.default_rng(40 + N)
+        zs = r.uniform(0, setup.L, (30, N)) + 1j * r.uniform(0, setup.W2, (30, N))
+        stacked = factorization_ratio(zs, setup)
+        single = np.array([slater_state(z, setup) / factored_state(z, setup) for z in zs])
+        assert stacked.shape == (30,)
+        assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-14
+
+    def test_wrong_size_raises(self):
+        setup = MagneticSetup.plasma_mapping(L=1.0, N=3)
+        with pytest.raises(DimensionMismatch):
+            factorization_ratio(np.zeros((4, 2), dtype=complex), setup)
+        with pytest.raises(DimensionMismatch):
+            slater_state([0.1, 0.2], setup)
+        with pytest.raises(DimensionMismatch):
+            factorization_ratio([[0.1, 0.2, 0.3], [0.1, 0.2]], setup)
+        with pytest.raises(DimensionMismatch):
+            factored_state(np.zeros((2, 3), dtype=complex), setup)
+
+    def test_spread_draws_match_per_draw_calls(self, monkeypatch):
+        """The gate's configurations are the per-draw uniform draws, bit for
+        bit, and leave the generator where they left it."""
+        seen = []
+
+        def capture(configs, setup):
+            seen.append(np.array(configs))
+            return np.ones(len(configs), dtype=complex)
+
+        monkeypatch.setattr(selftest, "factorization_ratio", capture)
+        setup = MagneticSetup.plasma_mapping(L=1.2, N=4)
+        stacked_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+        factorization_spread(setup, stacked_rng, 50)
+        ref = np.array([
+            loop_rng.uniform(0, setup.L, 4) + 1j * loop_rng.uniform(0, setup.W2, 4)
+            for _ in range(50)
+        ])
+        assert np.array_equal(seen[0].view(float), ref.view(float))
+        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class TestFactorizationControls:
+    """The wavefunction-factorization criterion fails on known-wrong product
+    forms."""
+
+    def _worst_spread(self):
+        rng = np.random.default_rng(7)
+        return max(
+            factorization_spread(MagneticSetup.plasma_mapping(L=1.2, N=N), rng, 50)[0]
+            for N in range(1, 6)
+        )
+
+    def test_fails_at_the_LW_nome(self, monkeypatch):
+        theta1 = landau.theta1
+
+        def at_LW(z, nome, precision=DEFAULT_PRECISION):
+            return theta1(z, Nome.from_tau(-1.0 / nome.tau), precision)
+
+        monkeypatch.setattr(landau, "theta1", at_LW)
+        assert self._worst_spread() > 1e-9
+        assert not check_wavefunction_factorization().passed
+
+    def test_fails_with_theta3_for_theta1(self, monkeypatch):
+        monkeypatch.setattr(landau, "theta1", theta3)
+        assert self._worst_spread() > 1e-9
+        assert not check_wavefunction_factorization().passed
