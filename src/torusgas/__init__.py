@@ -51,8 +51,8 @@ from .plasma import (
     IntegralEstimate,
     ZnChain,
     free_energy,
+    verify_partition_lattice,
     verify_partition_mc,
-    verify_partition_quadrature,
     zn_closed,
 )
 from .theta import (
@@ -118,8 +118,8 @@ __all__ = [
     "theta4",
     "theta4_product",
     "theta_vandermonde_residual",
+    "verify_partition_lattice",
     "verify_partition_mc",
-    "verify_partition_quadrature",
     "xi2_closed",
     "zn_closed",
 ]

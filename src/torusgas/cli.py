@@ -9,6 +9,7 @@ produce byte-identical output for identical configuration.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -30,7 +31,7 @@ from .electrostatics import phi_periodic, phi_quasi
 from .errors import TorusGasError
 from .geometry import TorusGeometry
 from .landau import MagneticSetup, psi_lll
-from .plasma import free_energy, verify_partition_mc, verify_partition_quadrature, zn_closed
+from .plasma import free_energy, verify_partition_lattice, verify_partition_mc, zn_closed
 from .theta import Nome, SeriesPrecision, eta_q, theta1, theta1_prime0, theta3, theta4
 from .universality import casimir_report
 
@@ -191,6 +192,7 @@ def landau(N, L, grid, m, draws, seed, tol, out):
     """Tabulate |psi_m|^2 on a grid (CSV) and self-test the determinant
     factorization; exit 1 if the factorization ratio drifts."""
     setup = MagneticSetup.plasma_mapping(L=L, N=N)
+    spread, _ = _selftest.factorization_spread(setup, np.random.default_rng(seed), draws)
     rows = []
     for i in range(grid):
         for j in range(grid):
@@ -198,8 +200,6 @@ def landau(N, L, grid, m, draws, seed, tol, out):
             y = (j + 0.5) * setup.W2 / grid
             rows.append([x, y, abs(psi_lll(m, complex(x, y), setup)) ** 2])
     _emit(_csv_text(["x", "y", "abs_psi_sq"], rows), out)
-
-    spread, _ = _selftest.factorization_spread(setup, np.random.default_rng(seed), draws)
     click.echo(f"factorization ratio spread: {spread:.3e}", err=True)
     if spread > tol:
         raise SystemExit(EXIT_TOLERANCE)
@@ -212,15 +212,14 @@ def landau(N, L, grid, m, draws, seed, tol, out):
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=None, help="required for N >= 2")
 @click.option("--tol", type=float, default=_selftest.QUAD_MAX_REL, show_default=True,
-              help="quadrature deviation gate")
+              help="lattice-rule deviation gate")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def ocp(N, L, W, samples, seed, tol, fmt, out):
     """Plasma partition function: closed forms, free energy, and the numerical
-    check of the defining integral (quadrature for N = 1, Monte Carlo beyond)."""
+    check of the defining integral (lattice rule for N = 1, Monte Carlo beyond)."""
     geom = TorusGeometry(L, W, N)
     chain = zn_closed(N, geom)
-    fe = free_energy(N, geom)
     payload = {
         "N": N,
         "L": L,
@@ -230,20 +229,19 @@ def ocp(N, L, W, samples, seed, tol, fmt, out):
         "final_form_nome_WL": chain.final_form_WL,
         "final_form_nome_LW": chain.final_form_LW,
         "resolved_nome": chain.resolved_nome,
-        "free_energy": {
-            "bulk": fe.bulk,
-            "surface": fe.surface,
-            "casimir": fe.casimir,
-            "total": fe.total,
-        },
+        "free_energy": dataclasses.asdict(free_energy(N, geom)),
     }
     failed = False
     if N == 1:
-        chk = verify_partition_quadrature(geom)
+        chk = verify_partition_lattice(geom)
+        nx, ny = chk.estimate.grid
         payload["quadrature"] = {
             "value": chk.estimate.value,
             "closed_form": chk.closed_form,
             "rel_deviation": chk.rel_deviation,
+            "grid_x": nx,
+            "grid_y": ny,
+            "two_grid_difference": chk.estimate.std_error,
         }
         failed |= not chk.rel_deviation < tol
     elif N in (2, 3):
@@ -319,8 +317,7 @@ def tcg(zeta, L, W, nmax, grid_m, cutoff, kmax, convergence_out, out):
     if convergence_out:
         rows = []
         for n in (0, 1, 2):
-            spec = eigen_roots(n, geom, kmax)
-            closed = sorted(set(np.round(np.abs(spec.lambdas), 12)), reverse=True)
+            closed = modes[str(n)]["abs_lambda"]
             for M in (50, 100, 200):
                 got = oracle_leading_magnitudes(n, geom, len(closed), Ms=(M, 2 * M))
                 for k, (c, g) in enumerate(zip(closed, got)):
@@ -362,10 +359,9 @@ def casimir(L, W, zeta, ladders, fmt, out):
 
 
 @main.command()
-@click.option("--fast", is_flag=True, help="trim the Monte Carlo sample count")
-def selftest(fast):
+def selftest():
     """Run the full verification suite, one pass/fail line per criterion."""
-    results = _selftest.run_all(fast=fast)
+    results = _selftest.run_all()
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

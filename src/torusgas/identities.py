@@ -10,10 +10,8 @@ stacked determinant per stack; the public residual functions are the D = 1
 case, and ``selftest.identity_draws`` passes all draws of one size at once.
 
 The random draws are stacked the same way: ``_draw_points`` and
-``_draw_pairs`` draw a round of attempts with one generator call, test their
-separations with one ``lattice_distance`` call and draw again only the
-shortfall. They read the generator exactly as drawing one set after another
-would, so every seeded residual is unchanged; ``draw_identity_points`` and
+``_draw_pairs`` draw rounds of attempts and read the generator exactly as
+drawing one set after another would; ``draw_identity_points`` and
 ``draw_species_pair`` are their D = 1 case.
 """
 
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularConfiguration
+from .errors import DimensionMismatch, PrecisionUnreachable, SingularConfiguration
 from .theta import (
     DEFAULT_PRECISION,
     Nome,
@@ -82,6 +80,14 @@ def _pairs(N: int):
     return iu, ju
 
 
+def _finite_sides(what: str, *sides):
+    """The sides; PrecisionUnreachable where a value or its modulus leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.all(np.isfinite(np.abs(side))) for side in sides):
+            raise PrecisionUnreachable(f"{what}: a side is out of double range")
+    return sides
+
+
 def _residuals(lhs, rhs, scale) -> list[IdentityResidual]:
     """One residual per configuration of a stack's (lhs, rhs, scale) arrays."""
     sides = zip(lhs, rhs, scale)
@@ -101,7 +107,8 @@ def _vandermonde_sides(X, alpha, nome, precision: SeriesPrecision = DEFAULT_PREC
     rhs = head(math.pi * np.sum(X + alpha, axis=1), nome, precision) * f_N(N, nome, precision)
     rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome, precision), axis=1)
     scale = np.prod(np.max(np.abs(mat), axis=2), axis=1)
-    return np.linalg.det(mat), rhs, scale
+    lhs, rhs = _finite_sides("theta-Vandermonde identity", np.linalg.det(mat), rhs)
+    return lhs, rhs, scale
 
 
 def theta_vandermonde_residual(
@@ -140,13 +147,15 @@ def _frobenius_sides(Ws, Zs, alpha, nome, precision: SeriesPrecision = DEFAULT_P
     iu, ju = _pairs(N)
     t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome, precision)
     t1_sep = t1[:, : N * N]
-    F = (-1.0) ** (N * (N - 1) // 2) * np.prod(t1[:, N * N :], axis=1) / np.prod(t1_sep, axis=1)
     heads = np.sum(Ws - Zs, axis=1) - alpha
     t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome, precision)
     norm = t4[:, 1]
     mat = (t4[:, 2:] / (norm[:, None] * t1_sep)).reshape(D, N, N)
     scale = np.prod(np.max(np.abs(mat), axis=2), axis=1) * np.abs(norm)
-    return t4[:, 0] * F, norm * np.linalg.det(mat), scale
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        F = (-1.0) ** (N * (N - 1) // 2) * np.prod(t1[:, N * N :], axis=1) / np.prod(t1_sep, axis=1)
+        lhs, rhs = _finite_sides("Frobenius identity", t4[:, 0] * F, norm * np.linalg.det(mat))
+    return lhs, rhs, scale
 
 
 def frobenius_residual(

@@ -9,11 +9,8 @@ function times a theta-Vandermonde pair product, ``factored_state``; the two
 closed forms are evaluated independently and compared through the constancy of
 their ratio, which absorbs the overall root-of-unity bookkeeping.
 
-Both forms take one configuration (N,) or a (D, N) stack: ``factorization_ratio``
-builds every Slater matrix of a stack with one theta3 call and takes one
-stacked determinant, and the product form makes one call per theta kind over
-the stack. ``slater_state`` and ``factored_state`` are the single
-configuration, whose center-of-mass theta takes theta's scalar path.
+Both forms take one configuration (N,) or a (D, N) stack, which
+``factorization_ratio`` evaluates with one call per theta kind.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
-from .identities import _pairs
+from .identities import _finite_sides, _pairs
 from .theta import Nome, f_N, theta1, theta3
 
 _FLUX_TOL = 1e-12
@@ -151,9 +148,12 @@ def factorization_ratio(configs, setup: MagneticSetup) -> np.ndarray:
 
     The ratio is a configuration-independent constant (a root of unity); its
     constancy is the numerical content of the determinant factorization.
+    A form or ratio out of double range raises PrecisionUnreachable.
     """
     zs = _coords(configs, setup, 2)
-    return _slater(zs, setup) / _factored(zs, setup)
+    slater, factored = _slater(zs, setup), _factored(zs, setup)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _finite_sides("Landau factorization", slater, factored, slater / factored)[2]
 
 
 def _slater(zs: np.ndarray, setup: MagneticSetup):
@@ -165,8 +165,7 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
 
 def _factored(zs: np.ndarray, setup: MagneticSetup):
     """factored_state of one configuration (N,) or of each row of a (D, N)
-    stack. One configuration takes theta's scalar path for the center of
-    mass; a stack takes one call per theta kind."""
+    stack, one call per theta kind."""
     N = setup.N
     nome = setup.nome
     zbar = np.conj(zs)

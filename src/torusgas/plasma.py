@@ -13,21 +13,9 @@ forms is evaluated three ways:
 ``zn_closed`` reports which candidate reproduces the middle form; the match is
 exact (all N, all aspect ratios) for q = exp(-pi W/L) with the (rho/2)^{-N/2}
 normalization, which fixes both the nome convention and the overall constant
-of the product form. The defining 2N-dimensional integral is verified by
-adaptive quadrature (N = 1) and seeded Monte Carlo (N = 2, 3).
-
-The Monte Carlo draws its samples in batches of 100,000 rows but evaluates the
-integrand over row blocks of ``_MC_BLOCK`` rows. A 1e5-row theta call builds
-1.6-3.2 MB complex temporaries that the allocator hands back to the operating
-system when freed, so every call faults them in again as zero-filled pages
-(about 12,000 minor faults per 1e5-row call at N = 2); an 8192-row block
-reuses the same memory and takes none, and a Monte Carlo call at 1e5 samples
-takes 55-66% of its former time (2-core Xeon, N = 2 and 3, W/L 0.5-2).
-Every row is evaluated by the same elementwise arithmetic, so the values are
-bit-identical to a single call over the batch. The integrand reduces over the
-last axis, so the N = 1 quadrature passes one configuration of shape (N,)
-and theta1 takes its scalar path: the gate's two quadratures take about half
-their former time (2-core Xeon), with the same number of evaluations.
+of the product form. The defining 2N-dimensional integral is checked by a
+midpoint lattice rule (any N, exponentially convergent on the periodic
+integrand) and by seeded Monte Carlo (N = 2, 3).
 """
 
 from __future__ import annotations
@@ -36,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DimensionMismatch,
@@ -90,6 +77,7 @@ class IntegralEstimate:
     std_error: float
     samples: int
     seed: int
+    grid: tuple[int, int] | None = None   # a lattice rule's (n_x, n_y)
 
 
 @dataclass(frozen=True)
@@ -194,8 +182,6 @@ def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.nd
         e^{-2 pi rho sum (y_j - W/2)^2}
         |theta1(pi sum (conj(z_j) - (L - iW)/2)/L; q)|^2
         prod_{j<k} |theta1(pi (z_k - z_j)/L; q)|^2
-
-    A single configuration gives a scalar and takes theta's scalar path.
     """
     L, W = geom.L, geom.W
     N = x.shape[-1]
@@ -216,28 +202,45 @@ def _abs2(t: np.ndarray) -> np.ndarray:
     return t.real**2 + t.imag**2
 
 
-def verify_partition_quadrature(geom: TorusGeometry) -> PartitionCheck:
-    """Adaptive 2d quadrature of the N = 1 integral against the closed form."""
-    if geom.N != 1:
-        raise DimensionMismatch("quadrature check is for N = 1")
-
-    def f(y, x):
-        return float(_integrand_batch(np.array([x]), np.array([y]), geom))
-
-    value, err = integrate.dblquad(
-        f, 0.0, geom.L, 0.0, geom.W, epsabs=1e-9, epsrel=1e-10
-    )
-    closed = partition_integral_closed(1, geom)
-    if err > max(1e-9, 1e-7 * abs(value)) * 100:
-        raise QuadratureNonConvergence(f"dblquad error estimate {err}")
-    est = IntegralEstimate(value=value, std_error=err, samples=0, seed=0)
-    return PartitionCheck(est, closed, abs(value - closed) / closed)
-
-
-# Rows per integrand call in the Monte Carlo: small enough that the theta
-# temporaries are reused rather than page-faulted in afresh (4096-16384 time
-# the same at N = 2; N = 3 at W/L = 0.5 is slower from 16384 up).
+# Rows per integrand call: small enough that theta's temporaries are reused
+# rather than page-faulted in afresh on every call.
 _MC_BLOCK = 8192
+
+QUAD_MAX_REL = 1e-12   # lattice grids agree, and a lattice check passes, below this
+_LATTICE_MAX_POINTS = 2**20
+
+
+def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
+    """Midpoint lattice rule for the defining integral against its closed form;
+    on the smooth periodic integrand it converges geometrically (Trefethen &
+    Weideman, SIAM Review 56, 2014). The grid has ceil(n sqrt(L/W)) points per
+    x and ceil(n sqrt(W/L)) per y coordinate, each at least n; n doubles from 2
+    until two grids agree to QUAD_MAX_REL, their difference is the error
+    measure and ``grid`` the final (n_x, n_y). A grid over _LATTICE_MAX_POINTS
+    points raises QuadratureNonConvergence."""
+    N = geom.N
+    stretch = [max(1.0, math.sqrt(r)) for r in (geom.L / geom.W, geom.W / geom.L)]
+    value, n = math.nan, 2
+    while True:
+        previous = value
+        nx, ny = (math.ceil(n * s) for s in stretch)
+        shape = (nx,) * N + (ny,) * N
+        size = math.prod(shape)
+        if size > _LATTICE_MAX_POINTS:
+            raise QuadratureNonConvergence(f"no grids agree to {QUAD_MAX_REL:.0e} by {size} points")
+        total = 0.0
+        for start in range(0, size, _MC_BLOCK):   # flat-index row blocks, never the whole grid
+            idx = np.unravel_index(np.arange(start, min(start + _MC_BLOCK, size)), shape)
+            x = (np.stack(idx[:N], axis=-1) + 0.5) * (geom.L / nx)
+            y = (np.stack(idx[N:], axis=-1) + 0.5) * (geom.W / ny)
+            total += float(np.sum(_integrand_batch(x, y, geom)))
+        value = total / size * geom.area**N
+        if abs(value - previous) <= QUAD_MAX_REL * abs(value):
+            break
+        n *= 2
+    closed = partition_integral_closed(N, geom)
+    est = IntegralEstimate(value, abs(value - previous), size, 0, (nx, ny))
+    return PartitionCheck(est, closed, abs(value - closed) / closed)
 
 
 def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> PartitionCheck:
@@ -247,8 +250,7 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> 
     torus, so the standard error scales as 1/sqrt(samples). Deterministic for
     a given seed: the coordinates are drawn in batches of 100,000 rows, and
     each batch is evaluated in row blocks of ``_MC_BLOCK``, which gives the
-    same values as one call over the batch without page-faulting its
-    temporaries in afresh (see the module docstring).
+    same values as one call over the batch.
     """
     if geom.N not in (2, 3):
         raise DimensionMismatch("Monte Carlo check is for N in {2, 3}")

@@ -27,16 +27,16 @@ from .coulombgas import (
     xi2_closed,
 )
 from .electrostatics import phi_periodic, phi_quasi
+from .errors import ParameterOutOfRange
 from .geometry import TorusGeometry
 from .identities import _draw_pairs, _draw_points, _frobenius_sides, _residuals, _vandermonde_sides
 from .landau import MagneticSetup, factorization_ratio
-from .plasma import verify_partition_mc, verify_partition_quadrature, zn_closed
+from .plasma import QUAD_MAX_REL, verify_partition_lattice, zn_closed
 from .theta import theta4
 from .universality import casimir_report
 
 
 MC_MAX_PULL = 3.0   # a Monte Carlo estimate passes within this many standard errors
-QUAD_MAX_REL = 1e-6  # the N = 1 quadrature passes below this relative deviation
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,12 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
 
 
 def factorization_spread(setup: MagneticSetup, rng: np.random.Generator, draws: int):
-    """Slater/product ratio over ``draws`` uniform configurations in the cell:
-    returns the spread max|r - mean|/|mean| and the mean ratio. One
+    """Slater/product ratio over ``draws`` >= 1 uniform configurations in the
+    cell: returns the spread max|r - mean|/|mean| and the mean ratio. One
     ``rng.uniform`` call draws every configuration, each its N x then its N y
     coordinates, the stream of drawing them one after another."""
+    if draws < 1:
+        raise ParameterOutOfRange(f"draws = {draws} must be >= 1")
     U = rng.uniform(0.0, [[setup.L], [setup.W2]], (draws, 2, setup.N))
     ratios = factorization_ratio(U[:, 0] + 1j * U[:, 1], setup)
     mean = np.mean(ratios)
@@ -157,21 +159,18 @@ def check_electrostatics() -> CriterionResult:
     return _result("electrostatics", bool(ok), "; ".join(details), t0)
 
 
-def check_partition_integrals(samples: int = 1_000_000, seed: int = 424242) -> CriterionResult:
-    """Defining integral against its closed form: N = 1 by adaptive quadrature,
-    relative deviation < QUAD_MAX_REL; N = 2 by Monte Carlo, pull < MC_MAX_PULL
-    at <= 1% sigma."""
+def check_partition_integrals() -> CriterionResult:
+    """Defining integral against its closed form by the midpoint lattice rule,
+    N = 1 at (L, W) = (1, 1) and (2, 1) and N = 2 at (1, 1): relative
+    deviation < QUAD_MAX_REL."""
     t0 = time.perf_counter()
     details = []
     ok = True
-    for L, W in ((1.0, 1.0), (2.0, 1.0)):
-        chk = verify_partition_quadrature(TorusGeometry(L, W, 1))
+    for N, L, W in ((1, 1.0, 1.0), (1, 2.0, 1.0), (2, 1.0, 1.0)):
+        chk = verify_partition_lattice(TorusGeometry(L, W, N))
         ok &= chk.rel_deviation < QUAD_MAX_REL
-        details.append(f"quad L={L} W={W}: rel {chk.rel_deviation:.2e}")
-    chk = verify_partition_mc(TorusGeometry(1.0, 1.0, 2), samples=samples, seed=seed)
-    sigma_rel = chk.estimate.std_error / chk.estimate.value
-    ok &= chk.pull < MC_MAX_PULL and sigma_rel < 0.01
-    details.append(f"mc N=2: pull {chk.pull:.2f} sigma, sigma/value {sigma_rel:.4f}")
+        nx, ny = chk.estimate.grid
+        details.append(f"N={N} L={L} W={W}: rel {chk.rel_deviation:.2e} on {nx}x{ny}")
     return _result("partition-integrals", bool(ok), "; ".join(details), t0)
 
 
@@ -302,12 +301,6 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
 )
 
 
-def run_all(fast: bool = False) -> list[CriterionResult]:
-    """Run every criterion; ``fast`` trims the Monte Carlo sample count."""
-    results = []
-    for name, fn in ALL_CHECKS:
-        if fast and name == "partition-integrals":
-            results.append(check_partition_integrals(samples=200_000))
-        else:
-            results.append(fn())
-    return results
+def run_all() -> list[CriterionResult]:
+    """Run every criterion."""
+    return [fn() for _, fn in ALL_CHECKS]

@@ -172,7 +172,7 @@ def _reduce(u, tau):
 def _reduce_scalar(z: complex, tau: complex):
     """``_reduce`` of one point in Python float arithmetic, which rounds to the
     same bits as the array path (np.rint is round half to even, as round() is,
-    with the sign of its argument) in 2.3 instead of 6.7 us (2-core Xeon)."""
+    with the sign of its argument) without the array path's numpy overhead."""
     if math.isinf(tau.imag):
         n, u1 = 0.0, z
     else:

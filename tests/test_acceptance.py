@@ -32,7 +32,7 @@ def test_electrostatics():
 
 
 def test_partition_integrals():
-    """Defining integral: quadrature at N = 1 (1e-6), Monte Carlo at N = 2 (3 sigma)."""
+    """Defining integral by the midpoint lattice rule at N = 1 and 2, 1e-12 relative."""
     _run(selftest.check_partition_integrals)
 
 

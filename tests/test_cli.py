@@ -4,6 +4,8 @@ import csv
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,7 +111,10 @@ class TestOcp:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert payload["resolved_nome"] == "W/L"
-        assert payload["quadrature"]["rel_deviation"] < 1e-6
+        quad = payload["quadrature"]
+        assert quad["rel_deviation"] < 1e-12
+        assert quad["grid_x"] == quad["grid_y"] >= 2
+        assert quad["two_grid_difference"] <= QUAD_MAX_REL * quad["value"]
 
     def test_quadrature_rule_is_the_gate_rule(self):
         tol = next(p for p in main.commands["ocp"].params if p.name == "tol")
@@ -118,10 +123,10 @@ class TestOcp:
     def test_nan_quadrature_deviation_exits_one(self, monkeypatch):
         """A NaN deviation fails the N = 1 check instead of passing `> tol`."""
         def nan_check(geom):
-            est = IntegralEstimate(value=math.nan, std_error=math.nan, samples=0, seed=0)
+            est = IntegralEstimate(math.nan, math.nan, 0, 0, (2, 2))
             return PartitionCheck(est, 1.0, math.nan)
 
-        monkeypatch.setattr(cli, "verify_partition_quadrature", nan_check)
+        monkeypatch.setattr(cli, "verify_partition_lattice", nan_check)
         res = runner.invoke(main, ["ocp", "--N", "1"])
         assert res.exit_code == 1
         assert math.isnan(json.loads(res.output)["quadrature"]["rel_deviation"])
@@ -139,8 +144,7 @@ class TestOcp:
         assert payload["monte_carlo"]["pull_sigma"] < 3.0
 
     def test_pull_only_rule(self):
-        """ocp passes on the pull alone; this run's sigma/value would fail the
-        gate's extra 1% floor."""
+        """ocp passes on the pull alone, also at a sigma/value above 1%."""
         res = runner.invoke(
             main, ["ocp", "--N", "3", "--W", "0.05", "--samples", "100000", "--seed", "9"]
         )
@@ -218,14 +222,18 @@ class TestEntryPoint:
         [
             ["tcg", "--W", "0.02"],
             ["ocp", "--N", "1", "--W", "0.0193"],
+            ["ocp", "--N", "1", "--W", "0.0165"],
+            ["ocp", "--N", "1", "--W", "61"],
             ["greens", "--W", "0.0193", "--grid", "2"],
         ],
-        ids=["tcg-theta4", "ocp-theta1-prime", "greens-theta1-prime"],
+        ids=["tcg-theta4", "ocp-theta1-prime", "ocp-lowest-aspect", "ocp-highest-aspect",
+             "greens-theta1-prime"],
     )
     def test_near_cap_exits_zero(self, args, monkeypatch, capsys):
         """Near the nome cap the direct theta4(0) and theta1'(0) series cancel
         to noise; on the modular route these runs finish with exit 0, and the
-        N = 1 quadrature closes on the closed form."""
+        N = 1 lattice rule closes on the closed form at both ends of the
+        accepted W/L range."""
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])
         with pytest.raises(SystemExit) as info:
             run()
@@ -247,8 +255,9 @@ class TestEntryPoint:
             (["ocp", "--L", "-1"], ParameterOutOfRange),
             (["theta", "--q", "0.3", "--eps", "0"], ParameterOutOfRange),
             (["landau", "--N", "0"], ParameterOutOfRange),
+            (["landau", "--draws", "0"], ParameterOutOfRange),
         ],
-        ids=["ocp-negative-L", "theta-zero-eps", "landau-zero-N"],
+        ids=["ocp-negative-L", "theta-zero-eps", "landau-zero-N", "landau-zero-draws"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input ends in a named error, which ``run`` maps to
@@ -259,3 +268,18 @@ class TestEntryPoint:
             run()
         assert info.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_import_loads_no_scipy(self):
+        """The library and its command line run on numpy and click alone;
+        scipy is a test dependency."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, torusgas, torusgas.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stdout
+        assert out.strip() == "[]"

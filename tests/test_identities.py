@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from click.testing import CliRunner
 
 from torusgas import identities, selftest
 from torusgas.cli import main
-from torusgas.errors import SingularConfiguration
+from torusgas.errors import PrecisionUnreachable, SingularConfiguration
 from torusgas.identities import (
     _draw_pairs,
     _draw_points,
     _frobenius_sides,
+    _vandermonde_sides,
     draw_identity_points,
     draw_species_pair,
     fourier_det_constant,
@@ -350,3 +352,37 @@ class TestDrawCaps:
         with pytest.raises(SingularConfiguration, match="configuration"):
             _loop_pair(loop, 2, 0.3)
         assert stacked.values == loop.values == 1000 * 2 * 2
+
+
+class TestNonFiniteSides:
+    """Where the products of theta values leave double range, the stacked
+    cores refuse with PrecisionUnreachable: no NaN residual, no raw
+    OverflowError and no numpy warning."""
+
+    @pytest.mark.parametrize("WL", [40.0, 0.018])
+    def test_frobenius_at_the_ends_of_the_range(self, WL):
+        """N = 6 on the gate's point distribution: at W/L = 40 every theta1
+        product underflows (0/0), at W/L = 0.018 the separations' does."""
+        nome = Nome.from_aspect(WL, 1.0)
+        WZ = _draw_pairs(np.random.default_rng(0), 5, 6, nome)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionUnreachable):
+                _frobenius_sides(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, nome)
+            for ws, zs in WZ:
+                with pytest.raises(PrecisionUnreachable):
+                    frobenius_residual(ws, zs, 0.1 + 0.05j, nome)
+
+    def test_vandermonde_refuses_an_overflowed_side(self, monkeypatch):
+        X = _draw_points(np.random.default_rng(0), 3, 4, 0.3)
+        monkeypatch.setattr(identities, "f_N", lambda N, nome, precision: math.inf)
+        with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
+            _vandermonde_sides(X, 0.05 + 0.02j, 0.3)
+
+    def test_huge_finite_side_is_refused(self, monkeypatch):
+        """A side whose modulus overflows though both parts are finite is
+        what made Python's abs raise a raw OverflowError."""
+        X = _draw_points(np.random.default_rng(0), 3, 4, 0.3)
+        monkeypatch.setattr(identities, "f_N", lambda N, nome, precision: 1e308 + 1e308j)
+        with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
+            _vandermonde_sides(X, 0.05 + 0.02j, 0.3)

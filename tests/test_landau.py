@@ -7,7 +7,13 @@ import pytest
 
 from torusgas import landau, selftest
 from torusgas.electrostatics import nbody_weight, ocp_log_boltzmann
-from torusgas.errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
+from torusgas.errors import (
+    DegenerateGeometry,
+    DimensionMismatch,
+    FluxMismatch,
+    ParameterOutOfRange,
+    PrecisionUnreachable,
+)
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.landau import (
     MagneticSetup,
@@ -262,3 +268,42 @@ class TestFactorizationControls:
         monkeypatch.setattr(landau, "theta1", theta3)
         assert self._worst_spread() > 1e-9
         assert not check_wavefunction_factorization().passed
+
+
+class TestNonFiniteRatio:
+    """factorization_ratio refuses a form or ratio out of double range."""
+
+    def _configs(self, setup, draws=5):
+        U = np.random.default_rng(3).uniform(0.0, [[setup.L], [setup.W2]], (draws, 2, setup.N))
+        return U[:, 0] + 1j * U[:, 1]
+
+    def test_large_aspect_ratio(self):
+        """N = 6 at W2/L = 40 on the gate's distribution, uniform in the cell."""
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(6 / 40), N=6)
+        with pytest.raises(PrecisionUnreachable):
+            factorization_ratio(self._configs(setup), setup)
+
+    def test_small_aspect_ratio_is_finite(self):
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(6 / 0.018), N=6)
+        assert np.all(np.isfinite(factorization_ratio(self._configs(setup), setup)))
+
+    @pytest.mark.parametrize(
+        "form, value", [("_slater", np.nan), ("_factored", np.inf), ("_factored", 0.0)]
+    )
+    def test_non_finite_side_or_ratio(self, monkeypatch, form, value):
+        setup = MagneticSetup.plasma_mapping(L=1.2, N=3)
+        configs = self._configs(setup)
+        real = getattr(landau, form)
+
+        def broken(zs, setup):
+            out = real(zs, setup)
+            out[1] = value
+            return out
+
+        monkeypatch.setattr(landau, form, broken)
+        with pytest.raises(PrecisionUnreachable):
+            factorization_ratio(configs, setup)
+
+    def test_no_draws_is_refused(self):
+        with pytest.raises(ParameterOutOfRange):
+            factorization_spread(MagneticSetup.plasma_mapping(L=1.2, N=3), np.random.default_rng(1), 0)

@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from torusgas import plasma
-from torusgas.errors import DimensionMismatch, InsufficientSamples, SeedRequired
+from torusgas.errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    QuadratureNonConvergence,
+    SeedRequired,
+)
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.plasma import (
     free_energy,
     partition_integral_closed,
+    verify_partition_lattice,
     verify_partition_mc,
-    verify_partition_quadrature,
     zn_closed,
     _integrand_batch,
 )
-from torusgas.selftest import MC_MAX_PULL, QUAD_MAX_REL, check_partition_integrals
+from torusgas.selftest import QUAD_MAX_REL, check_partition_integrals
 from torusgas.theta import eta_q
 
 
@@ -82,21 +87,66 @@ class TestFreeEnergy:
         assert abs((f8.total - 2 * f4.total) + f4.casimir) < 1e-12
 
 
+class _SwappedNome(TorusGeometry):
+    """A geometry whose nome_WL is the L/W nome exp(-pi L/W)."""
+
+    @property
+    def nome_WL(self):
+        return self.nome_LW
+
+
 class TestQuadrature:
-    @pytest.mark.parametrize("L,W", [(1.0, 1.0), (2.0, 1.0)])
+    """The midpoint lattice rule for the defining integral."""
+
+    @pytest.mark.parametrize(
+        "L,W",
+        [(1.0, 1.0), (2.0, 1.0), (1.0, 0.0165), (1.0, 0.0193), (1.0, 20.0), (1.0, 61.0)],
+    )
     def test_n1_matches_closed_form(self, L, W):
-        chk = verify_partition_quadrature(TorusGeometry(L, W, 1))
-        assert chk.rel_deviation < 1e-6
+        """N = 1 closes on the closed form over the whole accepted W/L range."""
+        chk = verify_partition_lattice(TorusGeometry(L, W, 1))
+        assert chk.rel_deviation <= 1e-12
+        assert chk.estimate.std_error <= QUAD_MAX_REL * chk.estimate.value
+
+    @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0])
+    def test_n2_matches_closed_form(self, WL):
+        chk = verify_partition_lattice(TorusGeometry(1.0, WL, 2))
+        assert chk.rel_deviation <= 1e-12
+        nx, ny = chk.estimate.grid
+        assert chk.estimate.samples == (nx * ny) ** 2
+
+    def test_grid_follows_the_aspect_ratio(self):
+        """The longer side gets sqrt(aspect) times the points of the shorter."""
+        wide = verify_partition_lattice(TorusGeometry(1.0, 20.0, 1)).estimate.grid
+        tall = verify_partition_lattice(TorusGeometry(20.0, 1.0, 1)).estimate.grid
+        assert wide == tall[::-1]
+        assert wide[1] == math.ceil(wide[0] * math.sqrt(20.0))
+
+    def test_point_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(plasma, "_LATTICE_MAX_POINTS", 100)
+        with pytest.raises(QuadratureNonConvergence):
+            verify_partition_lattice(TorusGeometry(1.0, 1.0, 2))
+
+    def test_lw_nome_does_not_converge(self, monkeypatch):
+        """Negative control: at the L/W nome the integrand is not periodic in
+        y, so the rule converges only algebraically and reaches its point cap;
+        the criterion fails with it."""
+        integrand = plasma._integrand_batch
+        monkeypatch.setattr(
+            plasma,
+            "_integrand_batch",
+            lambda x, y, geom: integrand(x, y, _SwappedNome(geom.L, geom.W, geom.N)),
+        )
+        with pytest.raises(QuadratureNonConvergence):
+            verify_partition_lattice(TorusGeometry(2.0, 1.0, 1))
+        with pytest.raises(QuadratureNonConvergence):
+            check_partition_integrals()
 
     def test_integrand_positive(self):
         g = TorusGeometry(1.0, 1.0, 1)
         x = np.linspace(0.01, 0.99, 9)[:, None]
         y = np.linspace(0.01, 0.99, 9)[:, None]
         assert np.all(_integrand_batch(x, y, g) >= 0.0)
-
-    def test_rejects_wrong_n(self):
-        with pytest.raises(DimensionMismatch):
-            verify_partition_quadrature(TorusGeometry(1.0, 1.0, 2))
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("WL", [0.5, 2.0])
@@ -117,7 +167,7 @@ class TestQuadrature:
     def test_printed_constant_fails_the_criterion(self, monkeypatch):
         """Negative control: the N = 1 closed form scaled by the printed
         (2 rho)^(-N/2) constant over the resolved (rho/2)^(-N/2) fails the
-        quadrature, while the Monte Carlo half still passes."""
+        lattice check, while the N = 2 half still passes."""
         closed = plasma.partition_integral_closed
 
         def printed(N, geom):
@@ -127,11 +177,11 @@ class TestQuadrature:
             return closed(N, geom) * chain.printed_final_WL / chain.final_form_WL
 
         monkeypatch.setattr(plasma, "partition_integral_closed", printed)
-        chk = verify_partition_quadrature(TorusGeometry(1.0, 1.0, 1))
+        chk = verify_partition_lattice(TorusGeometry(1.0, 1.0, 1))
         assert chk.rel_deviation > QUAD_MAX_REL
-        assert not check_partition_integrals(samples=100_000).passed
-        mc = verify_partition_mc(TorusGeometry(1.0, 1.0, 2), samples=100_000, seed=424242)
-        assert mc.pull < MC_MAX_PULL
+        assert not check_partition_integrals().passed
+        n2 = verify_partition_lattice(TorusGeometry(1.0, 1.0, 2))
+        assert n2.rel_deviation < QUAD_MAX_REL
 
 
 class TestMonteCarlo:
