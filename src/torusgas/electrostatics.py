@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, PrecisionUnreachable
 from .geometry import ParticleConfig, TorusGeometry
-from .theta import lattice_distance, log_abs_theta1, theta1, theta1_prime0
+from .theta import _theta1_abs2, lattice_distance, log_abs_theta1, theta1_prime0
 
 _COINCIDENT_TOL = 1e-9
 
@@ -90,12 +90,14 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
 def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     """Center-of-mass weight |theta1(pi sum_j (conj(z_j) - (L - iW)/2)/L; q)|^2.
 
-    Non-negative; vanishes when the shifted center of mass hits the lattice.
-    Raises PrecisionUnreachable when the weight overflows a float.
+    Taken as |series|^2 e^(2 scale) from ``theta._split``; non-negative, zero
+    when the shifted center of mass hits the lattice. Raises
+    PrecisionUnreachable when the weight overflows a float.
     """
     s = np.sum(np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0)
-    mag = float(np.abs(theta1(math.pi * s / geom.L, geom.nome_WL)))
-    weight = mag * mag
+    mantissa, scale = _theta1_abs2(math.pi * s / geom.L, geom.nome_WL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = float(mantissa * np.exp(2.0 * scale))
     if not math.isfinite(weight):
         raise PrecisionUnreachable(f"center-of-mass weight |theta1|^2 = {weight} is not finite")
     return weight

@@ -4,15 +4,16 @@ One private series engine serves theta1, theta3, theta4, log|theta1| and
 theta1'(0). ``_coefficients`` builds the truncation index n* and the series
 coefficients once per (Nome, SeriesPrecision) and caches them, together with
 each series rewritten as a polynomial in x = e^(2iu) and 1/x.
-``_evaluate`` reduces the argument into the fundamental strip |Re u| <= pi/2,
+``_split`` reduces the argument into the fundamental strip |Re u| <= pi/2,
 |Im u| <= pi*Im(tau)/2, takes one exponential per point and runs one Horner
 recurrence over the stacked pair (x, 1/x), so the cost per point does not
 grow with a transcendental per term; theta1 carries a factor sin(u), which
-keeps it relatively accurate next to its zero. The exact quasi-periodicity
-multiplier then restores theta at the original argument, so evaluation stays
-well conditioned for arbitrary arguments; a value that overflows a double
-raises PrecisionUnreachable (log|theta1| never does). f_N, qpochhammer_sq and
-eta_q share one cached (q^2; q^2)_inf product.
+keeps it relatively accurate next to its zero. It keeps that series apart
+from the real log-scale of the exact quasi-periodicity multiplier (as
+scipy.special.ive from iv): theta1/3/4 compose the two and refuse a value that
+overflows a double with PrecisionUnreachable, log|theta1| adds them in log
+scale, and a modulus needs one real exponential. f_N, qpochhammer_sq and eta_q
+share one cached (q^2; q^2)_inf product.
 
 The series are summed to an absolute tail bound, which towards q -> 1 cancels
 theta4(0) and theta1'(0) to noise. So a real nome with Im(tau) = t < 1 is
@@ -32,6 +33,7 @@ theta4 are even with period pi.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -271,53 +273,67 @@ def _horner(const, coeffs, v, odd: bool, scalar: bool):
     return series
 
 
-def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision, log_abs: bool = False):
-    """theta_kind(z; q) for kind 1, 3 or 4, or log|theta1(z; q)| with ``log_abs``.
-
-    z = u + m*pi + n*pi*tau with u in the fundamental strip. Directly, the
-    series is summed at u and the multiplier q^(-n^2) e^(-2inu) restores
-    theta(z). For tau = it, t < 1, DLMF 20.7.30-32 give
+def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
+    """theta_kind(z; q), q != 0, as (series, scale, (u, m, n)): z = u + m*pi +
+    n*pi*tau with u in the fundamental strip, the series summed at u, and
+    theta_kind(z) = sign * e^(scale + i*phase) * series with scale real.
+    ``terms`` is ``_coefficients(nome, precision)``. Directly, the multiplier
+    is q^(-n^2) e^(-2inu): scale = pi Im(tau) n^2 + 2n Im(u), 0.0 when no
+    point is shifted. For tau = it, t < 1, DLMF 20.7.30-32 give
 
         theta(u | it) = t^(-1/2) e^(-u^2/(pi t)) * theta'(iu/t | i/t)
 
     with theta' = -i theta1, theta3 and theta2 for theta1, theta3 and theta4,
     theta2(v) = theta1(v + pi/2); iu/t lies in the dual strip, where the shift
-    n is a sign, so e^(-(u + n pi tau)^2/(pi t)) is the multiplier. Both then
-    take (-1)^(m+n) for theta1 and (-1)^n for theta4. For log_abs the log
-    modulus of the multiplier enters additively, so arguments far from the
-    strip are safe; otherwise a value that overflows raises PrecisionUnreachable.
+    n is a sign, so the multiplier is e^(-(a + ib)^2/(pi t)), a + ib =
+    u + n*pi*tau, and scale = (b^2 - a^2)/(pi t).
+    """
+    u, m, n = _reduce(z, nome.tau)  # numpy scalars for 0-d z: no 0-d array overhead
+    const, coeffs = terms["horner"][kind]
+    t = terms["modular"]
+    if t is None:
+        series = _horner(const, coeffs, u, kind == 1, z.ndim == 0)
+        scale = math.pi * nome.tau.imag * n * n + 2 * n * u.imag if n.any() else 0.0
+    else:
+        half = 0.5 * math.pi if kind == 4 else 0.0
+        series = _horner(const, coeffs, u * (1j / t) + half, kind != 3, z.ndim == 0)
+        a, b = u.real, u.imag + math.pi * t * n  # real arithmetic rounds scalars as arrays
+        scale = (b - a) * (b + a) / (math.pi * t)
+    return series, scale, (u, m, n)
+
+
+def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
+    """theta_kind(z; q), kind 1, 3 or 4, as sign * e^(scale + i*phase) * series
+    from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4, phase
+    -pi Re(tau) n^2 - 2n Re(u) directly and -2ab/(pi t) dual. A value that
+    overflows a double raises PrecisionUnreachable with no numpy warning first:
+    cmath.exp raises for a scalar, np.errstate quiets an array.
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     if nome.q == 0:  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
         return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), scalar)
-    u, m, n = _reduce(z_arr, nome.tau)  # numpy scalars for 0-d z: no 0-d array overhead
-    shifted = n.any()   # some point lies outside the strip
-    coefficients = _coefficients(nome, precision)
-    const, coeffs = coefficients["horner"][kind]
-    t = coefficients["modular"]
-    if t is None:
-        series = _horner(const, coeffs, u, kind == 1, scalar)
-    else:
-        half = 0.5 * math.pi if kind == 4 else 0.0
-        series = _horner(const, coeffs, u * (1j / t) + half, kind != 3, scalar)
-        # -(a + ib)^2/(pi t), a + ib = u + n*pi*tau: real arithmetic rounds scalars as arrays
-        a, b = u.real, u.imag + math.pi * t * n if shifted else u.imag
-        log_mod = (b - a) * (b + a) / (math.pi * t)
-    if log_abs:
-        if t is None:
-            log_mod = math.pi * nome.tau.imag * n * n + 2 * n * u.imag
-        vals = log_mod + np.log(np.abs(series))
-        return float(vals) if scalar else vals
+    terms = _coefficients(nome, precision)
+    series, scale, (u, m, n) = _split(kind, z_arr, nome, terms)
+    t = terms["modular"]
     if kind != 3:  # (-1)^(m+n) or (-1)^n, exact for every integer-valued k
         series = (1.0 - 2.0 * np.fmod(m + n if kind == 1 else n, 2) ** 2) * series
     if t is not None:
-        series = np.exp(log_mod - 2j * (a * b / (math.pi * t))) * series
-    elif shifted:
-        series = np.exp(_shift_exponent(u, n, nome.tau)) * series
-    vals = complex(series) if scalar else series
-    total = vals if scalar else vals.sum()  # inf or nan in any value spreads to it
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        phase = -2.0 * (u.real * (u.imag + math.pi * t * n) / (math.pi * t))
+    elif n.any():
+        phase = -math.pi * nome.tau.real * n * n - 2 * n * u.real
+    else:  # the direct series at an unshifted point is theta itself
+        return complex(series) if scalar else series
+    if scalar:
+        try:
+            vals = total = cmath.exp(complex(scale, phase)) * complex(series)
+        except OverflowError:
+            vals = total = complex(math.inf)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(scale + 1j * phase) * series
+            total = vals.sum()  # inf or nan in any value spreads to it
+    if not cmath.isfinite(total):
         bad = ~np.isfinite(vals)
         if np.isfinite(z_arr[bad]).any():
             raise PrecisionUnreachable(
@@ -325,6 +341,14 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision, log_abs: boo
                 f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
             )
     return vals
+
+
+def _theta1_abs2(z, nome: Nome):
+    """|theta1(z; q)|^2, q != 0, kept apart by ``_split`` at the default
+    precision as (|series|^2, scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
+    series, scale, _ = _split(1, np.asarray(z, dtype=complex), nome,
+                              _coefficients(nome, DEFAULT_PRECISION))
+    return series.real**2 + series.imag**2, scale
 
 
 def theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
@@ -343,11 +367,15 @@ def theta4(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
 
 
 def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
-    """log|theta1(z; q)| computed overflow-free via the reduced argument."""
+    """log|theta1(z; q)| = scale + log|series| by ``_split``: the multiplier
+    enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
     if nome.q == 0:
         raise NomeOutOfRange("log|theta1| undefined at q = 0")
-    return _evaluate(1, z, nome, precision, log_abs=True)
+    z_arr = np.asarray(z, dtype=complex)
+    series, scale, _ = _split(1, z_arr, nome, _coefficients(nome, precision))
+    vals = scale + np.log(np.abs(series))
+    return float(vals) if z_arr.ndim == 0 else vals
 
 
 def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> complex:
@@ -374,13 +402,10 @@ def theta1_product(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     if nome.q == 0:
         return _as_output(np.zeros(z_arr.shape, dtype=complex), scalar)
     u, m, n = _reduce(z_arr, nome.tau)
-    kstar = precision.k_star(abs(nome.q))
-    q_quarter = np.exp(1j * math.pi * nome.tau / 4)
-    vals = 2.0 * q_quarter * np.sin(u)
-    e2 = np.exp(2j * u)
-    for k in range(1, kstar + 1):
-        q2k = nome.q ** (2 * k)
-        vals = vals * (1 - q2k * e2) * (1 - q2k / e2) * (1 - q2k)
+    q2k = nome.q ** (2 * np.arange(1, precision.k_star(abs(nome.q)) + 1))
+    e2 = np.exp(2j * u)[..., None]   # one factor per k on a last axis
+    product = np.prod((1 - q2k * e2) * (1 - q2k / e2) * (1 - q2k), axis=-1)
+    vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * product
     sign = (-1.0) ** (m + n)
     vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
     return _as_output(vals, scalar)
@@ -397,12 +422,10 @@ def theta4_product(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     if nome.q == 0:
         return _as_output(np.ones(u_arr.shape, dtype=complex), scalar)
     ur, _, n = _reduce(u_arr, nome.tau)
-    kstar = precision.k_star(abs(nome.q))
-    vals = np.ones(ur.shape, dtype=complex)
-    e2 = np.exp(2j * ur)
-    for k in range(1, kstar + 1):
-        vals = vals * (1 - nome.q ** (2 * k - 1) * e2) * (1 - nome.q ** (2 * k - 1) / e2)
-        vals = vals * (1 - nome.q ** (2 * k))
+    k = np.arange(1, precision.k_star(abs(nome.q)) + 1)
+    q_odd, q2k = nome.q ** (2 * k - 1), nome.q ** (2 * k)
+    e2 = np.exp(2j * ur)[..., None]   # one factor per k on a last axis
+    vals = np.prod((1 - q_odd * e2) * (1 - q_odd / e2) * (1 - q2k), axis=-1)
     sign = (-1.0) ** n
     vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * vals
     return _as_output(vals, scalar)

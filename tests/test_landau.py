@@ -1,6 +1,7 @@
 """Torus Landau level: single-particle states, Slater determinant, factorization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,14 @@ class TestNonFiniteRatio:
         setup = MagneticSetup.plasma_mapping(L=math.sqrt(6 / 40), N=6)
         with pytest.raises(PrecisionUnreachable):
             factorization_ratio(self._configs(setup), setup)
+
+    def test_refusal_raises_no_warning_first(self):
+        """The theta multiplier's overflow is refused by name alone."""
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(6 / 40), N=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionUnreachable):
+                factorization_ratio(self._configs(setup), setup)
 
     def test_small_aspect_ratio_is_finite(self):
         setup = MagneticSetup.plasma_mapping(L=math.sqrt(6 / 0.018), N=6)

@@ -1,5 +1,6 @@
 """Exact plasma partition function: closed-form chain, free energy, integrals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from torusgas import plasma
 from torusgas.errors import (
     DimensionMismatch,
     InsufficientSamples,
+    PrecisionUnreachable,
     QuadratureNonConvergence,
     SeedRequired,
 )
@@ -182,6 +184,66 @@ class TestQuadrature:
         assert not check_partition_integrals().passed
         n2 = verify_partition_lattice(TorusGeometry(1.0, 1.0, 2))
         assert n2.rel_deviation < QUAD_MAX_REL
+
+
+class TestIntegrandPeriodicity:
+    """The integrand is periodic in every coordinate; its theta factors enter
+    as |series|^2 with their scales summed into one real exponent, so shifting
+    a particle by whole periods does not take them out of double range."""
+
+    @staticmethod
+    def _worst_shift_gap(geom):
+        r = np.random.default_rng(71 + geom.N)
+        x = r.uniform(0.0, geom.L, (100, geom.N))
+        y = r.uniform(0.0, geom.W, (100, geom.N))
+        base = _integrand_batch(x, y, geom)
+        worst = 0.0
+        for a, b in itertools.product((1, 5), repeat=2):
+            for j in (0, geom.N - 1):
+                xs, ys = x.copy(), y.copy()
+                xs[:, j] += a * geom.L
+                ys[:, j] += b * geom.W
+                worst = max(worst, float(np.max(np.abs(_integrand_batch(xs, ys, geom) - base) / base)))
+        return worst
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("WL", [0.5, 2.0])
+    def test_shift_by_periods(self, N, WL):
+        assert self._worst_shift_gap(TorusGeometry(1.0, WL, N)) <= 1e-12
+
+    def test_dropped_scale_breaks_periodicity(self, monkeypatch):
+        """Negative control: an integrand that leaves the centre-of-mass
+        factor's scale out of the exponent is not periodic."""
+        real, calls = plasma._theta1_abs2, itertools.count()
+
+        def dropped(z, nome):   # the first of the 1 + N(N-1)/2 = 4 calls per integrand
+            mantissa, scale = real(z, nome)
+            return (mantissa, 0.0) if next(calls) % 4 == 0 else (mantissa, scale)
+
+        monkeypatch.setattr(plasma, "_theta1_abs2", dropped)
+        assert self._worst_shift_gap(TorusGeometry(1.0, 2.0, 3)) > 1e-3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    def test_unrepresentable_value_is_named(self):
+        """A finite y so far out that the exponent's terms overflow raises a
+        named error; a nan coordinate gives nan, as theta does."""
+        g = TorusGeometry(1.0, 2.0, 2)
+        x = np.array([[0.2, 0.7]])
+        with pytest.raises(PrecisionUnreachable):
+            _integrand_batch(x, np.array([[0.3, 1e160]]), g)
+        assert np.isnan(_integrand_batch(x, np.array([[0.3, math.nan]]), g)).all()
+
+
+class TestPull:
+    def test_zero_error_measure(self):
+        """At L = 1, W = 0.5, N = 1 two lattice grids agree exactly, so the
+        error measure is 0.0: the pull is inf off the closed form, 0.0 on it."""
+        chk = verify_partition_lattice(TorusGeometry(1.0, 0.5, 1))
+        assert chk.estimate.std_error == 0.0
+        expected = 0.0 if chk.estimate.value == chk.closed_form else math.inf
+        assert chk.pull == expected
+        exact = plasma.PartitionCheck(chk.estimate, chk.estimate.value, 0.0)
+        assert exact.pull == 0.0
 
 
 class TestMonteCarlo:

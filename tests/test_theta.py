@@ -16,8 +16,10 @@ from torusgas.theta import (
     DEFAULT_PRECISION,
     Nome,
     SeriesPrecision,
+    _coefficients,
     _reduce,
     _shift_exponent,
+    _split,
     _terms,
     eta_q,
     f_N,
@@ -151,6 +153,27 @@ class TestTheta34:
         q = 0.2
         ref = np.prod([(1 - q ** (2 * n - 1)) ** 2 * (1 - q ** (2 * n)) for n in range(1, 60)])
         assert abs(theta4(0.0, q) - ref) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.95, 0.4 + 0.3j])
+    def test_products_match_factor_loop(self, q):
+        """theta1_product and theta4_product, one np.prod over the factor
+        axis, against the products taken factor by factor in a loop; up to
+        k* = 315 factors at q = 0.95, each rounding by a few ulp."""
+        nome = Nome.from_q(q)
+        zs = np.array(POINTS[:3] + [POINTS[3] + 2 * math.pi * nome.tau])
+        u, m, n = _reduce(zs, nome.tau)
+        kstar = DEFAULT_PRECISION.k_star(abs(nome.q))
+        t1, t4, e2 = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u), 1.0, np.exp(2j * u)
+        for k in range(1, kstar + 1):
+            q_odd, q2k = nome.q ** (2 * k - 1), nome.q ** (2 * k)
+            t1 = t1 * (1 - q2k * e2) * (1 - q2k / e2) * (1 - q2k)
+            t4 = t4 * (1 - q_odd * e2) * (1 - q_odd / e2) * (1 - q2k)
+        mult = np.exp(_shift_exponent(u, n, nome.tau))
+        tol = 8 * kstar * np.finfo(float).eps
+        assert _rel(theta1_product(zs, nome), (-1.0) ** (m + n) * mult * t1) <= tol
+        assert _rel(theta4_product(zs, nome), (-1.0) ** n * mult * t4) <= tol
+        for z, ref in zip(zs, (-1.0) ** (m + n) * mult * t1):
+            assert abs(theta1_product(complex(z), nome) - ref) <= tol * abs(ref)
 
     def test_against_mpmath(self):
         for u in POINTS:
@@ -421,7 +444,51 @@ class TestSeriesKernel:
             assert abs(theta1(complex(z), nome) - r) <= 1e-14 * abs(r)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+class TestSplit:
+    """_split keeps the series at the reduced point apart from the real
+    log-scale of the quasi-periodicity multiplier."""
+
+    @staticmethod
+    def _parts(pts, nome):
+        terms = _coefficients(nome, DEFAULT_PRECISION)
+        return _split(1, pts, nome, terms), terms["modular"]
+
+    @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
+    def test_theta1_is_the_complex_multiplier_composition(self, wl):
+        """theta1 equals sign * e^(log multiplier) * series with the log
+        multiplier in complex arithmetic: _shift_exponent directly, and
+        scale - 2i ab/(pi t), a + ib = u + n*pi*tau, on the dual side."""
+        nome = Nome.from_aspect(wl, 1.0)
+        for pts in _strip_points(wl):
+            (series, scale, (u, m, n)), t = self._parts(pts, nome)
+            if t is None:
+                log_mult = _shift_exponent(u, n, nome.tau)
+            else:
+                log_mult = scale - 2j * (u.real * (u.imag + math.pi * t * n) / (math.pi * t))
+            ref = (-1.0) ** (m + n) * np.exp(log_mult) * series
+            assert _rel(theta1(pts, nome), ref) <= 1e-15, wl
+
+    @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
+    def test_modulus_is_series_times_real_exponential(self, wl):
+        """|series|^2 e^(2 scale) = |theta1|^2, as a ratio: at W/L = 61 the
+        shifted |theta1|^2 itself is beyond double range."""
+        nome = Nome.from_aspect(wl, 1.0)
+        for pts in _strip_points(wl):
+            (series, scale, _), _ = self._parts(pts, nome)
+            ratio = (np.abs(series) * np.exp(scale) / np.abs(theta1(pts, nome))) ** 2
+            assert np.max(np.abs(ratio - 1.0)) <= 1e-14, wl
+
+    def test_series_stays_in_range_where_theta_overflows(self):
+        """Far from the strip theta1 leaves double range; the series and its
+        scale stay finite, and log|theta1| is their sum."""
+        nome = Nome.from_aspect(40.0, 1.0)
+        z = np.array([0.3 + 380j])
+        (series, scale, _), _ = self._parts(z, nome)
+        assert np.isfinite(series).all() and np.isfinite(scale).all() and scale[0] > 709
+        lg = log_abs_theta1(z, nome)[0]
+        assert abs(lg - (scale[0] + math.log(abs(series[0])))) <= 1e-15 * abs(lg)
+
+
 class TestOverflow:
     """theta of a finite argument whose quasi-periodicity multiplier overflows."""
 
@@ -447,6 +514,7 @@ class TestOverflow:
         z, nome = self._center_of_mass(20.0)
         assert math.isfinite(abs(theta1(z, nome)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the nan's invalid values
     def test_non_finite_argument_is_not_an_overflow(self):
         out = theta1(np.array([0.3, complex(math.nan, 0.0)]), 0.3)
         assert math.isfinite(abs(out[0])) and np.isnan(out[1])
