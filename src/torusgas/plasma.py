@@ -15,12 +15,18 @@ exact (all N, all aspect ratios) for q = exp(-pi W/L) with the (rho/2)^{-N/2}
 normalization, which fixes both the nome convention and the overall constant
 of the product form. The defining 2N-dimensional integral is checked by a
 midpoint lattice rule (any N, exponentially convergent on the periodic
-integrand) and by seeded Monte Carlo (N = 2, 3), whose integrand multiplies
-squared theta series and takes one real exponential per sample.
+integrand) and by seeded Monte Carlo (N = 2, 3). Both assemble the integrand
+in ``_integrand``: squared theta series multiplied, their scales added to the
+Gaussian's exponent, one real exponential per point. The Monte Carlo takes
+|theta1|^2 at every sample; the lattice rule tabulates it once per grid at the
+(2 n_x - 1)(2 n_y - 1) pair differences and (N(n_x - 1) + 1)(N(n_y - 1) + 1)
+centre-of-mass sums of grid indices, which every grid point shares.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,6 +187,29 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
     )
 
 
+def _integrand(gaussian, factors) -> np.ndarray:
+    """e^(2 gaussian) times the |theta1|^2 of ``factors``, an iterable of
+    (|series|^2, scale) pairs as ``_theta1_abs2`` returns them, the
+    centre-of-mass factor first: the mantissas multiply into the first one,
+    which holds the result, and the scales join the Gaussian's exponent, so
+    each row takes one real exponential. A non-finite value where every
+    centre-of-mass mantissa and exponent is finite (finite coordinates)
+    raises PrecisionUnreachable.
+    """
+    factors = iter(factors)
+    vals, exponent = next(factors)
+    finite = np.isfinite(vals).all()   # with a finite exponent: finite coordinates
+    exponent = gaussian + exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mantissa, scale in factors:
+            vals *= mantissa
+            exponent += scale
+        vals *= np.exp(2.0 * exponent)
+    if not np.isfinite(vals).all() and finite and np.isfinite(exponent).all():
+        raise PrecisionUnreachable("the integrand of finite coordinates leaves double range")
+    return vals
+
+
 def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     """Vectorized integrand over the last axis of (..., N) coordinates, one
     configuration (N,) or a (batch, N) block:
@@ -189,29 +218,27 @@ def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.nd
         |theta1(pi sum (conj(z_j) - (L - iW)/2)/L; q)|^2
         prod_{j<k} |theta1(pi (z_k - z_j)/L; q)|^2
 
-    Each |theta1|^2 enters as |series|^2 and a real scale (``theta._split``);
-    the scales join the Gaussian's exponent, taken once per row, so the
-    integrand stays periodic where the factors apart leave double range
-    (rounding grows as the square of the shift: a few 1e-12 at 20 periods).
-    A non-finite value of finite coordinates raises PrecisionUnreachable.
+    Coordinates outside the cell are wrapped into it first (x mod L, y mod W),
+    so the integrand is periodic to the rounding of the coordinates
+    themselves; in-cell input, every Monte Carlo draw, skips np.mod, which at
+    about 20 ns an element would cost as much as the theta factors. Each
+    |theta1|^2 enters as |series|^2 and a real scale (``theta._split``),
+    assembled by ``_integrand``.
     """
     L, W = geom.L, geom.W
+    if not (0.0 <= x.min() and x.max() < L and 0.0 <= y.min() and y.max() < W):
+        with np.errstate(invalid="ignore"):   # an inf coordinate wraps to nan
+            x, y = np.mod(x, L), np.mod(y, W)
     N = x.shape[-1]
     nome = geom.nome_WL
     z = x + 1j * y
-    com = math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L
-    vals, scale = _theta1_abs2(com, nome)
-    exponent = -math.pi * (N / geom.area) * np.sum((y - W / 2.0) ** 2, axis=-1) + scale
-    for j in range(N):
-        for k in range(j + 1, N):
-            mantissa, scale = _theta1_abs2(math.pi * (z[..., k] - z[..., j]) / L, nome)
-            vals *= mantissa
-            exponent += scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals *= np.exp(2.0 * exponent)
-    if not np.isfinite(vals).all() and np.isfinite(x).all() and np.isfinite(y).all():
-        raise PrecisionUnreachable("the integrand of finite coordinates leaves double range")
-    return vals
+    com = _theta1_abs2(math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L, nome)
+    gaussian = -math.pi * (N / geom.area) * np.sum((y - W / 2.0) ** 2, axis=-1)
+    pairs = (
+        _theta1_abs2(math.pi * (z[..., k] - z[..., j]) / L, nome)
+        for j in range(N) for k in range(j + 1, N)
+    )
+    return _integrand(gaussian, itertools.chain([com], pairs))
 
 
 # Rows per integrand call: small enough that theta's temporaries are reused
@@ -222,6 +249,74 @@ QUAD_MAX_REL = 1e-12   # lattice grids agree, and a lattice check passes, below 
 _LATTICE_MAX_POINTS = 2**20
 
 
+def _table(z: np.ndarray, nome) -> tuple[np.ndarray, np.ndarray]:
+    """``_theta1_abs2`` at the arguments z, the scale as an array of z's shape."""
+    mantissa, scale = _theta1_abs2(z, nome)
+    return mantissa, scale + np.zeros(z.shape)
+
+
+def _outer_sum(start, parts) -> np.ndarray:
+    """start + parts[0][i_0] + parts[1][i_1] + ... over the product grid of
+    the parts' indices, flattened in C order."""
+    total = np.asarray(start)
+    for part in parts:
+        total = np.add.outer(total, part)
+    return total.reshape(-1)
+
+
+def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
+    """The integrand summed over the midpoint grid of nx points per x and ny
+    per y coordinate, grid axes (i_1..i_N, k_1..k_N).
+
+    A pair argument depends on the grid point only through the index
+    difference (i_k - i_j, k_k - k_j), the centre-of-mass argument only
+    through the index sum (sum i, sum k) and the Gaussian through each k_j.
+    So |theta1|^2 is tabulated at the (2 nx - 1)(2 ny - 1) differences and
+    the (N(nx - 1) + 1)(N(ny - 1) + 1) sums, one ``_theta1_abs2`` call per
+    table, and each grid point gathers its entries by flat table index. Such
+    an index is a sum of one term per grid axis: an outer sum over the leading
+    axes plus a pattern over the trailing axes, which hold at most _MC_BLOCK
+    points (or one axis), so the grid is summed in blocks of whole patterns.
+    For N = 1 the centre-of-mass table is the grid itself.
+    """
+    N, L, W, nome = geom.N, geom.L, geom.W, geom.nome_WL
+    ix, iy = np.arange(nx), np.arange(ny)
+    sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
+    x, y = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
+    com = _table(math.pi * (np.conj(x[:, None] + 1j * y) - N * (L - 1j * W) / 2.0) / L, nome)
+    y = (iy + 0.5) * (W / ny) - W / 2.0
+    gauss = -math.pi * (N / geom.area) * (y * y)
+    if N == 1:   # the arguments and Gaussian of _integrand_batch, bit for bit
+        return float(np.sum(_integrand(gauss, [com])))
+
+    diffs = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
+    pair = _table(math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
+    # (table, the index's constant, its term per grid axis), centre of mass first
+    indices = [(com, 0, [len(sums[1]) * ix] * N + [iy] * N)]
+    for j in range(N):
+        for k in range(j + 1, N):
+            sign = [(a == k) - (a == j) for a in range(N)]
+            indices.append((pair, (nx - 1) * len(diffs[1]) + ny - 1,
+                            [s * len(diffs[1]) * ix for s in sign] + [s * iy for s in sign]))
+    gauss_terms = [np.zeros(nx)] * N + [gauss] * N
+
+    sizes = [nx] * N + [ny] * N
+    split = len(sizes) - 1   # axes [split:] make the pattern
+    while split > 0 and math.prod(sizes[split - 1:]) <= _MC_BLOCK:
+        split -= 1
+    lead = [(table, _outer_sum(start, terms[:split])[:, None], _outer_sum(0, terms[split:]))
+            for table, start, terms in indices]
+    gauss_lead = _outer_sum(0.0, gauss_terms[:split])[:, None]
+    gauss_pattern = _outer_sum(0.0, gauss_terms[split:])
+    rows = max(1, _MC_BLOCK // len(gauss_pattern))
+    total = 0.0
+    for block in (slice(s, s + rows) for s in range(0, len(gauss_lead), rows)):
+        index = [(table, offsets[block] + pattern) for table, offsets, pattern in lead]
+        factors = ((m.take(i), s.take(i)) for (m, s), i in index)
+        total += float(np.sum(_integrand(gauss_lead[block] + gauss_pattern, factors)))
+    return total
+
+
 def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     """Midpoint lattice rule for the defining integral against its closed form;
     on the smooth periodic integrand it converges geometrically (Trefethen &
@@ -229,24 +324,19 @@ def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     x and ceil(n sqrt(W/L)) per y coordinate, each at least n; n doubles from 2
     until two grids agree to QUAD_MAX_REL, their difference is the error
     measure and ``grid`` the final (n_x, n_y). A grid over _LATTICE_MAX_POINTS
-    points raises QuadratureNonConvergence."""
+    points raises QuadratureNonConvergence. ``_lattice_sum`` sums each grid
+    from |theta1|^2 tables at its distinct pair differences and
+    centre-of-mass sums."""
     N = geom.N
     stretch = [max(1.0, math.sqrt(r)) for r in (geom.L / geom.W, geom.W / geom.L)]
     value, n = math.nan, 2
     while True:
         previous = value
         nx, ny = (math.ceil(n * s) for s in stretch)
-        shape = (nx,) * N + (ny,) * N
-        size = math.prod(shape)
+        size = nx**N * ny**N
         if size > _LATTICE_MAX_POINTS:
             raise QuadratureNonConvergence(f"no grids agree to {QUAD_MAX_REL:.0e} by {size} points")
-        total = 0.0
-        for start in range(0, size, _MC_BLOCK):   # flat-index row blocks, never the whole grid
-            idx = np.unravel_index(np.arange(start, min(start + _MC_BLOCK, size)), shape)
-            x = (np.stack(idx[:N], axis=-1) + 0.5) * (geom.L / nx)
-            y = (np.stack(idx[N:], axis=-1) + 0.5) * (geom.W / ny)
-            total += float(np.sum(_integrand_batch(x, y, geom)))
-        value = total / size * geom.area**N
+        value = _lattice_sum(geom, nx, ny) / size * geom.area**N
         if abs(value - previous) <= QUAD_MAX_REL * abs(value):
             break
         n *= 2

@@ -12,8 +12,9 @@ keeps it relatively accurate next to its zero. It keeps that series apart
 from the real log-scale of the exact quasi-periodicity multiplier (as
 scipy.special.ive from iv): theta1/3/4 compose the two and refuse a value that
 overflows a double with PrecisionUnreachable, log|theta1| adds them in log
-scale, and a modulus needs one real exponential. f_N, qpochhammer_sq and eta_q
-share one cached (q^2; q^2)_inf product.
+scale, and a modulus needs one real exponential. A nan or inf argument gives
+nan, with no numpy warning. f_N, qpochhammer_sq and eta_q share one cached
+(q^2; q^2)_inf product.
 
 The series are summed to an absolute tail bound, which towards q -> 1 cancels
 theta4(0) and theta1'(0) to noise. So a real nome with Im(tau) = t < 1 is
@@ -34,6 +35,7 @@ theta4 are even with period pi.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -157,7 +159,7 @@ def _reduce(u, tau):
     u = np.asarray(u, dtype=complex)
     if u.ndim == 0:
         try:
-            return _reduce_scalar(complex(u), tau)
+            return _reduce_scalar(u.item(), tau)
         except (OverflowError, ValueError):  # round() of inf or nan
             u_red, m, n = _reduce(u.reshape(1), tau)
             return u_red[0], m[0], n[0]
@@ -242,8 +244,13 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
         horner = {1: (-1j * r * const1, -1j * r * a1), 3: (r, r * a3), 4: (r * const1, r * a1)}
     else:
         horner = {1: (const1, a1), 3: (1.0, a3), 4: (1.0, 0.5 * summed[4][1][::-1])}
-    for _, coeffs in horner.values():  # cached: every caller shares them
-        coeffs.setflags(write=False)
+    for kind, (const, coeffs) in horner.items():
+        if coeffs.size and coeffs[0] == 0:
+            # Terms that underflowed at the high-order end are dropped: at
+            # pi Im(tau) > 709.8 x = e^(2iu) overflows inside the strip, 0 * x is nan.
+            coeffs = np.trim_zeros(coeffs, "f")
+            horner[kind] = const, coeffs
+        coeffs.setflags(write=False)  # cached: every caller shares them
     return {
         "horner": horner,
         "modular": t if modular else None,
@@ -253,16 +260,20 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
 
 def _horner(const, coeffs, v, odd: bool, scalar: bool):
     """const + p(x) + p(1/x) at x = e^(2iv), times sin(v) when ``odd``, by one
-    Horner recurrence on the stacked pair (x, 1/x): one exponential per point."""
+    Horner recurrence on the stacked pair (x, 1/x): one exponential per point.
+    With no coefficients left (all underflowed) x is never formed."""
     w = np.exp(1j * v)
     iw = 1.0 / w
-    xs = np.array((w, iw))
-    xs *= xs
-    acc = coeffs[0] * xs
-    for c in coeffs[1:]:
-        acc += c
-        acc *= xs
-    series = const + acc[0] + acc[1]
+    if len(coeffs):
+        xs = np.array((w, iw))
+        xs *= xs
+        acc = coeffs[0] * xs
+        for c in coeffs[1:]:
+            acc += c
+            acc *= xs
+        series = const + acc[0] + acc[1]
+    else:
+        series = const + 0.0 * w
     if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
         if scalar:
             sine = np.sin(v)
@@ -271,6 +282,19 @@ def _horner(const, coeffs, v, odd: bool, scalar: bool):
             np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
         series = sine * series
     return series
+
+
+_FINITE_POINT = contextlib.nullcontext()
+
+
+def _quiet(z: np.ndarray):
+    """The floating-point error state to evaluate theta at z in: a nan or inf
+    argument gives nan, with numpy's invalid-value warnings off for an array
+    or a non-finite point. One finite point cannot raise them and skips
+    np.errstate, whose cost (1-2 us) is about a tenth of a scalar call."""
+    if z.ndim or not cmath.isfinite(z.item()):
+        return np.errstate(invalid="ignore")
+    return _FINITE_POINT
 
 
 def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
@@ -314,16 +338,17 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
     if nome.q == 0:  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
         return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), scalar)
     terms = _coefficients(nome, precision)
-    series, scale, (u, m, n) = _split(kind, z_arr, nome, terms)
-    t = terms["modular"]
-    if kind != 3:  # (-1)^(m+n) or (-1)^n, exact for every integer-valued k
-        series = (1.0 - 2.0 * np.fmod(m + n if kind == 1 else n, 2) ** 2) * series
-    if t is not None:
-        phase = -2.0 * (u.real * (u.imag + math.pi * t * n) / (math.pi * t))
-    elif n.any():
-        phase = -math.pi * nome.tau.real * n * n - 2 * n * u.real
-    else:  # the direct series at an unshifted point is theta itself
-        return complex(series) if scalar else series
+    with _quiet(z_arr):
+        series, scale, (u, m, n) = _split(kind, z_arr, nome, terms)
+        t = terms["modular"]
+        if kind != 3:  # (-1)^(m+n) or (-1)^n, exact for every integer-valued k
+            series = (1.0 - 2.0 * np.fmod(m + n if kind == 1 else n, 2) ** 2) * series
+        if t is not None:
+            phase = -2.0 * (u.real * (u.imag + math.pi * t * n) / (math.pi * t))
+        elif n.any():
+            phase = -math.pi * nome.tau.real * n * n - 2 * n * u.real
+        else:  # the direct series at an unshifted point is theta itself
+            return complex(series) if scalar else series
     if scalar:
         try:
             vals = total = cmath.exp(complex(scale, phase)) * complex(series)
@@ -346,8 +371,9 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
 def _theta1_abs2(z, nome: Nome):
     """|theta1(z; q)|^2, q != 0, kept apart by ``_split`` at the default
     precision as (|series|^2, scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
-    series, scale, _ = _split(1, np.asarray(z, dtype=complex), nome,
-                              _coefficients(nome, DEFAULT_PRECISION))
+    z = np.asarray(z, dtype=complex)
+    with _quiet(z):
+        series, scale, _ = _split(1, z, nome, _coefficients(nome, DEFAULT_PRECISION))
     return series.real**2 + series.imag**2, scale
 
 
@@ -373,7 +399,8 @@ def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     if nome.q == 0:
         raise NomeOutOfRange("log|theta1| undefined at q = 0")
     z_arr = np.asarray(z, dtype=complex)
-    series, scale, _ = _split(1, z_arr, nome, _coefficients(nome, precision))
+    with _quiet(z_arr):
+        series, scale, _ = _split(1, z_arr, nome, _coefficients(nome, precision))
     vals = scale + np.log(np.abs(series))
     return float(vals) if z_arr.ndim == 0 else vals
 

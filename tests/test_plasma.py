@@ -24,7 +24,7 @@ from torusgas.plasma import (
     _integrand_batch,
 )
 from torusgas.selftest import QUAD_MAX_REL, check_partition_integrals
-from torusgas.theta import eta_q
+from torusgas.theta import Nome, eta_q
 
 
 class TestClosedFormChain:
@@ -89,12 +89,24 @@ class TestFreeEnergy:
         assert abs((f8.total - 2 * f4.total) + f4.casimir) < 1e-12
 
 
-class _SwappedNome(TorusGeometry):
-    """A geometry whose nome_WL is the L/W nome exp(-pi L/W)."""
+def _per_point_sum(geom, nx, ny):
+    """The integrand summed over the midpoint grid point by point, through
+    _integrand_batch in flat-index row blocks: the reference for the tables."""
+    N = geom.N
+    shape = (nx,) * N + (ny,) * N
+    size = math.prod(shape)
+    total = 0.0
+    for start in range(0, size, plasma._MC_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + plasma._MC_BLOCK, size)), shape)
+        x = (np.stack(idx[:N], axis=-1) + 0.5) * (geom.L / nx)
+        y = (np.stack(idx[N:], axis=-1) + 0.5) * (geom.W / ny)
+        total += float(np.sum(_integrand_batch(x, y, geom)))
+    return total
 
-    @property
-    def nome_WL(self):
-        return self.nome_LW
+
+def _grid(n, WL):
+    """(n_x, n_y) of the lattice rule's ladder step n at L = 1, W = WL."""
+    return tuple(math.ceil(n * max(1.0, math.sqrt(r))) for r in (1.0 / WL, WL))
 
 
 class TestQuadrature:
@@ -132,17 +144,44 @@ class TestQuadrature:
     def test_lw_nome_does_not_converge(self, monkeypatch):
         """Negative control: at the L/W nome the integrand is not periodic in
         y, so the rule converges only algebraically and reaches its point cap;
-        the criterion fails with it."""
-        integrand = plasma._integrand_batch
+        the criterion fails with it. Every |theta1|^2 table is taken at
+        tau' = -1/tau = iL/W in place of iW/L."""
+        abs2 = plasma._theta1_abs2
         monkeypatch.setattr(
-            plasma,
-            "_integrand_batch",
-            lambda x, y, geom: integrand(x, y, _SwappedNome(geom.L, geom.W, geom.N)),
+            plasma, "_theta1_abs2", lambda z, nome: abs2(z, Nome.from_tau(-1.0 / nome.tau))
         )
         with pytest.raises(QuadratureNonConvergence):
             verify_partition_lattice(TorusGeometry(2.0, 1.0, 1))
         with pytest.raises(QuadratureNonConvergence):
             check_partition_integrals()
+
+    @pytest.mark.parametrize("N, n", [(1, 16), (2, 16), (3, 4)])
+    @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0])
+    def test_tables_match_the_per_point_sum(self, N, n, WL):
+        """The grid summed from |theta1|^2 tables at the distinct pair
+        differences and centre-of-mass sums equals the per-point sum."""
+        geom = TorusGeometry(1.0, WL, N)
+        grid = _grid(n, WL)
+        reference = _per_point_sum(geom, *grid)
+        assert abs(plasma._lattice_sum(geom, *grid) - reference) <= 1e-14 * reference
+
+    @pytest.mark.parametrize("WL", [0.5, 2.0])
+    def test_dropped_midpoint_offset_misses(self, monkeypatch, WL):
+        """Negative control: a centre-of-mass table without the N/2 midpoint
+        offset of its index sums (its arguments moved back by N/2 grid steps
+        along each axis) misses the per-point sum."""
+        geom = TorusGeometry(1.0, WL, 2)
+        grid = _grid(16, WL)
+        reference = _per_point_sum(geom, *grid)
+        abs2, calls = plasma._theta1_abs2, itertools.count()
+
+        def dropped(z, nome):   # two tables per N = 2 grid, the centre of mass first
+            if next(calls) % 2 == 0:
+                z = z - (geom.N / 2) * ((z[1, 0] - z[0, 0]) + (z[0, 1] - z[0, 0]))
+            return abs2(z, nome)
+
+        monkeypatch.setattr(plasma, "_theta1_abs2", dropped)
+        assert abs(plasma._lattice_sum(geom, *grid) - reference) > 1e-6 * reference
 
     def test_integrand_positive(self):
         g = TorusGeometry(1.0, 1.0, 1)
@@ -187,18 +226,18 @@ class TestQuadrature:
 
 
 class TestIntegrandPeriodicity:
-    """The integrand is periodic in every coordinate; its theta factors enter
-    as |series|^2 with their scales summed into one real exponent, so shifting
-    a particle by whole periods does not take them out of double range."""
+    """The integrand is periodic in every coordinate: it wraps each one into
+    the cell, and its theta factors enter as |series|^2 with their scales
+    summed into one real exponent."""
 
     @staticmethod
-    def _worst_shift_gap(geom):
+    def _worst_shift_gap(geom, periods=(1, 5), x=None, y=None):
         r = np.random.default_rng(71 + geom.N)
-        x = r.uniform(0.0, geom.L, (100, geom.N))
-        y = r.uniform(0.0, geom.W, (100, geom.N))
+        x = r.uniform(0.0, geom.L, (100, geom.N)) if x is None else x
+        y = r.uniform(0.0, geom.W, (100, geom.N)) if y is None else y
         base = _integrand_batch(x, y, geom)
         worst = 0.0
-        for a, b in itertools.product((1, 5), repeat=2):
+        for a, b in itertools.product(periods, repeat=2):
             for j in (0, geom.N - 1):
                 xs, ys = x.copy(), y.copy()
                 xs[:, j] += a * geom.L
@@ -206,14 +245,41 @@ class TestIntegrandPeriodicity:
                 worst = max(worst, float(np.max(np.abs(_integrand_batch(xs, ys, geom) - base) / base)))
         return worst
 
+    @staticmethod
+    def _centre_of_mass_shift_gap(geom):
+        """Moving every particle by W/N moves the centre-of-mass argument by
+        one period pi*tau; its factor's scale and the Gaussian absorb it."""
+        r = np.random.default_rng(73 + geom.N)
+        x = r.uniform(0.0, geom.L, (100, geom.N))
+        y = r.uniform(0.0, geom.W, (100, geom.N))
+        base = _integrand_batch(x, y, geom)
+        moved = _integrand_batch(x, y + geom.W / geom.N, geom)
+        return float(np.max(np.abs(moved - base) / base))
+
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("WL", [0.5, 2.0])
     def test_shift_by_periods(self, N, WL):
         assert self._worst_shift_gap(TorusGeometry(1.0, WL, N)) <= 1e-12
 
+    @pytest.mark.parametrize("periods", [1e4, 1e8])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("WL", [0.5, 2.0])
+    def test_shift_far_outside_the_cell(self, periods, N, WL):
+        """Coordinates on a 2^-20 grid, so that a shift by up to 1e8 periods
+        is exact and wrapping it back gives the same integrand."""
+        geom = TorusGeometry(1.0, WL, N)
+        r = np.random.default_rng(79 + N)
+        x = np.floor(r.uniform(0.0, geom.L, (100, N)) * 2**20) / 2**20
+        y = np.floor(r.uniform(0.0, geom.W, (100, N)) * 2**20) / 2**20
+        assert self._worst_shift_gap(geom, (int(periods),), x, y) <= 1e-12
+
+    def test_centre_of_mass_shift(self):
+        assert self._centre_of_mass_shift_gap(TorusGeometry(1.0, 2.0, 3)) <= 1e-12
+
     def test_dropped_scale_breaks_periodicity(self, monkeypatch):
         """Negative control: an integrand that leaves the centre-of-mass
-        factor's scale out of the exponent is not periodic."""
+        factor's scale out of the exponent is not periodic in the centre of
+        mass (every particle moved by W/N)."""
         real, calls = plasma._theta1_abs2, itertools.count()
 
         def dropped(z, nome):   # the first of the 1 + N(N-1)/2 = 4 calls per integrand
@@ -221,17 +287,22 @@ class TestIntegrandPeriodicity:
             return (mantissa, 0.0) if next(calls) % 4 == 0 else (mantissa, scale)
 
         monkeypatch.setattr(plasma, "_theta1_abs2", dropped)
-        assert self._worst_shift_gap(TorusGeometry(1.0, 2.0, 3)) > 1e-3
+        assert self._centre_of_mass_shift_gap(TorusGeometry(1.0, 2.0, 3)) > 1e-3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unrepresentable_value_is_named(self):
-        """A finite y so far out that the exponent's terms overflow raises a
-        named error; a nan coordinate gives nan, as theta does."""
+        """A value of finite factors that leaves double range raises a named
+        error, with no numpy warning first; a nan x or y gives nan, as theta
+        does, and a finite y far out wraps into the cell."""
+        with pytest.raises(PrecisionUnreachable):
+            plasma._integrand(np.zeros(1), [(np.ones(1), np.full(1, 400.0))])   # e^800
         g = TorusGeometry(1.0, 2.0, 2)
         x = np.array([[0.2, 0.7]])
-        with pytest.raises(PrecisionUnreachable):
-            _integrand_batch(x, np.array([[0.3, 1e160]]), g)
         assert np.isnan(_integrand_batch(x, np.array([[0.3, math.nan]]), g)).all()
+        nan_x = np.array([[math.nan, 0.7]])
+        assert np.isnan(_integrand_batch(nan_x, np.array([[0.3, 0.5]]), g)).all()
+        far = _integrand_batch(x, np.array([[0.3, 1e160]]), g)
+        assert np.isfinite(far).all() and (far > 0).all()
 
 
 class TestPull:

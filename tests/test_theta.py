@@ -514,10 +514,43 @@ class TestOverflow:
         z, nome = self._center_of_mass(20.0)
         assert math.isfinite(abs(theta1(z, nome)))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the nan's invalid values
     def test_non_finite_argument_is_not_an_overflow(self):
         out = theta1(np.array([0.3, complex(math.nan, 0.0)]), 0.3)
         assert math.isfinite(abs(out[0])) and np.isnan(out[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [theta1, theta3, theta4, log_abs_theta1])
+    @pytest.mark.parametrize(
+        "nome", [0.3, 0.01, Nome.from_tau(0.3 + 1j)], ids=["dual", "direct", "skewed"]
+    )
+    def test_non_finite_argument_gives_nan_quietly(self, theta, nome):
+        """A nan or inf argument, scalar or in an array, gives nan and no
+        numpy warning; the finite entry of the array is unaffected."""
+        for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.inf),
+                    complex(math.inf, -math.inf)):
+            assert np.isnan(theta(bad, nome))
+            out = theta(np.array([0.3, bad]), nome)
+            assert np.isfinite(out[0]) and np.isnan(out[1])
+
+
+class TestTinyNome:
+    """pi Im(tau) > 709.8 (|q| below about 1e-308): x = e^(2iu) overflows inside
+    the reduction strip, where every theta1 term past the first underflows."""
+
+    TAU = 229.7j
+    POINTS = [0.2 + 1j * (math.pi * 229.7 / 2 + 3), 0.2 - 1j * (math.pi * 229.7 / 2 - 1),
+              1.1 + 300j, 0.4 + 0.1j, -1.3 + 2000j]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_modulus_matches_mpmath(self):
+        nome = Nome.from_tau(self.TAU)
+        got = log_abs_theta1(np.array(self.POINTS), nome)
+        with mp.workdps(60):
+            q = mp.exp(-mp.pi * mp.mpf(self.TAU.imag))
+            for z, value in zip(self.POINTS, got):
+                expected = float(mp.log(abs(mp.jtheta(1, mp.mpc(z.real, z.imag), q))))
+                assert abs(value - expected) <= 1e-14 * abs(expected)
+                assert log_abs_theta1(z, nome) == pytest.approx(expected, rel=1e-14)
 
 
 class TestNearCapConstants:
