@@ -282,8 +282,8 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     N, L, W, nome = geom.N, geom.L, geom.W, geom.nome_WL
     ix, iy = np.arange(nx), np.arange(ny)
     sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
-    x, y = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
-    com = _table(math.pi * (np.conj(x[:, None] + 1j * y) - N * (L - 1j * W) / 2.0) / L, nome)
+    sx, sy = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
+    com = _table(math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
     if N == 1:   # the arguments and Gaussian of _integrand_batch, bit for bit
@@ -310,7 +310,7 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     gauss_pattern = _outer_sum(0.0, gauss_terms[split:])
     rows = max(1, _MC_BLOCK // len(gauss_pattern))
     total = 0.0
-    for block in (slice(s, s + rows) for s in range(0, len(gauss_lead), rows)):
+    for block in (slice(start, start + rows) for start in range(0, len(gauss_lead), rows)):
         index = [(table, offsets[block] + pattern) for table, offsets, pattern in lead]
         factors = ((m.take(i), s.take(i)) for (m, s), i in index)
         total += float(np.sum(_integrand(gauss_lead[block] + gauss_pattern, factors)))
