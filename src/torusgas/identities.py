@@ -6,13 +6,14 @@ the Fourier determinants with their closed-form constants. Each check returns
 an :class:`IdentityResidual` rather than a bare bool so callers can log and
 threshold however they need. The two theta identities are evaluated on
 stacks of D configurations, shape (D, N), with one theta call per kind and one
-stacked determinant per stack; the public residual functions are the D = 1
-case, and ``selftest.identity_draws`` passes all draws of one size at once.
+stacked determinant per stack, and one :class:`IdentityResidual` holds the
+whole stack; the public residual functions are the D = 1 case, with scalar
+fields. ``identity_draws`` drives the gate's loop: all draws of one size are
+one stack.
 
 The random draws are stacked the same way: ``_draw_points`` and
 ``_draw_pairs`` draw rounds of attempts and read the generator exactly as
-drawing one set after another would; ``draw_identity_points`` and
-``draw_species_pair`` are their D = 1 case.
+drawing one set after another would.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Two sides of an identity and their absolute/relative mismatch.
+    """Two sides of an identity and their absolute/relative mismatch, for one
+    configuration (scalar fields) or a stack of them (arrays of one shape).
 
     ``scale`` is the natural magnitude of the computation (a Hadamard-type
     bound on the determinant). When both sides are tiny against it, the
@@ -49,26 +51,25 @@ class IdentityResidual:
     ``scale`` is the number to threshold.
     """
 
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float
-    scale: float = 1.0
-    near_zero: bool = False
+    lhs: complex | np.ndarray
+    rhs: complex | np.ndarray
+    abs_residual: float | np.ndarray
+    rel_residual: float | np.ndarray
+    scale: float | np.ndarray = 1.0
+    near_zero: bool | np.ndarray = False
 
     @classmethod
-    def from_sides(cls, lhs: complex, rhs: complex, scale: float = 1.0) -> "IdentityResidual":
-        a = abs(lhs - rhs)
-        m = max(abs(lhs), abs(rhs))
-        near_zero = m < 1e-5 * max(scale, _TINY)
-        return cls(lhs, rhs, a, a / max(m, _TINY), scale, near_zero)
+    def from_sides(cls, lhs, rhs, scale=1.0) -> "IdentityResidual":
+        a = np.abs(lhs - rhs)
+        m = np.maximum(np.abs(lhs), np.abs(rhs))
+        near_zero = m < 1e-5 * np.maximum(scale, _TINY)
+        return cls(lhs, rhs, a, a / np.maximum(m, _TINY), scale, near_zero)
 
-    def passes(self, rel_tol: float) -> bool:
-        """Relative test for well-sized values; absolute test against
-        1e-12 * scale for cancellation-limited ones."""
-        if self.near_zero:
-            return self.abs_residual < 1e-12 * max(self.scale, 1.0)
-        return self.rel_residual < rel_tol
+    def passes(self, rel_tol: float):
+        """One bool per configuration: a relative test for well-sized values,
+        an absolute test against 1e-12 * scale for cancellation-limited ones."""
+        cancelled = self.abs_residual < 1e-12 * np.maximum(self.scale, 1.0)
+        return np.where(self.near_zero, cancelled, self.rel_residual < rel_tol)[()]  # 0-d: a bool
 
 
 @functools.lru_cache(maxsize=64)
@@ -86,12 +87,6 @@ def _finite_sides(what: str, *sides):
         if not all(np.all(np.isfinite(np.abs(side))) for side in sides):
             raise PrecisionUnreachable(f"{what}: a side is out of double range")
     return sides
-
-
-def _residuals(lhs, rhs, scale) -> list[IdentityResidual]:
-    """One residual per configuration of a stack's (lhs, rhs, scale) arrays."""
-    sides = zip(lhs, rhs, scale)
-    return [IdentityResidual.from_sides(complex(a), complex(b), float(s)) for a, b, s in sides]
 
 
 def _vandermonde_sides(X, alpha, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
@@ -131,7 +126,8 @@ def theta_vandermonde_residual(
         N = len(xs)
     if len(xs) != N:
         raise DimensionMismatch(f"got {len(xs)} points for N = {N}")
-    return _residuals(*_vandermonde_sides(xs[None], alpha, nome, precision))[0]
+    sides = _vandermonde_sides(xs[None], alpha, nome, precision)
+    return IdentityResidual.from_sides(*(side[0] for side in sides))
 
 
 def _frobenius_sides(Ws, Zs, alpha, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
@@ -177,7 +173,8 @@ def frobenius_residual(
     zs = np.asarray(zs, dtype=complex)
     if ws.shape != zs.shape:
         raise DimensionMismatch(f"|ws| = {len(ws)} but |zs| = {len(zs)}")
-    return _residuals(*_frobenius_sides(ws[None], zs[None], alpha, nome, precision))[0]
+    sides = _frobenius_sides(ws[None], zs[None], alpha, nome, precision)
+    return IdentityResidual.from_sides(*(side[0] for side in sides))
 
 
 def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
@@ -264,16 +261,17 @@ def _draw_pairs(rng: np.random.Generator, D: int, N: int, nome) -> np.ndarray:
     return _first_passing(draw, passes, D, "species pair")
 
 
-def draw_identity_points(rng: np.random.Generator, N: int, nome):
-    """Random points with Re in [0,1), Im in [-0.2, 0.2], rejecting draws whose
-    pairwise theta1 arguments sit within 1e-3 of a lattice point (the D = 1
-    case of the stacked draw)."""
-    return _draw_points(rng, 1, N, nome)[0]
-
-
-def draw_species_pair(rng: np.random.Generator, N: int, nome):
-    """Two point sets (ws, zs) whose intra-set differences and cross
-    separations w_j - z_k all stay 1e-3 away from the theta1 zeros (the
-    D = 1 case of the stacked draw)."""
-    ws, zs = _draw_pairs(rng, 1, N, nome)[0]
-    return ws, zs
+def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_sizes, draws: int):
+    """Seeded residuals of the theta-Vandermonde identity at every size in
+    ``vandermonde_sizes``, then of the Frobenius identity at every size in
+    ``frobenius_sizes``, ``draws`` random draws each. Yields
+    ``(identity, N, IdentityResidual)`` once per size, the residual a stack
+    over the draws: one stacked draw from ``rng``, the stream of drawing them
+    in turn, evaluated as one stack."""
+    for N in vandermonde_sizes:
+        X = _draw_points(rng, draws, N, q)
+        yield "vandermonde", N, IdentityResidual.from_sides(*_vandermonde_sides(X, 0.05 + 0.02j, q))
+    for N in frobenius_sizes:
+        WZ = _draw_pairs(rng, draws, N, q)
+        sides = _frobenius_sides(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, q)
+        yield "frobenius", N, IdentityResidual.from_sides(*sides)

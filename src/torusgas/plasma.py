@@ -188,24 +188,34 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
 
 
 def _integrand(gaussian, factors) -> np.ndarray:
-    """e^(2 gaussian) times the |theta1|^2 of ``factors``, an iterable of
+    """e^(2 gaussian) times the |theta1|^2 of ``factors()``, an iterable of
     (|series|^2, scale) pairs as ``_theta1_abs2`` returns them, the
     centre-of-mass factor first: the mantissas multiply into the first one,
     which holds the result, and the scales join the Gaussian's exponent, so
-    each row takes one real exponential. A non-finite value where every
-    centre-of-mass mantissa and exponent is finite (finite coordinates)
-    raises PrecisionUnreachable.
+    each row takes one real exponential. Rows where that running product
+    leaves double range are summed again in log form from a second call of
+    ``factors()``, which must give fresh arrays. A value still out of range
+    where every centre-of-mass mantissa and exponent is finite (finite
+    coordinates) raises PrecisionUnreachable.
     """
-    factors = iter(factors)
-    vals, exponent = next(factors)
+    parts = iter(factors())
+    vals, exponent = next(parts)
     finite = np.isfinite(vals).all()   # with a finite exponent: finite coordinates
     exponent = gaussian + exponent
     with np.errstate(over="ignore", invalid="ignore"):
-        for mantissa, scale in factors:
+        for mantissa, scale in parts:
             vals *= mantissa
             exponent += scale
         vals *= np.exp(2.0 * exponent)
-    if not np.isfinite(vals).all() and finite and np.isfinite(exponent).all():
+    if np.isfinite(vals).all() or not finite or not np.isfinite(exponent).all():
+        return vals
+    bad = ~np.isfinite(vals)
+    logs = 2.0 * np.broadcast_to(exponent, vals.shape)[bad]
+    with np.errstate(divide="ignore", over="ignore"):   # a zero factor: log 0 = -inf
+        for mantissa, _ in factors():
+            logs += np.log(np.broadcast_to(mantissa, vals.shape)[bad])
+        vals[bad] = np.exp(logs)
+    if not np.isfinite(vals).all():
         raise PrecisionUnreachable("the integrand of finite coordinates leaves double range")
     return vals
 
@@ -232,13 +242,14 @@ def _integrand_batch(x: np.ndarray, y: np.ndarray, geom: TorusGeometry) -> np.nd
     N = x.shape[-1]
     nome = geom.nome_WL
     z = x + 1j * y
-    com = _theta1_abs2(math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L, nome)
+
+    def factors():
+        yield _theta1_abs2(math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L, nome)
+        for j, k in itertools.combinations(range(N), 2):
+            yield _theta1_abs2(math.pi * (z[..., k] - z[..., j]) / L, nome)
+
     gaussian = -math.pi * (N / geom.area) * np.sum((y - W / 2.0) ** 2, axis=-1)
-    pairs = (
-        _theta1_abs2(math.pi * (z[..., k] - z[..., j]) / L, nome)
-        for j in range(N) for k in range(j + 1, N)
-    )
-    return _integrand(gaussian, itertools.chain([com], pairs))
+    return _integrand(gaussian, factors)
 
 
 # Rows per integrand call: small enough that theta's temporaries are reused
@@ -287,7 +298,7 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
     if N == 1:   # the arguments and Gaussian of _integrand_batch, bit for bit
-        return float(np.sum(_integrand(gauss, [com])))
+        return float(np.sum(_integrand(gauss, lambda: [(com[0].copy(), com[1])])))
 
     diffs = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
     pair = _table(math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
@@ -312,8 +323,9 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     total = 0.0
     for block in (slice(start, start + rows) for start in range(0, len(gauss_lead), rows)):
         index = [(table, offsets[block] + pattern) for table, offsets, pattern in lead]
-        factors = ((m.take(i), s.take(i)) for (m, s), i in index)
-        total += float(np.sum(_integrand(gauss_lead[block] + gauss_pattern, factors)))
+        vals = _integrand(gauss_lead[block] + gauss_pattern,
+                          lambda: ((m.take(i), s.take(i)) for (m, s), i in index))
+        total += float(np.sum(vals))
     return total
 
 

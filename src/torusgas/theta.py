@@ -49,6 +49,9 @@ _QMAX = 0.95
 # has relative error ~ eps cosh(Im u) / |sin u|, at most ~2 eps for |u| >= 1/2 in
 # the strip but growing as eps/|u| towards the zero at u = 0.
 _SINE_CANCEL = 0.5
+_LOG_MAX = math.log(np.finfo(float).max)   # e^x overflows a double above this
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -223,9 +226,10 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
     tau' = -1/tau = i/t is built and summed, |q'| <= e^(-pi), and the cap
     ``max_terms`` applies to its n*.
 
-    ``horner[kind]`` is (constant, a), the series summed as constant + p(x) +
-    p(1/x) with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ..., a_1],
-    leading coefficient first. theta3/theta4 take a_j = c_j / 2 and constant 1.
+    ``horner[kind]`` is (constant, a, root), the series summed as constant +
+    p(x) + p(1/x) with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ...,
+    a_1], leading coefficient first; root is None but at a subnormal |q|.
+    theta3/theta4 take a_j = c_j / 2 and constant 1.
     theta1 is sin(u) times such a sum: sin((2j-1)u) / sin(u) = 1 + 2 sum_{k<j}
     cos(2ku), so a_k = sum_{j>k} c_j and the constant is sum_j c_j. Factoring
     sin(u) out keeps theta1 relatively accurate next to its zero at u = 0.
@@ -249,8 +253,15 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
             # Terms that underflowed at the high-order end are dropped: at
             # pi Im(tau) > 709.8 x = e^(2iu) overflows inside the strip, 0 * x is nan.
             coeffs = np.trim_zeros(coeffs, "f")
-            horner[kind] = const, coeffs
         coeffs.setflags(write=False)  # cached: every caller shares them
+        horner[kind] = const, coeffs, None
+    if math.pi * t > _LOG_MAX:
+        # |q| is subnormal and only a_1 = q, -q of theta3, theta4 is left
+        # (theta1's underflowed): a_1 (x + 1/x) is summed as (r w)^2 + (r/w)^2,
+        # w = e^(iu), with the root r = e^(i pi tau / 2) or i e^(i pi tau / 2)
+        # taken from tau at full precision, so no x that overflows is formed.
+        r = cmath.exp(0.5j * math.pi * nome.tau)
+        horner[3], horner[4] = (1.0, _ONE, r), (1.0, _ONE, 1j * r)
     return {
         "horner": horner,
         "modular": t if modular else None,
@@ -258,14 +269,17 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
     }
 
 
-def _horner(const, coeffs, v, odd: bool, scalar: bool):
+def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
     """const + p(x) + p(1/x) at x = e^(2iv), times sin(v) when ``odd``, by one
     Horner recurrence on the stacked pair (x, 1/x): one exponential per point.
-    With no coefficients left (all underflowed) x is never formed."""
+    With no coefficients left (all underflowed) x is never formed; with a
+    ``root`` the pair is (root w, root / w) squared, w = e^(iv)."""
     w = np.exp(1j * v)
     iw = 1.0 / w
     if len(coeffs):
         xs = np.array((w, iw))
+        if root is not None:
+            xs *= root
         xs *= xs
         acc = coeffs[0] * xs
         for c in coeffs[1:]:
@@ -313,14 +327,14 @@ def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
     u + n*pi*tau, and scale = (b^2 - a^2)/(pi t).
     """
     u, m, n = _reduce(z, nome.tau)  # numpy scalars for 0-d z: no 0-d array overhead
-    const, coeffs = terms["horner"][kind]
+    horner = terms["horner"][kind]
     t = terms["modular"]
     if t is None:
-        series = _horner(const, coeffs, u, kind == 1, z.ndim == 0)
+        series = _horner(*horner, u, kind == 1, z.ndim == 0)
         scale = math.pi * nome.tau.imag * n * n + 2 * n * u.imag if n.any() else 0.0
     else:
         half = 0.5 * math.pi if kind == 4 else 0.0
-        series = _horner(const, coeffs, u * (1j / t) + half, kind != 3, z.ndim == 0)
+        series = _horner(*horner, u * (1j / t) + half, kind != 3, z.ndim == 0)
         a, b = u.real, u.imag + math.pi * t * n  # real arithmetic rounds scalars as arrays
         scale = (b - a) * (b + a) / (math.pi * t)
     return series, scale, (u, m, n)
@@ -401,8 +415,11 @@ def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     z_arr = np.asarray(z, dtype=complex)
     with _quiet(z_arr):
         series, scale, _ = _split(1, z_arr, nome, _coefficients(nome, precision))
-    vals = scale + np.log(np.abs(series))
-    return float(vals) if z_arr.ndim == 0 else vals
+    modulus = np.abs(series)
+    if z_arr.ndim == 0:  # log 0 = -inf at a zero of theta1, with no numpy warning
+        return float(scale + (np.log(modulus) if modulus else -math.inf))
+    with np.errstate(divide="ignore"):
+        return scale + np.log(modulus)
 
 
 def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> complex:

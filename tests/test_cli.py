@@ -16,8 +16,9 @@ from click.testing import CliRunner
 from torusgas import cli
 from torusgas.cli import main, run
 from torusgas.errors import NomeOutOfRange, ParameterOutOfRange
+from torusgas.identities import identity_draws
 from torusgas.plasma import IntegralEstimate, PartitionCheck
-from torusgas.selftest import MC_MAX_PULL, QUAD_MAX_REL, identity_draws
+from torusgas.selftest import MC_MAX_PULL, QUAD_MAX_REL
 from torusgas.theta import Nome
 
 runner = CliRunner()
@@ -83,7 +84,9 @@ class TestVerifyIdentities:
         rng = np.random.default_rng(7)
         draws = identity_draws(rng, Nome.from_q(0.3), range(2, 4), range(1, 4), 4)
         assert [(r[0], int(r[1]), int(r[3]), float(r[5])) for r in rows] == [
-            (identity, N, d, res.rel_residual) for identity, N, d, res in draws
+            (identity, N, d, rel)
+            for identity, N, res in draws
+            for d, rel in enumerate(res.rel_residual.tolist())
         ]
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -1,6 +1,7 @@
 """Determinant identities: factorizations, degeneracies, closed-form constants."""
 
 import csv
+import dataclasses
 import math
 import warnings
 
@@ -8,21 +9,21 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from torusgas import identities, selftest
+from torusgas import identities
 from torusgas.cli import main
 from torusgas.errors import PrecisionUnreachable, SingularConfiguration
 from torusgas.identities import (
+    IdentityResidual,
     _draw_pairs,
     _draw_points,
     _frobenius_sides,
     _vandermonde_sides,
-    draw_identity_points,
-    draw_species_pair,
     fourier_det_constant,
     frobenius_residual,
+    identity_draws,
     theta_vandermonde_residual,
 )
-from torusgas.selftest import check_identity_suite, identity_draws
+from torusgas.selftest import check_identity_suite
 from torusgas.theta import DEFAULT_PRECISION, Nome, lattice_distance, theta3
 
 
@@ -39,13 +40,13 @@ class TestThetaVandermonde:
     def test_random_draws(self, N, q):
         rng = np.random.default_rng(70 + N)
         for _ in range(10):
-            xs = draw_identity_points(rng, N, q)
+            xs = _draw_points(rng, 1, N, q)[0]
             r = theta_vandermonde_residual(xs, 0.0, q, N)
             assert r.passes(1e-9), (N, q, r)
 
     def test_nonzero_alpha(self):
         rng = np.random.default_rng(5)
-        xs = draw_identity_points(rng, 3, 0.2)
+        xs = _draw_points(rng, 1, 3, 0.2)[0]
         r = theta_vandermonde_residual(xs, 0.11 + 0.04j, 0.2, 3)
         assert r.rel_residual < 1e-10
 
@@ -74,7 +75,7 @@ class TestFrobenius:
     def test_random_draws(self, N, q):
         rng = np.random.default_rng(80 + N)
         for _ in range(10):
-            ws, zs = draw_species_pair(rng, N, q)
+            ws, zs = _draw_pairs(rng, 1, N, q)[0]
             r = frobenius_residual(ws, zs, 0.1 + 0.05j, q)
             assert r.passes(1e-9), (N, q, r)
 
@@ -87,7 +88,7 @@ class TestFrobenius:
     def test_permutation_invariance(self):
         """Row/column permutation parity cancels against the pair products."""
         rng = np.random.default_rng(9)
-        ws, zs = draw_species_pair(rng, 3, 0.25)
+        ws, zs = _draw_pairs(rng, 1, 3, 0.25)[0]
         base = frobenius_residual(ws, zs, 0.1 + 0.05j, 0.25)
         perm = np.array([2, 0, 1])
         swapped = frobenius_residual(ws[perm], zs[perm], 0.1 + 0.05j, 0.25)
@@ -97,7 +98,7 @@ class TestFrobenius:
     def test_alpha_shift_invariance(self):
         """alpha -> alpha + pi leaves the residual unchanged (theta4 period)."""
         rng = np.random.default_rng(19)
-        ws, zs = draw_species_pair(rng, 2, 0.3)
+        ws, zs = _draw_pairs(rng, 1, 2, 0.3)[0]
         a = frobenius_residual(ws, zs, 0.17, 0.3)
         b = frobenius_residual(ws, zs, 0.17 + math.pi, 0.3)
         assert abs(a.rel_residual - b.rel_residual) < 1e-9
@@ -129,19 +130,76 @@ def _per_draw(rng, q, vandermonde_sizes, frobenius_sizes, draws):
     reference for the stacked evaluation in ``identity_draws``."""
     for N in vandermonde_sizes:
         for d in range(draws):
-            xs = draw_identity_points(rng, N, q)
+            xs = _draw_points(rng, 1, N, q)[0]
             yield "vandermonde", N, d, theta_vandermonde_residual(xs, 0.05 + 0.02j, q, N)
     for N in frobenius_sizes:
         for d in range(draws):
-            ws, zs = draw_species_pair(rng, N, q)
+            ws, zs = _draw_pairs(rng, 1, N, q)[0]
             yield "frobenius", N, d, frobenius_residual(ws, zs, 0.1 + 0.05j, q)
+
+
+def _element(r, d):
+    """The residual of configuration d of the stacked residual r."""
+    return IdentityResidual(**{f.name: getattr(r, f.name)[d] for f in dataclasses.fields(r)})
+
+
+def _rows(stacks):
+    """One (identity, N, draw, residual) row per draw of ``identity_draws``."""
+    for identity, N, r in stacks:
+        for d in range(len(r.lhs)):
+            yield identity, N, d, _element(r, d)
+
+
+class TestResidualStack:
+    """A stacked IdentityResidual is ``from_sides`` of each configuration."""
+
+    def _stacks(self):
+        yield (
+            np.array([1 + 1j, 2e-9j, 1e-3, -3.0, 1e-20 + 0j]),
+            np.array([1 + 1.0000001j, 3e-9j, 2e-3, -3.0, 0j]),
+            np.array([1.0, 1e6, 1e6, 2.0, 1e-30]),
+        )
+        X = _draw_points(np.random.default_rng(11), 4, 3, 0.3)
+        X[2, 1] = X[2, 0]   # coincident points: both sides vanish
+        yield _vandermonde_sides(X, 0.05 + 0.02j, 0.3)
+
+    def test_stack_is_elementwise(self):
+        for lhs, rhs, scale in self._stacks():
+            stack = IdentityResidual.from_sides(lhs, rhs, scale)
+            passes = stack.passes(1e-9)
+            assert passes.shape == lhs.shape and stack.near_zero.any()
+            for d in range(len(lhs)):
+                one = IdentityResidual.from_sides(complex(lhs[d]), complex(rhs[d]), float(scale[d]))
+                for f in dataclasses.fields(one):
+                    assert np.ndim(getattr(one, f.name)) == 0, f.name
+                    assert getattr(stack, f.name)[d] == getattr(one, f.name), (d, f.name)
+                assert isinstance(one.passes(1e-9), np.bool_)
+                assert passes[d] == one.passes(1e-9), d
+
+    def test_both_tests_of_passes(self):
+        """Well-sized rows by rel_residual, near-zero rows by abs_residual
+        against 1e-12 * scale."""
+        stack = IdentityResidual.from_sides(*next(self._stacks()))
+        assert stack.near_zero.tolist() == [False, True, True, False, False]
+        assert stack.passes(1e-9).tolist() == [False, True, False, True, False]
+        assert stack.passes(1e-6).tolist() == [True, True, False, True, False]
+
+    def test_public_residuals_are_scalar(self):
+        for r in (
+            theta_vandermonde_residual([0.1 + 0.02j, 0.45 - 0.1j], 0.05, 0.3),
+            frobenius_residual([0.3 + 0.1j], [0.7 - 0.05j], 0.2 + 0.1j, 0.3),
+            fourier_det_constant(3),
+        ):
+            assert all(np.ndim(getattr(r, f.name)) == 0 for f in dataclasses.fields(r))
+            assert isinstance(r.passes(1e-9), np.bool_) and r.passes(1e-9)
+            assert float(r.rel_residual) < 1e-12
 
 
 class TestStackedDraws:
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
     def test_matches_per_draw_calls(self, q):
         sizes = (range(2, 7), range(1, 5), 20)
-        stacked = list(identity_draws(np.random.default_rng(2024), q, *sizes))
+        stacked = list(_rows(identity_draws(np.random.default_rng(2024), q, *sizes)))
         single = list(_per_draw(np.random.default_rng(2024), q, *sizes))
         assert [row[:3] for row in stacked] == [row[:3] for row in single]
         for (_, N, d, a), (_, _, _, b) in zip(stacked, single):
@@ -151,7 +209,7 @@ class TestStackedDraws:
 
     def test_one_lattice_draw_in_a_stack_raises(self):
         rng = np.random.default_rng(3)
-        pairs = [draw_species_pair(rng, 3, 0.3) for _ in range(5)]
+        pairs = [_draw_pairs(rng, 1, 3, 0.3)[0] for _ in range(5)]
         Ws = np.array([w for w, _ in pairs])
         Zs = np.array([z for _, z in pairs])
         _frobenius_sides(Ws, Zs, 0.1, 0.3)   # well separated
@@ -185,14 +243,14 @@ class TestIdentitySuiteControls:
         assert not check_identity_suite().passed
 
     def test_fails_without_frobenius_sign(self, monkeypatch):
-        sides = selftest._frobenius_sides
+        sides = identities._frobenius_sides
 
         def unsigned(Ws, Zs, alpha, nome, precision=DEFAULT_PRECISION):
             lhs, rhs, scale = sides(Ws, Zs, alpha, nome, precision)
             N = Ws.shape[1]
             return (-1.0) ** (N * (N - 1) // 2) * lhs, rhs, scale   # undoes (-1)^(N(N-1)/2)
 
-        monkeypatch.setattr(selftest, "_frobenius_sides", unsigned)
+        monkeypatch.setattr(identities, "_frobenius_sides", unsigned)
         assert not check_identity_suite().passed
 
 
@@ -303,8 +361,8 @@ class TestStackedDrawStream:
 
     def test_public_draws_are_the_single_case(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
-        assert np.array_equal(draw_identity_points(a, 3, 0.3), _loop_points(b, 3, 0.3))
-        ws, zs = draw_species_pair(a, 3, 0.3)
+        assert np.array_equal(_draw_points(a, 1, 3, 0.3)[0], _loop_points(b, 3, 0.3))
+        ws, zs = _draw_pairs(a, 1, 3, 0.3)[0]
         ref_ws, ref_zs = _loop_pair(b, 3, 0.3)
         assert np.array_equal(ws, ref_ws) and np.array_equal(zs, ref_zs)
         assert a.bit_generator.state == b.bit_generator.state
@@ -330,7 +388,7 @@ class TestDrawCaps:
             _loop_points(loop, 3, 0.3)
         assert stacked.values == loop.values == 1000 * 2 * 3
         with pytest.raises(SingularConfiguration, match="configuration"):
-            draw_identity_points(_Constant(), 3, 0.3)
+            _draw_points(_Constant(), 1, 3, 0.3)[0]
 
     @pytest.mark.parametrize("D", [1, 5])
     def test_species_pairs(self, D):
@@ -342,7 +400,7 @@ class TestDrawCaps:
             _loop_pair(loop, 1, 0.3)
         assert stacked.values == loop.values == 1000 * 2 * 2
         with pytest.raises(SingularConfiguration, match="species pair"):
-            draw_species_pair(_Constant(), 1, 0.3)
+            _draw_pairs(_Constant(), 1, 1, 0.3)[0]
 
     def test_species_pair_sets(self):
         """At N >= 2 the first set of a pair already reaches its own cap."""

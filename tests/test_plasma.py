@@ -24,7 +24,7 @@ from torusgas.plasma import (
     _integrand_batch,
 )
 from torusgas.selftest import QUAD_MAX_REL, check_partition_integrals
-from torusgas.theta import Nome, eta_q
+from torusgas.theta import Nome, eta_q, log_abs_theta1
 
 
 class TestClosedFormChain:
@@ -295,7 +295,7 @@ class TestIntegrandPeriodicity:
         error, with no numpy warning first; a nan x or y gives nan, as theta
         does, and a finite y far out wraps into the cell."""
         with pytest.raises(PrecisionUnreachable):
-            plasma._integrand(np.zeros(1), [(np.ones(1), np.full(1, 400.0))])   # e^800
+            plasma._integrand(np.zeros(1), lambda: [(np.ones(1), np.full(1, 400.0))])   # e^800
         g = TorusGeometry(1.0, 2.0, 2)
         x = np.array([[0.2, 0.7]])
         assert np.isnan(_integrand_batch(x, np.array([[0.3, math.nan]]), g)).all()
@@ -303,6 +303,38 @@ class TestIntegrandPeriodicity:
         assert np.isnan(_integrand_batch(nan_x, np.array([[0.3, 0.5]]), g)).all()
         far = _integrand_batch(x, np.array([[0.3, 1e160]]), g)
         assert np.isfinite(far).all() and (far > 0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_running_product_overflow_is_summed_in_logs(self):
+        """A row whose mantissas overflow in sequence but not in total is
+        summed again in log form; other rows keep their product."""
+        def factors():
+            return [(np.array([1e200, 2.0, 1e200]), np.zeros(3)),
+                    (np.array([1e200, 3.0, 1e200]), np.zeros(3)),
+                    (np.array([1e-250, 5.0, 0.0]), np.zeros(3))]
+
+        vals = plasma._integrand(np.zeros(3), factors)
+        assert vals[0] == pytest.approx(1e150, rel=1e-13)
+        assert vals[1] == 30.0 and vals[2] == 0.0
+        with pytest.raises(PrecisionUnreachable):   # 1e600: out of range in total
+            plasma._integrand(np.zeros(1), lambda: [(np.full(1, 1e200), 0.0) for _ in range(3)])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_torus_many_particles(self):
+        """N = 8 at W/L = 61: the 29 mantissas of a row overflow in sequence,
+        where the row's value is below e^-708. Every row matches the sum of
+        log|theta1| terms."""
+        g = TorusGeometry(1.0, 61.0, 8)
+        r = np.random.default_rng(1)
+        x, y = r.uniform(0.0, g.L, (200, 8)), r.uniform(0.0, g.W, (200, 8))
+        z = x + 1j * y
+        log_value = -2.0 * math.pi * (g.N / g.area) * np.sum((y - g.W / 2.0) ** 2, axis=1)
+        com = math.pi * np.sum(np.conj(z) - (g.L - 1j * g.W) / 2.0, axis=1) / g.L
+        log_value += 2.0 * log_abs_theta1(com, g.nome_WL)
+        for j, k in itertools.combinations(range(8), 2):
+            log_value += 2.0 * log_abs_theta1(math.pi * (z[:, k] - z[:, j]) / g.L, g.nome_WL)
+        assert np.max(log_value) < -700.0
+        assert np.allclose(_integrand_batch(x, y, g), np.exp(log_value), rtol=1e-9, atol=1e-300)
 
 
 class TestPull:

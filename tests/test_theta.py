@@ -1,5 +1,6 @@
 """Theta-function core: dual representations, quasi-periodicity, eta and f_N."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -128,6 +129,16 @@ class TestTheta1:
 
     def test_zero_nome(self):
         assert theta1(0.7, 0.0) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_abs_at_a_zero(self):
+        """At z = 0 and at the lattice points pi and pi*tau, log|theta1| is
+        -inf, scalar and array, with no numpy warning."""
+        nome = Nome.from_q(0.3)
+        zeros = [0.0, math.pi, math.pi * nome.tau]
+        assert all(log_abs_theta1(z, nome) == -math.inf for z in zeros)
+        got = log_abs_theta1(np.array(zeros + [0.4 + 0.1j]), nome)
+        assert np.array_equal(got[:3], np.full(3, -math.inf)) and np.isfinite(got[3])
 
 
 class TestTheta34:
@@ -551,6 +562,26 @@ class TestTinyNome:
                 expected = float(mp.log(abs(mp.jtheta(1, mp.mpc(z.real, z.imag), q))))
                 assert abs(value - expected) <= 1e-14 * abs(expected)
                 assert log_abs_theta1(z, nome) == pytest.approx(expected, rel=1e-14)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [TAU, 0.3 + TAU])
+    def test_theta3_theta4_match_the_log_form_series(self, tau):
+        """|q| is subnormal and only the q(x + 1/x) term is left, with x
+        overflowing towards the edges of the strip: theta3 and theta4 match
+        1 +- (e^(i pi tau + 2iu) + e^(i pi tau - 2iu)) to 1e-14, scalar and
+        array (mpmath's jtheta returns 1 at this nome)."""
+        nome = Nome.from_tau(tau)
+        edge = math.pi * tau.imag / 2
+        points = [0.2 + 1j * (edge - 1), 0.2 - 1j * (edge - 1), 2.5 + 1j * (edge - 0.01),
+                  -0.7 - 1j * (edge - 3), 0.4 + 0.1j]
+        for theta, sign in ((theta3, 1), (theta4, -1)):
+            got = theta(np.array(points), nome)
+            for u, value in zip(points, got):
+                ref = 1 + sign * (cmath.exp(1j * math.pi * tau + 2j * u)
+                                  + cmath.exp(1j * math.pi * tau - 2j * u))
+                assert abs(value - ref) <= 1e-14 * abs(ref), (theta.__name__, u)
+                assert abs(theta(u, nome) - ref) <= 1e-14 * abs(ref), (theta.__name__, u)
 
 
 class TestNearCapConstants:
