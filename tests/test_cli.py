@@ -272,17 +272,28 @@ class TestEntryPoint:
         assert info.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_import_loads_no_scipy(self):
-        """The library and its command line run on numpy and click alone;
-        scipy is a test dependency."""
+    @staticmethod
+    def _loaded_after(imports: str, package: str) -> list[str]:
+        """The modules of ``package`` a fresh interpreter holds after
+        ``import <imports>``."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
-            "import sys, torusgas, torusgas.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"import sys, {imports}; "
+            f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         ).stdout
-        assert out.strip() == "[]"
+        return out.split()
+
+    def test_import_loads_no_scipy(self):
+        """The library and its command line run on numpy and click alone;
+        scipy is a test dependency."""
+        assert self._loaded_after("torusgas, torusgas.cli", "scipy") == []
+
+    def test_import_loads_no_concurrent_futures(self):
+        """The Monte Carlo imports its thread pool when it first starts one:
+        concurrent.futures loads logging, about 6 ms."""
+        assert self._loaded_after("torusgas", "concurrent") == []

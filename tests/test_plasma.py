@@ -334,7 +334,14 @@ class TestIntegrandPeriodicity:
         for j, k in itertools.combinations(range(8), 2):
             log_value += 2.0 * log_abs_theta1(math.pi * (z[:, k] - z[:, j]) / g.L, g.nome_WL)
         assert np.max(log_value) < -700.0
-        assert np.allclose(_integrand_batch(x, y, g), np.exp(log_value), rtol=1e-9, atol=1e-300)
+        vals = _integrand_batch(x, y, g)
+        assert np.allclose(vals, np.exp(log_value), rtol=1e-9, atol=1e-300)
+        # Representable rows whose exponential underflows are summed in log
+        # form, not read as 0: log values -734.27, -708.66, -741.05, -718.89
+        # and -745.01.
+        assert np.all(vals[[7, 41, 118, 124, 170]] > 0.0)
+        for row in (41, 124):
+            assert vals[row] == pytest.approx(math.exp(log_value[row]), rel=1e-9)
 
 
 class TestPull:
@@ -399,6 +406,57 @@ class TestMonteCarlo:
         est = verify_partition_mc(geom, samples=samples, seed=29).estimate
         assert est.value == vol * mean
         assert est.std_error == vol * math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+class TestMonteCarloBlocks:
+    """The row blocks of a draw spread over threads, one per CPU."""
+
+    @pytest.mark.parametrize("N, WL, samples", [(2, 1.0, 123_457), (3, 0.5, 100_000)])
+    def test_thread_count_keeps_the_bits(self, N, WL, samples, monkeypatch):
+        """One CPU (no thread), two and three give bit-identical results."""
+        geom = TorusGeometry(1.0, WL, N)
+        estimates = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(plasma, "_cpu_count", lambda cpus=cpus: cpus)
+            est = verify_partition_mc(geom, samples=samples, seed=17).estimate
+            estimates.add((est.value, est.std_error))
+        assert len(estimates) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_error_in_a_block_reaches_the_caller(self, cpus, monkeypatch):
+        """A PrecisionUnreachable in the third block, on the calling thread
+        (two CPUs) or on the pool (three), reaches the caller; the next call
+        still gives the values of an undisturbed one."""
+        geom = TorusGeometry(1.0, 1.0, 2)
+        clean = verify_partition_mc(geom, samples=100_000, seed=4).estimate
+        third = np.random.default_rng(3).uniform(0.0, geom.L, (100_000, 2))[2 * plasma._MC_BLOCK]
+        real = plasma._integrand_batch
+
+        def failing(x, y, geom, nome=None):
+            if np.array_equal(x[0], third):
+                raise PrecisionUnreachable("third block")
+            return real(x, y, geom, nome)
+
+        monkeypatch.setattr(plasma, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(plasma, "_integrand_batch", failing)
+        with pytest.raises(PrecisionUnreachable, match="third block"):
+            verify_partition_mc(geom, samples=100_000, seed=3)
+        assert verify_partition_mc(geom, samples=100_000, seed=4).estimate == clean
+
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch):
+        """Every block, on the calling thread or the pool's, sees the
+        caller's numpy error state."""
+        real, seen = plasma._integrand_batch, []
+
+        def recording(x, y, geom, nome=None):
+            seen.append(np.geterr()["divide"])
+            return real(x, y, geom, nome)
+
+        monkeypatch.setattr(plasma, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(plasma, "_integrand_batch", recording)
+        with np.errstate(divide="raise"):
+            verify_partition_mc(TorusGeometry(1.0, 1.0, 2), samples=100_000, seed=1)
+        assert seen == ["raise"] * math.ceil(100_000 / plasma._MC_BLOCK)
 
 
 class TestIntegrandConsistency:
