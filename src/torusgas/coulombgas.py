@@ -145,6 +145,12 @@ class ModeSpectrum:
     def residuals(self) -> np.ndarray:
         return np.abs(np.cosh(self.W * np.sqrt(self.mu**2 + self.roots**2 + 0j)) - 1.0)
 
+    @property
+    def abs_lambda(self) -> np.ndarray:
+        """The distinct |lambda|, one per k = 0..k_max, descending and
+        unrounded: the +i half of the root pairs."""
+        return np.abs(self.lambdas[: len(self.lambdas) // 2])
+
 
 def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     """Analytic inversion of the eigenvalue condition for Fourier mode n.
@@ -370,7 +376,7 @@ def fit_pressure(zeta: float, Ls, cutoff_density: int) -> PressureFit:
 class GrandPotentialBreakdown:
     """Fitted decomposition of -log Xi over a fixed-aspect geometry ladder.
 
-    bulk is the fitted extensive part evaluated at the base geometry
+    bulk is the fitted extensive part evaluated at the given geometry
     (-beta P * L W with beta P = -bulk_per_area); o1_fitted is the ladder
     remainder; o1_resolved is the exact value -2 log(q^{1/12} prod(1-q^{2n}))
     it converges to, and o1_printed the opposite-sign closed form kept for the
@@ -392,13 +398,16 @@ def log_xi2_asymptotic(
 ) -> GrandPotentialBreakdown:
     """Ladder fit of -log Xi = b * area + c at fixed aspect ratio and zeta.
 
-    The mode cutoff is Lambda * L per rung (integer); the fitted constant c is
-    the O(1) finite-size term. It is zeta independent and matches
+    The rungs scale the torus by 1, 1.5, ..., 3 from a base of L = max(L, 4)
+    at the aspect W/L of ``geom``, so the smallest rung has L >= 4. The mode
+    cutoff is Lambda * L per rung (integer); the fitted constant c is the
+    O(1) finite-size term. It is zeta independent and matches
     -2 log eta_q(e^{-pi W/L}).
     """
+    L0, W0 = (geom.L, geom.W) if geom.L >= 4.0 else (4.0, 4.0 * geom.W / geom.L)
     areas, vals = [], []
     for s in (1.0, 1.5, 2.0, 2.5, 3.0):
-        L, W = geom.L * s, geom.W * s
+        L, W = L0 * s, W0 * s
         n_max = int(round(cutoff_density * L))
         g = TorusGeometry(L, W, 1)
         vals.append(-log_xi2_closed(zeta, g, n_max))

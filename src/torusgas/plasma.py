@@ -112,6 +112,15 @@ class PartitionCheck:
             return 0.0 if deviation == 0.0 else math.inf
         return deviation / self.estimate.std_error
 
+    @property
+    def passed(self) -> bool:
+        """A lattice estimate (``grid`` set) passes below QUAD_MAX_REL relative
+        deviation, a Monte Carlo one below MC_MAX_PULL standard errors; a nan
+        fails either."""
+        if self.estimate.grid is not None:
+            return self.rel_deviation < QUAD_MAX_REL
+        return self.pull < MC_MAX_PULL
+
 
 def _log_middle(N: int, geom: TorusGeometry) -> float:
     q = geom.q_WL
@@ -316,6 +325,7 @@ def _run_blocks(work, blocks: list) -> None:
 
 
 QUAD_MAX_REL = 1e-12   # lattice grids agree, and a lattice check passes, below this
+MC_MAX_PULL = 3.0      # a Monte Carlo check passes within this many standard errors
 _LATTICE_MAX_POINTS = 2**20
 
 

@@ -192,7 +192,7 @@ def _reduce_scalar(z: complex, tau: complex):
 
 
 def _shift_exponent(u_red, n, tau):
-    """log of the quasi-periodicity multiplier q^(-n^2) e^(-2in u_red), q != 0.
+    """log of the quasi-periodicity multiplier q^(-n^2) e^(-2in u_red), tau finite.
 
     theta(u_red + n*pi*tau) picks up this factor (times a parity sign that
     depends on which theta), so theta(u) = sign * exp(this) * theta(u_red).
@@ -219,7 +219,7 @@ def _terms(tau: complex, precision: SeriesPrecision) -> dict:
 
 @functools.lru_cache(maxsize=64)
 def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
-    """The theta series of a nonzero nome, as read-only arrays by theta index.
+    """The theta series of a nome with finite tau, as read-only arrays by theta index.
 
     ``modular`` is t when tau = it with t < 1, else None: there the series at
     tau (see ``_terms``) cancel towards q -> 1, so only the series at the dual
@@ -312,7 +312,7 @@ def _quiet(z: np.ndarray):
 
 
 def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
-    """theta_kind(z; q), q != 0, as (series, scale, (u, m, n)): z = u + m*pi +
+    """theta_kind(z; q), tau finite, as (series, scale, (u, m, n)): z = u + m*pi +
     n*pi*tau with u in the fundamental strip, the series summed at u, and
     theta_kind(z) = sign * e^(scale + i*phase) * series with scale real.
     ``terms`` is ``_coefficients(nome, precision)``. Directly, the multiplier
@@ -349,7 +349,7 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
-    if nome.q == 0:  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
+    if math.isinf(nome.tau.imag):  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
         return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), scalar)
     terms = _coefficients(nome, precision)
     with _quiet(z_arr):
@@ -383,7 +383,7 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
 
 
 def _theta1_abs2(z, nome: Nome):
-    """|theta1(z; q)|^2, q != 0, kept apart by ``_split`` at the default
+    """|theta1(z; q)|^2, tau finite, kept apart by ``_split`` at the default
     precision as (|series|^2, scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
     z = np.asarray(z, dtype=complex)
     with _quiet(z):
@@ -410,7 +410,7 @@ def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     """log|theta1(z; q)| = scale + log|series| by ``_split``: the multiplier
     enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
-    if nome.q == 0:
+    if math.isinf(nome.tau.imag):
         raise NomeOutOfRange("log|theta1| undefined at q = 0")
     z_arr = np.asarray(z, dtype=complex)
     with _quiet(z_arr):
@@ -430,7 +430,7 @@ def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> compl
     independent check in the test suite.
     """
     nome = Nome.coerce(nome)
-    if nome.q == 0:
+    if math.isinf(nome.tau.imag):
         return 0j
     return _coefficients(nome, precision)["prime0"]
 
@@ -443,7 +443,7 @@ def theta1_product(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     nome = Nome.coerce(nome)
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
-    if nome.q == 0:
+    if math.isinf(nome.tau.imag):
         return _as_output(np.zeros(z_arr.shape, dtype=complex), scalar)
     u, m, n = _reduce(z_arr, nome.tau)
     q2k = nome.q ** (2 * np.arange(1, precision.k_star(abs(nome.q)) + 1))
@@ -463,7 +463,7 @@ def theta4_product(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     nome = Nome.coerce(nome)
     u_arr = np.asarray(u, dtype=complex)
     scalar = u_arr.ndim == 0
-    if nome.q == 0:
+    if math.isinf(nome.tau.imag):
         return _as_output(np.ones(u_arr.shape, dtype=complex), scalar)
     ur, _, n = _reduce(u_arr, nome.tau)
     k = np.arange(1, precision.k_star(abs(nome.q)) + 1)

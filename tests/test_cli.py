@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from torusgas import cli
+from torusgas import cli, plasma, selftest
 from torusgas.cli import main, run
+from torusgas.coulombgas import eigen_roots
+from torusgas.electrostatics import phi_periodic, phi_quasi
 from torusgas.errors import NomeOutOfRange, ParameterOutOfRange
+from torusgas.geometry import TorusGeometry
 from torusgas.identities import identity_draws
-from torusgas.plasma import IntegralEstimate, PartitionCheck
-from torusgas.selftest import MC_MAX_PULL, QUAD_MAX_REL
+from torusgas.landau import MagneticSetup, psi_lll
+from torusgas.plasma import MC_MAX_PULL, QUAD_MAX_REL, IntegralEstimate, PartitionCheck
 from torusgas.theta import Nome
 
 runner = CliRunner()
@@ -61,6 +64,22 @@ class TestGreens:
         assert len(lines) == 17
         assert all(math.isfinite(float(v)) for row in csv.reader(lines[1:]) for v in row)
 
+    def test_table_matches_per_point_calls(self):
+        """One array call per potential gives the grid of per-point scalar
+        calls, x outer, up to the rounding of theta's scalar and array paths."""
+        L, W, grid = 1.3, 0.7, 6
+        res = runner.invoke(main, ["greens", "--L", str(L), "--W", str(W), "--grid", str(grid)])
+        assert res.exit_code == 0
+        rows = [[float(v) for v in row] for row in csv.reader(res.output.splitlines()[1:])]
+        geom, src = TorusGeometry(L, W, 1), complex(L / 2.0, W / 2.0)
+        points = [((i + 0.5) * L / grid, (j + 0.5) * W / grid)
+                  for i in range(grid) for j in range(grid)]
+        assert [row[:2] for row in rows] == [list(p) for p in points]
+        for row, (x, y) in zip(rows, points):
+            for got, phi in zip(row[2:], (phi_quasi, phi_periodic)):
+                ref = phi(complex(x, y), src, geom)
+                assert abs(got - ref) <= 5e-15 * abs(ref)
+
 
 class TestVerifyIdentities:
     def test_runs_and_passes(self, tmp_path):
@@ -100,12 +119,13 @@ class TestVerifyIdentities:
         res = runner.invoke(main, ["verify-identities", "--n", "2", "--draws", "2"])
         assert res.exit_code == 2
 
-    def test_unreachable_tolerance_exits_one(self):
-        res = runner.invoke(
-            main,
-            ["verify-identities", "--n", "2", "--draws", "3", "--seed", "1", "--tol", "1e-18"],
-        )
-        assert res.exit_code == 1
+    def test_unreachable_tolerance_exits_one(self, monkeypatch):
+        """Negative control: the rows pass by the gate's IDENTITY_MAX_REL, and
+        tightened to 1e-18 it fails them."""
+        args = ["verify-identities", "--n", "2", "--draws", "3", "--seed", "1"]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setattr(selftest, "IDENTITY_MAX_REL", 1e-18)
+        assert runner.invoke(main, args).exit_code == 1
 
 
 class TestOcp:
@@ -119,9 +139,29 @@ class TestOcp:
         assert quad["grid_x"] == quad["grid_y"] >= 2
         assert quad["two_grid_difference"] <= QUAD_MAX_REL * quad["value"]
 
-    def test_quadrature_rule_is_the_gate_rule(self):
-        tol = next(p for p in main.commands["ocp"].params if p.name == "tol")
-        assert tol.default == QUAD_MAX_REL
+    def test_quadrature_rule_is_the_gate_rule(self, monkeypatch):
+        """Negative control: the lattice check passes by plasma.QUAD_MAX_REL,
+        which also stops the grid doubling; set to 0.0 once the grids have
+        agreed, no deviation passes it."""
+        lattice = cli.verify_partition_lattice
+
+        def then_tighten(geom):
+            chk = lattice(geom)
+            monkeypatch.setattr(plasma, "QUAD_MAX_REL", 0.0)
+            return chk
+
+        monkeypatch.setattr(cli, "verify_partition_lattice", then_tighten)
+        res = runner.invoke(main, ["ocp", "--N", "1"])
+        assert res.exit_code == 1
+        assert json.loads(res.output)["quadrature"]["rel_deviation"] < 1e-12
+
+    def test_pull_rule_is_the_gate_rule(self, monkeypatch):
+        """Negative control: the Monte Carlo check passes by plasma.MC_MAX_PULL."""
+        args = ["ocp", "--N", "2", "--samples", "100000", "--seed", "9"]
+        monkeypatch.setattr(plasma, "MC_MAX_PULL", 0.0)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert json.loads(res.output)["monte_carlo"]["pull_sigma"] < 3.0
 
     def test_nan_quadrature_deviation_exits_one(self, monkeypatch):
         """A NaN deviation fails the N = 1 check instead of passing `> tol`."""
@@ -166,12 +206,39 @@ class TestLandau:
         assert "x,y,abs_psi_sq" in res.output
         assert "factorization ratio spread" in res.output
 
-    def test_unreachable_tolerance_exits_one(self):
-        res = runner.invoke(
-            main, ["landau", "--N", "3", "--draws", "7", "--seed", "5", "--tol", "1e-18"]
-        )
+    def test_unreachable_tolerance_exits_one(self, monkeypatch):
+        """Negative control: the spread passes by the gate's
+        FACTORIZATION_MAX_SPREAD, and tightened to 1e-18 it fails."""
+        args = ["landau", "--N", "3", "--draws", "7", "--seed", "5"]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setattr(selftest, "FACTORIZATION_MAX_SPREAD", 1e-18)
+        res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert "factorization ratio spread" in res.output
+
+    def test_nan_spread_exits_one(self, monkeypatch):
+        """A nan spread fails the check instead of passing `> tol`."""
+        monkeypatch.setattr(selftest, "factorization_spread", lambda *a: (math.nan, math.nan))
+        res = runner.invoke(main, ["landau", "--N", "2", "--grid", "2"])
+        assert res.exit_code == 1
+        assert "factorization ratio spread: nan" in res.output
+
+    def test_table_matches_per_point_calls(self):
+        """One array call gives the grid of per-point scalar |psi_m|^2 calls,
+        x outer, up to the rounding of theta's scalar and array paths."""
+        N, L, m, grid = 3, 1.2, 1, 5
+        args = ["landau", "--N", str(N), "--L", str(L), "--m", str(m), "--grid", str(grid)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        lines = [line for line in res.output.splitlines() if not line.startswith("factor")]
+        rows = [[float(v) for v in row] for row in csv.reader(lines[1:])]
+        setup = MagneticSetup.plasma_mapping(L=L, N=N)
+        points = [((i + 0.5) * setup.L / grid, (j + 0.5) * setup.W2 / grid)
+                  for i in range(grid) for j in range(grid)]
+        assert [row[:2] for row in rows] == [list(p) for p in points]
+        for row, (x, y) in zip(rows, points):
+            ref = abs(psi_lll(m, complex(x, y), setup)) ** 2
+            assert abs(row[2] - ref) <= 5e-15 * ref
 
 
 class TestTcg:
@@ -195,6 +262,15 @@ class TestTcg:
         assert lines[0].startswith("mode,grid,root_index")
         assert len(lines) > 9
 
+    def test_abs_lambda_is_the_mode_spectrum(self):
+        """The reported roots are ModeSpectrum.abs_lambda, unrounded."""
+        res = runner.invoke(main, ["tcg", "--L", "1.5", "--W", "0.8", "--kmax", "2"])
+        assert res.exit_code == 0
+        modes = json.loads(res.output)["mode_roots"]
+        geom = TorusGeometry(1.5, 0.8, 1)
+        for n in (0, 1, 2):
+            assert modes[str(n)]["abs_lambda"] == eigen_roots(n, geom, 2).abs_lambda.tolist()
+
 
 class TestCasimir:
     def test_report(self):
@@ -202,6 +278,19 @@ class TestCasimir:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert abs(payload["modular_shift_logWL"] - 0.6931471805599453) < 1e-12
+
+    def test_ladders_on_the_given_torus(self):
+        """casimir reports the torus given and fits the same gas ladder as tcg
+        there: at (8, 2) it is 0.0094 off the resolved term, not the 0.195 of
+        a (4, 1) torus swapped in."""
+        res = runner.invoke(main, ["casimir", "--L", "8", "--W", "2", "--ladders"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert (payload["L"], payload["W"]) == (8.0, 2.0)
+        tcg = json.loads(runner.invoke(main, ["tcg", "--L", "8", "--W", "2"]).output)
+        fitted = payload["fitted"]["tcg_ladder_remainder"]
+        assert fitted == tcg["finite_size"]["o1_fitted"]
+        assert abs(fitted - payload["resolved_term"]) < 0.02 * payload["resolved_term"]
 
 
 class TestEntryPoint:

@@ -109,6 +109,17 @@ class TestEigenRoots:
         spec = eigen_roots(1, GEOM, 3)
         assert np.allclose(np.sort(spec.roots.imag), -np.sort(spec.roots.imag)[::-1])
 
+    def test_abs_lambda_one_per_k_descending(self):
+        """The distinct |lambda|, unrounded: 2 pi / sqrt(mu^2 + (2 pi k/W)^2),
+        k = 0..k_max, strictly descending."""
+        geom = TorusGeometry(1.0, 2.5, 1)
+        spec = eigen_roots(1, geom, 4)
+        ks = np.arange(5)
+        expected = 2 * math.pi / np.sqrt(spec.mu**2 + (2 * math.pi * ks / geom.W) ** 2)
+        np.testing.assert_allclose(spec.abs_lambda, expected, rtol=1e-15)
+        assert np.all(np.diff(spec.abs_lambda) < 0)
+        assert np.array_equal(np.unique(np.abs(spec.lambdas)), np.sort(spec.abs_lambda))
+
     def test_residuals_use_geometry_height(self):
         geom = TorusGeometry(1.0, 2.5, 1)
         spec = eigen_roots(1, geom, 4)
@@ -383,6 +394,17 @@ class TestFiniteSizeLadder:
         expected = -2.0 * math.log(eta_q(math.exp(-2 * math.pi)))
         assert abs(br.o1_resolved - expected) < 1e-14
         assert abs(br.o1_fitted - expected) < 0.02 * abs(expected)
+
+    @pytest.mark.parametrize("L, W", [(1.0, 1.0), (2.0, 4.0), (0.5, 0.25)])
+    def test_small_torus_ladder_starts_at_four(self, L, W):
+        """Below L = 4 the ladder scales its base to L = 4 at the same aspect,
+        so it fits the rungs of the (4, 4 W/L) torus; the O(1) term and the
+        bulk are read at the torus given."""
+        small = log_xi2_asymptotic(0.5, TorusGeometry(L, W, 1), cutoff_density=8)
+        base = log_xi2_asymptotic(0.5, TorusGeometry(4.0, 4.0 * W / L, 1), cutoff_density=8)
+        assert small.o1_fitted == base.o1_fitted
+        assert small.bulk_per_area == base.bulk_per_area
+        assert small.bulk == base.bulk_per_area * L * W
 
     def test_zeta_independence(self):
         g = TorusGeometry(4.0, 4.0, 1)

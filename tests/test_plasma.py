@@ -16,6 +16,10 @@ from torusgas.errors import (
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.plasma import (
+    MC_MAX_PULL,
+    QUAD_MAX_REL,
+    IntegralEstimate,
+    PartitionCheck,
     free_energy,
     partition_integral_closed,
     verify_partition_lattice,
@@ -23,7 +27,7 @@ from torusgas.plasma import (
     zn_closed,
     _integrand_batch,
 )
-from torusgas.selftest import QUAD_MAX_REL, check_partition_integrals
+from torusgas.selftest import check_partition_integrals
 from torusgas.theta import Nome, eta_q, log_abs_theta1
 
 
@@ -354,6 +358,31 @@ class TestPull:
         assert chk.pull == expected
         exact = plasma.PartitionCheck(chk.estimate, chk.estimate.value, 0.0)
         assert exact.pull == 0.0
+
+
+class TestPassRule:
+    """A lattice check (``grid`` set) passes on its relative deviation below
+    QUAD_MAX_REL, a Monte Carlo check on its pull below MC_MAX_PULL; nan fails."""
+
+    LATTICE = IntegralEstimate(1.0, 0.0, 4, 0, (2, 2))
+    MC = IntegralEstimate(1.0, 0.1, 100_000, 9)
+
+    @pytest.mark.parametrize("rel, passed", [(0.5, True), (1.0, False), (2.0, False)])
+    def test_lattice_rule(self, rel, passed):
+        # a pull near 1e288 would fail the pull rule: only the deviation counts
+        est = IntegralEstimate(1.0, 1e-300, 4, 0, (2, 2))
+        assert PartitionCheck(est, 1.0 + 1e-12, rel * QUAD_MAX_REL).passed is passed
+
+    @pytest.mark.parametrize("pull, passed", [(0.5, True), (2.0, False)])
+    def test_monte_carlo_rule(self, pull, passed):
+        # a 10% deviation would fail the lattice rule: only the pull counts
+        chk = PartitionCheck(self.MC, 1.0 + pull * MC_MAX_PULL * self.MC.std_error, 0.1)
+        assert chk.passed is passed
+
+    def test_nan_fails(self):
+        assert not PartitionCheck(self.LATTICE, 1.0, math.nan).passed
+        nan_mc = IntegralEstimate(math.nan, 0.1, 100_000, 9)
+        assert not PartitionCheck(nan_mc, 1.0, math.nan).passed
 
 
 class TestMonteCarlo:

@@ -546,7 +546,9 @@ class TestOverflow:
 
 class TestTinyNome:
     """pi Im(tau) > 709.8 (|q| below about 1e-308): x = e^(2iu) overflows inside
-    the reduction strip, where every theta1 term past the first underflows."""
+    the reduction strip, where every theta1 term past the first underflows.
+    Past pi Im(tau) = 745 q itself underflows to 0 at a finite tau (240i here),
+    and these nomes are summed the same way, not given the tau = i*inf values."""
 
     TAU = 229.7j
     POINTS = [0.2 + 1j * (math.pi * 229.7 / 2 + 3), 0.2 - 1j * (math.pi * 229.7 / 2 - 1),
@@ -565,9 +567,9 @@ class TestTinyNome:
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("tau", [TAU, 0.3 + TAU])
+    @pytest.mark.parametrize("tau", [TAU, 0.3 + TAU, 240j])
     def test_theta3_theta4_match_the_log_form_series(self, tau):
-        """|q| is subnormal and only the q(x + 1/x) term is left, with x
+        """|q| is subnormal (0 at 240i) and only the q(x + 1/x) term is left, with x
         overflowing towards the edges of the strip: theta3 and theta4 match
         1 +- (e^(i pi tau + 2iu) + e^(i pi tau - 2iu)) to 1e-14, scalar and
         array (mpmath's jtheta returns 1 at this nome)."""
@@ -582,6 +584,13 @@ class TestTinyNome:
                                   + cmath.exp(1j * math.pi * tau - 2j * u))
                 assert abs(value - ref) <= 1e-14 * abs(ref), (theta.__name__, u)
                 assert abs(theta(u, nome) - ref) <= 1e-14 * abs(ref), (theta.__name__, u)
+
+    def test_theta1_prime0_where_q_underflows(self):
+        """2 q^(1/4) = 2 e^(-60 pi) at tau = 240i, where q is 0."""
+        nome = Nome.from_tau(240j)
+        assert nome.q == 0
+        expected = 2.0 * math.exp(-60 * math.pi)
+        assert abs(theta1_prime0(nome) - expected) <= 1e-14 * expected
 
 
 class TestNearCapConstants:
