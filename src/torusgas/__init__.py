@@ -56,9 +56,7 @@ from .plasma import (
     zn_closed,
 )
 from .theta import (
-    DEFAULT_PRECISION,
     Nome,
-    SeriesPrecision,
     eta_q,
     f_N,
     theta1,
@@ -72,7 +70,6 @@ from .universality import CasimirReport, casimir_report, gff_constant
 
 __all__ = [
     "CasimirReport",
-    "DEFAULT_PRECISION",
     "FreeEnergyBreakdown",
     "GrandPotentialBreakdown",
     "IdentityResidual",
@@ -82,7 +79,6 @@ __all__ = [
     "Nome",
     "ParticleConfig",
     "PressureFit",
-    "SeriesPrecision",
     "TorusGeometry",
     "ZnChain",
     "background_I",

@@ -37,7 +37,7 @@ from .geometry import TorusGeometry
 from .identities import identity_draws
 from .landau import MagneticSetup, psi_lll
 from .plasma import free_energy, verify_partition_lattice, verify_partition_mc, zn_closed
-from .theta import Nome, SeriesPrecision, eta_q, theta1, theta1_prime0, theta3, theta4
+from .theta import Nome, eta_q, theta1, theta1_prime0, theta3, theta4
 from .universality import casimir_report
 
 EXIT_TOLERANCE = 1
@@ -108,21 +108,18 @@ def main():
 @main.command()
 @click.option("--q", type=float, required=True, help="nome, 0 < q <= 0.95")
 @click.option("--z", type=COMPLEX, default=0j, show_default=True, help="argument")
-@click.option("--eps", type=float, default=1e-14, show_default=True)
-@click.option("--max-terms", type=int, default=64, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def theta(q, z, eps, max_terms, out):
+def theta(q, z, out):
     """Evaluate theta1, theta3, theta4, theta1'(0) and the eta product at (z, q)."""
     nome = _physics_nome(q)
-    prec = SeriesPrecision(epsilon=eps, max_terms=max_terms)
     payload = {
         "q": q,
         "z": z,
-        "theta1": theta1(z, nome, prec),
-        "theta3": theta3(z, nome, prec),
-        "theta4": theta4(z, nome, prec),
-        "theta1_prime0": theta1_prime0(nome, prec),
-        "eta_q": eta_q(nome, prec),
+        "theta1": theta1(z, nome),
+        "theta3": theta3(z, nome),
+        "theta4": theta4(z, nome),
+        "theta1_prime0": theta1_prime0(nome),
+        "eta_q": eta_q(nome),
     }
     _emit(_json_dump(payload), out)
 
@@ -131,14 +128,14 @@ def theta(q, z, eps, max_terms, out):
 @click.option("--L", "L", type=float, default=1.0, show_default=True)
 @click.option("--W", "W", type=float, default=1.0, show_default=True)
 @click.option("--grid", type=int, default=32, show_default=True, help="points per side")
-@click.option("--zp", type=COMPLEX, default=None, help="source point (default cell center)")
+@click.option("--zp", type=COMPLEX, default=0j, show_default=True,
+              help="source point; the default cell corner is no grid midpoint")
 @click.option("--out", type=click.Path(), default=None)
 def greens(L, W, grid, zp, out):
     """Tabulate the quasi-periodic and periodic potentials on a grid (CSV)."""
     geom = TorusGeometry(L, W, 1)
-    src = zp if zp is not None else complex(L / 2.0, W / 2.0)
     x, y, z = _grid(L, W, grid)
-    rows = np.column_stack([x, y, phi_quasi(z, src, geom), phi_periodic(z, src, geom)])
+    rows = np.column_stack([x, y, phi_quasi(z, zp, geom), phi_periodic(z, zp, geom)])
     _emit(_csv_text(["x", "y", "phi_quasi", "phi_periodic"], rows.tolist()), out)
 
 
@@ -285,7 +282,7 @@ def tcg(zeta, L, W, nmax, grid_m, cutoff, kmax, convergence_out, out):
         ) / math.exp(payload["log_xi2_closed"])
     fit = fit_pressure(1.0, np.arange(4.0, 17.0), cutoff)
     payload["pressure_fit"] = {"a": fit.a, "b": fit.b, "c": fit.c, "cutoff_density": cutoff}
-    br = log_xi2_asymptotic(zeta if zeta > 0 else 0.5, geom, cutoff_density=8)
+    br = log_xi2_asymptotic(zeta, geom, cutoff_density=8)
     payload["finite_size"] = {
         "o1_fitted": br.o1_fitted,
         "o1_resolved": br.o1_resolved,

@@ -188,13 +188,19 @@ def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
 
     g_n is W-periodic in y (its lower branch is the upper one at y + W), so on
     the midpoint grid B_ij depends only on (i - j) mod M: B is circulant, and
-    its singular values are |FFT| of its first column, B_i0 = 2 pi h
-    _g_branches(i h) (the jump midpoint at i = 0); no theta constant enters."""
+    its singular values are |FFT| of its first column (``_mode_fft_magnitudes``)."""
+    return np.sort(_mode_fft_magnitudes(n, geom, M))[::-1]
+
+
+def _mode_fft_magnitudes(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
+    """|FFT| of the first column of the circulant B, B_i0 = 2 pi h
+    _g_branches(i h) (the jump midpoint at i = 0), in FFT order; no theta
+    constant enters."""
     if M < 16:
         raise GridTooCoarse("need at least 16 grid points")
     h = geom.W / M
     column = 2.0 * math.pi * h * _g_branches(n, np.arange(M) * h, geom)
-    return np.sort(np.abs(np.fft.fft(column)))[::-1]
+    return np.abs(np.fft.fft(column))
 
 
 def mode_matrix(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
@@ -215,21 +221,12 @@ def oracle_leading_magnitudes(
 
     The discretized |lambda| are the singular values sigma_j(B); they converge
     with order ~2 (midpoint rule, jump on the diagonal handled by averaging),
-    and extrapolating M and 2M removes the leading error term. They are
-    de-duplicated (k >= 1 roots are doubly degenerate) with a relative tolerance.
+    and extrapolating M and 2M removes the leading error term. The k-th
+    distinct one is entry k of the unsorted |FFT| (k >= 1 roots are doubly
+    degenerate: entries k and M - k), which falls from k = 0 to M/2.
     """
-    coarse, fine = (_distinct_magnitudes(_mode_sigma(n, geom, M), k_count) for M in Ms)
+    coarse, fine = (_mode_fft_magnitudes(n, geom, M)[:k_count] for M in Ms)
     return (4.0 * fine - coarse) / 3.0
-
-
-def _distinct_magnitudes(mags: np.ndarray, count: int) -> np.ndarray:
-    out = []
-    for m in mags:
-        if not out or abs(m - out[-1]) > 1e-6 * max(out[-1], 1e-30):
-            out.append(float(m))
-        if len(out) == count:
-            break
-    return np.array(out)
 
 
 def mode_logdet(n: int, geom: TorusGeometry, M: int, zeta: float) -> float:
@@ -401,9 +398,12 @@ def log_xi2_asymptotic(
     The rungs scale the torus by 1, 1.5, ..., 3 from a base of L = max(L, 4)
     at the aspect W/L of ``geom``, so the smallest rung has L >= 4. The mode
     cutoff is Lambda * L per rung (integer); the fitted constant c is the
-    O(1) finite-size term. It is zeta independent and matches
-    -2 log eta_q(e^{-pi W/L}).
+    O(1) finite-size term. It is zeta independent for zeta > 0 and matches
+    -2 log eta_q(e^{-pi W/L}); at zeta = 0 every rung is -2 log theta4(0), so
+    zeta <= 0 is refused.
     """
+    if not zeta > 0:
+        raise ParameterOutOfRange(f"the ladder needs zeta > 0, got {zeta}")
     L0, W0 = (geom.L, geom.W) if geom.L >= 4.0 else (4.0, 4.0 * geom.W / geom.L)
     areas, vals = [], []
     for s in (1.0, 1.5, 2.0, 2.5, 3.0):

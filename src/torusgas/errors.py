@@ -18,7 +18,7 @@ class ParameterOutOfRange(TorusGasError, ValueError):
 
 
 class PrecisionUnreachable(TorusGasError):
-    """A value is out of reach in double precision: tail bound, cancellation or overflow."""
+    """A value is out of reach in double precision: cancellation or overflow."""
 
 
 class DimensionMismatch(TorusGasError):

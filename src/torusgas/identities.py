@@ -25,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PrecisionUnreachable, SingularConfiguration
-from .theta import (
-    DEFAULT_PRECISION,
-    Nome,
-    SeriesPrecision,
-    f_N,
-    lattice_distance,
-    theta1,
-    theta3,
-    theta4,
-)
+from .theta import Nome, f_N, lattice_distance, theta1, theta3, theta4
 
 _TINY = 1e-300
 
@@ -89,7 +80,7 @@ def _finite_sides(what: str, *sides):
     return sides
 
 
-def _vandermonde_sides(X, alpha, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def _vandermonde_sides(X, alpha, nome):
     """(lhs, rhs, scale) of the theta-Vandermonde identity at each row of the
     (D, N) stack X: one theta call per kind over the whole stack, one
     stacked determinant."""
@@ -97,22 +88,16 @@ def _vandermonde_sides(X, alpha, nome, precision: SeriesPrecision = DEFAULT_PREC
     N = X.shape[1]
     column, head = (theta3, theta3) if N % 2 == 1 else (theta1, theta4)
     args = math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N)
-    mat = column(args, nome.root(N), precision)
+    mat = column(args, nome.root(N))
     iu, ju = _pairs(N)
-    rhs = head(math.pi * np.sum(X + alpha, axis=1), nome, precision) * f_N(N, nome, precision)
-    rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome, precision), axis=1)
+    rhs = head(math.pi * np.sum(X + alpha, axis=1), nome) * f_N(N, nome)
+    rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome), axis=1)
     scale = np.prod(np.max(np.abs(mat), axis=2), axis=1)
     lhs, rhs = _finite_sides("theta-Vandermonde identity", np.linalg.det(mat), rhs)
     return lhs, rhs, scale
 
 
-def theta_vandermonde_residual(
-    xs,
-    alpha: complex,
-    nome,
-    N: int | None = None,
-    precision: SeriesPrecision = DEFAULT_PRECISION,
-) -> IdentityResidual:
+def theta_vandermonde_residual(xs, alpha: complex, nome, N: int | None = None) -> IdentityResidual:
     """Determinant of theta3/theta1 columns against its factorized form.
 
     lhs: det[ theta_s(pi*(x_j + alpha - l/N); q^(1/N)) ], s = 3 for N odd and
@@ -126,11 +111,11 @@ def theta_vandermonde_residual(
         N = len(xs)
     if len(xs) != N:
         raise DimensionMismatch(f"got {len(xs)} points for N = {N}")
-    sides = _vandermonde_sides(xs[None], alpha, nome, precision)
+    sides = _vandermonde_sides(xs[None], alpha, nome)
     return IdentityResidual.from_sides(*(side[0] for side in sides))
 
 
-def _frobenius_sides(Ws, Zs, alpha, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def _frobenius_sides(Ws, Zs, alpha, nome):
     """(lhs, rhs, scale) of the Frobenius identity at each row pair of the
     (D, N) stacks Ws, Zs: one theta1 call over the separations and both sets'
     pair differences, one theta4 call, one stacked determinant."""
@@ -141,10 +126,10 @@ def _frobenius_sides(Ws, Zs, alpha, nome, precision: SeriesPrecision = DEFAULT_P
         raise SingularConfiguration("some w_j - z_k lies on the lattice")
 
     iu, ju = _pairs(N)
-    t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome, precision)
+    t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome)
     t1_sep = t1[:, : N * N]
     heads = np.sum(Ws - Zs, axis=1) - alpha
-    t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome, precision)
+    t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome)
     norm = t4[:, 1]
     mat = (t4[:, 2:] / (norm[:, None] * t1_sep)).reshape(D, N, N)
     scale = np.prod(np.max(np.abs(mat), axis=2), axis=1) * np.abs(norm)
@@ -154,13 +139,7 @@ def _frobenius_sides(Ws, Zs, alpha, nome, precision: SeriesPrecision = DEFAULT_P
     return lhs, rhs, scale
 
 
-def frobenius_residual(
-    ws,
-    zs,
-    alpha: complex,
-    nome,
-    precision: SeriesPrecision = DEFAULT_PRECISION,
-) -> IdentityResidual:
+def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
     """Frobenius identity for the theta4/theta1 Cauchy-type determinant.
 
     lhs: theta4(sum(w_j - z_j) - alpha) * F(w; z) with
@@ -173,7 +152,7 @@ def frobenius_residual(
     zs = np.asarray(zs, dtype=complex)
     if ws.shape != zs.shape:
         raise DimensionMismatch(f"|ws| = {len(ws)} but |zs| = {len(zs)}")
-    sides = _frobenius_sides(ws[None], zs[None], alpha, nome, precision)
+    sides = _frobenius_sides(ws[None], zs[None], alpha, nome)
     return IdentityResidual.from_sides(*(side[0] for side in sides))
 
 

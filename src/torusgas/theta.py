@@ -2,8 +2,8 @@
 
 One private series engine serves theta1, theta3, theta4, log|theta1| and
 theta1'(0). ``_coefficients`` builds the truncation index n* and the series
-coefficients once per (Nome, SeriesPrecision) and caches them, together with
-each series rewritten as a polynomial in x = e^(2iu) and 1/x.
+coefficients once per Nome and caches them, together with each series
+rewritten as a polynomial in x = e^(2iu) and 1/x.
 ``_split`` reduces the argument into the fundamental strip |Re u| <= pi/2,
 |Im u| <= pi*Im(tau)/2, takes one exponential per point and runs one Horner
 recurrence over the stacked pair (x, 1/x), so the cost per point does not
@@ -16,11 +16,12 @@ scale, and a modulus needs one real exponential. A nan or inf argument gives
 nan, with no numpy warning. f_N, qpochhammer_sq and eta_q share one cached
 (q^2; q^2)_inf product.
 
-The series are summed to an absolute tail bound, which towards q -> 1 cancels
-theta4(0) and theta1'(0) to noise. So a real nome with Im(tau) = t < 1 is
-summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)), where |q'| <= e^(-pi):
-every real nome up to the cap |q| <= 0.95 is then accurate in relative terms.
-Complex (skewed-torus) nomes are summed directly.
+The series and products are summed to one absolute tail bound, 1e-14, which
+towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
+Im(tau) = t < 1 is summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)),
+where |q'| <= e^(-pi): every real nome up to the cap |q| <= 0.95 is then
+accurate in relative terms. Complex (skewed-torus) nomes are summed directly.
+Over that domain n* <= 28 and the products' k* <= 316.
 
 Conventions (q = e^{i*pi*tau}, Im tau > 0):
 
@@ -45,6 +46,7 @@ import numpy as np
 from .errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
 
 _QMAX = 0.95
+_EPSILON = 1e-14   # absolute tail bound of every series and product
 # Below this |u| theta1's factor sin(u) is taken by np.sin: (e^(iu) - e^(-iu))/2i
 # has relative error ~ eps cosh(Im u) / |sin u|, at most ~2 eps for |u| >= 1/2 in
 # the strip but growing as eps/|u| towards the zero at u = 0.
@@ -109,47 +111,20 @@ class Nome:
         return self.q.imag == 0 and self.q.real > 0
 
 
-@dataclass(frozen=True)
-class SeriesPrecision:
-    """Absolute tail bound and a hard cap on the summation index."""
-
-    epsilon: float = 1e-14
-    max_terms: int = 64
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParameterOutOfRange("epsilon must be positive")
-        if self.max_terms < 1:
-            raise ParameterOutOfRange("max_terms must be >= 1")
-
-    def n_star(self, q_abs: float) -> int:
-        """Series truncation index: |q|^(n*^2) < epsilon, plus margin for the
-        reduced-strip growth factor e^(2n|Im u|) <= |q|^(-n)."""
-        if q_abs == 0.0:
-            return 1
-        t = math.log(self.epsilon) / math.log(q_abs)
-        n = math.ceil(math.sqrt(t)) + 2
-        if n > self.max_terms:
-            raise PrecisionUnreachable(
-                f"need {n} terms for epsilon={self.epsilon} at |q|={q_abs}, "
-                f"cap is {self.max_terms}"
-            )
-        return n
-
-    def k_star(self, q_abs: float) -> int:
-        """Product truncation index: factors carry q^(2k), so the tail is
-        geometric rather than Gaussian and needs k* ~ log(eps)/(2 log|q|)."""
-        if q_abs == 0.0:
-            return 1
-        k = math.ceil(math.log(self.epsilon) / (2.0 * math.log(q_abs))) + 1
-        if k > 40 * self.max_terms:
-            raise PrecisionUnreachable(
-                f"need {k} product factors for epsilon={self.epsilon} at |q|={q_abs}"
-            )
-        return k
+def _n_star(q_abs: float) -> int:
+    """Series truncation index: |q|^(n*^2) < epsilon, plus margin for the
+    reduced-strip growth factor e^(2n|Im u|) <= |q|^(-n)."""
+    if q_abs == 0.0:
+        return 1
+    return math.ceil(math.sqrt(math.log(_EPSILON) / math.log(q_abs))) + 2
 
 
-DEFAULT_PRECISION = SeriesPrecision()
+def _k_star(q_abs: float) -> int:
+    """Product truncation index: factors carry q^(2k), so the tail is
+    geometric rather than Gaussian and needs k* ~ log(eps)/(2 log|q|)."""
+    if q_abs == 0.0:
+        return 1
+    return math.ceil(math.log(_EPSILON) / (2.0 * math.log(q_abs))) + 1
 
 
 def _reduce(u, tau):
@@ -207,24 +182,23 @@ def _as_output(values, scalar_input):
     return values
 
 
-def _terms(tau: complex, precision: SeriesPrecision) -> dict:
+def _terms(tau: complex) -> dict:
     """(frequencies, coefficients) by theta index, q-powers on the tau branch:
     theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4
     add 2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1; j = 1..n*."""
-    js = np.arange(1, precision.n_star(math.exp(-math.pi * tau.imag)) + 1)
+    js = np.arange(1, _n_star(math.exp(-math.pi * tau.imag)) + 1)
     odd = 2.0 * (-1.0) ** (js - 1) * np.exp(1j * math.pi * tau * (js - 0.5) ** 2)
     even3 = 2.0 * np.exp(1j * math.pi * tau * js**2)
     return {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, (-1.0) ** js * even3)}
 
 
 @functools.lru_cache(maxsize=64)
-def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
+def _coefficients(nome: Nome) -> dict:
     """The theta series of a nome with finite tau, as read-only arrays by theta index.
 
     ``modular`` is t when tau = it with t < 1, else None: there the series at
     tau (see ``_terms``) cancel towards q -> 1, so only the series at the dual
-    tau' = -1/tau = i/t is built and summed, |q'| <= e^(-pi), and the cap
-    ``max_terms`` applies to its n*.
+    tau' = -1/tau = i/t is built and summed, |q'| <= e^(-pi).
 
     ``horner[kind]`` is (constant, a, root), the series summed as constant +
     p(x) + p(1/x) with x = e^(2iu), p(x) = sum_k a_k x^k and a = [a_K, ...,
@@ -239,7 +213,7 @@ def _coefficients(nome: Nome, precision: SeriesPrecision) -> dict:
     """
     t = nome.tau.imag
     modular = nome.tau.real == 0 and t < 1.0
-    summed = _terms(1j / t if modular else nome.tau, precision)
+    summed = _terms(1j / t if modular else nome.tau)
     freqs, odd = summed[1]
     tails = np.cumsum(odd[::-1])[::-1]
     const1, a1, a3 = complex(tails[0]), tails[:0:-1].copy(), 0.5 * summed[3][1][::-1]
@@ -315,7 +289,7 @@ def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
     """theta_kind(z; q), tau finite, as (series, scale, (u, m, n)): z = u + m*pi +
     n*pi*tau with u in the fundamental strip, the series summed at u, and
     theta_kind(z) = sign * e^(scale + i*phase) * series with scale real.
-    ``terms`` is ``_coefficients(nome, precision)``. Directly, the multiplier
+    ``terms`` is ``_coefficients(nome)``. Directly, the multiplier
     is q^(-n^2) e^(-2inu): scale = pi Im(tau) n^2 + 2n Im(u), 0.0 when no
     point is shifted. For tau = it, t < 1, DLMF 20.7.30-32 give
 
@@ -340,7 +314,7 @@ def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
     return series, scale, (u, m, n)
 
 
-def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
+def _evaluate(kind: int, z, nome: Nome):
     """theta_kind(z; q), kind 1, 3 or 4, as sign * e^(scale + i*phase) * series
     from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4, phase
     -pi Re(tau) n^2 - 2n Re(u) directly and -2ab/(pi t) dual. A value that
@@ -351,7 +325,7 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
     scalar = z_arr.ndim == 0
     if math.isinf(nome.tau.imag):  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
         return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), scalar)
-    terms = _coefficients(nome, precision)
+    terms = _coefficients(nome)
     with _quiet(z_arr):
         series, scale, (u, m, n) = _split(kind, z_arr, nome, terms)
         t = terms["modular"]
@@ -383,30 +357,30 @@ def _evaluate(kind: int, z, nome: Nome, precision: SeriesPrecision):
 
 
 def _theta1_abs2(z, nome: Nome):
-    """|theta1(z; q)|^2, tau finite, kept apart by ``_split`` at the default
-    precision as (|series|^2, scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
+    """|theta1(z; q)|^2, tau finite, kept apart by ``_split`` as (|series|^2,
+    scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
     z = np.asarray(z, dtype=complex)
     with _quiet(z):
-        series, scale, _ = _split(1, z, nome, _coefficients(nome, DEFAULT_PRECISION))
+        series, scale, _ = _split(1, z, nome, _coefficients(nome))
     return series.real**2 + series.imag**2, scale
 
 
-def theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def theta1(z, nome):
     """theta1(z; q), odd, vanishing exactly on pi*Z + pi*tau*Z."""
-    return _evaluate(1, z, Nome.coerce(nome), precision)
+    return _evaluate(1, z, Nome.coerce(nome))
 
 
-def theta3(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def theta3(u, nome):
     """theta3(u; q) = sum_n q^(n^2) e^(2iun)."""
-    return _evaluate(3, u, Nome.coerce(nome), precision)
+    return _evaluate(3, u, Nome.coerce(nome))
 
 
-def theta4(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def theta4(u, nome):
     """theta4(u; q) = sum_n (-1)^n q^(n^2) e^(2iun)."""
-    return _evaluate(4, u, Nome.coerce(nome), precision)
+    return _evaluate(4, u, Nome.coerce(nome))
 
 
-def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def log_abs_theta1(z, nome):
     """log|theta1(z; q)| = scale + log|series| by ``_split``: the multiplier
     enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
@@ -414,7 +388,7 @@ def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
         raise NomeOutOfRange("log|theta1| undefined at q = 0")
     z_arr = np.asarray(z, dtype=complex)
     with _quiet(z_arr):
-        series, scale, _ = _split(1, z_arr, nome, _coefficients(nome, precision))
+        series, scale, _ = _split(1, z_arr, nome, _coefficients(nome))
     modulus = np.abs(series)
     if z_arr.ndim == 0:  # log 0 = -inf at a zero of theta1, with no numpy warning
         return float(scale + (np.log(modulus) if modulus else -math.inf))
@@ -422,7 +396,7 @@ def log_abs_theta1(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
         return scale + np.log(modulus)
 
 
-def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> complex:
+def theta1_prime0(nome) -> complex:
     """d theta1 / dz at z = 0, from the differentiated series at tau, or as
     t^(-3/2) theta1'(0 | i/t) for tau = it, t < 1, where that one cancels.
 
@@ -432,10 +406,24 @@ def theta1_prime0(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> compl
     nome = Nome.coerce(nome)
     if math.isinf(nome.tau.imag):
         return 0j
-    return _coefficients(nome, precision)["prime0"]
+    return _coefficients(nome)["prime0"]
 
 
-def theta1_product(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def _product(u, nome: Nome, odd: int):
+    """prod_{k=1..k*} (1 - q^m e^(2iu)) (1 - q^m e^(-2iu)) (1 - q^(2k)), m = 2k - odd
+    (odd 0 for theta1, 1 for theta4), u in the reduction strip, one factor per
+    k on a last axis. q^m e^(+-2iu) is q^(m-1) times the one exponential
+    e^(i pi tau +- 2iu), of modulus <= 1 in the strip: a power of q that
+    underflows meets no e^(2iu) that overflows, and there is one exponential
+    per point and sign, not per factor."""
+    k = np.arange(1, _k_star(abs(nome.q)) + 1)
+    powers = nome.q ** (2 * k - odd - 1)
+    w = np.exp(1j * math.pi * nome.tau + 2j * u)[..., None]
+    iw = np.exp(1j * math.pi * nome.tau - 2j * u)[..., None]
+    return np.prod((1 - powers * w) * (1 - powers * iw) * (1 - nome.q ** (2 * k)), axis=-1)
+
+
+def theta1_product(z, nome):
     """Product representation of theta1, for cross-checking the series:
 
         2 q^(1/4) sin z * prod_n (1-q^(2n) e^(2iz)) (1-q^(2n) e^(-2iz)) (1-q^(2n))
@@ -446,16 +434,13 @@ def theta1_product(z, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     if math.isinf(nome.tau.imag):
         return _as_output(np.zeros(z_arr.shape, dtype=complex), scalar)
     u, m, n = _reduce(z_arr, nome.tau)
-    q2k = nome.q ** (2 * np.arange(1, precision.k_star(abs(nome.q)) + 1))
-    e2 = np.exp(2j * u)[..., None]   # one factor per k on a last axis
-    product = np.prod((1 - q2k * e2) * (1 - q2k / e2) * (1 - q2k), axis=-1)
-    vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * product
+    vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * _product(u, nome, 0)
     sign = (-1.0) ** (m + n)
     vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
     return _as_output(vals, scalar)
 
 
-def theta4_product(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def theta4_product(u, nome):
     """Product representation of theta4:
 
         prod_n (1 - e^(2iu) q^(2n-1)) (1 - e^(-2iu) q^(2n-1)) (1 - q^(2n))
@@ -466,12 +451,8 @@ def theta4_product(u, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     if math.isinf(nome.tau.imag):
         return _as_output(np.ones(u_arr.shape, dtype=complex), scalar)
     ur, _, n = _reduce(u_arr, nome.tau)
-    k = np.arange(1, precision.k_star(abs(nome.q)) + 1)
-    q_odd, q2k = nome.q ** (2 * k - 1), nome.q ** (2 * k)
-    e2 = np.exp(2j * ur)[..., None]   # one factor per k on a last axis
-    vals = np.prod((1 - q_odd * e2) * (1 - q_odd / e2) * (1 - q2k), axis=-1)
     sign = (-1.0) ** n
-    vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * vals
+    vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * _product(ur, nome, 1)
     return _as_output(vals, scalar)
 
 
@@ -487,22 +468,22 @@ def lattice_distance(z, nome):
 
 
 @functools.lru_cache(maxsize=256)
-def _q2_product(q: complex, precision: SeriesPrecision):
+def _q2_product(q: complex):
     """(q^2; q^2)_inf = prod_{k>=1} (1 - q^(2k)) for 0 < |q| < 1; a float for
     real q. 1 - q^(2k) differs from 1 by < epsilon once |q|^(2k) < epsilon."""
-    kmax = max(1, math.ceil(math.log(precision.epsilon) / (2 * math.log(abs(q)))))
+    kmax = max(1, math.ceil(math.log(_EPSILON) / (2 * math.log(abs(q)))))
     base = q.real if q.imag == 0 else q
     return np.prod(1.0 - base ** (2 * np.arange(1, kmax + 1))).item()
 
 
-def qpochhammer_sq(q: float, precision: SeriesPrecision = DEFAULT_PRECISION) -> float:
+def qpochhammer_sq(q: float) -> float:
     """(q^2; q^2)_inf = prod_{k>=1} (1 - q^(2k)) for real q in [0, 1)."""
     if not 0.0 <= q < 1.0:
         raise NomeOutOfRange(f"q = {q} outside [0, 1)")
-    return 1.0 if q == 0.0 else _q2_product(q, precision)
+    return 1.0 if q == 0.0 else _q2_product(q)
 
 
-def eta_q(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> float:
+def eta_q(nome) -> float:
     """q^(1/12) * prod_{k>=1} (1 - q^(2k)), for real nome 0 < q < 1.
 
     This is the Dedekind eta value at tau = -i ln(q)/pi; it satisfies the
@@ -511,10 +492,10 @@ def eta_q(nome, precision: SeriesPrecision = DEFAULT_PRECISION) -> float:
     q = nome.q if isinstance(nome, Nome) else complex(nome)
     if q.imag != 0 or not 0.0 < q.real < 1.0:
         raise NomeOutOfRange(f"eta_q needs a real nome 0 < q < 1, got {q}")
-    return q.real ** (1.0 / 12.0) * _q2_product(q.real, precision)
+    return q.real ** (1.0 / 12.0) * _q2_product(q.real)
 
 
-def f_N(N: int, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
+def f_N(N: int, nome):
     """N^(N/2) q^(-(N-1)(N-2)/24) (q^2; q^2)_inf^(-(N-1)(N-2)/2).
 
     A float for a real nome 0 < q < 1. Otherwise (skewed tori) a complex
@@ -526,7 +507,7 @@ def f_N(N: int, nome, precision: SeriesPrecision = DEFAULT_PRECISION):
     if not 0.0 < abs(q) < 1.0:
         raise NomeOutOfRange(f"f_N needs 0 < |q| < 1, got {q}")
     e = (N - 1) * (N - 2)
-    poch = _q2_product(q, precision)
+    poch = _q2_product(q)
     if q.imag == 0 and q.real > 0:
         return N ** (N / 2.0) * q.real ** (-e / 24.0) * poch ** (-e / 2.0)
     q_pow = np.exp(-1j * math.pi * Nome.coerce(nome).tau * e / 24.0)

@@ -16,7 +16,7 @@ def _mp_nome(nome) -> mp.mpf:
 def _pointwise(value):
     """Lift a scalar mpmath-backed function of (z, q) to the theta signature."""
 
-    def theta(z, nome, precision=None):
+    def theta(z, nome):
         q = _mp_nome(nome)
         z = np.asarray(z, dtype=complex)
         vals = np.array([value(mp.mpc(v.real, v.imag), q) for v in z.ravel()]).reshape(z.shape)
@@ -29,7 +29,7 @@ _MP_THETA = {
     "theta1": _pointwise(lambda z, q: complex(mp.jtheta(1, z, q))),
     "theta4": _pointwise(lambda z, q: complex(mp.jtheta(4, z, q))),
     "log_abs_theta1": _pointwise(lambda z, q: float(mp.log(abs(mp.jtheta(1, z, q))))),
-    "theta1_prime0": lambda nome, precision=None: complex(mp.jtheta(1, 0, _mp_nome(nome), 1)),
+    "theta1_prime0": lambda nome: complex(mp.jtheta(1, 0, _mp_nome(nome), 1)),
 }
 
 

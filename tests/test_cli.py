@@ -42,18 +42,6 @@ class TestTheta:
         res = runner.invoke(main, ["theta", "--q", "0.99"])
         assert res.exit_code == 2
 
-    def test_max_terms_caps_the_summed_series(self):
-        """At q = 0.9 the dual series that is summed needs n* = 3 terms, so a
-        cap of 10 suffices although the direct series would need 20."""
-        args = ["theta", "--q", "0.9", "--z", "0.5"]
-        capped = runner.invoke(main, args + ["--max-terms", "10"])
-        assert capped.exit_code == 0
-        ref = json.loads(runner.invoke(main, args).output)
-        for key, value in json.loads(capped.output).items():
-            pair = (value, ref[key])
-            a, b = (complex(v["re"], v["im"]) if isinstance(v, dict) else v for v in pair)
-            assert abs(a - b) <= 1e-14 * abs(b), key
-
 
 class TestGreens:
     def test_csv_shape(self):
@@ -71,7 +59,7 @@ class TestGreens:
         res = runner.invoke(main, ["greens", "--L", str(L), "--W", str(W), "--grid", str(grid)])
         assert res.exit_code == 0
         rows = [[float(v) for v in row] for row in csv.reader(res.output.splitlines()[1:])]
-        geom, src = TorusGeometry(L, W, 1), complex(L / 2.0, W / 2.0)
+        geom, src = TorusGeometry(L, W, 1), 0j
         points = [((i + 0.5) * L / grid, (j + 0.5) * W / grid)
                   for i in range(grid) for j in range(grid)]
         assert [row[:2] for row in rows] == [list(p) for p in points]
@@ -79,6 +67,15 @@ class TestGreens:
             for got, phi in zip(row[2:], (phi_quasi, phi_periodic)):
                 ref = phi(complex(x, y), src, geom)
                 assert abs(got - ref) <= 5e-15 * abs(ref)
+
+    def test_odd_grid_misses_the_default_source(self):
+        """The default source is the cell corner, which no midpoint of any
+        grid reaches; the cell centre was a midpoint of every odd grid."""
+        res = runner.invoke(main, ["greens", "--grid", "5"])
+        assert res.exit_code == 0
+        rows = list(csv.reader(res.output.splitlines()))[1:]
+        assert len(rows) == 25
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 class TestVerifyIdentities:
@@ -345,11 +342,11 @@ class TestEntryPoint:
         "args, error",
         [
             (["ocp", "--L", "-1"], ParameterOutOfRange),
-            (["theta", "--q", "0.3", "--eps", "0"], ParameterOutOfRange),
+            (["tcg", "--zeta", "0"], ParameterOutOfRange),
             (["landau", "--N", "0"], ParameterOutOfRange),
             (["landau", "--draws", "0"], ParameterOutOfRange),
         ],
-        ids=["ocp-negative-L", "theta-zero-eps", "landau-zero-N", "landau-zero-draws"],
+        ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input ends in a named error, which ``run`` maps to

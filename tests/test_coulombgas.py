@@ -9,7 +9,6 @@ import pytest
 
 from torusgas import coulombgas, selftest
 from torusgas.coulombgas import (
-    _distinct_magnitudes,
     dlog_xi2_dzeta_sq,
     eigen_roots,
     fit_pressure,
@@ -37,6 +36,13 @@ from torusgas.geometry import TorusGeometry
 from torusgas.theta import eta_q, theta1, theta4
 
 GEOM = TorusGeometry(1.0, 1.0, 1)
+
+
+def _distinct(mags: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` distinct values of a descending array, to 1e-6
+    relative: the reference for the oracle's leading magnitudes."""
+    keep = np.concatenate([[True], np.diff(mags) < -1e-6 * mags[:-1]])
+    return mags[keep][:count]
 
 
 class TestKernel:
@@ -176,7 +182,7 @@ class TestModeOracle:
         for M, ref in dense.items():
             got = np.sort(np.abs(mode_oracle(n, GEOM, M)))[::-1]
             assert np.max(np.abs(got - ref) / ref) < 1e-12
-        coarse, fine = (_distinct_magnitudes(dense[M], 3) for M in (16, 32))
+        coarse, fine = (_distinct(dense[M], 3) for M in (16, 32))
         ref = (4.0 * fine - coarse) / 3.0
         got = oracle_leading_magnitudes(n, GEOM, 3, Ms=(16, 32))
         assert np.max(np.abs(got - ref) / ref) < 1e-12
@@ -329,8 +335,10 @@ class TestNamedErrors:
             lambda: eigen_roots(0, GEOM, -1),
             lambda: log_xi2_closed(-0.1, GEOM, 8),
             lambda: pressure_sum(1.0, 4.0, 0),
+            lambda: log_xi2_asymptotic(0.0, GEOM, 8),
         ],
-        ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff"],
+        ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff",
+             "log_xi2_asymptotic-zeta"],
     )
     def test_out_of_range_argument(self, call):
         with pytest.raises(ParameterOutOfRange) as info:

@@ -24,7 +24,7 @@ from torusgas.identities import (
     theta_vandermonde_residual,
 )
 from torusgas.selftest import check_identity_suite
-from torusgas.theta import DEFAULT_PRECISION, Nome, lattice_distance, theta3
+from torusgas.theta import Nome, lattice_distance, theta3
 
 
 class TestThetaVandermonde:
@@ -236,8 +236,8 @@ class TestIdentitySuiteControls:
     def test_fails_with_f_N_at_q_squared(self, monkeypatch):
         f_N = identities.f_N
 
-        def wrong(N, nome, precision=DEFAULT_PRECISION):
-            return f_N(N, Nome.coerce(nome).power(2), precision)
+        def wrong(N, nome):
+            return f_N(N, Nome.coerce(nome).power(2))
 
         monkeypatch.setattr(identities, "f_N", wrong)
         assert not check_identity_suite().passed
@@ -245,8 +245,8 @@ class TestIdentitySuiteControls:
     def test_fails_without_frobenius_sign(self, monkeypatch):
         sides = identities._frobenius_sides
 
-        def unsigned(Ws, Zs, alpha, nome, precision=DEFAULT_PRECISION):
-            lhs, rhs, scale = sides(Ws, Zs, alpha, nome, precision)
+        def unsigned(Ws, Zs, alpha, nome):
+            lhs, rhs, scale = sides(Ws, Zs, alpha, nome)
             N = Ws.shape[1]
             return (-1.0) ** (N * (N - 1) // 2) * lhs, rhs, scale   # undoes (-1)^(N(N-1)/2)
 
@@ -433,7 +433,7 @@ class TestNonFiniteSides:
 
     def test_vandermonde_refuses_an_overflowed_side(self, monkeypatch):
         X = _draw_points(np.random.default_rng(0), 3, 4, 0.3)
-        monkeypatch.setattr(identities, "f_N", lambda N, nome, precision: math.inf)
+        monkeypatch.setattr(identities, "f_N", lambda N, nome: math.inf)
         with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
             _vandermonde_sides(X, 0.05 + 0.02j, 0.3)
 
@@ -441,6 +441,6 @@ class TestNonFiniteSides:
         """A side whose modulus overflows though both parts are finite is
         what made Python's abs raise a raw OverflowError."""
         X = _draw_points(np.random.default_rng(0), 3, 4, 0.3)
-        monkeypatch.setattr(identities, "f_N", lambda N, nome, precision: 1e308 + 1e308j)
+        monkeypatch.setattr(identities, "f_N", lambda N, nome: 1e308 + 1e308j)
         with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
             _vandermonde_sides(X, 0.05 + 0.02j, 0.3)

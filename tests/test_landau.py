@@ -26,7 +26,7 @@ from torusgas.landau import (
     slater_state,
 )
 from torusgas.selftest import check_wavefunction_factorization, factorization_spread
-from torusgas.theta import DEFAULT_PRECISION, Nome, theta3
+from torusgas.theta import Nome, theta3
 
 rng = np.random.default_rng(55)
 
@@ -258,8 +258,8 @@ class TestFactorizationControls:
     def test_fails_at_the_LW_nome(self, monkeypatch):
         theta1 = landau.theta1
 
-        def at_LW(z, nome, precision=DEFAULT_PRECISION):
-            return theta1(z, Nome.from_tau(-1.0 / nome.tau), precision)
+        def at_LW(z, nome):
+            return theta1(z, Nome.from_tau(-1.0 / nome.tau))
 
         monkeypatch.setattr(landau, "theta1", at_LW)
         assert self._worst_spread() > 1e-9

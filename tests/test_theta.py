@@ -14,10 +14,10 @@ from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreac
 from torusgas.geometry import TorusGeometry
 from torusgas.landau import MagneticSetup
 from torusgas.theta import (
-    DEFAULT_PRECISION,
     Nome,
-    SeriesPrecision,
     _coefficients,
+    _k_star,
+    _n_star,
     _reduce,
     _shift_exponent,
     _split,
@@ -61,27 +61,29 @@ class TestNome:
             Nome.from_q(0.97)
 
 
-class TestSeriesPrecision:
-    def test_truncation_bound_holds(self):
-        prec = SeriesPrecision()
-        for q in (0.1, 0.5, 0.9):
-            assert q ** (prec.n_star(q) ** 2) < prec.epsilon
+class TestTruncation:
+    def test_bounded_over_the_accepted_domain(self):
+        """The one tail bound 1e-14 sums n* = 28 terms at the complex cap
+        nome |q| = 0.95 and at most 6 at every real nome, which is summed at
+        the dual nome once t < 1; the products take k* = 316 factors at the
+        cap. At the complex cap theta1, theta3 and theta4 match mpmath to
+        1e-14 relative."""
+        def n_terms(nome):  # the theta3 coefficients summed, one per term
+            return len(_coefficients(nome)["horner"][3][1])
 
-    def test_precision_unreachable(self):
-        with pytest.raises(PrecisionUnreachable):
-            SeriesPrecision(epsilon=1e-14, max_terms=4).n_star(0.9)
-
-    def test_doubling_max_terms_is_inert(self):
-        z = 0.7 + 0.2j
-        lo = theta1(z, 0.5, SeriesPrecision(1e-14, 64))
-        hi = theta1(z, 0.5, SeriesPrecision(1e-14, 128))
-        assert lo == hi
-
-    def test_tightening_epsilon_moves_less_than_epsilon(self):
-        z = 0.7 + 0.2j
-        a = theta1(z, 0.5, SeriesPrecision(1e-10, 64))
-        b = theta1(z, 0.5, SeriesPrecision(1e-15, 64))
-        assert abs(a - b) < 1e-10
+        for wl in np.geomspace(0.01633, 61.2, 60):
+            assert n_terms(Nome.from_aspect(wl, 1.0)) <= 6, wl
+        tau = 0.3 + 1j * -math.log(0.95) / math.pi
+        nome = Nome.from_tau(tau)
+        assert abs(abs(nome.q) - 0.95) < 1e-15
+        assert n_terms(nome) == _n_star(0.95) == 28 and _k_star(0.95) == 316
+        pts = [0.0, 0.7 + 0.2j, -1.2 + 0.05j, 0.4 - 0.07j]
+        with mp.workdps(40):
+            q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+            for kind, theta in ((1, theta1), (3, theta3), (4, theta4)):
+                for z in pts[kind == 1:]:
+                    ref = complex(mp.jtheta(kind, mp.mpc(z.real, z.imag), q))
+                    assert abs(theta(z, nome) - ref) <= 1e-14 * abs(ref), (kind, z)
 
 
 class TestTheta1:
@@ -173,7 +175,7 @@ class TestTheta34:
         nome = Nome.from_q(q)
         zs = np.array(POINTS[:3] + [POINTS[3] + 2 * math.pi * nome.tau])
         u, m, n = _reduce(zs, nome.tau)
-        kstar = DEFAULT_PRECISION.k_star(abs(nome.q))
+        kstar = _k_star(abs(nome.q))
         t1, t4, e2 = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u), 1.0, np.exp(2j * u)
         for k in range(1, kstar + 1):
             q_odd, q2k = nome.q ** (2 * k - 1), nome.q ** (2 * k)
@@ -279,11 +281,9 @@ class TestNamedErrors:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: SeriesPrecision(epsilon=0.0),
-            lambda: SeriesPrecision(max_terms=0),
             lambda: f_N(0, 0.3),
         ],
-        ids=["SeriesPrecision-epsilon", "SeriesPrecision-max_terms", "f_N-N"],
+        ids=["f_N-N"],
     )
     def test_out_of_range_argument(self, call):
         with pytest.raises(ParameterOutOfRange) as info:
@@ -381,7 +381,7 @@ def _trig_sum(kind: int, z, nome: Nome):
     """The earlier engine, kept as a reference: sin/cos of every term at every
     point, contracted with the coefficients by tensordot."""
     u, m, n = _reduce(np.asarray(z, dtype=complex), nome.tau)
-    freqs, coeffs = _terms(nome.tau, DEFAULT_PRECISION)[kind]
+    freqs, coeffs = _terms(nome.tau)[kind]
     trig = np.sin if kind == 1 else np.cos
     series = np.tensordot(coeffs, trig(np.multiply.outer(freqs, u)), axes=(0, 0))
     if kind != 1:
@@ -461,7 +461,7 @@ class TestSplit:
 
     @staticmethod
     def _parts(pts, nome):
-        terms = _coefficients(nome, DEFAULT_PRECISION)
+        terms = _coefficients(nome)
         return _split(1, pts, nome, terms), terms["modular"]
 
     @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
@@ -584,6 +584,21 @@ class TestTinyNome:
                                   + cmath.exp(1j * math.pi * tau - 2j * u))
                 assert abs(value - ref) <= 1e-14 * abs(ref), (theta.__name__, u)
                 assert abs(theta(u, nome) - ref) <= 1e-14 * abs(ref), (theta.__name__, u)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_product_forms_where_q_underflows(self):
+        """At tau = 240i q^(2k) underflows to 0 while e^(+-2iu) overflows towards
+        the edges of the strip; the product forms take each q^m e^(+-2iu) as one
+        exponential and match theta1 and theta4, scalar and array."""
+        nome = Nome.from_tau(240j)
+        edge = math.pi * 120
+        points = [0.2 + 1j * (edge - 1), 0.2 - 1j * (edge - 1), 2.5 + 1j * (edge - 0.01),
+                  -0.7 - 1j * (edge - 3), 0.4 + 0.1j]
+        for product, theta in ((theta1_product, theta1), (theta4_product, theta4)):
+            ref = theta(np.array(points), nome)
+            assert _rel(product(np.array(points), nome), ref) <= 1e-14, product.__name__
+            for z, r in zip(points, ref):
+                assert abs(product(z, nome) - r) <= 1e-14 * abs(r), (product.__name__, z)
 
     def test_theta1_prime0_where_q_underflows(self):
         """2 q^(1/4) = 2 e^(-60 pi) at tau = 240i, where q is 0."""
