@@ -35,11 +35,12 @@ from .errors import (
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
+    PrecisionUnreachable,
     SingularSeparation,
     TruncationInsufficient,
 )
 from .geometry import TorusGeometry
-from .theta import eta_q, lattice_distance, theta1, theta1_prime0, theta4
+from .theta import _LOG_MAX, eta_q, lattice_distance, theta1, theta1_prime0, theta4
 
 
 def _theta_constants(geom: TorusGeometry) -> tuple[float, float]:
@@ -79,21 +80,17 @@ def g_fourier(n: int, y, geom: TorusGeometry):
         raise JumpPoint("y must lie in (-W, W)")
     if scalar and y_arr == 0.0:
         raise JumpPoint("g_n has a jump at y = 0; take one-sided limits")
-    vals = _g_fourier_raw(n, np.atleast_1d(y_arr), geom)
+    tp, t4 = _theta_constants(geom)
+    vals = 2j * t4 / tp * _g_branches(n, np.atleast_1d(y_arr), geom)
     if scalar:
         return complex(vals[0])
     return vals
 
 
-def _g_fourier_raw(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
-    """Branchwise bounded evaluation; y = 0 entries get the jump midpoint."""
-    tp, t4 = _theta_constants(geom)
-    return 2j * t4 / tp * _g_branches(n, y, geom)
-
-
 def _g_branches(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     """The real, theta-free part of g_n(y): g_n = 2i (theta4(0)/theta1'(0))
-    times this, whose lower branch (-W < y < 0) is its upper one at y + W."""
+    times this, whose lower branch (-W < y < 0) is its upper one at y + W;
+    y = 0 entries get the jump midpoint."""
     L, W = geom.L, geom.W
     b = 2 * n + 1
     beta = abs(b)
@@ -279,13 +276,18 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
 
 
 def xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
-    """Closed-form grand partition function; equals theta4(0;q)^2 at zeta = 0."""
+    """Closed-form grand partition function; equals theta4(0;q)^2 at zeta = 0.
+    A value that overflows a double raises PrecisionUnreachable; its log is
+    ``log_xi2_closed``."""
     if zeta == 0.0:
         if n_max < 1:
             raise TruncationInsufficient("need at least one mode pair")
         _, q4 = _theta_constants(geom)
         return q4 * q4
-    return math.exp(log_xi2_closed(zeta, geom, n_max))
+    log_xi = log_xi2_closed(zeta, geom, n_max)
+    if log_xi > _LOG_MAX:
+        raise PrecisionUnreachable(f"Xi = e^{log_xi:.1f} overflows a double; see log_xi2_closed")
+    return math.exp(log_xi)
 
 
 def oracle_log_xi2(zeta: float, geom: TorusGeometry, n_pairs: int, M: int) -> float:

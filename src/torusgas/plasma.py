@@ -47,7 +47,7 @@ from .errors import (
     SeedRequired,
 )
 from .geometry import TorusGeometry
-from .theta import Nome, _theta1_abs2, eta_q, f_N, qpochhammer_sq, theta1_prime0
+from .theta import Nome, _q2_product, _theta1_abs2, eta_q, f_N, theta1_prime0
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _log_product_form(N: int, rho: float, q: float) -> float:
         N * math.log(math.pi)
         - (N / 2.0) * math.log(rho / 2.0)
         + math.log(q) / 6.0
-        + 2.0 * math.log(qpochhammer_sq(q))
+        + 2.0 * math.log(_q2_product(q))
     )
 
 

@@ -13,8 +13,8 @@ from the real log-scale of the exact quasi-periodicity multiplier (as
 scipy.special.ive from iv): theta1/3/4 compose the two and refuse a value that
 overflows a double with PrecisionUnreachable, log|theta1| adds them in log
 scale, and a modulus needs one real exponential. A nan or inf argument gives
-nan, with no numpy warning. f_N, qpochhammer_sq and eta_q share one cached
-(q^2; q^2)_inf product.
+nan, with no numpy warning. f_N and eta_q share one cached (q^2; q^2)_inf
+product.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -22,6 +22,11 @@ Im(tau) = t < 1 is summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)),
 where |q'| <= e^(-pi): every real nome up to the cap |q| <= 0.95 is then
 accurate in relative terms. Complex (skewed-torus) nomes are summed directly.
 Over that domain n* <= 28 and the products' k* <= 316.
+
+The domain is one ``Nome``: 0 < |q| <= 0.95 at a finite tau, Im tau > 0; q = 0
+(tau = i*inf) is refused there with NomeOutOfRange. Past Im tau = 902.8 theta1's
+leading coefficient 2 q^(1/4) is below the smallest normal double and the theta1
+family refuses with PrecisionUnreachable; theta3 and theta4 stay accurate there.
 
 Conventions (q = e^{i*pi*tau}, Im tau > 0):
 
@@ -52,6 +57,8 @@ _EPSILON = 1e-14   # absolute tail bound of every series and product
 # the strip but growing as eps/|u| towards the zero at u = 0.
 _SINE_CANCEL = 0.5
 _LOG_MAX = math.log(np.finfo(float).max)   # e^x overflows a double above this
+_TINY = np.finfo(float).tiny   # the smallest normal double
+_THETA1_UNDERFLOW = "theta1's leading coefficient 2 q^(1/4) underflows past Im(tau) = 902.8"
 _ONE = np.ones(1)
 _ONE.setflags(write=False)
 
@@ -60,8 +67,10 @@ _ONE.setflags(write=False)
 class Nome:
     """Modular parameter pair (q, tau) with q = exp(i*pi*tau), Im(tau) > 0.
 
-    Both representations are stored because the series need q-powers while the
-    argument reduction and fractional powers need tau (branch free).
+    The accepted domain is 0 < |q| <= 0.95 at a finite tau: q = 0 (tau = i*inf)
+    and a non-finite Im(tau) raise NomeOutOfRange; q itself may underflow to 0
+    at a finite tau. Both are stored because the series need q-powers while
+    the argument reduction and fractional powers need tau (branch free).
     """
 
     q: complex
@@ -70,15 +79,14 @@ class Nome:
     def __post_init__(self):
         if abs(self.q) > _QMAX:  # the accepted domain, every real nome accurate up to it
             raise NomeOutOfRange(f"|q| = {abs(self.q)} outside the accepted domain |q| <= {_QMAX}")
-        if self.q != 0 and not (self.tau.imag > 0):
-            raise NomeOutOfRange(f"Im(tau) = {self.tau.imag} must be positive")
+        if not 0 < self.tau.imag < math.inf:
+            raise NomeOutOfRange(f"Im(tau) = {self.tau.imag} must be positive and finite")
 
     @classmethod
     def from_q(cls, q: complex | float) -> "Nome":
         q = complex(q)
         if q == 0:
-            # Degenerate limit tau -> i*inf; reduction never shifts.
-            return cls(0j, complex(0, math.inf))
+            raise NomeOutOfRange("q = 0 is tau = i*inf, outside the accepted domain 0 < |q|")
         tau = -1j * np.log(q) / math.pi
         return cls(q, complex(tau))
 
@@ -141,11 +149,8 @@ def _reduce(u, tau):
         except (OverflowError, ValueError):  # round() of inf or nan
             u_red, m, n = _reduce(u.reshape(1), tau)
             return u_red[0], m[0], n[0]
-    if math.isinf(tau.imag):
-        n = np.zeros(u.shape)
-    else:
-        n = np.rint(u.imag / (math.pi * tau.imag))
-    u1 = u - n * math.pi * tau if not math.isinf(tau.imag) else u
+    n = np.rint(u.imag / (math.pi * tau.imag))
+    u1 = u - n * math.pi * tau
     m = np.rint(u1.real / math.pi)
     u_red = u1 - m * math.pi
     return u_red, m, n
@@ -155,19 +160,16 @@ def _reduce_scalar(z: complex, tau: complex):
     """``_reduce`` of one point in Python float arithmetic, which rounds to the
     same bits as the array path (np.rint is round half to even, as round() is,
     with the sign of its argument) without the array path's numpy overhead."""
-    if math.isinf(tau.imag):
-        n, u1 = 0.0, z
-    else:
-        x = z.imag / (math.pi * tau.imag)
-        n = math.copysign(round(x), x)
-        u1 = z - n * math.pi * tau
+    x = z.imag / (math.pi * tau.imag)
+    n = math.copysign(round(x), x)
+    u1 = z - n * math.pi * tau
     x = u1.real / math.pi
     m = math.copysign(round(x), x)
     return np.complex128(u1 - m * math.pi), np.float64(m), np.float64(n)
 
 
 def _shift_exponent(u_red, n, tau):
-    """log of the quasi-periodicity multiplier q^(-n^2) e^(-2in u_red), tau finite.
+    """log of the quasi-periodicity multiplier q^(-n^2) e^(-2in u_red).
 
     theta(u_red + n*pi*tau) picks up this factor (times a parity sign that
     depends on which theta), so theta(u) = sign * exp(this) * theta(u_red).
@@ -194,7 +196,7 @@ def _terms(tau: complex) -> dict:
 
 @functools.lru_cache(maxsize=64)
 def _coefficients(nome: Nome) -> dict:
-    """The theta series of a nome with finite tau, as read-only arrays by theta index.
+    """The theta series of a nome, as read-only arrays by theta index.
 
     ``modular`` is t when tau = it with t < 1, else None: there the series at
     tau (see ``_terms``) cancel towards q -> 1, so only the series at the dual
@@ -210,6 +212,9 @@ def _coefficients(nome: Nome) -> dict:
     When modular, kinds 1, 3 and 4 hold -i t^(-1/2) theta1, t^(-1/2) theta3
     and t^(-1/2) theta1 at tau' (DLMF 20.7.30-32). ``prime0`` is theta1'(0) =
     sum_j (2j-1) c_j of the summed series, times t^(-3/2) when modular.
+    ``horner[1]`` and ``prime0`` are None where theta1's leading coefficient
+    2 q^(1/4) is below the smallest normal double (Im tau > 902.8): theta1 and
+    theta1'(0) would be 0 or keep no significant bits, so the family refuses.
     """
     t = nome.tau.imag
     modular = nome.tau.real == 0 and t < 1.0
@@ -236,11 +241,10 @@ def _coefficients(nome: Nome) -> dict:
         # taken from tau at full precision, so no x that overflows is formed.
         r = cmath.exp(0.5j * math.pi * nome.tau)
         horner[3], horner[4] = (1.0, _ONE, r), (1.0, _ONE, 1j * r)
-    return {
-        "horner": horner,
-        "modular": t if modular else None,
-        "prime0": complex(np.sum(odd * freqs)) * (t**-1.5 if modular else 1.0),
-    }
+    prime0 = complex(np.sum(odd * freqs)) * (t**-1.5 if modular else 1.0)
+    if abs(odd[0]) < _TINY:
+        horner[1] = prime0 = None
+    return {"horner": horner, "modular": t if modular else None, "prime0": prime0}
 
 
 def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
@@ -286,7 +290,7 @@ def _quiet(z: np.ndarray):
 
 
 def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
-    """theta_kind(z; q), tau finite, as (series, scale, (u, m, n)): z = u + m*pi +
+    """theta_kind(z; q) as (series, scale, (u, m, n)): z = u + m*pi +
     n*pi*tau with u in the fundamental strip, the series summed at u, and
     theta_kind(z) = sign * e^(scale + i*phase) * series with scale real.
     ``terms`` is ``_coefficients(nome)``. Directly, the multiplier
@@ -302,6 +306,8 @@ def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
     """
     u, m, n = _reduce(z, nome.tau)  # numpy scalars for 0-d z: no 0-d array overhead
     horner = terms["horner"][kind]
+    if horner is None:
+        raise PrecisionUnreachable(_THETA1_UNDERFLOW)
     t = terms["modular"]
     if t is None:
         series = _horner(*horner, u, kind == 1, z.ndim == 0)
@@ -323,8 +329,6 @@ def _evaluate(kind: int, z, nome: Nome):
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
-    if math.isinf(nome.tau.imag):  # tau = i*inf: theta1 vanishes, theta3 = theta4 = 1
-        return _as_output(np.full(z_arr.shape, 0j if kind == 1 else 1 + 0j), scalar)
     terms = _coefficients(nome)
     with _quiet(z_arr):
         series, scale, (u, m, n) = _split(kind, z_arr, nome, terms)
@@ -357,7 +361,7 @@ def _evaluate(kind: int, z, nome: Nome):
 
 
 def _theta1_abs2(z, nome: Nome):
-    """|theta1(z; q)|^2, tau finite, kept apart by ``_split`` as (|series|^2,
+    """|theta1(z; q)|^2, kept apart by ``_split`` as (|series|^2,
     scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
     z = np.asarray(z, dtype=complex)
     with _quiet(z):
@@ -384,8 +388,6 @@ def log_abs_theta1(z, nome):
     """log|theta1(z; q)| = scale + log|series| by ``_split``: the multiplier
     enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
-    if math.isinf(nome.tau.imag):
-        raise NomeOutOfRange("log|theta1| undefined at q = 0")
     z_arr = np.asarray(z, dtype=complex)
     with _quiet(z_arr):
         series, scale, _ = _split(1, z_arr, nome, _coefficients(nome))
@@ -403,10 +405,10 @@ def theta1_prime0(nome) -> complex:
     Equals 2 q^(1/4) prod (1-q^(2n))^3; the product route is kept as an
     independent check in the test suite.
     """
-    nome = Nome.coerce(nome)
-    if math.isinf(nome.tau.imag):
-        return 0j
-    return _coefficients(nome)["prime0"]
+    prime0 = _coefficients(Nome.coerce(nome))["prime0"]
+    if prime0 is None:
+        raise PrecisionUnreachable(_THETA1_UNDERFLOW)
+    return prime0
 
 
 def _product(u, nome: Nome, odd: int):
@@ -431,8 +433,6 @@ def theta1_product(z, nome):
     nome = Nome.coerce(nome)
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
-    if math.isinf(nome.tau.imag):
-        return _as_output(np.zeros(z_arr.shape, dtype=complex), scalar)
     u, m, n = _reduce(z_arr, nome.tau)
     vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * _product(u, nome, 0)
     sign = (-1.0) ** (m + n)
@@ -448,8 +448,6 @@ def theta4_product(u, nome):
     nome = Nome.coerce(nome)
     u_arr = np.asarray(u, dtype=complex)
     scalar = u_arr.ndim == 0
-    if math.isinf(nome.tau.imag):
-        return _as_output(np.ones(u_arr.shape, dtype=complex), scalar)
     ur, _, n = _reduce(u_arr, nome.tau)
     sign = (-1.0) ** n
     vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * _product(ur, nome, 1)
@@ -474,13 +472,6 @@ def _q2_product(q: complex):
     kmax = max(1, math.ceil(math.log(_EPSILON) / (2 * math.log(abs(q)))))
     base = q.real if q.imag == 0 else q
     return np.prod(1.0 - base ** (2 * np.arange(1, kmax + 1))).item()
-
-
-def qpochhammer_sq(q: float) -> float:
-    """(q^2; q^2)_inf = prod_{k>=1} (1 - q^(2k)) for real q in [0, 1)."""
-    if not 0.0 <= q < 1.0:
-        raise NomeOutOfRange(f"q = {q} outside [0, 1)")
-    return 1.0 if q == 0.0 else _q2_product(q)
 
 
 def eta_q(nome) -> float:

@@ -17,7 +17,7 @@ from torusgas import cli, plasma, selftest
 from torusgas.cli import main, run
 from torusgas.coulombgas import eigen_roots
 from torusgas.electrostatics import phi_periodic, phi_quasi
-from torusgas.errors import NomeOutOfRange, ParameterOutOfRange
+from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
 from torusgas.geometry import TorusGeometry
 from torusgas.identities import identity_draws
 from torusgas.landau import MagneticSetup, psi_lll
@@ -345,12 +345,16 @@ class TestEntryPoint:
             (["tcg", "--zeta", "0"], ParameterOutOfRange),
             (["landau", "--N", "0"], ParameterOutOfRange),
             (["landau", "--draws", "0"], ParameterOutOfRange),
+            (["ocp", "--N", "1", "--W", "1000"], PrecisionUnreachable),
+            (["greens", "--W", "1000", "--grid", "2"], PrecisionUnreachable),
+            (["tcg", "--zeta", "5", "--W", "3"], PrecisionUnreachable),
         ],
-        ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws"],
+        ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
+             "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
-        """Out-of-range input ends in a named error, which ``run`` maps to
-        exit 2 (a raw ValueError would exit 1)."""
+        """Out-of-range input, or a value out of double range, ends in a named
+        error, which ``run`` maps to exit 2 (a raw ValueError would exit 1)."""
         assert isinstance(runner.invoke(main, args).exception, error)
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])
         with pytest.raises(SystemExit) as info:

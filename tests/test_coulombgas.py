@@ -29,6 +29,7 @@ from torusgas.errors import (
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
+    PrecisionUnreachable,
     SingularSeparation,
     TorusGasError,
 )
@@ -246,7 +247,8 @@ class TestCirculantRoute:
         ys = (np.arange(M) + 0.5) * h
         diff = (ys[:, None] - ys[None, :]).ravel()
         tp, t4 = coulombgas._theta_constants(g)
-        ref = (math.pi * tp / t4 * h * coulombgas._g_fourier_raw(n, diff, g)).reshape(M, M)
+        g_n = 2j * t4 / tp * coulombgas._g_branches(n, diff, g)
+        ref = (math.pi * tp / t4 * h * g_n).reshape(M, M)
         A = mode_matrix(n, g, M)[:M, M:]
         assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -319,6 +321,14 @@ class TestGrandPartition:
             direct *= ((math.cosh(X) - 1.0) / (math.cosh(Y) - 1.0)) ** 2
         stable = xi2_closed(zeta, GEOM, n_max)
         assert abs(direct - stable) / direct < 1e-12
+
+    def test_overflow_refused_by_name(self):
+        """At zeta = 5, W/L = 3 log Xi = 803.5 lies above log DBL_MAX: Xi is
+        refused by name, its log stays finite."""
+        g = TorusGeometry(1.0, 3.0, 1)
+        assert math.log(np.finfo(float).max) < log_xi2_closed(5.0, g, 8) < math.inf
+        with pytest.raises(PrecisionUnreachable):
+            xi2_closed(5.0, g, 8)
 
     def test_fugacity_expansion_coefficient(self):
         """Finite difference of log Xi in zeta^2 against the root pair sum."""

@@ -22,6 +22,7 @@ from torusgas.theta import (
     _shift_exponent,
     _split,
     _terms,
+    _theta1_abs2,
     eta_q,
     f_N,
     lattice_distance,
@@ -59,6 +60,29 @@ class TestNome:
             Nome.from_q(1.05)
         with pytest.raises(NomeOutOfRange):
             Nome.from_q(0.97)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Nome.from_q(0),
+            lambda: Nome(0j, complex(0, math.inf)),
+            lambda: theta1(0.7, 0.0),
+            lambda: theta3(0.7, 0.0),
+            lambda: theta4(0.7, 0.0),
+            lambda: log_abs_theta1(0.7, 0.0),
+            lambda: theta1_prime0(0.0),
+            lambda: theta1_product(0.7, 0.0),
+            lambda: theta4_product(0.7, 0.0),
+            lambda: lattice_distance(0.7, 0.0),
+        ],
+        ids=["from_q", "infinite-tau", "theta1", "theta3", "theta4", "log_abs_theta1",
+             "theta1_prime0", "theta1_product", "theta4_product", "lattice_distance"],
+    )
+    def test_zero_nome_refused(self, call):
+        """q = 0 is tau = i*inf, outside the domain 0 < |q| <= 0.95 at a finite
+        tau: every entry point refuses it by name."""
+        with pytest.raises(NomeOutOfRange):
+            call()
 
 
 class TestTruncation:
@@ -129,9 +153,6 @@ class TestTheta1:
         for z in POINTS:
             assert abs(log_abs_theta1(z, 0.3) - math.log(abs(theta1(z, 0.3)))) < 1e-12
 
-    def test_zero_nome(self):
-        assert theta1(0.7, 0.0) == 0
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_log_abs_at_a_zero(self):
         """At z = 0 and at the lattice points pi and pi*tau, log|theta1| is
@@ -144,13 +165,6 @@ class TestTheta1:
 
 
 class TestTheta34:
-    def test_theta3_at_zero_nome(self):
-        for u in POINTS:
-            assert theta3(u, 0.0) == 1
-
-    def test_theta4_at_zero_nome(self):
-        assert theta4(0.0, 0.0) == 1
-
     def test_even(self):
         for u in POINTS:
             assert abs(theta3(-u, 0.3) - theta3(u, 0.3)) < 1e-12
@@ -548,7 +562,7 @@ class TestTinyNome:
     """pi Im(tau) > 709.8 (|q| below about 1e-308): x = e^(2iu) overflows inside
     the reduction strip, where every theta1 term past the first underflows.
     Past pi Im(tau) = 745 q itself underflows to 0 at a finite tau (240i here),
-    and these nomes are summed the same way, not given the tau = i*inf values."""
+    and these nomes are summed from tau like any other."""
 
     TAU = 229.7j
     POINTS = [0.2 + 1j * (math.pi * 229.7 / 2 + 3), 0.2 - 1j * (math.pi * 229.7 / 2 - 1),
@@ -599,6 +613,22 @@ class TestTinyNome:
             assert _rel(product(np.array(points), nome), ref) <= 1e-14, product.__name__
             for z, r in zip(points, ref):
                 assert abs(product(z, nome) - r) <= 1e-14 * abs(r), (product.__name__, z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_theta1_refused_where_its_leading_coefficient_underflows(self):
+        """Past Im(tau) = 902.8 theta1's leading coefficient 2 q^(1/4) is below
+        the smallest normal double: theta1, log|theta1|, |theta1|^2 and
+        theta1'(0) refuse by name, scalar and array; theta3 and theta4 hold.
+        Just below, log|theta1| is still log 2 - pi Im(tau)/4 + log|sin z|, the
+        true value to 1e-14."""
+        nome = Nome.from_tau(1000j)
+        for call in (theta1, log_abs_theta1, _theta1_abs2, lambda z, n: theta1_prime0(n)):
+            for z in (0.3, np.array([0.3, 0.4 + 0.1j])):
+                with pytest.raises(PrecisionUnreachable):
+                    call(z, nome)
+        assert theta3(0.3, nome) == theta4(0.3, nome) == 1
+        expected = math.log(2) - math.pi * 900 / 4 + math.log(math.sin(0.3))
+        assert log_abs_theta1(0.3, Nome.from_tau(900j)) == pytest.approx(expected, rel=1e-14)
 
     def test_theta1_prime0_where_q_underflows(self):
         """2 q^(1/4) = 2 e^(-60 pi) at tau = 240i, where q is 0."""
