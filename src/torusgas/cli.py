@@ -77,11 +77,7 @@ def _json_dump(obj) -> str:
 def _jsonable(x):
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

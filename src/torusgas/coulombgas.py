@@ -94,7 +94,7 @@ def _g_branches(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     L, W = geom.L, geom.W
     b = 2 * n + 1
     beta = abs(b)
-    denom = 1.0 - geom.q_WL**beta
+    denom = 1.0 - math.exp(-math.pi * beta * W / L)   # 1 - q^beta
     if b > 0:
         upper = -np.exp(-math.pi * b * y / L) / denom          # 0 < y < W
         lower = -np.exp(-math.pi * b * (y + W) / L) / denom    # -W < y < 0
@@ -422,7 +422,7 @@ def log_xi2_asymptotic(
         raise FitIllConditioned("ladder design matrix is rank deficient")
     resid = float(np.max(np.abs(design @ coeffs - vals)))
     b, c = float(coeffs[0]), float(coeffs[1])
-    eta = eta_q(geom.q_WL)
+    eta = eta_q(geom.nome_WL)
     return GrandPotentialBreakdown(
         bulk=b * geom.area,
         bulk_per_area=b,

@@ -10,7 +10,7 @@ class TorusGasError(Exception):
 
 
 class NomeOutOfRange(TorusGasError):
-    """Nome q outside the supported domain (|q| must be < 1, and <= 0.95)."""
+    """Nome outside its domain: 0 < |q| < 1 at a finite tau; |q| <= 0.95 for theta."""
 
 
 class ParameterOutOfRange(TorusGasError, ValueError):

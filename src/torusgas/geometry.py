@@ -14,8 +14,7 @@ import numpy as np
 from .errors import CoincidentPoints, DimensionMismatch, ParameterOutOfRange
 from .theta import Nome, lattice_distance
 
-# Nome.from_aspect costs a complex exponential and a validation per access; a
-# closed form reads a geometry's nome many times.
+# A closed form reads a geometry's nome many times: build and validate it once.
 _nome = functools.lru_cache(maxsize=64)(Nome.from_aspect)
 
 
@@ -51,14 +50,6 @@ class TorusGeometry:
     def nome_LW(self) -> Nome:
         """q = exp(-pi L / W), the modularly transformed candidate."""
         return _nome(self.L, self.W)
-
-    @property
-    def q_WL(self) -> float:
-        return float(np.exp(-np.pi * self.W / self.L))
-
-    @property
-    def q_LW(self) -> float:
-        return float(np.exp(-np.pi * self.L / self.W))
 
     def canonicalize(self, zs) -> np.ndarray:
         """Reduce coordinates into the fundamental domain [0,L) x [0,W)."""

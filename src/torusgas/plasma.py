@@ -123,23 +123,23 @@ class PartitionCheck:
 
 
 def _log_middle(N: int, geom: TorusGeometry) -> float:
-    q = geom.q_WL
-    tp = theta1_prime0(geom.nome_WL).real
+    nome = geom.nome_WL
+    tp = theta1_prime0(nome).real
     rho = N / geom.area
     val = N * math.log(math.pi * tp / geom.L)
     val -= (N * N / 3.0) * math.log(tp / 2.0)
     val += N * math.log(geom.L * N) - (N / 2.0) * math.log(2.0 * rho)
-    val -= 2.0 * math.log(f_N(N, q))
+    val -= 2.0 * math.log(f_N(N, nome))
     return val
 
 
-def _log_product_form(N: int, rho: float, q: float) -> float:
-    """log of pi^N (rho/2)^{-N/2} q^{1/6} prod(1-q^{2k})^2."""
+def _log_product_form(N: int, rho: float, nome: Nome) -> float:
+    """log of pi^N (rho/2)^{-N/2} q^{1/6} prod(1-q^{2k})^2, log q^{1/6} = -pi Im(tau)/6."""
     return (
         N * math.log(math.pi)
         - (N / 2.0) * math.log(rho / 2.0)
-        + math.log(q) / 6.0
-        + 2.0 * math.log(_q2_product(q))
+        - math.pi * nome.tau.imag / 6.0
+        + 2.0 * math.log(_q2_product(nome).real)
     )
 
 
@@ -156,8 +156,8 @@ def zn_closed(N: int, geom: TorusGeometry) -> ZnChain:
     geom = TorusGeometry(geom.L, geom.W, N)
     rho = geom.rho
     lm = _log_middle(N, geom)
-    lf_wl = _log_product_form(N, rho, geom.q_WL)
-    lf_lw = _log_product_form(N, rho, geom.q_LW)
+    lf_wl = _log_product_form(N, rho, geom.nome_WL)
+    lf_lw = _log_product_form(N, rho, geom.nome_LW)
     resolved = "W/L" if abs(lm - lf_wl) <= abs(lm - lf_lw) else "L/W"
     lf = lf_wl if resolved == "W/L" else lf_lw
     return ZnChain(
@@ -184,7 +184,7 @@ def free_energy(N: int, geom: TorusGeometry) -> FreeEnergyBreakdown:
     """
     geom = TorusGeometry(geom.L, geom.W, N)
     bulk = (N / 2.0) * math.log(geom.rho / (2.0 * math.pi**2))
-    casimir = -2.0 * math.log(eta_q(geom.q_WL))
+    casimir = -2.0 * math.log(eta_q(geom.nome_WL))
     return FreeEnergyBreakdown(
         bulk=bulk, surface=0.0, casimir=casimir, total=bulk + casimir
     )
@@ -199,7 +199,7 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
     return (
         math.factorial(N)
         * (geom.L * N / math.sqrt(2.0 * rho)) ** N
-        * f_N(N, geom.q_WL) ** -2
+        * f_N(N, geom.nome_WL) ** -2
     )
 
 

@@ -13,8 +13,8 @@ from the real log-scale of the exact quasi-periodicity multiplier (as
 scipy.special.ive from iv): theta1/3/4 compose the two and refuse a value that
 overflows a double with PrecisionUnreachable, log|theta1| adds them in log
 scale, and a modulus needs one real exponential. A nan or inf argument gives
-nan, with no numpy warning. f_N and eta_q share one cached (q^2; q^2)_inf
-product.
+nan, with no numpy warning. f_N, eta_q and the product forms share one cached
+(q^2; q^2)_inf product.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -23,10 +23,14 @@ where |q'| <= e^(-pi): every real nome up to the cap |q| <= 0.95 is then
 accurate in relative terms. Complex (skewed-torus) nomes are summed directly.
 Over that domain n* <= 28 and the products' k* <= 316.
 
-The domain is one ``Nome``: 0 < |q| <= 0.95 at a finite tau, Im tau > 0; q = 0
-(tau = i*inf) is refused there with NomeOutOfRange. Past Im tau = 902.8 theta1's
-leading coefficient 2 q^(1/4) is below the smallest normal double and the theta1
-family refuses with PrecisionUnreachable; theta3 and theta4 stay accurate there.
+A ``Nome`` is its tau, 0 < Im tau < inf (q = 0, tau = i*inf, is refused with
+NomeOutOfRange), and every q-power q^p is e^(i pi tau p), so none underflows
+on the way. The series and product forms refuse |q| > 0.95 with NomeOutOfRange;
+f_N and eta_q take every nome and refuse a value out of double range with
+PrecisionUnreachable. So does theta where it cannot be represented: past
+Im tau = 451.9 at a reduced |Im u| > log DBL_MAX, where e^(iu) overflows, and
+past Im tau = 902.8, where theta1's leading coefficient 2 q^(1/4) is below the
+smallest normal double, for the theta1 family.
 
 Conventions (q = e^{i*pi*tau}, Im tau > 0):
 
@@ -65,36 +69,34 @@ _ONE.setflags(write=False)
 
 @dataclass(frozen=True)
 class Nome:
-    """Modular parameter pair (q, tau) with q = exp(i*pi*tau), Im(tau) > 0.
+    """The modular parameter tau of the nome q = exp(i*pi*tau), Im(tau) > 0.
 
-    The accepted domain is 0 < |q| <= 0.95 at a finite tau: q = 0 (tau = i*inf)
-    and a non-finite Im(tau) raise NomeOutOfRange; q itself may underflow to 0
-    at a finite tau. Both are stored because the series need q-powers while
-    the argument reduction and fractional powers need tau (branch free).
+    tau is the one field: every q-power q^p is read as e^(i*pi*tau*p), so no
+    power underflows on the way and fractional powers are branch free. A
+    non-finite or non-positive Im(tau) (q = 0 is tau = i*inf) raises
+    NomeOutOfRange; theta's series and product forms also refuse |q| > 0.95.
     """
 
-    q: complex
     tau: complex
 
     def __post_init__(self):
-        if abs(self.q) > _QMAX:  # the accepted domain, every real nome accurate up to it
-            raise NomeOutOfRange(f"|q| = {abs(self.q)} outside the accepted domain |q| <= {_QMAX}")
         if not 0 < self.tau.imag < math.inf:
             raise NomeOutOfRange(f"Im(tau) = {self.tau.imag} must be positive and finite")
 
+    @property
+    def q(self) -> complex:
+        """q = e^(i*pi*tau), 0 where it underflows."""
+        return cmath.exp(1j * math.pi * self.tau)
+
     @classmethod
     def from_q(cls, q: complex | float) -> "Nome":
-        q = complex(q)
-        if q == 0:
+        if complex(q) == 0:
             raise NomeOutOfRange("q = 0 is tau = i*inf, outside the accepted domain 0 < |q|")
-        tau = -1j * np.log(q) / math.pi
-        return cls(q, complex(tau))
+        return cls(complex(-1j * np.log(complex(q)) / math.pi))
 
     @classmethod
     def from_tau(cls, tau: complex) -> "Nome":
-        tau = complex(tau)
-        q = np.exp(1j * math.pi * tau)
-        return cls(complex(q), tau)
+        return cls(complex(tau))
 
     @classmethod
     def from_aspect(cls, W: float, L: float) -> "Nome":
@@ -115,24 +117,23 @@ class Nome:
         """Nome q^N, i.e. tau -> N*tau."""
         return Nome.from_tau(self.tau * N)
 
-    def is_real_positive(self) -> bool:
-        return self.q.imag == 0 and self.q.real > 0
+
+def _series_domain(nome: Nome) -> None:
+    """Refuse |q| > 0.95: theta's series and product forms stop at that cap."""
+    if nome.tau.imag < -math.log(_QMAX) / math.pi:
+        raise NomeOutOfRange(f"|q| = e^(-pi * {nome.tau.imag}) is outside |q| <= {_QMAX}")
 
 
-def _n_star(q_abs: float) -> int:
-    """Series truncation index: |q|^(n*^2) < epsilon, plus margin for the
-    reduced-strip growth factor e^(2n|Im u|) <= |q|^(-n)."""
-    if q_abs == 0.0:
-        return 1
-    return math.ceil(math.sqrt(math.log(_EPSILON) / math.log(q_abs))) + 2
+def _n_star(t: float) -> int:
+    """Series truncation index at Im(tau) = t: |q|^(n*^2) < epsilon, plus
+    margin for the reduced-strip growth factor e^(2n|Im u|) <= |q|^(-n)."""
+    return math.ceil(math.sqrt(math.log(_EPSILON) / (-math.pi * t))) + 2
 
 
-def _k_star(q_abs: float) -> int:
-    """Product truncation index: factors carry q^(2k), so the tail is
-    geometric rather than Gaussian and needs k* ~ log(eps)/(2 log|q|)."""
-    if q_abs == 0.0:
-        return 1
-    return math.ceil(math.log(_EPSILON) / (2.0 * math.log(q_abs))) + 1
+def _k_star(t: float) -> int:
+    """Product truncation index at Im(tau) = t: factors carry q^(2k), so the
+    tail is geometric rather than Gaussian and needs k* ~ log(eps)/(2 log|q|)."""
+    return math.ceil(math.log(_EPSILON) / (-2.0 * math.pi * t)) + 1
 
 
 def _reduce(u, tau):
@@ -188,7 +189,7 @@ def _terms(tau: complex) -> dict:
     """(frequencies, coefficients) by theta index, q-powers on the tau branch:
     theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4
     add 2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1; j = 1..n*."""
-    js = np.arange(1, _n_star(math.exp(-math.pi * tau.imag)) + 1)
+    js = np.arange(1, _n_star(tau.imag) + 1)
     odd = 2.0 * (-1.0) ** (js - 1) * np.exp(1j * math.pi * tau * (js - 0.5) ** 2)
     even3 = 2.0 * np.exp(1j * math.pi * tau * js**2)
     return {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, (-1.0) ** js * even3)}
@@ -215,7 +216,10 @@ def _coefficients(nome: Nome) -> dict:
     ``horner[1]`` and ``prime0`` are None where theta1's leading coefficient
     2 q^(1/4) is below the smallest normal double (Im tau > 902.8): theta1 and
     theta1'(0) would be 0 or keep no significant bits, so the family refuses.
+    ``wide`` is True where the strip |Im u| <= pi Im(tau)/2 reaches past
+    log DBL_MAX (Im tau > 451.9), so e^(iu) overflows at some of its points.
     """
+    _series_domain(nome)
     t = nome.tau.imag
     modular = nome.tau.real == 0 and t < 1.0
     summed = _terms(1j / t if modular else nome.tau)
@@ -244,7 +248,8 @@ def _coefficients(nome: Nome) -> dict:
     prime0 = complex(np.sum(odd * freqs)) * (t**-1.5 if modular else 1.0)
     if abs(odd[0]) < _TINY:
         horner[1] = prime0 = None
-    return {"horner": horner, "modular": t if modular else None, "prime0": prime0}
+    return {"horner": horner, "modular": t if modular else None, "prime0": prime0,
+            "wide": 0.5 * math.pi * t > _LOG_MAX}
 
 
 def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
@@ -308,6 +313,8 @@ def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
     horner = terms["horner"][kind]
     if horner is None:
         raise PrecisionUnreachable(_THETA1_UNDERFLOW)
+    if terms["wide"] and np.any(np.abs(u.imag) > _LOG_MAX):
+        raise PrecisionUnreachable(f"e^(iu) overflows a double at a reduced |Im u| > {_LOG_MAX}")
     t = terms["modular"]
     if t is None:
         series = _horner(*horner, u, kind == 1, z.ndim == 0)
@@ -412,17 +419,18 @@ def theta1_prime0(nome) -> complex:
 
 
 def _product(u, nome: Nome, odd: int):
-    """prod_{k=1..k*} (1 - q^m e^(2iu)) (1 - q^m e^(-2iu)) (1 - q^(2k)), m = 2k - odd
-    (odd 0 for theta1, 1 for theta4), u in the reduction strip, one factor per
-    k on a last axis. q^m e^(+-2iu) is q^(m-1) times the one exponential
-    e^(i pi tau +- 2iu), of modulus <= 1 in the strip: a power of q that
-    underflows meets no e^(2iu) that overflows, and there is one exponential
-    per point and sign, not per factor."""
-    k = np.arange(1, _k_star(abs(nome.q)) + 1)
-    powers = nome.q ** (2 * k - odd - 1)
+    """prod_{k=1..k*} (1 - q^m e^(2iu)) (1 - q^m e^(-2iu)), m = 2k - odd (odd 0
+    for theta1, 1 for theta4), u in the reduction strip, one factor per k on a
+    last axis, times (q^2; q^2)_inf. q^m e^(+-2iu) is q^(m-1) times the one
+    exponential e^(i pi tau +- 2iu), of modulus <= 1 in the strip: a power of q
+    that underflows meets no e^(2iu) that overflows, and there is one
+    exponential per point and sign, not per factor."""
+    _series_domain(nome)
+    k = np.arange(1, _k_star(nome.tau.imag) + 1)
+    powers = np.exp(1j * math.pi * nome.tau * (2 * k - odd - 1))
     w = np.exp(1j * math.pi * nome.tau + 2j * u)[..., None]
     iw = np.exp(1j * math.pi * nome.tau - 2j * u)[..., None]
-    return np.prod((1 - powers * w) * (1 - powers * iw) * (1 - nome.q ** (2 * k)), axis=-1)
+    return np.prod((1 - powers * w) * (1 - powers * iw), axis=-1) * _q2_product(nome)
 
 
 def theta1_product(z, nome):
@@ -466,41 +474,46 @@ def lattice_distance(z, nome):
 
 
 @functools.lru_cache(maxsize=256)
-def _q2_product(q: complex):
-    """(q^2; q^2)_inf = prod_{k>=1} (1 - q^(2k)) for 0 < |q| < 1; a float for
-    real q. 1 - q^(2k) differs from 1 by < epsilon once |q|^(2k) < epsilon."""
-    kmax = max(1, math.ceil(math.log(_EPSILON) / (2 * math.log(abs(q)))))
-    base = q.real if q.imag == 0 else q
-    return np.prod(1.0 - base ** (2 * np.arange(1, kmax + 1))).item()
+def _q2_product(nome: Nome) -> complex:
+    """(q^2; q^2)_inf = prod_{k=1..k*} (1 - q^(2k)), q^(2k) = e^(2 i pi tau k);
+    real, as a complex, when Re(tau) = 0."""
+    k = np.arange(1, _k_star(nome.tau.imag) + 1)
+    return np.prod(1.0 - np.exp(2j * math.pi * nome.tau * k)).item()
 
 
 def eta_q(nome) -> float:
-    """q^(1/12) * prod_{k>=1} (1 - q^(2k)), for real nome 0 < q < 1.
+    """q^(1/12) * prod_{k>=1} (1 - q^(2k)) = e^(-pi Im(tau)/12) (q^2; q^2)_inf,
+    for a real nome 0 < q < 1 (Re tau = 0).
 
-    This is the Dedekind eta value at tau = -i ln(q)/pi; it satisfies the
-    modular identity eta_q(e^(-pi*s)) = s^(-1/2) * eta_q(e^(-pi/s)).
+    This is the Dedekind eta value at tau; it satisfies the modular identity
+    eta_q(e^(-pi*s)) = s^(-1/2) * eta_q(e^(-pi/s)). A value below the smallest
+    normal double raises PrecisionUnreachable.
     """
-    q = nome.q if isinstance(nome, Nome) else complex(nome)
-    if q.imag != 0 or not 0.0 < q.real < 1.0:
-        raise NomeOutOfRange(f"eta_q needs a real nome 0 < q < 1, got {q}")
-    return q.real ** (1.0 / 12.0) * _q2_product(q.real)
+    nome = Nome.coerce(nome)
+    if nome.tau.real != 0:
+        raise NomeOutOfRange(f"eta_q needs a real nome 0 < q < 1, got tau = {nome.tau}")
+    value = math.exp(-math.pi * nome.tau.imag / 12.0) * _q2_product(nome).real
+    if value < _TINY:
+        raise PrecisionUnreachable(f"eta_q = {value} is below the smallest normal double")
+    return value
 
 
 def f_N(N: int, nome):
-    """N^(N/2) q^(-(N-1)(N-2)/24) (q^2; q^2)_inf^(-(N-1)(N-2)/2).
+    """N^(N/2) q^(-(N-1)(N-2)/24) (q^2; q^2)_inf^(-(N-1)(N-2)/2), the
+    fractional q-power e^(-i pi tau (N-1)(N-2)/24) taken on the tau branch.
 
-    A float for a real nome 0 < q < 1. Otherwise (skewed tori) a complex
-    number, with the fractional q-power taken on the tau branch of the nome.
+    A float for a rectangular torus (Re tau = 0), else (skewed tori) complex.
+    A value that overflows a double raises PrecisionUnreachable.
     """
     if N < 1:
         raise ParameterOutOfRange("N must be >= 1")
-    q = nome.q if isinstance(nome, Nome) else complex(nome)
-    if not 0.0 < abs(q) < 1.0:
-        raise NomeOutOfRange(f"f_N needs 0 < |q| < 1, got {q}")
+    nome = Nome.coerce(nome)
     e = (N - 1) * (N - 2)
-    poch = _q2_product(q)
-    if q.imag == 0 and q.real > 0:
-        return N ** (N / 2.0) * q.real ** (-e / 24.0) * poch ** (-e / 2.0)
-    q_pow = np.exp(-1j * math.pi * Nome.coerce(nome).tau * e / 24.0)
-    return complex(N ** (N / 2.0) * q_pow * poch ** (-e / 2.0))
-
+    try:
+        value = (N ** (N / 2.0) * cmath.exp(-1j * math.pi * nome.tau * e / 24.0)
+                 * _q2_product(nome) ** (-e / 2.0))
+    except (OverflowError, ZeroDivisionError):  # a power out of range, or 0 ** -x
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise PrecisionUnreachable(f"f_{N} at Im(tau) = {nome.tau.imag} overflows a double")
+    return value.real if nome.tau.real == 0 else value

@@ -67,14 +67,13 @@ def casimir_report(
     extensivity difference are evaluated as well, each compared against the
     resolved term.
     """
-    q_wl = geom.q_WL
-    q_lw = geom.q_LW
+    nome_wl = geom.nome_WL
 
-    ocp_printed = 2.0 * math.log(eta_q(q_lw))   # quoted with q = exp(-pi L/W)
-    tcg_printed = 2.0 * math.log(eta_q(q_wl))   # quoted with q = exp(-pi W/L)
-    gff_printed = gff_constant(q_wl)
-    ocp_at_wl = 2.0 * math.log(eta_q(q_wl))
-    resolved = -2.0 * math.log(eta_q(q_wl))
+    ocp_printed = 2.0 * math.log(eta_q(geom.nome_LW))   # quoted with q = exp(-pi L/W)
+    tcg_printed = 2.0 * math.log(eta_q(nome_wl))   # quoted with q = exp(-pi W/L)
+    gff_printed = gff_constant(nome_wl)
+    ocp_at_wl = 2.0 * math.log(eta_q(nome_wl))
+    resolved = -2.0 * math.log(eta_q(nome_wl))
 
     discrepancies = {
         "ocp_vs_tcg_printed": ocp_printed - tcg_printed,

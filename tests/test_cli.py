@@ -259,6 +259,18 @@ class TestTcg:
         assert lines[0].startswith("mode,grid,root_index")
         assert len(lines) > 9
 
+    def test_oracle_comparison_converges_in_the_grid(self):
+        """--grid-m runs the oracle: a finite log Xi, and the closed form's
+        gap to it shrinks from M = 100 to M = 200."""
+        rel = {}
+        for m in (100, 200):
+            res = runner.invoke(main, ["tcg", "--grid-m", str(m)])
+            assert res.exit_code == 0
+            payload = json.loads(res.output)
+            assert math.isfinite(payload["log_xi2_oracle"])
+            rel[m] = payload["closed_vs_oracle_rel"]
+        assert rel[200] < rel[100]
+
     def test_abs_lambda_is_the_mode_spectrum(self):
         """The reported roots are ModeSpectrum.abs_lambda, unrounded."""
         res = runner.invoke(main, ["tcg", "--L", "1.5", "--W", "0.8", "--kmax", "2"])
@@ -288,6 +300,25 @@ class TestCasimir:
         fitted = payload["fitted"]["tcg_ladder_remainder"]
         assert fitted == tcg["finite_size"]["o1_fitted"]
         assert abs(fitted - payload["resolved_term"]) < 0.02 * payload["resolved_term"]
+
+
+class TestSelftest:
+    def test_every_criterion_passes(self):
+        res = runner.invoke(main, ["selftest"])
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+        assert lines[-1] == "9/9 criteria passed"
+
+
+class TestJson:
+    def test_complex_is_re_im(self):
+        assert json.loads(cli._json_dump({"z": 1 - 2j})) == {"z": {"re": 1.0, "im": -2.0}}
+
+    def test_other_types_refused(self):
+        """A payload value json cannot write is an error, not its str()."""
+        with pytest.raises(TypeError):
+            cli._json_dump({"x": object()})
 
 
 class TestEntryPoint:
@@ -339,6 +370,30 @@ class TestEntryPoint:
                 assert math.isfinite(payload["log_xi2_closed"])
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["ocp", "--N", "1", "--W", "400"],
+            ["ocp", "--N", "2", "--seed", "1", "--samples", "100000", "--W", "400"],
+            ["casimir", "--L", "1", "--W", "1000"],
+            ["casimir", "--L", "1000", "--W", "1"],
+        ],
+        ids=["ocp-lattice", "ocp-monte-carlo", "casimir-W/L", "casimir-L/W"],
+    )
+    def test_far_aspect_exits_zero(self, args, monkeypatch, capsys):
+        """Past W/L = 237 q = e^(-pi W/L) underflows to 0; the closed forms
+        take their q-powers from tau, so these runs finish, and the N = 1
+        lattice rule closes on the closed form."""
+        monkeypatch.setattr(sys, "argv", ["torusgas", *args])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 0
+        payload = json.loads(capsys.readouterr().out)
+        if "quadrature" in payload:
+            assert payload["quadrature"]["rel_deviation"] < 1e-12
+        for value in payload.values():
+            assert not isinstance(value, float) or math.isfinite(value)
+
+    @pytest.mark.parametrize(
         "args, error",
         [
             (["ocp", "--L", "-1"], ParameterOutOfRange),
@@ -348,9 +403,14 @@ class TestEntryPoint:
             (["ocp", "--N", "1", "--W", "1000"], PrecisionUnreachable),
             (["greens", "--W", "1000", "--grid", "2"], PrecisionUnreachable),
             (["tcg", "--zeta", "5", "--W", "3"], PrecisionUnreachable),
+            (["ocp", "--N", "2", "--seed", "1", "--samples", "100000", "--W", "500"],
+             PrecisionUnreachable),
+            (["ocp", "--N", "6", "--W", "300"], PrecisionUnreachable),
+            (["casimir", "--L", "1", "--W", "3000"], PrecisionUnreachable),
         ],
         ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
-             "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow"],
+             "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow",
+             "ocp-strip-overflow", "ocp-f_N-overflow", "casimir-eta-underflow"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input, or a value out of double range, ends in a named

@@ -83,7 +83,7 @@ class TestFourierCoefficients:
         assert abs(g_fourier(n, y, GEOM) - self._numeric(n, y, GEOM)) < 1e-8
 
     def test_jump_ratio(self):
-        q = GEOM.q_WL
+        q = GEOM.nome_WL.q.real
         for n in (0, 1, -1):
             r = g_fourier(n, 1e-12, GEOM) / g_fourier(n, -1e-12, GEOM)
             assert abs(r - q ** -(2 * n + 1)) < 1e-8 * q ** -(2 * n + 1)

@@ -77,7 +77,7 @@ class TestFreeEnergy:
     def test_finite_size_term_value(self):
         g = TorusGeometry(1.0, 1.0, 2)
         fe = free_energy(2, g)
-        assert abs(fe.casimir + 2.0 * math.log(eta_q(g.q_WL))) < 1e-14
+        assert abs(fe.casimir + 2.0 * math.log(eta_q(g.nome_WL))) < 1e-14
 
     def test_total_is_minus_log_z(self):
         g = TorusGeometry(1.0, 1.0, 4)

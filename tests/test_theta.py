@@ -56,16 +56,22 @@ class TestNome:
         assert abs(nome.power(2).q - 0.16) < 1e-15
 
     def test_rejects_large_nome(self):
+        """|q| >= 1 is no nome; 0.95 < |q| < 1 is one, which theta's series
+        and product forms refuse."""
         with pytest.raises(NomeOutOfRange):
             Nome.from_q(1.05)
-        with pytest.raises(NomeOutOfRange):
-            Nome.from_q(0.97)
+        nome = Nome.from_q(0.97)
+        calls = [lambda f=f: f(0.3, nome) for f in
+                 (theta1, theta3, theta4, log_abs_theta1, theta1_product, theta4_product)]
+        for call in calls + [lambda: theta1_prime0(nome)]:
+            with pytest.raises(NomeOutOfRange):
+                call()
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda: Nome.from_q(0),
-            lambda: Nome(0j, complex(0, math.inf)),
+            lambda: Nome(complex(0, math.inf)),
             lambda: theta1(0.7, 0.0),
             lambda: theta3(0.7, 0.0),
             lambda: theta4(0.7, 0.0),
@@ -100,7 +106,7 @@ class TestTruncation:
         tau = 0.3 + 1j * -math.log(0.95) / math.pi
         nome = Nome.from_tau(tau)
         assert abs(abs(nome.q) - 0.95) < 1e-15
-        assert n_terms(nome) == _n_star(0.95) == 28 and _k_star(0.95) == 316
+        assert n_terms(nome) == _n_star(tau.imag) == 28 and _k_star(tau.imag) == 316
         pts = [0.0, 0.7 + 0.2j, -1.2 + 0.05j, 0.4 - 0.07j]
         with mp.workdps(40):
             q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
@@ -189,7 +195,7 @@ class TestTheta34:
         nome = Nome.from_q(q)
         zs = np.array(POINTS[:3] + [POINTS[3] + 2 * math.pi * nome.tau])
         u, m, n = _reduce(zs, nome.tau)
-        kstar = _k_star(abs(nome.q))
+        kstar = _k_star(nome.tau.imag)
         t1, t4, e2 = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u), 1.0, np.exp(2j * u)
         for k in range(1, kstar + 1):
             q_odd, q2k = nome.q ** (2 * k - 1), nome.q ** (2 * k)
@@ -252,6 +258,24 @@ class TestEta:
         with pytest.raises(NomeOutOfRange):
             eta_q(complex(0.1, 0.1))
 
+    @pytest.mark.parametrize("s", [300.0, 1000.0])
+    def test_modular_identity_far_from_the_square(self, s):
+        """q = e^(-pi s) underflows to 0 and its partner e^(-pi/s) is past the
+        series' cap 0.95; eta_q takes both from tau. The partner's product
+        stops where q'^(2k) < 1e-14, so its dropped tail sums to about
+        1e-14 / (1 - q'^2), 1.6e-12 at s = 1000."""
+        lhs = eta_q(Nome.from_aspect(s, 1.0))
+        rhs = s**-0.5 * eta_q(Nome.from_aspect(1.0, s))
+        tail = 1e-14 / -math.expm1(-2 * math.pi / s)
+        assert abs(lhs - rhs) <= 2 * tail * lhs
+
+    @pytest.mark.parametrize("aspect", [(3000.0, 1.0), (1.0, 3000.0)], ids=["W/L", "L/W"])
+    def test_below_double_range_refused(self, aspect):
+        """eta_q ~ e^(-pi 3000/12) on either side of the modular identity is
+        below the smallest normal double."""
+        with pytest.raises(PrecisionUnreachable):
+            eta_q(Nome.from_aspect(*aspect))
+
 
 class TestFN:
     def test_n1_is_one(self):
@@ -272,12 +296,25 @@ class TestFN:
     def test_real_nome_gives_float(self):
         assert isinstance(f_N(4, Nome.from_aspect(0.7, 1.0)), float)
 
+    def test_where_q_underflows(self):
+        """q = e^(-240 pi) underflows to 0; f_6 = 6^3 e^(20 * 240 pi / 24)
+        (q^2; q^2)_inf^(-10) is a double, its product 1 to 1e-300."""
+        got = f_N(6, Nome.from_aspect(240.0, 1.0))
+        assert math.log(got) == pytest.approx(3 * math.log(6) + 200 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("aspect", [(300.0, 1.0), (1.0, 300.0)], ids=["q-power", "product"])
+    def test_overflow_refused(self, aspect):
+        """e^(20 * 300 pi / 24), or (q^2; q^2)_inf^(-10) at W/L = 1/300,
+        overflows a double."""
+        with pytest.raises(PrecisionUnreachable):
+            f_N(6, Nome.from_aspect(*aspect))
+
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_skewed_torus_against_mpmath(self, N):
         """Complex nome of a skewed torus (W1 != 0): N^(N/2) q^(-e/24)
         (q^2; q^2)_inf^(-e/2), e = (N-1)(N-2), with q^(-e/24) on the tau branch."""
         nome = MagneticSetup.from_flux(L=1.0, N=N, l=0.25, W1=0.3).nome
-        assert not nome.is_real_positive()
+        assert nome.tau.real != 0
         e = (N - 1) * (N - 2)
         tau = mp.mpc(nome.tau.real, nome.tau.imag)
         q = mp.exp(1j * mp.pi * tau)
@@ -629,6 +666,26 @@ class TestTinyNome:
         assert theta3(0.3, nome) == theta4(0.3, nome) == 1
         expected = math.log(2) - math.pi * 900 / 4 + math.log(math.sin(0.3))
         assert log_abs_theta1(0.3, Nome.from_tau(900j)) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused_where_the_strip_leaves_double_range(self):
+        """Past Im(tau) = 451.9 the strip |Im u| <= pi Im(tau)/2 reaches past
+        log DBL_MAX, where e^(iu) overflows: theta1, theta3, theta4, log|theta1|
+        and |theta1|^2 refuse such a point by name, scalar or in an array.
+        Inside log DBL_MAX log|theta1| matches mpmath, and a nan argument still
+        gives nan."""
+        nome = Nome.from_tau(500j)
+        far = 0.3 + 1j * (250 * math.pi - 1)
+        for call in (theta1, theta3, theta4, log_abs_theta1, _theta1_abs2):
+            for z in (far, -far, np.array([0.3, far])):
+                with pytest.raises(PrecisionUnreachable):
+                    call(z, nome)
+        with mp.workdps(60):
+            q = mp.exp(-500 * mp.pi)
+            expected = float(mp.log(abs(mp.jtheta(1, mp.mpc(0.3, 700), q))))
+        assert log_abs_theta1(0.3 + 700j, nome) == pytest.approx(expected, rel=1e-14)
+        assert np.isnan(theta3(complex(math.nan, 0.0), nome))
+        assert np.isnan(log_abs_theta1(np.array([0.3, math.nan]), nome)[1])
 
     def test_theta1_prime0_where_q_underflows(self):
         """2 q^(1/4) = 2 e^(-60 pi) at tau = 240i, where q is 0."""
