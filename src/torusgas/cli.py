@@ -56,12 +56,6 @@ class ComplexParam(click.ParamType):
 COMPLEX = ComplexParam()
 
 
-def _physics_nome(q: float) -> Nome:
-    if not 0.0 < q <= 0.95:
-        raise click.UsageError(f"nome q = {q} must lie in (0, 0.95]")
-    return Nome.from_q(q)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", newline="") as fh:
@@ -102,12 +96,12 @@ def main():
 
 
 @main.command()
-@click.option("--q", type=float, required=True, help="nome, 0 < q <= 0.95")
+@click.option("--q", type=float, required=True, help="nome; theta refuses |q| > 0.95")
 @click.option("--z", type=COMPLEX, default=0j, show_default=True, help="argument")
 @click.option("--out", type=click.Path(), default=None)
 def theta(q, z, out):
     """Evaluate theta1, theta3, theta4, theta1'(0) and the eta product at (z, q)."""
-    nome = _physics_nome(q)
+    nome = Nome.from_q(q)
     payload = {
         "q": q,
         "z": z,
@@ -139,13 +133,14 @@ def greens(L, W, grid, zp, out):
 @click.option("--n", "n_max", type=int, default=4, show_default=True, help="largest size")
 @click.option("--draws", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--q", type=float, default=0.3, show_default=True)
+@click.option("--q", type=float, default=0.3, show_default=True,
+              help="nome; theta refuses |q| > 0.95, and size N takes it at q^(1/N)")
 @click.option("--out", type=click.Path(), default=None)
 def verify_identities(n_max, draws, seed, q, out):
     """Random-draw residuals of the determinant identities, in the gate's draw
     order: every Vandermonde size, then every Frobenius size (CSV; exit 1 on
     failure)."""
-    nome = _physics_nome(q)
+    nome = Nome.from_q(q)
     rng = np.random.default_rng(seed)
     rows = []
     failed = False
@@ -278,7 +273,7 @@ def tcg(zeta, L, W, nmax, grid_m, cutoff, kmax, convergence_out, out):
         ) / math.exp(payload["log_xi2_closed"])
     fit = fit_pressure(1.0, np.arange(4.0, 17.0), cutoff)
     payload["pressure_fit"] = {"a": fit.a, "b": fit.b, "c": fit.c, "cutoff_density": cutoff}
-    br = log_xi2_asymptotic(zeta, geom, cutoff_density=8)
+    br = log_xi2_asymptotic(zeta, geom)
     payload["finite_size"] = {
         "o1_fitted": br.o1_fitted,
         "o1_resolved": br.o1_resolved,

@@ -40,7 +40,9 @@ from .errors import (
     TruncationInsufficient,
 )
 from .geometry import TorusGeometry
-from .theta import _LOG_MAX, eta_q, lattice_distance, theta1, theta1_prime0, theta4
+from .theta import _LOG_MAX, _on_lattice, eta_q, theta1, theta1_prime0, theta4
+
+_LADDER_CUTOFF_DENSITY = 8   # Lambda: a finite-size ladder rung of width L sums Lambda * L modes
 
 
 def _theta_constants(geom: TorusGeometry) -> tuple[float, float]:
@@ -58,7 +60,7 @@ def kernel_K(w: complex, z: complex, geom: TorusGeometry):
     """
     nome = geom.nome_WL
     u = math.pi * (np.asarray(w, dtype=complex) - z) / geom.L
-    if np.any(lattice_distance(u, nome) < 1e-9):
+    if _on_lattice(u, nome):
         raise SingularSeparation("w - z lies on the period lattice")
     tp, t4 = _theta_constants(geom)
     return math.pi * tp / (geom.L * t4) * theta4(u, nome) / theta1(u, nome)
@@ -279,12 +281,10 @@ def xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     """Closed-form grand partition function; equals theta4(0;q)^2 at zeta = 0.
     A value that overflows a double raises PrecisionUnreachable; its log is
     ``log_xi2_closed``."""
+    log_xi = log_xi2_closed(zeta, geom, n_max)
     if zeta == 0.0:
-        if n_max < 1:
-            raise TruncationInsufficient("need at least one mode pair")
         _, q4 = _theta_constants(geom)
         return q4 * q4
-    log_xi = log_xi2_closed(zeta, geom, n_max)
     if log_xi > _LOG_MAX:
         raise PrecisionUnreachable(f"Xi = e^{log_xi:.1f} overflows a double; see log_xi2_closed")
     return math.exp(log_xi)
@@ -343,6 +343,18 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     return float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))
 
 
+def _least_squares(columns, values) -> tuple[list[float], float]:
+    """Least-squares coefficients of the design matrix with these columns
+    against ``values``, and the largest absolute residual of the fit; a
+    rank-deficient design raises FitIllConditioned."""
+    design = np.column_stack(columns)
+    values = np.asarray(values, dtype=float)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < design.shape[1]:
+        raise FitIllConditioned("ladder design matrix is rank deficient")
+    return coeffs.tolist(), float(np.max(np.abs(design @ coeffs - values)))
+
+
 @dataclass(frozen=True)
 class PressureFit:
     """Coefficients of a + b L + c / L fitted to the regularized mode sum."""
@@ -360,15 +372,9 @@ def fit_pressure(zeta: float, Ls, cutoff_density: int) -> PressureFit:
     alias into the 1/L coefficient.
     """
     Ls = np.asarray(Ls, dtype=float)
-    vals = np.array(
-        [pressure_sum(zeta, L, int(round(cutoff_density * L))) for L in Ls]
-    )
-    design = np.column_stack([np.ones_like(Ls), Ls, 1.0 / Ls])
-    coeffs, res, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
-    if rank < 3:
-        raise FitIllConditioned("pressure ladder design matrix is rank deficient")
-    resid = float(np.max(np.abs(design @ coeffs - vals)))
-    return PressureFit(a=float(coeffs[0]), b=float(coeffs[1]), c=float(coeffs[2]), residual=resid)
+    vals = [pressure_sum(zeta, L, int(round(cutoff_density * L))) for L in Ls]
+    (a, b, c), resid = _least_squares([np.ones_like(Ls), Ls, 1.0 / Ls], vals)
+    return PressureFit(a=a, b=b, c=c, residual=resid)
 
 
 @dataclass(frozen=True)
@@ -388,21 +394,18 @@ class GrandPotentialBreakdown:
     o1_resolved: float
     o1_printed: float
     zeta: float
-    cutoff_density: int
     fit_residual: float
 
 
-def log_xi2_asymptotic(
-    zeta: float, geom: TorusGeometry, cutoff_density: int
-) -> GrandPotentialBreakdown:
+def log_xi2_asymptotic(zeta: float, geom: TorusGeometry) -> GrandPotentialBreakdown:
     """Ladder fit of -log Xi = b * area + c at fixed aspect ratio and zeta.
 
     The rungs scale the torus by 1, 1.5, ..., 3 from a base of L = max(L, 4)
     at the aspect W/L of ``geom``, so the smallest rung has L >= 4. The mode
-    cutoff is Lambda * L per rung (integer); the fitted constant c is the
-    O(1) finite-size term. It is zeta independent for zeta > 0 and matches
-    -2 log eta_q(e^{-pi W/L}); at zeta = 0 every rung is -2 log theta4(0), so
-    zeta <= 0 is refused.
+    cutoff is Lambda * L per rung (integer), Lambda = _LADDER_CUTOFF_DENSITY;
+    the fitted constant c is the O(1) finite-size term. It is zeta independent
+    for zeta > 0 and matches -2 log eta_q(e^{-pi W/L}); at zeta = 0 every rung
+    is -2 log theta4(0), so zeta <= 0 is refused.
     """
     if not zeta > 0:
         raise ParameterOutOfRange(f"the ladder needs zeta > 0, got {zeta}")
@@ -410,18 +413,11 @@ def log_xi2_asymptotic(
     areas, vals = [], []
     for s in (1.0, 1.5, 2.0, 2.5, 3.0):
         L, W = L0 * s, W0 * s
-        n_max = int(round(cutoff_density * L))
+        n_max = int(round(_LADDER_CUTOFF_DENSITY * L))
         g = TorusGeometry(L, W, 1)
         vals.append(-log_xi2_closed(zeta, g, n_max))
         areas.append(L * W)
-    areas = np.asarray(areas)
-    vals = np.asarray(vals)
-    design = np.column_stack([areas, np.ones_like(areas)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
-    if rank < 2:
-        raise FitIllConditioned("ladder design matrix is rank deficient")
-    resid = float(np.max(np.abs(design @ coeffs - vals)))
-    b, c = float(coeffs[0]), float(coeffs[1])
+    (b, c), resid = _least_squares([areas, np.ones(len(areas))], vals)
     eta = eta_q(geom.nome_WL)
     return GrandPotentialBreakdown(
         bulk=b * geom.area,
@@ -430,6 +426,5 @@ def log_xi2_asymptotic(
         o1_resolved=-2.0 * math.log(eta),
         o1_printed=2.0 * math.log(eta),
         zeta=zeta,
-        cutoff_density=cutoff_density,
         fit_residual=resid,
     )

@@ -17,17 +17,22 @@ import math
 import numpy as np
 
 from .errors import CoincidentPoints, PrecisionUnreachable
-from .geometry import ParticleConfig, TorusGeometry
-from .theta import _theta1_abs2, lattice_distance, log_abs_theta1, theta1_prime0
-
-_COINCIDENT_TOL = 1e-9
+from .geometry import ParticleConfig, TorusGeometry, _pairs
+from .theta import _on_lattice, _theta1_abs2, log_abs_theta1, theta1_prime0
 
 
 def _pair_log_theta(z, zp, geom: TorusGeometry):
     u = np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L
-    if np.any(lattice_distance(u, geom.nome_WL) < _COINCIDENT_TOL):
+    if _on_lattice(u, geom.nome_WL):
         raise CoincidentPoints("z - z' lies on the period lattice")
     return log_abs_theta1(u, geom.nome_WL)
+
+
+def _log_prefactor(N: int, geom: TorusGeometry) -> float:
+    """The Gamma = 2 prefactor of the N-particle plasma weight,
+    N log(pi theta1'(0)/L) - (N^2/3) log(theta1'(0)/2) at q = exp(-pi W/L)."""
+    tp = theta1_prime0(geom.nome_WL).real
+    return N * math.log(math.pi * tp / geom.L) - (N * N / 3.0) * math.log(tp / 2.0)
 
 
 def phi_quasi(z, zp, geom: TorusGeometry):
@@ -76,14 +81,12 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     """
     geom.check_distinct(config.zs)
     N = len(config)
-    tp = theta1_prime0(geom.nome_WL).real
-    val = N * Gamma / 2.0 * math.log(math.pi * tp / geom.L)
-    val -= Gamma * N * N / 6.0 * math.log(tp / 2.0)
+    val = Gamma / 2.0 * _log_prefactor(N, geom)
     val -= math.pi * geom.rho * Gamma * float(np.sum((config.ys - geom.W / 2.0) ** 2))
-    if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
-        diffs = config.zs[ju] - config.zs[iu]
-        val += Gamma * float(np.sum(_pair_log_theta(diffs, 0.0, geom)))
+    if N > 1:   # pairs tested once, by check_distinct
+        iu, ju = _pairs(N)
+        u = np.pi * (config.zs[ju] - config.zs[iu]) / geom.L
+        val += Gamma * float(np.sum(log_abs_theta1(u, geom.nome_WL)))
     return val
 
 
@@ -121,7 +124,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
 
     u1 = 0.0
     if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
+        iu, ju = _pairs(N)
         diffs = config.zs[ju] - config.zs[iu]
         u1 = float(np.sum(-(math.log(L / (math.pi * tp)) + _pair_log_theta(diffs, 0.0, geom))))
 

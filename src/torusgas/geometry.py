@@ -12,10 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoincidentPoints, DimensionMismatch, ParameterOutOfRange
-from .theta import Nome, lattice_distance
+from .theta import Nome, _on_lattice
 
 # A closed form reads a geometry's nome many times: build and validate it once.
 _nome = functools.lru_cache(maxsize=64)(Nome.from_aspect)
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(N: int):
+    """Read-only (iu, ju) index arrays of the pairs j < k of N points, j major."""
+    iu, ju = np.triu_indices(N, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 @dataclass(frozen=True)
@@ -59,14 +68,13 @@ class TorusGeometry:
         return x + 1j * y
 
     def check_distinct(self, zs) -> None:
-        """Raise CoincidentPoints if any pair coincides modulo the lattice."""
+        """Raise CoincidentPoints if any pair coincides modulo the lattice: some
+        theta1 argument pi (z_k - z_j)/L, j < k, is on it (``theta._on_lattice``)."""
         zs = np.asarray(zs, dtype=complex)
         if len(zs) < 2:
             return
-        diffs = np.pi * (zs[:, None] - zs[None, :]) / self.L
-        dist = lattice_distance(diffs, self.nome_WL)
-        np.fill_diagonal(dist, np.inf)
-        if np.any(dist < 1e-9):
+        iu, ju = _pairs(len(zs))
+        if _on_lattice(np.pi * (zs[ju] - zs[iu]) / self.L, self.nome_WL):
             raise CoincidentPoints("two coordinates coincide modulo the lattice")
 
 

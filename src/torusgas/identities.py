@@ -18,14 +18,14 @@ drawing one set after another would.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, PrecisionUnreachable, SingularConfiguration
-from .theta import Nome, f_N, lattice_distance, theta1, theta3, theta4
+from .geometry import _pairs
+from .theta import Nome, _on_lattice, f_N, lattice_distance, theta1, theta3, theta4
 
 _TINY = 1e-300
 
@@ -61,15 +61,6 @@ class IdentityResidual:
         an absolute test against 1e-12 * scale for cancellation-limited ones."""
         cancelled = self.abs_residual < 1e-12 * np.maximum(self.scale, 1.0)
         return np.where(self.near_zero, cancelled, self.rel_residual < rel_tol)[()]  # 0-d: a bool
-
-
-@functools.lru_cache(maxsize=64)
-def _pairs(N: int):
-    """Read-only (iu, ju) index arrays of the pairs j < k of N points."""
-    iu, ju = np.triu_indices(N, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
 
 
 def _finite_sides(what: str, *sides):
@@ -122,7 +113,7 @@ def _frobenius_sides(Ws, Zs, alpha, nome):
     nome = Nome.coerce(nome)
     D, N = Ws.shape
     sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
-    if np.any(lattice_distance(sep, nome) < 1e-9):
+    if _on_lattice(sep, nome):
         raise SingularConfiguration("some w_j - z_k lies on the lattice")
 
     iu, ju = _pairs(N)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
-from .identities import _finite_sides, _pairs
+from .geometry import _pairs
+from .identities import _finite_sides
 from .theta import Nome, f_N, theta1, theta3
 
 _FLUX_TOL = 1e-12

@@ -31,7 +31,6 @@ on the calling thread (see ``_lattice_sum``).
 from __future__ import annotations
 
 import contextvars
-import functools
 import itertools
 import math
 import os
@@ -46,8 +45,9 @@ from .errors import (
     QuadratureNonConvergence,
     SeedRequired,
 )
+from .electrostatics import _log_prefactor
 from .geometry import TorusGeometry
-from .theta import Nome, _q2_product, _theta1_abs2, eta_q, f_N, theta1_prime0
+from .theta import _TINY, Nome, _q2_product, _theta1_abs2, eta_q, f_N
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,10 @@ class PartitionCheck:
 
 
 def _log_middle(N: int, geom: TorusGeometry) -> float:
-    nome = geom.nome_WL
-    tp = theta1_prime0(nome).real
     rho = N / geom.area
-    val = N * math.log(math.pi * tp / geom.L)
-    val -= (N * N / 3.0) * math.log(tp / 2.0)
+    val = _log_prefactor(N, geom)
     val += N * math.log(geom.L * N) - (N / 2.0) * math.log(2.0 * rho)
-    val -= 2.0 * math.log(f_N(N, nome))
+    val -= 2.0 * math.log(f_N(N, geom.nome_WL))
     return val
 
 
@@ -201,9 +198,6 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
         * (geom.L * N / math.sqrt(2.0 * rho)) ** N
         * f_N(N, geom.nome_WL) ** -2
     )
-
-
-_TINY = np.finfo(float).tiny   # below it an exponential loses bits or reads 0
 
 
 def _integrand(gaussian, factors) -> np.ndarray:
@@ -357,10 +351,9 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     an index is a sum of one term per grid axis: an outer sum over the leading
     axes plus a pattern over the trailing axes, which hold at most _MC_BLOCK
     points (or one axis), so the grid is summed in blocks of whole patterns.
-    For N = 1 the centre-of-mass table is the grid itself. The blocks run on
-    the calling thread: they only gather from the built tables, and spread
-    over a thread pool they made ``partition-integrals`` slower (median
-    2.3 ms to 2.4-2.5 ms on a 2-CPU Xeon).
+    The blocks run on the calling thread: they only gather from the built
+    tables, and spread over a thread pool they made ``partition-integrals``
+    slower (median 2.3 ms to 2.4-2.5 ms on a 2-CPU Xeon).
     """
     N, L, W, nome = geom.N, geom.L, geom.W, geom.nome_WL
     ix, iy = np.arange(nx), np.arange(ny)
@@ -369,11 +362,9 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     com = _table(math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
-    if N == 1:   # the arguments and Gaussian of _integrand_batch, bit for bit
-        return float(np.sum(_integrand(gauss, lambda: [(com[0].copy(), com[1])])))
-
     diffs = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
-    pair = _table(math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
+    if N > 1:   # one pair table; at N = 1 it would be built and never read
+        pair = _table(math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
     # (table, the index's constant, its term per grid axis), centre of mass first
     indices = [(com, 0, [len(sums[1]) * ix] * N + [iy] * N)]
     for j in range(N):

@@ -178,13 +178,6 @@ def _shift_exponent(u_red, n, tau):
     return -1j * math.pi * tau * n * n - 2j * n * u_red
 
 
-def _as_output(values, scalar_input):
-    values = np.asarray(values)
-    if scalar_input:
-        return complex(values)
-    return values
-
-
 def _terms(tau: complex) -> dict:
     """(frequencies, coefficients) by theta index, q-powers on the tau branch:
     theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4
@@ -440,12 +433,11 @@ def theta1_product(z, nome):
     """
     nome = Nome.coerce(nome)
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
     u, m, n = _reduce(z_arr, nome.tau)
     vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * _product(u, nome, 0)
     sign = (-1.0) ** (m + n)
     vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
-    return _as_output(vals, scalar)
+    return complex(vals) if z_arr.ndim == 0 else vals
 
 
 def theta4_product(u, nome):
@@ -455,11 +447,10 @@ def theta4_product(u, nome):
     """
     nome = Nome.coerce(nome)
     u_arr = np.asarray(u, dtype=complex)
-    scalar = u_arr.ndim == 0
     ur, _, n = _reduce(u_arr, nome.tau)
     sign = (-1.0) ** n
     vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * _product(ur, nome, 1)
-    return _as_output(vals, scalar)
+    return complex(vals) if u_arr.ndim == 0 else vals
 
 
 def lattice_distance(z, nome):
@@ -471,6 +462,12 @@ def lattice_distance(z, nome):
     nome = Nome.coerce(nome)
     u_red, _, _ = _reduce(np.asarray(z, dtype=complex), nome.tau)
     return np.abs(u_red)
+
+
+def _on_lattice(z, nome: Nome) -> bool:
+    """True when some argument lies within 1e-9 of pi*Z + pi*tau*Z, the zeros of
+    theta1: the coincidence test of every pair potential, kernel and identity."""
+    return bool(np.any(lattice_distance(z, nome) < 1e-9))
 
 
 @functools.lru_cache(maxsize=256)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coulombgas import log_xi2_asymptotic
+from .coulombgas import _least_squares, log_xi2_asymptotic
 from .geometry import TorusGeometry
 from .plasma import free_energy
 from .theta import eta_q
@@ -84,7 +84,7 @@ def casimir_report(
 
     fitted = {}
     if run_ladders:
-        br = log_xi2_asymptotic(zeta, geom, 8)
+        br = log_xi2_asymptotic(zeta, geom)
         fitted["tcg_ladder_remainder"] = br.o1_fitted
         fitted["tcg_ladder_vs_resolved"] = br.o1_fitted - resolved
         fitted["ocp_ladder_remainder"] = _ocp_ladder_remainder(geom)
@@ -105,12 +105,10 @@ def casimir_report(
 def _ocp_ladder_remainder(geom: TorusGeometry) -> float:
     """Intercept of beta*F(N) over an N ladder at unit density and the given
     aspect ratio; the bulk term is linear in N so the fit is exact."""
-    totals, ns = [], []
-    for N in (2, 3, 4, 5, 6, 8):
+    ns = (2, 3, 4, 5, 6, 8)
+    totals = []
+    for N in ns:
         L = math.sqrt(N * geom.L / geom.W)
-        g = TorusGeometry(L, N / L, N)
-        totals.append(free_energy(N, g).total)
-        ns.append(float(N))
-    design = np.column_stack([ns, np.ones(len(ns))])
-    coeffs, _, _, _ = np.linalg.lstsq(design, np.asarray(totals), rcond=None)
-    return float(coeffs[1])
+        totals.append(free_energy(N, TorusGeometry(L, N / L, N)).total)
+    (_, intercept), _ = _least_squares([ns, np.ones(len(ns))], totals)
+    return intercept

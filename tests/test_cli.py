@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -33,14 +34,6 @@ class TestTheta:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert abs(payload["theta3"]["im"]) < 1e-12
-
-    def test_zero_nome_is_usage_error(self):
-        res = runner.invoke(main, ["theta", "--q", "0", "--z", "0.5"])
-        assert res.exit_code == 2
-
-    def test_overlarge_nome_is_usage_error(self):
-        res = runner.invoke(main, ["theta", "--q", "0.99"])
-        assert res.exit_code == 2
 
 
 class TestGreens:
@@ -115,6 +108,12 @@ class TestVerifyIdentities:
     def test_seed_required(self):
         res = runner.invoke(main, ["verify-identities", "--n", "2", "--draws", "2"])
         assert res.exit_code == 2
+
+    def test_negative_nome_is_a_skewed_torus(self):
+        """q = -0.3 is the nome of tau = 1 + 0.383i, which theta accepts: the
+        identities hold there too."""
+        args = ["verify-identities", "--n", "3", "--draws", "4", "--seed", "1", "--q", "-0.3"]
+        assert runner.invoke(main, args).exit_code == 0
 
     def test_unreachable_tolerance_exits_one(self, monkeypatch):
         """Negative control: the rows pass by the gate's IDENTITY_MAX_REL, and
@@ -310,6 +309,16 @@ class TestSelftest:
         assert all(line.startswith("PASS ") for line in lines[:-1])
         assert lines[-1] == "9/9 criteria passed"
 
+    def test_failed_criterion_exits_one(self, monkeypatch):
+        """Negative control: with the identity tolerance tightened to 1e-18
+        that criterion fails, and the gate exits 1."""
+        monkeypatch.setattr(selftest, "IDENTITY_MAX_REL", 1e-18)
+        res = runner.invoke(main, ["selftest"])
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert lines[0].startswith("FAIL identity-suite")
+        assert lines[-1] == "8/9 criteria passed"
+
 
 class TestJson:
     def test_complex_is_re_im(self):
@@ -407,20 +416,32 @@ class TestEntryPoint:
              PrecisionUnreachable),
             (["ocp", "--N", "6", "--W", "300"], PrecisionUnreachable),
             (["casimir", "--L", "1", "--W", "3000"], PrecisionUnreachable),
+            (["theta", "--q", "0", "--z", "0.5"], NomeOutOfRange),
+            (["theta", "--q", "0.99"], NomeOutOfRange),
+            (["theta", "--q", "-0.3"], NomeOutOfRange),
+            (["verify-identities", "--seed", "1", "--q", "0.97", "--n", "2"], NomeOutOfRange),
+            (["theta", "--q", "0.3", "--z", "1+"], click.UsageError),
         ],
         ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
              "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow",
-             "ocp-strip-overflow", "ocp-f_N-overflow", "casimir-eta-underflow"],
+             "ocp-strip-overflow", "ocp-f_N-overflow", "casimir-eta-underflow",
+             "theta-zero-nome", "theta-overlarge-nome", "theta-complex-nome-eta",
+             "verify-identities-overlarge-nome", "theta-bad-z"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input, or a value out of double range, ends in a named
-        error, which ``run`` maps to exit 2 (a raw ValueError would exit 1)."""
-        assert isinstance(runner.invoke(main, args).exception, error)
+        error, which ``run`` maps to exit 2 (a raw ValueError would exit 1);
+        a malformed option is click's usage error, also exit 2."""
+        assert isinstance(runner.invoke(main, args, standalone_mode=False).exception, error)
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])
         with pytest.raises(SystemExit) as info:
             run()
         assert info.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        if error is click.UsageError:
+            assert err.startswith("Usage: ") and "\nError: " in err
+        else:
+            assert err.startswith("error: ")
 
     @staticmethod
     def _loaded_after(imports: str, package: str) -> list[str]:

@@ -18,6 +18,7 @@ from torusgas.coulombgas import (
     log_xi2_asymptotic,
     log_xi2_closed,
     mode_logdet,
+    mode_logdet_extrapolated,
     mode_matrix,
     mode_oracle,
     oracle_leading_magnitudes,
@@ -26,12 +27,14 @@ from torusgas.coulombgas import (
     xi2_closed,
 )
 from torusgas.errors import (
+    FitIllConditioned,
     GridTooCoarse,
     JumpPoint,
     ParameterOutOfRange,
     PrecisionUnreachable,
     SingularSeparation,
     TorusGasError,
+    TruncationInsufficient,
 )
 from torusgas.geometry import TorusGeometry
 from torusgas.theta import eta_q, theta1, theta4
@@ -91,6 +94,14 @@ class TestFourierCoefficients:
     def test_jump_point_raises(self):
         with pytest.raises(JumpPoint):
             g_fourier(0, 0.0, GEOM)
+
+    def test_array_input_matches_scalar_calls(self):
+        """An array of y gives the per-point scalar values, y = 0 the jump midpoint."""
+        ys = np.array([-0.7, -1e-12, 0.3, 0.95])
+        for n in (0, 2, -3):
+            got = g_fourier(n, ys, GEOM)
+            assert got.shape == ys.shape
+            assert np.array_equal(got, [g_fourier(n, y, GEOM) for y in ys])
 
     def test_exponential_decay_in_mode(self):
         y = 0.3
@@ -340,21 +351,31 @@ class TestGrandPartition:
 
 class TestNamedErrors:
     @pytest.mark.parametrize(
-        "call",
+        "call, error",
         [
-            lambda: eigen_roots(0, GEOM, -1),
-            lambda: log_xi2_closed(-0.1, GEOM, 8),
-            lambda: pressure_sum(1.0, 4.0, 0),
-            lambda: log_xi2_asymptotic(0.0, GEOM, 8),
+            (lambda: eigen_roots(0, GEOM, -1), ParameterOutOfRange),
+            (lambda: log_xi2_closed(-0.1, GEOM, 8), ParameterOutOfRange),
+            (lambda: pressure_sum(1.0, 4.0, 0), ParameterOutOfRange),
+            (lambda: log_xi2_asymptotic(0.0, GEOM), ParameterOutOfRange),
+            (lambda: g_fourier(0, 1.0, GEOM), JumpPoint),
+            (lambda: kernel_from_fourier(0.3, 0.1, GEOM), JumpPoint),
+            (lambda: mode_matrix(0, GEOM, 8), GridTooCoarse),
+            (lambda: mode_logdet_extrapolated(0, GEOM, 33, 0.5), GridTooCoarse),
+            (lambda: log_xi2_closed(0.5, GEOM, 0), TruncationInsufficient),
+            (lambda: xi2_closed(0.0, GEOM, 0), TruncationInsufficient),
+            (lambda: fit_pressure(1.0, [4.0, 4.0, 4.0], 40), FitIllConditioned),
         ],
         ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff",
-             "log_xi2_asymptotic-zeta"],
+             "log_xi2_asymptotic-zeta", "g_fourier-outside-period", "kernel_from_fourier-jump",
+             "mode_matrix-grid", "mode_logdet_extrapolated-odd-grid", "log_xi2_closed-n_max",
+             "xi2_closed-n_max", "fit_pressure-rank-one"],
     )
-    def test_out_of_range_argument(self, call):
-        with pytest.raises(ParameterOutOfRange) as info:
+    def test_out_of_range_argument(self, call, error):
+        with pytest.raises(error) as info:
             call()
         assert isinstance(info.value, TorusGasError)
-        assert isinstance(info.value, ValueError)
+        if error is ParameterOutOfRange:
+            assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize(
         "call",
@@ -403,12 +424,12 @@ class TestPressure:
 class TestFiniteSizeLadder:
     def test_square_remainder(self):
         g = TorusGeometry(4.0, 4.0, 1)
-        br = log_xi2_asymptotic(0.5, g, cutoff_density=8)
+        br = log_xi2_asymptotic(0.5, g)
         assert abs(br.o1_fitted - br.o1_resolved) < 0.02 * abs(br.o1_resolved)
 
     def test_aspect_two_remainder(self):
         g = TorusGeometry(4.0, 8.0, 1)
-        br = log_xi2_asymptotic(0.5, g, cutoff_density=8)
+        br = log_xi2_asymptotic(0.5, g)
         expected = -2.0 * math.log(eta_q(math.exp(-2 * math.pi)))
         assert abs(br.o1_resolved - expected) < 1e-14
         assert abs(br.o1_fitted - expected) < 0.02 * abs(expected)
@@ -418,14 +439,14 @@ class TestFiniteSizeLadder:
         """Below L = 4 the ladder scales its base to L = 4 at the same aspect,
         so it fits the rungs of the (4, 4 W/L) torus; the O(1) term and the
         bulk are read at the torus given."""
-        small = log_xi2_asymptotic(0.5, TorusGeometry(L, W, 1), cutoff_density=8)
-        base = log_xi2_asymptotic(0.5, TorusGeometry(4.0, 4.0 * W / L, 1), cutoff_density=8)
+        small = log_xi2_asymptotic(0.5, TorusGeometry(L, W, 1))
+        base = log_xi2_asymptotic(0.5, TorusGeometry(4.0, 4.0 * W / L, 1))
         assert small.o1_fitted == base.o1_fitted
         assert small.bulk_per_area == base.bulk_per_area
         assert small.bulk == base.bulk_per_area * L * W
 
     def test_zeta_independence(self):
         g = TorusGeometry(4.0, 4.0, 1)
-        a = log_xi2_asymptotic(0.3, g, cutoff_density=8)
-        b = log_xi2_asymptotic(0.6, g, cutoff_density=8)
+        a = log_xi2_asymptotic(0.3, g)
+        b = log_xi2_asymptotic(0.6, g)
         assert abs(a.o1_fitted - b.o1_fitted) < 0.02 * abs(a.o1_resolved)

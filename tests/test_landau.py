@@ -9,13 +9,16 @@ import pytest
 from torusgas import landau, selftest
 from torusgas.electrostatics import nbody_weight, ocp_log_boltzmann
 from torusgas.errors import (
+    CoincidentPoints,
     DegenerateGeometry,
     DimensionMismatch,
     FluxMismatch,
     ParameterOutOfRange,
     PrecisionUnreachable,
+    TorusGasError,
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
+from torusgas.identities import fourier_det_constant, frobenius_residual
 from torusgas.landau import (
     MagneticSetup,
     factored_state,
@@ -25,6 +28,7 @@ from torusgas.landau import (
     psi_lll,
     slater_state,
 )
+from torusgas.plasma import zn_closed
 from torusgas.selftest import check_wavefunction_factorization, factorization_spread
 from torusgas.theta import Nome, theta3
 
@@ -49,21 +53,38 @@ class TestFluxConstraint:
 
 class TestNamedErrors:
     @pytest.mark.parametrize(
-        "call",
+        "call, error",
         [
-            lambda: TorusGeometry(-1.0, 1.0, 1),
-            lambda: TorusGeometry(1.0, 1.0, 0),
-            lambda: MagneticSetup(l=0.25, L=1.0, W1=0.0, W2=1.0, N=0),
-            lambda: MagneticSetup(l=-0.25, L=1.0, W1=0.0, W2=1.0, N=3),
-            lambda: flux_constraint(0, 0.25, 1.0),
+            (lambda: TorusGeometry(-1.0, 1.0, 1), ParameterOutOfRange),
+            (lambda: TorusGeometry(1.0, 1.0, 0), ParameterOutOfRange),
+            (lambda: MagneticSetup(l=0.25, L=1.0, W1=0.0, W2=1.0, N=0), ParameterOutOfRange),
+            (lambda: MagneticSetup(l=-0.25, L=1.0, W1=0.0, W2=1.0, N=3), ParameterOutOfRange),
+            (lambda: flux_constraint(0, 0.25, 1.0), ParameterOutOfRange),
+            (lambda: ocp_log_boltzmann(*_one_period_apart()), CoincidentPoints),
+            (lambda: ParticleConfig.from_raw([0.1, 0.2], TorusGeometry(1.0, 1.0, 3)),
+             DimensionMismatch),
+            (lambda: frobenius_residual([0.1, 0.2], [0.3], 0.1, 0.3), DimensionMismatch),
+            (lambda: fourier_det_constant(0), DimensionMismatch),
+            (lambda: psi_lll(3, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3)), DimensionMismatch),
+            (lambda: zn_closed(0, TorusGeometry(1.0, 1.0, 1)), DimensionMismatch),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
-             "flux_constraint-N"],
+             "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
+             "frobenius_residual-shapes", "fourier_det_constant-N", "psi_lll-m",
+             "zn_closed-N"],
     )
-    def test_out_of_range_argument(self, call):
-        with pytest.raises(ParameterOutOfRange) as info:
+    def test_out_of_range_argument(self, call, error):
+        with pytest.raises(error) as info:
             call()
-        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, TorusGasError)
+        if error is ParameterOutOfRange:
+            assert isinstance(info.value, ValueError)
+
+
+def _one_period_apart():
+    """Two points one period L apart, with their geometry: (config, Gamma, geometry)."""
+    g = TorusGeometry(1.0, 1.0, 2)
+    return ParticleConfig.from_raw([0.3 + 0.2j, 1.3 + 0.2j], g), 2.0, g
 
 
 class TestGauge:

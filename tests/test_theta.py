@@ -10,8 +10,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
-from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
+from torusgas.coulombgas import kernel_K
+from torusgas.electrostatics import phi_quasi
+from torusgas.errors import (
+    CoincidentPoints,
+    NomeOutOfRange,
+    ParameterOutOfRange,
+    PrecisionUnreachable,
+    SingularConfiguration,
+    SingularSeparation,
+)
 from torusgas.geometry import TorusGeometry
+from torusgas.identities import frobenius_residual
 from torusgas.landau import MagneticSetup
 from torusgas.theta import (
     Nome,
@@ -457,11 +467,13 @@ class TestSeriesKernel:
             for pts in _strip_points(wl):
                 zs = [mp.mpc(z.real, z.imag) for z in pts]
                 for kind, theta in KINDS:
-                    ref = np.array([complex(mp.jtheta(kind, z, q)) for z in zs])
+                    exact = [mp.jtheta(kind, z, q) for z in zs]
+                    ref = np.array([complex(v) for v in exact])
                     assert _rel(theta(pts, nome), ref) <= 1e-13, (kind, wl)
-                ref = np.array([float(mp.log(abs(mp.jtheta(1, z, q)))) for z in zs])
+                    if kind == 1:   # log|theta1| from the same 60-digit values
+                        log_ref = np.array([float(mp.log(abs(v))) for v in exact])
                 got = log_abs_theta1(pts, nome)
-                assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-13
+                assert np.max(np.abs(got - log_ref) / np.maximum(np.abs(log_ref), 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("wl", ASPECTS)
     def test_against_trig_sum(self, wl):
@@ -720,6 +732,32 @@ class TestGeometryNome:
         assert g.nome_WL is TorusGeometry(1.3, 0.7, 5).nome_WL
         assert g.nome_WL == Nome.from_aspect(0.7, 1.3)
         assert g.nome_LW == Nome.from_aspect(1.3, 0.7)
+
+
+# L = W = pi: the theta1 argument pi (z - z')/L is z - z' itself, at tau = i.
+_PI_TORUS = TorusGeometry(math.pi, math.pi, 2)
+_Z0 = 0.4 + 0.3j
+
+
+class TestOnLattice:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda d: _PI_TORUS.check_distinct([_Z0, _Z0 + d]) or 0.0, CoincidentPoints),
+            (lambda d: phi_quasi(_Z0 + d, _Z0, _PI_TORUS), CoincidentPoints),
+            (lambda d: kernel_K(_Z0 + d, _Z0, _PI_TORUS), SingularSeparation),
+            (lambda d: frobenius_residual([_Z0 + d], [_Z0], 0.1 + 0.05j, _PI_TORUS.nome_WL).lhs,
+             SingularConfiguration),
+        ],
+        ids=["check_distinct", "phi_quasi", "kernel_K", "frobenius_residual"],
+    )
+    def test_one_threshold(self, call, error):
+        """Every coincidence test refuses a theta1 argument 0.5e-9 from the
+        lattice point pi + pi tau and answers at 2e-9."""
+        lattice_point, direction = math.pi + 1j * math.pi, cmath.exp(0.7j)
+        with pytest.raises(error):
+            call(lattice_point + 0.5e-9 * direction)
+        assert np.isfinite(call(lattice_point + 2e-9 * direction))
 
 
 class TestReduceScalar:
