@@ -167,15 +167,20 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     return ModeSpectrum(n=n, mu=mu, roots=roots, lambdas=lambdas, W=geom.W)
 
 
+def _grid_step(geom: TorusGeometry, M: int) -> float:
+    """Step W/M of the M-point mode grid; GridTooCoarse below 16 points."""
+    if M < 16:
+        raise GridTooCoarse("need at least 16 grid points")
+    return geom.W / M
+
+
 def _mode_block(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     """Block A of the discretized coupled equations for mode n on the midpoint
     grid y_i = (i+1/2) W/M: the a-equation couples to b through g_n(y'-y) and
     the b-equation back through g_n(y-y'), so the operator is [[0, A], [A^T, 0]]
     with A_ij = (pi theta1'/theta4) h g_n(y_i - y_j). The theta constants
     cancel against those of g_n: A_ij = 2 pi i h _g_branches(y_i - y_j)."""
-    if M < 16:
-        raise GridTooCoarse("need at least 16 grid points")
-    h = geom.W / M
+    h = _grid_step(geom, M)
     ys = (np.arange(M) + 0.5) * h
     diff = ys[:, None] - ys[None, :]
     return 2j * math.pi * h * _g_branches(n, diff.ravel(), geom).reshape(M, M)
@@ -195,9 +200,7 @@ def _mode_fft_magnitudes(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     """|FFT| of the first column of the circulant B, B_i0 = 2 pi h
     _g_branches(i h) (the jump midpoint at i = 0), in FFT order; no theta
     constant enters."""
-    if M < 16:
-        raise GridTooCoarse("need at least 16 grid points")
-    h = geom.W / M
+    h = _grid_step(geom, M)
     column = 2.0 * math.pi * h * _g_branches(n, np.arange(M) * h, geom)
     return np.abs(np.fft.fft(column))
 

@@ -4,16 +4,11 @@ Three families are covered: the theta-Vandermonde factorizations of N x N theta
 determinants, the Frobenius determinant identity for theta4/theta1 kernels, and
 the Fourier determinants with their closed-form constants. Each check returns
 an :class:`IdentityResidual` rather than a bare bool so callers can log and
-threshold however they need. The two theta identities are evaluated on
-stacks of D configurations, shape (D, N), with one theta call per kind and one
-stacked determinant per stack, and one :class:`IdentityResidual` holds the
-whole stack; the public residual functions are the D = 1 case, with scalar
-fields. ``identity_draws`` drives the gate's loop: all draws of one size are
-one stack.
-
-The random draws are stacked the same way: ``_draw_points`` and
-``_draw_pairs`` draw rounds of attempts and read the generator exactly as
-drawing one set after another would.
+threshold however they need. The two theta identities take one configuration
+(N,), with scalar fields, or a (D, N) stack, with one theta call per kind and
+one stacked determinant. ``identity_draws`` drives the gate's loop: per size,
+one ``_draw``, which redraws only the rows that put a theta1 argument of the
+identity within 1e-3 of the lattice, and one stack.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PrecisionUnreachable, SingularConfiguration
+from .errors import DimensionMismatch, NomeOutOfRange, PrecisionUnreachable, SingularConfiguration
 from .geometry import _pairs
 from .theta import Nome, _on_lattice, f_N, lattice_distance, theta1, theta3, theta4
 
@@ -71,24 +66,20 @@ def _finite_sides(what: str, *sides):
     return sides
 
 
-def _vandermonde_sides(X, alpha, nome):
-    """(lhs, rhs, scale) of the theta-Vandermonde identity at each row of the
-    (D, N) stack X: one theta call per kind over the whole stack, one
-    stacked determinant."""
-    nome = Nome.coerce(nome)
-    N = X.shape[1]
-    column, head = (theta3, theta3) if N % 2 == 1 else (theta1, theta4)
-    args = math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N)
-    mat = column(args, nome.root(N))
-    iu, ju = _pairs(N)
-    rhs = head(math.pi * np.sum(X + alpha, axis=1), nome) * f_N(N, nome)
-    rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome), axis=1)
-    scale = np.prod(np.max(np.abs(mat), axis=2), axis=1)
-    lhs, rhs = _finite_sides("theta-Vandermonde identity", np.linalg.det(mat), rhs)
-    return lhs, rhs, scale
+def _stack(points):
+    """points as a (D, N) stack, and whether they were one configuration (N,)."""
+    X = np.asarray(points, dtype=complex)
+    if X.ndim not in (1, 2):
+        raise DimensionMismatch(f"points of shape {X.shape}: need (N,) or (D, N)")
+    return np.atleast_2d(X), X.ndim == 1
 
 
-def theta_vandermonde_residual(xs, alpha: complex, nome, N: int | None = None) -> IdentityResidual:
+def _result(one: bool, *sides) -> IdentityResidual:
+    """The IdentityResidual of a stack's sides, or of its one row if ``one``."""
+    return IdentityResidual.from_sides(*((side[0] for side in sides) if one else sides))
+
+
+def theta_vandermonde_residual(xs, alpha: complex, nome) -> IdentityResidual:
     """Determinant of theta3/theta1 columns against its factorized form.
 
     lhs: det[ theta_s(pi*(x_j + alpha - l/N); q^(1/N)) ], s = 3 for N odd and
@@ -96,20 +87,42 @@ def theta_vandermonde_residual(xs, alpha: complex, nome, N: int | None = None) -
     rhs: theta_{3|4}(pi*sum(x_j + alpha); q) * f_N(q) * prod_{j<k}
     theta1(pi*(x_k - x_j); q), with theta3 on the right for N odd and theta4
     for N even.
+
+    ``xs`` is one configuration (N,), giving scalar fields, or a (D, N) stack.
     """
-    xs = np.asarray(xs, dtype=complex)
-    if N is None:
-        N = len(xs)
-    if len(xs) != N:
-        raise DimensionMismatch(f"got {len(xs)} points for N = {N}")
-    sides = _vandermonde_sides(xs[None], alpha, nome)
-    return IdentityResidual.from_sides(*(side[0] for side in sides))
+    X, one = _stack(xs)
+    nome = Nome.coerce(nome)
+    N = X.shape[1]
+    column, head = (theta3, theta3) if N % 2 == 1 else (theta1, theta4)
+    args = math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N)
+    root = nome.root(N)
+    try:
+        mat = column(args, root)
+    except NomeOutOfRange as exc:
+        raise NomeOutOfRange(f"size N = {N} takes q^(1/N) = {root.q:.4g} of q = {nome.q:.4g}: {exc}")
+    iu, ju = _pairs(N)
+    rhs = head(math.pi * np.sum(X + alpha, axis=1), nome) * f_N(N, nome)
+    rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome), axis=1)
+    scale = np.prod(np.max(np.abs(mat), axis=2), axis=1)
+    lhs, rhs = _finite_sides("theta-Vandermonde identity", np.linalg.det(mat), rhs)
+    return _result(one, lhs, rhs, scale)
 
 
-def _frobenius_sides(Ws, Zs, alpha, nome):
-    """(lhs, rhs, scale) of the Frobenius identity at each row pair of the
-    (D, N) stacks Ws, Zs: one theta1 call over the separations and both sets'
-    pair differences, one theta4 call, one stacked determinant."""
+def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
+    """Frobenius identity for the theta4/theta1 Cauchy-type determinant.
+
+    lhs: theta4(sum(w_j - z_j) - alpha) * F(w; z) with
+    F = (-1)^(N(N-1)/2) prod_{j<k} theta1(w_k-w_j) theta1(z_k-z_j)
+        / prod_{j,k} theta1(w_j-z_k).
+    rhs: theta4(alpha) * det[ theta4(w_j-z_k-alpha) / (theta4(alpha)
+         theta1(w_j-z_k)) ].
+
+    ``ws`` and ``zs`` are one configuration each (N,), giving scalar fields,
+    or (D, N) stacks: one theta1 call, one theta4 call, one determinant.
+    """
+    if np.shape(ws) != np.shape(zs):
+        raise DimensionMismatch(f"ws of shape {np.shape(ws)} but zs of shape {np.shape(zs)}")
+    (Ws, one), (Zs, _) = _stack(ws), _stack(zs)
     nome = Nome.coerce(nome)
     D, N = Ws.shape
     sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
@@ -127,24 +140,13 @@ def _frobenius_sides(Ws, Zs, alpha, nome):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         F = (-1.0) ** (N * (N - 1) // 2) * np.prod(t1[:, N * N :], axis=1) / np.prod(t1_sep, axis=1)
         lhs, rhs = _finite_sides("Frobenius identity", t4[:, 0] * F, norm * np.linalg.det(mat))
-    return lhs, rhs, scale
+    return _result(one, lhs, rhs, scale)
 
 
-def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
-    """Frobenius identity for the theta4/theta1 Cauchy-type determinant.
-
-    lhs: theta4(sum(w_j - z_j) - alpha) * F(w; z) with
-    F = (-1)^(N(N-1)/2) prod_{j<k} theta1(w_k-w_j) theta1(z_k-z_j)
-        / prod_{j,k} theta1(w_j-z_k).
-    rhs: theta4(alpha) * det[ theta4(w_j-z_k-alpha) / (theta4(alpha)
-         theta1(w_j-z_k)) ].
-    """
-    ws = np.asarray(ws, dtype=complex)
-    zs = np.asarray(zs, dtype=complex)
-    if ws.shape != zs.shape:
-        raise DimensionMismatch(f"|ws| = {len(ws)} but |zs| = {len(zs)}")
-    sides = _frobenius_sides(ws[None], zs[None], alpha, nome)
-    return IdentityResidual.from_sides(*(side[0] for side in sides))
+def _filled_level_phase(N: int) -> complex:
+    """i^((N-1)(3N/2+1)): the phase of the plain Fourier determinant and of the
+    filled Landau level's product form."""
+    return 1j ** ((((N - 1) * (3 * N + 2)) // 2) % 4)
 
 
 def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
@@ -158,77 +160,37 @@ def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
     ls = np.arange(1, N + 1)
     ks = np.arange(0, N) + (0.5 if half_shift else 0.0)
     det = complex(np.linalg.det(np.exp(2j * math.pi * np.outer(ls, ks) / N)))
-    exponent = ((N - 1) * (3 * N + 2)) // 2
-    const = N ** (N / 2.0) * 1j ** (exponent % 4)
+    const = N ** (N / 2.0) * _filled_level_phase(N)
     if half_shift:
         const *= 1j ** ((N + 1) % 4)
     return IdentityResidual.from_sides(det, complex(const))
 
 
 _BOUNDS = (np.array([[0.0], [-0.2]]), np.array([[1.0], [0.2]]))  # (Re, Im) ranges of a point
-_MAX_REJECTIONS = 1000   # rejections in a row after which a draw is refused
+_MAX_REDRAWS = 1000   # redraws after which a rejected row is refused
 
 
-def _first_passing(draw, passes, D: int, what: str) -> np.ndarray:
-    """The first D candidates of the stream ``draw(k)`` (the next k, stacked)
-    for which ``passes`` (one bool per candidate) holds: the ones a loop that
-    draws and tests one candidate at a time until it accepts would return.
-
-    Each round draws the shortfall, capped at the rejections left before the
-    limit, and tests it with one call. A round never holds a candidate after
-    the last one the loop would read, so the stream ends where the loop's
-    ends. _MAX_REJECTIONS rejections in a row since the last acceptance raise
-    SingularConfiguration, where the loop would give up.
-    """
-    kept = []
-    need = D
-    run = 0   # rejections since the last acceptance
-    while need:
-        cands = draw(min(need, _MAX_REJECTIONS - run))
-        ok = passes(cands)
-        kept.append(cands[ok])
-        hits = np.flatnonzero(ok)
-        need -= len(hits)
-        run = len(ok) - 1 - hits[-1] if len(hits) else run + len(ok)
-        if run == _MAX_REJECTIONS:
-            raise SingularConfiguration(f"could not draw a well-separated {what}")
-    return np.concatenate(kept) if kept else draw(0)
-
-
-def _draw_points(rng: np.random.Generator, D: int, N: int, nome) -> np.ndarray:
-    """D random point sets, shape (D, N), Re in [0, 1) and Im in [-0.2, 0.2],
-    rejecting sets whose pairwise theta1 arguments pi (x_j - x_k) sit within
-    1e-3 of a lattice point. One ``rng.uniform`` call draws a round's
-    attempts, each the N real parts then the N imaginary parts, so the stream
-    is that of drawing the sets one after another."""
+def _draw(rng: np.random.Generator, D: int, sets: int, N: int, nome, scale: float) -> np.ndarray:
+    """D rows of ``sets`` point sets, shape (D, sets, N), Re in [0, 1) and Im in
+    [-0.2, 0.2], from one ``rng.uniform`` block (D, sets, 2, N): each set its N
+    real parts, then its N imaginary parts. The rows where some theta1
+    argument scale * (p_j - p_k), over the pairs of their sets * N points, lies
+    within 1e-3 of pi*Z + pi*tau*Z are redrawn, in order, as one block; a row
+    still rejected after 1000 redraws raises SingularConfiguration."""
     nome = Nome.coerce(nome)
-    iu, ju = _pairs(N)
-
-    def draw(k):
-        U = rng.uniform(*_BOUNDS, (k, 2, N))
-        return U[:, 0] + 1j * U[:, 1]
-
-    def passes(X):
-        return np.all(lattice_distance(math.pi * (X[:, iu] - X[:, ju]), nome) > 1e-3, axis=1)
-
-    return _first_passing(draw, passes, D, "configuration")
-
-
-def _draw_pairs(rng: np.random.Generator, D: int, N: int, nome) -> np.ndarray:
-    """D species pairs, shape (D, 2, N): consecutive sets (ws, zs) of
-    ``_draw_points``, rejecting pairs with a cross separation w_j - z_k
-    within 1e-3 of a lattice point. A rejected pair's two sets are dropped
-    and the next two sets form the next candidate."""
-    nome = Nome.coerce(nome)
-
-    def draw(k):
-        return _draw_points(rng, 2 * k, N, nome).reshape(k, 2, N)
-
-    def passes(WZ):
-        cross = WZ[:, 0, :, None] - WZ[:, 1, None, :]
-        return np.all(lattice_distance(cross, nome) > 1e-3, axis=(1, 2))
-
-    return _first_passing(draw, passes, D, "species pair")
+    iu, ju = _pairs(sets * N)
+    P = np.empty((D, sets, N), dtype=complex)
+    bad = np.arange(D)
+    for _ in range(1 + _MAX_REDRAWS):
+        U = rng.uniform(*_BOUNDS, (len(bad), sets, 2, N))
+        P[bad] = U[:, :, 0] + 1j * U[:, :, 1]
+        flat = P[bad].reshape(len(bad), sets * N)
+        dist = lattice_distance(scale * (flat[:, iu] - flat[:, ju]), nome)
+        bad = bad[~np.all(dist > 1e-3, axis=1)]
+        if not len(bad):
+            return P
+    what = ("configuration", "species pair")[sets - 1]
+    raise SingularConfiguration(f"could not draw a well-separated {what}")
 
 
 def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_sizes, draws: int):
@@ -236,12 +198,12 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
     ``vandermonde_sizes``, then of the Frobenius identity at every size in
     ``frobenius_sizes``, ``draws`` random draws each. Yields
     ``(identity, N, IdentityResidual)`` once per size, the residual a stack
-    over the draws: one stacked draw from ``rng``, the stream of drawing them
-    in turn, evaluated as one stack."""
+    over the draws: one ``_draw`` from ``rng``, evaluated as one stack. The
+    draws keep off the lattice each pi (x_j - x_k) of a Vandermonde set and
+    every difference among the 2N points w, z of a Frobenius pair, unscaled."""
     for N in vandermonde_sizes:
-        X = _draw_points(rng, draws, N, q)
-        yield "vandermonde", N, IdentityResidual.from_sides(*_vandermonde_sides(X, 0.05 + 0.02j, q))
+        X = _draw(rng, draws, 1, N, q, math.pi)[:, 0]
+        yield "vandermonde", N, theta_vandermonde_residual(X, 0.05 + 0.02j, q)
     for N in frobenius_sizes:
-        WZ = _draw_pairs(rng, draws, N, q)
-        sides = _frobenius_sides(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, q)
-        yield "frobenius", N, IdentityResidual.from_sides(*sides)
+        WZ = _draw(rng, draws, 2, N, q, 1.0)
+        yield "frobenius", N, frobenius_residual(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, q)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
 from .geometry import _pairs
-from .identities import _finite_sides
+from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
 
 _FLUX_TOL = 1e-12
@@ -171,8 +171,7 @@ def _factored(zs: np.ndarray, setup: MagneticSetup):
     nome = setup.nome
     zbar = np.conj(zs)
 
-    exponent = ((N - 1) * (3 * N + 2)) // 2
-    pref = (1j ** (exponent % 4)) * f_N(N, nome)
+    pref = _filled_level_phase(N) * f_N(N, nome)
     pref /= math.sqrt(math.factorial(N)) * (setup.L * N * setup.l * math.sqrt(math.pi)) ** (N / 2.0)
     gauss = np.exp(-np.sum(zs.imag**2, axis=-1) / (2.0 * setup.l**2))
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,20 @@ class TestVerifyIdentities:
         identities hold there too."""
         args = ["verify-identities", "--n", "3", "--draws", "4", "--seed", "1", "--q", "-0.3"]
         assert runner.invoke(main, args).exit_code == 0
+
+    def test_root_nome_refusal_names_size_and_q(self, monkeypatch, capsys):
+        """Size N takes its Vandermonde columns at q^(1/N): q = 0.9 passes
+        theta's cap but its cube root does not, and the refusal says so."""
+        monkeypatch.setattr(sys, "argv", ["torusgas", "verify-identities", "--seed", "1",
+                                          "--q", "0.9", "--n", "3"])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 2
+        assert re.fullmatch(
+            r"error: size N = 3 takes q\^\(1/N\) = 0\.9655\+0j of q = 0\.9\+0j: "
+            r"\|q\| = e\^\(-pi \* 0\.0111\d*\) is outside \|q\| <= 0\.95\n",
+            capsys.readouterr().err,
+        )
 
     def test_unreachable_tolerance_exits_one(self, monkeypatch):
         """Negative control: the rows pass by the gate's IDENTITY_MAX_REL, and

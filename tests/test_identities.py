@@ -11,13 +11,10 @@ from click.testing import CliRunner
 
 from torusgas import identities
 from torusgas.cli import main
-from torusgas.errors import PrecisionUnreachable, SingularConfiguration
+from torusgas.errors import DimensionMismatch, PrecisionUnreachable, SingularConfiguration
 from torusgas.identities import (
     IdentityResidual,
-    _draw_pairs,
-    _draw_points,
-    _frobenius_sides,
-    _vandermonde_sides,
+    _draw,
     fourier_det_constant,
     frobenius_residual,
     identity_draws,
@@ -27,11 +24,21 @@ from torusgas.selftest import check_identity_suite
 from torusgas.theta import Nome, lattice_distance, theta3
 
 
+def _points(rng, D, N, nome):
+    """D point sets (D, N) as ``identity_draws`` draws them for Vandermonde."""
+    return _draw(rng, D, 1, N, nome, math.pi)[:, 0]
+
+
+def _species_pairs(rng, D, N, nome):
+    """D species pairs (D, 2, N) as ``identity_draws`` draws them for Frobenius."""
+    return _draw(rng, D, 2, N, nome, 1.0)
+
+
 class TestThetaVandermonde:
     def test_n1_reduces_to_periodicity(self):
         """For a single point the identity is theta3 pi-periodicity."""
         x1, alpha, q = 0.31 + 0.07j, 0.12, 0.3
-        r = theta_vandermonde_residual([x1], alpha, q, 1)
+        r = theta_vandermonde_residual([x1], alpha, q)
         assert abs(r.lhs - theta3(math.pi * (x1 + alpha - 1), Nome.from_q(q))) < 1e-14
         assert r.rel_residual < 1e-12
 
@@ -40,28 +47,28 @@ class TestThetaVandermonde:
     def test_random_draws(self, N, q):
         rng = np.random.default_rng(70 + N)
         for _ in range(10):
-            xs = _draw_points(rng, 1, N, q)[0]
-            r = theta_vandermonde_residual(xs, 0.0, q, N)
+            xs = _points(rng, 1, N, q)[0]
+            r = theta_vandermonde_residual(xs, 0.0, q)
             assert r.passes(1e-9), (N, q, r)
 
     def test_nonzero_alpha(self):
         rng = np.random.default_rng(5)
-        xs = _draw_points(rng, 1, 3, 0.2)[0]
-        r = theta_vandermonde_residual(xs, 0.11 + 0.04j, 0.2, 3)
+        xs = _points(rng, 1, 3, 0.2)[0]
+        r = theta_vandermonde_residual(xs, 0.11 + 0.04j, 0.2)
         assert r.rel_residual < 1e-10
 
     def test_coincident_points_degenerate(self):
         """Equal coordinates kill both sides; compare absolutely."""
         x = 0.4 + 0.05j
-        r = theta_vandermonde_residual([x, x], 0.03, 0.3, 2)
+        r = theta_vandermonde_residual([x, x], 0.03, 0.3)
         assert r.near_zero
         assert r.abs_residual < 1e-12 * max(r.scale, 1.0)
 
     def test_dimension_mismatch(self):
-        from torusgas.errors import DimensionMismatch
-
-        with pytest.raises(DimensionMismatch):
-            theta_vandermonde_residual([0.1, 0.2], 0.0, 0.3, 3)
+        """One configuration (N,) or a stack (D, N), nothing else."""
+        for xs in (0.1, np.full((2, 2, 3), 0.1)):
+            with pytest.raises(DimensionMismatch):
+                theta_vandermonde_residual(xs, 0.0, 0.3)
 
 
 class TestFrobenius:
@@ -75,7 +82,7 @@ class TestFrobenius:
     def test_random_draws(self, N, q):
         rng = np.random.default_rng(80 + N)
         for _ in range(10):
-            ws, zs = _draw_pairs(rng, 1, N, q)[0]
+            ws, zs = _species_pairs(rng, 1, N, q)[0]
             r = frobenius_residual(ws, zs, 0.1 + 0.05j, q)
             assert r.passes(1e-9), (N, q, r)
 
@@ -88,7 +95,7 @@ class TestFrobenius:
     def test_permutation_invariance(self):
         """Row/column permutation parity cancels against the pair products."""
         rng = np.random.default_rng(9)
-        ws, zs = _draw_pairs(rng, 1, 3, 0.25)[0]
+        ws, zs = _species_pairs(rng, 1, 3, 0.25)[0]
         base = frobenius_residual(ws, zs, 0.1 + 0.05j, 0.25)
         perm = np.array([2, 0, 1])
         swapped = frobenius_residual(ws[perm], zs[perm], 0.1 + 0.05j, 0.25)
@@ -98,7 +105,7 @@ class TestFrobenius:
     def test_alpha_shift_invariance(self):
         """alpha -> alpha + pi leaves the residual unchanged (theta4 period)."""
         rng = np.random.default_rng(19)
-        ws, zs = _draw_pairs(rng, 1, 2, 0.3)[0]
+        ws, zs = _species_pairs(rng, 1, 2, 0.3)[0]
         a = frobenius_residual(ws, zs, 0.17, 0.3)
         b = frobenius_residual(ws, zs, 0.17 + math.pi, 0.3)
         assert abs(a.rel_residual - b.rel_residual) < 1e-9
@@ -130,11 +137,11 @@ def _per_draw(rng, q, vandermonde_sizes, frobenius_sizes, draws):
     reference for the stacked evaluation in ``identity_draws``."""
     for N in vandermonde_sizes:
         for d in range(draws):
-            xs = _draw_points(rng, 1, N, q)[0]
-            yield "vandermonde", N, d, theta_vandermonde_residual(xs, 0.05 + 0.02j, q, N)
+            xs = _points(rng, 1, N, q)[0]
+            yield "vandermonde", N, d, theta_vandermonde_residual(xs, 0.05 + 0.02j, q)
     for N in frobenius_sizes:
         for d in range(draws):
-            ws, zs = _draw_pairs(rng, 1, N, q)[0]
+            ws, zs = _species_pairs(rng, 1, N, q)[0]
             yield "frobenius", N, d, frobenius_residual(ws, zs, 0.1 + 0.05j, q)
 
 
@@ -159,9 +166,10 @@ class TestResidualStack:
             np.array([1 + 1.0000001j, 3e-9j, 2e-3, -3.0, 0j]),
             np.array([1.0, 1e6, 1e6, 2.0, 1e-30]),
         )
-        X = _draw_points(np.random.default_rng(11), 4, 3, 0.3)
+        X = _points(np.random.default_rng(11), 4, 3, 0.3)
         X[2, 1] = X[2, 0]   # coincident points: both sides vanish
-        yield _vandermonde_sides(X, 0.05 + 0.02j, 0.3)
+        r = theta_vandermonde_residual(X, 0.05 + 0.02j, 0.3)
+        yield r.lhs, r.rhs, r.scale
 
     def test_stack_is_elementwise(self):
         for lhs, rhs, scale in self._stacks():
@@ -194,6 +202,24 @@ class TestResidualStack:
             assert isinstance(r.passes(1e-9), np.bool_) and r.passes(1e-9)
             assert float(r.rel_residual) < 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_stack_is_its_rows(self, N):
+        """A stack's residuals are those of its rows, each evaluated alone."""
+        rng = np.random.default_rng(12)
+        X, WZ = _points(rng, 6, N, 0.3), _species_pairs(rng, 6, N, 0.3)
+        cases = [
+            (theta_vandermonde_residual(X, 0.05, 0.3),
+             lambda d: theta_vandermonde_residual(X[d], 0.05, 0.3)),
+            (frobenius_residual(WZ[:, 0], WZ[:, 1], 0.1, 0.3),
+             lambda d: frobenius_residual(WZ[d, 0], WZ[d, 1], 0.1, 0.3)),
+        ]
+        for stack, row in cases:
+            for d in range(6):
+                a, b = _element(stack, d), row(d)
+                assert abs(a.lhs - b.lhs) <= 1e-14 * abs(b.lhs), d
+                assert abs(a.rhs - b.rhs) <= 1e-14 * abs(b.rhs), d
+                assert a.scale == b.scale and a.near_zero == b.near_zero, d
+
 
 class TestStackedDraws:
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
@@ -209,13 +235,13 @@ class TestStackedDraws:
 
     def test_one_lattice_draw_in_a_stack_raises(self):
         rng = np.random.default_rng(3)
-        pairs = [_draw_pairs(rng, 1, 3, 0.3)[0] for _ in range(5)]
+        pairs = [_species_pairs(rng, 1, 3, 0.3)[0] for _ in range(5)]
         Ws = np.array([w for w, _ in pairs])
         Zs = np.array([z for _, z in pairs])
-        _frobenius_sides(Ws, Zs, 0.1, 0.3)   # well separated
-        Zs[2, 1] = Ws[2, 0] - math.pi        # w_0 - z_1 = pi, a zero of theta1
+        frobenius_residual(Ws, Zs, 0.1, 0.3)   # well separated
+        Zs[2, 1] = Ws[2, 0] - math.pi          # w_0 - z_1 = pi, a zero of theta1
         with pytest.raises(SingularConfiguration):
-            _frobenius_sides(Ws, Zs, 0.1, 0.3)
+            frobenius_residual(Ws, Zs, 0.1, 0.3)
 
     def test_cli_rows_match_per_draw_calls(self, tmp_path):
         out = tmp_path / "residuals.csv"
@@ -243,54 +269,30 @@ class TestIdentitySuiteControls:
         assert not check_identity_suite().passed
 
     def test_fails_without_frobenius_sign(self, monkeypatch):
-        sides = identities._frobenius_sides
+        frobenius = identities.frobenius_residual
 
-        def unsigned(Ws, Zs, alpha, nome):
-            lhs, rhs, scale = sides(Ws, Zs, alpha, nome)
-            N = Ws.shape[1]
-            return (-1.0) ** (N * (N - 1) // 2) * lhs, rhs, scale   # undoes (-1)^(N(N-1)/2)
+        def unsigned(ws, zs, alpha, nome):
+            r = frobenius(ws, zs, alpha, nome)
+            N = np.shape(ws)[-1]
+            lhs = (-1.0) ** (N * (N - 1) // 2) * r.lhs   # undoes (-1)^(N(N-1)/2)
+            return IdentityResidual.from_sides(lhs, r.rhs, r.scale)
 
-        monkeypatch.setattr(identities, "_frobenius_sides", unsigned)
+        monkeypatch.setattr(identities, "frobenius_residual", unsigned)
         assert not check_identity_suite().passed
-
-
-def _loop_points(rng, N, nome):
-    """The per-draw rejection loop the stacked draw replaces, kept here as
-    its reference: one attempt at a time, 1000 attempts at most."""
-    nome = Nome.coerce(nome)
-    for _ in range(1000):
-        xs = rng.uniform(0.0, 1.0, N) + 1j * rng.uniform(-0.2, 0.2, N)
-        diffs = math.pi * (xs[:, None] - xs[None, :])
-        dist = lattice_distance(diffs, nome)
-        np.fill_diagonal(dist, np.inf)
-        if np.all(dist > 1e-3):
-            return xs
-    raise SingularConfiguration("could not draw a well-separated configuration")
-
-
-def _loop_pair(rng, N, nome):
-    """Per-draw reference of a species pair: two loop draws, retried as a
-    pair up to 1000 times."""
-    nome = Nome.coerce(nome)
-    for _ in range(1000):
-        ws = _loop_points(rng, N, nome)
-        zs = _loop_points(rng, N, nome)
-        if np.all(lattice_distance(ws[:, None] - zs[None, :], nome) > 1e-3):
-            return ws, zs
-    raise SingularConfiguration("could not draw a well-separated species pair")
 
 
 class _Coarse:
     """A generator whose draws are rounded down to quarters of their range,
-    so points often coincide and draws are rejected. Counts the values it
-    hands out."""
+    plus ``jitter`` times the range at random, so points often coincide or
+    nearly coincide and draws are rejected. Counts the values it hands out."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, jitter=0.0):
         self.rng = np.random.default_rng(seed)
+        self.jitter = jitter
         self.values = 0
 
     def uniform(self, low, high, size):
-        r = np.floor(4.0 * self.rng.random(size)) / 4.0
+        r = np.floor(4.0 * self.rng.random(size)) / 4.0 + self.jitter * self.rng.random(size)
         self.values += r.size
         return low + (np.asarray(high) - low) * r
 
@@ -306,110 +308,131 @@ class _Constant:
         return np.broadcast_to((np.asarray(low) + high) / 2.0, size)
 
 
+def _block(rng, D, sets, N):
+    """The draws of one ``rng.uniform`` block (D, sets, 2, N) with nothing
+    rejected: each set its N real parts, then its N imaginary parts."""
+    U = rng.uniform([[0.0], [-0.2]], [[1.0], [0.2]], (D, sets, 2, N))
+    return U[:, :, 0] + 1j * U[:, :, 1]
+
+
+def _theta1_args(P, scale):
+    """Every difference scale * (p_j - p_k), j != k, among the points of each
+    row of P, whatever its layout after the first axis."""
+    flat = P.reshape(len(P), -1)
+    off = ~np.eye(flat.shape[1], dtype=bool)
+    return scale * (flat[:, :, None] - flat[:, None, :])[:, off]
+
+
 class TestStackedDrawStream:
-    """The stacked draws pick the per-draw loop's sets from the same stream."""
+    """With nothing rejected, a draw is one uniform block of the stream."""
 
     @pytest.mark.parametrize("D", [1, 7, 100])
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
     def test_points_bitwise(self, N, q, D):
-        stacked_rng, loop_rng = np.random.default_rng(900 + N), np.random.default_rng(900 + N)
-        X = _draw_points(stacked_rng, D, N, q)
-        ref = np.array([_loop_points(loop_rng, N, q) for _ in range(D)])
+        drawn_rng, block_rng = np.random.default_rng(900 + N), np.random.default_rng(900 + N)
+        X = _points(drawn_rng, D, N, q)
+        ref = _block(block_rng, D, 1, N)[:, 0]
         assert X.shape == (D, N)
         assert np.array_equal(X.view(float), ref.view(float))
-        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert drawn_rng.bit_generator.state == block_rng.bit_generator.state
 
     @pytest.mark.parametrize("D", [1, 7, 100])
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
     def test_pairs_bitwise(self, N, q, D):
-        stacked_rng, loop_rng = np.random.default_rng(950 + N), np.random.default_rng(950 + N)
-        WZ = _draw_pairs(stacked_rng, D, N, q)
-        ref = np.array([_loop_pair(loop_rng, N, q) for _ in range(D)])
+        drawn_rng, block_rng = np.random.default_rng(950 + N), np.random.default_rng(950 + N)
+        WZ = _species_pairs(drawn_rng, D, N, q)
+        ref = _block(block_rng, D, 2, N)
         assert WZ.shape == (D, 2, N)
         assert np.array_equal(WZ.view(float), ref.view(float))
-        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert drawn_rng.bit_generator.state == block_rng.bit_generator.state
 
     @pytest.mark.parametrize("N", [2, 4])
     def test_forced_rejections_same_stream(self, N):
         """Coarse draws are rejected often (at N = 4 over a third of the sets
-        and most pairs), so the stacked draws take several rounds; they
-        still keep the loop's picks and read exactly as many values."""
-        stacked, loop = _Coarse(5), _Coarse(5)
-        X = _draw_points(stacked, 60, N, 0.3)
-        ref = np.array([_loop_points(loop, N, 0.3) for _ in range(60)])
-        assert np.array_equal(X.view(float), ref.view(float))
-        assert stacked.values == loop.values > 60 * 2 * N
-        assert stacked.rng.bit_generator.state == loop.rng.bit_generator.state
-
-        start = stacked.values
-        WZ = _draw_pairs(stacked, 30, N, 0.3)
-        ref = np.array([_loop_pair(loop, N, 0.3) for _ in range(30)])
-        assert np.array_equal(WZ.view(float), ref.view(float))
-        assert stacked.values == loop.values > start + 30 * 2 * 2 * N
-        assert stacked.rng.bit_generator.state == loop.rng.bit_generator.state
+        and most pairs); the draws still hold D rows, each well separated,
+        and the same seed gives the same draws."""
+        for draw, D, sets, scale in [(_points, 60, 1, math.pi), (_species_pairs, 30, 2, 1.0)]:
+            a, b = _Coarse(5), _Coarse(5)
+            P = draw(a, D, N, 0.3)
+            assert len(P) == D and a.values > D * sets * 2 * N
+            assert np.all(lattice_distance(_theta1_args(P, scale), 0.3) > 1e-3)
+            assert np.array_equal(P, draw(b, D, N, 0.3)) and a.values == b.values
 
     def test_cap_counts_rejections_in_a_row(self):
-        """Over a thousand rejections in total, none a thousand in a row:
-        every set is drawn, as in the loop."""
-        stacked, loop = _Coarse(6), _Coarse(6)
-        X = _draw_points(stacked, 2500, 4, 0.3)
-        ref = np.array([_loop_points(loop, 4, 0.3) for _ in range(2500)])
-        assert stacked.values > (2500 + 1000) * 2 * 4
-        assert np.array_equal(X.view(float), ref.view(float))
+        """Over a thousand rejections in total, none a thousand of one row:
+        every row is drawn."""
+        coarse = _Coarse(6)
+        X = _points(coarse, 2500, 4, 0.3)
+        assert coarse.values > (2500 + 1000) * 2 * 4
+        assert X.shape == (2500, 4)
 
     def test_public_draws_are_the_single_case(self):
+        """A one-row draw is the first row of a stack drawn from the same seed."""
         a, b = np.random.default_rng(4), np.random.default_rng(4)
-        assert np.array_equal(_draw_points(a, 1, 3, 0.3)[0], _loop_points(b, 3, 0.3))
-        ws, zs = _draw_pairs(a, 1, 3, 0.3)[0]
-        ref_ws, ref_zs = _loop_pair(b, 3, 0.3)
-        assert np.array_equal(ws, ref_ws) and np.array_equal(zs, ref_zs)
-        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(_points(a, 1, 3, 0.3)[0], _points(b, 5, 3, 0.3)[0])
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(_species_pairs(a, 1, 3, 0.3)[0], _species_pairs(b, 5, 3, 0.3)[0])
 
     def test_no_draws(self):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        assert _draw_points(rng, 0, 3, 0.3).shape == (0, 3)
-        assert _draw_pairs(rng, 0, 3, 0.3).shape == (0, 2, 3)
+        assert _points(rng, 0, 3, 0.3).shape == (0, 3)
+        assert _species_pairs(rng, 0, 3, 0.3).shape == (0, 2, 3)
         assert rng.bit_generator.state == state
 
 
+class TestDrawSeparation:
+    """Every accepted draw keeps each theta1 argument its identity evaluates
+    more than 1e-3 from pi*Z + pi*tau*Z: pi (x_j - x_k) for Vandermonde, every
+    difference among the 2N points w, z, unscaled, for Frobenius."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.9])
+    def test_accepted_draws_keep_off_the_lattice(self, q, monkeypatch):
+        """Jittered coarse draws put many differences within a few 1e-3 of a
+        lattice point, on both sides of the margin; at q = 0.9 pi*tau = 0.105i
+        is near the coarse grid's 0.1 steps in Im. The test reads the draws
+        that ``identity_draws`` hands to each identity."""
+        nome = Nome.from_q(q)
+        args = {}
+        monkeypatch.setattr(identities, "theta_vandermonde_residual", lambda xs, alpha, nome:
+                            args.update(vandermonde=_theta1_args(xs, math.pi)))
+        monkeypatch.setattr(identities, "frobenius_residual", lambda ws, zs, alpha, nome:
+                            args.update(frobenius=_theta1_args(np.stack([ws, zs], 1), 1.0)))
+        coarse = _Coarse(8, jitter=3e-3)
+        list(identity_draws(coarse, nome, [4], [3], 400))
+        assert coarse.values > 400 * 2 * (4 + 2 * 3)   # some rows redrawn
+        for identity, theta1_args in args.items():
+            dist = lattice_distance(theta1_args, nome)
+            assert np.all(dist > 1e-3), identity
+            assert np.any(dist < 2e-3), identity       # accepted close to the margin
+
+
 class TestDrawCaps:
-    """1000 rejections in a row still refuse a draw, after reading as many
-    values as the per-draw loop."""
+    """A row still rejected after 1000 redraws refuses the draw, after the
+    first block and 1000 redraws of the rejected rows."""
 
     @pytest.mark.parametrize("D", [1, 5])
     def test_point_sets(self, D):
-        stacked, loop = _Constant(), _Constant()
+        constant = _Constant()
         with pytest.raises(SingularConfiguration, match="configuration"):
-            _draw_points(stacked, D, 3, 0.3)
-        with pytest.raises(SingularConfiguration, match="configuration"):
-            _loop_points(loop, 3, 0.3)
-        assert stacked.values == loop.values == 1000 * 2 * 3
-        with pytest.raises(SingularConfiguration, match="configuration"):
-            _draw_points(_Constant(), 1, 3, 0.3)[0]
+            _points(constant, D, 3, 0.3)
+        assert constant.values == (1 + 1000) * D * 2 * 3
 
     @pytest.mark.parametrize("D", [1, 5])
     def test_species_pairs(self, D):
-        """At N = 1 every set is accepted and every pair coincides."""
-        stacked, loop = _Constant(), _Constant()
+        """At N = 1 every w coincides with its z."""
+        constant = _Constant()
         with pytest.raises(SingularConfiguration, match="species pair"):
-            _draw_pairs(stacked, D, 1, 0.3)
-        with pytest.raises(SingularConfiguration, match="species pair"):
-            _loop_pair(loop, 1, 0.3)
-        assert stacked.values == loop.values == 1000 * 2 * 2
-        with pytest.raises(SingularConfiguration, match="species pair"):
-            _draw_pairs(_Constant(), 1, 1, 0.3)[0]
+            _species_pairs(constant, D, 1, 0.3)
+        assert constant.values == (1 + 1000) * D * 2 * 2
 
     def test_species_pair_sets(self):
-        """At N >= 2 the first set of a pair already reaches its own cap."""
-        stacked, loop = _Constant(), _Constant()
-        with pytest.raises(SingularConfiguration, match="configuration"):
-            _draw_pairs(stacked, 4, 2, 0.3)
-        with pytest.raises(SingularConfiguration, match="configuration"):
-            _loop_pair(loop, 2, 0.3)
-        assert stacked.values == loop.values == 1000 * 2 * 2
+        """At N >= 2 a pair whose sets are singular on their own is a refused
+        species pair too."""
+        with pytest.raises(SingularConfiguration, match="species pair"):
+            _species_pairs(_Constant(), 4, 2, 0.3)
 
 
 class TestNonFiniteSides:
@@ -422,25 +445,25 @@ class TestNonFiniteSides:
         """N = 6 on the gate's point distribution: at W/L = 40 every theta1
         product underflows (0/0), at W/L = 0.018 the separations' does."""
         nome = Nome.from_aspect(WL, 1.0)
-        WZ = _draw_pairs(np.random.default_rng(0), 5, 6, nome)
+        WZ = _species_pairs(np.random.default_rng(0), 5, 6, nome)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PrecisionUnreachable):
-                _frobenius_sides(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, nome)
+                frobenius_residual(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, nome)
             for ws, zs in WZ:
                 with pytest.raises(PrecisionUnreachable):
                     frobenius_residual(ws, zs, 0.1 + 0.05j, nome)
 
     def test_vandermonde_refuses_an_overflowed_side(self, monkeypatch):
-        X = _draw_points(np.random.default_rng(0), 3, 4, 0.3)
+        X = _points(np.random.default_rng(0), 3, 4, 0.3)
         monkeypatch.setattr(identities, "f_N", lambda N, nome: math.inf)
         with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
-            _vandermonde_sides(X, 0.05 + 0.02j, 0.3)
+            theta_vandermonde_residual(X, 0.05 + 0.02j, 0.3)
 
     def test_huge_finite_side_is_refused(self, monkeypatch):
         """A side whose modulus overflows though both parts are finite is
         what made Python's abs raise a raw OverflowError."""
-        X = _draw_points(np.random.default_rng(0), 3, 4, 0.3)
+        X = _points(np.random.default_rng(0), 3, 4, 0.3)
         monkeypatch.setattr(identities, "f_N", lambda N, nome: 1e308 + 1e308j)
         with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
-            _vandermonde_sides(X, 0.05 + 0.02j, 0.3)
+            theta_vandermonde_residual(X, 0.05 + 0.02j, 0.3)
