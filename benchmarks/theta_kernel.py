@@ -13,7 +13,12 @@ worker processes that import ``torusgas`` from ``<checkout>/src``:
 * ``theta1`` on 1e5 points, in ns per point: a large vectorised call, whose
   fresh temporaries page-fault in on every call;
 * one scalar call of ``theta1``, ``theta4`` and ``log_abs_theta1``, in us;
-* one 6-point call of ``theta1`` (the pair differences of 4 particles), in us.
+* one 1-point array call of ``theta1``, in us: the array path's fixed cost,
+  against the scalar call's;
+* one 6-point call of ``theta1`` and of ``log_abs_theta1`` (the pair
+  differences of 4 particles), in us;
+* one cold build of the nome's series (``_coefficients.__wrapped__``, the
+  uncached function), in us: what a fresh torus pays once per nome.
 
 Points are drawn uniformly over the cell Re u in [0, pi), Im u in
 [-pi W/L, pi W/L], so the quasi-periodicity shift n is -1, 0 or 1 as in the
@@ -50,7 +55,7 @@ def measure(src: str) -> dict:
     """Timings of the theta kernel imported from ``src``, by W/L."""
     sys.path.insert(0, src)
     import numpy as np
-    from torusgas.theta import Nome, log_abs_theta1, theta1, theta4
+    from torusgas.theta import Nome, _coefficients, log_abs_theta1, theta1, theta4
 
     rng = np.random.default_rng(5)
     out = {}
@@ -61,6 +66,7 @@ def measure(src: str) -> dict:
             return np.pi * rng.uniform(0, 1, n) + 1j * np.pi * wl * rng.uniform(-1, 1, n)
 
         big, block, six, one = cell(BIG), cell(BLOCK), cell(6), complex(cell(1)[0])
+        one_array = np.array([one])
         theta1(big, nome)   # fill the coefficient caches
         out[str(wl)] = {
             "theta1_block_ns_per_point": _best(lambda: theta1(block, nome), 10, 5) / BLOCK * 1e9,
@@ -68,7 +74,10 @@ def measure(src: str) -> dict:
             "theta1_scalar_us": _best(lambda: theta1(one, nome), 2000, 5) * 1e6,
             "theta4_scalar_us": _best(lambda: theta4(one, nome), 2000, 5) * 1e6,
             "log_abs_theta1_scalar_us": _best(lambda: log_abs_theta1(one, nome), 2000, 5) * 1e6,
+            "theta1_1pt_us": _best(lambda: theta1(one_array, nome), 2000, 5) * 1e6,
             "theta1_6pt_us": _best(lambda: theta1(six, nome), 2000, 5) * 1e6,
+            "log_abs_theta1_6pt_us": _best(lambda: log_abs_theta1(six, nome), 2000, 5) * 1e6,
+            "cold_build_us": _best(lambda: _coefficients.__wrapped__(nome), 500, 5) * 1e6,
         }
     return out
 
@@ -161,7 +170,9 @@ def main() -> None:
                 f"{name}: {m['theta1_block_ns_per_point']['median']:6.0f} ns/pt@{BLOCK} "
                 f"{m['theta1_ns_per_point']['median']:6.0f} ns/pt@{BIG} "
                 f"{m['theta1_scalar_us']['median']:5.1f} us/scalar "
-                f"{m['theta1_6pt_us']['median']:5.1f} us/6pt"
+                f"{m['theta1_1pt_us']['median']:5.1f} us/1pt "
+                f"{m['theta1_6pt_us']['median']:5.1f} us/6pt "
+                f"{m['cold_build_us']['median']:5.1f} us/build"
             )
         print(f"W/L={wl:>5}  " + "  |  ".join(cells))
 

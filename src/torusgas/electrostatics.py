@@ -16,16 +16,24 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, PrecisionUnreachable
+from .errors import CoincidentPoints, DimensionMismatch, PrecisionUnreachable
 from .geometry import ParticleConfig, TorusGeometry, _pairs
-from .theta import _on_lattice, _theta1_abs2, log_abs_theta1, theta1_prime0
+from .theta import _log_abs_theta1_apart, _theta1_abs2, theta1_prime0
 
 
 def _pair_log_theta(z, zp, geom: TorusGeometry):
-    u = np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L
-    if _on_lattice(u, geom.nome_WL):
+    logs = _log_abs_theta1_apart(np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L, geom.nome_WL)
+    if logs is None:
         raise CoincidentPoints("z - z' lies on the period lattice")
-    return log_abs_theta1(u, geom.nome_WL)
+    return logs
+
+
+def _check_count(config: ParticleConfig, geom: TorusGeometry) -> int:
+    """N = len(config), refused with DimensionMismatch unless it is geom.N:
+    the density comes from geom and the prefactor from the config."""
+    if len(config) != geom.N:
+        raise DimensionMismatch(f"{len(config)} coordinates for geometry with N = {geom.N}")
+    return geom.N
 
 
 def _log_prefactor(N: int, geom: TorusGeometry) -> float:
@@ -79,14 +87,17 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     integral, background self-energy) reproduces this exactly; the test suite
     checks that route against this closed form.
     """
-    geom.check_distinct(config.zs)
-    N = len(config)
-    val = Gamma / 2.0 * _log_prefactor(N, geom)
-    val -= math.pi * geom.rho * Gamma * float(np.sum((config.ys - geom.W / 2.0) ** 2))
-    if N > 1:   # pairs tested once, by check_distinct
+    N = _check_count(config, geom)
+    if N > 1:   # pairs first: a coincidence is refused before any other error
         iu, ju = _pairs(N)
         u = np.pi * (config.zs[ju] - config.zs[iu]) / geom.L
-        val += Gamma * float(np.sum(log_abs_theta1(u, geom.nome_WL)))
+        pairs = _log_abs_theta1_apart(u, geom.nome_WL)
+        if pairs is None:
+            raise CoincidentPoints("two coordinates coincide modulo the lattice")
+    val = Gamma / 2.0 * _log_prefactor(N, geom)
+    val -= math.pi * geom.rho * Gamma * float(((config.ys - geom.W / 2.0) ** 2).sum())
+    if N > 1:
+        val += Gamma * float(pairs.sum())
     return val
 
 
@@ -97,7 +108,7 @@ def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     when the shifted center of mass hits the lattice. Raises
     PrecisionUnreachable when the weight overflows a float.
     """
-    s = np.sum(np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0)
+    s = (np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0).sum()
     mantissa, scale = _theta1_abs2(math.pi * s / geom.L, geom.nome_WL)
     with np.errstate(over="ignore", invalid="ignore"):
         weight = float(mantissa * np.exp(2.0 * scale))
@@ -116,7 +127,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
     Returns (U1, U2, U3) with beta*q^2 folded out, so beta*U_total =
     Gamma * (U1 + U2 + U3).
     """
-    N = len(config)
+    N = _check_count(config, geom)
     L, W = geom.L, geom.W
     rho = geom.rho
     tp = theta1_prime0(geom.nome_WL).real
@@ -126,7 +137,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
     if N > 1:
         iu, ju = _pairs(N)
         diffs = config.zs[ju] - config.zs[iu]
-        u1 = float(np.sum(-(math.log(L / (math.pi * tp)) + _pair_log_theta(diffs, 0.0, geom))))
+        u1 = float((-(math.log(L / (math.pi * tp)) + _pair_log_theta(diffs, 0.0, geom))).sum())
 
     # cell integral of phi_quasi at height y: L W log(pi theta1'/L) - I(y)
     cell = np.array([geom.area * log_norm - background_I(y, geom) for y in config.ys])

@@ -61,7 +61,7 @@ class IdentityResidual:
 def _finite_sides(what: str, *sides):
     """The sides; PrecisionUnreachable where a value or its modulus leaves double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if not all(np.all(np.isfinite(np.abs(side))) for side in sides):
+        if not all(np.isfinite(np.abs(side)).all() for side in sides):
             raise PrecisionUnreachable(f"{what}: a side is out of double range")
     return sides
 
@@ -101,9 +101,9 @@ def theta_vandermonde_residual(xs, alpha: complex, nome) -> IdentityResidual:
     except NomeOutOfRange as exc:
         raise NomeOutOfRange(f"size N = {N} takes q^(1/N) = {root.q:.4g} of q = {nome.q:.4g}: {exc}")
     iu, ju = _pairs(N)
-    rhs = head(math.pi * np.sum(X + alpha, axis=1), nome) * f_N(N, nome)
-    rhs = rhs * np.prod(theta1(math.pi * (X[:, ju] - X[:, iu]), nome), axis=1)
-    scale = np.prod(np.max(np.abs(mat), axis=2), axis=1)
+    rhs = head(math.pi * (X + alpha).sum(axis=1), nome) * f_N(N, nome)
+    rhs = rhs * theta1(math.pi * (X[:, ju] - X[:, iu]), nome).prod(axis=1)
+    scale = np.abs(mat).max(axis=2).prod(axis=1)
     lhs, rhs = _finite_sides("theta-Vandermonde identity", np.linalg.det(mat), rhs)
     return _result(one, lhs, rhs, scale)
 
@@ -132,13 +132,13 @@ def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
     iu, ju = _pairs(N)
     t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome)
     t1_sep = t1[:, : N * N]
-    heads = np.sum(Ws - Zs, axis=1) - alpha
+    heads = (Ws - Zs).sum(axis=1) - alpha
     t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome)
     norm = t4[:, 1]
     mat = (t4[:, 2:] / (norm[:, None] * t1_sep)).reshape(D, N, N)
-    scale = np.prod(np.max(np.abs(mat), axis=2), axis=1) * np.abs(norm)
+    scale = np.abs(mat).max(axis=2).prod(axis=1) * np.abs(norm)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F = (-1.0) ** (N * (N - 1) // 2) * np.prod(t1[:, N * N :], axis=1) / np.prod(t1_sep, axis=1)
+        F = (-1.0) ** (N * (N - 1) // 2) * t1[:, N * N :].prod(axis=1) / t1_sep.prod(axis=1)
         lhs, rhs = _finite_sides("Frobenius identity", t4[:, 0] * F, norm * np.linalg.det(mat))
     return _result(one, lhs, rhs, scale)
 

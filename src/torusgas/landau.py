@@ -166,20 +166,25 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
 
 def _factored(zs: np.ndarray, setup: MagneticSetup):
     """factored_state of one configuration (N,) or of each row of a (D, N)
-    stack, one call per theta kind."""
+    stack: one theta1 call for the centre of mass and the pairs when N is
+    even, theta3 and theta1 calls when N is odd."""
     N = setup.N
     nome = setup.nome
     zbar = np.conj(zs)
 
     pref = _filled_level_phase(N) * f_N(N, nome)
     pref /= math.sqrt(math.factorial(N)) * (setup.L * N * setup.l * math.sqrt(math.pi)) ** (N / 2.0)
-    gauss = np.exp(-np.sum(zs.imag**2, axis=-1) / (2.0 * setup.l**2))
+    gauss = np.exp(-(zs.imag**2).sum(axis=-1) / (2.0 * setup.l**2))
 
-    com = (theta3 if N % 2 == 1 else theta1)(-math.pi * np.sum(zbar, axis=-1) / setup.L, nome)
-    pair = 1.0 + 0j
-    if N > 1:
-        iu, ju = _pairs(N)
-        pair = np.prod(theta1(-math.pi * (zbar[..., ju] - zbar[..., iu]) / setup.L, nome), axis=-1)
+    com = -math.pi * zbar.sum(axis=-1) / setup.L
+    iu, ju = _pairs(N)
+    pairs = -math.pi * (zbar[..., ju] - zbar[..., iu]) / setup.L
+    if N % 2 == 0:
+        t1 = theta1(np.concatenate([com[..., None], pairs], axis=-1), nome)
+        com, pair = t1[..., 0], t1[..., 1:].prod(axis=-1)
+    else:
+        com = theta3(com, nome)
+        pair = theta1(pairs, nome).prod(axis=-1) if N > 1 else 1.0 + 0j
     return pref * gauss * com * pair
 
 

@@ -16,6 +16,18 @@ scale, and a modulus needs one real exponential. A nan or inf argument gives
 nan, with no numpy warning. f_N, eta_q and the product forms share one cached
 (q^2; q^2)_inf product.
 
+Costs. Once per nome (the last 64 are cached) ``_coefficients`` builds the
+series in Python complex arithmetic, n* terms with one cmath.exp each. An
+array call then costs a fixed forty or so numpy operations under one
+np.errstate (the reduction, one exponential and one division per point, the
+Horner pass over one preallocated (2, n) pair, the sign and the multiplier),
+which outweigh the per-point work up to a few hundred points; the coincidence
+test of a pair potential reads that same reduction. A single complex argument
+takes a scalar twin (``_reduce_scalar``, ``_FINITE_POINT`` and the ``scalar``
+branches) in Python float and numpy-scalar arithmetic, at about a third of a
+1-point array call and within 3 eps of it. ``benchmarks/theta_kernel.py``
+times each of these.
+
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
 Im(tau) = t < 1 is summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)),
@@ -47,6 +59,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,9 +75,8 @@ _EPSILON = 1e-14   # absolute tail bound of every series and product
 _SINE_CANCEL = 0.5
 _LOG_MAX = math.log(np.finfo(float).max)   # e^x overflows a double above this
 _TINY = np.finfo(float).tiny   # the smallest normal double
+_COINCIDENT = 1e-9   # an argument this close to pi*Z + pi*tau*Z is a zero of theta1
 _THETA1_UNDERFLOW = "theta1's leading coefficient 2 q^(1/4) underflows past Im(tau) = 902.8"
-_ONE = np.ones(1)
-_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -179,13 +191,17 @@ def _shift_exponent(u_red, n, tau):
 
 
 def _terms(tau: complex) -> dict:
-    """(frequencies, coefficients) by theta index, q-powers on the tau branch:
-    theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and theta4
-    add 2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1; j = 1..n*."""
-    js = np.arange(1, _n_star(tau.imag) + 1)
-    odd = 2.0 * (-1.0) ** (js - 1) * np.exp(1j * math.pi * tau * (js - 0.5) ** 2)
-    even3 = 2.0 * np.exp(1j * math.pi * tau * js**2)
-    return {1: (2 * js - 1, odd), 3: (2 * js, even3), 4: (2 * js, (-1.0) ** js * even3)}
+    """(frequencies, coefficients) by theta index, as lists, q-powers on the tau
+    branch: theta1 sums 2 (-1)^(j-1) q^((j-1/2)^2) sin((2j-1) u); theta3 and
+    theta4 add 2 q^(j^2) cos(2j u) and 2 (-1)^j q^(j^2) cos(2j u) to 1;
+    j = 1..n*. Python complex arithmetic rounds each term as numpy's arrays do."""
+    js = range(1, _n_star(tau.imag) + 1)
+    c = 1j * math.pi * tau
+    odd = [2.0 * (-1.0) ** (j - 1) * cmath.exp(c * ((j - 0.5) * (j - 0.5))) for j in js]
+    even3 = [2.0 * cmath.exp(c * (j * j)) for j in js]
+    evens = [2 * j for j in js]
+    return {1: ([2 * j - 1 for j in js], odd), 3: (evens, even3),
+            4: (evens, [(-1.0) ** j * e for j, e in zip(js, even3)])}
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,19 +233,18 @@ def _coefficients(nome: Nome) -> dict:
     modular = nome.tau.real == 0 and t < 1.0
     summed = _terms(1j / t if modular else nome.tau)
     freqs, odd = summed[1]
-    tails = np.cumsum(odd[::-1])[::-1]
-    const1, a1, a3 = complex(tails[0]), tails[:0:-1].copy(), 0.5 * summed[3][1][::-1]
+    tails = list(itertools.accumulate(reversed(odd)))   # a_k = sum_{j>k} c_j, a_K first
+    const1, a1, a3 = tails.pop(), tails, [0.5 * c for c in reversed(summed[3][1])]
     if modular:
-        r = t**-0.5
-        horner = {1: (-1j * r * const1, -1j * r * a1), 3: (r, r * a3), 4: (r * const1, r * a1)}
+        r, s = t**-0.5, -1j * t**-0.5
+        horner = {1: (s * const1, [s * a for a in a1]), 3: (r, [r * a for a in a3]),
+                  4: (r * const1, [r * a for a in a1])}
     else:
-        horner = {1: (const1, a1), 3: (1.0, a3), 4: (1.0, 0.5 * summed[4][1][::-1])}
+        horner = {1: (const1, a1), 3: (1.0, a3), 4: (1.0, [0.5 * c for c in reversed(summed[4][1])])}
     for kind, (const, coeffs) in horner.items():
-        if coeffs.size and coeffs[0] == 0:
-            # Terms that underflowed at the high-order end are dropped: at
-            # pi Im(tau) > 709.8 x = e^(2iu) overflows inside the strip, 0 * x is nan.
-            coeffs = np.trim_zeros(coeffs, "f")
-        coeffs.setflags(write=False)  # cached: every caller shares them
+        # Terms that underflowed at the high-order end are dropped: at
+        # pi Im(tau) > 709.8 x = e^(2iu) overflows inside the strip, 0 * x is nan.
+        coeffs = tuple(itertools.dropwhile(lambda c: c == 0, coeffs))
         horner[kind] = const, coeffs, None
     if math.pi * t > _LOG_MAX:
         # |q| is subnormal and only a_1 = q, -q of theta3, theta4 is left
@@ -237,8 +252,8 @@ def _coefficients(nome: Nome) -> dict:
         # w = e^(iu), with the root r = e^(i pi tau / 2) or i e^(i pi tau / 2)
         # taken from tau at full precision, so no x that overflows is formed.
         r = cmath.exp(0.5j * math.pi * nome.tau)
-        horner[3], horner[4] = (1.0, _ONE, r), (1.0, _ONE, 1j * r)
-    prime0 = complex(np.sum(odd * freqs)) * (t**-1.5 if modular else 1.0)
+        horner[3], horner[4] = (1.0, (1.0,), r), (1.0, (1.0,), 1j * r)
+    prime0 = complex(np.sum([c * f for c, f in zip(odd, freqs)])) * (t**-1.5 if modular else 1.0)
     if abs(odd[0]) < _TINY:
         horner[1] = prime0 = None
     return {"horner": horner, "modular": t if modular else None, "prime0": prime0,
@@ -249,11 +264,21 @@ def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
     """const + p(x) + p(1/x) at x = e^(2iv), times sin(v) when ``odd``, by one
     Horner recurrence on the stacked pair (x, 1/x): one exponential per point.
     With no coefficients left (all underflowed) x is never formed; with a
-    ``root`` the pair is (root w, root / w) squared, w = e^(iv)."""
-    w = np.exp(1j * v)
-    iw = 1.0 / w
+    ``root`` the pair is (root w, root / w) squared, w = e^(iv). An array v
+    fills one preallocated (2, n) pair in place."""
+    if scalar:
+        w = np.exp(1j * v)
+        xs = np.array((w, 1.0 / w))
+        sine = np.sin(v) if odd else None
+    else:
+        xs = np.empty((2,) + v.shape, dtype=complex)
+        w, iw = xs
+        np.exp(1j * v, out=w)
+        np.divide(1.0, w, out=iw)
+        if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
+            sine = (w - iw) * -0.5j
+            np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
     if len(coeffs):
-        xs = np.array((w, iw))
         if root is not None:
             xs *= root
         xs *= xs
@@ -264,95 +289,95 @@ def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
         series = const + acc[0] + acc[1]
     else:
         series = const + 0.0 * w
-    if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
-        if scalar:
-            sine = np.sin(v)
-        else:
-            sine = (w - iw) * -0.5j
-            np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
-        series = sine * series
-    return series
+    # Out of place: numpy's in-place complex product rounds a 1-element array
+    # differently from the same product out of place.
+    return sine * series if odd else series
 
 
 _FINITE_POINT = contextlib.nullcontext()
 
 
 def _quiet(z: np.ndarray):
-    """The floating-point error state to evaluate theta at z in: a nan or inf
-    argument gives nan, with numpy's invalid-value warnings off for an array
-    or a non-finite point. One finite point cannot raise them and skips
-    np.errstate, whose cost (1-2 us) is about a tenth of a scalar call."""
+    """The floating-point error state to evaluate theta at z in, one per call:
+    a nan or inf argument gives nan, an overflow is refused by name and log 0
+    is -inf, with numpy's warnings off for an array or a non-finite point. One
+    finite point cannot raise them and skips np.errstate."""
     if z.ndim or not cmath.isfinite(z.item()):
-        return np.errstate(invalid="ignore")
+        return np.errstate(invalid="ignore", over="ignore", divide="ignore")
     return _FINITE_POINT
 
 
-def _split(kind: int, z: np.ndarray, nome: Nome, terms: dict):
-    """theta_kind(z; q) as (series, scale, (u, m, n)): z = u + m*pi +
-    n*pi*tau with u in the fundamental strip, the series summed at u, and
-    theta_kind(z) = sign * e^(scale + i*phase) * series with scale real.
-    ``terms`` is ``_coefficients(nome)``. Directly, the multiplier
-    is q^(-n^2) e^(-2inu): scale = pi Im(tau) n^2 + 2n Im(u), 0.0 when no
-    point is shifted. For tau = it, t < 1, DLMF 20.7.30-32 give
+def _split(kind: int, reduced, nome: Nome, terms: dict):
+    """theta_kind at the reduction ``reduced`` = (u, m, n) of z = u + m*pi +
+    n*pi*tau (``_reduce``), u in the fundamental strip, as (series, scale,
+    phase): the series summed at u and theta_kind(z) = sign * e^(scale + i*
+    phase()) * series with scale real, phase a function called only where a
+    caller needs it, and None where no point is shifted (the direct series is
+    theta itself). ``terms`` is ``_coefficients(nome)``. Directly, the
+    multiplier is q^(-n^2) e^(-2inu): scale = pi Im(tau) n^2 + 2n Im(u), 0.0
+    when no point is shifted, and phase = -pi Re(tau) n^2 - 2n Re(u), which is
+    (-pi Re(tau)) - 2n Re(u) bit for bit when Re(tau) is a zero. For tau = it,
+    t < 1, DLMF 20.7.30-32 give
 
         theta(u | it) = t^(-1/2) e^(-u^2/(pi t)) * theta'(iu/t | i/t)
 
     with theta' = -i theta1, theta3 and theta2 for theta1, theta3 and theta4,
     theta2(v) = theta1(v + pi/2); iu/t lies in the dual strip, where the shift
     n is a sign, so the multiplier is e^(-(a + ib)^2/(pi t)), a + ib =
-    u + n*pi*tau, and scale = (b^2 - a^2)/(pi t).
+    u + n*pi*tau: scale = (b^2 - a^2)/(pi t) and phase = -2ab/(pi t).
     """
-    u, m, n = _reduce(z, nome.tau)  # numpy scalars for 0-d z: no 0-d array overhead
+    u, m, n = reduced
     horner = terms["horner"][kind]
     if horner is None:
         raise PrecisionUnreachable(_THETA1_UNDERFLOW)
-    if terms["wide"] and np.any(np.abs(u.imag) > _LOG_MAX):
+    if terms["wide"] and (np.abs(u.imag) > _LOG_MAX).any():
         raise PrecisionUnreachable(f"e^(iu) overflows a double at a reduced |Im u| > {_LOG_MAX}")
     t = terms["modular"]
     if t is None:
-        series = _horner(*horner, u, kind == 1, z.ndim == 0)
-        scale = math.pi * nome.tau.imag * n * n + 2 * n * u.imag if n.any() else 0.0
-    else:
-        half = 0.5 * math.pi if kind == 4 else 0.0
-        series = _horner(*horner, u * (1j / t) + half, kind != 3, z.ndim == 0)
-        a, b = u.real, u.imag + math.pi * t * n  # real arithmetic rounds scalars as arrays
-        scale = (b - a) * (b + a) / (math.pi * t)
-    return series, scale, (u, m, n)
+        series = _horner(*horner, u, kind == 1, u.ndim == 0)
+        if not n.any():
+            return series, 0.0, None
+        two_n = 2 * n
+        scale = math.pi * nome.tau.imag * n * n + two_n * u.imag
+        c = -math.pi * nome.tau.real   # a zero c is c * n * n for every finite n
+        return series, scale, lambda: (c if c == 0 else c * n * n) - two_n * u.real
+    half = 0.5 * math.pi if kind == 4 else 0.0
+    series = _horner(*horner, u * (1j / t) + half, kind != 3, u.ndim == 0)
+    a, b = u.real, u.imag + math.pi * t * n  # real arithmetic rounds scalars as arrays
+    return series, (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
 
 
 def _evaluate(kind: int, z, nome: Nome):
     """theta_kind(z; q), kind 1, 3 or 4, as sign * e^(scale + i*phase) * series
-    from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4, phase
-    -pi Re(tau) n^2 - 2n Re(u) directly and -2ab/(pi t) dual. A value that
-    overflows a double raises PrecisionUnreachable with no numpy warning first:
-    cmath.exp raises for a scalar, np.errstate quiets an array.
+    from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4. A value
+    that overflows a double raises PrecisionUnreachable with no numpy warning
+    first: cmath.exp raises for a scalar, np.errstate quiets an array.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    terms = _coefficients(nome)
-    with _quiet(z_arr):
-        series, scale, (u, m, n) = _split(kind, z_arr, nome, terms)
-        t = terms["modular"]
-        if kind != 3:  # (-1)^(m+n) or (-1)^n, exact for every integer-valued k
-            series = (1.0 - 2.0 * np.fmod(m + n if kind == 1 else n, 2) ** 2) * series
-        if t is not None:
-            phase = -2.0 * (u.real * (u.imag + math.pi * t * n) / (math.pi * t))
-        elif n.any():
-            phase = -math.pi * nome.tau.real * n * n - 2 * n * u.real
-        else:  # the direct series at an unshifted point is theta itself
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    with _quiet(z):
+        u, m, n = reduced = _reduce(z, nome.tau)
+        series, scale, phase = _split(kind, reduced, nome, _coefficients(nome))
+        if kind != 3:  # 1 - 2 (k mod 2)^2 = (-1)^k, exact for every integer-valued k
+            sign = np.fmod(m + n if kind == 1 else n, 2)
+            sign *= sign
+            sign *= -2.0
+            sign += 1.0
+            series = sign * series
+        if phase is None:
             return complex(series) if scalar else series
-    if scalar:
-        try:
-            vals = total = cmath.exp(complex(scale, phase)) * complex(series)
-        except OverflowError:
-            vals = total = complex(math.inf)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(scale + 1j * phase) * series
+        if scalar:
+            try:
+                vals = total = cmath.exp(complex(scale, phase())) * complex(series)
+            except OverflowError:
+                vals = total = complex(math.inf)
+        else:
+            vals = scale + 1j * phase()
+            vals = np.exp(vals, out=vals) * series
             total = vals.sum()  # inf or nan in any value spreads to it
     if not cmath.isfinite(total):
         bad = ~np.isfinite(vals)
-        if np.isfinite(z_arr[bad]).any():
+        if np.isfinite(z[bad]).any():
             raise PrecisionUnreachable(
                 f"theta{kind} of a finite argument overflows a double "
                 f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
@@ -365,7 +390,7 @@ def _theta1_abs2(z, nome: Nome):
     scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
     z = np.asarray(z, dtype=complex)
     with _quiet(z):
-        series, scale, _ = _split(1, z, nome, _coefficients(nome))
+        series, scale, _ = _split(1, _reduce(z, nome.tau), nome, _coefficients(nome))
     return series.real**2 + series.imag**2, scale
 
 
@@ -384,18 +409,36 @@ def theta4(u, nome):
     return _evaluate(4, u, Nome.coerce(nome))
 
 
+def _log_abs(reduced, nome: Nome):
+    """log|theta1| at the reduction (u, m, n) = ``reduced``, as scale +
+    log|series| by ``_split``, called inside ``_quiet(z)``."""
+    series, scale, _ = _split(1, reduced, nome, _coefficients(nome))
+    modulus = np.abs(series)
+    if modulus.ndim == 0:  # log 0 = -inf at a zero of theta1, with no numpy warning
+        return float(scale + (np.log(modulus) if modulus else -math.inf))
+    return scale + np.log(modulus)
+
+
 def log_abs_theta1(z, nome):
     """log|theta1(z; q)| = scale + log|series| by ``_split``: the multiplier
     enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
-    z_arr = np.asarray(z, dtype=complex)
-    with _quiet(z_arr):
-        series, scale, _ = _split(1, z_arr, nome, _coefficients(nome))
-    modulus = np.abs(series)
-    if z_arr.ndim == 0:  # log 0 = -inf at a zero of theta1, with no numpy warning
-        return float(scale + (np.log(modulus) if modulus else -math.inf))
-    with np.errstate(divide="ignore"):
-        return scale + np.log(modulus)
+    z = np.asarray(z, dtype=complex)
+    with _quiet(z):
+        return _log_abs(_reduce(z, nome.tau), nome)
+
+
+def _log_abs_theta1_apart(z, nome: Nome):
+    """log|theta1(z; q)|, or None when some z lies on the lattice by
+    ``_on_lattice``'s test, which is read off the reduction the series is
+    summed at: the coincidence test of a pair potential costs no second
+    reduction. A coincidence is found before any refusal of theta1."""
+    z = np.asarray(z, dtype=complex)
+    with _quiet(z):
+        reduced = _reduce(z, nome.tau)
+        if (np.abs(reduced[0]) < _COINCIDENT).any():
+            return None
+        return _log_abs(reduced, nome)
 
 
 def theta1_prime0(nome) -> complex:
@@ -423,7 +466,7 @@ def _product(u, nome: Nome, odd: int):
     powers = np.exp(1j * math.pi * nome.tau * (2 * k - odd - 1))
     w = np.exp(1j * math.pi * nome.tau + 2j * u)[..., None]
     iw = np.exp(1j * math.pi * nome.tau - 2j * u)[..., None]
-    return np.prod((1 - powers * w) * (1 - powers * iw), axis=-1) * _q2_product(nome)
+    return ((1 - powers * w) * (1 - powers * iw)).prod(axis=-1) * _q2_product(nome)
 
 
 def theta1_product(z, nome):
@@ -466,8 +509,9 @@ def lattice_distance(z, nome):
 
 def _on_lattice(z, nome: Nome) -> bool:
     """True when some argument lies within 1e-9 of pi*Z + pi*tau*Z, the zeros of
-    theta1: the coincidence test of every pair potential, kernel and identity."""
-    return bool(np.any(lattice_distance(z, nome) < 1e-9))
+    theta1: the coincidence test of every kernel and identity. The pair
+    potentials apply it to theta1's own reduction (``_log_abs_theta1_apart``)."""
+    return bool((lattice_distance(z, nome) < _COINCIDENT).any())
 
 
 @functools.lru_cache(maxsize=256)

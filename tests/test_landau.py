@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from torusgas import landau, selftest
-from torusgas.electrostatics import nbody_weight, ocp_log_boltzmann
+from torusgas.electrostatics import coulomb_energy_terms, nbody_weight, ocp_log_boltzmann
 from torusgas.errors import (
     CoincidentPoints,
     DegenerateGeometry,
@@ -67,11 +67,15 @@ class TestNamedErrors:
             (lambda: fourier_det_constant(0), DimensionMismatch),
             (lambda: psi_lll(3, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3)), DimensionMismatch),
             (lambda: zn_closed(0, TorusGeometry(1.0, 1.0, 1)), DimensionMismatch),
+            (lambda: ocp_log_boltzmann(_three_points(), 2.0, TorusGeometry(1.0, 1.0, 5)),
+             DimensionMismatch),
+            (lambda: coulomb_energy_terms(_three_points(), TorusGeometry(1.0, 1.0, 5)),
+             DimensionMismatch),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
              "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
              "frobenius_residual-shapes", "fourier_det_constant-N", "psi_lll-m",
-             "zn_closed-N"],
+             "zn_closed-N", "ocp_log_boltzmann-count", "coulomb_energy_terms-count"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:
@@ -79,6 +83,11 @@ class TestNamedErrors:
         assert isinstance(info.value, TorusGasError)
         if error is ParameterOutOfRange:
             assert isinstance(info.value, ValueError)
+
+
+def _three_points():
+    """A configuration of three points on a torus with N = 3."""
+    return ParticleConfig.from_raw([0.1 + 0.2j, 0.5 + 0.7j, 0.8 + 0.4j], TorusGeometry(1.0, 1.0, 3))
 
 
 def _one_period_apart():
