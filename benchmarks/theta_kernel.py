@@ -20,12 +20,19 @@ worker processes that import ``torusgas`` from ``<checkout>/src``:
 * one cold build of the nome's series (``_coefficients.__wrapped__``, the
   uncached function), in us: what a fresh torus pays once per nome.
 
+A scalar call runs the same array code as a 1-point call, on 0-d arrays.
+
 Points are drawn uniformly over the cell Re u in [0, pi), Im u in
 [-pi W/L, pi W/L], so the quasi-periodicity shift n is -1, 0 or 1 as in the
-plasma integrand. Every timing is the best of several repeats inside a worker;
-ROUNDS workers per side run alternately (baseline first in even rounds), and
-the result is the median over rounds with the quartiles as the noise. The
-record, with the machine and library versions, goes to the output file.
+plasma integrand. Every timing is the best of several repeats inside a worker,
+at reference speed: the shared machine's speed drifts by tens of percent over
+minutes, so each worker times ``perfbench/worker.py``'s ``Reference`` kernel
+(no torusgas code) before the first timing and after each one, and scales a
+timing by the kernel's nominal over its measured duration, averaged over the
+two runs beside it, as perfbench scales its blocks. ROUNDS workers per side
+run alternately (baseline first in even rounds), and the result is the median
+over rounds with the quartiles as the noise. The record, with the machine and
+library versions, goes to the output file.
 """
 
 from __future__ import annotations
@@ -52,10 +59,21 @@ def _best(fn, number: int, repeat: int) -> float:
 
 
 def measure(src: str) -> dict:
-    """Timings of the theta kernel imported from ``src``, by W/L."""
+    """Timings of the theta kernel imported from ``src``, by W/L, each scaled
+    to reference speed by the reference kernel timed before and after it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, src)
     import numpy as np
     from torusgas.theta import Nome, _coefficients, log_abs_theta1, theta1, theta4
+    from worker import Reference
+
+    ref = Reference()
+    speeds = [ref.speed()]
+
+    def timed(fn, number: int, repeat: int) -> float:
+        t = _best(fn, number, repeat)
+        speeds.append(ref.speed())
+        return t * (speeds[-2] + speeds[-1]) / 2.0
 
     rng = np.random.default_rng(5)
     out = {}
@@ -69,15 +87,15 @@ def measure(src: str) -> dict:
         one_array = np.array([one])
         theta1(big, nome)   # fill the coefficient caches
         out[str(wl)] = {
-            "theta1_block_ns_per_point": _best(lambda: theta1(block, nome), 10, 5) / BLOCK * 1e9,
-            "theta1_ns_per_point": _best(lambda: theta1(big, nome), 2, 5) / BIG * 1e9,
-            "theta1_scalar_us": _best(lambda: theta1(one, nome), 2000, 5) * 1e6,
-            "theta4_scalar_us": _best(lambda: theta4(one, nome), 2000, 5) * 1e6,
-            "log_abs_theta1_scalar_us": _best(lambda: log_abs_theta1(one, nome), 2000, 5) * 1e6,
-            "theta1_1pt_us": _best(lambda: theta1(one_array, nome), 2000, 5) * 1e6,
-            "theta1_6pt_us": _best(lambda: theta1(six, nome), 2000, 5) * 1e6,
-            "log_abs_theta1_6pt_us": _best(lambda: log_abs_theta1(six, nome), 2000, 5) * 1e6,
-            "cold_build_us": _best(lambda: _coefficients.__wrapped__(nome), 500, 5) * 1e6,
+            "theta1_block_ns_per_point": timed(lambda: theta1(block, nome), 10, 5) / BLOCK * 1e9,
+            "theta1_ns_per_point": timed(lambda: theta1(big, nome), 2, 5) / BIG * 1e9,
+            "theta1_scalar_us": timed(lambda: theta1(one, nome), 2000, 5) * 1e6,
+            "theta4_scalar_us": timed(lambda: theta4(one, nome), 2000, 5) * 1e6,
+            "log_abs_theta1_scalar_us": timed(lambda: log_abs_theta1(one, nome), 2000, 5) * 1e6,
+            "theta1_1pt_us": timed(lambda: theta1(one_array, nome), 2000, 5) * 1e6,
+            "theta1_6pt_us": timed(lambda: theta1(six, nome), 2000, 5) * 1e6,
+            "log_abs_theta1_6pt_us": timed(lambda: log_abs_theta1(six, nome), 2000, 5) * 1e6,
+            "cold_build_us": timed(lambda: _coefficients.__wrapped__(nome), 500, 5) * 1e6,
         }
     return out
 
@@ -157,7 +175,8 @@ def main() -> None:
         "rounds": ROUNDS,
         "points": {"block": BLOCK, "big": BIG},
         "machine": _machine(),
-        "noise": "median over rounds; q1/q3 are the quartiles over rounds, each round the best of 5 repeats",
+        "noise": ("median over rounds; q1/q3 are the quartiles over rounds, each round the best of 5 "
+                  "repeats scaled to reference speed by perfbench's Reference kernel timed beside it"),
         "results": {name: _summary(rs) for name, rs in runs.items()},
     }
     with args.out.open("x") as f:

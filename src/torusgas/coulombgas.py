@@ -13,7 +13,8 @@ over |mu| values with squared multiplicity (the two signed Fourier modes). An
 independent oracle discretizes the coupled one-dimensional integral equations
 per mode into [[0, A], [A^T, 0]] with A = iB, B real, whose spectrum is
 +/- i times the singular values of B. B is circulant (the kernel is W-periodic
-in y), so they are |FFT| of its first column, in O(M log M) time and O(M)
+in y), so they are |FFT| of its first column, which is real: the M/2 + 1
+entries of its real FFT, the interior ones twice, in O(M log M) time and O(M)
 memory; closed form and oracle are compared.
 
 The product over modes diverges logarithmically with the mode cutoff (the
@@ -186,23 +187,14 @@ def _mode_block(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     return 2j * math.pi * h * _g_branches(n, diff.ravel(), geom).reshape(M, M)
 
 
-def _mode_sigma(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
-    """Singular values sigma_j, descending, of the real B = A/i for mode n: g_n
-    is 2i times a real function, so [[0, A], [A^T, 0]] has eigenvalues +/- i sigma_j.
-
-    g_n is W-periodic in y (its lower branch is the upper one at y + W), so on
-    the midpoint grid B_ij depends only on (i - j) mod M: B is circulant, and
-    its singular values are |FFT| of its first column (``_mode_fft_magnitudes``)."""
-    return np.sort(_mode_fft_magnitudes(n, geom, M))[::-1]
-
-
 def _mode_fft_magnitudes(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
-    """|FFT| of the first column of the circulant B, B_i0 = 2 pi h
-    _g_branches(i h) (the jump midpoint at i = 0), in FFT order; no theta
-    constant enters."""
+    """|FFT| entries k = 0..M/2 of the first column of the circulant B, B_i0 =
+    2 pi h _g_branches(i h) (the jump midpoint at i = 0), by the real FFT of
+    that real column; the entries M/2 < k < M repeat them as entry M - k. No
+    theta constant enters."""
     h = _grid_step(geom, M)
     column = 2.0 * math.pi * h * _g_branches(n, np.arange(M) * h, geom)
-    return np.abs(np.fft.fft(column))
+    return np.abs(np.fft.rfft(column))
 
 
 def mode_matrix(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
@@ -212,8 +204,17 @@ def mode_matrix(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
 
 
 def mode_oracle(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
-    """Discretized mode-n spectrum +/- i sigma_j(B), sorted by |lambda| desc."""
-    return np.outer(_mode_sigma(n, geom, M), [1j, -1j]).ravel()
+    """Discretized mode-n spectrum +/- i sigma_j(B), sorted by |lambda| desc.
+
+    g_n is 2i times a real function, so [[0, A], [A^T, 0]] has eigenvalues
+    +/- i sigma_j, the singular values of the real B = A/i. g_n is W-periodic
+    in y (its lower branch is the upper one at y + W), so on the midpoint grid
+    B_ij depends only on (i - j) mod M: B is circulant, and its singular values
+    are |FFT| of its first column, entry k equal to entry M - k: the half
+    ``_mode_fft_magnitudes`` with its interior taken twice."""
+    half = _mode_fft_magnitudes(n, geom, M)
+    sigma = np.sort(np.concatenate([half, half[1:(M + 1) // 2]]))[::-1]
+    return np.outer(sigma, [1j, -1j]).ravel()
 
 
 def oracle_leading_magnitudes(
@@ -225,16 +226,23 @@ def oracle_leading_magnitudes(
     with order ~2 (midpoint rule, jump on the diagonal handled by averaging),
     and extrapolating M and 2M removes the leading error term. The k-th
     distinct one is entry k of the unsorted |FFT| (k >= 1 roots are doubly
-    degenerate: entries k and M - k), which falls from k = 0 to M/2.
+    degenerate: entries k and M - k), which falls from k = 0 to M/2; past M/2
+    a grid has no further distinct magnitude, so k_count > M/2 + 1 raises
+    GridTooCoarse.
     """
+    if k_count > min(Ms) // 2 + 1:
+        raise GridTooCoarse(f"{k_count} distinct magnitudes need a grid of at least "
+                            f"{2 * (k_count - 1)} points, got M = {min(Ms)}")
     coarse, fine = (_mode_fft_magnitudes(n, geom, M)[:k_count] for M in Ms)
     return (4.0 * fine - coarse) / 3.0
 
 
 def mode_logdet(n: int, geom: TorusGeometry, M: int, zeta: float) -> float:
     """log det(1 + zeta K_n) of the discretized mode-n operator: its eigenvalues
-    +/- i sigma_j pair into sum_j log(1 + (zeta sigma_j)^2) = log det(I + zeta^2 B B^T)."""
-    return float(np.sum(np.log1p((zeta * _mode_sigma(n, geom, M)) ** 2)))
+    +/- i sigma_j pair into sum_j log(1 + (zeta sigma_j)^2) = log det(I + zeta^2 B B^T),
+    summed over the |FFT| entries 0..M/2, the interior ones twice."""
+    terms = np.log1p((zeta * _mode_fft_magnitudes(n, geom, M)) ** 2)
+    return float(terms.sum() + terms[1:(M + 1) // 2].sum())
 
 
 def mode_logdet_extrapolated(n: int, geom: TorusGeometry, M: int, zeta: float) -> float:
@@ -268,8 +276,8 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     """
     if n_max < 1:
         raise TruncationInsufficient("need at least one mode pair")
-    if zeta < 0:
-        raise ParameterOutOfRange("zeta must be >= 0")
+    if not 0 <= zeta < math.inf:
+        raise ParameterOutOfRange(f"zeta must be finite and >= 0, got {zeta}")
     _, q4 = _theta_constants(geom)
     total = 2.0 * math.log(q4)
     for j in range(1, n_max + 1):
@@ -339,6 +347,8 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     """
     if cutoff < 1:
         raise ParameterOutOfRange("cutoff must be >= 1")
+    if not L > 0:
+        raise ParameterOutOfRange(f"L must be positive, got {L}")
     if zeta == 0.0:
         return 0.0
     x = (np.arange(1, cutoff + 1) - 0.5) / L

@@ -7,6 +7,7 @@ are complex z = x + i y and are stored canonically reduced into that domain.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,13 @@ def _pairs(N: int):
     return iu, ju
 
 
+def _check_count(N) -> None:
+    """Refuse a particle or flux count N that is not an integer >= 1 (numpy
+    integers are) with ParameterOutOfRange."""
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ParameterOutOfRange(f"N must be an integer >= 1, got {N!r}")
+
+
 @dataclass(frozen=True)
 class TorusGeometry:
     """Rectangular torus with periods L (x) and W (y) and particle count N."""
@@ -38,8 +46,7 @@ class TorusGeometry:
     def __post_init__(self):
         if self.L <= 0 or self.W <= 0:
             raise ParameterOutOfRange("periods L, W must be positive")
-        if self.N < 1:
-            raise ParameterOutOfRange("N must be >= 1")
+        _check_count(self.N)
 
     @property
     def rho(self) -> float:

@@ -69,8 +69,8 @@ def _finite_sides(what: str, *sides):
 def _stack(points):
     """points as a (D, N) stack, and whether they were one configuration (N,)."""
     X = np.asarray(points, dtype=complex)
-    if X.ndim not in (1, 2):
-        raise DimensionMismatch(f"points of shape {X.shape}: need (N,) or (D, N)")
+    if X.ndim not in (1, 2) or not X.shape[-1]:
+        raise DimensionMismatch(f"points of shape {X.shape}: need (N,) or (D, N), N >= 1")
     return np.atleast_2d(X), X.ndim == 1
 
 

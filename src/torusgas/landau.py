@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
-from .geometry import _pairs
+from .geometry import _check_count, _pairs
 from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
 
@@ -39,8 +39,7 @@ class MagneticSetup:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ParameterOutOfRange("N must be >= 1")
+        _check_count(self.N)
         if self.l <= 0 or self.L <= 0 or self.W2 <= 0:
             raise ParameterOutOfRange("l, L, W2 must be positive")
         target = 2.0 * math.pi * self.l**2 * self.N / self.L

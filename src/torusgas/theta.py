@@ -17,16 +17,15 @@ nan, with no numpy warning. f_N, eta_q and the product forms share one cached
 (q^2; q^2)_inf product.
 
 Costs. Once per nome (the last 64 are cached) ``_coefficients`` builds the
-series in Python complex arithmetic, n* terms with one cmath.exp each. An
-array call then costs a fixed forty or so numpy operations under one
-np.errstate (the reduction, one exponential and one division per point, the
-Horner pass over one preallocated (2, n) pair, the sign and the multiplier),
-which outweigh the per-point work up to a few hundred points; the coincidence
-test of a pair potential reads that same reduction. A single complex argument
-takes a scalar twin (``_reduce_scalar``, ``_FINITE_POINT`` and the ``scalar``
-branches) in Python float and numpy-scalar arithmetic, at about a third of a
-1-point array call and within 3 eps of it. ``benchmarks/theta_kernel.py``
-times each of these.
+series in Python complex arithmetic, n* terms with one cmath.exp each. A call
+then costs a fixed forty or so numpy operations under one np.errstate (the
+reduction, one exponential and one division per point, the Horner pass over
+one preallocated (2,) + shape pair, the sign and the multiplier), which
+outweigh the per-point work up to a few hundred points; the coincidence test
+of a pair potential reads that same reduction. A single complex argument runs
+the same code on 0-d arrays and numpy scalars, about 22-32 us a call on a
+2-core Xeon, 0.55-0.7 of a 1-point array call and within an ulp of it.
+``benchmarks/theta_kernel.py`` times each of these.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -57,7 +56,6 @@ theta4 are even with period pi.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -152,33 +150,14 @@ def _reduce(u, tau):
     """Shift u by m*pi + n*pi*tau into the fundamental strip.
 
     Returns (u_red, m, n) with u = u_red + m*pi + n*pi*tau, as numpy scalars
-    for 0-d input, which ``_reduce_scalar`` reduces unless an inf or nan turns
-    up on the way.
+    for 0-d input.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim == 0:
-        try:
-            return _reduce_scalar(u.item(), tau)
-        except (OverflowError, ValueError):  # round() of inf or nan
-            u_red, m, n = _reduce(u.reshape(1), tau)
-            return u_red[0], m[0], n[0]
     n = np.rint(u.imag / (math.pi * tau.imag))
     u1 = u - n * math.pi * tau
     m = np.rint(u1.real / math.pi)
     u_red = u1 - m * math.pi
     return u_red, m, n
-
-
-def _reduce_scalar(z: complex, tau: complex):
-    """``_reduce`` of one point in Python float arithmetic, which rounds to the
-    same bits as the array path (np.rint is round half to even, as round() is,
-    with the sign of its argument) without the array path's numpy overhead."""
-    x = z.imag / (math.pi * tau.imag)
-    n = math.copysign(round(x), x)
-    u1 = z - n * math.pi * tau
-    x = u1.real / math.pi
-    m = math.copysign(round(x), x)
-    return np.complex128(u1 - m * math.pi), np.float64(m), np.float64(n)
 
 
 def _shift_exponent(u_red, n, tau):
@@ -260,24 +239,20 @@ def _coefficients(nome: Nome) -> dict:
             "wide": 0.5 * math.pi * t > _LOG_MAX}
 
 
-def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
+def _horner(const, coeffs, root, v, odd: bool):
     """const + p(x) + p(1/x) at x = e^(2iv), times sin(v) when ``odd``, by one
     Horner recurrence on the stacked pair (x, 1/x): one exponential per point.
     With no coefficients left (all underflowed) x is never formed; with a
-    ``root`` the pair is (root w, root / w) squared, w = e^(iv). An array v
-    fills one preallocated (2, n) pair in place."""
-    if scalar:
-        w = np.exp(1j * v)
-        xs = np.array((w, 1.0 / w))
-        sine = np.sin(v) if odd else None
-    else:
-        xs = np.empty((2,) + v.shape, dtype=complex)
-        w, iw = xs
-        np.exp(1j * v, out=w)
-        np.divide(1.0, w, out=iw)
-        if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
-            sine = (w - iw) * -0.5j
-            np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
+    ``root`` the pair is (root w, root / w) squared, w = e^(iv). The pair is
+    one preallocated (2,) + v.shape array, filled in place through its views
+    w and 1/w (0-d for a 0-d v)."""
+    xs = np.empty((2,) + v.shape, dtype=complex)
+    w, iw = xs[0, ...], xs[1, ...]
+    np.exp(1j * v, out=w)
+    np.divide(1.0, w, out=iw)
+    if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
+        sine = np.asarray((w - iw) * -0.5j)   # a 0-d v gives a numpy scalar here
+        np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
     if len(coeffs):
         if root is not None:
             xs *= root
@@ -294,17 +269,11 @@ def _horner(const, coeffs, root, v, odd: bool, scalar: bool):
     return sine * series if odd else series
 
 
-_FINITE_POINT = contextlib.nullcontext()
-
-
-def _quiet(z: np.ndarray):
-    """The floating-point error state to evaluate theta at z in, one per call:
-    a nan or inf argument gives nan, an overflow is refused by name and log 0
-    is -inf, with numpy's warnings off for an array or a non-finite point. One
-    finite point cannot raise them and skips np.errstate."""
-    if z.ndim or not cmath.isfinite(z.item()):
-        return np.errstate(invalid="ignore", over="ignore", divide="ignore")
-    return _FINITE_POINT
+def _quiet():
+    """The floating-point error state to evaluate theta in, one per call: a
+    nan or inf argument gives nan, an overflow is refused by name and log 0
+    is -inf, with numpy's warnings off."""
+    return np.errstate(invalid="ignore", over="ignore", divide="ignore")
 
 
 def _split(kind: int, reduced, nome: Nome, terms: dict):
@@ -334,7 +303,7 @@ def _split(kind: int, reduced, nome: Nome, terms: dict):
         raise PrecisionUnreachable(f"e^(iu) overflows a double at a reduced |Im u| > {_LOG_MAX}")
     t = terms["modular"]
     if t is None:
-        series = _horner(*horner, u, kind == 1, u.ndim == 0)
+        series = _horner(*horner, u, kind == 1)
         if not n.any():
             return series, 0.0, None
         two_n = 2 * n
@@ -342,7 +311,7 @@ def _split(kind: int, reduced, nome: Nome, terms: dict):
         c = -math.pi * nome.tau.real   # a zero c is c * n * n for every finite n
         return series, scale, lambda: (c if c == 0 else c * n * n) - two_n * u.real
     half = 0.5 * math.pi if kind == 4 else 0.0
-    series = _horner(*horner, u * (1j / t) + half, kind != 3, u.ndim == 0)
+    series = _horner(*horner, u * (1j / t) + half, kind != 3)
     a, b = u.real, u.imag + math.pi * t * n  # real arithmetic rounds scalars as arrays
     return series, (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
 
@@ -351,11 +320,10 @@ def _evaluate(kind: int, z, nome: Nome):
     """theta_kind(z; q), kind 1, 3 or 4, as sign * e^(scale + i*phase) * series
     from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4. A value
     that overflows a double raises PrecisionUnreachable with no numpy warning
-    first: cmath.exp raises for a scalar, np.errstate quiets an array.
+    first. A 0-d z gives a Python complex.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    with _quiet(z):
+    with _quiet():
         u, m, n = reduced = _reduce(z, nome.tau)
         series, scale, phase = _split(kind, reduced, nome, _coefficients(nome))
         if kind != 3:  # 1 - 2 (k mod 2)^2 = (-1)^k, exact for every integer-valued k
@@ -365,31 +333,23 @@ def _evaluate(kind: int, z, nome: Nome):
             sign += 1.0
             series = sign * series
         if phase is None:
-            return complex(series) if scalar else series
-        if scalar:
-            try:
-                vals = total = cmath.exp(complex(scale, phase())) * complex(series)
-            except OverflowError:
-                vals = total = complex(math.inf)
+            vals = series
         else:
-            vals = scale + 1j * phase()
-            vals = np.exp(vals, out=vals) * series
+            vals = np.exp(scale + 1j * phase()) * series
             total = vals.sum()  # inf or nan in any value spreads to it
-    if not cmath.isfinite(total):
-        bad = ~np.isfinite(vals)
-        if np.isfinite(z[bad]).any():
-            raise PrecisionUnreachable(
-                f"theta{kind} of a finite argument overflows a double "
-                f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
-            )
-    return vals
+            if not cmath.isfinite(total) and np.isfinite(z[~np.isfinite(vals)]).any():
+                raise PrecisionUnreachable(
+                    f"theta{kind} of a finite argument overflows a double "
+                    f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
+                )
+    return complex(vals) if z.ndim == 0 else vals
 
 
 def _theta1_abs2(z, nome: Nome):
     """|theta1(z; q)|^2, kept apart by ``_split`` as (|series|^2,
     scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
     z = np.asarray(z, dtype=complex)
-    with _quiet(z):
+    with _quiet():
         series, scale, _ = _split(1, _reduce(z, nome.tau), nome, _coefficients(nome))
     return series.real**2 + series.imag**2, scale
 
@@ -411,12 +371,11 @@ def theta4(u, nome):
 
 def _log_abs(reduced, nome: Nome):
     """log|theta1| at the reduction (u, m, n) = ``reduced``, as scale +
-    log|series| by ``_split``, called inside ``_quiet(z)``."""
+    log|series| by ``_split``, called inside ``_quiet()``; a float for a
+    0-d reduction."""
     series, scale, _ = _split(1, reduced, nome, _coefficients(nome))
-    modulus = np.abs(series)
-    if modulus.ndim == 0:  # log 0 = -inf at a zero of theta1, with no numpy warning
-        return float(scale + (np.log(modulus) if modulus else -math.inf))
-    return scale + np.log(modulus)
+    value = scale + np.log(np.abs(series))
+    return float(value) if value.ndim == 0 else value
 
 
 def log_abs_theta1(z, nome):
@@ -424,7 +383,7 @@ def log_abs_theta1(z, nome):
     enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
     z = np.asarray(z, dtype=complex)
-    with _quiet(z):
+    with _quiet():
         return _log_abs(_reduce(z, nome.tau), nome)
 
 
@@ -434,7 +393,7 @@ def _log_abs_theta1_apart(z, nome: Nome):
     summed at: the coincidence test of a pair potential costs no second
     reduction. A coincidence is found before any refusal of theta1."""
     z = np.asarray(z, dtype=complex)
-    with _quiet(z):
+    with _quiet():
         reduced = _reduce(z, nome.tau)
         if (np.abs(reduced[0]) < _COINCIDENT).any():
             return None

@@ -48,7 +48,7 @@ class TestGreens:
 
     def test_table_matches_per_point_calls(self):
         """One array call per potential gives the grid of per-point scalar
-        calls, x outer, up to the rounding of theta's scalar and array paths."""
+        calls, x outer, up to numpy's scalar and array rounding."""
         L, W, grid = 1.3, 0.7, 6
         res = runner.invoke(main, ["greens", "--L", str(L), "--W", str(W), "--grid", str(grid)])
         assert res.exit_code == 0
@@ -236,7 +236,7 @@ class TestLandau:
 
     def test_table_matches_per_point_calls(self):
         """One array call gives the grid of per-point scalar |psi_m|^2 calls,
-        x outer, up to the rounding of theta's scalar and array paths."""
+        x outer, up to numpy's scalar and array rounding."""
         N, L, m, grid = 3, 1.2, 1, 5
         args = ["landau", "--N", str(N), "--L", str(L), "--m", str(m), "--grid", str(grid)]
         res = runner.invoke(main, args)
@@ -272,6 +272,18 @@ class TestTcg:
         lines = table.read_text().strip().split("\n")
         assert lines[0].startswith("mode,grid,root_index")
         assert len(lines) > 9
+
+    def test_convergence_table_past_half_the_grid_is_refused(self, tmp_path, monkeypatch, capsys):
+        """61 roots per mode need more than the 50-point grid holds: a named
+        refusal, not a traceback."""
+        table = tmp_path / "conv.csv"
+        monkeypatch.setattr(sys, "argv", ["torusgas", "tcg", "--kmax", "60",
+                                          "--convergence-out", str(table)])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: 61 distinct magnitudes need a grid")
+        assert not table.exists()
 
     def test_oracle_comparison_converges_in_the_grid(self):
         """--grid-m runs the oracle: a finite log Xi, and the closed form's

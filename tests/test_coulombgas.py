@@ -199,6 +199,18 @@ class TestModeOracle:
         got = oracle_leading_magnitudes(n, GEOM, 3, Ms=(16, 32))
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
+    def test_leading_magnitudes_stop_at_half_the_grid(self):
+        """Entry k of the |FFT| is the k-th distinct magnitude up to k = M/2;
+        past it entry k repeats entry M - k, so more magnitudes are refused."""
+        M, n = 16, 1
+        dense = {m: np.sort(np.abs(np.linalg.eigvals(mode_matrix(n, GEOM, m))))[::-1]
+                 for m in (M, 2 * M)}
+        coarse, fine = (_distinct(dense[m], M // 2 + 1) for m in (M, 2 * M))
+        got = oracle_leading_magnitudes(n, GEOM, M // 2 + 1, Ms=(M, 2 * M))
+        assert np.max(np.abs(got - (4.0 * fine - coarse) / 3.0) / got) < 1e-12
+        with pytest.raises(GridTooCoarse):
+            oracle_leading_magnitudes(n, GEOM, M // 2 + 2, Ms=(M, 2 * M))
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_convergence_to_closed_roots(self, n):
         spec = eigen_roots(n, GEOM, 3)

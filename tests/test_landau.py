@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torusgas import landau, selftest
+from torusgas.coulombgas import log_xi2_closed, pressure_sum, xi2_closed
 from torusgas.electrostatics import coulomb_energy_terms, nbody_weight, ocp_log_boltzmann
 from torusgas.errors import (
     CoincidentPoints,
@@ -18,7 +19,7 @@ from torusgas.errors import (
     TorusGasError,
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
-from torusgas.identities import fourier_det_constant, frobenius_residual
+from torusgas.identities import fourier_det_constant, frobenius_residual, theta_vandermonde_residual
 from torusgas.landau import (
     MagneticSetup,
     factored_state,
@@ -28,7 +29,7 @@ from torusgas.landau import (
     psi_lll,
     slater_state,
 )
-from torusgas.plasma import zn_closed
+from torusgas.plasma import partition_integral_closed, zn_closed
 from torusgas.selftest import check_wavefunction_factorization, factorization_spread
 from torusgas.theta import Nome, theta3
 
@@ -71,11 +72,27 @@ class TestNamedErrors:
              DimensionMismatch),
             (lambda: coulomb_energy_terms(_three_points(), TorusGeometry(1.0, 1.0, 5)),
              DimensionMismatch),
+            (lambda: theta_vandermonde_residual(np.zeros((3, 0)), 0.05, 0.3), DimensionMismatch),
+            (lambda: frobenius_residual(np.zeros(0), np.zeros(0), 0.1, 0.3), DimensionMismatch),
+            (lambda: partition_integral_closed(0, TorusGeometry(1.0, 1.0, 1)), DimensionMismatch),
+            (lambda: log_xi2_closed(math.nan, TorusGeometry(1.0, 1.0, 1), 8), ParameterOutOfRange),
+            (lambda: xi2_closed(math.nan, TorusGeometry(1.0, 1.0, 1), 8), ParameterOutOfRange),
+            (lambda: log_xi2_closed(math.inf, TorusGeometry(1.0, 1.0, 1), 8), ParameterOutOfRange),
+            (lambda: pressure_sum(1.0, 0.0, 5), ParameterOutOfRange),
+            (lambda: pressure_sum(1.0, -1.0, 5), ParameterOutOfRange),
+            (lambda: TorusGeometry(1.0, 1.0, 2.5), ParameterOutOfRange),
+            (lambda: MagneticSetup.plasma_mapping(1.0, 2.5), ParameterOutOfRange),
+            (lambda: zn_closed(2.5, TorusGeometry(1.0, 1.0, 1)), ParameterOutOfRange),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
              "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
              "frobenius_residual-shapes", "fourier_det_constant-N", "psi_lll-m",
-             "zn_closed-N", "ocp_log_boltzmann-count", "coulomb_energy_terms-count"],
+             "zn_closed-N", "ocp_log_boltzmann-count", "coulomb_energy_terms-count",
+             "theta_vandermonde_residual-N0", "frobenius_residual-N0",
+             "partition_integral_closed-N", "log_xi2_closed-nan-zeta", "xi2_closed-nan-zeta",
+             "log_xi2_closed-inf-zeta", "pressure_sum-zero-L", "pressure_sum-negative-L",
+             "TorusGeometry-fractional-N", "plasma_mapping-fractional-N",
+             "zn_closed-fractional-N"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:
@@ -83,6 +100,11 @@ class TestNamedErrors:
         assert isinstance(info.value, TorusGasError)
         if error is ParameterOutOfRange:
             assert isinstance(info.value, ValueError)
+
+    def test_numpy_integer_count(self):
+        """A numpy integer is an integer count, as the scan and the draws pass it."""
+        assert TorusGeometry(1.0, 1.0, np.int64(3)).N == 3
+        assert MagneticSetup.plasma_mapping(1.0, np.int32(2)).N == 2
 
 
 def _three_points():

@@ -196,10 +196,9 @@ class TestQuadrature:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("WL", [0.5, 2.0])
     def test_one_configuration_matches_one_row_batch(self, N, WL):
-        """One (N,) configuration gives a scalar by theta's scalar path; it
-        rounds differently from the array path (np.sin against
-        (w - 1/w)/2i), a few ulps per theta factor: over 2000 draws per case
-        the worst relative gap was 2.4e-15 at N = 3."""
+        """One (N,) configuration gives a scalar; theta runs the same code
+        for it as for the one-row batch, but numpy's scalar and array
+        arithmetic may round a product apart by an ulp per theta factor."""
         g = TorusGeometry(1.0, WL, N)
         r = np.random.default_rng(60 + N)
         for _ in range(50):

@@ -27,6 +27,7 @@ from torusgas.theta import (
     Nome,
     _coefficients,
     _k_star,
+    _log_abs_theta1_apart,
     _n_star,
     _reduce,
     _shift_exponent,
@@ -499,28 +500,42 @@ class TestSeriesKernel:
         "tau", [0.0164j, 0.2j, 1j, 5j, 61.2j, 300j, 0.3 + 1j, -0.45 + 0.4j],
         ids=["cap", "0.2", "1", "5", "61.2", "300", "skewed-1", "skewed-0.4"],
     )
-    def test_scalar_twin_matches_one_point_array(self, tau):
-        """A scalar call and a 1-point array call of theta1/3/4 agree to
-        8 eps relative at 400 points per nome, inside the strip and shifted
-        out of it by m*pi + n*pi*tau, |m| <= 3, |n| <= 1: the scalar twin
-        (Python float reduction, np.sin throughout) and the array path round
-        apart by a few eps, and either refuses what the other refuses."""
+    def test_one_path_for_scalar_and_one_point_array(self, tau):
+        """A scalar call and a 1-point array call run the same code, so they
+        agree to 8 eps at 400 points per nome, inside the strip and shifted
+        out of it by m*pi + n*pi*tau, |m| <= 3, |n| <= 1, for theta1/3/4,
+        log|theta1| with and without the coincidence test, |theta1|^2 as
+        (mantissa, scale) and the lattice distance; numpy's scalar and array
+        arithmetic may round a product apart by an ulp. Either refuses what
+        the other refuses."""
         nome = Nome.from_tau(tau)
         gen = np.random.default_rng(26)
         k = 200
         inside = (math.pi * gen.uniform(-0.5, 0.5, k)
                   + 1j * math.pi * tau.imag * gen.uniform(-0.5, 0.5, k))
         shifted = inside + gen.integers(-3, 4, k) * math.pi + gen.integers(-1, 2, k) * math.pi * tau
+        calls = [theta for _, theta in KINDS] + [
+            log_abs_theta1, _log_abs_theta1_apart, _theta1_abs2, lattice_distance]
         worst = 0.0
         for z in np.concatenate([inside, shifted]):
-            for _, theta in KINDS:
+            for call in calls:
                 try:
-                    one = theta(complex(z), nome)
+                    one = call(complex(z), nome)
                 except PrecisionUnreachable:
                     with pytest.raises(PrecisionUnreachable):
-                        theta(np.array([z]), nome)
+                        call(np.array([z]), nome)
                     continue
-                worst = max(worst, abs(one - theta(np.array([z]), nome)[0]) / abs(one))
+                array = call(np.array([z]), nome)
+                if call in (log_abs_theta1, _log_abs_theta1_apart):   # log scale: absolute
+                    assert isinstance(one, float)
+                    worst = max(worst, abs(one - array[0]) / max(1.0, abs(one)))
+                elif call is _theta1_abs2:
+                    assert np.ndim(one[0]) == 0 and np.ndim(one[1]) == 0
+                    worst = max(worst, abs(one[0] - array[0][0]) / one[0],
+                                abs(one[1] - np.ravel(array[1])[0]) / max(1.0, abs(one[1])))
+                else:
+                    assert np.ndim(one) == 0
+                    worst = max(worst, abs(one - array[0]) / abs(one))
         assert worst <= 8 * np.finfo(float).eps, worst
 
     def test_batch_matches_per_point(self):
@@ -806,8 +821,9 @@ class TestOnLattice:
 
 
 class TestReduceScalar:
-    """A 0-d argument is reduced in Python float arithmetic; it must give the
-    bits of the array path, signed zeros and ties to even included."""
+    """A 0-d argument is reduced by the array code in numpy scalars; it must
+    give the bits of the same point in an array, signed zeros and ties to even
+    included."""
 
     @staticmethod
     def _bits(u, m, n):
