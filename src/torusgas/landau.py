@@ -9,8 +9,13 @@ function times a theta-Vandermonde pair product, ``factored_state``; the two
 closed forms are evaluated independently and compared through the constancy of
 their ratio, which absorbs the overall root-of-unity bookkeeping.
 
-Both forms take one configuration (N,) or a (D, N) stack, which
-``factorization_ratio`` evaluates with one call per theta kind.
+The determinant calls no theta function: it sums each basis state as its
+series of Gaussian images, in the frame where they localize (the torus turned
+by -90 degrees when W2 < L), so its small part is not lost to cancellation
+between O(1) entries. ``psi_lll`` keeps the theta3 closed form, and the
+product form is built from theta1 and theta3. Both forms take one
+configuration (N,) or a (D, N) stack, which ``factorization_ratio`` evaluates
+with one stacked determinant and one call per theta kind.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
 
 _FLUX_TOL = 1e-12
+_IMAGE_WINDOW = 37.0   # a state's images below e^-37 of its largest are dropped
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,9 @@ class MagneticSetup:
 
 def flux_constraint(N: int, l: float, L: float) -> float:
     """Second-period height W2 = 2*pi*l^2*N/L enclosing exactly N flux quanta."""
-    if N < 1 or l <= 0 or L <= 0:
-        raise ParameterOutOfRange("need N >= 1 and positive l, L")
+    _check_count(N)
+    if l <= 0 or L <= 0:
+        raise ParameterOutOfRange("need positive l, L")
     return 2.0 * math.pi * l * l * N / L
 
 
@@ -101,31 +108,20 @@ def psi_lll(m: int, z, setup: MagneticSetup):
     """
     if not 0 <= m <= setup.N - 1:
         raise DimensionMismatch(f"m = {m} outside 0..{setup.N - 1}")
-    vals = _psi(m, np.asarray(z, dtype=complex), setup)
-    if vals.ndim == 0:
-        return complex(vals)
-    return vals
-
-
-def _psi(m, z: np.ndarray, setup: MagneticSetup) -> np.ndarray:
-    """psi_lll with levels m and positions z broadcast against each other, so
-    a whole Slater matrix takes one theta3 call."""
-    tau = setup.tau
-    zbar = np.conj(z)
-    gauss = np.exp(-(z.imag**2) / (2.0 * setup.l**2))
-    norm = 1.0 / math.sqrt(setup.L * setup.l * math.sqrt(math.pi))
-    q_pow = np.exp(1j * math.pi * tau * m * m / setup.N)
-    plane = np.exp(-2j * math.pi * m * zbar / setup.L)
-    big = theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
-    return gauss * norm * q_pow * plane * big
+    z = np.asarray(z, dtype=complex)
+    tau, zbar = setup.tau, np.conj(z)
+    vals = (
+        np.exp(-(z.imag**2) / (2.0 * setup.l**2)) * _norm(setup.L, setup)
+        * np.exp(1j * math.pi * tau * m * m / setup.N)
+        * np.exp(-2j * math.pi * m * zbar / setup.L)
+        * theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
+    )
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def slater_state(config, setup: MagneticSetup) -> complex:
-    """Filled-level N-particle state as det[psi_(k-1)(z_j)] / sqrt(N!).
-
-    Evaluating the determinant of the normalized single-particle states is
-    algebraically identical to pulling the Gaussian and q-power prefactors out
-    front, and keeps the matrix entries O(1).
+    """Filled-level N-particle state as det[psi_(k-1)(z_j)] / sqrt(N!), the
+    states summed as their Gaussian images (``_slater``), not through theta3.
     """
     return complex(_slater(_coords(config, setup, 1), setup))
 
@@ -158,9 +154,73 @@ def factorization_ratio(configs, setup: MagneticSetup) -> np.ndarray:
 
 def _slater(zs: np.ndarray, setup: MagneticSetup):
     """slater_state of one configuration (N,) or of each row of a (D, N)
-    stack: one theta3 call for every Slater matrix, one stacked determinant."""
-    mat = _psi(np.arange(setup.N), zs[..., :, None], setup)   # mat[..., j, m] = psi_m(z_j)
-    return np.linalg.det(mat) / math.sqrt(math.factorial(setup.N))
+    stack, with no theta call. Each basis state is its image sum, the theta3
+    series of ``psi_lll`` with its q-power and Gaussian multiplied in:
+
+        psi_m(z) = norm * sum_{k = m mod N} e^(-a (y + k W2/N)^2 - 2 pi i k x/L
+                                                 - i pi W1 k^2/(N L)),
+
+    a = pi N/(L W2), norm = 1/sqrt(L l sqrt(pi)); every term has modulus <= 1.
+    It is summed in one of two frames.
+
+    Direct (W2 >= L, or a skewed torus): the Gaussians in y, spaced W2/N.
+
+    Rotated (W2 < L, W1 = 0): Poisson summation over each state's images
+    turns them into Gaussians in x, spaced L/N:
+
+        psi_m = sum_n F_nm chi_n,   F_nm = e^(-2 pi i n m/N) / sqrt(N),
+        chi_n(z) = e^(i x y/l^2) / sqrt(W2 l sqrt(pi))
+                   * sum_{k = n mod N} e^(-a (x - k L/N)^2 - 2 pi i k y/W2).
+
+    The chi_n are the states of the torus turned by -90 degrees,
+    (x, y) -> (y, L - x), in their own Landau gauge. So the determinant is
+    e^(i sum_j x_j y_j/l^2) det F det[chi_n(z_j) without its phase], and
+    det F, the determinant of the unitary DFT, is i^((N-1)(N+2)/2): the
+    product of its eigenvalues 1, -1, -i, i at their multiplicities
+    (McClellan and Parks, 1972).
+
+    Each entry keeps every image within e^-_IMAGE_WINDOW of its largest;
+    the images of one configuration's row are one run k0, k0 + 1, ... with
+    k0 = 0 mod N, so that image k0 + t falls in column t mod N. One stacked
+    determinant serves every Slater matrix.
+    """
+    N, x, y = setup.N, zs.real, zs.imag
+    if setup.W2 >= setup.L or setup.W1 != 0.0:   # direct
+        h, period = setup.W2 / N, setup.L
+        c, iv = y / h, (-2j * math.pi / setup.L) * x
+        skew, phase = math.pi * setup.W1 / (N * setup.L), 1.0
+    else:                                         # rotated
+        h, period, skew = setup.L / N, setup.W2, 0.0
+        c, iv = x / -h, (-2j * math.pi / setup.W2) * y
+        dft = 1j ** ((((N - 1) * (N + 2)) // 2) % 4)
+        phase = dft * np.exp(1j * (x * y).sum(axis=-1) / setup.l**2)
+    # term k is e^(-ah2 (c + k)^2 + iv k - i skew k^2), with c the row's
+    # Gaussian coordinate and ah2 = a in units of the image spacing h
+    ah2 = math.pi * N * h * h / (setup.L * setup.W2)
+    # The row's Gaussian peaks at k = -c; each column's largest image is at
+    # most N/2 from there.
+    reach = math.sqrt(_IMAGE_WINDOW / ah2 + N * N / 4.0)
+    width = N * (int(2.0 * reach / N) + 2)
+    k0 = (-reach - c) // N * N
+    t = np.arange(width)
+    # the phases at k = k0 + t by powers along t
+    terms = np.empty(zs.shape + (width,), dtype=complex)
+    if skew:
+        terms[..., 0] = np.exp(k0 * (iv - 1j * skew * k0))
+        terms[..., 1:] = np.exp(iv - 2j * skew * k0)[..., None]
+    else:
+        terms[..., 0] = np.exp(iv * k0)
+        terms[..., 1:] = np.exp(iv)[..., None]
+    np.cumprod(terms, axis=-1, out=terms)
+    if skew:
+        terms *= np.exp(-1j * skew * t * t)
+    d = (c + k0)[..., None] + t
+    d *= d
+    d *= -ah2
+    terms *= np.exp(d, out=d)
+    mat = terms.reshape(zs.shape + (width // N, N)).sum(axis=-2)   # psi_m(z_j) / norm
+    scale = _norm(period, setup) ** N / math.sqrt(math.factorial(N))
+    return np.linalg.det(mat) * (scale * phase)
 
 
 def _factored(zs: np.ndarray, setup: MagneticSetup):
@@ -185,6 +245,12 @@ def _factored(zs: np.ndarray, setup: MagneticSetup):
         com = theta3(com, nome)
         pair = theta1(pairs, nome).prod(axis=-1) if N > 1 else 1.0 + 0j
     return pref * gauss * com * pair
+
+
+def _norm(period: float, setup: MagneticSetup) -> float:
+    """Normalization 1/sqrt(period l sqrt(pi)) of a level state periodic in
+    ``period``."""
+    return 1.0 / math.sqrt(period * setup.l * math.sqrt(math.pi))
 
 
 def _coords(config, setup: MagneticSetup, ndim: int) -> np.ndarray:

@@ -140,13 +140,6 @@ def _log_product_form(N: int, rho: float, nome: Nome) -> float:
     )
 
 
-def _with_count(N: int, geom: TorusGeometry) -> TorusGeometry:
-    """The torus of ``geom`` with N particles; N < 1 raises DimensionMismatch."""
-    if N < 1:
-        raise DimensionMismatch("N must be >= 1")
-    return TorusGeometry(geom.L, geom.W, N)
-
-
 def zn_closed(N: int, geom: TorusGeometry) -> ZnChain:
     """Evaluate the partition-function chain and resolve its nome convention.
 
@@ -155,7 +148,7 @@ def zn_closed(N: int, geom: TorusGeometry) -> ZnChain:
     and with the nome q = exp(-pi W/L), the same one the prefactor form uses.
     Both corrected candidates and both literal printed candidates are reported.
     """
-    geom = _with_count(N, geom)
+    geom = TorusGeometry(geom.L, geom.W, N)   # refuses a count that is not an integer >= 1
     rho = geom.rho
     lm = _log_middle(N, geom)
     lf_wl = _log_product_form(N, rho, geom.nome_WL)
@@ -197,7 +190,7 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
 
         N! (L N (2 rho)^{-1/2})^N f_N(q)^{-2},   q = exp(-pi W/L).
     """
-    rho = _with_count(N, geom).rho
+    rho = TorusGeometry(geom.L, geom.W, N).rho
     return (
         math.factorial(N)
         * (geom.L * N / math.sqrt(2.0 * rho)) ** N

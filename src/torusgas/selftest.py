@@ -97,7 +97,7 @@ def check_wavefunction_factorization(seed: int = 7) -> CriterionResult:
     for N in range(1, 6):
         spread, mean = factorization_spread(MagneticSetup.plasma_mapping(L=1.2, N=N), rng, 50)
         worst = max(worst, spread)
-        constants[N] = complex(np.round(mean, 12))
+        constants[N] = complex(np.round(mean, 12)) + 0j   # + 0j turns -0.0 into 0.0
     return _result(
         "wavefunction-factorization",
         worst < FACTORIZATION_MAX_SPREAD,

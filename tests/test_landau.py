@@ -67,14 +67,15 @@ class TestNamedErrors:
             (lambda: frobenius_residual([0.1, 0.2], [0.3], 0.1, 0.3), DimensionMismatch),
             (lambda: fourier_det_constant(0), DimensionMismatch),
             (lambda: psi_lll(3, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3)), DimensionMismatch),
-            (lambda: zn_closed(0, TorusGeometry(1.0, 1.0, 1)), DimensionMismatch),
+            (lambda: zn_closed(0, TorusGeometry(1.0, 1.0, 1)), ParameterOutOfRange),
             (lambda: ocp_log_boltzmann(_three_points(), 2.0, TorusGeometry(1.0, 1.0, 5)),
              DimensionMismatch),
             (lambda: coulomb_energy_terms(_three_points(), TorusGeometry(1.0, 1.0, 5)),
              DimensionMismatch),
             (lambda: theta_vandermonde_residual(np.zeros((3, 0)), 0.05, 0.3), DimensionMismatch),
             (lambda: frobenius_residual(np.zeros(0), np.zeros(0), 0.1, 0.3), DimensionMismatch),
-            (lambda: partition_integral_closed(0, TorusGeometry(1.0, 1.0, 1)), DimensionMismatch),
+            (lambda: partition_integral_closed(0, TorusGeometry(1.0, 1.0, 1)),
+             ParameterOutOfRange),
             (lambda: log_xi2_closed(math.nan, TorusGeometry(1.0, 1.0, 1), 8), ParameterOutOfRange),
             (lambda: xi2_closed(math.nan, TorusGeometry(1.0, 1.0, 1), 8), ParameterOutOfRange),
             (lambda: log_xi2_closed(math.inf, TorusGeometry(1.0, 1.0, 1), 8), ParameterOutOfRange),
@@ -83,6 +84,9 @@ class TestNamedErrors:
             (lambda: TorusGeometry(1.0, 1.0, 2.5), ParameterOutOfRange),
             (lambda: MagneticSetup.plasma_mapping(1.0, 2.5), ParameterOutOfRange),
             (lambda: zn_closed(2.5, TorusGeometry(1.0, 1.0, 1)), ParameterOutOfRange),
+            (lambda: flux_constraint(2.5, 0.25, 1.0), ParameterOutOfRange),
+            (lambda: partition_integral_closed(2.5, TorusGeometry(1.0, 1.0, 1)),
+             ParameterOutOfRange),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
              "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
@@ -92,7 +96,8 @@ class TestNamedErrors:
              "partition_integral_closed-N", "log_xi2_closed-nan-zeta", "xi2_closed-nan-zeta",
              "log_xi2_closed-inf-zeta", "pressure_sum-zero-L", "pressure_sum-negative-L",
              "TorusGeometry-fractional-N", "plasma_mapping-fractional-N",
-             "zn_closed-fractional-N"],
+             "zn_closed-fractional-N", "flux_constraint-fractional-N",
+             "partition_integral_closed-fractional-N"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:
@@ -249,6 +254,62 @@ class TestManyBody:
             det = p0[:, None] * p1[None, :] - p0[None, :] * p1[:, None]
             total = float(np.sum(np.abs(det) ** 2)) / 2.0 * cell**2
         assert abs(total - 1.0) < 1e-6
+
+
+class TestImageSum:
+    """slater_state sums each state's Gaussian images, in the frame where they
+    localize, and calls no theta function."""
+
+    @pytest.mark.parametrize("W1", [0.0, 0.2])
+    @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0, 4.0])
+    def test_matches_determinant_of_level_states(self, WL, W1):
+        """Against det[psi_lll(m, z_j)] / sqrt(N!), the theta3 closed form:
+        this pins the rotated frame's constant and gauge phase (W/L = 0.5),
+        the frame switch and the image window, in and outside the cell. The
+        reference determinant itself cancels to about 1e-16 of the product
+        of its row norms (the Hadamard bound), which is more than 1e-12 of
+        it where two particles nearly share a state: so either bound holds."""
+        r = np.random.default_rng(int(100 * WL) + int(10 * W1))
+        for N in range(1, 7):
+            L = math.sqrt(N / WL)
+            setup = MagneticSetup.from_flux(L=L, N=N, l=1.0 / math.sqrt(2.0 * math.pi), W1=W1)
+            zs = r.uniform(0, L, (4, N)) + 1j * r.uniform(0, setup.W2, (4, N))
+            zs[0, 0] += 2.0 * L - 3.0j * setup.W2   # one particle out of the cell
+            zs[1] += -1.0 * L + 1.0j * setup.W2     # every particle one period away
+            for z in zs:
+                mat = np.array([[psi_lll(m, zj, setup) for m in range(N)] for zj in z])
+                ref = np.linalg.det(mat) / math.sqrt(math.factorial(N))
+                hadamard = np.prod(np.linalg.norm(mat, axis=1)) / math.sqrt(math.factorial(N))
+                err = abs(slater_state(z, setup) - ref)
+                assert err <= max(1e-12 * abs(ref), 1e-15 * hadamard), (N, z)
+
+    def test_seeded_spread_at_small_aspect(self):
+        """W/L = 0.03, N = 4: the theta3-built Slater matrix lost the
+        determinant's small part here (spreads of O(1))."""
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(4 / 0.03), N=4)
+        spread, mean = factorization_spread(setup, np.random.default_rng(29), 50)
+        assert spread <= 1e-9
+        assert abs(abs(mean) - 1.0) < 1e-9
+
+    def test_large_aspect_is_finite(self):
+        """W/L = 20, N = 5: theta3's multiplier at q^N overflowed for three of
+        these five configurations; the image sum is finite and its ratio to
+        the product form constant."""
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(5 / 20), N=5)
+        U = np.random.default_rng(3).uniform(0.0, [[setup.L], [setup.W2]], (5, 2, 5))
+        zs = U[:, 0] + 1j * U[:, 1]
+        assert all(np.isfinite(slater_state(z, setup)) for z in zs)
+        ratios = factorization_ratio(zs, setup)
+        assert np.max(np.abs(ratios - ratios.mean())) <= 1e-9 * abs(ratios.mean())
+
+    def test_window_reaches_each_entrys_largest_image(self):
+        """W/L = 20, N = 3: each entry keeps its images down to e^-37 of its
+        own largest, not of its row's; the row's window leaves a ratio
+        spread of 1.2e-5 on these draws."""
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(3 / 20), N=3)
+        U = np.random.default_rng(6).uniform(0.0, [[setup.L], [setup.W2]], (20, 2, 3))
+        ratios = factorization_ratio(U[:, 0] + 1j * U[:, 1], setup)
+        assert np.max(np.abs(ratios - ratios.mean())) <= 1e-9 * abs(ratios.mean())
 
 
 class TestStackedRatio:
