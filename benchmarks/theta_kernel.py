@@ -13,14 +13,13 @@ worker processes that import ``torusgas`` from ``<checkout>/src``:
 * ``theta1`` on 1e5 points, in ns per point: a large vectorised call, whose
   fresh temporaries page-fault in on every call;
 * one scalar call of ``theta1``, ``theta4`` and ``log_abs_theta1``, in us;
-* one 1-point array call of ``theta1``, in us: the array path's fixed cost,
-  against the scalar call's;
-* one 6-point call of ``theta1`` and of ``log_abs_theta1`` (the pair
-  differences of 4 particles), in us;
+  the 0-d end of the sweep below;
+* one call of ``theta1`` and of ``log_abs_theta1`` on each of SWEEP points
+  (1 to 32), in us: a call of at most ``theta._POINT_MAX`` points runs the
+  Python-complex point kernel, one of more the array path, so the sweep
+  shows where the two cost the same;
 * one cold build of the nome's series (``_coefficients.__wrapped__``, the
   uncached function), in us: what a fresh torus pays once per nome.
-
-A scalar call runs the same array code as a 1-point call, on 0-d arrays.
 
 Points are drawn uniformly over the cell Re u in [0, pi), Im u in
 [-pi W/L, pi W/L], so the quasi-periodicity shift n is -1, 0 or 1 as in the
@@ -51,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ASPECTS = (0.02, 0.05, 0.2, 1.0, 5.0)
 BLOCK = 8192
 BIG = 100_000
+SWEEP = (1, 2, 4, 8, 12, 16, 32)
 ROUNDS = 5
 
 
@@ -83,20 +83,20 @@ def measure(src: str) -> dict:
         def cell(n):
             return np.pi * rng.uniform(0, 1, n) + 1j * np.pi * wl * rng.uniform(-1, 1, n)
 
-        big, block, six, one = cell(BIG), cell(BLOCK), cell(6), complex(cell(1)[0])
-        one_array = np.array([one])
+        big, block, one = cell(BIG), cell(BLOCK), complex(cell(1)[0])
         theta1(big, nome)   # fill the coefficient caches
-        out[str(wl)] = {
+        out[str(wl)] = timings = {
             "theta1_block_ns_per_point": timed(lambda: theta1(block, nome), 10, 5) / BLOCK * 1e9,
             "theta1_ns_per_point": timed(lambda: theta1(big, nome), 2, 5) / BIG * 1e9,
             "theta1_scalar_us": timed(lambda: theta1(one, nome), 2000, 5) * 1e6,
             "theta4_scalar_us": timed(lambda: theta4(one, nome), 2000, 5) * 1e6,
             "log_abs_theta1_scalar_us": timed(lambda: log_abs_theta1(one, nome), 2000, 5) * 1e6,
-            "theta1_1pt_us": timed(lambda: theta1(one_array, nome), 2000, 5) * 1e6,
-            "theta1_6pt_us": timed(lambda: theta1(six, nome), 2000, 5) * 1e6,
-            "log_abs_theta1_6pt_us": timed(lambda: log_abs_theta1(six, nome), 2000, 5) * 1e6,
-            "cold_build_us": timed(lambda: _coefficients.__wrapped__(nome), 500, 5) * 1e6,
         }
+        for k in SWEEP:
+            pts = cell(k)
+            for name, fn in (("theta1", theta1), ("log_abs_theta1", log_abs_theta1)):
+                timings[f"{name}_{k}pt_us"] = timed(lambda fn=fn, pts=pts: fn(pts, nome), 1000, 5) * 1e6
+        timings["cold_build_us"] = timed(lambda: _coefficients.__wrapped__(nome), 500, 5) * 1e6
     return out
 
 
@@ -173,7 +173,7 @@ def main() -> None:
     record = {
         "harness": "benchmarks/theta_kernel.py",
         "rounds": ROUNDS,
-        "points": {"block": BLOCK, "big": BIG},
+        "points": {"block": BLOCK, "big": BIG, "sweep": list(SWEEP)},
         "machine": _machine(),
         "noise": ("median over rounds; q1/q3 are the quartiles over rounds, each round the best of 5 "
                   "repeats scaled to reference speed by perfbench's Reference kernel timed beside it"),
@@ -189,11 +189,14 @@ def main() -> None:
                 f"{name}: {m['theta1_block_ns_per_point']['median']:6.0f} ns/pt@{BLOCK} "
                 f"{m['theta1_ns_per_point']['median']:6.0f} ns/pt@{BIG} "
                 f"{m['theta1_scalar_us']['median']:5.1f} us/scalar "
-                f"{m['theta1_1pt_us']['median']:5.1f} us/1pt "
-                f"{m['theta1_6pt_us']['median']:5.1f} us/6pt "
                 f"{m['cold_build_us']['median']:5.1f} us/build"
             )
         print(f"W/L={wl:>5}  " + "  |  ".join(cells))
+        for fn in ("theta1", "log_abs_theta1"):
+            sweep = "  ".join(
+                f"{k}: " + "/".join(f"{record['results'][name][wl][f'{fn}_{k}pt_us']['median']:.1f}"
+                                   for name in runs) for k in SWEEP)
+            print(f"           {fn} us per call by points, parent/change  {sweep}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
-"""Exception hierarchy for torusgas.
+"""Exception hierarchy for torusgas, and the count and period checks that
+every module applies alike.
 
 Every failure mode raises a named subclass of :class:`TorusGasError` so callers
 can distinguish domain violations from numerical breakdowns.
 """
+
+import math
+import numbers
 
 
 class TorusGasError(Exception):
@@ -71,3 +75,18 @@ class TruncationInsufficient(TorusGasError):
 
 class FitIllConditioned(TorusGasError):
     """Ladder fit design matrix is rank deficient or near singular."""
+
+
+def _check_count(N, name: str = "N", least: int = 1) -> None:
+    """Refuse a count or level index that is not an integer >= ``least``
+    (numpy integers are; a bool is not) with ParameterOutOfRange."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < least:
+        raise ParameterOutOfRange(f"{name} must be an integer >= {least}, got {N!r}")
+
+
+def _check_lengths(**lengths) -> None:
+    """Refuse a period or length that is not positive and finite (nan and inf
+    are not) with ParameterOutOfRange naming it."""
+    for name, value in lengths.items():
+        if not 0 < value < math.inf:
+            raise ParameterOutOfRange(f"{name} = {value!r} must be positive and finite")

@@ -7,12 +7,11 @@ are complex z = x + i y and are stored canonically reduced into that domain.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoincidentPoints, DimensionMismatch, ParameterOutOfRange
+from .errors import CoincidentPoints, DimensionMismatch, _check_count, _check_lengths
 from .theta import Nome, _on_lattice
 
 # A closed form reads a geometry's nome many times: build and validate it once.
@@ -28,13 +27,6 @@ def _pairs(N: int):
     return iu, ju
 
 
-def _check_count(N) -> None:
-    """Refuse a particle or flux count N that is not an integer >= 1 (numpy
-    integers are) with ParameterOutOfRange."""
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ParameterOutOfRange(f"N must be an integer >= 1, got {N!r}")
-
-
 @dataclass(frozen=True)
 class TorusGeometry:
     """Rectangular torus with periods L (x) and W (y) and particle count N."""
@@ -44,8 +36,7 @@ class TorusGeometry:
     N: int = 1
 
     def __post_init__(self):
-        if self.L <= 0 or self.W <= 0:
-            raise ParameterOutOfRange("periods L, W must be positive")
+        _check_lengths(L=self.L, W=self.W)
         _check_count(self.N)
 
     @property

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NomeOutOfRange, PrecisionUnreachable, SingularConfiguration
+from .errors import (
+    DimensionMismatch,
+    NomeOutOfRange,
+    PrecisionUnreachable,
+    SingularConfiguration,
+    _check_count,
+)
 from .geometry import _pairs
 from .theta import Nome, _on_lattice, f_N, lattice_distance, theta1, theta3, theta4
 
@@ -157,6 +163,7 @@ def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
     """
     if N < 1:
         raise DimensionMismatch("N must be >= 1")
+    _check_count(N)
     ls = np.arange(1, N + 1)
     ks = np.arange(0, N) + (0.5 if half_shift else 0.0)
     det = complex(np.linalg.det(np.exp(2j * math.pi * np.outer(ls, ks) / N)))

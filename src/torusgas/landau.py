@@ -25,8 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch, FluxMismatch, ParameterOutOfRange
-from .geometry import _check_count, _pairs
+from .errors import (
+    DegenerateGeometry,
+    DimensionMismatch,
+    FluxMismatch,
+    ParameterOutOfRange,
+    _check_count,
+    _check_lengths,
+)
+from .geometry import _pairs
 from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
 
@@ -46,8 +53,9 @@ class MagneticSetup:
 
     def __post_init__(self):
         _check_count(self.N)
-        if self.l <= 0 or self.L <= 0 or self.W2 <= 0:
-            raise ParameterOutOfRange("l, L, W2 must be positive")
+        _check_lengths(l=self.l, L=self.L, W2=self.W2)
+        if not math.isfinite(self.W1):
+            raise ParameterOutOfRange(f"W1 = {self.W1!r} must be finite")
         target = 2.0 * math.pi * self.l**2 * self.N / self.L
         if abs(self.W2 - target) > _FLUX_TOL * max(1.0, abs(self.W2)):
             raise FluxMismatch(
@@ -77,8 +85,7 @@ class MagneticSetup:
 def flux_constraint(N: int, l: float, L: float) -> float:
     """Second-period height W2 = 2*pi*l^2*N/L enclosing exactly N flux quanta."""
     _check_count(N)
-    if l <= 0 or L <= 0:
-        raise ParameterOutOfRange("need positive l, L")
+    _check_lengths(l=l, L=L)
     return 2.0 * math.pi * l * l * N / L
 
 
@@ -108,6 +115,7 @@ def psi_lll(m: int, z, setup: MagneticSetup):
     """
     if not 0 <= m <= setup.N - 1:
         raise DimensionMismatch(f"m = {m} outside 0..{setup.N - 1}")
+    _check_count(m, "m", 0)
     z = np.asarray(z, dtype=complex)
     tau, zbar = setup.tau, np.conj(z)
     vals = (

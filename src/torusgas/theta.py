@@ -17,15 +17,23 @@ nan, with no numpy warning. f_N, eta_q and the product forms share one cached
 (q^2; q^2)_inf product.
 
 Costs. Once per nome (the last 64 are cached) ``_coefficients`` builds the
-series in Python complex arithmetic, n* terms with one cmath.exp each. A call
-then costs a fixed forty or so numpy operations under one np.errstate (the
-reduction, one exponential and one division per point, the Horner pass over
-one preallocated (2,) + shape pair, the sign and the multiplier), which
-outweigh the per-point work up to a few hundred points; the coincidence test
-of a pair potential reads that same reduction. A single complex argument runs
-the same code on 0-d arrays and numpy scalars, about 22-32 us a call on a
-2-core Xeon, 0.55-0.7 of a 1-point array call and within an ulp of it.
-``benchmarks/theta_kernel.py`` times each of these.
+series in Python complex arithmetic, n* terms with one cmath.exp each. Two
+loops then sum that one cached series, picked by the size of the call. The
+array path costs a fixed forty or so numpy operations under one np.errstate
+(the reduction, one exponential and one division per point, the Horner pass
+over one preallocated (2,) + shape pair, the sign and the multiplier), about
+25-40 us a call on a 2-core Xeon, which outweigh the per-point work up to a
+few hundred points. A call of at most ``_POINT_MAX`` = 8 points runs the point
+kernel instead: the same reduction, Horner recurrence, sine switch, sign and
+multiplier in Python complex arithmetic, point by point, about 4-6 us for one
+point and 3 us per further point. It declines to the array path, which names
+every refusal, at a nan or inf argument, on the wide strip, at a subnormal-q
+root, where theta1's leading coefficient underflows and at a value out of
+double range. Its values are those of the array path to a few eps times the
+series' own conditioning: numpy fuses the multiply-adds of a complex product,
+Python does not. The coincidence test of a pair potential reads the reduction
+the series is summed at, on either path. ``benchmarks/theta_kernel.py`` times
+calls of 1 to 32 points on both paths.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -63,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
+from .errors import NomeOutOfRange, PrecisionUnreachable, _check_count
 
 _QMAX = 0.95
 _EPSILON = 1e-14   # absolute tail bound of every series and product
@@ -75,6 +83,9 @@ _LOG_MAX = math.log(np.finfo(float).max)   # e^x overflows a double above this
 _TINY = np.finfo(float).tiny   # the smallest normal double
 _COINCIDENT = 1e-9   # an argument this close to pi*Z + pi*tau*Z is a zero of theta1
 _THETA1_UNDERFLOW = "theta1's leading coefficient 2 q^(1/4) underflows past Im(tau) = 902.8"
+# A call of at most this many points runs the Python-complex point kernel, one
+# of more runs the array path: the crossover measured by benchmarks/theta_kernel.py.
+_POINT_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -245,13 +256,13 @@ def _horner(const, coeffs, root, v, odd: bool):
     With no coefficients left (all underflowed) x is never formed; with a
     ``root`` the pair is (root w, root / w) squared, w = e^(iv). The pair is
     one preallocated (2,) + v.shape array, filled in place through its views
-    w and 1/w (0-d for a 0-d v)."""
+    w and 1/w; v has at least one dimension."""
     xs = np.empty((2,) + v.shape, dtype=complex)
-    w, iw = xs[0, ...], xs[1, ...]
+    w, iw = xs[0], xs[1]
     np.exp(1j * v, out=w)
     np.divide(1.0, w, out=iw)
     if odd:  # sin(v) = (w - 1/w)/2i, by np.sin where that cancels
-        sine = np.asarray((w - iw) * -0.5j)   # a 0-d v gives a numpy scalar here
+        sine = (w - iw) * -0.5j
         np.sin(v, out=sine, where=np.abs(v) < _SINE_CANCEL)
     if len(coeffs):
         if root is not None:
@@ -269,11 +280,43 @@ def _horner(const, coeffs, root, v, odd: bool):
     return sine * series if odd else series
 
 
+def _point_horner(const, coeffs, v: complex, odd: bool) -> complex:
+    """``_horner`` at one point v in Python complex arithmetic, with no root:
+    the same exponential, pair, recurrence and sine switch."""
+    w = cmath.exp(1j * v)
+    iw = 1.0 / w
+    if coeffs:
+        x, ix = w * w, iw * iw
+        acc, iacc = coeffs[0] * x, coeffs[0] * ix
+        for c in coeffs[1:]:
+            acc = (acc + c) * x
+            iacc = (iacc + c) * ix
+        series = const + acc + iacc
+    else:
+        series = const + 0.0 * w
+    if not odd:
+        return series
+    return (cmath.sin(v) if abs(v) < _SINE_CANCEL else (w - iw) * -0.5j) * series
+
+
 def _quiet():
     """The floating-point error state to evaluate theta in, one per call: a
     nan or inf argument gives nan, an overflow is refused by name and log 0
     is -inf, with numpy's warnings off."""
     return np.errstate(invalid="ignore", over="ignore", divide="ignore")
+
+
+def _multiplier(u, n, tau: complex, t):
+    """The quasi-periodicity multiplier of ``_split`` at the reduced u and the
+    shift n, t = ``terms["modular"]``, as (scale, phase) with phase a function;
+    the same arithmetic on numpy arrays and on Python floats."""
+    if t is None:
+        two_n = 2 * n
+        c = -math.pi * tau.real   # a zero c is c * n * n for every finite n
+        return (math.pi * tau.imag * n * n + two_n * u.imag,
+                lambda: (c if c == 0 else c * n * n) - two_n * u.real)
+    a, b = u.real, u.imag + math.pi * t * n
+    return (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
 
 
 def _split(kind: int, reduced, nome: Nome, terms: dict):
@@ -306,25 +349,112 @@ def _split(kind: int, reduced, nome: Nome, terms: dict):
         series = _horner(*horner, u, kind == 1)
         if not n.any():
             return series, 0.0, None
-        two_n = 2 * n
-        scale = math.pi * nome.tau.imag * n * n + two_n * u.imag
-        c = -math.pi * nome.tau.real   # a zero c is c * n * n for every finite n
-        return series, scale, lambda: (c if c == 0 else c * n * n) - two_n * u.real
-    half = 0.5 * math.pi if kind == 4 else 0.0
-    series = _horner(*horner, u * (1j / t) + half, kind != 3)
-    a, b = u.real, u.imag + math.pi * t * n  # real arithmetic rounds scalars as arrays
-    return series, (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
+    else:
+        series = _horner(*horner, u * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0), kind != 3)
+    return (series, *_multiplier(u, n, nome.tau, t))
+
+
+def _point_reduce(z: complex, tau: complex):
+    """``_reduce`` at one point in Python arithmetic, u bit for bit and the
+    shifts m, n as ints: round() is half-even like np.rint, and raises
+    OverflowError or ValueError at a non-finite argument."""
+    n = round(z.imag / (math.pi * tau.imag))
+    u = z - n * math.pi * tau
+    m = round(u.real / math.pi)
+    return u - m * math.pi, m, n
+
+
+def _point_split(kind: int, reduced, tau: complex, terms: dict):
+    """``_split`` at one reduction from ``_point_reduce``, in Python complex
+    arithmetic, where ``_point_kernel`` takes the nome."""
+    u, m, n = reduced
+    const, coeffs, _ = terms["horner"][kind]
+    t = terms["modular"]
+    if t is None:
+        series = _point_horner(const, coeffs, u, kind == 1)
+        if not n:
+            return series, 0.0, None
+    else:
+        series = _point_horner(const, coeffs, u * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0),
+                               kind != 3)
+    return (series, *_multiplier(u, n, tau, t))
+
+
+def _points(z: np.ndarray, tau: complex):
+    """The reductions of z's points by ``_point_reduce``, or None for the
+    array path: z holds more than ``_POINT_MAX`` points, or a nan or inf."""
+    if z.size > _POINT_MAX:
+        return None
+    try:
+        return [_point_reduce(p, tau) for p in z.ravel().tolist()]
+    except (OverflowError, ValueError):
+        return None
+
+
+def _point_kernel(kind: int, reduced, nome: Nome, combine):
+    """[combine(series, scale, phase)] over the reductions ``reduced`` from
+    ``_points``, by ``_point_split``, each series signed as ``_evaluate``
+    signs it; or None, and the call runs the array path, which refuses or
+    sums by name: ``reduced`` is None, the nome's strip is wide, theta3/4 sum
+    a subnormal-q root, theta1's leading coefficient underflows, or combine
+    raises ArithmeticError or ValueError (a value out of range, log 0)."""
+    if reduced is None:
+        return None
+    terms = _coefficients(nome)
+    horner = terms["horner"][kind]
+    if terms["wide"] or horner is None or horner[2] is not None:
+        return None
+    values = []
+    try:
+        for r in reduced:
+            series, scale, phase = _point_split(kind, r, nome.tau, terms)
+            if kind != 3 and (r[1] + r[2] if kind == 1 else r[2]) % 2:
+                series = -series
+            values.append(combine(series, scale, phase))
+    except (ArithmeticError, ValueError):
+        return None
+    return values
+
+
+def _point_value(series: complex, scale: float, phase) -> complex:
+    """theta from ``_point_kernel``'s parts; a value out of double range
+    raises OverflowError, so the array path refuses it by name."""
+    value = series if phase is None else cmath.exp(complex(scale, phase())) * series
+    if not cmath.isfinite(value):
+        raise OverflowError(value)
+    return value
+
+
+def _point_log_abs(series: complex, scale: float, _) -> float:
+    """log|theta1| from ``_point_kernel``'s parts; log 0 raises ValueError."""
+    return scale + math.log(abs(series))
+
+
+def _point_abs2(series: complex, scale: float, _) -> tuple:
+    """(|series|^2, scale) from ``_point_kernel``'s parts, as ``_theta1_abs2``."""
+    return series.real * series.real + series.imag * series.imag, scale
+
+
+def _shaped(values: list, z: np.ndarray, dtype):
+    """The point kernel's values as an array of z's shape, or the one value
+    of a 0-d z."""
+    return np.array(values, dtype=dtype).reshape(z.shape) if z.ndim else values[0]
 
 
 def _evaluate(kind: int, z, nome: Nome):
     """theta_kind(z; q), kind 1, 3 or 4, as sign * e^(scale + i*phase) * series
-    from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4. A value
-    that overflows a double raises PrecisionUnreachable with no numpy warning
-    first. A 0-d z gives a Python complex.
+    from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4. A call
+    of at most ``_POINT_MAX`` points runs ``_point_kernel`` unless it
+    declines. A value that overflows a double raises PrecisionUnreachable
+    with no numpy warning first. A 0-d z gives a Python complex.
     """
     z = np.asarray(z, dtype=complex)
+    values = _point_kernel(kind, _points(z, nome.tau), nome, _point_value)
+    if values is not None:
+        return _shaped(values, z, complex)
+    z1 = np.atleast_1d(z)   # the array path takes a 0-d z as one point
     with _quiet():
-        u, m, n = reduced = _reduce(z, nome.tau)
+        u, m, n = reduced = _reduce(z1, nome.tau)
         series, scale, phase = _split(kind, reduced, nome, _coefficients(nome))
         if kind != 3:  # 1 - 2 (k mod 2)^2 = (-1)^k, exact for every integer-valued k
             sign = np.fmod(m + n if kind == 1 else n, 2)
@@ -337,21 +467,26 @@ def _evaluate(kind: int, z, nome: Nome):
         else:
             vals = np.exp(scale + 1j * phase()) * series
             total = vals.sum()  # inf or nan in any value spreads to it
-            if not cmath.isfinite(total) and np.isfinite(z[~np.isfinite(vals)]).any():
+            if not cmath.isfinite(total) and np.isfinite(z1[~np.isfinite(vals)]).any():
                 raise PrecisionUnreachable(
                     f"theta{kind} of a finite argument overflows a double "
                     f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
                 )
-    return complex(vals) if z.ndim == 0 else vals
+    return vals if z.ndim else complex(vals[0])
 
 
 def _theta1_abs2(z, nome: Nome):
-    """|theta1(z; q)|^2, kept apart by ``_split`` as (|series|^2,
-    scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
+    """|theta1(z; q)|^2, kept apart by ``_split`` (or ``_point_kernel``) as
+    (|series|^2, scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
     z = np.asarray(z, dtype=complex)
+    parts = _point_kernel(1, _points(z, nome.tau), nome, _point_abs2)
+    if parts is not None:
+        return _shaped([p[0] for p in parts], z, float), _shaped([p[1] for p in parts], z, float)
     with _quiet():
-        series, scale, _ = _split(1, _reduce(z, nome.tau), nome, _coefficients(nome))
-    return series.real**2 + series.imag**2, scale
+        series, scale, _ = _split(1, _reduce(np.atleast_1d(z), nome.tau), nome,
+                                  _coefficients(nome))
+    mantissa = series.real**2 + series.imag**2
+    return (mantissa, scale) if z.ndim else (float(mantissa[0]), float(np.ravel(scale)[0]))
 
 
 def theta1(z, nome):
@@ -369,13 +504,13 @@ def theta4(u, nome):
     return _evaluate(4, u, Nome.coerce(nome))
 
 
-def _log_abs(reduced, nome: Nome):
-    """log|theta1| at the reduction (u, m, n) = ``reduced``, as scale +
-    log|series| by ``_split``, called inside ``_quiet()``; a float for a
-    0-d reduction."""
+def _log_abs(z: np.ndarray, reduced, nome: Nome):
+    """log|theta1| at the reduction ``reduced`` of np.atleast_1d(z), as scale
+    + log|series| by ``_split``, called inside ``_quiet()``; a float for a
+    0-d z."""
     series, scale, _ = _split(1, reduced, nome, _coefficients(nome))
     value = scale + np.log(np.abs(series))
-    return float(value) if value.ndim == 0 else value
+    return value if z.ndim else float(value[0])
 
 
 def log_abs_theta1(z, nome):
@@ -383,21 +518,32 @@ def log_abs_theta1(z, nome):
     enters as its real log-scale, so no argument overflows."""
     nome = Nome.coerce(nome)
     z = np.asarray(z, dtype=complex)
+    logs = _point_kernel(1, _points(z, nome.tau), nome, _point_log_abs)
+    if logs is not None:
+        return _shaped(logs, z, float)
     with _quiet():
-        return _log_abs(_reduce(z, nome.tau), nome)
+        return _log_abs(z, _reduce(np.atleast_1d(z), nome.tau), nome)
 
 
 def _log_abs_theta1_apart(z, nome: Nome):
     """log|theta1(z; q)|, or None when some z lies on the lattice by
     ``_on_lattice``'s test, which is read off the reduction the series is
-    summed at: the coincidence test of a pair potential costs no second
-    reduction. A coincidence is found before any refusal of theta1."""
+    summed at (the point kernel's or the array path's): the coincidence test
+    of a pair potential costs no second reduction. A coincidence is found
+    before any refusal of theta1."""
     z = np.asarray(z, dtype=complex)
+    points = _points(z, nome.tau)
+    if points is not None:
+        if any(abs(u) < _COINCIDENT for u, _, _ in points):
+            return None
+        logs = _point_kernel(1, points, nome, _point_log_abs)
+        if logs is not None:
+            return _shaped(logs, z, float)
     with _quiet():
-        reduced = _reduce(z, nome.tau)
+        reduced = _reduce(np.atleast_1d(z), nome.tau)
         if (np.abs(reduced[0]) < _COINCIDENT).any():
             return None
-        return _log_abs(reduced, nome)
+        return _log_abs(z, reduced, nome)
 
 
 def theta1_prime0(nome) -> complex:
@@ -505,8 +651,7 @@ def f_N(N: int, nome):
     A float for a rectangular torus (Re tau = 0), else (skewed tori) complex.
     A value that overflows a double raises PrecisionUnreachable.
     """
-    if N < 1:
-        raise ParameterOutOfRange("N must be >= 1")
+    _check_count(N)
     nome = Nome.coerce(nome)
     e = (N - 1) * (N - 2)
     try:

@@ -31,7 +31,7 @@ from torusgas.landau import (
 )
 from torusgas.plasma import partition_integral_closed, zn_closed
 from torusgas.selftest import check_wavefunction_factorization, factorization_spread
-from torusgas.theta import Nome, theta3
+from torusgas.theta import Nome, f_N, theta3
 
 rng = np.random.default_rng(55)
 
@@ -87,6 +87,15 @@ class TestNamedErrors:
             (lambda: flux_constraint(2.5, 0.25, 1.0), ParameterOutOfRange),
             (lambda: partition_integral_closed(2.5, TorusGeometry(1.0, 1.0, 1)),
              ParameterOutOfRange),
+            (lambda: f_N(2.5, Nome.from_q(0.3)), ParameterOutOfRange),
+            (lambda: fourier_det_constant(2.5), ParameterOutOfRange),
+            (lambda: psi_lll(1.5, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3)),
+             ParameterOutOfRange),
+            (lambda: TorusGeometry(1.0, 1.0, True), ParameterOutOfRange),
+            (lambda: TorusGeometry(math.nan, 1.0), ParameterOutOfRange),
+            (lambda: TorusGeometry(math.inf, 1.0), ParameterOutOfRange),
+            (lambda: MagneticSetup.plasma_mapping(math.nan, 2), ParameterOutOfRange),
+            (lambda: MagneticSetup.from_flux(1.0, 2, math.inf), ParameterOutOfRange),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
              "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
@@ -97,7 +106,10 @@ class TestNamedErrors:
              "log_xi2_closed-inf-zeta", "pressure_sum-zero-L", "pressure_sum-negative-L",
              "TorusGeometry-fractional-N", "plasma_mapping-fractional-N",
              "zn_closed-fractional-N", "flux_constraint-fractional-N",
-             "partition_integral_closed-fractional-N"],
+             "partition_integral_closed-fractional-N", "f_N-fractional-N",
+             "fourier_det_constant-fractional-N", "psi_lll-fractional-m", "TorusGeometry-bool-N",
+             "TorusGeometry-nan-L", "TorusGeometry-inf-L", "plasma_mapping-nan-L",
+             "from_flux-inf-l"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:
@@ -105,6 +117,21 @@ class TestNamedErrors:
         assert isinstance(info.value, TorusGasError)
         if error is ParameterOutOfRange:
             assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda: TorusGeometry(1.0, math.nan), "W"), (lambda: TorusGeometry(-math.inf, 1.0), "L"),
+         (lambda: MagneticSetup.plasma_mapping(math.inf, 3), "L"),
+         (lambda: MagneticSetup.from_flux(1.0, 2, math.nan), "l"),
+         (lambda: MagneticSetup(l=0.25, L=1.0, W1=math.nan, W2=0.75, N=3), "W1")],
+        ids=["TorusGeometry-nan-W", "TorusGeometry-minus-inf-L", "plasma_mapping-inf-L",
+             "from_flux-nan-l", "MagneticSetup-nan-W1"],
+    )
+    def test_non_finite_period_is_named(self, call, name):
+        """nan <= 0 is False: a nan or inf period is refused where it enters,
+        by name, not downstream as some other value."""
+        with pytest.raises(ParameterOutOfRange, match=f"^{name} = "):
+            call()
 
     def test_numpy_integer_count(self):
         """A numpy integer is an integer count, as the scan and the draws pass it."""

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
+from torusgas import theta as theta_module
 from torusgas.coulombgas import kernel_K
 from torusgas.electrostatics import coulomb_energy_terms, ocp_log_boltzmann, phi_quasi
 from torusgas.errors import (
@@ -24,8 +25,10 @@ from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.identities import frobenius_residual
 from torusgas.landau import MagneticSetup
 from torusgas.theta import (
+    _POINT_MAX,
     Nome,
     _coefficients,
+    _horner,
     _k_star,
     _log_abs_theta1_apart,
     _n_star,
@@ -456,6 +459,30 @@ def _rel(got, ref) -> float:
     return float(np.max(np.abs(np.asarray(got) - ref) / np.abs(ref)))
 
 
+def _conditioning(kind: int, z: complex, nome: Nome):
+    """(kappa, size) of theta_kind at z: kappa is the sum of the moduli of
+    its series' terms over the modulus of their sum (a sine factor apart), at
+    the reduced point and on the dual side where theta sums it, 1 where no
+    term cancels; size is the larger of 1 and the moduli of the two parts
+    scale and log|series| that log|theta_kind| adds. Two evaluations that
+    round each operation correctly differ by a few eps times kappa relative,
+    and in the log by a few eps times size + kappa."""
+    terms = _coefficients(nome)
+    const, coeffs, root = terms["horner"][kind]
+    reduced = _reduce(np.array([z]), nome.tau)
+    t = terms["modular"]
+    v = reduced[0] if t is None else reduced[0] * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0)
+    log_x = -2.0 * v[0].imag   # log|x|, and the pair (x, 1/x) is scaled by root^2
+    log_r = 0.0 if root is None else 2.0 * math.log(abs(root))
+    moduli = abs(const) + sum(math.exp(math.log(abs(c)) + j * (log_r + log_x))
+                              + math.exp(math.log(abs(c)) + j * (log_r - log_x))
+                              for j, c in enumerate(reversed(coeffs), 1) if c)
+    with np.errstate(all="ignore"):
+        kappa = moduli / abs(_horner(const, coeffs, root, v, False)[0])
+        series, scale, _ = _split(kind, reduced, nome, terms)
+    return kappa, max(1.0, abs(np.ravel(scale)[0]), abs(math.log(abs(series[0]))))
+
+
 class TestSeriesKernel:
     @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
     def test_against_mpmath(self, wl):
@@ -501,42 +528,103 @@ class TestSeriesKernel:
         ids=["cap", "0.2", "1", "5", "61.2", "300", "skewed-1", "skewed-0.4"],
     )
     def test_one_path_for_scalar_and_one_point_array(self, tau):
-        """A scalar call and a 1-point array call run the same code, so they
-        agree to 8 eps at 400 points per nome, inside the strip and shifted
-        out of it by m*pi + n*pi*tau, |m| <= 3, |n| <= 1, for theta1/3/4,
-        log|theta1| with and without the coincidence test, |theta1|^2 as
-        (mantissa, scale) and the lattice distance; numpy's scalar and array
-        arithmetic may round a product apart by an ulp. Either refuses what
-        the other refuses."""
+        """A scalar call and a 1-point array call run the same point kernel, bit
+        for bit, and agree with the same point inside an array of more than
+        _POINT_MAX points, which runs the array path: at 400 points per nome,
+        inside the strip and shifted out of it by m*pi + n*pi*tau, |m| <= 3,
+        |n| <= 1, for theta1/3/4, log|theta1| with and without the coincidence
+        test, |theta1|^2 as (mantissa, scale) and the lattice distance. Python's
+        complex product, quotient and modulus round apart from numpy's (which
+        fuses multiply-adds) by an ulp, so the bound is 8 eps times the
+        conditioning of each value (``_conditioning``). Each refuses what the
+        other refuses."""
         nome = Nome.from_tau(tau)
         gen = np.random.default_rng(26)
         k = 200
         inside = (math.pi * gen.uniform(-0.5, 0.5, k)
                   + 1j * math.pi * tau.imag * gen.uniform(-0.5, 0.5, k))
         shifted = inside + gen.integers(-3, 4, k) * math.pi + gen.integers(-1, 2, k) * math.pi * tau
-        calls = [theta for _, theta in KINDS] + [
-            log_abs_theta1, _log_abs_theta1_apart, _theta1_abs2, lattice_distance]
+        calls = [(1, theta1), (3, theta3), (4, theta4), (1, log_abs_theta1),
+                 (1, _log_abs_theta1_apart), (1, _theta1_abs2), (1, lattice_distance)]
         worst = 0.0
         for z in np.concatenate([inside, shifted]):
-            for call in calls:
+            many = np.full(_POINT_MAX + 1, z)
+            for kind, call in calls:
                 try:
                     one = call(complex(z), nome)
                 except PrecisionUnreachable:
-                    with pytest.raises(PrecisionUnreachable):
-                        call(np.array([z]), nome)
+                    for other in (np.array([z]), many):
+                        with pytest.raises(PrecisionUnreachable):
+                            call(other, nome)
                     continue
-                array = call(np.array([z]), nome)
+                point, array = call(np.array([z]), nome), call(many, nome)
+                kappa, size = _conditioning(kind, z, nome)
                 if call in (log_abs_theta1, _log_abs_theta1_apart):   # log scale: absolute
-                    assert isinstance(one, float)
-                    worst = max(worst, abs(one - array[0]) / max(1.0, abs(one)))
+                    assert isinstance(one, float) and point[0] == one
+                    worst = max(worst, abs(one - array[0]) / (size + kappa))
                 elif call is _theta1_abs2:
                     assert np.ndim(one[0]) == 0 and np.ndim(one[1]) == 0
-                    worst = max(worst, abs(one[0] - array[0][0]) / one[0],
+                    assert (point[0][0], np.ravel(point[1])[0]) == one
+                    worst = max(worst, abs(one[0] - array[0][0]) / (2 * kappa * one[0]),
                                 abs(one[1] - np.ravel(array[1])[0]) / max(1.0, abs(one[1])))
+                elif call is lattice_distance:
+                    assert np.ndim(one) == 0 and point[0] == array[0] == one
                 else:
-                    assert np.ndim(one) == 0
-                    worst = max(worst, abs(one - array[0]) / abs(one))
+                    assert np.ndim(one) == 0 and point[0] == one
+                    worst = max(worst, abs(one - array[0]) / (kappa * abs(one)))
         assert worst <= 8 * np.finfo(float).eps, worst
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "tau, z",
+        [(1j, complex(math.nan, 0.2)), (1j, complex(0.3, math.nan)), (1j, complex(math.inf, 0.0)),
+         (1j, complex(-math.inf, 0.1)), (1j, complex(0.2, math.inf)),
+         (500j, 0.3 + 1j * (250 * math.pi - 1)), (500j, 0.3 + 0.1j), (950j, 0.3 + 0.1j),
+         (1j, 0.3 + 400j), (0.3 + 1j, -0.2 - 300j)],
+        ids=["nan-real", "nan-imag", "inf", "minus-inf", "inf-imag", "wide-strip-far",
+             "wide-strip-inside", "theta1-underflow", "overflowing-shift", "skewed-overflowing-shift"],
+    )
+    def test_point_kernel_declines_to_the_array_path(self, tau, z):
+        """At a nan or inf argument, on the wide strip (Im tau > 451.9), where
+        theta1's leading coefficient underflows and where the multiplier of a
+        shift overflows, the point kernel declines and the call runs the array
+        path: a scalar and a 2-point array give the refusal of the point in an
+        array of more than _POINT_MAX points, with its message, or its value,
+        nan for nan, to 8 eps, with no numpy warning."""
+        nome = Nome.from_tau(tau)
+        for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart, _theta1_abs2):
+            small = [lambda: call(z, nome), lambda: call(np.array([z, 0.1 + 0.05j]), nome)]
+            try:
+                ref = call(np.full(_POINT_MAX + 1, z), nome)
+            except PrecisionUnreachable as refusal:
+                for run in small:
+                    with pytest.raises(PrecisionUnreachable) as info:
+                        run()
+                    assert str(info.value) == str(refusal), call.__name__
+                continue
+            for run in small:
+                got = run()
+                pairs = zip(got, ref) if call is _theta1_abs2 else [(got, ref)]
+                for g, r in pairs:
+                    g, r = np.ravel(g)[0], np.ravel(r)[0]
+                    assert (np.isnan(g) and np.isnan(r)) or abs(g - r) <= 8 * np.finfo(float).eps * max(
+                        1.0, abs(r)), (call.__name__, g, r)
+
+    def test_calls_are_picked_by_size(self, monkeypatch):
+        """A finite call of at most _POINT_MAX points never reaches the array
+        path's ``_split``; one of more does."""
+        nome = Nome.from_aspect(0.7, 1.0)
+        points = np.linspace(0.1, 1.3, _POINT_MAX + 1) + 0.4j
+
+        def array_path(*args):
+            raise AssertionError("array path")
+
+        monkeypatch.setattr(theta_module, "_split", array_path)
+        for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart, _theta1_abs2):
+            call(complex(points[0]), nome)
+            call(points[:_POINT_MAX], nome)
+            with pytest.raises(AssertionError, match="array path"):
+                call(points, nome)
 
     def test_batch_matches_per_point(self):
         """1e5 plasma-like points (n in {-1, 0, 1}) evaluated at once equal the
