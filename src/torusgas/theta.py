@@ -84,7 +84,9 @@ _TINY = np.finfo(float).tiny   # the smallest normal double
 _COINCIDENT = 1e-9   # an argument this close to pi*Z + pi*tau*Z is a zero of theta1
 _THETA1_UNDERFLOW = "theta1's leading coefficient 2 q^(1/4) underflows past Im(tau) = 902.8"
 # A call of at most this many points runs the Python-complex point kernel, one
-# of more runs the array path: the crossover measured by benchmarks/theta_kernel.py.
+# of more runs the array path. benchmarks/theta_kernel.py measures where the two
+# cost the same: about 12 points for theta1, 8 for log|theta1|. Weighted by the
+# sizes of geometry-scan's theta calls, 8 to 12 give the least theta time.
 _POINT_MAX = 8
 
 
@@ -319,6 +321,17 @@ def _multiplier(u, n, tau: complex, t):
     return (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
 
 
+def _frame(kind: int, u, t):
+    """(v, odd): ``_split`` sums theta_kind's series at v, times sin(v) when
+    odd, for u in the fundamental strip and t = ``terms["modular"]``, on
+    numpy arrays and on Python complex alike. Directly v = u and theta1 is
+    odd; for tau = it, t < 1, v = iu/t in the dual strip, shifted by pi/2 for
+    theta4 (theta2 at tau'), and theta1 and theta4 are odd there."""
+    if t is None:
+        return u, kind == 1
+    return u * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0), kind != 3
+
+
 def _split(kind: int, reduced, nome: Nome, terms: dict):
     """theta_kind at the reduction ``reduced`` = (u, m, n) of z = u + m*pi +
     n*pi*tau (``_reduce``), u in the fundamental strip, as (series, scale,
@@ -345,12 +358,9 @@ def _split(kind: int, reduced, nome: Nome, terms: dict):
     if terms["wide"] and (np.abs(u.imag) > _LOG_MAX).any():
         raise PrecisionUnreachable(f"e^(iu) overflows a double at a reduced |Im u| > {_LOG_MAX}")
     t = terms["modular"]
-    if t is None:
-        series = _horner(*horner, u, kind == 1)
-        if not n.any():
-            return series, 0.0, None
-    else:
-        series = _horner(*horner, u * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0), kind != 3)
+    series = _horner(*horner, *_frame(kind, u, t))
+    if t is None and not n.any():
+        return series, 0.0, None
     return (series, *_multiplier(u, n, nome.tau, t))
 
 
@@ -366,17 +376,14 @@ def _point_reduce(z: complex, tau: complex):
 
 def _point_split(kind: int, reduced, tau: complex, terms: dict):
     """``_split`` at one reduction from ``_point_reduce``, in Python complex
-    arithmetic, where ``_point_kernel`` takes the nome."""
+    arithmetic, where ``_point_kernel`` takes the nome: the same frame
+    (``_frame``) and multiplier, with the refusals left to the array path."""
     u, m, n = reduced
     const, coeffs, _ = terms["horner"][kind]
     t = terms["modular"]
-    if t is None:
-        series = _point_horner(const, coeffs, u, kind == 1)
-        if not n:
-            return series, 0.0, None
-    else:
-        series = _point_horner(const, coeffs, u * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0),
-                               kind != 3)
+    series = _point_horner(const, coeffs, *_frame(kind, u, t))
+    if t is None and not n:
+        return series, 0.0, None
     return (series, *_multiplier(u, n, tau, t))
 
 

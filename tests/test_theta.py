@@ -28,6 +28,7 @@ from torusgas.theta import (
     _POINT_MAX,
     Nome,
     _coefficients,
+    _frame,
     _horner,
     _k_star,
     _log_abs_theta1_apart,
@@ -471,7 +472,7 @@ def _conditioning(kind: int, z: complex, nome: Nome):
     const, coeffs, root = terms["horner"][kind]
     reduced = _reduce(np.array([z]), nome.tau)
     t = terms["modular"]
-    v = reduced[0] if t is None else reduced[0] * (1j / t) + (0.5 * math.pi if kind == 4 else 0.0)
+    v, _ = _frame(kind, reduced[0], t)
     log_x = -2.0 * v[0].imag   # log|x|, and the pair (x, 1/x) is scaled by root^2
     log_r = 0.0 if root is None else 2.0 * math.log(abs(root))
     moduli = abs(const) + sum(math.exp(math.log(abs(c)) + j * (log_r + log_x))
@@ -536,8 +537,13 @@ class TestSeriesKernel:
         test, |theta1|^2 as (mantissa, scale) and the lattice distance. Python's
         complex product, quotient and modulus round apart from numpy's (which
         fuses multiply-adds) by an ulp, so the bound is 8 eps times the
-        conditioning of each value (``_conditioning``). Each refuses what the
-        other refuses."""
+        conditioning of each value (``_conditioning``). Unscaled, as relative
+        differences (log|theta1| over max(1, |log|theta1||)), they agree to
+        8 eps where the value is well conditioned (kappa <= 2; for the log also
+        kappa + size <= 3) and to 32 eps everywhere, the measured worst: 23 eps
+        for theta3 next to its zero on the skewed torus (kappa 79) and 32 eps
+        for log|theta1| at the nome cap, where two parts of size ~33 cancel.
+        Each refuses what the other refuses."""
         nome = Nome.from_tau(tau)
         gen = np.random.default_rng(26)
         k = 200
@@ -546,7 +552,13 @@ class TestSeriesKernel:
         shifted = inside + gen.integers(-3, 4, k) * math.pi + gen.integers(-1, 2, k) * math.pi * tau
         calls = [(1, theta1), (3, theta3), (4, theta4), (1, log_abs_theta1),
                  (1, _log_abs_theta1_apart), (1, _theta1_abs2), (1, lattice_distance)]
-        worst = 0.0
+        worst = plain = ceiling = 0.0   # scaled; unscaled where well conditioned; unscaled
+
+        def record(scaled, unscaled, well):
+            nonlocal worst, plain, ceiling
+            worst, ceiling = max(worst, scaled), max(ceiling, unscaled)
+            plain = max(plain, unscaled) if well else plain
+
         for z in np.concatenate([inside, shifted]):
             many = np.full(_POINT_MAX + 1, z)
             for kind, call in calls:
@@ -561,18 +573,23 @@ class TestSeriesKernel:
                 kappa, size = _conditioning(kind, z, nome)
                 if call in (log_abs_theta1, _log_abs_theta1_apart):   # log scale: absolute
                     assert isinstance(one, float) and point[0] == one
-                    worst = max(worst, abs(one - array[0]) / (size + kappa))
+                    diff = abs(one - array[0])
+                    record(diff / (size + kappa), diff / max(1.0, abs(one)), kappa + size <= 3.0)
                 elif call is _theta1_abs2:
                     assert np.ndim(one[0]) == 0 and np.ndim(one[1]) == 0
                     assert (point[0][0], np.ravel(point[1])[0]) == one
-                    worst = max(worst, abs(one[0] - array[0][0]) / (2 * kappa * one[0]),
-                                abs(one[1] - np.ravel(array[1])[0]) / max(1.0, abs(one[1])))
+                    rel = abs(one[0] - array[0][0]) / one[0]
+                    scale = abs(one[1] - np.ravel(array[1])[0]) / max(1.0, abs(one[1]))
+                    record(max(rel / (2 * kappa), scale), max(rel, scale), kappa <= 2.0)
                 elif call is lattice_distance:
                     assert np.ndim(one) == 0 and point[0] == array[0] == one
                 else:
                     assert np.ndim(one) == 0 and point[0] == one
-                    worst = max(worst, abs(one - array[0]) / (kappa * abs(one)))
-        assert worst <= 8 * np.finfo(float).eps, worst
+                    rel = abs(one - array[0]) / abs(one)
+                    record(rel / kappa, rel, kappa <= 2.0)
+        eps = np.finfo(float).eps
+        assert worst <= 8 * eps and plain <= 8 * eps and ceiling <= 32 * eps, (
+            worst / eps, plain / eps, ceiling / eps)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
