@@ -42,7 +42,6 @@ from .landau import (
     MagneticSetup,
     factored_state,
     flux_constraint,
-    gauge_f,
     psi_lll,
     slater_state,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "free_energy",
     "frobenius_residual",
     "g_fourier",
-    "gauge_f",
     "gff_constant",
     "kernel_K",
     "log_xi2_asymptotic",

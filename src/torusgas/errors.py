@@ -41,14 +41,6 @@ class SingularSeparation(TorusGasError):
     """Kernel evaluated at coincident arguments (simple pole)."""
 
 
-class FluxMismatch(TorusGasError):
-    """Geometry violates the integer flux condition W2 = 2*pi*l^2*N/L."""
-
-
-class DegenerateGeometry(TorusGasError):
-    """A period component required by the requested formula vanishes."""
-
-
 class JumpPoint(TorusGasError):
     """Fourier coefficient requested exactly at its y=0 discontinuity."""
 

@@ -161,8 +161,6 @@ def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
     The plain constant is N^(N/2) i^((N-1)(3N/2+1)); the half-shift variant
     carries an extra i^(N+1).
     """
-    if N < 1:
-        raise DimensionMismatch("N must be >= 1")
     _check_count(N)
     ls = np.arange(1, N + 1)
     ks = np.arange(0, N) + (0.5 if half_shift else 0.0)

@@ -1,13 +1,15 @@
-"""Lowest-Landau-level states on a torus and their Slater determinant.
+"""Lowest-Landau-level states on a rectangular torus and their Slater
+determinant.
 
-A charged particle on a torus threaded by N flux quanta has an N-fold
+A charged particle on an L x W2 torus threaded by N flux quanta has an N-fold
 degenerate lowest level. The basis states ``psi_lll(m, .)`` are periodic in x
-with period L and quasi-periodic under the second period (W1, W2); the flux
-condition W2 = 2*pi*l^2*N/L makes the two periodicities compatible. The filled
-N-particle determinant ``slater_state`` factorizes into a center-of-mass theta
-function times a theta-Vandermonde pair product, ``factored_state``; the two
-closed forms are evaluated independently and compared through the constancy of
-their ratio, which absorbs the overall root-of-unity bookkeeping.
+with period L and quasi-periodic under z -> z + i W2; the flux condition
+W2 = 2*pi*l^2*N/L, which ``MagneticSetup`` imposes by construction, makes the
+two periodicities compatible. The filled N-particle determinant
+``slater_state`` factorizes into a center-of-mass theta function times a
+theta-Vandermonde pair product, ``factored_state``; the two closed forms are
+evaluated independently and compared through the constancy of their ratio,
+which absorbs the overall root-of-unity bookkeeping.
 
 The determinant calls no theta function: it sums each basis state as its
 series of Gaussian images, in the frame where they localize (the torus turned
@@ -21,86 +23,60 @@ with one stacked determinant and one call per theta kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    DimensionMismatch,
-    FluxMismatch,
-    ParameterOutOfRange,
-    _check_count,
-    _check_lengths,
-)
+from .errors import DimensionMismatch, ParameterOutOfRange, _check_count, _check_lengths
 from .geometry import _pairs
 from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
 
-_FLUX_TOL = 1e-12
 _IMAGE_WINDOW = 37.0   # a state's images below e^-37 of its largest are dropped
 
 
 @dataclass(frozen=True)
 class MagneticSetup:
-    """Magnetic length l, x-period L, skew period (W1, W2), flux integer N."""
+    """Magnetic length l, x-period L and flux integer N of a rectangular
+    torus, whose height W2 = 2*pi*l^2*N/L (``flux_constraint``) is derived so
+    that it encloses exactly N flux quanta."""
 
     l: float
     L: float
-    W1: float
-    W2: float
     N: int
+    W2: float = field(init=False)
 
     def __post_init__(self):
-        _check_count(self.N)
-        _check_lengths(l=self.l, L=self.L, W2=self.W2)
-        if not math.isfinite(self.W1):
-            raise ParameterOutOfRange(f"W1 = {self.W1!r} must be finite")
-        target = 2.0 * math.pi * self.l**2 * self.N / self.L
-        if abs(self.W2 - target) > _FLUX_TOL * max(1.0, abs(self.W2)):
-            raise FluxMismatch(
-                f"W2 = {self.W2} but 2*pi*l^2*N/L = {target}; flux is not integer"
-            )
+        object.__setattr__(self, "W2", flux_constraint(self.N, self.l, self.L))
 
     @property
     def tau(self) -> complex:
-        return complex(-self.W1, self.W2) / self.L
+        return 1j * self.W2 / self.L
 
     @property
     def nome(self) -> Nome:
         return Nome.from_tau(self.tau)
 
     @classmethod
-    def from_flux(cls, L: float, N: int, l: float, W1: float = 0.0) -> "MagneticSetup":
-        """Fix W2 from the flux condition W2 = 2*pi*l^2*N/L."""
-        return cls(l=l, L=L, W1=W1, W2=flux_constraint(N, l, L), N=N)
+    def from_flux(cls, L: float, N: int, l: float) -> "MagneticSetup":
+        """The setup of N flux quanta at magnetic length l on x-period L."""
+        return cls(l=l, L=L, N=N)
 
     @classmethod
     def plasma_mapping(cls, L: float, N: int) -> "MagneticSetup":
-        """Rectangular setup with 1/l^2 = 2*pi, so W2 = N/L and the squared
-        ground state maps onto the Gamma = 2 plasma weight."""
+        """Setup with 1/l^2 = 2*pi, so W2 = N/L and the squared ground state
+        maps onto the Gamma = 2 plasma weight."""
         return cls.from_flux(L=L, N=N, l=1.0 / math.sqrt(2.0 * math.pi))
 
 
 def flux_constraint(N: int, l: float, L: float) -> float:
-    """Second-period height W2 = 2*pi*l^2*N/L enclosing exactly N flux quanta."""
+    """Second-period height W2 = 2*pi*l^2*N/L enclosing exactly N flux quanta;
+    a height out of double range is refused."""
     _check_count(N)
     _check_lengths(l=l, L=L)
-    return 2.0 * math.pi * l * l * N / L
-
-
-def gauge_f(x: float, y: float, B: float, W1: float, W2: float) -> float:
-    """Gauge function with gradient A^W - A^L:
-
-        f(x, y) = (B/2) ( W2 x^2 / (2 W1) + x y - W1 y^2 / (2 W2) )
-
-    In the rectangular limit W1 -> 0 this degenerates to B x y / 2.
-    """
-    if W2 == 0:
-        raise DegenerateGeometry("W2 = 0 leaves no flux period")
-    if W1 == 0.0:
-        return B * x * y / 2.0
-    return B / 2.0 * (W2 * x * x / (2.0 * W1) + x * y - W1 * y * y / (2.0 * W2))
+    W2 = 2.0 * math.pi * l * l * N / L
+    _check_lengths(W2=W2)
+    return W2
 
 
 def psi_lll(m: int, z, setup: MagneticSetup):
@@ -110,12 +86,12 @@ def psi_lll(m: int, z, setup: MagneticSetup):
             * q^(m^2/N) e^(-2 pi i m conj(z)/L)
             * theta3( pi (tau m - N conj(z)/L); q^N )
 
-    with q = e^(i pi tau). Periodic in x; under z -> z + W1 + i W2 it picks up
-    the phase e^(i W2 (2x + W1)/(2 l^2)).
+    with q = e^(i pi tau), tau = i W2/L. Periodic in x; under z -> z + i W2 it
+    picks up the phase e^(i W2 x/l^2).
     """
-    if not 0 <= m <= setup.N - 1:
-        raise DimensionMismatch(f"m = {m} outside 0..{setup.N - 1}")
     _check_count(m, "m", 0)
+    if m >= setup.N:
+        raise ParameterOutOfRange(f"m = {m} outside 0..{setup.N - 1} for N = {setup.N}")
     z = np.asarray(z, dtype=complex)
     tau, zbar = setup.tau, np.conj(z)
     vals = (
@@ -165,15 +141,14 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
     stack, with no theta call. Each basis state is its image sum, the theta3
     series of ``psi_lll`` with its q-power and Gaussian multiplied in:
 
-        psi_m(z) = norm * sum_{k = m mod N} e^(-a (y + k W2/N)^2 - 2 pi i k x/L
-                                                 - i pi W1 k^2/(N L)),
+        psi_m(z) = norm * sum_{k = m mod N} e^(-a (y + k W2/N)^2 - 2 pi i k x/L),
 
     a = pi N/(L W2), norm = 1/sqrt(L l sqrt(pi)); every term has modulus <= 1.
     It is summed in one of two frames.
 
-    Direct (W2 >= L, or a skewed torus): the Gaussians in y, spaced W2/N.
+    Direct (W2 >= L): the Gaussians in y, spaced W2/N.
 
-    Rotated (W2 < L, W1 = 0): Poisson summation over each state's images
+    Rotated (W2 < L): Poisson summation over each state's images
     turns them into Gaussians in x, spaced L/N:
 
         psi_m = sum_n F_nm chi_n,   F_nm = e^(-2 pi i n m/N) / sqrt(N),
@@ -193,16 +168,15 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
     determinant serves every Slater matrix.
     """
     N, x, y = setup.N, zs.real, zs.imag
-    if setup.W2 >= setup.L or setup.W1 != 0.0:   # direct
-        h, period = setup.W2 / N, setup.L
+    if setup.W2 >= setup.L:   # direct
+        h, period, phase = setup.W2 / N, setup.L, 1.0
         c, iv = y / h, (-2j * math.pi / setup.L) * x
-        skew, phase = math.pi * setup.W1 / (N * setup.L), 1.0
-    else:                                         # rotated
-        h, period, skew = setup.L / N, setup.W2, 0.0
+    else:                     # rotated
+        h, period = setup.L / N, setup.W2
         c, iv = x / -h, (-2j * math.pi / setup.W2) * y
         dft = 1j ** ((((N - 1) * (N + 2)) // 2) % 4)
         phase = dft * np.exp(1j * (x * y).sum(axis=-1) / setup.l**2)
-    # term k is e^(-ah2 (c + k)^2 + iv k - i skew k^2), with c the row's
+    # term k is e^(-ah2 (c + k)^2 + iv k), with c the row's
     # Gaussian coordinate and ah2 = a in units of the image spacing h
     ah2 = math.pi * N * h * h / (setup.L * setup.W2)
     # The row's Gaussian peaks at k = -c; each column's largest image is at
@@ -213,15 +187,9 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
     t = np.arange(width)
     # the phases at k = k0 + t by powers along t
     terms = np.empty(zs.shape + (width,), dtype=complex)
-    if skew:
-        terms[..., 0] = np.exp(k0 * (iv - 1j * skew * k0))
-        terms[..., 1:] = np.exp(iv - 2j * skew * k0)[..., None]
-    else:
-        terms[..., 0] = np.exp(iv * k0)
-        terms[..., 1:] = np.exp(iv)[..., None]
+    terms[..., 0] = np.exp(iv * k0)
+    terms[..., 1:] = np.exp(iv)[..., None]
     np.cumprod(terms, axis=-1, out=terms)
-    if skew:
-        terms *= np.exp(-1j * skew * t * t)
     d = (c + k0)[..., None] + t
     d *= d
     d *= -ah2

@@ -39,7 +39,7 @@ The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
 Im(tau) = t < 1 is summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)),
 where |q'| <= e^(-pi): every real nome up to the cap |q| <= 0.95 is then
-accurate in relative terms. Complex (skewed-torus) nomes are summed directly.
+accurate in relative terms. Complex nomes are summed directly.
 Over that domain n* <= 28 and the products' k* <= 316.
 
 A ``Nome`` is its tau, 0 < Im tau < inf (q = 0, tau = i*inf, is refused with
@@ -96,8 +96,9 @@ class Nome:
 
     tau is the one field: every q-power q^p is read as e^(i*pi*tau*p), so no
     power underflows on the way and fractional powers are branch free. A
-    non-finite or non-positive Im(tau) (q = 0 is tau = i*inf) raises
-    NomeOutOfRange; theta's series and product forms also refuse |q| > 0.95.
+    non-finite or non-positive Im(tau) (q = 0 is tau = i*inf) or a non-finite
+    Re(tau) raises NomeOutOfRange; theta's series and product forms also
+    refuse |q| > 0.95.
     """
 
     tau: complex
@@ -105,6 +106,8 @@ class Nome:
     def __post_init__(self):
         if not 0 < self.tau.imag < math.inf:
             raise NomeOutOfRange(f"Im(tau) = {self.tau.imag} must be positive and finite")
+        if not math.isfinite(self.tau.real):
+            raise NomeOutOfRange(f"Re(tau) = {self.tau.real} must be finite")
 
     @property
     def q(self) -> complex:
@@ -655,7 +658,7 @@ def f_N(N: int, nome):
     """N^(N/2) q^(-(N-1)(N-2)/24) (q^2; q^2)_inf^(-(N-1)(N-2)/2), the
     fractional q-power e^(-i pi tau (N-1)(N-2)/24) taken on the tau branch.
 
-    A float for a rectangular torus (Re tau = 0), else (skewed tori) complex.
+    A float for a real nome (Re tau = 0), else complex.
     A value that overflows a double raises PrecisionUnreachable.
     """
     _check_count(N)

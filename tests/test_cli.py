@@ -450,12 +450,14 @@ class TestEntryPoint:
             (["theta", "--q", "0.3", "--z", "1+"], click.UsageError),
             (["landau", "--N", "3", "--L", "nan"], ParameterOutOfRange),
             (["casimir", "--L", "inf", "--W", "1"], ParameterOutOfRange),
+            (["landau", "--N", "3", "--m", "5"], ParameterOutOfRange),
         ],
         ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
              "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow",
              "ocp-strip-overflow", "ocp-f_N-overflow", "casimir-eta-underflow",
              "theta-zero-nome", "theta-overlarge-nome", "theta-complex-nome-eta",
-             "verify-identities-overlarge-nome", "theta-bad-z", "landau-nan-L", "casimir-inf-L"],
+             "verify-identities-overlarge-nome", "theta-bad-z", "landau-nan-L", "casimir-inf-L",
+             "landau-level-index"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input, or a value out of double range, ends in a named

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,9 +12,7 @@ from torusgas.coulombgas import log_xi2_closed, pressure_sum, xi2_closed
 from torusgas.electrostatics import coulomb_energy_terms, nbody_weight, ocp_log_boltzmann
 from torusgas.errors import (
     CoincidentPoints,
-    DegenerateGeometry,
     DimensionMismatch,
-    FluxMismatch,
     ParameterOutOfRange,
     PrecisionUnreachable,
     TorusGasError,
@@ -25,7 +24,6 @@ from torusgas.landau import (
     factored_state,
     factorization_ratio,
     flux_constraint,
-    gauge_f,
     psi_lll,
     slater_state,
 )
@@ -47,9 +45,13 @@ class TestFluxConstraint:
             W2 = flux_constraint(N, l, L)
             assert abs((1 / l**2) * L * W2 / (2 * math.pi) - N) < 1e-12
 
-    def test_setup_rejects_wrong_flux(self):
-        with pytest.raises(FluxMismatch):
-            MagneticSetup(l=0.25, L=1.0, W1=0.0, W2=1.0, N=3)
+    def test_setup_derives_its_height(self):
+        """A setup is (l, L, N); its height W2 is the flux condition's, so its
+        flux is whole by construction."""
+        for N, l, L in [(3, 0.25, 1.0), (5, 1.2, 3.0)]:
+            setup = MagneticSetup(l=l, L=L, N=N)
+            assert setup.W2 == flux_constraint(N, l, L)
+            assert setup.tau.real == 0.0   # rectangular
 
 
 class TestNamedErrors:
@@ -58,15 +60,15 @@ class TestNamedErrors:
         [
             (lambda: TorusGeometry(-1.0, 1.0, 1), ParameterOutOfRange),
             (lambda: TorusGeometry(1.0, 1.0, 0), ParameterOutOfRange),
-            (lambda: MagneticSetup(l=0.25, L=1.0, W1=0.0, W2=1.0, N=0), ParameterOutOfRange),
-            (lambda: MagneticSetup(l=-0.25, L=1.0, W1=0.0, W2=1.0, N=3), ParameterOutOfRange),
+            (lambda: MagneticSetup(l=0.25, L=1.0, N=0), ParameterOutOfRange),
+            (lambda: MagneticSetup(l=-0.25, L=1.0, N=3), ParameterOutOfRange),
             (lambda: flux_constraint(0, 0.25, 1.0), ParameterOutOfRange),
             (lambda: ocp_log_boltzmann(*_one_period_apart()), CoincidentPoints),
             (lambda: ParticleConfig.from_raw([0.1, 0.2], TorusGeometry(1.0, 1.0, 3)),
              DimensionMismatch),
             (lambda: frobenius_residual([0.1, 0.2], [0.3], 0.1, 0.3), DimensionMismatch),
-            (lambda: fourier_det_constant(0), DimensionMismatch),
-            (lambda: psi_lll(3, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3)), DimensionMismatch),
+            (lambda: fourier_det_constant(0), ParameterOutOfRange),
+            (lambda: psi_lll(3, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3)), ParameterOutOfRange),
             (lambda: zn_closed(0, TorusGeometry(1.0, 1.0, 1)), ParameterOutOfRange),
             (lambda: ocp_log_boltzmann(_three_points(), 2.0, TorusGeometry(1.0, 1.0, 5)),
              DimensionMismatch),
@@ -123,15 +125,22 @@ class TestNamedErrors:
         [(lambda: TorusGeometry(1.0, math.nan), "W"), (lambda: TorusGeometry(-math.inf, 1.0), "L"),
          (lambda: MagneticSetup.plasma_mapping(math.inf, 3), "L"),
          (lambda: MagneticSetup.from_flux(1.0, 2, math.nan), "l"),
-         (lambda: MagneticSetup(l=0.25, L=1.0, W1=math.nan, W2=0.75, N=3), "W1")],
+         (lambda: MagneticSetup(l=1e200, L=1.0, N=3), "W2"),
+         (lambda: flux_constraint(3, 1e-200, 1.0), "W2")],
         ids=["TorusGeometry-nan-W", "TorusGeometry-minus-inf-L", "plasma_mapping-inf-L",
-             "from_flux-nan-l", "MagneticSetup-nan-W1"],
+             "from_flux-nan-l", "MagneticSetup-overflowing-W2",
+             "flux_constraint-underflowing-W2"],
     )
     def test_non_finite_period_is_named(self, call, name):
         """nan <= 0 is False: a nan or inf period is refused where it enters,
         by name, not downstream as some other value."""
         with pytest.raises(ParameterOutOfRange, match=f"^{name} = "):
             call()
+
+    def test_level_index_names_m_and_N(self):
+        """A level index past the N states is the count rule's refusal."""
+        with pytest.raises(ParameterOutOfRange, match="^m = 5 outside 0..2 for N = 3$"):
+            psi_lll(5, 0.2, MagneticSetup.plasma_mapping(L=1.0, N=3))
 
     def test_numpy_integer_count(self):
         """A numpy integer is an integer count, as the scan and the draws pass it."""
@@ -150,55 +159,21 @@ def _one_period_apart():
     return ParticleConfig.from_raw([0.3 + 0.2j, 1.3 + 0.2j], g), 2.0, g
 
 
-class TestGauge:
-    def test_zero_at_origin(self):
-        assert gauge_f(0.0, 0.0, 1.7, 0.4, 0.9) == 0.0
-
-    def test_gradient_matches_potential_difference(self):
-        B, W1, W2 = 2.3, 0.7, 1.1
-        h = 1e-5
-        for x, y in [(0.3, -0.4), (1.1, 0.2)]:
-            gx = (gauge_f(x + h, y, B, W1, W2) - gauge_f(x - h, y, B, W1, W2)) / (2 * h)
-            gy = (gauge_f(x, y + h, B, W1, W2) - gauge_f(x, y - h, B, W1, W2)) / (2 * h)
-            awx = B / 2 * ((W2 / W1) * x - y) - (-B * y)
-            awy = B / 2 * (x - (W1 / W2) * y)
-            assert abs(gx - awx) < 1e-6
-            assert abs(gy - awy) < 1e-6
-
-    def test_rectangular_gauge(self):
-        """At W1 = 0 the second potential is the symmetric gauge (B/2)(-y, x)
-        and the connecting function degenerates to B x y / 2."""
-        B, x, y = 1.5, 0.4, 0.7
-        assert gauge_f(x, y, B, 0.0, 2.0) == B * x * y / 2
-        h = 1e-5
-        gx = (gauge_f(x + h, y, B, 0.0, 2.0) - gauge_f(x - h, y, B, 0.0, 2.0)) / (2 * h)
-        gy = (gauge_f(x, y + h, B, 0.0, 2.0) - gauge_f(x, y - h, B, 0.0, 2.0)) / (2 * h)
-        awx, awy = -B * y / 2 - (-B * y), B * x / 2
-        assert abs(gx - awx) < 1e-9
-        assert abs(gy - awy) < 1e-9
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateGeometry):
-            gauge_f(0.1, 0.1, 1.0, 0.5, 0.0)
-
-
 class TestSingleParticle:
-    @pytest.mark.parametrize("W1", [0.0, 0.2])
-    def test_x_periodicity(self, W1):
-        setup = MagneticSetup.from_flux(L=1.0, N=3, l=0.25, W1=W1)
+    def test_x_periodicity(self):
+        setup = MagneticSetup.from_flux(L=1.0, N=3, l=0.25)
         for m in range(3):
             z = complex(rng.uniform(0, 1), rng.uniform(0, setup.W2))
             a, b = psi_lll(m, z, setup), psi_lll(m, z + setup.L, setup)
             assert abs(a - b) < 1e-10 * max(1, abs(a))
 
-    @pytest.mark.parametrize("W1", [0.0, 0.2])
-    def test_quasi_periodicity(self, W1):
-        setup = MagneticSetup.from_flux(L=1.0, N=3, l=0.25, W1=W1)
+    def test_quasi_periodicity(self):
+        setup = MagneticSetup.from_flux(L=1.0, N=3, l=0.25)
         for m in range(3):
             z = complex(rng.uniform(0, 1), rng.uniform(0, setup.W2))
             lhs = psi_lll(m, z, setup)
-            rhs = psi_lll(m, z + setup.W1 + 1j * setup.W2, setup) * np.exp(
-                -1j * setup.W2 * (2 * z.real + setup.W1) / (2 * setup.l**2)
+            rhs = psi_lll(m, z + 1j * setup.W2, setup) * np.exp(
+                -1j * setup.W2 * z.real / setup.l**2
             )
             assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
 
@@ -287,19 +262,18 @@ class TestImageSum:
     """slater_state sums each state's Gaussian images, in the frame where they
     localize, and calls no theta function."""
 
-    @pytest.mark.parametrize("W1", [0.0, 0.2])
     @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0, 4.0])
-    def test_matches_determinant_of_level_states(self, WL, W1):
+    def test_matches_determinant_of_level_states(self, WL):
         """Against det[psi_lll(m, z_j)] / sqrt(N!), the theta3 closed form:
         this pins the rotated frame's constant and gauge phase (W/L = 0.5),
         the frame switch and the image window, in and outside the cell. The
         reference determinant itself cancels to about 1e-16 of the product
         of its row norms (the Hadamard bound), which is more than 1e-12 of
         it where two particles nearly share a state: so either bound holds."""
-        r = np.random.default_rng(int(100 * WL) + int(10 * W1))
+        r = np.random.default_rng(int(100 * WL))
         for N in range(1, 7):
             L = math.sqrt(N / WL)
-            setup = MagneticSetup.from_flux(L=L, N=N, l=1.0 / math.sqrt(2.0 * math.pi), W1=W1)
+            setup = MagneticSetup.plasma_mapping(L=L, N=N)
             zs = r.uniform(0, L, (4, N)) + 1j * r.uniform(0, setup.W2, (4, N))
             zs[0, 0] += 2.0 * L - 3.0j * setup.W2   # one particle out of the cell
             zs[1] += -1.0 * L + 1.0j * setup.W2     # every particle one period away
@@ -309,6 +283,36 @@ class TestImageSum:
                 hadamard = np.prod(np.linalg.norm(mat, axis=1)) / math.sqrt(math.factorial(N))
                 err = abs(slater_state(z, setup) - ref)
                 assert err <= max(1e-12 * abs(ref), 1e-15 * hadamard), (N, z)
+
+    @pytest.mark.parametrize("N", [3, 6])
+    @pytest.mark.parametrize("WL", [0.03, 0.05, 0.1])
+    def test_against_mpmath_image_sum(self, WL, N):
+        """Small W2/L sums in the rotated frame. The reference is the direct
+        frame's image sum, psi_m(z) = norm sum_{k = m mod N}
+        e^(-a (y + k W2/N)^2 - 2 pi i k x/L), a = pi N/(L W2), at 50 digits
+        with every image down to e^-130 of each entry's largest, so its
+        cancellation costs it nothing."""
+        setup = MagneticSetup.plasma_mapping(L=math.sqrt(N / WL), N=N)
+        L, W2 = setup.L, setup.W2
+        r = np.random.default_rng(int(1000 * WL) + N)
+        zs = r.uniform(0, L, (2, N)) + 1j * r.uniform(0, W2, (2, N))
+        with mp.workdps(50):
+            a, h = mp.pi * N / (L * W2), mp.mpf(W2) / N
+            reach = int(mp.sqrt(130 / (a * h * h))) + N
+            norm = 1 / mp.sqrt(L * mp.mpf(setup.l) * mp.sqrt(mp.pi))
+
+            def psi(m, z):
+                x, y = mp.mpf(z.real), mp.mpf(z.imag)
+                k0 = int(mp.floor(-y / h)) - reach
+                return norm * mp.fsum(
+                    mp.exp(-a * (y + k * h) ** 2 - 2j * mp.pi * k * x / L)
+                    for k in range(k0 + (m - k0) % N, k0 + 2 * reach + 1, N)
+                )
+
+            for z in zs:
+                mat = mp.matrix([[psi(m, zj) for m in range(N)] for zj in z])
+                ref = complex(mp.det(mat) / mp.sqrt(mp.factorial(N)))
+                assert abs(slater_state(z, setup) - ref) <= 1e-12 * abs(ref), z
 
     def test_seeded_spread_at_small_aspect(self):
         """W/L = 0.03, N = 4: the theta3-built Slater matrix lost the

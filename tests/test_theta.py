@@ -23,7 +23,6 @@ from torusgas.errors import (
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.identities import frobenius_residual
-from torusgas.landau import MagneticSetup
 from torusgas.theta import (
     _POINT_MAX,
     Nome,
@@ -104,6 +103,14 @@ class TestNome:
         tau: every entry point refuses it by name."""
         with pytest.raises(NomeOutOfRange):
             call()
+
+    @pytest.mark.parametrize("re_tau", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_real_part_refused(self, re_tau):
+        """A non-finite Re(tau) is no nome: refused where it enters, by name,
+        not as a nan theta value or an overflow of f_N."""
+        with pytest.raises(NomeOutOfRange, match=r"^Re\(tau\) = "):
+            Nome.from_tau(complex(re_tau, 1.0))
 
 
 class TestTruncation:
@@ -326,9 +333,9 @@ class TestFN:
 
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_skewed_torus_against_mpmath(self, N):
-        """Complex nome of a skewed torus (W1 != 0): N^(N/2) q^(-e/24)
-        (q^2; q^2)_inf^(-e/2), e = (N-1)(N-2), with q^(-e/24) on the tau branch."""
-        nome = MagneticSetup.from_flux(L=1.0, N=N, l=0.25, W1=0.3).nome
+        """Complex nome (Re tau != 0): N^(N/2) q^(-e/24) (q^2; q^2)_inf^(-e/2),
+        e = (N-1)(N-2), with q^(-e/24) on the tau branch."""
+        nome = Nome.from_tau(complex(-0.3, 2 * math.pi * 0.25**2 * N))
         assert nome.tau.real != 0
         e = (N - 1) * (N - 2)
         tau = mp.mpc(nome.tau.real, nome.tau.imag)
