@@ -32,7 +32,7 @@ from .coulombgas import (
     xi2_closed,
 )
 from .electrostatics import phi_periodic, phi_quasi
-from .errors import TorusGasError
+from .errors import TorusGasError, _check_count
 from .geometry import TorusGeometry
 from .identities import identity_draws
 from .landau import MagneticSetup, psi_lll
@@ -85,6 +85,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _grid(L: float, W: float, grid: int):
     """The grid x grid midpoints of [0, L] x [0, W] as flat (x, y, x + iy),
     x the outer index."""
+    _check_count(grid, "grid")
     x = np.repeat((np.arange(grid) + 0.5) * L / grid, grid)
     y = np.tile((np.arange(grid) + 0.5) * W / grid, grid)
     return x, y, x + 1j * y
@@ -213,8 +214,6 @@ def ocp(N, L, W, samples, seed, out):
             "two_grid_difference": chk.estimate.std_error,
         }
     elif N in (2, 3):
-        if seed is None:
-            raise click.UsageError("--seed is required for the Monte Carlo check")
         chk = verify_partition_mc(geom, samples=samples, seed=seed)
         payload["monte_carlo"] = {
             "value": chk.estimate.value,

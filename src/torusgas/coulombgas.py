@@ -32,13 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    FitIllConditioned,
-    GridTooCoarse,
-    JumpPoint,
+    CoincidentPoints,
     ParameterOutOfRange,
     PrecisionUnreachable,
-    SingularSeparation,
-    TruncationInsufficient,
+    _check_count,
+    _check_lengths,
 )
 from .geometry import TorusGeometry
 from .theta import _LOG_MAX, _on_lattice, eta_q, theta1, theta1_prime0, theta4
@@ -62,7 +60,7 @@ def kernel_K(w: complex, z: complex, geom: TorusGeometry):
     nome = geom.nome_WL
     u = math.pi * (np.asarray(w, dtype=complex) - z) / geom.L
     if _on_lattice(u, nome):
-        raise SingularSeparation("w - z lies on the period lattice")
+        raise CoincidentPoints("w - z lies on the period lattice")
     tp, t4 = _theta_constants(geom)
     return math.pi * tp / (geom.L * t4) * theta4(u, nome) / theta1(u, nome)
 
@@ -80,9 +78,9 @@ def g_fourier(n: int, y, geom: TorusGeometry):
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     if np.any(np.abs(y_arr) >= geom.W):
-        raise JumpPoint("y must lie in (-W, W)")
+        raise ParameterOutOfRange("y must lie in (-W, W)")
     if scalar and y_arr == 0.0:
-        raise JumpPoint("g_n has a jump at y = 0; take one-sided limits")
+        raise ParameterOutOfRange("g_n has a jump at y = 0; take one-sided limits")
     tp, t4 = _theta_constants(geom)
     vals = 2j * t4 / tp * _g_branches(n, np.atleast_1d(y_arr), geom)
     if scalar:
@@ -113,7 +111,7 @@ def kernel_from_fourier(w: complex, z: complex, geom: TorusGeometry):
     d = complex(w - z)
     x, y = d.real, d.imag
     if y == 0.0:
-        raise JumpPoint("Fourier synthesis needs y != 0")
+        raise ParameterOutOfRange("Fourier synthesis needs y != 0")
     depth = min(abs(y), geom.W - abs(y))
     bmax = max(3, math.ceil(geom.L * math.log(1e12) / (math.pi * depth)))
     n_lo = -(bmax + 1) // 2 - 1
@@ -158,8 +156,7 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     Returns the +/- i pairs v_k = +/- i sqrt(mu^2 + (2 pi k/W)^2) for
     k = 0..k_max and the corresponding lambdas 2*pi/v.
     """
-    if k_max < 0:
-        raise ParameterOutOfRange("k_max must be >= 0")
+    _check_count(k_max, "k_max", 0)
     mu = math.pi * (2 * n + 1) / geom.L
     ks = np.arange(0, k_max + 1)
     mags = np.sqrt(mu**2 + (2.0 * math.pi * ks / geom.W) ** 2)
@@ -169,9 +166,8 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
 
 
 def _grid_step(geom: TorusGeometry, M: int) -> float:
-    """Step W/M of the M-point mode grid; GridTooCoarse below 16 points."""
-    if M < 16:
-        raise GridTooCoarse("need at least 16 grid points")
+    """Step W/M of the M-point mode grid of at least 16 points."""
+    _check_count(M, "M", 16)
     return geom.W / M
 
 
@@ -228,11 +224,12 @@ def oracle_leading_magnitudes(
     distinct one is entry k of the unsorted |FFT| (k >= 1 roots are doubly
     degenerate: entries k and M - k), which falls from k = 0 to M/2; past M/2
     a grid has no further distinct magnitude, so k_count > M/2 + 1 raises
-    GridTooCoarse.
+    ParameterOutOfRange.
     """
+    _check_count(k_count, "k_count")
     if k_count > min(Ms) // 2 + 1:
-        raise GridTooCoarse(f"{k_count} distinct magnitudes need a grid of at least "
-                            f"{2 * (k_count - 1)} points, got M = {min(Ms)}")
+        raise ParameterOutOfRange(f"{k_count} distinct magnitudes need a grid of at least "
+                                  f"{2 * (k_count - 1)} points, got M = {min(Ms)}")
     coarse, fine = (_mode_fft_magnitudes(n, geom, M)[:k_count] for M in Ms)
     return (4.0 * fine - coarse) / 3.0
 
@@ -250,10 +247,11 @@ def mode_logdet_extrapolated(n: int, geom: TorusGeometry, M: int, zeta: float) -
 
     The determinant converges O(1/M) (spectrum tail), so grids M/2, M, 2M
     with weights (1, -6, 8)/3 remove the 1/M and 1/M^2 error terms around the
-    nominal grid M.
+    nominal grid M, which must be even and at least 32 (M/2 takes 16 points).
     """
+    _check_count(M, "M", 32)
     if M % 2 != 0:
-        raise GridTooCoarse("M must be even for the three-grid ladder")
+        raise ParameterOutOfRange("M must be even for the three-grid ladder")
     d1 = mode_logdet(n, geom, M // 2, zeta)
     d2 = mode_logdet(n, geom, M, zeta)
     d3 = mode_logdet(n, geom, 2 * M, zeta)
@@ -265,6 +263,12 @@ def _log_cosh_ratio(X: float, Y: float) -> float:
     return (X - Y) + 2.0 * (math.log1p(-math.exp(-X)) - math.log1p(-math.exp(-Y)))
 
 
+def _check_zeta(zeta: float) -> None:
+    """Refuse a fugacity outside [0, inf), nan included."""
+    if not 0 <= zeta < math.inf:
+        raise ParameterOutOfRange(f"zeta must be finite and >= 0, got {zeta}")
+
+
 def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     """log of the closed-form grand partition function with n_max mode pairs:
 
@@ -274,10 +278,8 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     with mu_j = pi(2j-1)/L and q = exp(-pi W/L). Each factor is squared
     because the Fourier modes n = j-1 and n = -j share |mu|.
     """
-    if n_max < 1:
-        raise TruncationInsufficient("need at least one mode pair")
-    if not 0 <= zeta < math.inf:
-        raise ParameterOutOfRange(f"zeta must be finite and >= 0, got {zeta}")
+    _check_count(n_max, "n_max")
+    _check_zeta(zeta)
     _, q4 = _theta_constants(geom)
     total = 2.0 * math.log(q4)
     for j in range(1, n_max + 1):
@@ -345,10 +347,9 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     b(Lambda) L with a log-divergent slope and carries a universal -pi/(6 L)
     finite-size term; ``fit_pressure`` extracts both.
     """
-    if cutoff < 1:
-        raise ParameterOutOfRange("cutoff must be >= 1")
-    if not L > 0:
-        raise ParameterOutOfRange(f"L must be positive, got {L}")
+    _check_count(cutoff, "cutoff")
+    _check_lengths(L=L)
+    _check_zeta(zeta)
     if zeta == 0.0:
         return 0.0
     x = (np.arange(1, cutoff + 1) - 0.5) / L
@@ -359,12 +360,12 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
 def _least_squares(columns, values) -> tuple[list[float], float]:
     """Least-squares coefficients of the design matrix with these columns
     against ``values``, and the largest absolute residual of the fit; a
-    rank-deficient design raises FitIllConditioned."""
+    rank-deficient design raises ParameterOutOfRange."""
     design = np.column_stack(columns)
     values = np.asarray(values, dtype=float)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < design.shape[1]:
-        raise FitIllConditioned("ladder design matrix is rank deficient")
+        raise ParameterOutOfRange("ladder design matrix is rank deficient")
     return coeffs.tolist(), float(np.max(np.abs(design @ coeffs - values)))
 
 

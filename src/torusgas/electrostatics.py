@@ -28,7 +28,7 @@ def _pair_log_theta(z, zp, geom: TorusGeometry):
     return logs
 
 
-def _check_count(config: ParticleConfig, geom: TorusGeometry) -> int:
+def _config_count(config: ParticleConfig, geom: TorusGeometry) -> int:
     """N = len(config), refused with DimensionMismatch unless it is geom.N:
     the density comes from geom and the prefactor from the config."""
     if len(config) != geom.N:
@@ -87,7 +87,7 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     integral, background self-energy) reproduces this exactly; the test suite
     checks that route against this closed form.
     """
-    N = _check_count(config, geom)
+    N = _config_count(config, geom)
     if N > 1:   # pairs first: a coincidence is refused before any other error
         iu, ju = _pairs(N)
         u = np.pi * (config.zs[ju] - config.zs[iu]) / geom.L
@@ -127,7 +127,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
     Returns (U1, U2, U3) with beta*q^2 folded out, so beta*U_total =
     Gamma * (U1 + U2 + U3).
     """
-    N = _check_count(config, geom)
+    N = _config_count(config, geom)
     L, W = geom.L, geom.W
     rho = geom.rho
     tp = theta1_prime0(geom.nome_WL).real

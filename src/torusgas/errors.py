@@ -1,8 +1,15 @@
 """Exception hierarchy for torusgas, and the count and period checks that
-every module applies alike.
+every module applies alike. Each refusal is a TorusGasError subclass:
 
-Every failure mode raises a named subclass of :class:`TorusGasError` so callers
-can distinguish domain violations from numerical breakdowns.
+- NomeOutOfRange: no nome (0 < |q| < 1, finite tau), past |q| = 0.95, or complex for eta_q;
+- ParameterOutOfRange: an argument outside its domain (also a ValueError);
+- PrecisionUnreachable: a value out of double range or lost to cancellation;
+- DimensionMismatch: inputs that disagree about the particle number N;
+- CoincidentPoints: two points, or a kernel's argument, on the period lattice;
+- QuadratureNonConvergence: no two lattice-rule grids agree in the budget.
+
+Every count goes through ``_check_count``, every length through
+``_check_lengths``.
 """
 
 import math
@@ -30,43 +37,11 @@ class DimensionMismatch(TorusGasError):
 
 
 class CoincidentPoints(TorusGasError):
-    """Two particle coordinates coincide modulo the lattice."""
-
-
-class SingularConfiguration(TorusGasError):
-    """A +/- pair separation sits on the lattice, so theta1 vanishes."""
-
-
-class SingularSeparation(TorusGasError):
-    """Kernel evaluated at coincident arguments (simple pole)."""
-
-
-class JumpPoint(TorusGasError):
-    """Fourier coefficient requested exactly at its y=0 discontinuity."""
+    """Two points coincide modulo the lattice, or a kernel's argument lies on it."""
 
 
 class QuadratureNonConvergence(TorusGasError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-class SeedRequired(TorusGasError):
-    """Stochastic routine invoked without an explicit seed."""
-
-
-class InsufficientSamples(TorusGasError):
-    """Monte Carlo sample count below the contract minimum."""
-
-
-class GridTooCoarse(TorusGasError):
-    """Discretization grid too small for a meaningful spectrum."""
-
-
-class TruncationInsufficient(TorusGasError):
-    """Mode-product truncation leaves factors materially different from 1."""
-
-
-class FitIllConditioned(TorusGasError):
-    """Ladder fit design matrix is rank deficient or near singular."""
+    """The lattice rule's grids did not agree within their point budget."""
 
 
 def _check_count(N, name: str = "N", least: int = 1) -> None:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CoincidentPoints,
     DimensionMismatch,
     NomeOutOfRange,
     PrecisionUnreachable,
-    SingularConfiguration,
     _check_count,
 )
 from .geometry import _pairs
@@ -133,7 +133,7 @@ def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
     D, N = Ws.shape
     sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
     if _on_lattice(sep, nome):
-        raise SingularConfiguration("some w_j - z_k lies on the lattice")
+        raise CoincidentPoints("some w_j - z_k lies on the lattice")
 
     iu, ju = _pairs(N)
     t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome)
@@ -181,7 +181,7 @@ def _draw(rng: np.random.Generator, D: int, sets: int, N: int, nome, scale: floa
     real parts, then its N imaginary parts. The rows where some theta1
     argument scale * (p_j - p_k), over the pairs of their sets * N points, lies
     within 1e-3 of pi*Z + pi*tau*Z are redrawn, in order, as one block; a row
-    still rejected after 1000 redraws raises SingularConfiguration."""
+    still rejected after 1000 redraws raises CoincidentPoints."""
     nome = Nome.coerce(nome)
     iu, ju = _pairs(sets * N)
     P = np.empty((D, sets, N), dtype=complex)
@@ -195,7 +195,7 @@ def _draw(rng: np.random.Generator, D: int, sets: int, N: int, nome, scale: floa
         if not len(bad):
             return P
     what = ("configuration", "species pair")[sets - 1]
-    raise SingularConfiguration(f"could not draw a well-separated {what}")
+    raise CoincidentPoints(f"could not draw a well-separated {what}")
 
 
 def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_sizes, draws: int):
@@ -206,6 +206,7 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
     over the draws: one ``_draw`` from ``rng``, evaluated as one stack. The
     draws keep off the lattice each pi (x_j - x_k) of a Vandermonde set and
     every difference among the 2N points w, z of a Frobenius pair, unscaled."""
+    _check_count(draws, "draws")
     for N in vandermonde_sizes:
         X = _draw(rng, draws, 1, N, q, math.pi)[:, 0]
         yield "vandermonde", N, theta_vandermonde_residual(X, 0.05 + 0.02j, q)

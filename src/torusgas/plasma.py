@@ -38,13 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientSamples,
-    PrecisionUnreachable,
-    QuadratureNonConvergence,
-    SeedRequired,
-)
+from .errors import DimensionMismatch, PrecisionUnreachable, QuadratureNonConvergence, _check_count
 from .electrostatics import _log_prefactor
 from .geometry import TorusGeometry
 from .theta import _TINY, Nome, _q2_product, _theta1_abs2, eta_q, f_N
@@ -418,7 +412,7 @@ def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     return PartitionCheck(est, closed, abs(value - closed) / closed)
 
 
-def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> PartitionCheck:
+def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int) -> PartitionCheck:
     """Uniform-sampling Monte Carlo for the N in {2, 3} integral.
 
     Plain uniform sampling is unbiased and the integrand is bounded on the
@@ -432,10 +426,8 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int | None) -> 
     """
     if geom.N not in (2, 3):
         raise DimensionMismatch("Monte Carlo check is for N in {2, 3}")
-    if seed is None:
-        raise SeedRequired("pass an explicit integer seed")
-    if samples < 100_000:
-        raise InsufficientSamples(f"{samples} < 1e5 samples")
+    _check_count(seed, "seed", 0)
+    _check_count(samples, "samples", 100_000)
 
     rng = np.random.default_rng(seed)
     N = geom.N

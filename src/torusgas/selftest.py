@@ -29,7 +29,7 @@ from .coulombgas import (
     xi2_closed,
 )
 from .electrostatics import phi_periodic, phi_quasi
-from .errors import ParameterOutOfRange
+from .errors import _check_count
 from .geometry import TorusGeometry
 from .identities import identity_draws
 from .landau import MagneticSetup, factorization_ratio
@@ -59,8 +59,7 @@ def factorization_spread(setup: MagneticSetup, rng: np.random.Generator, draws: 
     cell: returns the spread max|r - mean|/|mean| and the mean ratio. One
     ``rng.uniform`` call draws every configuration, each its N x then its N y
     coordinates, the stream of drawing them one after another."""
-    if draws < 1:
-        raise ParameterOutOfRange(f"draws = {draws} must be >= 1")
+    _check_count(draws, "draws")
     U = rng.uniform(0.0, [[setup.L], [setup.W2]], (draws, 2, setup.N))
     ratios = factorization_ratio(U[:, 0] + 1j * U[:, 1], setup)
     mean = np.mean(ratios)

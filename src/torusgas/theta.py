@@ -476,13 +476,19 @@ def _evaluate(kind: int, z, nome: Nome):
             vals = series
         else:
             vals = np.exp(scale + 1j * phase()) * series
-            total = vals.sum()  # inf or nan in any value spreads to it
-            if not cmath.isfinite(total) and np.isfinite(z1[~np.isfinite(vals)]).any():
-                raise PrecisionUnreachable(
-                    f"theta{kind} of a finite argument overflows a double "
-                    f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
-                )
+            _refuse_overflow(kind, vals, z1, n)
     return vals if z.ndim else complex(vals[0])
+
+
+def _refuse_overflow(kind: int, vals, z, n) -> None:
+    """Refuse theta_kind's values at z, shifted by n periods, when one at a
+    finite z is not finite; a nan or inf z keeps its nan."""
+    total = vals.sum()  # inf or nan in any value spreads to it
+    if not cmath.isfinite(total) and np.isfinite(z[~np.isfinite(vals)]).any():
+        raise PrecisionUnreachable(
+            f"theta{kind} of a finite argument overflows a double "
+            f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
+        )
 
 
 def _theta1_abs2(z, nome: Nome):
@@ -585,29 +591,34 @@ def _product(u, nome: Nome, odd: int):
 
 
 def theta1_product(z, nome):
-    """Product representation of theta1, for cross-checking the series:
+    """Product representation of theta1, for cross-checking the series; it
+    refuses an overflow and gives nan at a nan z as theta1 does:
 
         2 q^(1/4) sin z * prod_n (1-q^(2n) e^(2iz)) (1-q^(2n) e^(-2iz)) (1-q^(2n))
     """
     nome = Nome.coerce(nome)
     z_arr = np.asarray(z, dtype=complex)
-    u, m, n = _reduce(z_arr, nome.tau)
-    vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * _product(u, nome, 0)
-    sign = (-1.0) ** (m + n)
-    vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
+    with _quiet():
+        u, m, n = _reduce(z_arr, nome.tau)
+        vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * _product(u, nome, 0)
+        sign = (-1.0) ** (m + n)
+        vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
+        _refuse_overflow(1, vals, z_arr, n)
     return complex(vals) if z_arr.ndim == 0 else vals
 
 
 def theta4_product(u, nome):
-    """Product representation of theta4:
+    """Product representation of theta4, refusing as ``theta1_product`` does:
 
         prod_n (1 - e^(2iu) q^(2n-1)) (1 - e^(-2iu) q^(2n-1)) (1 - q^(2n))
     """
     nome = Nome.coerce(nome)
     u_arr = np.asarray(u, dtype=complex)
-    ur, _, n = _reduce(u_arr, nome.tau)
-    sign = (-1.0) ** n
-    vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * _product(ur, nome, 1)
+    with _quiet():
+        ur, _, n = _reduce(u_arr, nome.tau)
+        sign = (-1.0) ** n
+        vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * _product(ur, nome, 1)
+        _refuse_overflow(4, vals, u_arr, n)
     return complex(vals) if u_arr.ndim == 0 else vals
 
 

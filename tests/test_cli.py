@@ -185,10 +185,6 @@ class TestOcp:
         assert res.exit_code == 1
         assert math.isnan(json.loads(res.output)["quadrature"]["rel_deviation"])
 
-    def test_n2_requires_seed(self):
-        res = runner.invoke(main, ["ocp", "--N", "2"])
-        assert res.exit_code == 2
-
     def test_n2_monte_carlo(self):
         res = runner.invoke(
             main, ["ocp", "--N", "2", "--samples", "100000", "--seed", "9"]
@@ -451,13 +447,21 @@ class TestEntryPoint:
             (["landau", "--N", "3", "--L", "nan"], ParameterOutOfRange),
             (["casimir", "--L", "inf", "--W", "1"], ParameterOutOfRange),
             (["landau", "--N", "3", "--m", "5"], ParameterOutOfRange),
+            (["ocp", "--N", "2"], ParameterOutOfRange),
+            (["verify-identities", "--seed", "1", "--draws", "-1"], ParameterOutOfRange),
+            (["verify-identities", "--seed", "1", "--draws", "0"], ParameterOutOfRange),
+            (["greens", "--grid", "0"], ParameterOutOfRange),
+            (["landau", "--grid", "-1"], ParameterOutOfRange),
+            (["tcg", "--grid-m", "18"], ParameterOutOfRange),
         ],
         ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
              "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow",
              "ocp-strip-overflow", "ocp-f_N-overflow", "casimir-eta-underflow",
              "theta-zero-nome", "theta-overlarge-nome", "theta-complex-nome-eta",
              "verify-identities-overlarge-nome", "theta-bad-z", "landau-nan-L", "casimir-inf-L",
-             "landau-level-index"],
+             "landau-level-index", "ocp-n2-requires-seed", "verify-identities-negative-draws",
+             "verify-identities-zero-draws", "greens-zero-grid", "landau-negative-grid",
+             "tcg-coarse-oracle-grid"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input, or a value out of double range, ends in a named

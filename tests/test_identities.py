@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from torusgas import identities
 from torusgas.cli import main
-from torusgas.errors import DimensionMismatch, PrecisionUnreachable, SingularConfiguration
+from torusgas.errors import CoincidentPoints, DimensionMismatch, PrecisionUnreachable
 from torusgas.identities import (
     IdentityResidual,
     _draw,
@@ -111,7 +111,7 @@ class TestFrobenius:
         assert abs(a.rel_residual - b.rel_residual) < 1e-9
 
     def test_lattice_separation_raises(self):
-        with pytest.raises(SingularConfiguration):
+        with pytest.raises(CoincidentPoints):
             frobenius_residual([0.5], [0.5], 0.1, 0.3)
 
 
@@ -244,7 +244,7 @@ class TestStackedDraws:
         Zs = np.array([z for _, z in pairs])
         frobenius_residual(Ws, Zs, 0.1, 0.3)   # well separated
         Zs[2, 1] = Ws[2, 0] - math.pi          # w_0 - z_1 = pi, a zero of theta1
-        with pytest.raises(SingularConfiguration):
+        with pytest.raises(CoincidentPoints):
             frobenius_residual(Ws, Zs, 0.1, 0.3)
 
     def test_cli_rows_match_per_draw_calls(self, tmp_path):
@@ -422,7 +422,7 @@ class TestDrawCaps:
     @pytest.mark.parametrize("D", [1, 5])
     def test_point_sets(self, D):
         constant = _Constant()
-        with pytest.raises(SingularConfiguration, match="configuration"):
+        with pytest.raises(CoincidentPoints, match="configuration"):
             _points(constant, D, 3, 0.3)
         assert constant.values == (1 + 1000) * D * 2 * 3
 
@@ -430,14 +430,14 @@ class TestDrawCaps:
     def test_species_pairs(self, D):
         """At N = 1 every w coincides with its z."""
         constant = _Constant()
-        with pytest.raises(SingularConfiguration, match="species pair"):
+        with pytest.raises(CoincidentPoints, match="species pair"):
             _species_pairs(constant, D, 1, 0.3)
         assert constant.values == (1 + 1000) * D * 2 * 2
 
     def test_species_pair_sets(self):
         """At N >= 2 a pair whose sets are singular on their own is a refused
         species pair too."""
-        with pytest.raises(SingularConfiguration, match="species pair"):
+        with pytest.raises(CoincidentPoints, match="species pair"):
             _species_pairs(_Constant(), 4, 2, 0.3)
 
 

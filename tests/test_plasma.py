@@ -9,10 +9,9 @@ import pytest
 from torusgas import plasma
 from torusgas.errors import (
     DimensionMismatch,
-    InsufficientSamples,
+    ParameterOutOfRange,
     PrecisionUnreachable,
     QuadratureNonConvergence,
-    SeedRequired,
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.plasma import (
@@ -404,11 +403,11 @@ class TestMonteCarlo:
         assert abs(ratio - 2.0) < 0.4
 
     def test_seed_required(self):
-        with pytest.raises(SeedRequired):
+        with pytest.raises(ParameterOutOfRange):
             verify_partition_mc(TorusGeometry(1.0, 1.0, 2), samples=100_000, seed=None)
 
     def test_insufficient_samples(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ParameterOutOfRange):
             verify_partition_mc(TorusGeometry(1.0, 1.0, 2), samples=10_000, seed=1)
 
     def test_rejects_large_n(self):

@@ -18,8 +18,6 @@ from torusgas.errors import (
     NomeOutOfRange,
     ParameterOutOfRange,
     PrecisionUnreachable,
-    SingularConfiguration,
-    SingularSeparation,
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
 from torusgas.identities import frobenius_residual
@@ -729,7 +727,7 @@ class TestOverflow:
         zs = 0.3 + 0.01j + 0.05 * np.arange(6)
         return math.pi * np.sum(np.conj(zs) - (geom.L - 1j * geom.W) / 2.0) / geom.L, geom.nome_WL
 
-    @pytest.mark.parametrize("theta", [theta1, theta3, theta4])
+    @pytest.mark.parametrize("theta", [theta1, theta3, theta4, theta1_product, theta4_product])
     def test_refused_by_name(self, theta):
         z, nome = self._center_of_mass(40.0)
         with pytest.raises(PrecisionUnreachable):
@@ -750,7 +748,9 @@ class TestOverflow:
         assert math.isfinite(abs(out[0])) and np.isnan(out[1])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("theta", [theta1, theta3, theta4, log_abs_theta1])
+    @pytest.mark.parametrize(
+        "theta", [theta1, theta3, theta4, log_abs_theta1, theta1_product, theta4_product]
+    )
     @pytest.mark.parametrize(
         "nome", [0.3, 0.01, Nome.from_tau(0.3 + 1j)], ids=["dual", "direct", "skewed"]
     )
@@ -909,10 +909,10 @@ class TestOnLattice:
              "two coordinates coincide modulo the lattice"),
             (lambda d: phi_quasi(_Z0 + d, _Z0, _PI_TORUS), CoincidentPoints,
              "z - z' lies on the period lattice"),
-            (lambda d: kernel_K(_Z0 + d, _Z0, _PI_TORUS), SingularSeparation,
+            (lambda d: kernel_K(_Z0 + d, _Z0, _PI_TORUS), CoincidentPoints,
              "w - z lies on the period lattice"),
             (lambda d: frobenius_residual([_Z0 + d], [_Z0], 0.1 + 0.05j, _PI_TORUS.nome_WL).lhs,
-             SingularConfiguration, "some w_j - z_k lies on the lattice"),
+             CoincidentPoints, "some w_j - z_k lies on the lattice"),
             (lambda d: ocp_log_boltzmann(_pair_config(d), 2.0, _PI_TORUS), CoincidentPoints,
              "two coordinates coincide modulo the lattice"),
             (lambda d: sum(coulomb_energy_terms(_pair_config(d), _PI_TORUS)), CoincidentPoints,
