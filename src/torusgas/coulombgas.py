@@ -39,7 +39,7 @@ from .errors import (
     _check_lengths,
 )
 from .geometry import TorusGeometry
-from .theta import _LOG_MAX, _on_lattice, eta_q, theta1, theta1_prime0, theta4
+from .theta import _LOG_MAX, _theta_apart, eta_q, theta1, theta1_prime0, theta4
 
 _LADDER_CUTOFF_DENSITY = 8   # Lambda: a finite-size ladder rung of width L sums Lambda * L modes
 
@@ -55,14 +55,17 @@ def kernel_K(w: complex, z: complex, geom: TorusGeometry):
     u = pi (w - z)/L.
 
     Antiperiodic under w -> w + L; simple pole at w = z with residue 1, i.e.
-    (w - z) * K -> 1.
+    (w - z) * K -> 1. A u within 1e-9 of the lattice (a zero of theta1)
+    raises CoincidentPoints, read off the reduction theta4(u) is summed at,
+    which theta1(u) shares, before any refusal of theta.
     """
     nome = geom.nome_WL
     u = math.pi * (np.asarray(w, dtype=complex) - z) / geom.L
-    if _on_lattice(u, nome):
+    t4u = _theta_apart(4, u, nome)
+    if t4u is None:
         raise CoincidentPoints("w - z lies on the period lattice")
     tp, t4 = _theta_constants(geom)
-    return math.pi * tp / (geom.L * t4) * theta4(u, nome) / theta1(u, nome)
+    return math.pi * tp / (geom.L * t4) * t4u / theta1(u, nome)
 
 
 def g_fourier(n: int, y, geom: TorusGeometry):

@@ -16,24 +16,17 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, DimensionMismatch, PrecisionUnreachable
-from .geometry import ParticleConfig, TorusGeometry, _pairs
+from .errors import CoincidentPoints, PrecisionUnreachable
+from .geometry import ParticleConfig, TorusGeometry, _config_count, _pairs
 from .theta import _log_abs_theta1_apart, _theta1_abs2, theta1_prime0
 
 
-def _pair_log_theta(z, zp, geom: TorusGeometry):
+def _pair_log_theta(z, zp, geom: TorusGeometry, coincident="z - z' lies on the period lattice"):
+    """log|theta1(pi (z - z')/L)|; a z - z' on the lattice raises CoincidentPoints first."""
     logs = _log_abs_theta1_apart(np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L, geom.nome_WL)
     if logs is None:
-        raise CoincidentPoints("z - z' lies on the period lattice")
+        raise CoincidentPoints(coincident)
     return logs
-
-
-def _config_count(config: ParticleConfig, geom: TorusGeometry) -> int:
-    """N = len(config), refused with DimensionMismatch unless it is geom.N:
-    the density comes from geom and the prefactor from the config."""
-    if len(config) != geom.N:
-        raise DimensionMismatch(f"{len(config)} coordinates for geometry with N = {geom.N}")
-    return geom.N
 
 
 def _log_prefactor(N: int, geom: TorusGeometry) -> float:
@@ -46,10 +39,11 @@ def _log_prefactor(N: int, geom: TorusGeometry) -> float:
 def phi_quasi(z, zp, geom: TorusGeometry):
     """Quasi-periodic Coulomb potential -log( L|theta1(pi(z-z')/L)| / (pi theta1'(0)) ).
 
-    Periodic in x; a shift y -> y + W adds -(pi/L)(2(y-y') + W).
+    Periodic in x; a shift y -> y + W adds -(pi/L)(2(y-y') + W). A z - z' on
+    the period lattice is refused before any refusal of theta.
     """
-    norm = math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real))
-    return -(norm + _pair_log_theta(z, zp, geom))
+    logs = _pair_log_theta(z, zp, geom)
+    return -(math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real)) + logs)
 
 
 def phi_periodic(z, zp, geom: TorusGeometry):
@@ -90,10 +84,8 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     N = _config_count(config, geom)
     if N > 1:   # pairs first: a coincidence is refused before any other error
         iu, ju = _pairs(N)
-        u = np.pi * (config.zs[ju] - config.zs[iu]) / geom.L
-        pairs = _log_abs_theta1_apart(u, geom.nome_WL)
-        if pairs is None:
-            raise CoincidentPoints("two coordinates coincide modulo the lattice")
+        pairs = _pair_log_theta(config.zs[ju], config.zs[iu], geom,
+                                "two coordinates coincide modulo the lattice")
     val = Gamma / 2.0 * _log_prefactor(N, geom)
     val -= math.pi * geom.rho * Gamma * float(((config.ys - geom.W / 2.0) ** 2).sum())
     if N > 1:
@@ -136,8 +128,7 @@ def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):
     u1 = 0.0
     if N > 1:
         iu, ju = _pairs(N)
-        diffs = config.zs[ju] - config.zs[iu]
-        u1 = float((-(math.log(L / (math.pi * tp)) + _pair_log_theta(diffs, 0.0, geom))).sum())
+        u1 = float(phi_quasi(config.zs[ju], config.zs[iu], geom).sum())
 
     # cell integral of phi_quasi at height y: L W log(pi theta1'/L) - I(y)
     cell = np.array([geom.area * log_norm - background_I(y, geom) for y in config.ys])

@@ -67,13 +67,22 @@ class TorusGeometry:
 
     def check_distinct(self, zs) -> None:
         """Raise CoincidentPoints if any pair coincides modulo the lattice: some
-        theta1 argument pi (z_k - z_j)/L, j < k, is on it (``theta._on_lattice``)."""
+        theta1 argument pi (z_k - z_j)/L, j < k, lies within 1e-9 of it. No theta
+        is summed here, so ``theta._on_lattice`` reduces the arguments itself."""
         zs = np.asarray(zs, dtype=complex)
         if len(zs) < 2:
             return
         iu, ju = _pairs(len(zs))
         if _on_lattice(np.pi * (zs[ju] - zs[iu]) / self.L, self.nome_WL):
             raise CoincidentPoints("two coordinates coincide modulo the lattice")
+
+
+def _config_count(zs, geometry: TorusGeometry) -> int:
+    """N = len(zs), or DimensionMismatch: also where a closed form takes the
+    config and its geometry apart (the density from one, the prefactor from the other)."""
+    if len(zs) != geometry.N:
+        raise DimensionMismatch(f"{len(zs)} coordinates for geometry with N = {geometry.N}")
+    return geometry.N
 
 
 @dataclass(frozen=True)
@@ -86,10 +95,7 @@ class ParticleConfig:
     @classmethod
     def from_raw(cls, zs, geometry: TorusGeometry) -> "ParticleConfig":
         zs = geometry.canonicalize(zs)
-        if len(zs) != geometry.N:
-            raise DimensionMismatch(
-                f"{len(zs)} coordinates for geometry with N = {geometry.N}"
-            )
+        _config_count(zs, geometry)
         return cls(zs, geometry)
 
     @classmethod

@@ -13,6 +13,7 @@ identity within 1e-3 of the lattice, and one stack.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,11 +23,12 @@ from .errors import (
     CoincidentPoints,
     DimensionMismatch,
     NomeOutOfRange,
+    ParameterOutOfRange,
     PrecisionUnreachable,
     _check_count,
 )
 from .geometry import _pairs
-from .theta import Nome, _on_lattice, f_N, lattice_distance, theta1, theta3, theta4
+from .theta import Nome, _theta_apart, f_N, lattice_distance, theta1, theta3, theta4
 
 _TINY = 1e-300
 
@@ -72,11 +74,14 @@ def _finite_sides(what: str, *sides):
     return sides
 
 
-def _stack(points):
-    """points as a (D, N) stack, and whether they were one configuration (N,)."""
+def _stack(points, alpha):
+    """points as a (D, N) stack, and whether they were one configuration (N,);
+    a nan or inf coordinate or alpha is refused before any theta call."""
     X = np.asarray(points, dtype=complex)
     if X.ndim not in (1, 2) or not X.shape[-1]:
         raise DimensionMismatch(f"points of shape {X.shape}: need (N,) or (D, N), N >= 1")
+    if not (np.isfinite(X).all() and cmath.isfinite(alpha)):
+        raise ParameterOutOfRange("coordinates and alpha must be finite")
     return np.atleast_2d(X), X.ndim == 1
 
 
@@ -96,7 +101,7 @@ def theta_vandermonde_residual(xs, alpha: complex, nome) -> IdentityResidual:
 
     ``xs`` is one configuration (N,), giving scalar fields, or a (D, N) stack.
     """
-    X, one = _stack(xs)
+    X, one = _stack(xs, alpha)
     nome = Nome.coerce(nome)
     N = X.shape[1]
     column, head = (theta3, theta3) if N % 2 == 1 else (theta1, theta4)
@@ -124,19 +129,23 @@ def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
          theta1(w_j-z_k)) ].
 
     ``ws`` and ``zs`` are one configuration each (N,), giving scalar fields,
-    or (D, N) stacks: one theta1 call, one theta4 call, one determinant.
+    or (D, N) stacks: one theta1 call, one theta4 call, one determinant. A
+    w_j - z_k within 1e-9 of the lattice raises CoincidentPoints, read off that
+    theta1 call's reduction before any refusal of theta; a coincidence among
+    the w or the z alone is a zero of F.
     """
     if np.shape(ws) != np.shape(zs):
         raise DimensionMismatch(f"ws of shape {np.shape(ws)} but zs of shape {np.shape(zs)}")
-    (Ws, one), (Zs, _) = _stack(ws), _stack(zs)
+    (Ws, one), (Zs, _) = _stack(ws, alpha), _stack(zs, alpha)
     nome = Nome.coerce(nome)
     D, N = Ws.shape
     sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
-    if _on_lattice(sep, nome):
-        raise CoincidentPoints("some w_j - z_k lies on the lattice")
-
     iu, ju = _pairs(N)
-    t1 = theta1(np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]]), nome)
+    args = np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]])
+    wz = np.arange(args.shape[1]) < N * N   # the w - z columns
+    t1 = _theta_apart(1, args, nome, wz)
+    if t1 is None:
+        raise CoincidentPoints("some w_j - z_k lies on the lattice")
     t1_sep = t1[:, : N * N]
     heads = (Ws - Zs).sum(axis=1) - alpha
     t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome)
@@ -205,11 +214,17 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
     ``(identity, N, IdentityResidual)`` once per size, the residual a stack
     over the draws: one ``_draw`` from ``rng``, evaluated as one stack. The
     draws keep off the lattice each pi (x_j - x_k) of a Vandermonde set and
-    every difference among the 2N points w, z of a Frobenius pair, unscaled."""
+    every difference among the 2N points w, z of a Frobenius pair, unscaled.
+    A bad ``draws`` or nome is refused at the call, before the generator runs."""
     _check_count(draws, "draws")
-    for N in vandermonde_sizes:
-        X = _draw(rng, draws, 1, N, q, math.pi)[:, 0]
-        yield "vandermonde", N, theta_vandermonde_residual(X, 0.05 + 0.02j, q)
-    for N in frobenius_sizes:
-        WZ = _draw(rng, draws, 2, N, q, 1.0)
-        yield "frobenius", N, frobenius_residual(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, q)
+    nome = Nome.coerce(q)
+
+    def residuals():
+        for N in vandermonde_sizes:
+            X = _draw(rng, draws, 1, N, nome, math.pi)[:, 0]
+            yield "vandermonde", N, theta_vandermonde_residual(X, 0.05 + 0.02j, nome)
+        for N in frobenius_sizes:
+            WZ = _draw(rng, draws, 2, N, nome, 1.0)
+            yield "frobenius", N, frobenius_residual(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, nome)
+
+    return residuals()

@@ -2,38 +2,35 @@
 
 One private series engine serves theta1, theta3, theta4, log|theta1| and
 theta1'(0). ``_coefficients`` builds the truncation index n* and the series
-coefficients once per Nome and caches them, together with each series
-rewritten as a polynomial in x = e^(2iu) and 1/x.
-``_split`` reduces the argument into the fundamental strip |Re u| <= pi/2,
-|Im u| <= pi*Im(tau)/2, takes one exponential per point and runs one Horner
-recurrence over the stacked pair (x, 1/x), so the cost per point does not
-grow with a transcendental per term; theta1 carries a factor sin(u), which
-keeps it relatively accurate next to its zero. It keeps that series apart
-from the real log-scale of the exact quasi-periodicity multiplier (as
-scipy.special.ive from iv): theta1/3/4 compose the two and refuse a value that
-overflows a double with PrecisionUnreachable, log|theta1| adds them in log
-scale, and a modulus needs one real exponential. A nan or inf argument gives
-nan, with no numpy warning. f_N, eta_q and the product forms share one cached
+once per Nome (the last 64 are cached), n* terms with one cmath.exp each,
+each series rewritten as a polynomial in x = e^(2iu) and 1/x. An argument
+reduced into the fundamental strip |Re u| <= pi/2, |Im u| <= pi*Im(tau)/2
+takes one exponential and one Horner recurrence over the pair (x, 1/x), not a
+transcendental per term; theta1 carries a factor sin(u), which keeps it
+relatively accurate next to its zero. The series is kept apart from the real
+log-scale of the exact quasi-periodicity multiplier (as scipy.special.ive
+from iv): theta1/3/4 compose the two and refuse a value that overflows a
+double with PrecisionUnreachable, log|theta1| adds them in log scale, and a
+modulus needs one real exponential. A nan or inf argument gives nan, with no
+numpy warning. f_N, eta_q and the product forms share one cached
 (q^2; q^2)_inf product.
 
-Costs. Once per nome (the last 64 are cached) ``_coefficients`` builds the
-series in Python complex arithmetic, n* terms with one cmath.exp each. Two
-loops then sum that one cached series, picked by the size of the call. The
-array path costs a fixed forty or so numpy operations under one np.errstate
-(the reduction, one exponential and one division per point, the Horner pass
-over one preallocated (2,) + shape pair, the sign and the multiplier), about
+One dispatcher, ``_theta``, serves every entry point of the series; the
+output form (the value, log|theta1|, or |series|^2 with its scale) supplies
+how one point's parts combine and how the array path's parts finish. It picks
+the loop by the size of the call. The array path (``_reduce``, ``_split``)
+costs a fixed forty or so numpy operations under one np.errstate, about
 25-40 us a call on a 2-core Xeon, which outweigh the per-point work up to a
-few hundred points. A call of at most ``_POINT_MAX`` = 8 points runs the point
-kernel instead: the same reduction, Horner recurrence, sine switch, sign and
-multiplier in Python complex arithmetic, point by point, about 4-6 us for one
-point and 3 us per further point. It declines to the array path, which names
-every refusal, at a nan or inf argument, on the wide strip, at a subnormal-q
-root, where theta1's leading coefficient underflows and at a value out of
-double range. Its values are those of the array path to a few eps times the
-series' own conditioning: numpy fuses the multiply-adds of a complex product,
-Python does not. The coincidence test of a pair potential reads the reduction
-the series is summed at, on either path. ``benchmarks/theta_kernel.py`` times
-calls of 1 to 32 points on both paths.
+few hundred points. A call of at most ``_POINT_MAX`` = 8 points runs
+``_point_kernel`` instead: the same steps in Python complex arithmetic, about
+4-6 us for one point and 3 us per further point, declining to the array
+path, which names every refusal. Its values are those of the array path to a
+few eps times the series' own conditioning: numpy fuses the multiply-adds of
+a complex product, Python does not. The coincidence test of the pair
+potentials, ``kernel_K`` and ``frobenius_residual`` lives in the dispatcher
+too: it reads the reduction the series is summed at, on either path, before
+any refusal of theta. ``benchmarks/theta_kernel.py`` times calls of 1 to 32
+points on both paths.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -64,6 +61,7 @@ theta4 are even with period pi.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -377,49 +375,27 @@ def _point_reduce(z: complex, tau: complex):
     return u - m * math.pi, m, n
 
 
-def _point_split(kind: int, reduced, tau: complex, terms: dict):
-    """``_split`` at one reduction from ``_point_reduce``, in Python complex
-    arithmetic, where ``_point_kernel`` takes the nome: the same frame
-    (``_frame``) and multiplier, with the refusals left to the array path."""
-    u, m, n = reduced
-    const, coeffs, _ = terms["horner"][kind]
-    t = terms["modular"]
-    series = _point_horner(const, coeffs, *_frame(kind, u, t))
-    if t is None and not n:
-        return series, 0.0, None
-    return (series, *_multiplier(u, n, tau, t))
-
-
-def _points(z: np.ndarray, tau: complex):
-    """The reductions of z's points by ``_point_reduce``, or None for the
-    array path: z holds more than ``_POINT_MAX`` points, or a nan or inf."""
-    if z.size > _POINT_MAX:
-        return None
-    try:
-        return [_point_reduce(p, tau) for p in z.ravel().tolist()]
-    except (OverflowError, ValueError):
-        return None
-
-
 def _point_kernel(kind: int, reduced, nome: Nome, combine):
-    """[combine(series, scale, phase)] over the reductions ``reduced`` from
-    ``_points``, by ``_point_split``, each series signed as ``_evaluate``
-    signs it; or None, and the call runs the array path, which refuses or
-    sums by name: ``reduced`` is None, the nome's strip is wide, theta3/4 sum
-    a subnormal-q root, theta1's leading coefficient underflows, or combine
+    """[combine(series, scale, phase)] over the reductions ``reduced`` by
+    ``_point_reduce``: ``_split`` point by point in Python complex arithmetic,
+    the same frame (``_frame``) and multiplier, each series signed as
+    ``_value`` signs it. Or None, and the call runs the array path, which
+    refuses or sums by name: the nome's strip is wide, theta3/4 sum a
+    subnormal-q root, theta1's leading coefficient underflows, or combine
     raises ArithmeticError or ValueError (a value out of range, log 0)."""
-    if reduced is None:
-        return None
     terms = _coefficients(nome)
     horner = terms["horner"][kind]
     if terms["wide"] or horner is None or horner[2] is not None:
         return None
+    const, coeffs, _ = horner
+    t = terms["modular"]
     values = []
     try:
-        for r in reduced:
-            series, scale, phase = _point_split(kind, r, nome.tau, terms)
-            if kind != 3 and (r[1] + r[2] if kind == 1 else r[2]) % 2:
+        for u, m, n in reduced:
+            series = _point_horner(const, coeffs, *_frame(kind, u, t))
+            if kind != 3 and (m + n if kind == 1 else n) % 2:
                 series = -series
+            scale, phase = (0.0, None) if t is None and not n else _multiplier(u, n, nome.tau, t)
             values.append(combine(series, scale, phase))
     except (ArithmeticError, ValueError):
         return None
@@ -440,44 +416,92 @@ def _point_log_abs(series: complex, scale: float, _) -> float:
     return scale + math.log(abs(series))
 
 
-def _point_abs2(series: complex, scale: float, _) -> tuple:
-    """(|series|^2, scale) from ``_point_kernel``'s parts, as ``_theta1_abs2``."""
+def _value(series, scale, phase, kind: int, reduced, z):
+    """theta_kind at the array path's z from ``_split``'s parts at its
+    reduction: sign * e^(scale + i*phase) * series, sign (-1)^(m+n) for theta1
+    and (-1)^n for theta4. A value that overflows a double raises
+    PrecisionUnreachable with no numpy warning first."""
+    _, m, n = reduced
+    if kind != 3:  # 1 - 2 (k mod 2)^2 = (-1)^k, exact for every integer-valued k
+        sign = np.fmod(m + n if kind == 1 else n, 2)
+        sign *= sign
+        sign *= -2.0
+        sign += 1.0
+        series = sign * series
+    if phase is None:
+        return series
+    vals = np.exp(scale + 1j * phase()) * series
+    _refuse_overflow(kind, vals, z, n)
+    return vals
+
+
+def _log_abs(series, scale, *_):
+    """log|theta1| = scale + log|series| from ``_split``'s parts: the
+    multiplier enters as its real log-scale, so no argument overflows."""
+    return scale + np.log(np.abs(series))
+
+
+def _abs2(series, scale, *_) -> tuple:
+    """(|series|^2, scale) from a point's or ``_split``'s parts, on Python
+    complex and numpy arrays alike: |theta1|^2 = |series|^2 e^(2 scale)."""
     return series.real * series.real + series.imag * series.imag, scale
 
 
-def _shaped(values: list, z: np.ndarray, dtype):
-    """The point kernel's values as an array of z's shape, or the one value
-    of a 0-d z."""
-    return np.array(values, dtype=dtype).reshape(z.shape) if z.ndim else values[0]
+# An output form of ``_theta``: ``point`` combines one point's signed (series,
+# scale, phase) into its value, ``finish`` takes the array path's (series,
+# scale, phase, kind, reduction, z) to arrays, a value has the type ``cast``,
+# and a ``pair`` form gives two values per point, (|series|^2, scale).
+_Form = collections.namedtuple("_Form", "point finish cast pair")
+_VALUE = _Form(_point_value, _value, complex, False)
+_LOG_ABS = _Form(_point_log_abs, _log_abs, float, False)
+_ABS2 = _Form(_abs2, _abs2, float, True)
 
 
-def _evaluate(kind: int, z, nome: Nome):
-    """theta_kind(z; q), kind 1, 3 or 4, as sign * e^(scale + i*phase) * series
-    from ``_split``: sign (-1)^(m+n) for theta1 and (-1)^n for theta4. A call
-    of at most ``_POINT_MAX`` points runs ``_point_kernel`` unless it
-    declines. A value that overflows a double raises PrecisionUnreachable
-    with no numpy warning first. A 0-d z gives a Python complex.
+def _shaped(values: list, z: np.ndarray, form: _Form):
+    """The point kernel's values as an array of z's shape (two for a pair
+    form), or the one value of a 0-d z."""
+    if not z.ndim:
+        return values[0]
+    if form.pair:
+        return tuple(np.array([v[i] for v in values], dtype=float).reshape(z.shape) for i in (0, 1))
+    return np.array(values, dtype=form.cast).reshape(z.shape)
+
+
+def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
+    """theta_kind(z; q), kind 1, 3 or 4, in the output ``form``: the one
+    dispatcher of the series. A call of at most ``_POINT_MAX`` points runs
+    ``_point_kernel`` with ``form.point`` unless it declines; else ``_reduce``
+    and ``_split`` run under ``_quiet()`` and ``form.finish`` makes the arrays.
+    A 0-d z gives Python scalars. With ``tested`` (True for every point, or a
+    boolean mask over z's last axis) the call gives None when a tested point's
+    reduced argument lies within ``_COINCIDENT`` of pi*Z + pi*tau*Z, read off
+    the reduction the series is summed at, on either path, before any refusal.
     """
     z = np.asarray(z, dtype=complex)
-    values = _point_kernel(kind, _points(z, nome.tau), nome, _point_value)
+    points = None   # the reductions of a call of at most _POINT_MAX points
+    if z.size <= _POINT_MAX:
+        try:
+            points = [_point_reduce(p, nome.tau) for p in z.ravel().tolist()]
+        except (OverflowError, ValueError):   # a nan or inf: the array path
+            pass
+    if tested is not None and points is not None:
+        picked = points if tested is True else itertools.compress(points, itertools.cycle(tested))
+        if any(abs(u) < _COINCIDENT for u, _, _ in picked):
+            return None
+    values = None if points is None else _point_kernel(kind, points, nome, form.point)
     if values is not None:
-        return _shaped(values, z, complex)
+        return _shaped(values, z, form)
     z1 = np.atleast_1d(z)   # the array path takes a 0-d z as one point
     with _quiet():
-        u, m, n = reduced = _reduce(z1, nome.tau)
-        series, scale, phase = _split(kind, reduced, nome, _coefficients(nome))
-        if kind != 3:  # 1 - 2 (k mod 2)^2 = (-1)^k, exact for every integer-valued k
-            sign = np.fmod(m + n if kind == 1 else n, 2)
-            sign *= sign
-            sign *= -2.0
-            sign += 1.0
-            series = sign * series
-        if phase is None:
-            vals = series
-        else:
-            vals = np.exp(scale + 1j * phase()) * series
-            _refuse_overflow(kind, vals, z1, n)
-    return vals if z.ndim else complex(vals[0])
+        reduced = _reduce(z1, nome.tau)
+        if tested is not None:
+            u = reduced[0] if tested is True else reduced[0][..., tested]
+            if (np.abs(u) < _COINCIDENT).any():
+                return None
+        out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
+    if z.ndim:
+        return out
+    return tuple(form.cast(np.ravel(p)[0]) for p in out) if form.pair else form.cast(out[0])
 
 
 def _refuse_overflow(kind: int, vals, z, n) -> None:
@@ -491,75 +515,39 @@ def _refuse_overflow(kind: int, vals, z, n) -> None:
         )
 
 
-def _theta1_abs2(z, nome: Nome):
-    """|theta1(z; q)|^2, kept apart by ``_split`` (or ``_point_kernel``) as
-    (|series|^2, scale): |theta1(z)|^2 = |series|^2 e^(2 scale)."""
-    z = np.asarray(z, dtype=complex)
-    parts = _point_kernel(1, _points(z, nome.tau), nome, _point_abs2)
-    if parts is not None:
-        return _shaped([p[0] for p in parts], z, float), _shaped([p[1] for p in parts], z, float)
-    with _quiet():
-        series, scale, _ = _split(1, _reduce(np.atleast_1d(z), nome.tau), nome,
-                                  _coefficients(nome))
-    mantissa = series.real**2 + series.imag**2
-    return (mantissa, scale) if z.ndim else (float(mantissa[0]), float(np.ravel(scale)[0]))
-
-
 def theta1(z, nome):
     """theta1(z; q), odd, vanishing exactly on pi*Z + pi*tau*Z."""
-    return _evaluate(1, z, Nome.coerce(nome))
+    return _theta(1, z, Nome.coerce(nome), _VALUE)
 
 
 def theta3(u, nome):
     """theta3(u; q) = sum_n q^(n^2) e^(2iun)."""
-    return _evaluate(3, u, Nome.coerce(nome))
+    return _theta(3, u, Nome.coerce(nome), _VALUE)
 
 
 def theta4(u, nome):
     """theta4(u; q) = sum_n (-1)^n q^(n^2) e^(2iun)."""
-    return _evaluate(4, u, Nome.coerce(nome))
-
-
-def _log_abs(z: np.ndarray, reduced, nome: Nome):
-    """log|theta1| at the reduction ``reduced`` of np.atleast_1d(z), as scale
-    + log|series| by ``_split``, called inside ``_quiet()``; a float for a
-    0-d z."""
-    series, scale, _ = _split(1, reduced, nome, _coefficients(nome))
-    value = scale + np.log(np.abs(series))
-    return value if z.ndim else float(value[0])
+    return _theta(4, u, Nome.coerce(nome), _VALUE)
 
 
 def log_abs_theta1(z, nome):
-    """log|theta1(z; q)| = scale + log|series| by ``_split``: the multiplier
-    enters as its real log-scale, so no argument overflows."""
-    nome = Nome.coerce(nome)
-    z = np.asarray(z, dtype=complex)
-    logs = _point_kernel(1, _points(z, nome.tau), nome, _point_log_abs)
-    if logs is not None:
-        return _shaped(logs, z, float)
-    with _quiet():
-        return _log_abs(z, _reduce(np.atleast_1d(z), nome.tau), nome)
+    """log|theta1(z; q)|, in log scale throughout: no argument overflows."""
+    return _theta(1, z, Nome.coerce(nome), _LOG_ABS)
+
+
+def _theta1_abs2(z, nome: Nome):
+    """(|series|^2, scale) with |theta1(z; q)|^2 = |series|^2 e^(2 scale)."""
+    return _theta(1, z, nome, _ABS2)
+
+
+def _theta_apart(kind: int, z, nome: Nome, tested=True):
+    """theta_kind(z; q), or None when a ``tested`` z lies on the lattice (``_theta``)."""
+    return _theta(kind, z, nome, _VALUE, tested)
 
 
 def _log_abs_theta1_apart(z, nome: Nome):
-    """log|theta1(z; q)|, or None when some z lies on the lattice by
-    ``_on_lattice``'s test, which is read off the reduction the series is
-    summed at (the point kernel's or the array path's): the coincidence test
-    of a pair potential costs no second reduction. A coincidence is found
-    before any refusal of theta1."""
-    z = np.asarray(z, dtype=complex)
-    points = _points(z, nome.tau)
-    if points is not None:
-        if any(abs(u) < _COINCIDENT for u, _, _ in points):
-            return None
-        logs = _point_kernel(1, points, nome, _point_log_abs)
-        if logs is not None:
-            return _shaped(logs, z, float)
-    with _quiet():
-        reduced = _reduce(np.atleast_1d(z), nome.tau)
-        if (np.abs(reduced[0]) < _COINCIDENT).any():
-            return None
-        return _log_abs(z, reduced, nome)
+    """log|theta1(z; q)|, or None when some z lies on the lattice."""
+    return _theta(1, z, nome, _LOG_ABS, True)
 
 
 def theta1_prime0(nome) -> complex:
@@ -575,51 +563,48 @@ def theta1_prime0(nome) -> complex:
     return prime0
 
 
-def _product(u, nome: Nome, odd: int):
-    """prod_{k=1..k*} (1 - q^m e^(2iu)) (1 - q^m e^(-2iu)), m = 2k - odd (odd 0
-    for theta1, 1 for theta4), u in the reduction strip, one factor per k on a
-    last axis, times (q^2; q^2)_inf. q^m e^(+-2iu) is q^(m-1) times the one
+def _product_form(kind: int, z, nome):
+    """theta_kind, kind 1 or 4, from its product at the reduction u of z:
+    prod_{k=1..k*} (1 - q^m e^(2iu)) (1 - q^m e^(-2iu)), m = 2k for theta1 and
+    2k - 1 for theta4, one factor per k on a last axis, times (q^2; q^2)_inf
+    and, for theta1, 2 q^(1/4) sin u; then signed and times the multiplier of
+    the shift (``_shift_exponent``). q^m e^(+-2iu) is q^(m-1) times the one
     exponential e^(i pi tau +- 2iu), of modulus <= 1 in the strip: a power of q
     that underflows meets no e^(2iu) that overflows, and there is one
-    exponential per point and sign, not per factor."""
+    exponential per point and sign, not per factor. A value out of double
+    range is refused and a nan z gives nan, as by the series."""
+    nome = Nome.coerce(nome)
     _series_domain(nome)
-    k = np.arange(1, _k_star(nome.tau.imag) + 1)
-    powers = np.exp(1j * math.pi * nome.tau * (2 * k - odd - 1))
-    w = np.exp(1j * math.pi * nome.tau + 2j * u)[..., None]
-    iw = np.exp(1j * math.pi * nome.tau - 2j * u)[..., None]
-    return ((1 - powers * w) * (1 - powers * iw)).prod(axis=-1) * _q2_product(nome)
+    z = np.asarray(z, dtype=complex)
+    with _quiet():
+        u, m, n = _reduce(z, nome.tau)
+        k = np.arange(1, _k_star(nome.tau.imag) + 1)
+        powers = np.exp(1j * math.pi * nome.tau * (2 * k - 1 if kind == 1 else 2 * k - 2))
+        w = np.exp(1j * math.pi * nome.tau + 2j * u)[..., None]
+        iw = np.exp(1j * math.pi * nome.tau - 2j * u)[..., None]
+        vals = ((1 - powers * w) * (1 - powers * iw)).prod(axis=-1) * _q2_product(nome)
+        if kind == 1:
+            vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * vals
+        sign = (-1.0) ** (m + n if kind == 1 else n)
+        vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
+        _refuse_overflow(kind, vals, z, n)
+    return complex(vals) if z.ndim == 0 else vals
 
 
 def theta1_product(z, nome):
-    """Product representation of theta1, for cross-checking the series; it
-    refuses an overflow and gives nan at a nan z as theta1 does:
+    """Product representation of theta1, for cross-checking the series:
 
         2 q^(1/4) sin z * prod_n (1-q^(2n) e^(2iz)) (1-q^(2n) e^(-2iz)) (1-q^(2n))
     """
-    nome = Nome.coerce(nome)
-    z_arr = np.asarray(z, dtype=complex)
-    with _quiet():
-        u, m, n = _reduce(z_arr, nome.tau)
-        vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * _product(u, nome, 0)
-        sign = (-1.0) ** (m + n)
-        vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
-        _refuse_overflow(1, vals, z_arr, n)
-    return complex(vals) if z_arr.ndim == 0 else vals
+    return _product_form(1, z, nome)
 
 
 def theta4_product(u, nome):
-    """Product representation of theta4, refusing as ``theta1_product`` does:
+    """Product representation of theta4, for cross-checking the series:
 
         prod_n (1 - e^(2iu) q^(2n-1)) (1 - e^(-2iu) q^(2n-1)) (1 - q^(2n))
     """
-    nome = Nome.coerce(nome)
-    u_arr = np.asarray(u, dtype=complex)
-    with _quiet():
-        ur, _, n = _reduce(u_arr, nome.tau)
-        sign = (-1.0) ** n
-        vals = sign * np.exp(_shift_exponent(ur, n, nome.tau)) * _product(ur, nome, 1)
-        _refuse_overflow(4, vals, u_arr, n)
-    return complex(vals) if u_arr.ndim == 0 else vals
+    return _product_form(4, u, nome)
 
 
 def lattice_distance(z, nome):
@@ -635,8 +620,7 @@ def lattice_distance(z, nome):
 
 def _on_lattice(z, nome: Nome) -> bool:
     """True when some argument lies within 1e-9 of pi*Z + pi*tau*Z, the zeros of
-    theta1: the coincidence test of every kernel and identity. The pair
-    potentials apply it to theta1's own reduction (``_log_abs_theta1_apart``)."""
+    theta1, by a reduction of its own: ``check_distinct`` sums no theta."""
     return bool((lattice_distance(z, nome) < _COINCIDENT).any())
 
 

@@ -31,6 +31,7 @@ _MP_THETA = {
     "log_abs_theta1": _pointwise(lambda z, q: float(mp.log(abs(mp.jtheta(1, z, q))))),
     "theta1_prime0": lambda nome: complex(mp.jtheta(1, 0, _mp_nome(nome), 1)),
 }
+_MP_THETA["_theta_apart"] = lambda kind, z, nome, tested=True: _MP_THETA[f"theta{kind}"](z, nome)
 
 
 @pytest.fixture

@@ -11,7 +11,13 @@ from click.testing import CliRunner
 
 from torusgas import identities
 from torusgas.cli import main
-from torusgas.errors import CoincidentPoints, DimensionMismatch, PrecisionUnreachable
+from torusgas.errors import (
+    CoincidentPoints,
+    DimensionMismatch,
+    NomeOutOfRange,
+    ParameterOutOfRange,
+    PrecisionUnreachable,
+)
 from torusgas.identities import (
     IdentityResidual,
     _draw,
@@ -473,3 +479,50 @@ class TestNonFiniteSides:
         monkeypatch.setattr(identities, "f_N", lambda N, nome: 1e308 + 1e308j)
         with np.errstate(all="ignore"), pytest.raises(PrecisionUnreachable):
             theta_vandermonde_residual(X, 0.05 + 0.02j, 0.3)
+
+
+class TestNonFiniteInput:
+    """A nan or inf coordinate or alpha is refused by name in ``_stack``,
+    before any numpy call can warn about it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: theta_vandermonde_residual([math.nan, 0.3], 0.05, 0.3),
+            lambda: theta_vandermonde_residual([[0.1, 0.3], [0.2, complex(0.4, math.inf)]],
+                                               0.05, 0.3),
+            lambda: theta_vandermonde_residual([0.1, 0.3], math.nan, 0.3),
+            lambda: frobenius_residual([math.nan], [0.5], 0.1, 0.3),
+            lambda: frobenius_residual([math.inf], [0.5], 0.1, 0.3),
+            lambda: frobenius_residual([0.2], [complex(0.5, -math.inf)], 0.1, 0.3),
+            lambda: frobenius_residual([0.2], [0.5], complex(0.1, math.nan), 0.3),
+        ],
+        ids=["vandermonde-nan", "vandermonde-inf-in-stack", "vandermonde-nan-alpha",
+             "frobenius-nan-w", "frobenius-inf-w", "frobenius-inf-z", "frobenius-nan-alpha"],
+    )
+    def test_refused_by_name(self, call):
+        with pytest.raises(ParameterOutOfRange, match="coordinates and alpha must be finite"):
+            call()
+
+
+class TestDrawsRefusedAtTheCall:
+    """``identity_draws`` refuses a bad count or nome when it is called, not at
+    the first ``next()``; a valid call draws nothing until it is iterated."""
+
+    def test_count_and_nome(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ParameterOutOfRange, match="draws"):
+            identity_draws(rng, 0.3, [2], [1], -1)
+        with pytest.raises(NomeOutOfRange):
+            identity_draws(rng, 0.0, [2], [1], 4)
+
+    def test_stream_starts_at_the_first_row(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        rows = identity_draws(a, 0.3, [2, 3], [1, 2], 4)
+        assert a.bit_generator.state == b.bit_generator.state
+        got = [(name, N, r.lhs) for name, N, r in rows]
+        ref = [(name, N, r.lhs) for name, N, r in identity_draws(b, 0.3, [2, 3], [1, 2], 4)]
+        assert [row[:2] for row in got] == [("vandermonde", 2), ("vandermonde", 3),
+                                             ("frobenius", 1), ("frobenius", 2)]
+        assert all(np.array_equal(x[2], y[2]) for x, y in zip(got, ref))

@@ -924,12 +924,80 @@ class TestOnLattice:
     def test_one_threshold(self, call, error, message):
         """Every coincidence test refuses a theta1 argument 0.5e-9 from the
         lattice point pi + pi tau, with its own error and message, and answers
-        at 2e-9: the pair potentials test theta1's own reduction, the rest
-        ``_on_lattice``."""
+        at 2e-9: the kernels and pair potentials read it off the reduction
+        theta is summed at, ``check_distinct`` off ``_on_lattice``."""
         lattice_point, direction = math.pi + 1j * math.pi, cmath.exp(0.7j)
         with pytest.raises(error, match=message):
             call(lattice_point + 0.5e-9 * direction)
         assert np.isfinite(call(lattice_point + 2e-9 * direction))
+
+
+# |q| = 0.97, past the cap |q| <= 0.95 of theta's series.
+_BEYOND_CAP = TorusGeometry(1.0, -math.log(0.97) / math.pi, 2)
+
+
+def _one_point_rows(w, z, g):
+    """frobenius_residual of one-point rows (N = 1) at the theta1 arguments
+    pi w/L and pi z/L, the arguments kernel_K and phi_quasi take."""
+    ws = math.pi * np.reshape(w, (-1, 1)) / g.L
+    return frobenius_residual(ws, np.full(ws.shape, math.pi * z / g.L), 0.1 + 0.05j, g.nome_WL)
+
+
+class TestCoincidenceFromTheReduction:
+    """The coincidence test reads the reduction theta sums at, on the point
+    path and the array path alike, and comes before any refusal of theta."""
+
+    COINCIDENT = [
+        ("kernel_K", lambda w, z, g: kernel_K(w, z, g), "w - z lies on the period lattice"),
+        ("frobenius_residual", lambda w, z, g: _one_point_rows(w, z, g),
+         "some w_j - z_k lies on the lattice"),
+        ("phi_quasi", lambda w, z, g: phi_quasi(w, z, g), "z - z' lies on the period lattice"),
+    ]
+
+    @pytest.mark.parametrize("call, message", [row[1:] for row in COINCIDENT],
+                             ids=[row[0] for row in COINCIDENT])
+    def test_before_the_nome_cap(self, call, message):
+        """At |q| = 0.97 every series call refuses the nome, but a coincident
+        argument is refused first, as a coincidence."""
+        z = 0.3 + 0.1j
+        with pytest.raises(NomeOutOfRange):
+            call(z + 0.25, z, _BEYOND_CAP)
+        with pytest.raises(CoincidentPoints, match=message):
+            call(z, z, _BEYOND_CAP)
+        with pytest.raises(CoincidentPoints, match=message):
+            call(z + 1.0 + 1j * _BEYOND_CAP.W, z, _BEYOND_CAP)
+
+    @pytest.mark.parametrize("size", [1, _POINT_MAX + 1], ids=["point-path", "array-path"])
+    @pytest.mark.parametrize("call, message", [row[1:] for row in COINCIDENT],
+                             ids=[row[0] for row in COINCIDENT])
+    def test_shifted_by_a_period_of_tau(self, call, message, size):
+        """A coincidence shifted by pi*tau (z - z' = i W, and 2 L + i W) is
+        refused as one at pi, by a call of one point and by one of more than
+        _POINT_MAX points (for frobenius_residual, of 9 one-point rows)."""
+        g = TorusGeometry(1.0, 0.7, 2)
+        rng = np.random.default_rng(34)
+        z = 0.2 + 0.1j
+        for shift in (g.L, 1j * g.W, 2 * g.L + 1j * g.W):
+            w = z + rng.uniform(0.1, 0.9, size) + 1j * g.W * rng.uniform(0.1, 0.4, size)
+            call(w, z, g)   # well separated
+            w[size // 2] = z + shift
+            with pytest.raises(CoincidentPoints, match=message):
+                call(w if size > 1 else complex(w[0]), z, g)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [0, 1, _POINT_MAX + 1], ids=["0-d", "one-point", "array"])
+    def test_nan_gives_nan(self, size):
+        """A nan argument is no coincidence: theta1, log|theta1| and the
+        coincidence-testing log|theta1| give nan there, with no refusal and no
+        numpy warning, and the other points their values."""
+        nome = Nome.from_aspect(0.7, 1.0)
+        z = np.full(max(size, 1), 0.3 + 0.2j)
+        z[0] = complex(math.nan, 0.1)
+        z = complex(z[0]) if size == 0 else z
+        for call in (theta1, log_abs_theta1, _log_abs_theta1_apart):
+            got = np.atleast_1d(call(z, nome))
+            assert np.isnan(got[0]), call.__name__
+            assert np.isfinite(got[1:]).all(), call.__name__
 
 
 class TestReduceScalar:
