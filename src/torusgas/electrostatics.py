@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, PrecisionUnreachable
 from .geometry import ParticleConfig, TorusGeometry, _config_count, _pairs
-from .theta import _log_abs_theta1_apart, _theta1_abs2, theta1_prime0
+from .theta import _log_abs_theta1, _log_abs_theta1_apart, theta1_prime0
 
 
 def _pair_log_theta(z, zp, geom: TorusGeometry, coincident="z - z' lies on the period lattice"):
@@ -96,14 +96,13 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
 def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     """Center-of-mass weight |theta1(pi sum_j (conj(z_j) - (L - iW)/2)/L; q)|^2.
 
-    Taken as |series|^2 e^(2 scale) from ``theta._split``; non-negative, zero
-    when the shifted center of mass hits the lattice. Raises
-    PrecisionUnreachable when the weight overflows a float.
+    Taken as e^(2 log|theta1|); non-negative, zero when the shifted center of
+    mass hits the lattice. Raises PrecisionUnreachable when the weight
+    overflows a float.
     """
     s = (np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0).sum()
-    mantissa, scale = _theta1_abs2(math.pi * s / geom.L, geom.nome_WL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = float(mantissa * np.exp(2.0 * scale))
+    with np.errstate(over="ignore"):
+        weight = float(np.exp(2.0 * _log_abs_theta1(math.pi * s / geom.L, geom.nome_WL)))
     if not math.isfinite(weight):
         raise PrecisionUnreachable(f"center-of-mass weight |theta1|^2 = {weight} is not finite")
     return weight

@@ -16,9 +16,10 @@ normalization, which fixes both the nome convention and the overall constant
 of the product form. The defining 2N-dimensional integral is checked by a
 midpoint lattice rule (any N, exponentially convergent on the periodic
 integrand) and by seeded Monte Carlo (N = 2, 3). Both assemble the integrand
-in ``_integrand``: squared theta series multiplied, their scales added to the
-Gaussian's exponent, one real exponential per point. The Monte Carlo takes
-|theta1|^2 at every sample; the lattice rule tabulates it once per grid at the
+in ``_integrand``: at Gamma = 2 it is e^(-beta U) with U a sum of
+-log|theta1| terms, so the factors' log|theta1| join the Gaussian's exponent
+and each point takes one real exponential. The Monte Carlo takes log|theta1|
+at every sample; the lattice rule tabulates it once per grid at the
 (2 n_x - 1)(2 n_y - 1) pair differences and (N(n_x - 1) + 1)(N(n_y - 1) + 1)
 centre-of-mass sums of grid indices, which every grid point shares. The Monte
 Carlo's row blocks run on threads, one per CPU the process may run on (numpy
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatch, PrecisionUnreachable, QuadratureNonConvergence, _check_count
 from .electrostatics import _log_prefactor
 from .geometry import TorusGeometry
-from .theta import _TINY, Nome, _q2_product, _theta1_abs2, eta_q, f_N
+from .theta import Nome, _log_abs_theta1, _q2_product, eta_q, f_N
 
 
 @dataclass(frozen=True)
@@ -183,47 +184,35 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
     """Closed form of the defining 2N-dim integral:
 
         N! (L N (2 rho)^{-1/2})^N f_N(q)^{-2},   q = exp(-pi W/L).
+
+    A value that is not finite or lies below the smallest normal double
+    raises PrecisionUnreachable, as does f_N where it overflows.
     """
     rho = TorusGeometry(geom.L, geom.W, N).rho
-    return (
-        math.factorial(N)
-        * (geom.L * N / math.sqrt(2.0 * rho)) ** N
-        * f_N(N, geom.nome_WL) ** -2
-    )
+    try:
+        value = (
+            math.factorial(N)
+            * (geom.L * N / math.sqrt(2.0 * rho)) ** N
+            * f_N(N, geom.nome_WL) ** -2
+        )
+    except OverflowError:   # N! or the power past double range
+        value = math.inf
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise PrecisionUnreachable(
+            f"the N = {N} closed form at W/L = {geom.W / geom.L} is out of double range ({value})")
+    return value
 
 
-def _integrand(gaussian, factors) -> np.ndarray:
-    """e^(2 gaussian) times the |theta1|^2 of ``factors()``, an iterable of
-    (|series|^2, scale) pairs as ``_theta1_abs2`` returns them, the
-    centre-of-mass factor first: the mantissas multiply into the first one,
-    which holds the result, and the scales join the Gaussian's exponent, so
-    each row takes one real exponential. Rows where that running product
-    leaves double range, or where the exponential falls below the smallest
-    normal double, are summed again in log form from a second call of
-    ``factors()``, which must give fresh arrays. A value still out of range
-    where every centre-of-mass mantissa and exponent is finite (finite
-    coordinates) raises PrecisionUnreachable.
+def _integrand(gaussian, logs) -> np.ndarray:
+    """e^(2 exponent), the exponent the Gaussian plus every log|theta1| in
+    ``logs``, one array per factor: each point takes one real exponential.
+    log|theta1| is finite, -inf at a zero or nan at a nan coordinate, so a
+    value that overflows comes from finite coordinates and raises
+    PrecisionUnreachable, while a nan coordinate gives nan.
     """
-    parts = iter(factors())
-    vals, exponent = next(parts)
-    finite = np.isfinite(vals).all()   # with a finite exponent: finite coordinates
-    exponent = gaussian + exponent
-    with np.errstate(over="ignore", invalid="ignore"):
-        for mantissa, scale in parts:
-            vals *= mantissa
-            exponent += scale
-        weight = np.exp(2.0 * exponent)
-        vals *= weight
-    in_range = np.isfinite(vals).all() and np.min(weight) >= _TINY
-    if in_range or not finite or not np.isfinite(exponent).all():
-        return vals
-    bad = ~np.isfinite(vals) | np.broadcast_to(weight < _TINY, vals.shape)
-    logs = 2.0 * np.broadcast_to(exponent, vals.shape)[bad]
-    with np.errstate(divide="ignore", over="ignore"):   # a zero factor: log 0 = -inf
-        for mantissa, _ in factors():
-            logs += np.log(np.broadcast_to(mantissa, vals.shape)[bad])
-        vals[bad] = np.exp(logs)
-    if not np.isfinite(vals).all():
+    with np.errstate(over="ignore"):
+        vals = np.exp(2.0 * sum(logs, gaussian))
+    if np.isinf(vals).any():
         raise PrecisionUnreachable("the integrand of finite coordinates leaves double range")
     return vals
 
@@ -242,9 +231,9 @@ def _integrand_batch(
     so the integrand is periodic to the rounding of the coordinates
     themselves; in-cell input, every Monte Carlo draw, skips np.mod, which at
     about 20 ns an element would cost as much as the theta factors. Each
-    |theta1|^2 enters as |series|^2 and a real scale (``theta._split``),
-    assembled by ``_integrand``. ``nome`` is ``geom.nome_WL``, read by the
-    caller where given; with it, the call reads no ``TorusGeometry`` property.
+    factor enters as its log|theta1|, summed into one exponent by
+    ``_integrand``. ``nome`` is ``geom.nome_WL``, read by the caller where
+    given; with it, the call reads no ``TorusGeometry`` property.
     """
     L, W = geom.L, geom.W
     if not (0.0 <= x.min() and x.max() < L and 0.0 <= y.min() and y.max() < W):
@@ -253,14 +242,10 @@ def _integrand_batch(
     N = x.shape[-1]
     nome = geom.nome_WL if nome is None else nome
     z = x + 1j * y
-
-    def factors():
-        yield _theta1_abs2(math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L, nome)
-        for j, k in itertools.combinations(range(N), 2):
-            yield _theta1_abs2(math.pi * (z[..., k] - z[..., j]) / L, nome)
-
+    com = math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L
+    pairs = (math.pi * (z[..., k] - z[..., j]) / L for j, k in itertools.combinations(range(N), 2))
     gaussian = -math.pi * (N / (L * W)) * np.sum((y - W / 2.0) ** 2, axis=-1)
-    return _integrand(gaussian, factors)
+    return _integrand(gaussian, (_log_abs_theta1(u, nome) for u in itertools.chain([com], pairs)))
 
 
 # Rows per integrand call: small enough that theta's temporaries are reused
@@ -315,12 +300,6 @@ MC_MAX_PULL = 3.0      # a Monte Carlo check passes within this many standard er
 _LATTICE_MAX_POINTS = 2**20
 
 
-def _table(z: np.ndarray, nome) -> tuple[np.ndarray, np.ndarray]:
-    """``_theta1_abs2`` at the arguments z, the scale as an array of z's shape."""
-    mantissa, scale = _theta1_abs2(z, nome)
-    return mantissa, scale + np.zeros(z.shape)
-
-
 def _outer_sum(start, parts) -> np.ndarray:
     """start + parts[0][i_0] + parts[1][i_1] + ... over the product grid of
     the parts' indices, flattened in C order."""
@@ -337,12 +316,12 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     A pair argument depends on the grid point only through the index
     difference (i_k - i_j, k_k - k_j), the centre-of-mass argument only
     through the index sum (sum i, sum k) and the Gaussian through each k_j.
-    So |theta1|^2 is tabulated at the (2 nx - 1)(2 ny - 1) differences and
-    the (N(nx - 1) + 1)(N(ny - 1) + 1) sums, one ``_theta1_abs2`` call per
-    table, and each grid point gathers its entries by flat table index. Such
-    an index is a sum of one term per grid axis: an outer sum over the leading
-    axes plus a pattern over the trailing axes, which hold at most _MC_BLOCK
-    points (or one axis), so the grid is summed in blocks of whole patterns.
+    So log|theta1| is tabulated at the (2 nx - 1)(2 ny - 1) differences and
+    the (N(nx - 1) + 1)(N(ny - 1) + 1) sums, one array per table, and each
+    grid point gathers its entries by flat table index. Such an index is a
+    sum of one term per grid axis: an outer sum over the leading axes plus a
+    pattern over the trailing axes, which hold at most _MC_BLOCK points (or
+    one axis), so the grid is summed in blocks of whole patterns.
     The blocks run on the calling thread: they only gather from the built
     tables, and spread over a thread pool they made ``partition-integrals``
     slower (median 2.3 ms to 2.4-2.5 ms on a 2-CPU Xeon).
@@ -351,12 +330,14 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     ix, iy = np.arange(nx), np.arange(ny)
     sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
     sx, sy = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
-    com = _table(math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L, nome)
+    com = _log_abs_theta1(
+        math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
     diffs = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
     if N > 1:   # one pair table; at N = 1 it would be built and never read
-        pair = _table(math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
+        pair = _log_abs_theta1(
+            math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
     # (table, the index's constant, its term per grid axis), centre of mass first
     indices = [(com, 0, [len(sums[1]) * ix] * N + [iy] * N)]
     for j in range(N):
@@ -378,8 +359,7 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     total = 0.0
     for block in (slice(start, start + rows) for start in range(0, len(gauss_lead), rows)):
         index = [(table, offsets[block] + pattern) for table, offsets, pattern in lead]
-        vals = _integrand(gauss_lead[block] + gauss_pattern,
-                          lambda: ((m.take(i), s.take(i)) for (m, s), i in index))
+        vals = _integrand(gauss_lead[block] + gauss_pattern, (table.take(i) for table, i in index))
         total += float(np.sum(vals))
     return total
 
@@ -392,7 +372,7 @@ def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     until two grids agree to QUAD_MAX_REL, their difference is the error
     measure and ``grid`` the final (n_x, n_y). A grid over _LATTICE_MAX_POINTS
     points raises QuadratureNonConvergence. ``_lattice_sum`` sums each grid
-    from |theta1|^2 tables at its distinct pair differences and
+    from log|theta1| tables at its distinct pair differences and
     centre-of-mass sums."""
     N = geom.N
     stretch = [max(1.0, math.sqrt(r)) for r in (geom.L / geom.W, geom.W / geom.L)]

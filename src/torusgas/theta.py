@@ -10,27 +10,26 @@ transcendental per term; theta1 carries a factor sin(u), which keeps it
 relatively accurate next to its zero. The series is kept apart from the real
 log-scale of the exact quasi-periodicity multiplier (as scipy.special.ive
 from iv): theta1/3/4 compose the two and refuse a value that overflows a
-double with PrecisionUnreachable, log|theta1| adds them in log scale, and a
-modulus needs one real exponential. A nan or inf argument gives nan, with no
-numpy warning. f_N, eta_q and the product forms share one cached
-(q^2; q^2)_inf product.
+double with PrecisionUnreachable, and log|theta1| adds them in log scale, so
+no argument overflows it. A nan or inf argument gives nan, with no numpy
+warning. f_N, eta_q and the product forms share one cached (q^2; q^2)_inf
+product.
 
-One dispatcher, ``_theta``, serves every entry point of the series; the
-output form (the value, log|theta1|, or |series|^2 with its scale) supplies
-how one point's parts combine and how the array path's parts finish. It picks
-the loop by the size of the call. The array path (``_reduce``, ``_split``)
-costs a fixed forty or so numpy operations under one np.errstate, about
-25-40 us a call on a 2-core Xeon, which outweigh the per-point work up to a
-few hundred points. A call of at most ``_POINT_MAX`` = 8 points runs
-``_point_kernel`` instead: the same steps in Python complex arithmetic, about
-4-6 us for one point and 3 us per further point, declining to the array
-path, which names every refusal. Its values are those of the array path to a
-few eps times the series' own conditioning: numpy fuses the multiply-adds of
-a complex product, Python does not. The coincidence test of the pair
-potentials, ``kernel_K`` and ``frobenius_residual`` lives in the dispatcher
-too: it reads the reduction the series is summed at, on either path, before
-any refusal of theta. ``benchmarks/theta_kernel.py`` times calls of 1 to 32
-points on both paths.
+One dispatcher, ``_theta``, serves every entry point of the series; the output
+form (the value or log|theta1|) supplies how one point's parts combine and how
+the array path's parts finish. It picks the loop by the size of the call. The
+array path (``_reduce``, ``_split``) costs a fixed forty or so numpy
+operations under one np.errstate, about 25-40 us a call on a 2-core Xeon,
+which outweigh the per-point work up to a few hundred points. A call of at
+most ``_POINT_MAX`` = 8 points runs ``_point_kernel`` instead: the same steps
+in Python complex arithmetic, about 4-6 us for one point and 3 us per further
+point, declining to the array path, which names every refusal. Its values are
+those of the array path to a few eps times the series' own conditioning: numpy
+fuses the multiply-adds of a complex product, Python does not. The coincidence
+test of the pair potentials, ``kernel_K`` and ``frobenius_residual`` lives in
+the dispatcher too: it reads the reduction the series is summed at, on either
+path, before any refusal of theta. ``benchmarks/theta_kernel.py`` times calls
+of 1 to 32 points on both paths.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -441,30 +440,12 @@ def _log_abs(series, scale, *_):
     return scale + np.log(np.abs(series))
 
 
-def _abs2(series, scale, *_) -> tuple:
-    """(|series|^2, scale) from a point's or ``_split``'s parts, on Python
-    complex and numpy arrays alike: |theta1|^2 = |series|^2 e^(2 scale)."""
-    return series.real * series.real + series.imag * series.imag, scale
-
-
 # An output form of ``_theta``: ``point`` combines one point's signed (series,
 # scale, phase) into its value, ``finish`` takes the array path's (series,
-# scale, phase, kind, reduction, z) to arrays, a value has the type ``cast``,
-# and a ``pair`` form gives two values per point, (|series|^2, scale).
-_Form = collections.namedtuple("_Form", "point finish cast pair")
-_VALUE = _Form(_point_value, _value, complex, False)
-_LOG_ABS = _Form(_point_log_abs, _log_abs, float, False)
-_ABS2 = _Form(_abs2, _abs2, float, True)
-
-
-def _shaped(values: list, z: np.ndarray, form: _Form):
-    """The point kernel's values as an array of z's shape (two for a pair
-    form), or the one value of a 0-d z."""
-    if not z.ndim:
-        return values[0]
-    if form.pair:
-        return tuple(np.array([v[i] for v in values], dtype=float).reshape(z.shape) for i in (0, 1))
-    return np.array(values, dtype=form.cast).reshape(z.shape)
+# scale, phase, kind, reduction, z) to an array, and a value has the type ``cast``.
+_Form = collections.namedtuple("_Form", "point finish cast")
+_VALUE = _Form(_point_value, _value, complex)
+_LOG_ABS = _Form(_point_log_abs, _log_abs, float)
 
 
 def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
@@ -490,7 +471,7 @@ def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
             return None
     values = None if points is None else _point_kernel(kind, points, nome, form.point)
     if values is not None:
-        return _shaped(values, z, form)
+        return np.array(values, dtype=form.cast).reshape(z.shape) if z.ndim else values[0]
     z1 = np.atleast_1d(z)   # the array path takes a 0-d z as one point
     with _quiet():
         reduced = _reduce(z1, nome.tau)
@@ -499,9 +480,7 @@ def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
             if (np.abs(u) < _COINCIDENT).any():
                 return None
         out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
-    if z.ndim:
-        return out
-    return tuple(form.cast(np.ravel(p)[0]) for p in out) if form.pair else form.cast(out[0])
+    return out if z.ndim else form.cast(out[0])
 
 
 def _refuse_overflow(kind: int, vals, z, n) -> None:
@@ -532,12 +511,14 @@ def theta4(u, nome):
 
 def log_abs_theta1(z, nome):
     """log|theta1(z; q)|, in log scale throughout: no argument overflows."""
-    return _theta(1, z, Nome.coerce(nome), _LOG_ABS)
+    return _log_abs_theta1(z, Nome.coerce(nome))
 
 
-def _theta1_abs2(z, nome: Nome):
-    """(|series|^2, scale) with |theta1(z; q)|^2 = |series|^2 e^(2 scale)."""
-    return _theta(1, z, nome, _ABS2)
+def _log_abs_theta1(z, nome: Nome):
+    """``log_abs_theta1`` at a ``Nome``. The Monte Carlo's threads call this
+    name: perfbench's tracer rebinds the public one and keeps one span stack,
+    which threads would interleave."""
+    return _theta(1, z, nome, _LOG_ABS)
 
 
 def _theta_apart(kind: int, z, nome: Nome, tested=True):

@@ -98,6 +98,10 @@ class TestNamedErrors:
             (lambda: TorusGeometry(math.inf, 1.0), ParameterOutOfRange),
             (lambda: MagneticSetup.plasma_mapping(math.nan, 2), ParameterOutOfRange),
             (lambda: MagneticSetup.from_flux(1.0, 2, math.inf), ParameterOutOfRange),
+            (lambda: partition_integral_closed(9, TorusGeometry(1.0, 0.0165, 9)),
+             PrecisionUnreachable),
+            (lambda: partition_integral_closed(200, TorusGeometry(1.0, 1.0, 200)),
+             PrecisionUnreachable),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
              "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
@@ -111,7 +115,8 @@ class TestNamedErrors:
              "partition_integral_closed-fractional-N", "f_N-fractional-N",
              "fourier_det_constant-fractional-N", "psi_lll-fractional-m", "TorusGeometry-bool-N",
              "TorusGeometry-nan-L", "TorusGeometry-inf-L", "plasma_mapping-nan-L",
-             "from_flux-inf-l"],
+             "from_flux-inf-l", "partition_integral_closed-underflow",
+             "partition_integral_closed-factorial-overflow"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:

@@ -27,7 +27,7 @@ from torusgas.plasma import (
     _integrand_batch,
 )
 from torusgas.selftest import check_partition_integrals
-from torusgas.theta import Nome, eta_q, log_abs_theta1
+from torusgas.theta import Nome, _reduce, eta_q, log_abs_theta1
 
 
 class TestClosedFormChain:
@@ -147,11 +147,11 @@ class TestQuadrature:
     def test_lw_nome_does_not_converge(self, monkeypatch):
         """Negative control: at the L/W nome the integrand is not periodic in
         y, so the rule converges only algebraically and reaches its point cap;
-        the criterion fails with it. Every |theta1|^2 table is taken at
+        the criterion fails with it. Every log|theta1| table is taken at
         tau' = -1/tau = iL/W in place of iW/L."""
-        abs2 = plasma._theta1_abs2
+        log_abs = plasma._log_abs_theta1
         monkeypatch.setattr(
-            plasma, "_theta1_abs2", lambda z, nome: abs2(z, Nome.from_tau(-1.0 / nome.tau))
+            plasma, "_log_abs_theta1", lambda z, nome: log_abs(z, Nome.from_tau(-1.0 / nome.tau))
         )
         with pytest.raises(QuadratureNonConvergence):
             verify_partition_lattice(TorusGeometry(2.0, 1.0, 1))
@@ -161,7 +161,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("N, n", [(1, 16), (2, 16), (3, 4)])
     @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0])
     def test_tables_match_the_per_point_sum(self, N, n, WL):
-        """The grid summed from |theta1|^2 tables at the distinct pair
+        """The grid summed from log|theta1| tables at the distinct pair
         differences and centre-of-mass sums equals the per-point sum."""
         geom = TorusGeometry(1.0, WL, N)
         grid = _grid(n, WL)
@@ -176,14 +176,14 @@ class TestQuadrature:
         geom = TorusGeometry(1.0, WL, 2)
         grid = _grid(16, WL)
         reference = _per_point_sum(geom, *grid)
-        abs2, calls = plasma._theta1_abs2, itertools.count()
+        log_abs, calls = plasma._log_abs_theta1, itertools.count()
 
         def dropped(z, nome):   # two tables per N = 2 grid, the centre of mass first
             if next(calls) % 2 == 0:
                 z = z - (geom.N / 2) * ((z[1, 0] - z[0, 0]) + (z[0, 1] - z[0, 0]))
-            return abs2(z, nome)
+            return log_abs(z, nome)
 
-        monkeypatch.setattr(plasma, "_theta1_abs2", dropped)
+        monkeypatch.setattr(plasma, "_log_abs_theta1", dropped)
         assert abs(plasma._lattice_sum(geom, *grid) - reference) > 1e-6 * reference
 
     def test_integrand_positive(self):
@@ -229,8 +229,8 @@ class TestQuadrature:
 
 class TestIntegrandPeriodicity:
     """The integrand is periodic in every coordinate: it wraps each one into
-    the cell, and its theta factors enter as |series|^2 with their scales
-    summed into one real exponent."""
+    the cell, and its theta factors enter as log|theta1|, quasi-periodicity
+    scale included, summed into one real exponent."""
 
     @staticmethod
     def _worst_shift_gap(geom, periods=(1, 5), x=None, y=None):
@@ -280,15 +280,18 @@ class TestIntegrandPeriodicity:
 
     def test_dropped_scale_breaks_periodicity(self, monkeypatch):
         """Negative control: an integrand that leaves the centre-of-mass
-        factor's scale out of the exponent is not periodic in the centre of
-        mass (every particle moved by W/N)."""
-        real, calls = plasma._theta1_abs2, itertools.count()
+        factor's quasi-periodicity scale out of the exponent is not periodic in
+        the centre of mass (every particle moved by W/N). At W/L = 2 theta1 is
+        summed directly, so log|theta1| at the reduced argument is the log of
+        the series alone, without the scale."""
+        real, calls = plasma._log_abs_theta1, itertools.count()
 
         def dropped(z, nome):   # the first of the 1 + N(N-1)/2 = 4 calls per integrand
-            mantissa, scale = real(z, nome)
-            return (mantissa, 0.0) if next(calls) % 4 == 0 else (mantissa, scale)
+            if next(calls) % 4 == 0:
+                z = _reduce(z, nome.tau)[0]
+            return real(z, nome)
 
-        monkeypatch.setattr(plasma, "_theta1_abs2", dropped)
+        monkeypatch.setattr(plasma, "_log_abs_theta1", dropped)
         assert self._centre_of_mass_shift_gap(TorusGeometry(1.0, 2.0, 3)) > 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -297,7 +300,7 @@ class TestIntegrandPeriodicity:
         error, with no numpy warning first; a nan x or y gives nan, as theta
         does, and a finite y far out wraps into the cell."""
         with pytest.raises(PrecisionUnreachable):
-            plasma._integrand(np.zeros(1), lambda: [(np.ones(1), np.full(1, 400.0))])   # e^800
+            plasma._integrand(np.zeros(1), [np.full(1, 400.0)])   # e^800
         g = TorusGeometry(1.0, 2.0, 2)
         x = np.array([[0.2, 0.7]])
         assert np.isnan(_integrand_batch(x, np.array([[0.3, math.nan]]), g)).all()
@@ -308,54 +311,58 @@ class TestIntegrandPeriodicity:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_running_product_overflow_is_summed_in_logs(self):
-        """A row whose mantissas overflow in sequence but not in total is
-        summed again in log form; other rows keep their product."""
-        def factors():
-            return [(np.array([1e200, 2.0, 1e200]), np.zeros(3)),
-                    (np.array([1e200, 3.0, 1e200]), np.zeros(3)),
-                    (np.array([1e-250, 5.0, 0.0]), np.zeros(3))]
+        """A row whose |theta1|^2 factors overflow as a running product but
+        not in total is in range, since the factors enter as log|theta1|; a
+        zero factor (log 0 = -inf) gives 0. No double y has e^y = 30.0 (the
+        nearest are 3 ulps below and 1 above), so the row of 2 * 3 * 5 is 30
+        to 4 ulps (3 here, a libm's exp or log may move it by one)."""
+        def logs(*squares):   # log|theta1| of factors with these |theta1|^2
+            with np.errstate(divide="ignore"):
+                return 0.5 * np.log(np.array(squares))
 
+        factors = [logs(1e200, 2.0, 1e200), logs(1e200, 3.0, 1e200), logs(1e-250, 5.0, 0.0)]
         vals = plasma._integrand(np.zeros(3), factors)
         assert vals[0] == pytest.approx(1e150, rel=1e-13)
-        assert vals[1] == 30.0 and vals[2] == 0.0
+        assert abs(vals[1] - 30.0) <= 4 * math.ulp(30.0) and vals[2] == 0.0
         with pytest.raises(PrecisionUnreachable):   # 1e600: out of range in total
-            plasma._integrand(np.zeros(1), lambda: [(np.full(1, 1e200), 0.0) for _ in range(3)])
+            plasma._integrand(np.zeros(1), [logs(1e200) for _ in range(3)])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_wide_torus_many_particles(self):
-        """N = 8 at W/L = 61: the 29 mantissas of a row overflow in sequence,
-        where the row's value is below e^-708. Every row matches the sum of
-        log|theta1| terms."""
-        g = TorusGeometry(1.0, 61.0, 8)
+    @pytest.mark.parametrize("N, WL", [(8, 61.0), (2, 400.0), (3, 0.0165)])
+    def test_wide_torus_many_particles(self, N, WL):
+        """Every row equals e^(2 log) of the public log|theta1| route bit for
+        bit, the measured agreement: doubling a sum is exact, so the
+        integrand's 2 (gaussian + sum of logs) is the reference's sum of
+        doubled terms. At N = 8, W/L = 61 every row's value is below e^-700
+        and 176 of 200 rows' 29 |theta1|^2 factors leave double range as a
+        running product; at W/L = 400, past the underflow of q, 22 rows do;
+        W/L = 0.0165 is at the nome cap. Rows representable as a subnormal
+        are not read as 0."""
+        g = TorusGeometry(1.0, WL, N)
         r = np.random.default_rng(1)
-        x, y = r.uniform(0.0, g.L, (200, 8)), r.uniform(0.0, g.W, (200, 8))
+        x, y = r.uniform(0.0, g.L, (200, N)), r.uniform(0.0, g.W, (200, N))
         z = x + 1j * y
         log_value = -2.0 * math.pi * (g.N / g.area) * np.sum((y - g.W / 2.0) ** 2, axis=1)
         com = math.pi * np.sum(np.conj(z) - (g.L - 1j * g.W) / 2.0, axis=1) / g.L
         log_value += 2.0 * log_abs_theta1(com, g.nome_WL)
-        for j, k in itertools.combinations(range(8), 2):
+        for j, k in itertools.combinations(range(N), 2):
             log_value += 2.0 * log_abs_theta1(math.pi * (z[:, k] - z[:, j]) / g.L, g.nome_WL)
-        assert np.max(log_value) < -700.0
+        if N == 8:
+            assert np.max(log_value) < -700.0
         vals = _integrand_batch(x, y, g)
-        assert np.allclose(vals, np.exp(log_value), rtol=1e-9, atol=1e-300)
-        # Representable rows whose exponential underflows are summed in log
-        # form, not read as 0: log values -734.27, -708.66, -741.05, -718.89
-        # and -745.01.
-        assert np.all(vals[[7, 41, 118, 124, 170]] > 0.0)
-        for row in (41, 124):
-            assert vals[row] == pytest.approx(math.exp(log_value[row]), rel=1e-9)
+        assert np.array_equal(vals, np.exp(log_value))
+        # e^-745.0 is above half the smallest subnormal, so it rounds to a nonzero
+        assert np.all(vals[log_value > -745.0] > 0.0) and np.any(vals > 0.0)
 
 
 class TestPull:
     def test_zero_error_measure(self):
-        """At L = 1, W = 0.5, N = 1 two lattice grids agree exactly, so the
-        error measure is 0.0: the pull is inf off the closed form, 0.0 on it."""
-        chk = verify_partition_lattice(TorusGeometry(1.0, 0.5, 1))
-        assert chk.estimate.std_error == 0.0
-        expected = 0.0 if chk.estimate.value == chk.closed_form else math.inf
-        assert chk.pull == expected
-        exact = plasma.PartitionCheck(chk.estimate, chk.estimate.value, 0.0)
-        assert exact.pull == 0.0
+        """Two lattice grids that agree bit for bit give the error measure
+        0.0: the pull is 0.0 on the closed form and inf off it."""
+        est = IntegralEstimate(0.75, 0.0, 256, 0, (16, 16))
+        assert PartitionCheck(est, 0.75, 0.0).pull == 0.0
+        off = math.nextafter(0.75, 1.0)
+        assert PartitionCheck(est, off, (off - 0.75) / off).pull == math.inf
 
 
 class TestPassRule:

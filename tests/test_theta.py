@@ -34,7 +34,6 @@ from torusgas.theta import (
     _shift_exponent,
     _split,
     _terms,
-    _theta1_abs2,
     eta_q,
     f_N,
     lattice_distance,
@@ -539,10 +538,10 @@ class TestSeriesKernel:
         _POINT_MAX points, which runs the array path: at 400 points per nome,
         inside the strip and shifted out of it by m*pi + n*pi*tau, |m| <= 3,
         |n| <= 1, for theta1/3/4, log|theta1| with and without the coincidence
-        test, |theta1|^2 as (mantissa, scale) and the lattice distance. Python's
-        complex product, quotient and modulus round apart from numpy's (which
-        fuses multiply-adds) by an ulp, so the bound is 8 eps times the
-        conditioning of each value (``_conditioning``). Unscaled, as relative
+        test and the lattice distance. Python's complex product, quotient and
+        modulus round apart from numpy's (which fuses multiply-adds) by an
+        ulp, so the bound is 8 eps times the conditioning of each value
+        (``_conditioning``). Unscaled, as relative
         differences (log|theta1| over max(1, |log|theta1||)), they agree to
         8 eps where the value is well conditioned (kappa <= 2; for the log also
         kappa + size <= 3) and to 32 eps everywhere, the measured worst: 23 eps
@@ -556,7 +555,7 @@ class TestSeriesKernel:
                   + 1j * math.pi * tau.imag * gen.uniform(-0.5, 0.5, k))
         shifted = inside + gen.integers(-3, 4, k) * math.pi + gen.integers(-1, 2, k) * math.pi * tau
         calls = [(1, theta1), (3, theta3), (4, theta4), (1, log_abs_theta1),
-                 (1, _log_abs_theta1_apart), (1, _theta1_abs2), (1, lattice_distance)]
+                 (1, _log_abs_theta1_apart), (1, lattice_distance)]
         worst = plain = ceiling = 0.0   # scaled; unscaled where well conditioned; unscaled
 
         def record(scaled, unscaled, well):
@@ -580,12 +579,6 @@ class TestSeriesKernel:
                     assert isinstance(one, float) and point[0] == one
                     diff = abs(one - array[0])
                     record(diff / (size + kappa), diff / max(1.0, abs(one)), kappa + size <= 3.0)
-                elif call is _theta1_abs2:
-                    assert np.ndim(one[0]) == 0 and np.ndim(one[1]) == 0
-                    assert (point[0][0], np.ravel(point[1])[0]) == one
-                    rel = abs(one[0] - array[0][0]) / one[0]
-                    scale = abs(one[1] - np.ravel(array[1])[0]) / max(1.0, abs(one[1]))
-                    record(max(rel / (2 * kappa), scale), max(rel, scale), kappa <= 2.0)
                 elif call is lattice_distance:
                     assert np.ndim(one) == 0 and point[0] == array[0] == one
                 else:
@@ -614,7 +607,7 @@ class TestSeriesKernel:
         array of more than _POINT_MAX points, with its message, or its value,
         nan for nan, to 8 eps, with no numpy warning."""
         nome = Nome.from_tau(tau)
-        for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart, _theta1_abs2):
+        for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart):
             small = [lambda: call(z, nome), lambda: call(np.array([z, 0.1 + 0.05j]), nome)]
             try:
                 ref = call(np.full(_POINT_MAX + 1, z), nome)
@@ -625,12 +618,9 @@ class TestSeriesKernel:
                     assert str(info.value) == str(refusal), call.__name__
                 continue
             for run in small:
-                got = run()
-                pairs = zip(got, ref) if call is _theta1_abs2 else [(got, ref)]
-                for g, r in pairs:
-                    g, r = np.ravel(g)[0], np.ravel(r)[0]
-                    assert (np.isnan(g) and np.isnan(r)) or abs(g - r) <= 8 * np.finfo(float).eps * max(
-                        1.0, abs(r)), (call.__name__, g, r)
+                g, r = np.ravel(run())[0], np.ravel(ref)[0]
+                assert (np.isnan(g) and np.isnan(r)) or abs(g - r) <= 8 * np.finfo(float).eps * max(
+                    1.0, abs(r)), (call.__name__, g, r)
 
     def test_calls_are_picked_by_size(self, monkeypatch):
         """A finite call of at most _POINT_MAX points never reaches the array
@@ -642,7 +632,7 @@ class TestSeriesKernel:
             raise AssertionError("array path")
 
         monkeypatch.setattr(theta_module, "_split", array_path)
-        for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart, _theta1_abs2):
+        for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart):
             call(complex(points[0]), nome)
             call(points[:_POINT_MAX], nome)
             with pytest.raises(AssertionError, match="array path"):
@@ -823,12 +813,12 @@ class TestTinyNome:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_theta1_refused_where_its_leading_coefficient_underflows(self):
         """Past Im(tau) = 902.8 theta1's leading coefficient 2 q^(1/4) is below
-        the smallest normal double: theta1, log|theta1|, |theta1|^2 and
-        theta1'(0) refuse by name, scalar and array; theta3 and theta4 hold.
+        the smallest normal double: theta1, log|theta1| and theta1'(0) refuse
+        by name, scalar and array; theta3 and theta4 hold.
         Just below, log|theta1| is still log 2 - pi Im(tau)/4 + log|sin z|, the
         true value to 1e-14."""
         nome = Nome.from_tau(1000j)
-        for call in (theta1, log_abs_theta1, _theta1_abs2, lambda z, n: theta1_prime0(n)):
+        for call in (theta1, log_abs_theta1, lambda z, n: theta1_prime0(n)):
             for z in (0.3, np.array([0.3, 0.4 + 0.1j])):
                 with pytest.raises(PrecisionUnreachable):
                     call(z, nome)
@@ -839,13 +829,13 @@ class TestTinyNome:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refused_where_the_strip_leaves_double_range(self):
         """Past Im(tau) = 451.9 the strip |Im u| <= pi Im(tau)/2 reaches past
-        log DBL_MAX, where e^(iu) overflows: theta1, theta3, theta4, log|theta1|
-        and |theta1|^2 refuse such a point by name, scalar or in an array.
+        log DBL_MAX, where e^(iu) overflows: theta1, theta3, theta4 and
+        log|theta1| refuse such a point by name, scalar or in an array.
         Inside log DBL_MAX log|theta1| matches mpmath, and a nan argument still
         gives nan."""
         nome = Nome.from_tau(500j)
         far = 0.3 + 1j * (250 * math.pi - 1)
-        for call in (theta1, theta3, theta4, log_abs_theta1, _theta1_abs2):
+        for call in (theta1, theta3, theta4, log_abs_theta1):
             for z in (far, -far, np.array([0.3, far])):
                 with pytest.raises(PrecisionUnreachable):
                     call(z, nome)
