@@ -36,7 +36,7 @@ from .errors import (
     ParameterOutOfRange,
     PrecisionUnreachable,
     _check_count,
-    _check_lengths,
+    _check_real,
 )
 from .geometry import TorusGeometry
 from .theta import _LOG_MAX, _theta_apart, eta_q, theta1, theta1_prime0, theta4
@@ -60,7 +60,8 @@ def kernel_K(w: complex, z: complex, geom: TorusGeometry):
     which theta1(u) shares, before any refusal of theta.
     """
     nome = geom.nome_WL
-    u = math.pi * (np.asarray(w, dtype=complex) - z) / geom.L
+    with np.errstate(invalid="ignore"):   # a nan or inf w or z gives nan
+        u = math.pi * (np.asarray(w, dtype=complex) - z) / geom.L
     t4u = _theta_apart(4, u, nome)
     if t4u is None:
         raise CoincidentPoints("w - z lies on the period lattice")
@@ -78,10 +79,10 @@ def g_fourier(n: int, y, geom: TorusGeometry):
     exponentially bounded rearrangement, so large |2n+1| is safe. The two
     one-sided limits at y = 0 differ by the jump ratio q^-(2n+1).
     """
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = np.asarray(y)
     scalar = y_arr.ndim == 0
-    if np.any(np.abs(y_arr) >= geom.W):
-        raise ParameterOutOfRange("y must lie in (-W, W)")
+    if y_arr.dtype.kind not in "iuf" or np.any(np.abs(y_arr) >= geom.W):
+        raise ParameterOutOfRange("y must be real and lie in (-W, W)")
     if scalar and y_arr == 0.0:
         raise ParameterOutOfRange("g_n has a jump at y = 0; take one-sided limits")
     tp, t4 = _theta_constants(geom)
@@ -95,6 +96,7 @@ def _g_branches(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     """The real, theta-free part of g_n(y): g_n = 2i (theta4(0)/theta1'(0))
     times this, whose lower branch (-W < y < 0) is its upper one at y + W;
     y = 0 entries get the jump midpoint."""
+    _check_count(n, "n", -math.inf)
     L, W = geom.L, geom.W
     b = 2 * n + 1
     beta = abs(b)
@@ -159,6 +161,7 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     Returns the +/- i pairs v_k = +/- i sqrt(mu^2 + (2 pi k/W)^2) for
     k = 0..k_max and the corresponding lambdas 2*pi/v.
     """
+    _check_count(n, "n", -math.inf)
     _check_count(k_max, "k_max", 0)
     mu = math.pi * (2 * n + 1) / geom.L
     ks = np.arange(0, k_max + 1)
@@ -266,12 +269,6 @@ def _log_cosh_ratio(X: float, Y: float) -> float:
     return (X - Y) + 2.0 * (math.log1p(-math.exp(-X)) - math.log1p(-math.exp(-Y)))
 
 
-def _check_zeta(zeta: float) -> None:
-    """Refuse a fugacity outside [0, inf), nan included."""
-    if not 0 <= zeta < math.inf:
-        raise ParameterOutOfRange(f"zeta must be finite and >= 0, got {zeta}")
-
-
 def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     """log of the closed-form grand partition function with n_max mode pairs:
 
@@ -282,7 +279,7 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
     because the Fourier modes n = j-1 and n = -j share |mu|.
     """
     _check_count(n_max, "n_max")
-    _check_zeta(zeta)
+    _check_real(zeta, "zeta", 0, closed=True)
     _, q4 = _theta_constants(geom)
     total = 2.0 * math.log(q4)
     for j in range(1, n_max + 1):
@@ -312,12 +309,17 @@ def oracle_log_xi2(zeta: float, geom: TorusGeometry, n_pairs: int, M: int) -> fl
     Each pair j covers the signed Fourier modes n = j-1 and n = -j, whose
     discretized determinants are equal by the mu -> -mu symmetry, so each
     log-det enters twice. Per-mode determinants are Richardson extrapolated
-    around the nominal grid M.
+    around the nominal grid M; a total out of double range is refused.
     """
+    _check_real(zeta, "zeta", 0, closed=True)
+    _check_count(n_pairs, "n_pairs")
     _, q4 = _theta_constants(geom)
     total = 2.0 * math.log(q4)
-    for j in range(1, n_pairs + 1):
-        total += 2.0 * mode_logdet_extrapolated(j - 1, geom, M, zeta)
+    with np.errstate(over="ignore"):
+        for j in range(1, n_pairs + 1):
+            total += 2.0 * mode_logdet_extrapolated(j - 1, geom, M, zeta)
+    if not math.isfinite(total):
+        raise PrecisionUnreachable(f"the oracle's log Xi at zeta = {zeta!r} leaves double range")
     return total
 
 
@@ -348,16 +350,19 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
 
     written in the cancellation-free form zeta^2/(sqrt(..) + x). Grows like
     b(Lambda) L with a log-divergent slope and carries a universal -pi/(6 L)
-    finite-size term; ``fit_pressure`` extracts both.
+    finite-size term; ``fit_pressure`` extracts both. Where zeta^2 or the sum
+    leaves double range it raises PrecisionUnreachable.
     """
     _check_count(cutoff, "cutoff")
-    _check_lengths(L=L)
-    _check_zeta(zeta)
-    if zeta == 0.0:
-        return 0.0
-    x = (np.arange(1, cutoff + 1) - 0.5) / L
-    s = np.sqrt(zeta * zeta + x * x)
-    return float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))
+    _check_real(L, "L", 0)
+    _check_real(zeta, "zeta", 0, closed=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (np.arange(1, cutoff + 1) - 0.5) / L
+        s = np.sqrt(zeta * zeta + x * x)
+        total = float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))
+    if not math.isfinite(total):
+        raise PrecisionUnreachable(f"the mode sum at zeta = {zeta!r} leaves double range")
+    return total
 
 
 def _least_squares(columns, values) -> tuple[list[float], float]:
@@ -388,6 +393,9 @@ def fit_pressure(zeta: float, Ls, cutoff_density: int) -> PressureFit:
     The cutoff is Lambda * L modes, kept integer so the sharp cutoff does not
     alias into the 1/L coefficient.
     """
+    _check_count(cutoff_density, "cutoff_density")
+    for L in Ls:   # a rung sums cutoff_density * L modes in one array
+        _check_real(L, "L", 0, np.iinfo(np.intp).max / cutoff_density)
     Ls = np.asarray(Ls, dtype=float)
     vals = [pressure_sum(zeta, L, int(round(cutoff_density * L))) for L in Ls]
     (a, b, c), resid = _least_squares([np.ones_like(Ls), Ls, 1.0 / Ls], vals)
@@ -424,8 +432,7 @@ def log_xi2_asymptotic(zeta: float, geom: TorusGeometry) -> GrandPotentialBreakd
     for zeta > 0 and matches -2 log eta_q(e^{-pi W/L}); at zeta = 0 every rung
     is -2 log theta4(0), so zeta <= 0 is refused.
     """
-    if not zeta > 0:
-        raise ParameterOutOfRange(f"the ladder needs zeta > 0, got {zeta}")
+    _check_real(zeta, "zeta", 0)
     L0, W0 = (geom.L, geom.W) if geom.L >= 4.0 else (4.0, 4.0 * geom.W / geom.L)
     areas, vals = [], []
     for s in (1.0, 1.5, 2.0, 2.5, 3.0):

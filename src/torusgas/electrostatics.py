@@ -16,14 +16,15 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, PrecisionUnreachable
+from .errors import CoincidentPoints, PrecisionUnreachable, _check_real
 from .geometry import ParticleConfig, TorusGeometry, _config_count, _pairs
 from .theta import _log_abs_theta1, _log_abs_theta1_apart, theta1_prime0
 
 
 def _pair_log_theta(z, zp, geom: TorusGeometry, coincident="z - z' lies on the period lattice"):
     """log|theta1(pi (z - z')/L)|; a z - z' on the lattice raises CoincidentPoints first."""
-    logs = _log_abs_theta1_apart(np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L, geom.nome_WL)
+    with np.errstate(invalid="ignore"):   # a nan or inf z or z' gives nan
+        logs = _log_abs_theta1_apart(np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L, geom.nome_WL)
     if logs is None:
         raise CoincidentPoints(coincident)
     return logs
@@ -60,14 +61,19 @@ def background_I(yp: float, geom: TorusGeometry) -> float:
             = (LW/3) log(theta1'(0)/2) + pi (y' - W/2)^2 + pi W^2/12,
 
     independent of x' by periodicity. Verified against adaptive quadrature in
-    the test suite.
+    the test suite. It holds at every finite y' (the cell spans one period in
+    y); a value out of double range raises PrecisionUnreachable.
     """
+    _check_real(yp, "yp")
     tp = theta1_prime0(geom.nome_WL).real
-    return (
-        geom.area / 3.0 * math.log(tp / 2.0)
-        + math.pi * (yp - geom.W / 2.0) ** 2
-        + math.pi * geom.W**2 / 12.0
-    )
+    try:
+        return (
+            geom.area / 3.0 * math.log(tp / 2.0)
+            + math.pi * math.pow(yp - geom.W / 2.0, 2)
+            + math.pi * geom.W**2 / 12.0
+        )
+    except OverflowError:
+        raise PrecisionUnreachable(f"background_I at y' = {yp!r} overflows a double") from None
 
 
 def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry) -> float:
@@ -86,6 +92,7 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
         iu, ju = _pairs(N)
         pairs = _pair_log_theta(config.zs[ju], config.zs[iu], geom,
                                 "two coordinates coincide modulo the lattice")
+    _check_real(Gamma, "Gamma")
     val = Gamma / 2.0 * _log_prefactor(N, geom)
     val -= math.pi * geom.rho * Gamma * float(((config.ys - geom.W / 2.0) ** 2).sum())
     if N > 1:
@@ -101,7 +108,7 @@ def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     overflows a float.
     """
     s = (np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0).sum()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         weight = float(np.exp(2.0 * _log_abs_theta1(math.pi * s / geom.L, geom.nome_WL)))
     if not math.isfinite(weight):
         raise PrecisionUnreachable(f"center-of-mass weight |theta1|^2 = {weight} is not finite")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoincidentPoints, DimensionMismatch, _check_count, _check_lengths
+from .errors import CoincidentPoints, DimensionMismatch, _check_count, _check_real
 from .theta import Nome, _on_lattice
 
 # A closed form reads a geometry's nome many times: build and validate it once.
@@ -36,7 +36,8 @@ class TorusGeometry:
     N: int = 1
 
     def __post_init__(self):
-        _check_lengths(L=self.L, W=self.W)
+        _check_real(self.L, "L", 0)
+        _check_real(self.W, "W", 0)
         _check_count(self.N)
 
     @property
@@ -59,11 +60,10 @@ class TorusGeometry:
         return _nome(self.L, self.W)
 
     def canonicalize(self, zs) -> np.ndarray:
-        """Reduce coordinates into the fundamental domain [0,L) x [0,W)."""
+        """Reduce coordinates into the fundamental domain [0,L) x [0,W); inf gives nan."""
         zs = np.asarray(zs, dtype=complex)
-        x = np.mod(zs.real, self.L)
-        y = np.mod(zs.imag, self.W)
-        return x + 1j * y
+        with np.errstate(invalid="ignore"):
+            return np.mod(zs.real, self.L) + 1j * np.mod(zs.imag, self.W)
 
     def check_distinct(self, zs) -> None:
         """Raise CoincidentPoints if any pair coincides modulo the lattice: some

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterOutOfRange, _check_count, _check_lengths
+from .errors import DimensionMismatch, ParameterOutOfRange, _check_count, _check_real
 from .geometry import _pairs
 from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
@@ -73,9 +73,10 @@ def flux_constraint(N: int, l: float, L: float) -> float:
     """Second-period height W2 = 2*pi*l^2*N/L enclosing exactly N flux quanta;
     a height out of double range is refused."""
     _check_count(N)
-    _check_lengths(l=l, L=L)
+    _check_real(l, "l", 0)
+    _check_real(L, "L", 0)
     W2 = 2.0 * math.pi * l * l * N / L
-    _check_lengths(W2=W2)
+    _check_real(W2, "W2", 0)
     return W2
 
 
@@ -94,12 +95,13 @@ def psi_lll(m: int, z, setup: MagneticSetup):
         raise ParameterOutOfRange(f"m = {m} outside 0..{setup.N - 1} for N = {setup.N}")
     z = np.asarray(z, dtype=complex)
     tau, zbar = setup.tau, np.conj(z)
-    vals = (
-        np.exp(-(z.imag**2) / (2.0 * setup.l**2)) * _norm(setup.L, setup)
-        * np.exp(1j * math.pi * tau * m * m / setup.N)
-        * np.exp(-2j * math.pi * m * zbar / setup.L)
-        * theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
-    )
+    with np.errstate(invalid="ignore"):   # a nan or inf z gives nan
+        vals = (
+            np.exp(-(z.imag**2) / (2.0 * setup.l**2)) * _norm(setup.L, setup)
+            * np.exp(1j * math.pi * tau * m * m / setup.N)
+            * np.exp(-2j * math.pi * m * zbar / setup.L)
+            * theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
+        )
     return complex(vals) if vals.ndim == 0 else vals
 
 
@@ -107,7 +109,8 @@ def slater_state(config, setup: MagneticSetup) -> complex:
     """Filled-level N-particle state as det[psi_(k-1)(z_j)] / sqrt(N!), the
     states summed as their Gaussian images (``_slater``), not through theta3.
     """
-    return complex(_slater(_coords(config, setup, 1), setup))
+    with np.errstate(invalid="ignore"):   # a nan or inf coordinate gives nan
+        return complex(_slater(_coords(config, setup, 1), setup))
 
 
 def factored_state(config, setup: MagneticSetup) -> complex:
@@ -120,7 +123,8 @@ def factored_state(config, setup: MagneticSetup) -> complex:
 
     with s = 3 for N odd and s = 1 for N even.
     """
-    return complex(_factored(_coords(config, setup, 1), setup))
+    with np.errstate(invalid="ignore"):   # a nan or inf coordinate gives nan
+        return complex(_factored(_coords(config, setup, 1), setup))
 
 
 def factorization_ratio(configs, setup: MagneticSetup) -> np.ndarray:

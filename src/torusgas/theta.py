@@ -113,8 +113,8 @@ class Nome:
 
     @classmethod
     def from_q(cls, q: complex | float) -> "Nome":
-        if complex(q) == 0:
-            raise NomeOutOfRange("q = 0 is tau = i*inf, outside the accepted domain 0 < |q|")
+        if complex(q) == 0 or not cmath.isfinite(complex(q)):   # q = 0 is tau = i*inf
+            raise NomeOutOfRange(f"q = {q!r} is outside the accepted domain 0 < |q| < inf")
         return cls(complex(-1j * np.log(complex(q)) / math.pi))
 
     @classmethod
@@ -421,9 +421,9 @@ def _value(series, scale, phase, kind: int, reduced, z):
     and (-1)^n for theta4. A value that overflows a double raises
     PrecisionUnreachable with no numpy warning first."""
     _, m, n = reduced
-    if kind != 3:  # 1 - 2 (k mod 2)^2 = (-1)^k, exact for every integer-valued k
-        sign = np.fmod(m + n if kind == 1 else n, 2)
-        sign *= sign
+    if kind != 3:  # 1 - 2 (k - 2 floor(k/2)) = (-1)^k, exact for every integer-valued k
+        k = m + n if kind == 1 else n
+        sign = k - 2.0 * np.floor(k / 2)
         sign *= -2.0
         sign += 1.0
         series = sign * series

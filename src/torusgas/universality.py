@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coulombgas import _least_squares, log_xi2_asymptotic
+from .errors import _check_real
 from .geometry import TorusGeometry
 from .plasma import free_energy
 from .theta import eta_q
@@ -67,6 +68,7 @@ def casimir_report(
     extensivity difference are evaluated as well, each compared against the
     resolved term.
     """
+    _check_real(zeta, "zeta", 0)
     nome_wl = geom.nome_WL
 
     ocp_printed = 2.0 * math.log(eta_q(geom.nome_LW))   # quoted with q = exp(-pi L/W)

@@ -10,10 +10,12 @@ import pytest
 from torusgas import cli
 from torusgas.coulombgas import (
     eigen_roots,
+    fit_pressure,
     log_xi2_closed,
     mode_logdet_extrapolated,
     mode_oracle,
     oracle_leading_magnitudes,
+    oracle_log_xi2,
     pressure_sum,
 )
 from torusgas.errors import ParameterOutOfRange
@@ -35,6 +37,9 @@ COUNTS = [
     ("oracle_leading_magnitudes-k_count", "k_count", 1,
      lambda c: oracle_leading_magnitudes(0, GEOM, c, Ms=(16, 32))),
     ("pressure_sum-cutoff", "cutoff", 1, lambda c: pressure_sum(1.0, 4.0, c)),
+    ("fit_pressure-cutoff_density", "cutoff_density", 1,
+     lambda c: fit_pressure(1.0, [4.0, 5.0, 6.0], c)),
+    ("oracle_log_xi2-n_pairs", "n_pairs", 1, lambda c: oracle_log_xi2(0.5, GEOM, c, 32)),
     ("identity_draws-draws", "draws", 1,
      lambda c: next(identity_draws(np.random.default_rng(1), 0.3, [2], [1], c))),
     ("factorization_spread-draws", "draws", 1,
