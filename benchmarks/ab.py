@@ -7,11 +7,11 @@ interleaved pairs.
 ``--base`` is any revision git can archive; the change is HEAD, so only
 committed files are measured. Each side is a ``git archive`` of its revision
 unpacked into a temporary directory. For every pair and workload the harness
-runs ``perfbench/run.py --workload <w> --seed <seed> --seconds <s> --trace 0``
+runs ``perfbench/run.py --workload <w> --seed 1 --seconds <s> --trace 0``
 from each tree, with one BLAS thread, the base first in even pairs and the
 change first in odd ones. Each run's end-to-end metrics, input digest,
 correctness and failure count are read from the tree's
-``.perfbench_out/result-<w>-seed<seed>-trace0.json``.
+``.perfbench_out/result-<w>-seed1-trace0.json``.
 
 Per workload and end-to-end metric (``BENCHMARK.json``'s list, with its unit,
 direction and bound) the record holds both sides' medians and quartiles over
@@ -36,7 +36,7 @@ from pathlib import Path
 from theta_kernel import _machine
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("gate", "geometry-scan", "plasma-mc")
+SEED = 1
 
 
 def _git(*args: str, **kw) -> subprocess.CompletedProcess:
@@ -51,14 +51,14 @@ def _checkout(rev: str, dest: Path) -> str:
     return commit
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run(tree: Path, workload: str, seconds: int) -> dict:
     """One untraced perfbench run from ``tree``: its metric values, input
     digest, correctness and failure count."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                     "--seconds", str(seconds), "--trace", "0"],
                    cwd=tree, env=env, check=True, capture_output=True, text=True)
-    out = tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    out = tree / ".perfbench_out" / f"result-{workload}-seed{SEED}-trace0.json"
     res = json.loads(out.read_text())
     return {
         "metrics": {k: m["value"] for k, m in res["metrics"].items()},
@@ -92,17 +92,17 @@ def _compare(runs: dict, metric: dict) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="revision to compare HEAD against")
-    ap.add_argument("--workload", nargs="+", choices=WORKLOADS, required=True)
+    ap.add_argument("--workload", nargs="+", choices=[w["name"] for w in bench["workloads"]],
+                    required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=None, help="JSON record to write; must not exist")
     args = ap.parse_args(argv)
     if args.out is not None and args.out.exists():
         ap.error(f"{args.out} exists; give a new path rather than overwrite a record")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "change")}
@@ -113,11 +113,11 @@ def main(argv=None) -> int:
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for w in args.workload:
                 for side in order:
-                    runs[w][side].append(_run(trees[side], w, args.seed, args.seconds))
+                    runs[w][side].append(_run(trees[side], w, args.seconds))
 
     record = {
         "harness": "benchmarks/ab.py",
-        "command": f"perfbench/run.py --workload <w> --seed {args.seed} --seconds {args.seconds} "
+        "command": f"perfbench/run.py --workload <w> --seed {SEED} --seconds {args.seconds} "
                    "--trace 0 from a git archive of each side, one BLAS thread",
         "machine": _machine(),
         "base": {"rev": args.base, "commit": commits["base"]},
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
                 "failed": {side: [r["failed"] for r in rs] for side, rs in sides.items()},
                 "input_digest": {side: [r["input_digest"] for r in rs]
                                  for side, rs in sides.items()},
-                "metrics": {m["name"]: _compare(sides, m) for m in end_to_end},
+                "metrics": {m["name"]: _compare(sides, m) for m in bench["end_to_end"]},
             }
             for w, sides in runs.items()
         },

@@ -36,6 +36,7 @@ from .errors import (
     ParameterOutOfRange,
     PrecisionUnreachable,
     _check_count,
+    _check_finite,
     _check_real,
 )
 from .geometry import TorusGeometry
@@ -287,7 +288,7 @@ def log_xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
         X = geom.W * math.hypot(mu, 2.0 * math.pi * zeta)
         Y = geom.W * mu
         total += 2.0 * _log_cosh_ratio(X, Y) if zeta > 0 else 0.0
-    return total
+    return _check_finite(total, f"log Xi at zeta = {zeta!r}")
 
 
 def xi2_closed(zeta: float, geom: TorusGeometry, n_max: int) -> float:
@@ -318,9 +319,7 @@ def oracle_log_xi2(zeta: float, geom: TorusGeometry, n_pairs: int, M: int) -> fl
     with np.errstate(over="ignore"):
         for j in range(1, n_pairs + 1):
             total += 2.0 * mode_logdet_extrapolated(j - 1, geom, M, zeta)
-    if not math.isfinite(total):
-        raise PrecisionUnreachable(f"the oracle's log Xi at zeta = {zeta!r} leaves double range")
-    return total
+    return _check_finite(total, f"the oracle's log Xi at zeta = {zeta!r}")
 
 
 def dlog_xi2_dzeta_sq(geom: TorusGeometry, n_max: int) -> float:
@@ -350,19 +349,20 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
 
     written in the cancellation-free form zeta^2/(sqrt(..) + x). Grows like
     b(Lambda) L with a log-divergent slope and carries a universal -pi/(6 L)
-    finite-size term; ``fit_pressure`` extracts both. Where zeta^2 or the sum
-    leaves double range it raises PrecisionUnreachable.
+    finite-size term; ``fit_pressure`` extracts both. A zeta^2 or x^2 past double
+    range, or 2^52 modes (k - 1/2 no longer a double), is refused.
     """
     _check_count(cutoff, "cutoff")
     _check_real(L, "L", 0)
     _check_real(zeta, "zeta", 0, closed=True)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if cutoff >= 2**52:
+        raise PrecisionUnreachable(f"{cutoff} modes: k - 1/2 is no longer a double past 2^52")
+    with np.errstate(over="ignore"):
         x = (np.arange(1, cutoff + 1) - 0.5) / L
         s = np.sqrt(zeta * zeta + x * x)
-        total = float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))
-    if not math.isfinite(total):
-        raise PrecisionUnreachable(f"the mode sum at zeta = {zeta!r} leaves double range")
-    return total
+    if zeta and not math.isfinite(s[-1]):   # s grows with k; at zeta = 0 the sum is 0
+        raise PrecisionUnreachable(f"zeta^2 + x^2 at zeta = {zeta!r}, L = {L!r} leaves double range")
+    return float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))
 
 
 def _least_squares(columns, values) -> tuple[list[float], float]:
@@ -394,8 +394,9 @@ def fit_pressure(zeta: float, Ls, cutoff_density: int) -> PressureFit:
     alias into the 1/L coefficient.
     """
     _check_count(cutoff_density, "cutoff_density")
-    for L in Ls:   # a rung sums cutoff_density * L modes in one array
-        _check_real(L, "L", 0, np.iinfo(np.intp).max / cutoff_density)
+    for L in Ls:   # the rung and, before it is rounded, its mode count
+        _check_real(L, "L", 0)
+        _check_real(cutoff_density * L, "cutoff_density * L", 0)
     Ls = np.asarray(Ls, dtype=float)
     vals = [pressure_sum(zeta, L, int(round(cutoff_density * L))) for L in Ls]
     (a, b, c), resid = _least_squares([np.ones_like(Ls), Ls, 1.0 / Ls], vals)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, PrecisionUnreachable, _check_real
+from .errors import CoincidentPoints, PrecisionUnreachable, _check_finite, _check_real
 from .geometry import ParticleConfig, TorusGeometry, _config_count, _pairs
 from .theta import _log_abs_theta1, _log_abs_theta1_apart, theta1_prime0
 
@@ -60,20 +60,15 @@ def background_I(yp: float, geom: TorusGeometry) -> float:
         int_0^L dx int_0^W dy log|theta1(pi((x-x') + i(y-y'))/L; q)|
             = (LW/3) log(theta1'(0)/2) + pi (y' - W/2)^2 + pi W^2/12,
 
-    independent of x' by periodicity. Verified against adaptive quadrature in
-    the test suite. It holds at every finite y' (the cell spans one period in
-    y); a value out of double range raises PrecisionUnreachable.
+    independent of x' by periodicity, at every finite y' (a value out of double
+    range is refused). Verified against adaptive quadrature in the test suite.
     """
     _check_real(yp, "yp")
     tp = theta1_prime0(geom.nome_WL).real
-    try:
-        return (
-            geom.area / 3.0 * math.log(tp / 2.0)
-            + math.pi * math.pow(yp - geom.W / 2.0, 2)
-            + math.pi * geom.W**2 / 12.0
-        )
-    except OverflowError:
-        raise PrecisionUnreachable(f"background_I at y' = {yp!r} overflows a double") from None
+    d = np.float64(yp - geom.W / 2.0)   # its ** is libm pow, as a float's is, but gives inf, not raises
+    with np.errstate(over="ignore"):
+        value = geom.area / 3.0 * math.log(tp / 2.0) + math.pi * d**2 + math.pi * geom.W**2 / 12.0
+    return _check_finite(float(value), f"background_I at y' = {yp!r}")
 
 
 def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry) -> float:
@@ -97,6 +92,8 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     val -= math.pi * geom.rho * Gamma * float(((config.ys - geom.W / 2.0) ** 2).sum())
     if N > 1:
         val += Gamma * float(pairs.sum())
+    if not math.isfinite(val) and np.isfinite(config.zs).all():   # nan: the coordinate rule
+        raise PrecisionUnreachable(f"the log Boltzmann factor at Gamma = {Gamma!r} overflows a double")
     return val
 
 
@@ -110,9 +107,7 @@ def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     s = (np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0).sum()
     with np.errstate(over="ignore", invalid="ignore"):
         weight = float(np.exp(2.0 * _log_abs_theta1(math.pi * s / geom.L, geom.nome_WL)))
-    if not math.isfinite(weight):
-        raise PrecisionUnreachable(f"center-of-mass weight |theta1|^2 = {weight} is not finite")
-    return weight
+    return _check_finite(weight, "center-of-mass weight |theta1|^2")
 
 
 def coulomb_energy_terms(config: ParticleConfig, geom: TorusGeometry):

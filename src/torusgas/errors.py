@@ -8,10 +8,10 @@ that every module applies alike. Each refusal is a TorusGasError subclass:
 - CoincidentPoints: two points, or a kernel's argument, on the period lattice;
 - QuadratureNonConvergence: no two lattice-rule grids agree in the budget.
 
-Every count or signed mode index goes through ``_check_count`` and every real
-parameter (L, W, l, W2, zeta, Gamma, y') through ``_check_real``. A nan or inf
-coordinate gives nan with no numpy warning, unless a function refuses it by
-name (the identity residuals and nbody_weight do).
+Every count or signed mode index goes through ``_check_count``, every real
+parameter (L, W, l, W2, zeta, Gamma, y') through ``_check_real`` and a result out
+of double range through ``_check_finite``; a nan or inf coordinate gives nan
+with no numpy warning unless a function refuses it by name.
 """
 
 import math
@@ -53,11 +53,16 @@ def _check_count(N, name: str = "N", least: int = 1) -> None:
         raise ParameterOutOfRange(f"{name} must be an integer >= {least}, got {N!r}")
 
 
-def _check_real(x, name: str, lo=-math.inf, hi=math.inf, closed: bool = False) -> None:
-    """Refuse an x that is not a real number in (lo, hi), or [lo, hi) when
-    ``closed`` (zeta >= 0 is), with ParameterOutOfRange naming it: a bool, a
-    complex, a nan and, at the default bounds, an inf are refused. Both checks
-    test float or int before the numbers ABC, an isinstance of about 0.5 us."""
-    if (isinstance(x, bool) or not isinstance(x, (float, numbers.Real))
-            or not lo <= x < hi or x == lo and not closed):
-        raise ParameterOutOfRange(f"{name} = {x!r} must be a real number in {'[' if closed else '('}{lo}, {hi})")
+def _check_real(x, name: str, lo=-math.inf, closed: bool = False) -> None:
+    """Refuse an x that is not a finite real number above ``lo``, or at least
+    ``lo`` when ``closed`` (zeta >= 0 is), with ParameterOutOfRange naming it."""
+    if (isinstance(x, bool) or not isinstance(x, (float, numbers.Real))   # float first: fast
+            or not lo <= x < math.inf or x == lo and not closed):
+        raise ParameterOutOfRange(f"{name} = {x!r} must be a finite real {'>=' if closed else '>'} {lo}")
+
+
+def _check_finite(value, what: str):
+    """``value``, refused with PrecisionUnreachable when ``what`` is out of double range."""
+    if not math.isfinite(value):
+        raise PrecisionUnreachable(f"{what} = {value} leaves double range")
+    return value

@@ -376,12 +376,18 @@ class TestNamedErrors:
             (lambda: pressure_sum(math.nan, 1.0, 4), ParameterOutOfRange),
             (lambda: fit_pressure(math.nan, [4.0, 5.0, 6.0], 40), ParameterOutOfRange),
             (lambda: pressure_sum(0.5, math.inf, 4), ParameterOutOfRange),
+            (lambda: pressure_sum(0.5, 1e-200, 8), PrecisionUnreachable),
+            (lambda: pressure_sum(0.5, 5e-324, 8), PrecisionUnreachable),
+            (lambda: pressure_sum(0.5, 4.0, 2**52), PrecisionUnreachable),
+            (lambda: fit_pressure(0.5, [4.0, 5.0, 1e300], 8), PrecisionUnreachable),
         ],
         ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff",
              "log_xi2_asymptotic-zeta", "g_fourier-outside-period", "kernel_from_fourier-jump",
              "mode_matrix-grid", "mode_logdet_extrapolated-odd-grid", "log_xi2_closed-n_max",
              "xi2_closed-n_max", "fit_pressure-rank-one", "pressure_sum-inf-zeta",
-             "pressure_sum-nan-zeta", "fit_pressure-nan-zeta", "pressure_sum-inf-L"],
+             "pressure_sum-nan-zeta", "fit_pressure-nan-zeta", "pressure_sum-inf-L",
+             "pressure_sum-x2-overflow", "pressure_sum-subnormal-L", "pressure_sum-2^52-modes",
+             "fit_pressure-2^52-modes"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:
@@ -418,6 +424,7 @@ class TestNamedErrors:
 class TestPressure:
     def test_zero_fugacity(self):
         assert pressure_sum(0.0, 8.0, 200) == 0.0
+        assert pressure_sum(0.0, 1e-200, 8) == 0.0   # every x^2 overflows; each term is 0
 
     def test_positive_terms(self):
         assert pressure_sum(1.0, 4.0, 100) > 0.0
