@@ -65,7 +65,7 @@ from .theta import (
     theta4,
     theta4_product,
 )
-from .universality import CasimirReport, casimir_report, gff_constant
+from .universality import CasimirReport, casimir_report
 
 __all__ = [
     "CasimirReport",
@@ -92,7 +92,6 @@ __all__ = [
     "free_energy",
     "frobenius_residual",
     "g_fourier",
-    "gff_constant",
     "kernel_K",
     "log_xi2_asymptotic",
     "log_xi2_closed",

@@ -195,10 +195,8 @@ def ocp(N, L, W, samples, seed, out):
         "L": L,
         "W": W,
         "middle_form": chain.middle_form,
-        "final_form": chain.final_form,
         "final_form_nome_WL": chain.final_form_WL,
         "final_form_nome_LW": chain.final_form_LW,
-        "resolved_nome": chain.resolved_nome,
         "free_energy": dataclasses.asdict(free_energy(N, geom)),
     }
     chk = None
@@ -275,8 +273,6 @@ def tcg(zeta, L, W, nmax, grid_m, cutoff, kmax, convergence_out, out):
     br = log_xi2_asymptotic(zeta, geom)
     payload["finite_size"] = {
         "o1_fitted": br.o1_fitted,
-        "o1_resolved": br.o1_resolved,
-        "o1_printed": br.o1_printed,
         "bulk_per_area": br.bulk_per_area,
     }
     if convergence_out:
@@ -300,16 +296,13 @@ def tcg(zeta, L, W, nmax, grid_m, cutoff, kmax, convergence_out, out):
 @click.option("--ladders/--no-ladders", default=False, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def casimir(L, W, zeta, ladders, out):
-    """Report every convention of the O(1) finite-size term with the exact
-    modular reconciliation between them."""
+    """Report the O(1) finite-size term, its value at the other nome and the
+    exact modular shift between the two."""
     r = casimir_report(TorusGeometry(L, W, 1), zeta=zeta, run_ladders=ladders)
     payload = {
         "L": L,
         "W": W,
         "ocp_term_printed_nome": r.ocp_term,
-        "tcg_term": r.tcg_term,
-        "gff_term": r.gff_term,
-        "ocp_term_resolved_nome": r.ocp_term_resolved_nome,
         "modular_shift_logWL": r.modular_shift,
         "resolved_term": r.resolved_term,
         "discrepancies": r.discrepancies,

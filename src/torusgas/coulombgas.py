@@ -40,9 +40,19 @@ from .errors import (
     _check_real,
 )
 from .geometry import TorusGeometry
-from .theta import _LOG_MAX, _theta_apart, eta_q, theta1, theta1_prime0, theta4
+from .theta import _LOG_MAX, _theta_apart, theta1, theta1_prime0, theta4
 
 _LADDER_CUTOFF_DENSITY = 8   # Lambda: a finite-size ladder rung of width L sums Lambda * L modes
+
+
+def _check_mode(n) -> None:
+    """Refuse a signed mode index n that is not an integer, or |n| >= 2^52,
+    past which 2n + 1 is no longer exact in a double (the bound
+    ``pressure_sum`` puts on its mode count), with ParameterOutOfRange."""
+    _check_count(n, "n", -math.inf)
+    if abs(n) >= 2**52:
+        raise ParameterOutOfRange(f"mode index n must satisfy |n| < 2^52, got a "
+                                  f"{int(n).bit_length()}-bit integer")
 
 
 def _theta_constants(geom: TorusGeometry) -> tuple[float, float]:
@@ -96,19 +106,24 @@ def g_fourier(n: int, y, geom: TorusGeometry):
 def _g_branches(n: int, y: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     """The real, theta-free part of g_n(y): g_n = 2i (theta4(0)/theta1'(0))
     times this, whose lower branch (-W < y < 0) is its upper one at y + W;
-    y = 0 entries get the jump midpoint."""
-    _check_count(n, "n", -math.inf)
+    y = 0 entries get the jump midpoint. Each entry takes one exponential,
+    e^(-pi b (y + offset)/L) with b = 2n + 1 and its own branch's offset, whose
+    exponent is at most 0; the other branch's would overflow at large |b|."""
+    _check_mode(n)
     L, W = geom.L, geom.W
     b = 2 * n + 1
-    beta = abs(b)
-    denom = 1.0 - math.exp(-math.pi * beta * W / L)   # 1 - q^beta
-    if b > 0:
-        upper = -np.exp(-math.pi * b * y / L) / denom          # 0 < y < W
-        lower = -np.exp(-math.pi * b * (y + W) / L) / denom    # -W < y < 0
-    else:
-        upper = np.exp(math.pi * beta * (y - W) / L) / denom   # 0 < y < W
-        lower = np.exp(math.pi * beta * y / L) / denom         # -W < y < 0
-    return np.where(y > 0, upper, np.where(y < 0, lower, 0.5 * (upper + lower)))
+    denom = 1.0 - math.exp(-math.pi * abs(b) * W / L)   # 1 - q^|b|
+    upper, lower = (0.0, W) if b > 0 else (-W, 0.0)      # offsets for 0 < y < W and -W < y < 0
+
+    def branch(y, offset):
+        value = np.exp(-math.pi * b * (y + offset) / L) / denom
+        return -value if b > 0 else value
+
+    vals = branch(y, np.where(y > 0, upper, lower))
+    mid = y == 0
+    if mid.any():
+        vals[mid] = 0.5 * (branch(y[mid], upper) + branch(y[mid], lower))
+    return vals
 
 
 def kernel_from_fourier(w: complex, z: complex, geom: TorusGeometry):
@@ -162,7 +177,7 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     Returns the +/- i pairs v_k = +/- i sqrt(mu^2 + (2 pi k/W)^2) for
     k = 0..k_max and the corresponding lambdas 2*pi/v.
     """
-    _check_count(n, "n", -math.inf)
+    _check_mode(n)
     _check_count(k_max, "k_max", 0)
     mu = math.pi * (2 * n + 1) / geom.L
     ks = np.arange(0, k_max + 1)
@@ -409,17 +424,13 @@ class GrandPotentialBreakdown:
 
     bulk is the fitted extensive part evaluated at the given geometry
     (-beta P * L W with beta P = -bulk_per_area); o1_fitted is the ladder
-    remainder; o1_resolved is the exact value -2 log(q^{1/12} prod(1-q^{2n}))
-    it converges to, and o1_printed the opposite-sign closed form kept for the
-    convention report.
+    remainder, which converges to -2 log(q^{1/12} prod(1-q^{2n})), the
+    ``resolved_term`` of ``universality.casimir_report``.
     """
 
     bulk: float
     bulk_per_area: float
     o1_fitted: float
-    o1_resolved: float
-    o1_printed: float
-    zeta: float
     fit_residual: float
 
 
@@ -443,13 +454,5 @@ def log_xi2_asymptotic(zeta: float, geom: TorusGeometry) -> GrandPotentialBreakd
         vals.append(-log_xi2_closed(zeta, g, n_max))
         areas.append(L * W)
     (b, c), resid = _least_squares([areas, np.ones(len(areas))], vals)
-    eta = eta_q(geom.nome_WL)
-    return GrandPotentialBreakdown(
-        bulk=b * geom.area,
-        bulk_per_area=b,
-        o1_fitted=c,
-        o1_resolved=-2.0 * math.log(eta),
-        o1_printed=2.0 * math.log(eta),
-        zeta=zeta,
-        fit_residual=resid,
-    )
+    return GrandPotentialBreakdown(bulk=b * geom.area, bulk_per_area=b, o1_fitted=c,
+                                   fit_residual=resid)

@@ -10,12 +10,13 @@ forms is evaluated three ways:
 * the product form pi^N (rho/2)^{-N/2} q^{1/6} prod(1-q^{2k})^2 evaluated
   under both candidate nomes exp(-pi W/L) and exp(-pi L/W).
 
-``zn_closed`` reports which candidate reproduces the middle form; the match is
-exact (all N, all aspect ratios) for q = exp(-pi W/L) with the (rho/2)^{-N/2}
-normalization, which fixes both the nome convention and the overall constant
-of the product form. The defining 2N-dimensional integral is checked by a
-midpoint lattice rule (any N, exponentially convergent on the periodic
-integrand) and by seeded Monte Carlo (N = 2, 3). Both assemble the integrand
+The middle form matches the product form exactly (all N, all aspect ratios)
+at q = exp(-pi W/L) with the (rho/2)^{-N/2} normalization, which fixes both
+the nome convention and the overall constant of the product form; the gate's
+``partition-chain`` criterion holds both candidates to it. The defining
+2N-dimensional integral is checked by a midpoint lattice rule (any N,
+exponentially convergent on the periodic integrand) and by seeded Monte Carlo
+(N = 2, 3). Both assemble the integrand
 in ``_integrand``: at Gamma = 2 it is e^(-beta U) with U a sum of
 -log|theta1| terms, so the factors' log|theta1| join the Gaussian's exponent
 and each point takes one real exponential. The Monte Carlo takes log|theta1|
@@ -51,14 +52,9 @@ class ZnChain:
 
     N: int
     middle_form: float
-    final_form: float
     final_form_WL: float
     final_form_LW: float
-    printed_final_WL: float
-    printed_final_LW: float
-    resolved_nome: str
     log_middle: float
-    log_final: float
 
     @property
     def rel_mismatch_WL(self) -> float:
@@ -71,10 +67,9 @@ class ZnChain:
 
 @dataclass(frozen=True)
 class FreeEnergyBreakdown:
-    """beta*F split into extensive and O(1) pieces; surface term vanishes."""
+    """beta*F split into extensive and O(1) pieces; the torus has no surface term."""
 
     bulk: float
-    surface: float
     casimir: float
     total: float
 
@@ -136,48 +131,37 @@ def _log_product_form(N: int, rho: float, nome: Nome) -> float:
 
 
 def zn_closed(N: int, geom: TorusGeometry) -> ZnChain:
-    """Evaluate the partition-function chain and resolve its nome convention.
+    """Evaluate the partition-function chain under both candidate nomes.
 
     The printed product form carries (2 rho)^{-N/2}; the chain actually closes
     with (rho/2)^{-N/2} (a factor 2^N from theta1'(0) = 2 q^{1/4} (q^2;q^2)^3),
     and with the nome q = exp(-pi W/L), the same one the prefactor form uses.
-    Both corrected candidates and both literal printed candidates are reported.
+    The product form is reported at both nomes, with that constant.
     """
     geom = TorusGeometry(geom.L, geom.W, N)   # refuses a count that is not an integer >= 1
     rho = geom.rho
     lm = _log_middle(N, geom)
-    lf_wl = _log_product_form(N, rho, geom.nome_WL)
-    lf_lw = _log_product_form(N, rho, geom.nome_LW)
-    resolved = "W/L" if abs(lm - lf_wl) <= abs(lm - lf_lw) else "L/W"
-    lf = lf_wl if resolved == "W/L" else lf_lw
     return ZnChain(
         N=N,
         middle_form=math.exp(lm),
-        final_form=math.exp(lf),
-        final_form_WL=math.exp(lf_wl),
-        final_form_LW=math.exp(lf_lw),
-        printed_final_WL=math.exp(lf_wl - N * math.log(2.0)),
-        printed_final_LW=math.exp(lf_lw - N * math.log(2.0)),
-        resolved_nome=resolved,
+        final_form_WL=math.exp(_log_product_form(N, rho, geom.nome_WL)),
+        final_form_LW=math.exp(_log_product_form(N, rho, geom.nome_LW)),
         log_middle=lm,
-        log_final=lf,
     )
 
 
 def free_energy(N: int, geom: TorusGeometry) -> FreeEnergyBreakdown:
-    """beta*F = -log Z_N, split as bulk + surface + finite-size term.
+    """beta*F = -log Z_N, split as bulk + finite-size term.
 
-    bulk is (N/2) log(rho/(2 pi^2)) per the disk-geometry value; the surface
-    term vanishes identically on the torus; the O(1) term is
+    bulk is (N/2) log(rho/(2 pi^2)) per the disk-geometry value; the torus has
+    no surface term; the O(1) term is
     -2 log( q^{1/12} prod(1-q^{2k}) ) at q = exp(-pi W/L). Note the sign: Z_N
     is proportional to eta^2, so -log Z_N subtracts the eta term.
     """
     geom = TorusGeometry(geom.L, geom.W, N)
     bulk = (N / 2.0) * math.log(geom.rho / (2.0 * math.pi**2))
     casimir = -2.0 * math.log(eta_q(geom.nome_WL))
-    return FreeEnergyBreakdown(
-        bulk=bulk, surface=0.0, casimir=casimir, total=bulk + casimir
-    )
+    return FreeEnergyBreakdown(bulk=bulk, casimir=casimir, total=bulk + casimir)
 
 
 def partition_integral_closed(N: int, geom: TorusGeometry) -> float:

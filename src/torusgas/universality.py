@@ -5,13 +5,12 @@ plasma free energy, the Coulomb-gas grand potential asymptote, and the
 Gaussian-free-field torus determinant (zero mode excluded). All three are
 built from log( q^{1/12} prod(1-q^{2n}) ), but the source formulas disagree
 about which nome (exp(-pi W/L) versus exp(-pi L/W)) and about the overall
-sign. The report never silently picks: it evaluates every convention, shows
-the exact log(W/L) modular shift that reconciles the two nomes, and states the
-resolved form that the ladder fits actually converge to, namely
+sign. The report states the resolved form that the ladder fits converge to,
 
     -2 log( q^{1/12} prod(1-q^{2n}) )  at  q = exp(-pi W/L),
 
-positive for every geometry and equal for all three models.
+positive for every geometry and equal for all three models, beside the term
+at the other nome and the exact log(W/L) modular shift between the two.
 """
 
 from __future__ import annotations
@@ -28,31 +27,18 @@ from .plasma import free_energy
 from .theta import eta_q
 
 
-def gff_constant(nome) -> float:
-    """Gaussian-free-field constant 2 log( q^{1/12} prod(1-q^{2n}) ).
-
-    This is the literal closed form quoted for the field-theory prediction;
-    see :func:`casimir_report` for the sign adjudication against the models.
-    """
-    return 2.0 * math.log(eta_q(nome))
-
-
 @dataclass(frozen=True)
 class CasimirReport:
-    """Every convention of the O(1) term, with reconciliation data.
+    """The O(1) term, the nome convention's gap, and the ladder fits.
 
-    ``ocp_term``/``tcg_term``/``gff_term`` are the literal closed forms at
-    their quoted nomes (exp(-pi L/W) for the plasma, exp(-pi W/L) for the gas
-    and the field theory). ``modular_shift`` = log(W/L) is exactly the gap
-    between the two nome conventions; applying it (i.e. evaluating everything
-    at exp(-pi W/L)) makes all printed terms equal. ``resolved_term`` is the
-    sign-resolved value the free energy and grand potential actually contain.
+    ``resolved_term`` is the value the free energy and grand potential
+    contain. ``ocp_term`` is the plasma's quoted form 2 log(q^{1/12}
+    prod(1-q^{2n})) at q = exp(-pi L/W); ``modular_shift`` = log(W/L) is
+    exactly its gap to the same form at exp(-pi W/L), which is
+    -``resolved_term``.
     """
 
     ocp_term: float
-    tcg_term: float
-    gff_term: float
-    ocp_term_resolved_nome: float
     modular_shift: float
     resolved_term: float
     discrepancies: dict = field(default_factory=dict)
@@ -62,26 +48,21 @@ class CasimirReport:
 def casimir_report(
     geom: TorusGeometry, zeta: float = 0.5, run_ladders: bool = False
 ) -> CasimirReport:
-    """Assemble the three O(1) terms and quantify every convention gap.
+    """Assemble the O(1) term and the gap between the two nome conventions.
 
     With ``run_ladders`` the Coulomb-gas ladder fit and the exact plasma
     extensivity difference are evaluated as well, each compared against the
     resolved term.
     """
     _check_real(zeta, "zeta", 0)
-    nome_wl = geom.nome_WL
-
     ocp_printed = 2.0 * math.log(eta_q(geom.nome_LW))   # quoted with q = exp(-pi L/W)
-    tcg_printed = 2.0 * math.log(eta_q(nome_wl))   # quoted with q = exp(-pi W/L)
-    gff_printed = gff_constant(nome_wl)
-    ocp_at_wl = 2.0 * math.log(eta_q(nome_wl))
-    resolved = -2.0 * math.log(eta_q(nome_wl))
+    resolved = -2.0 * math.log(eta_q(geom.nome_WL))
 
     discrepancies = {
-        "ocp_vs_tcg_printed": ocp_printed - tcg_printed,
-        "ocp_vs_tcg_resolved_nome": ocp_at_wl - tcg_printed,
-        "tcg_vs_gff": tcg_printed - gff_printed,
-        "printed_vs_resolved_sign": tcg_printed - resolved,
+        "ocp_vs_tcg_printed": ocp_printed + resolved,
+        # 0.0 by construction, kept for its one reader, perfbench/workloads.py's
+        # _check_casimir; item 8 of ROADMAP.md removes both
+        "ocp_vs_tcg_resolved_nome": 0.0,
     }
 
     fitted = {}
@@ -94,9 +75,6 @@ def casimir_report(
 
     return CasimirReport(
         ocp_term=ocp_printed,
-        tcg_term=tcg_printed,
-        gff_term=gff_printed,
-        ocp_term_resolved_nome=ocp_at_wl,
         modular_shift=math.log(geom.W / geom.L),
         resolved_term=resolved,
         discrepancies=discrepancies,

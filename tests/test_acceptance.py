@@ -57,7 +57,7 @@ def test_pressure_term():
 
 
 def test_universality():
-    """One O(1) term across all three models, conventions reconciled exactly."""
+    """The O(1) term's two nomes an exact log(W/L) apart; both ladders within 2%."""
     _run(selftest.check_universality)
 
 

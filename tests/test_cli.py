@@ -24,7 +24,7 @@ from torusgas.geometry import TorusGeometry
 from torusgas.identities import identity_draws
 from torusgas.landau import MagneticSetup, psi_lll
 from torusgas.plasma import MC_MAX_PULL, QUAD_MAX_REL, IntegralEstimate, PartitionCheck
-from torusgas.theta import Nome
+from torusgas.theta import Nome, eta_q
 
 runner = CliRunner()
 
@@ -144,7 +144,10 @@ class TestOcp:
         res = runner.invoke(main, ["ocp", "--N", "1", "--L", "1", "--W", "1"])
         assert res.exit_code == 0
         payload = json.loads(res.output)
-        assert payload["resolved_nome"] == "W/L"
+        assert set(payload) == {"N", "L", "W", "middle_form", "final_form_nome_WL",
+                                "final_form_nome_LW", "free_energy", "quadrature"}
+        assert set(payload["free_energy"]) == {"bulk", "casimir", "total"}
+        assert abs(payload["final_form_nome_WL"] - payload["middle_form"]) < 1e-10
         quad = payload["quadrature"]
         assert quad["rel_deviation"] < 1e-12
         assert quad["grid_x"] == quad["grid_y"] >= 2
@@ -253,7 +256,10 @@ class TestTcg:
         res = runner.invoke(main, ["tcg", "--zeta", "0.4", "--nmax", "6", "--cutoff", "20"])
         assert res.exit_code == 0
         payload = json.loads(res.output)
-        assert payload["finite_size"]["o1_resolved"] > 0
+        finite_size = payload["finite_size"]
+        assert set(finite_size) == {"o1_fitted", "bulk_per_area"}
+        resolved = -2.0 * math.log(eta_q(math.exp(-math.pi)))
+        assert abs(finite_size["o1_fitted"] - resolved) < 0.02 * resolved
         assert abs(payload["pressure_fit"]["c"]) < 1.0
         assert payload["mode_roots"]["0"]["max_root_residual"] < 1e-10
 
@@ -308,6 +314,9 @@ class TestCasimir:
         res = runner.invoke(main, ["casimir", "--L", "1.0", "--W", "2.0"])
         assert res.exit_code == 0
         payload = json.loads(res.output)
+        assert set(payload) == {"L", "W", "ocp_term_printed_nome", "modular_shift_logWL",
+                                "resolved_term", "discrepancies", "fitted"}
+        assert set(payload["discrepancies"]) == {"ocp_vs_tcg_printed", "ocp_vs_tcg_resolved_nome"}
         assert abs(payload["modular_shift_logWL"] - 0.6931471805599453) < 1e-12
 
     def test_ladders_on_the_given_torus(self):

@@ -41,17 +41,21 @@ class TestClosedFormChain:
     def test_resolved_convention_uniform(self, N, WL):
         chain = zn_closed(N, TorusGeometry(1.0, WL, N))
         assert chain.rel_mismatch_WL < 1e-10
-        assert chain.resolved_nome == "W/L"
 
     def test_alternative_nome_fails_off_square(self):
         chain = zn_closed(2, TorusGeometry(1.0, 2.0, 2))
         assert chain.rel_mismatch_LW > 0.1
 
     def test_printed_constant_off_by_2_to_N(self):
-        """The literal product form differs from the chain by exactly 2^N."""
+        """The literal product form pi^N (2 rho)^(-N/2) q^(1/6) prod(1-q^2k)^2,
+        summed here term by term, is the chain's over exactly 2^N."""
+        q = math.exp(-math.pi * 1.5)
+        poch = np.prod([1 - q ** (2 * k) for k in range(1, 60)])
         for N in (1, 2, 4):
+            rho = N / 1.5
+            printed = math.pi**N * (2 * rho) ** (-N / 2) * q ** (1 / 6) * poch**2
             chain = zn_closed(N, TorusGeometry(1.0, 1.5, N))
-            assert abs(chain.final_form_WL / chain.printed_final_WL - 2.0**N) < 1e-9
+            assert abs(chain.final_form_WL / printed - 2.0**N) < 1e-9
 
     def test_explicit_n1_square(self):
         """Direct product evaluation at L = W = 1."""
@@ -59,7 +63,7 @@ class TestClosedFormChain:
         poch = np.prod([1 - q ** (2 * k) for k in range(1, 60)])
         expected = math.pi * math.sqrt(2.0) * math.exp(-math.pi / 6) * poch**2
         chain = zn_closed(1, TorusGeometry(1.0, 1.0, 1))
-        assert abs(chain.final_form - expected) < 1e-12
+        assert abs(chain.final_form_WL - expected) < 1e-12
         assert abs(chain.middle_form - expected) < 1e-12
 
 
@@ -70,9 +74,6 @@ class TestFreeEnergy:
             fe = free_energy(N, g)
             assert abs(fe.bulk / N - 0.5 * math.log(g.rho / (2 * math.pi**2))) < 1e-14
 
-    def test_no_surface_term(self):
-        assert free_energy(4, TorusGeometry(1.0, 1.0, 4)).surface == 0.0
-
     def test_finite_size_term_value(self):
         g = TorusGeometry(1.0, 1.0, 2)
         fe = free_energy(2, g)
@@ -81,7 +82,7 @@ class TestFreeEnergy:
     def test_total_is_minus_log_z(self):
         g = TorusGeometry(1.0, 1.0, 4)
         fe = free_energy(4, g)
-        assert abs(fe.total + zn_closed(4, g).log_final) < 1e-12
+        assert abs(fe.total + zn_closed(4, g).log_middle) < 1e-12
 
     def test_extensivity(self):
         """Doubling N at fixed density and aspect ratio changes beta*F by the
@@ -216,8 +217,7 @@ class TestQuadrature:
         def printed(N, geom):
             if N != 1:
                 return closed(N, geom)
-            chain = zn_closed(N, geom)
-            return closed(N, geom) * chain.printed_final_WL / chain.final_form_WL
+            return closed(N, geom) * 2.0**-N
 
         monkeypatch.setattr(plasma, "partition_integral_closed", printed)
         chk = verify_partition_lattice(TorusGeometry(1.0, 1.0, 1))

@@ -7,31 +7,18 @@ from scipy.special import gamma
 
 from torusgas.geometry import TorusGeometry
 from torusgas.theta import eta_q
-from torusgas.universality import casimir_report, gff_constant
-
-
-class TestGffConstant:
-    def test_is_twice_log_eta(self):
-        for q in (0.1, 0.3, math.exp(-math.pi)):
-            assert gff_constant(q) == 2.0 * math.log(eta_q(q))
-
-    def test_square_torus_value(self):
-        """2 log(Gamma(1/4)/(2 pi^(3/4))) at q = e^-pi."""
-        ref = 2.0 * math.log(gamma(0.25) / (2 * math.pi**0.75))
-        assert abs(gff_constant(math.exp(-math.pi)) - ref) < 1e-12
-
-    @pytest.mark.parametrize("s", [0.5, 2.0])
-    def test_modular_shift(self, s):
-        lhs = gff_constant(math.exp(-math.pi * s)) - gff_constant(math.exp(-math.pi / s))
-        assert abs(lhs + math.log(s)) < 1e-12
+from torusgas.universality import casimir_report
 
 
 class TestCasimirReport:
     def test_square_torus_all_equal(self):
+        """On the square both nomes are e^-pi, so the shift is 0 and the
+        term at either nome is 2 log(Gamma(1/4)/(2 pi^(3/4)))."""
         r = casimir_report(TorusGeometry(1.0, 1.0, 1))
-        assert abs(r.ocp_term - r.tcg_term) < 1e-12
-        assert abs(r.tcg_term - r.gff_term) < 1e-12
-        assert abs(r.modular_shift) < 1e-15
+        ref = 2.0 * math.log(gamma(0.25) / (2 * math.pi**0.75))
+        assert abs(r.ocp_term - ref) < 1e-12
+        assert abs(r.resolved_term + ref) < 1e-12
+        assert r.modular_shift == 0.0
 
     @pytest.mark.parametrize("W", [0.5, 2.0])
     def test_printed_conventions_differ_by_modular_shift(self, W):
@@ -40,12 +27,17 @@ class TestCasimirReport:
 
     @pytest.mark.parametrize("W", [0.5, 1.3, 2.0])
     def test_resolved_nome_restores_equality(self, W):
+        """The term at the printed nome exp(-pi L/W), moved by the shift
+        log(W/L), is the term at exp(-pi W/L): the resolved term's negative."""
         r = casimir_report(TorusGeometry(1.0, W, 1))
-        assert abs(r.discrepancies["ocp_vs_tcg_resolved_nome"]) < 1e-10
+        assert abs(r.ocp_term - r.modular_shift + r.resolved_term) < 1e-10
 
     def test_resolved_term_is_sign_flipped(self):
-        r = casimir_report(TorusGeometry(1.0, 1.0, 1))
-        assert abs(r.resolved_term + r.tcg_term) < 1e-14
+        """The resolved term is -2 log(q^(1/12) prod(1-q^(2n))) at
+        q = exp(-pi W/L), positive, as the module docstring states."""
+        g = TorusGeometry(1.0, 1.0, 1)
+        r = casimir_report(g)
+        assert abs(r.resolved_term + 2.0 * math.log(eta_q(g.nome_WL))) < 1e-14
         assert r.resolved_term > 0
 
     def test_ladder_fits_match_resolved_term(self):
