@@ -16,15 +16,16 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, PrecisionUnreachable, _check_finite, _check_real
+from .errors import CoincidentPoints, PrecisionUnreachable, _check_far, _check_finite, _check_real
 from .geometry import ParticleConfig, TorusGeometry, _config_count, _pairs
 from .theta import _log_abs_theta1, _log_abs_theta1_apart, theta1_prime0
 
 
-def _pair_log_theta(z, zp, geom: TorusGeometry, coincident="z - z' lies on the period lattice"):
-    """log|theta1(pi (z - z')/L)|; a z - z' on the lattice raises CoincidentPoints first."""
-    with np.errstate(invalid="ignore"):   # a nan or inf z or z' gives nan
-        logs = _log_abs_theta1_apart(np.pi * (np.asarray(z, dtype=complex) - zp) / geom.L, geom.nome_WL)
+def _pair_log_theta(d, geom: TorusGeometry, coincident="z - z' lies on the period lattice"):
+    """log|theta1(pi d/L)| of separations d = z - z'; a d on the lattice raises
+    CoincidentPoints first. Its callers hold the errstate in which a nan or inf
+    d gives nan."""
+    logs = _log_abs_theta1_apart(np.pi * d / geom.L, geom.nome_WL)
     if logs is None:
         raise CoincidentPoints(coincident)
     return logs
@@ -43,15 +44,23 @@ def phi_quasi(z, zp, geom: TorusGeometry):
     Periodic in x; a shift y -> y + W adds -(pi/L)(2(y-y') + W). A z - z' on
     the period lattice is refused before any refusal of theta.
     """
-    logs = _pair_log_theta(z, zp, geom)
-    return -(math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real)) + logs)
+    return _potential(z, zp, geom, False)
 
 
 def phi_periodic(z, zp, geom: TorusGeometry):
     """Doubly periodic potential pi*(y-y')^2/(LW) + phi_quasi(z, z')."""
-    z = np.asarray(z, dtype=complex)
-    dy = z.imag - np.imag(zp)
-    return math.pi * dy * dy / geom.area + phi_quasi(z, zp, geom)
+    return _potential(z, zp, geom, True)
+
+
+def _potential(z, zp, geom: TorusGeometry, periodic: bool):
+    """phi_quasi, plus pi*(y-y')^2/(LW) when ``periodic``, under one errstate."""
+    with np.errstate(invalid="ignore", over="ignore"):   # a nan or inf z or z' gives nan
+        d = np.asarray(z, dtype=complex) - zp
+        logs = _pair_log_theta(d, geom)
+        phi = -(math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real)) + logs)
+        if periodic:
+            phi = math.pi * d.imag * d.imag / geom.area + phi
+    return _check_far(phi, d, "phi_periodic" if periodic else "phi_quasi")
 
 
 def background_I(yp: float, geom: TorusGeometry) -> float:
@@ -83,13 +92,15 @@ def ocp_log_boltzmann(config: ParticleConfig, Gamma: float, geom: TorusGeometry)
     checks that route against this closed form.
     """
     N = _config_count(config, geom)
-    if N > 1:   # pairs first: a coincidence is refused before any other error
-        iu, ju = _pairs(N)
-        pairs = _pair_log_theta(config.zs[ju], config.zs[iu], geom,
-                                "two coordinates coincide modulo the lattice")
+    with np.errstate(invalid="ignore", over="ignore"):   # a nan or inf coordinate gives nan
+        if N > 1:   # pairs first: a coincidence is refused before any other error
+            iu, ju = _pairs(N)
+            pairs = _pair_log_theta(config.zs[ju] - config.zs[iu], geom,
+                                    "two coordinates coincide modulo the lattice")
+        spread = float(((config.ys - geom.W / 2.0) ** 2).sum())
     _check_real(Gamma, "Gamma")
     val = Gamma / 2.0 * _log_prefactor(N, geom)
-    val -= math.pi * geom.rho * Gamma * float(((config.ys - geom.W / 2.0) ** 2).sum())
+    val -= math.pi * geom.rho * Gamma * spread
     if N > 1:
         val += Gamma * float(pairs.sum())
     if not math.isfinite(val) and np.isfinite(config.zs).all():   # nan: the coordinate rule

@@ -11,11 +11,16 @@ that every module applies alike. Each refusal is a TorusGasError subclass:
 Every count or signed mode index goes through ``_check_count``, every real
 parameter (L, W, l, W2, zeta, Gamma, y') through ``_check_real`` and a result out
 of double range through ``_check_finite``; a nan or inf coordinate gives nan
-with no numpy warning unless a function refuses it by name.
+with no numpy warning unless a function refuses it by name, and a finite
+coordinate too far from the cell for a finite value is refused through
+``_check_far``.
 """
 
+import cmath
 import math
 import numbers
+
+import numpy as np
 
 
 class TorusGasError(Exception):
@@ -66,3 +71,17 @@ def _check_finite(value, what: str):
     if not math.isfinite(value):
         raise PrecisionUnreachable(f"{what} = {value} leaves double range")
     return value
+
+
+def _check_far(values, coords, what: str):
+    """``values``, refused with PrecisionUnreachable where one is not finite
+    although the coordinates it is computed from are: a coordinate too far from
+    the cell, say. Each value of an array has its own coordinate (``coords``,
+    broadcast against ``values``); a scalar value has all of them. A nan or inf
+    coordinate keeps its nan."""
+    if isinstance(values, complex | float):   # a Python or numpy scalar: fast
+        if cmath.isfinite(values) or not np.isfinite(coords).all():
+            return values
+    elif np.isfinite(values).all() or not (np.isfinite(coords) & ~np.isfinite(values)).any():
+        return values
+    raise PrecisionUnreachable(f"{what} leaves double range at a finite coordinate")

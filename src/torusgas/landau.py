@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterOutOfRange, _check_count, _check_real
+from .errors import DimensionMismatch, ParameterOutOfRange, _check_count, _check_far, _check_real
 from .geometry import _pairs
 from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
@@ -95,13 +95,14 @@ def psi_lll(m: int, z, setup: MagneticSetup):
         raise ParameterOutOfRange(f"m = {m} outside 0..{setup.N - 1} for N = {setup.N}")
     z = np.asarray(z, dtype=complex)
     tau, zbar = setup.tau, np.conj(z)
-    with np.errstate(invalid="ignore"):   # a nan or inf z gives nan
+    with np.errstate(invalid="ignore", over="ignore"):   # a nan or inf z gives nan
         vals = (
             np.exp(-(z.imag**2) / (2.0 * setup.l**2)) * _norm(setup.L, setup)
             * np.exp(1j * math.pi * tau * m * m / setup.N)
             * np.exp(-2j * math.pi * m * zbar / setup.L)
             * theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
         )
+    vals = _check_far(vals, z, "psi_lll")
     return complex(vals) if vals.ndim == 0 else vals
 
 
@@ -123,8 +124,10 @@ def factored_state(config, setup: MagneticSetup) -> complex:
 
     with s = 3 for N odd and s = 1 for N even.
     """
-    with np.errstate(invalid="ignore"):   # a nan or inf coordinate gives nan
-        return complex(_factored(_coords(config, setup, 1), setup))
+    zs = _coords(config, setup, 1)
+    with np.errstate(invalid="ignore", over="ignore"):   # a nan or inf coordinate gives nan
+        value = complex(_factored(zs, setup))
+    return _check_far(value, zs, "factored_state")
 
 
 def factorization_ratio(configs, setup: MagneticSetup) -> np.ndarray:

@@ -28,8 +28,8 @@ those of the array path to a few eps times the series' own conditioning: numpy
 fuses the multiply-adds of a complex product, Python does not. The coincidence
 test of the pair potentials, ``kernel_K`` and ``frobenius_residual`` lives in
 the dispatcher too: it reads the reduction the series is summed at, on either
-path, before any refusal of theta. ``benchmarks/theta_kernel.py`` times calls
-of 1 to 32 points on both paths.
+path, before any refusal of theta. The ``geometry-scan`` theta sweep of
+``benchmarks/ab.py`` times calls of 1 to 32 points on both paths.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -81,9 +81,10 @@ _TINY = np.finfo(float).tiny   # the smallest normal double
 _COINCIDENT = 1e-9   # an argument this close to pi*Z + pi*tau*Z is a zero of theta1
 _THETA1_UNDERFLOW = "theta1's leading coefficient 2 q^(1/4) underflows past Im(tau) = 902.8"
 # A call of at most this many points runs the Python-complex point kernel, one
-# of more runs the array path. benchmarks/theta_kernel.py measures where the two
-# cost the same: about 12 points for theta1, 8 for log|theta1|. Weighted by the
-# sizes of geometry-scan's theta calls, 8 to 12 give the least theta time.
+# of more runs the array path. The geometry-scan theta sweep of benchmarks/ab.py
+# measures where the two cost the same: about 12 points for theta1, 8 for
+# log|theta1|. Weighted by the sizes of geometry-scan's theta calls, 8 to 12
+# give the least theta time.
 _POINT_MAX = 8
 
 

@@ -4,8 +4,8 @@ Every name in ``torusgas.__all__`` has a row in ``TABLE`` or a reason in
 ``REASONS``. A row is a call with in-domain defaults and, for each argument
 it varies, the argument's kind. Each kind has one hypothesis strategy that
 mixes in-domain draws with ``EDGES``: nan, +-inf, +-0, subnormals, +-1e300,
-bools, non-integers and complex values. Under warnings as errors, every draw
-ends one of three ways:
+bools, non-integers and complex values, and for a coordinate +-3e8j and
++-1e300j. Under warnings as errors, every draw ends one of three ways:
 
 - a value of the documented type whose numbers are all finite, and only for
   a value in the kind's domain;
@@ -97,8 +97,11 @@ LADDER_FUGACITY = _kind(st.floats(0.05, 4.0), lambda x: _real(x) and 0 < x < mat
                         edges=WIDE)
 COUPLING = _kind(st.floats(-4.0, 4.0), lambda x: _real(x) and math.isfinite(x), edges=WIDE)
 HEIGHT = _kind(st.floats(-3.0, 3.0), lambda x: _real(x) and math.isfinite(x), edges=WIDE)
+# a coordinate far outside the cell: 2e8 periods out, and past where its square
+# or the pair potential's quadratic term overflows
 COORDINATE = _kind(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
-                   lambda x: isinstance(x, numbers.Number), coordinate=True)
+                   lambda x: isinstance(x, numbers.Number), coordinate=True,
+                   edges=EDGES + (3e8j, -3e8j, 1e300j, -1e300j))
 NOME = _kind(st.one_of(st.floats(-0.9, 0.9).filter(bool),
                        st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9)),
              lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool)
