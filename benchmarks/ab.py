@@ -226,19 +226,19 @@ def _scan() -> dict:
     scan = WORKLOADS["geometry-scan"]
     blocks, warm, _ = scan.generate(SEED, 1)
     Accounting().run(scan.checks(warm))
-    layers = {}
+    layers, spent = {}, {}
+
+    def timed(family, check):   # a failed check is timed too, as perfbench times it
+        def run():
+            t0 = time.perf_counter()
+            try:
+                return check()
+            finally:
+                spent[family] = spent.get(family, 0.0) + time.perf_counter() - t0
+        return family, run
+
     for _ in range(PASSES):
-        spent: dict[str, float] = {}
-
-        def timed(family, check):
-            def run():
-                t0 = time.perf_counter()
-                try:
-                    return check()
-                finally:
-                    spent[family] = spent.get(family, 0.0) + time.perf_counter() - t0
-            return family, run
-
+        spent.clear()
         acc = Accounting()
         for op in blocks[0]:
             acc.run([timed(*c) for c in scan.checks(op)])
