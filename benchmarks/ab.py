@@ -320,7 +320,8 @@ def main(argv=None) -> int:
         ap.error(f"{args.out} exists; give a new path rather than overwrite a record")
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("base", "change")}
+        # names of one length: the tree's path moves a worker's page-fault count
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "head"}
         commits = {"base": _checkout(args.base, trees["base"]),
                    "change": _checkout("HEAD", trees["change"])}
         runs = {w: {"base": [], "change": []} for w in args.workload}
