@@ -32,7 +32,7 @@ even pairs and the change first in odd ones:
     (median) of REPEATS seeded ``verify_partition_mc`` calls after a warm-up,
     at the workload's six (N, W/L) pairs and sample count; it returns the
     seed-1 estimate's bits. Per W/L in ASPECTS, ``theta1`` in ns per point on
-    BLOCK points (the Monte Carlo's row block) and on BIG points.
+    BLOCK points (the lattice rule's block) and on BIG points.
 
   A θ or ``mode_logdet`` time is the best of REPEATS loops of about LOOP_S
   seconds. θ points lie uniformly over the cell Re u in [0, pi),

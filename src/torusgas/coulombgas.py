@@ -365,7 +365,8 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     written in the cancellation-free form zeta^2/(sqrt(..) + x). Grows like
     b(Lambda) L with a log-divergent slope and carries a universal -pi/(6 L)
     finite-size term; ``fit_pressure`` extracts both. A zeta^2 or x^2 past double
-    range, or 2^52 modes (k - 1/2 no longer a double), is refused.
+    range, 2^52 modes (k - 1/2 no longer a double) or a mode count whose
+    arrays the allocator refuses is refused.
     """
     _check_count(cutoff, "cutoff")
     _check_real(L, "L", 0)
@@ -373,8 +374,11 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     if cutoff >= 2**52:
         raise PrecisionUnreachable(f"{cutoff} modes: k - 1/2 is no longer a double past 2^52")
     with np.errstate(over="ignore"):
-        x = (np.arange(1, cutoff + 1) - 0.5) / L
-        s = np.sqrt(zeta * zeta + x * x)
+        try:
+            x = (np.arange(1, cutoff + 1) - 0.5) / L
+            s = np.sqrt(zeta * zeta + x * x)
+        except MemoryError:
+            raise PrecisionUnreachable(f"{cutoff} modes do not fit in memory") from None
     if zeta and not math.isfinite(s[-1]):   # s grows with k; at zeta = 0 the sum is 0
         raise PrecisionUnreachable(f"zeta^2 + x^2 at zeta = {zeta!r}, L = {L!r} leaves double range")
     return float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))

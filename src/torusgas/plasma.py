@@ -23,11 +23,13 @@ and each point takes one real exponential. The Monte Carlo takes log|theta1|
 at every sample; the lattice rule tabulates it once per grid at the
 (2 n_x - 1)(2 n_y - 1) pair differences and (N(n_x - 1) + 1)(N(n_y - 1) + 1)
 centre-of-mass sums of grid indices, which every grid point shares. The Monte
-Carlo's row blocks run on threads, one per CPU the process may run on (numpy
-releases the GIL inside the integrand's ufunc loops); each block fills its own
-slice of the draw's values and the sums run over the whole draw, so the
-estimate does not depend on the thread count. The lattice rule sums its blocks
-on the calling thread (see ``_lattice_sum``).
+Carlo splits each batch of draws into even row blocks, as many for each CPU
+the process may run on, and runs them on threads (numpy releases the GIL
+inside the integrand's ufunc loops). Each block draws its own rows from the
+seeded stream into its slice of the batch's coordinates and fills its slice of
+the values; the sums run over the whole batch, so the estimate does not depend
+on the thread count. The lattice rule sums its blocks on the calling thread
+(see ``_lattice_sum``).
 """
 
 from __future__ import annotations
@@ -201,6 +203,15 @@ def _integrand(gaussian, logs) -> np.ndarray:
     return vals
 
 
+def _column_sum(terms: np.ndarray) -> np.ndarray:
+    """terms summed over the last axis column by column, in order: on the
+    Monte Carlo's (rows, 2 or 3) blocks that is ``np.sum(terms, axis=-1)``
+    bit for bit, without numpy's reduction over a short last axis. Past three
+    columns numpy may sum complex terms in another order. A call of its own,
+    so ``terms`` is freed before the theta factors run."""
+    return sum((terms[..., j] for j in range(1, terms.shape[-1])), terms[..., 0])
+
+
 def _integrand_batch(
     x: np.ndarray, y: np.ndarray, geom: TorusGeometry, nome: Nome | None = None
 ) -> np.ndarray:
@@ -214,7 +225,8 @@ def _integrand_batch(
     Coordinates outside the cell are wrapped into it first (x mod L, y mod W),
     so the integrand is periodic to the rounding of the coordinates
     themselves; in-cell input, every Monte Carlo draw, skips np.mod, which at
-    about 20 ns an element would cost as much as the theta factors. Each
+    about 20 ns an element would cost as much as the theta factors. The
+    centre-of-mass and Gaussian sums run over columns (``_column_sum``). Each
     factor enters as its log|theta1|, summed into one exponent by
     ``_integrand``. ``nome`` is ``geom.nome_WL``, read by the caller where
     given; with it, the call reads no ``TorusGeometry`` property.
@@ -226,17 +238,31 @@ def _integrand_batch(
     N = x.shape[-1]
     nome = geom.nome_WL if nome is None else nome
     z = x + 1j * y
-    com = math.pi * np.sum(np.conj(z) - (L - 1j * W) / 2.0, axis=-1) / L
+    com = math.pi * _column_sum(np.conj(z) - (L - 1j * W) / 2.0) / L
     pairs = (math.pi * (z[..., k] - z[..., j]) / L for j, k in itertools.combinations(range(N), 2))
-    gaussian = -math.pi * (N / (L * W)) * np.sum((y - W / 2.0) ** 2, axis=-1)
+    gaussian = -math.pi * (N / (L * W)) * _column_sum((y - W / 2.0) ** 2)
     return _integrand(gaussian, (_log_abs_theta1(u, nome) for u in itertools.chain([com], pairs)))
 
 
-# Rows per integrand call: small enough that theta's temporaries are reused
-# rather than page-faulted in afresh on every call. The Monte Carlo runs its
-# blocks on threads; every block fills its own rows, so the values do not
-# depend on the thread count.
+# Points per lattice-rule integrand call: small enough that theta's
+# temporaries are reused rather than page-faulted in afresh on every call.
 _MC_BLOCK = 8192
+# Most rows in one Monte Carlo block. Its blocks run on threads, and each
+# ufunc call hands the GIL over once, so fewer and larger blocks overlap
+# better: theta on two threads gains 1.55x over one at 8,192 points and
+# 1.84x at 16,384 (2-CPU Xeon).
+_MC_ROWS = 16384
+
+
+def _row_blocks(rows: int, workers: int) -> list[slice]:
+    """rows >= 1 split into consecutive blocks whose sizes differ by at most
+    one row, none empty and none over _MC_ROWS. Their count is the least
+    multiple of workers that keeps every block under the cap, so every worker
+    takes as many blocks; with fewer rows than that, each row is a block."""
+    count = min(rows, workers * -(-rows // (workers * _MC_ROWS)))
+    size, extra = divmod(rows, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 def _cpu_count() -> int:
@@ -381,35 +407,44 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int) -> Partiti
 
     Plain uniform sampling is unbiased and the integrand is bounded on the
     torus, so the standard error scales as 1/sqrt(samples). Deterministic for
-    a given seed: the coordinates are drawn in batches of 100,000 rows, and
-    each batch is evaluated in row blocks of ``_MC_BLOCK``, which gives the
-    same values as one call over the batch. The blocks run on threads, one per
-    CPU the process may run on (``_run_blocks``), each filling its own rows of
-    one array; the sums run over the whole batch on the calling thread, so
-    value and error do not depend on the thread count.
+    a given seed: the coordinates are ``default_rng(seed)``'s uniform draws
+    in batches of 100,000 rows, x then y, (b, N) each. A batch is split into
+    ``_row_blocks`` for the CPUs the process may run on, and the blocks run
+    on threads (``_run_blocks``). Each block draws its own rows: it seeds
+    ``PCG64(seed)``, the bit generator ``default_rng`` builds, advances it to
+    the rows' place in the stream and fills its slice of the batch's x and y
+    with ``Generator.random`` times L or W, which is ``uniform(0, L)`` bit for
+    bit. Then it fills its rows of the batch's values. The sums run over the
+    whole batch on the calling thread, so value and error do not depend on
+    the thread count or the block sizes.
     """
     if geom.N not in (2, 3):
         raise DimensionMismatch("Monte Carlo check is for N in {2, 3}")
     _check_count(seed, "seed", 0)
     _check_count(samples, "samples", 100_000)
 
-    rng = np.random.default_rng(seed)
     N = geom.N
+    L, W = geom.L, geom.W
     nome = geom.nome_WL   # read here: the blocks' threads read no geometry property
-    buffer = np.empty(min(100_000, samples))
+    rows = min(100_000, samples)
+    x, y, buffer = np.empty((rows, N)), np.empty((rows, N)), np.empty(rows)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         b = min(100_000, samples - done)
-        x = rng.uniform(0.0, geom.L, (b, N))
-        y = rng.uniform(0.0, geom.W, (b, N))
         vals = buffer[:b]
 
-        def fill(rows: slice) -> None:
-            vals[rows] = _integrand_batch(x[rows], y[rows], geom, nome)
+        def fill(block: slice) -> None:
+            # the batch's x rows start at stream row 2 done, its y rows at 2 done + b
+            first = 2 * done + block.start
+            for coords, scale, row in ((x, L, first), (y, W, first + b)):
+                out = coords[block]
+                np.random.Generator(np.random.PCG64(seed).advance(row * N)).random(out=out)
+                out *= scale
+            vals[block] = _integrand_batch(x[block], y[block], geom, nome)
 
-        _run_blocks(fill, [slice(i, i + _MC_BLOCK) for i in range(0, b, _MC_BLOCK)])
+        _run_blocks(fill, _row_blocks(b, _cpu_count()))
         total += float(np.sum(vals))
         total_sq += float(np.sum(np.square(vals, out=vals)))
         done += b

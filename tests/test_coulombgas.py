@@ -379,6 +379,7 @@ class TestNamedErrors:
             (lambda: pressure_sum(0.5, 1e-200, 8), PrecisionUnreachable),
             (lambda: pressure_sum(0.5, 5e-324, 8), PrecisionUnreachable),
             (lambda: pressure_sum(0.5, 4.0, 2**52), PrecisionUnreachable),
+            (lambda: pressure_sum(0.5, 4.0, 2**51), PrecisionUnreachable),
             (lambda: fit_pressure(0.5, [4.0, 5.0, 1e300], 8), PrecisionUnreachable),
         ],
         ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff",
@@ -387,6 +388,7 @@ class TestNamedErrors:
              "xi2_closed-n_max", "fit_pressure-rank-one", "pressure_sum-inf-zeta",
              "pressure_sum-nan-zeta", "fit_pressure-nan-zeta", "pressure_sum-inf-L",
              "pressure_sum-x2-overflow", "pressure_sum-subnormal-L", "pressure_sum-2^52-modes",
+             "pressure_sum-2^51-modes-past-memory",
              "fit_pressure-2^52-modes"],
     )
     def test_out_of_range_argument(self, call, error):
