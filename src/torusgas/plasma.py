@@ -249,8 +249,8 @@ def _integrand_batch(
 _MC_BLOCK = 8192
 # Most rows in one Monte Carlo block. Its blocks run on threads, and each
 # ufunc call hands the GIL over once, so fewer and larger blocks overlap
-# better: theta on two threads gains 1.55x over one at 8,192 points and
-# 1.84x at 16,384 (2-CPU Xeon).
+# better: 16 log|theta1| calls on two threads ran 1.40x faster than on one at
+# 8,192 points a call and 1.63x at 16,384 (W/L = 1, 2-CPU Xeon).
 _MC_ROWS = 16384
 
 
@@ -427,6 +427,8 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int) -> Partiti
     L, W = geom.L, geom.W
     nome = geom.nome_WL   # read here: the blocks' threads read no geometry property
     rows = min(100_000, samples)
+    # one x and y per call, filled by slices: blocks that drew into arrays of
+    # their own took 5-10x the page faults and ran slower than the parent
     x, y, buffer = np.empty((rows, N)), np.empty((rows, N)), np.empty(rows)
     total = 0.0
     total_sq = 0.0
