@@ -15,11 +15,8 @@ from .coulombgas import (
     PressureFit,
     eigen_roots,
     fit_pressure,
-    g_fourier,
-    kernel_K,
     log_xi2_asymptotic,
     log_xi2_closed,
-    mode_oracle,
     oracle_log_xi2,
     pressure_sum,
     xi2_closed,
@@ -34,7 +31,6 @@ from .electrostatics import (
 from .geometry import ParticleConfig, TorusGeometry
 from .identities import (
     IdentityResidual,
-    fourier_det_constant,
     frobenius_residual,
     theta_vandermonde_residual,
 )
@@ -88,14 +84,10 @@ __all__ = [
     "factored_state",
     "fit_pressure",
     "flux_constraint",
-    "fourier_det_constant",
     "free_energy",
     "frobenius_residual",
-    "g_fourier",
-    "kernel_K",
     "log_xi2_asymptotic",
     "log_xi2_closed",
-    "mode_oracle",
     "nbody_weight",
     "ocp_log_boltzmann",
     "oracle_log_xi2",

@@ -60,7 +60,7 @@ def _potential(z, zp, geom: TorusGeometry, periodic: bool):
         phi = -(math.log(geom.L / (math.pi * theta1_prime0(geom.nome_WL).real)) + logs)
         if periodic:
             phi = math.pi * d.imag * d.imag / geom.area + phi
-    return _check_far(phi, d, "phi_periodic" if periodic else "phi_quasi")
+        return _check_far(phi, d, "phi_periodic" if periodic else "phi_quasi")
 
 
 def background_I(yp: float, geom: TorusGeometry) -> float:

@@ -78,10 +78,13 @@ def _check_far(values, coords, what: str):
     although the coordinates it is computed from are: a coordinate too far from
     the cell, say. Each value of an array has its own coordinate (``coords``,
     broadcast against ``values``); a scalar value has all of them. A nan or inf
-    coordinate keeps its nan."""
+    coordinate keeps its nan. An array is summed first, one pass that any
+    non-finite value spreads to, under the caller's error state, which must
+    ignore overflow and invalid."""
     if isinstance(values, complex | float):   # a Python or numpy scalar: fast
         if cmath.isfinite(values) or not np.isfinite(coords).all():
             return values
-    elif np.isfinite(values).all() or not (np.isfinite(coords) & ~np.isfinite(values)).any():
+    elif (cmath.isfinite(values.sum())
+          or not (np.isfinite(coords) & ~np.isfinite(values)).any()):
         return values
     raise PrecisionUnreachable(f"{what} leaves double range at a finite coordinate")

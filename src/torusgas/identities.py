@@ -1,10 +1,9 @@
 """Numerical verification of the determinant identities behind the exact results.
 
-Three families are covered: the theta-Vandermonde factorizations of N x N theta
-determinants, the Frobenius determinant identity for theta4/theta1 kernels, and
-the Fourier determinants with their closed-form constants. Each check returns
-an :class:`IdentityResidual` rather than a bare bool so callers can log and
-threshold however they need. The two theta identities take one configuration
+Two families are covered: the theta-Vandermonde factorizations of N x N theta
+determinants and the Frobenius determinant identity for theta4/theta1 kernels.
+Each check returns an :class:`IdentityResidual` rather than a bare bool so
+callers can log and threshold however they need. Both take one configuration
 (N,), with scalar fields, or a (D, N) stack, with one theta call per kind and
 one stacked determinant. ``identity_draws`` drives the gate's loop: per size,
 one ``_draw``, which redraws only the rows that put a theta1 argument of the
@@ -162,22 +161,6 @@ def _filled_level_phase(N: int) -> complex:
     """i^((N-1)(3N/2+1)): the phase of the plain Fourier determinant and of the
     filled Landau level's product form."""
     return 1j ** ((((N - 1) * (3 * N + 2)) // 2) % 4)
-
-
-def fourier_det_constant(N: int, half_shift: bool = False) -> IdentityResidual:
-    """det[e^(2*pi*i*l*k/N)] (or the k+1/2 variant) against its closed form.
-
-    The plain constant is N^(N/2) i^((N-1)(3N/2+1)); the half-shift variant
-    carries an extra i^(N+1).
-    """
-    _check_count(N)
-    ls = np.arange(1, N + 1)
-    ks = np.arange(0, N) + (0.5 if half_shift else 0.0)
-    det = complex(np.linalg.det(np.exp(2j * math.pi * np.outer(ls, ks) / N)))
-    const = N ** (N / 2.0) * _filled_level_phase(N)
-    if half_shift:
-        const *= 1j ** ((N + 1) % 4)
-    return IdentityResidual.from_sides(det, complex(const))
 
 
 _BOUNDS = (np.array([[0.0], [-0.2]]), np.array([[1.0], [0.2]]))  # (Re, Im) ranges of a point

@@ -102,7 +102,7 @@ def psi_lll(m: int, z, setup: MagneticSetup):
             * np.exp(-2j * math.pi * m * zbar / setup.L)
             * theta3(math.pi * (tau * m - setup.N * zbar / setup.L), setup.nome.power(setup.N))
         )
-    vals = _check_far(vals, z, "psi_lll")
+        vals = _check_far(vals, z, "psi_lll")
     return complex(vals) if vals.ndim == 0 else vals
 
 

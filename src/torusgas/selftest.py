@@ -50,8 +50,9 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.perf_counter() - t0)
+def _result(name: str, passed, detail: str, t0: float) -> CriterionResult:
+    """The criterion's result, ``passed`` (a numpy bool too) as a Python bool."""
+    return CriterionResult(name, bool(passed), detail, time.perf_counter() - t0)
 
 
 def factorization_spread(setup: MagneticSetup, rng: np.random.Generator, draws: int):
@@ -139,7 +140,7 @@ def check_electrostatics() -> CriterionResult:
     ok &= abs(rem[1]) < 1e-6 and abs(rem[1]) < abs(rem[0])
     details.append(f"short-distance remainders {rem[0]:.2e}, {rem[1]:.2e}")
 
-    return _result("electrostatics", bool(ok), "; ".join(details), t0)
+    return _result("electrostatics", ok, "; ".join(details), t0)
 
 
 def check_partition_integrals() -> CriterionResult:
@@ -154,7 +155,7 @@ def check_partition_integrals() -> CriterionResult:
         ok &= chk.passed
         nx, ny = chk.estimate.grid
         details.append(f"N={N} L={L} W={W}: rel {chk.rel_deviation:.2e} on {nx}x{ny}")
-    return _result("partition-integrals", bool(ok), "; ".join(details), t0)
+    return _result("partition-integrals", ok, "; ".join(details), t0)
 
 
 def check_partition_chain() -> CriterionResult:
@@ -233,7 +234,7 @@ def check_pressure_term() -> CriterionResult:
     )
     return _result(
         "pressure-term",
-        bool(ok),
+        ok,
         f"c(40) = {c40:.6f}, c(80) = {c80:.6f}, pi/6 = {target:.6f}",
         t0,
     )
@@ -260,7 +261,7 @@ def check_universality() -> CriterionResult:
         ok &= rel_tcg < 0.02 and rel_ocp < 0.02
         details.append(f"ladders aspect {W/4:.0f}: tcg {rel_tcg:.4f}, ocp {rel_ocp:.1e}")
 
-    return _result("universality", bool(ok), "; ".join(details), t0)
+    return _result("universality", ok, "; ".join(details), t0)
 
 
 ALL_CHECKS: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (

@@ -26,10 +26,10 @@ in Python complex arithmetic, about 4-6 us for one point and 3 us per further
 point, declining to the array path, which names every refusal. Its values are
 those of the array path to a few eps times the series' own conditioning: numpy
 fuses the multiply-adds of a complex product, Python does not. The coincidence
-test of the pair potentials, ``kernel_K`` and ``frobenius_residual`` lives in
-the dispatcher too: it reads the reduction the series is summed at, on either
-path, before any refusal of theta. The ``geometry-scan`` theta sweep of
-``benchmarks/ab.py`` times calls of 1 to 32 points on both paths.
+test of the pair potentials and ``frobenius_residual`` lives in the dispatcher
+too: it reads the reduction the series is summed at, on either path, before
+any refusal of theta. The ``geometry-scan`` theta sweep of ``benchmarks/ab.py``
+times calls of 1 to 32 points on both paths.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NomeOutOfRange, PrecisionUnreachable, _check_count
+from .errors import NomeOutOfRange, PrecisionUnreachable, _check_count, _check_far
 
 _QMAX = 0.95
 _EPSILON = 1e-14   # absolute tail bound of every series and product
@@ -430,9 +430,7 @@ def _value(series, scale, phase, kind: int, reduced, z):
         series = sign * series
     if phase is None:
         return series
-    vals = np.exp(scale + 1j * phase()) * series
-    _refuse_overflow(kind, vals, z, n)
-    return vals
+    return _check_far(np.exp(scale + 1j * phase()) * series, z, f"theta{kind}")
 
 
 def _log_abs(series, scale, *_):
@@ -482,17 +480,6 @@ def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
                 return None
         out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
     return out if z.ndim else form.cast(out[0])
-
-
-def _refuse_overflow(kind: int, vals, z, n) -> None:
-    """Refuse theta_kind's values at z, shifted by n periods, when one at a
-    finite z is not finite; a nan or inf z keeps its nan."""
-    total = vals.sum()  # inf or nan in any value spreads to it
-    if not cmath.isfinite(total) and np.isfinite(z[~np.isfinite(vals)]).any():
-        raise PrecisionUnreachable(
-            f"theta{kind} of a finite argument overflows a double "
-            f"(quasi-periodicity shift n up to {np.max(np.abs(n)):.0f})"
-        )
 
 
 def theta1(z, nome):
@@ -569,7 +556,7 @@ def _product_form(kind: int, z, nome):
             vals = 2.0 * np.exp(1j * math.pi * nome.tau / 4) * np.sin(u) * vals
         sign = (-1.0) ** (m + n if kind == 1 else n)
         vals = sign * np.exp(_shift_exponent(u, n, nome.tau)) * vals
-        _refuse_overflow(kind, vals, z, n)
+        _check_far(vals, z, f"theta{kind}")
     return complex(vals) if z.ndim == 0 else vals
 
 

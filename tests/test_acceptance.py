@@ -13,7 +13,7 @@ def _run(fn, *args, **kwargs):
     result = fn(*args, **kwargs)
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} {result.name} [{result.seconds:.1f}s] {result.detail}")
-    assert result.passed, result.detail
+    assert result.passed is True, result.detail
 
 
 def test_identity_suite():

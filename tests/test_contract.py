@@ -147,8 +147,6 @@ TABLE = {
         lambda w=0.1, z=0.35, alpha=0.1, q=0.3:
             torusgas.frobenius_residual([w, 0.6], [z, 0.85], alpha, q),
         {"w": COORDINATE, "z": COORDINATE, "alpha": COORDINATE, "q": NOME}, IdentityResidual),
-    "fourier_det_constant": Row(lambda N=3: torusgas.fourier_det_constant(N),
-                                {"N": count(1)}, IdentityResidual),
     **{name: Row(lambda z=0.3 + 0.1j, q=0.3, fn=getattr(torusgas, name): fn(z, q),
                  {"z": COORDINATE, "q": NOME}, complex)
        for name in ("theta1", "theta3", "theta4", "theta1_product", "theta4_product")},
@@ -158,12 +156,6 @@ TABLE = {
                (float, complex)),
     "eigen_roots": Row(lambda n=0, k_max=3: torusgas.eigen_roots(n, GEOM, k_max),
                        {"n": INDEX, "k_max": count(0)}, ModeSpectrum),
-    "g_fourier": Row(lambda n=0, y=0.3: torusgas.g_fourier(n, y, GEOM),
-                     {"n": INDEX, "y": COORDINATE}, complex),
-    "kernel_K": Row(lambda w=0.3 + 0.2j, z=0.1 + 0.5j: torusgas.kernel_K(w, z, GEOM),
-                    {"w": COORDINATE, "z": COORDINATE}, complex),
-    "mode_oracle": Row(lambda n=0, M=16: torusgas.mode_oracle(n, GEOM, M),
-                       {"n": INDEX, "M": count(16)}, np.ndarray),
     "log_xi2_closed": Row(lambda zeta=0.5, n_max=4: torusgas.log_xi2_closed(zeta, GEOM, n_max),
                           {"zeta": FUGACITY, "n_max": count(1)}, float),
     "xi2_closed": Row(lambda zeta=0.5, n_max=4: torusgas.xi2_closed(zeta, GEOM, n_max),

@@ -21,13 +21,14 @@ from torusgas.errors import (
 from torusgas.identities import (
     IdentityResidual,
     _draw,
-    fourier_det_constant,
     frobenius_residual,
     identity_draws,
     theta_vandermonde_residual,
 )
 from torusgas.selftest import check_identity_suite
 from torusgas.theta import Nome, lattice_distance, theta3
+
+from oracles import fourier_det_constant
 
 
 def _points(rng, D, N, nome):

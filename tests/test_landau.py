@@ -18,7 +18,7 @@ from torusgas.errors import (
     TorusGasError,
 )
 from torusgas.geometry import ParticleConfig, TorusGeometry
-from torusgas.identities import fourier_det_constant, frobenius_residual, theta_vandermonde_residual
+from torusgas.identities import frobenius_residual, theta_vandermonde_residual
 from torusgas.landau import (
     MagneticSetup,
     factored_state,
@@ -30,6 +30,8 @@ from torusgas.landau import (
 from torusgas.plasma import partition_integral_closed, zn_closed
 from torusgas.selftest import check_wavefunction_factorization, factorization_spread
 from torusgas.theta import Nome, f_N, theta3
+
+from oracles import fourier_det_constant
 
 rng = np.random.default_rng(55)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from torusgas import theta as theta_module
-from torusgas.coulombgas import kernel_K
 from torusgas.electrostatics import coulomb_energy_terms, ocp_log_boltzmann, phi_quasi
 from torusgas.errors import (
     CoincidentPoints,
@@ -45,6 +44,8 @@ from torusgas.theta import (
     theta4,
     theta4_product,
 )
+
+from oracles import kernel_K
 
 mp.mp.dps = 30
 
