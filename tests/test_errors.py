@@ -32,7 +32,7 @@ PAIR = TorusGeometry(1.0, 1.0, 2)
 COUNTS = [
     ("log_xi2_closed-n_max", "n_max", 1, lambda c: log_xi2_closed(0.5, GEOM, c)),
     ("eigen_roots-k_max", "k_max", 0, lambda c: eigen_roots(0, GEOM, c)),
-    ("mode_logdet-M", "M", 16, lambda c: mode_logdet(0, GEOM, c, 0.5)),
+    ("mode_oracle-M", "M", 16, lambda c: mode_logdet(0, GEOM, c, 0.5)),
     ("mode_logdet_extrapolated-M", "M", 32, lambda c: mode_logdet_extrapolated(0, GEOM, c, 0.5)),
     ("oracle_leading_magnitudes-k_count", "k_count", 1,
      lambda c: oracle_leading_magnitudes(0, GEOM, c, Ms=(16, 32))),
