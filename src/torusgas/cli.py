@@ -187,7 +187,8 @@ def landau(N, L, grid, m, draws, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def ocp(N, L, W, samples, seed, out):
     """Plasma partition function: closed forms, free energy, and the numerical
-    check of the defining integral (lattice rule for N = 1, Monte Carlo beyond)."""
+    check of the defining integral (lattice rule for N = 1, Monte Carlo for
+    N = 2 and 3; from N = 4, closed forms only)."""
     geom = TorusGeometry(L, W, N)
     chain = zn_closed(N, geom)
     payload = {
@@ -280,7 +281,7 @@ def tcg(zeta, L, W, nmax, grid_m, cutoff, kmax, convergence_out, out):
         for n in (0, 1, 2):
             closed = modes[str(n)]["abs_lambda"]
             for M in (50, 100, 200):
-                got = oracle_leading_magnitudes(n, geom, len(closed), Ms=(M, 2 * M))
+                got = oracle_leading_magnitudes(n, geom, len(closed), M)
                 for k, (c, g) in enumerate(zip(closed, got)):
                     rows.append([n, M, k, float(g), float(c), abs(g - c) / c])
         header = ["mode", "grid", "root_index", "oracle_abs_lambda",

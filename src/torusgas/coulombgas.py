@@ -142,24 +142,22 @@ def _mode_fft_magnitudes(n: int, geom: TorusGeometry, M: int) -> np.ndarray:
     return np.abs(np.fft.rfft(column))
 
 
-def oracle_leading_magnitudes(
-    n: int, geom: TorusGeometry, k_count: int, Ms=(100, 200)
-) -> np.ndarray:
-    """Richardson-extrapolated leading distinct |lambda| magnitudes.
+def oracle_leading_magnitudes(n: int, geom: TorusGeometry, k_count: int, M: int) -> np.ndarray:
+    """Richardson-extrapolated leading distinct |lambda| magnitudes, grids M and 2M.
 
     The discretized |lambda| are the singular values sigma_j(B); they converge
     with order ~2 (midpoint rule, jump on the diagonal handled by averaging),
-    and extrapolating M and 2M removes the leading error term. The k-th
+    and (4 * fine - coarse) / 3 over M and 2M removes the leading error term. The k-th
     distinct one is entry k of the unsorted |FFT| (k >= 1 roots are doubly
     degenerate: entries k and M - k), which falls from k = 0 to M/2; past M/2
     a grid has no further distinct magnitude, so k_count > M/2 + 1 raises
     ParameterOutOfRange.
     """
     _check_count(k_count, "k_count")
-    if k_count > min(Ms) // 2 + 1:
+    if k_count > M // 2 + 1:
         raise ParameterOutOfRange(f"{k_count} distinct magnitudes need a grid of at least "
-                                  f"{2 * (k_count - 1)} points, got M = {min(Ms)}")
-    coarse, fine = (_mode_fft_magnitudes(n, geom, M)[:k_count] for M in Ms)
+                                  f"{2 * (k_count - 1)} points, got M = {M}")
+    coarse, fine = (_mode_fft_magnitudes(n, geom, m)[:k_count] for m in (M, 2 * M))
     return (4.0 * fine - coarse) / 3.0
 
 

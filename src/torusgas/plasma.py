@@ -14,22 +14,20 @@ The middle form matches the product form exactly (all N, all aspect ratios)
 at q = exp(-pi W/L) with the (rho/2)^{-N/2} normalization, which fixes both
 the nome convention and the overall constant of the product form; the gate's
 ``partition-chain`` criterion holds both candidates to it. The defining
-2N-dimensional integral is checked by a midpoint lattice rule (any N,
+2N-dimensional integral is checked by a midpoint lattice rule (N = 1 and 2,
 exponentially convergent on the periodic integrand) and by seeded Monte Carlo
 (N = 2, 3). Both assemble the integrand
 in ``_integrand``: at Gamma = 2 it is e^(-beta U) with U a sum of
 -log|theta1| terms, so the factors' log|theta1| join the Gaussian's exponent
 and each point takes one real exponential. The Monte Carlo takes log|theta1|
 at every sample; the lattice rule tabulates it once per grid at the
-(2 n_x - 1)(2 n_y - 1) pair differences and (N(n_x - 1) + 1)(N(n_y - 1) + 1)
-centre-of-mass sums of grid indices, which every grid point shares. The Monte
-Carlo splits each batch of draws into even row blocks, as many for each CPU
-the process may run on, and runs them on threads (numpy releases the GIL
-inside the integrand's ufunc loops). Each block draws its own rows from the
-seeded stream into its slice of the batch's coordinates and fills its slice of
-the values; the sums run over the whole batch, so the estimate does not depend
-on the thread count. The lattice rule sums its blocks on the calling thread
-(see ``_lattice_sum``).
+centre-of-mass sums and pair differences of grid indices, which the grid
+points share. The Monte Carlo splits each batch of draws into even row
+blocks, as many for each CPU the process may run on, and runs them on threads
+(numpy releases the GIL inside the integrand's ufunc loops). Each block draws
+its own rows from the seeded stream into its slice of the batch's coordinates
+and fills its slice of the values; the sums run over the whole batch, so the
+estimate does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -42,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PrecisionUnreachable, QuadratureNonConvergence, _check_count
+from .errors import DimensionMismatch, PrecisionUnreachable, QuadratureNonConvergence
+from .errors import _check_count, _check_real
 from .electrostatics import _log_prefactor
 from .geometry import TorusGeometry
 from .theta import Nome, _log_abs_theta1, _q2_product, eta_q, f_N
@@ -114,12 +113,12 @@ class PartitionCheck:
         return self.pull < MC_MAX_PULL
 
 
-def _log_middle(N: int, geom: TorusGeometry) -> float:
-    rho = N / geom.area
-    val = _log_prefactor(N, geom)
-    val += N * math.log(geom.L * N) - (N / 2.0) * math.log(2.0 * rho)
-    val -= 2.0 * math.log(f_N(N, geom.nome_WL))
-    return val
+def _cell(geom: TorusGeometry, N: int) -> TorusGeometry:
+    """geom with N particles, refusing an area L W or density N/(L W) outside (0, inf)."""
+    geom = TorusGeometry(geom.L, geom.W, N)
+    _check_real(geom.area, "the area L*W", 0)
+    _check_real(geom.rho, "the density N/(L*W)", 0)
+    return geom
 
 
 def _log_product_form(N: int, rho: float, nome: Nome) -> float:
@@ -138,18 +137,23 @@ def zn_closed(N: int, geom: TorusGeometry) -> ZnChain:
     The printed product form carries (2 rho)^{-N/2}; the chain actually closes
     with (rho/2)^{-N/2} (a factor 2^N from theta1'(0) = 2 q^{1/4} (q^2;q^2)^3),
     and with the nome q = exp(-pi W/L), the same one the prefactor form uses.
-    The product form is reported at both nomes, with that constant.
+    The product form is reported at both nomes, with that constant. A middle
+    form outside [smallest normal, inf) or a product form that overflows
+    raises PrecisionUnreachable.
     """
-    geom = TorusGeometry(geom.L, geom.W, N)   # refuses a count that is not an integer >= 1
+    geom = _cell(geom, N)
     rho = geom.rho
-    lm = _log_middle(N, geom)
-    return ZnChain(
-        N=N,
-        middle_form=math.exp(lm),
-        final_form_WL=math.exp(_log_product_form(N, rho, geom.nome_WL)),
-        final_form_LW=math.exp(_log_product_form(N, rho, geom.nome_LW)),
-        log_middle=lm,
-    )
+    lm = (_log_prefactor(N, geom) + (N * math.log(geom.L * N) - (N / 2.0) * math.log(2.0 * rho))
+          - 2.0 * math.log(f_N(N, geom.nome_WL)))
+    logs = lm, _log_product_form(N, rho, geom.nome_WL), _log_product_form(N, rho, geom.nome_LW)
+    try:
+        middle, wl, lw = (math.exp(x) for x in logs)
+    except OverflowError:   # the product logs are finite: only exp overflows them
+        middle = math.inf
+    if not np.finfo(float).tiny <= middle < math.inf:
+        raise PrecisionUnreachable(
+            f"the N = {N} chain at L = {geom.L}, W = {geom.W} leaves double range")
+    return ZnChain(N, middle, wl, lw, lm)
 
 
 def free_energy(N: int, geom: TorusGeometry) -> FreeEnergyBreakdown:
@@ -160,7 +164,7 @@ def free_energy(N: int, geom: TorusGeometry) -> FreeEnergyBreakdown:
     -2 log( q^{1/12} prod(1-q^{2k}) ) at q = exp(-pi W/L). Note the sign: Z_N
     is proportional to eta^2, so -log Z_N subtracts the eta term.
     """
-    geom = TorusGeometry(geom.L, geom.W, N)
+    geom = _cell(geom, N)
     bulk = (N / 2.0) * math.log(geom.rho / (2.0 * math.pi**2))
     casimir = -2.0 * math.log(eta_q(geom.nome_WL))
     return FreeEnergyBreakdown(bulk=bulk, casimir=casimir, total=bulk + casimir)
@@ -174,7 +178,7 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
     A value that is not finite or lies below the smallest normal double
     raises PrecisionUnreachable, as does f_N where it overflows.
     """
-    rho = TorusGeometry(geom.L, geom.W, N).rho
+    rho = _cell(geom, N).rho
     try:
         value = (
             math.factorial(N)
@@ -244,9 +248,9 @@ def _integrand_batch(
     return _integrand(gaussian, (_log_abs_theta1(u, nome) for u in itertools.chain([com], pairs)))
 
 
-# Points per lattice-rule integrand call: small enough that theta's
+# Points per N = 2 lattice-rule integrand call: small enough that theta's
 # temporaries are reused rather than page-faulted in afresh on every call.
-_MC_BLOCK = 8192
+_LATTICE_BLOCK = 8192
 # Most rows in one Monte Carlo block. Its blocks run on threads, and each
 # ufunc call hands the GIL over once, so fewer and larger blocks overlap
 # better: 16 log|theta1| calls on two threads ran 1.40x faster than on one at
@@ -310,31 +314,18 @@ MC_MAX_PULL = 3.0      # a Monte Carlo check passes within this many standard er
 _LATTICE_MAX_POINTS = 2**20
 
 
-def _outer_sum(start, parts) -> np.ndarray:
-    """start + parts[0][i_0] + parts[1][i_1] + ... over the product grid of
-    the parts' indices, flattened in C order."""
-    total = np.asarray(start)
-    for part in parts:
-        total = np.add.outer(total, part)
-    return total.reshape(-1)
-
-
 def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     """The integrand summed over the midpoint grid of nx points per x and ny
-    per y coordinate, grid axes (i_1..i_N, k_1..k_N).
+    per y coordinate, N = 1 or 2, grid axes (i_1..i_N, k_1..k_N).
 
-    A pair argument depends on the grid point only through the index
-    difference (i_k - i_j, k_k - k_j), the centre-of-mass argument only
-    through the index sum (sum i, sum k) and the Gaussian through each k_j.
-    So log|theta1| is tabulated at the (2 nx - 1)(2 ny - 1) differences and
-    the (N(nx - 1) + 1)(N(ny - 1) + 1) sums, one array per table, and each
-    grid point gathers its entries by flat table index. Such an index is a
-    sum of one term per grid axis: an outer sum over the leading axes plus a
-    pattern over the trailing axes, which hold at most _MC_BLOCK points (or
-    one axis), so the grid is summed in blocks of whole patterns.
-    The blocks run on the calling thread: they only gather from the built
-    tables, and spread over a thread pool they made ``partition-integrals``
-    slower (median 2.3 ms to 2.4-2.5 ms on a 2-CPU Xeon).
+    log|theta1| is tabulated once at the centre-of-mass argument's index sums
+    (sum i, sum k) and, at N = 2, at the pair argument's index differences
+    (i_2 - i_1, k_2 - k_1); at N = 1 the sum table is the grid. At N = 2 each
+    point takes its entries by flat table index, in blocks of whole rows of
+    the largest trailing (i_2, k_1, k_2), (k_1, k_2) or (k_2) pattern within
+    _LATTICE_BLOCK points, a block of (k_2) rows within one (i_1, i_2). The
+    blocks run on the calling thread: on a thread pool they made
+    ``partition-integrals`` slower (median 2.3 ms to 2.4-2.5 ms, 2-CPU Xeon).
     """
     N, L, W, nome = geom.N, geom.L, geom.W, geom.nome_WL
     ix, iy = np.arange(nx), np.arange(ny)
@@ -344,33 +335,22 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
         math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
-    diffs = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
-    if N > 1:   # one pair table; at N = 1 it would be built and never read
-        pair = _log_abs_theta1(
-            math.pi * (diffs[0][:, None] * (L / nx) + 1j * (diffs[1] * (W / ny))) / L, nome)
-    # (table, the index's constant, its term per grid axis), centre of mass first
-    indices = [(com, 0, [len(sums[1]) * ix] * N + [iy] * N)]
-    for j in range(N):
-        for k in range(j + 1, N):
-            sign = [(a == k) - (a == j) for a in range(N)]
-            indices.append((pair, (nx - 1) * len(diffs[1]) + ny - 1,
-                            [s * len(diffs[1]) * ix for s in sign] + [s * iy for s in sign]))
-    gauss_terms = [np.zeros(nx)] * N + [gauss] * N
-
-    sizes = [nx] * N + [ny] * N
-    split = len(sizes) - 1   # axes [split:] make the pattern
-    while split > 0 and math.prod(sizes[split - 1:]) <= _MC_BLOCK:
-        split -= 1
-    lead = [(table, _outer_sum(start, terms[:split])[:, None], _outer_sum(0, terms[split:]))
-            for table, start, terms in indices]
-    gauss_lead = _outer_sum(0.0, gauss_terms[:split])[:, None]
-    gauss_pattern = _outer_sum(0.0, gauss_terms[split:])
-    rows = max(1, _MC_BLOCK // len(gauss_pattern))
+    if N == 1:
+        return float(np.sum(_integrand(gauss, [com])))
+    dx, dy = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
+    pair = _log_abs_theta1(math.pi * (dx[:, None] * (L / nx) + 1j * (dy * (W / ny))) / L, nome)
+    # flat table indices: an (i_1, i_2) term plus a (k_1, k_2) term
+    com_x = ((ix[:, None] + ix) * com.shape[1]).reshape(-1, 1, 1)
+    pair_x = ((ix - ix[:, None] + nx - 1) * pair.shape[1]).reshape(-1, 1, 1)
+    com_y, pair_y, gauss_y = iy[:, None] + iy, iy - iy[:, None] + ny - 1, gauss[:, None] + gauss
+    pattern = next((p for p in (nx * ny * ny, ny * ny) if p <= _LATTICE_BLOCK), ny)
+    rows = max(1, _LATTICE_BLOCK // pattern) * pattern // ny   # (i_1, i_2, k_1) rows a block
+    a_rows, k_rows = max(1, rows // ny), min(rows, ny)
     total = 0.0
-    for block in (slice(start, start + rows) for start in range(0, len(gauss_lead), rows)):
-        index = [(table, offsets[block] + pattern) for table, offsets, pattern in lead]
-        vals = _integrand(gauss_lead[block] + gauss_pattern, (table.take(i) for table, i in index))
-        total += float(np.sum(vals))
+    for a, k in itertools.product(range(0, nx * nx, a_rows), range(0, ny, k_rows)):
+        i, j = slice(a, a + a_rows), slice(k, k + k_rows)
+        logs = (com.take(com_x[i] + com_y[j]), pair.take(pair_x[i] + pair_y[j]))
+        total += float(np.sum(_integrand(gauss_y[j], logs)))
     return total
 
 
@@ -381,10 +361,11 @@ def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     x and ceil(n sqrt(W/L)) per y coordinate, each at least n; n doubles from 2
     until two grids agree to QUAD_MAX_REL, their difference is the error
     measure and ``grid`` the final (n_x, n_y). A grid over _LATTICE_MAX_POINTS
-    points raises QuadratureNonConvergence. ``_lattice_sum`` sums each grid
-    from log|theta1| tables at its distinct pair differences and
-    centre-of-mass sums."""
+    points raises QuadratureNonConvergence, and so does N >= 3, before any
+    grid: the rule closes for N = 1 and 2 only."""
     N = geom.N
+    if N > 2:
+        raise QuadratureNonConvergence(f"the lattice rule closes for N = 1 and 2 only, got N = {N}")
     stretch = [max(1.0, math.sqrt(r)) for r in (geom.L / geom.W, geom.W / geom.L)]
     value, n = math.nan, 2
     while True:

@@ -417,13 +417,15 @@ class TestEntryPoint:
             ["ocp", "--N", "2", "--seed", "1", "--samples", "100000", "--W", "400"],
             ["casimir", "--L", "1", "--W", "1000"],
             ["casimir", "--L", "1000", "--W", "1"],
+            ["casimir", "--L", "1e200", "--W", "1e200"],
         ],
-        ids=["ocp-lattice", "ocp-monte-carlo", "casimir-W/L", "casimir-L/W"],
+        ids=["ocp-lattice", "ocp-monte-carlo", "casimir-W/L", "casimir-L/W", "casimir-huge-cell"],
     )
     def test_far_aspect_exits_zero(self, args, monkeypatch, capsys):
         """Past W/L = 237 q = e^(-pi W/L) underflows to 0; the closed forms
         take their q-powers from tau, so these runs finish, and the N = 1
-        lattice rule closes on the closed form."""
+        lattice rule closes on the closed form. The casimir report reads only
+        W/L, so a cell whose area L W overflows is no error there."""
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])
         with pytest.raises(SystemExit) as info:
             run()
@@ -462,6 +464,10 @@ class TestEntryPoint:
             (["greens", "--grid", "0"], ParameterOutOfRange),
             (["landau", "--grid", "-1"], ParameterOutOfRange),
             (["tcg", "--grid-m", "18"], ParameterOutOfRange),
+            (["ocp", "--N", "4", "--L", "1e150", "--W", "1e150"], PrecisionUnreachable),
+            (["ocp", "--N", "4", "--L", "1e-150", "--W", "1e-150"], PrecisionUnreachable),
+            (["ocp", "--N", "1", "--L", "1e200", "--W", "1e200"], ParameterOutOfRange),
+            (["ocp", "--N", "1", "--L", "1e-300", "--W", "1e-300"], ParameterOutOfRange),
         ],
         ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
              "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow",
@@ -470,11 +476,13 @@ class TestEntryPoint:
              "verify-identities-overlarge-nome", "theta-bad-z", "landau-nan-L", "casimir-inf-L",
              "landau-level-index", "ocp-n2-requires-seed", "verify-identities-negative-draws",
              "verify-identities-zero-draws", "greens-zero-grid", "landau-negative-grid",
-             "tcg-coarse-oracle-grid"],
+             "tcg-coarse-oracle-grid", "ocp-product-overflow", "ocp-middle-underflow",
+             "ocp-area-overflow", "ocp-area-underflow"],
     )
     def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
         """Out-of-range input, or a value out of double range, ends in a named
-        error, which ``run`` maps to exit 2 (a raw ValueError would exit 1);
+        error, which ``run`` maps to exit 2 (a raw ValueError, OverflowError
+        or ZeroDivisionError would exit 1, a middle form of 0.0 exit 0);
         a malformed option is click's usage error, also exit 2."""
         assert isinstance(runner.invoke(main, args, standalone_mode=False).exception, error)
         monkeypatch.setattr(sys, "argv", ["torusgas", *args])

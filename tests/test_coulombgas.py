@@ -196,7 +196,7 @@ class TestModeOracle:
             assert np.max(np.abs(got - ref) / ref) < 1e-12
         coarse, fine = (_distinct(dense[M], 3) for M in (16, 32))
         ref = (4.0 * fine - coarse) / 3.0
-        got = oracle_leading_magnitudes(n, GEOM, 3, Ms=(16, 32))
+        got = oracle_leading_magnitudes(n, GEOM, 3, 16)
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
     def test_leading_magnitudes_stop_at_half_the_grid(self):
@@ -206,16 +206,16 @@ class TestModeOracle:
         dense = {m: np.sort(np.abs(np.linalg.eigvals(mode_matrix(n, GEOM, m))))[::-1]
                  for m in (M, 2 * M)}
         coarse, fine = (_distinct(dense[m], M // 2 + 1) for m in (M, 2 * M))
-        got = oracle_leading_magnitudes(n, GEOM, M // 2 + 1, Ms=(M, 2 * M))
+        got = oracle_leading_magnitudes(n, GEOM, M // 2 + 1, M)
         assert np.max(np.abs(got - (4.0 * fine - coarse) / 3.0) / got) < 1e-12
         with pytest.raises(ParameterOutOfRange):
-            oracle_leading_magnitudes(n, GEOM, M // 2 + 2, Ms=(M, 2 * M))
+            oracle_leading_magnitudes(n, GEOM, M // 2 + 2, M)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_convergence_to_closed_roots(self, n):
         spec = eigen_roots(n, GEOM, 3)
         exact = np.sort(np.unique(np.round(np.abs(spec.lambdas), 14)))[::-1][:3]
-        got = oracle_leading_magnitudes(n, GEOM, 3, Ms=(100, 200))
+        got = oracle_leading_magnitudes(n, GEOM, 3, 100)
         assert np.max(np.abs(got - exact) / exact) < 1e-3
 
     def test_observed_order_at_least_one(self):
@@ -281,7 +281,7 @@ class TestCirculantRoute:
 
         monkeypatch.setattr(coulombgas, "_theta_constants", refuse)
         mode_logdet(0, GEOM, 64, 0.5)
-        oracle_leading_magnitudes(1, GEOM, 3)
+        oracle_leading_magnitudes(1, GEOM, 3, 100)
 
     def test_no_dense_block_on_the_oracle_path(self):
         """A dense 3200 x 3200 complex block alone would take 164 MB."""

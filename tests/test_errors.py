@@ -35,7 +35,7 @@ COUNTS = [
     ("mode_oracle-M", "M", 16, lambda c: mode_logdet(0, GEOM, c, 0.5)),
     ("mode_logdet_extrapolated-M", "M", 32, lambda c: mode_logdet_extrapolated(0, GEOM, c, 0.5)),
     ("oracle_leading_magnitudes-k_count", "k_count", 1,
-     lambda c: oracle_leading_magnitudes(0, GEOM, c, Ms=(16, 32))),
+     lambda c: oracle_leading_magnitudes(0, GEOM, c, 16)),
     ("pressure_sum-cutoff", "cutoff", 1, lambda c: pressure_sum(1.0, 4.0, c)),
     ("fit_pressure-cutoff_density", "cutoff_density", 1,
      lambda c: fit_pressure(1.0, [4.0, 5.0, 6.0], c)),

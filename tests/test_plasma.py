@@ -67,6 +67,23 @@ class TestClosedFormChain:
         assert abs(chain.middle_form - expected) < 1e-12
 
 
+class TestCellsOutOfDoubleRange:
+    """Square cells whose area, density or chain value leaves double range
+    are refused by name, not with OverflowError, ZeroDivisionError or
+    ValueError, nor read as a middle form of 0.0."""
+
+    def test_chain_out_of_range_at_three_particles(self):
+        """The middle form underflows, so rel_mismatch_WL would divide by 0."""
+        with pytest.raises(PrecisionUnreachable):
+            zn_closed(3, TorusGeometry(1e-150, 1e-150, 3))
+
+    @pytest.mark.parametrize("L", [1e200, 1e-300, 1e-160])   # L*W inf, 0 and subnormal
+    def test_area_or_density_out_of_range(self, L):
+        for closed_form in (zn_closed, free_energy, partition_integral_closed):
+            with pytest.raises(ParameterOutOfRange, match="L\\*W"):
+                closed_form(1, TorusGeometry(L, L, 1))
+
+
 class TestFreeEnergy:
     def test_bulk_term_per_particle(self):
         for N in (1, 3, 5):
@@ -93,15 +110,15 @@ class TestFreeEnergy:
         assert abs((f8.total - 2 * f4.total) + f4.casimir) < 1e-12
 
 
-def _per_point_sum(geom, nx, ny):
+def _per_point_sum(geom, nx, ny, block=8192):
     """The integrand summed over the midpoint grid point by point, through
     _integrand_batch in flat-index row blocks: the reference for the tables."""
     N = geom.N
     shape = (nx,) * N + (ny,) * N
     size = math.prod(shape)
     total = 0.0
-    for start in range(0, size, plasma._MC_BLOCK):
-        idx = np.unravel_index(np.arange(start, min(start + plasma._MC_BLOCK, size)), shape)
+    for start in range(0, size, block):
+        idx = np.unravel_index(np.arange(start, min(start + block, size)), shape)
         x = (np.stack(idx[:N], axis=-1) + 0.5) * (geom.L / nx)
         y = (np.stack(idx[N:], axis=-1) + 0.5) * (geom.W / ny)
         total += float(np.sum(_integrand_batch(x, y, geom)))
@@ -145,6 +162,17 @@ class TestQuadrature:
         with pytest.raises(QuadratureNonConvergence):
             verify_partition_lattice(TorusGeometry(1.0, 1.0, 2))
 
+    @pytest.mark.parametrize("N", [3, 4, 6])
+    def test_three_or_more_particles_refused_before_any_grid(self, N, monkeypatch):
+        """The rule closes for N = 1 and 2 only: N >= 3 is refused before
+        any log|theta1| table is built."""
+        def refuse(z, nome):
+            raise AssertionError("a log|theta1| table built for N >= 3")
+
+        monkeypatch.setattr(plasma, "_log_abs_theta1", refuse)
+        with pytest.raises(QuadratureNonConvergence):
+            verify_partition_lattice(TorusGeometry(1.0, 1.0, N))
+
     def test_lw_nome_does_not_converge(self, monkeypatch):
         """Negative control: at the L/W nome the integrand is not periodic in
         y, so the rule converges only algebraically and reaches its point cap;
@@ -159,11 +187,13 @@ class TestQuadrature:
         with pytest.raises(QuadratureNonConvergence):
             check_partition_integrals()
 
-    @pytest.mark.parametrize("N, n", [(1, 16), (2, 16), (3, 4)])
-    @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("N, n", [(1, 16), (2, 16), (2, 4)])
+    @pytest.mark.parametrize("WL", [0.5, 1.0, 2.0, 5.0])
     def test_tables_match_the_per_point_sum(self, N, n, WL):
         """The grid summed from log|theta1| tables at the distinct pair
-        differences and centre-of-mass sums equals the per-point sum."""
+        differences and centre-of-mass sums equals the per-point sum: at
+        N = 2, n = 4 one block holds the whole grid, and at W/L = 5 and 2 the
+        (i_2, k_1, k_2) pattern is larger than a block."""
         geom = TorusGeometry(1.0, WL, N)
         grid = _grid(n, WL)
         reference = _per_point_sum(geom, *grid)
