@@ -32,7 +32,9 @@ even pairs and the change first in odd ones:
     (median) of REPEATS seeded ``verify_partition_mc`` calls after a warm-up,
     at the workload's six (N, W/L) pairs and sample count; it returns the
     seed-1 estimate's bits. Per W/L in ASPECTS, ``theta1`` in ns per point on
-    BLOCK points (the lattice rule's block) and on BIG points.
+    BLOCK points (the lattice rule's block) and on BIG points, and
+    ``log_abs_theta1``, the call the Monte Carlo's integrand makes, in ns per
+    point on MC_BLOCK points (its row block: 1e5 rows in 8 blocks on 2 CPUs).
 
   A θ or ``mode_logdet`` time is the best of REPEATS loops of about LOOP_S
   seconds. θ points lie uniformly over the cell Re u in [0, pi),
@@ -82,6 +84,7 @@ ASPECTS = (0.02, 0.05, 0.2, 1.0, 5.0)
 SWEEP = (1, 2, 4, 8, 12, 16, 32)
 BLOCK = 8192
 BIG = 100_000
+MC_BLOCK = 12_500
 
 
 def _git(*args: str, **kw) -> subprocess.CompletedProcess:
@@ -263,7 +266,7 @@ def _scan() -> dict:
 def _plasma() -> dict:
     from torusgas.geometry import TorusGeometry
     from torusgas.plasma import verify_partition_mc
-    from torusgas.theta import Nome, theta1
+    from torusgas.theta import Nome, log_abs_theta1, theta1
     from workloads import MC_CONFIGS, MC_SAMPLES
 
     layers, estimates = {}, {}
@@ -286,10 +289,10 @@ def _plasma() -> dict:
     rng = np.random.default_rng(5)
     for wl in ASPECTS:
         nome = Nome.from_aspect(wl, 1.0)
-        for n in (BLOCK, BIG):
+        for fn, n in ((theta1, BLOCK), (theta1, BIG), (log_abs_theta1, MC_BLOCK)):
             pts = _cell(rng, wl, n)
-            layers[f"theta.theta1_{n}pt_ns_per_point@W/L={wl}"] = (
-                _best(lambda: theta1(pts, nome)) / n * 1e9)
+            layers[f"theta.{fn.__name__}_{n}pt_ns_per_point@W/L={wl}"] = (
+                _best(lambda: fn(pts, nome)) / n * 1e9)
     return {"layers": layers, "estimates": estimates}
 
 

@@ -362,7 +362,9 @@ def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     until two grids agree to QUAD_MAX_REL, their difference is the error
     measure and ``grid`` the final (n_x, n_y). A grid over _LATTICE_MAX_POINTS
     points raises QuadratureNonConvergence, and so does N >= 3, before any
-    grid: the rule closes for N = 1 and 2 only."""
+    grid: the rule closes for N = 1 and 2 only. A cell whose area L W or
+    density leaves (0, inf) raises ParameterOutOfRange first."""
+    geom = _cell(geom, geom.N)
     N = geom.N
     if N > 2:
         raise QuadratureNonConvergence(f"the lattice rule closes for N = 1 and 2 only, got N = {N}")
@@ -397,12 +399,14 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int) -> Partiti
     with ``Generator.random`` times L or W, which is ``uniform(0, L)`` bit for
     bit. Then it fills its rows of the batch's values. The sums run over the
     whole batch on the calling thread, so value and error do not depend on
-    the thread count or the block sizes.
+    the thread count or the block sizes. A cell whose area L W or density
+    leaves (0, inf) raises ParameterOutOfRange before any draw.
     """
     if geom.N not in (2, 3):
         raise DimensionMismatch("Monte Carlo check is for N in {2, 3}")
     _check_count(seed, "seed", 0)
     _check_count(samples, "samples", 100_000)
+    geom = _cell(geom, geom.N)
 
     N = geom.N
     L, W = geom.L, geom.W

@@ -31,6 +31,24 @@ too: it reads the reduction the series is summed at, on either path, before
 any refusal of theta. The ``geometry-scan`` theta sweep of ``benchmarks/ab.py``
 times calls of 1 to 32 points on both paths.
 
+log|theta1| has two summations, both from the one record per nome that
+``_coefficients`` keeps. On a real nome (Re tau = 0) up to pi Im(tau) = log DBL_MAX (W/L <=
+225.9) the build also holds the series of Jacobi's addition formula
+(DLMF 20.7(iii)),
+
+    theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
+
+as real polynomials in sin(x)^2 and in cosh 2y, and an array-path call sums
+it at the reduced point (``_log_abs_real``): one real sine, cosh, sinh and
+log a point, no complex exponential or division, about half the complex
+series' time at the Monte Carlo's 12,500-point blocks. Every other call sums
+the complex series: complex nomes, the point kernel's calls of at most
+``_POINT_MAX`` points, and real nomes past the cap, where e^(2|y|) or
+sinh(y)^2 would leave double range. Both routes start from the one
+reduction (``_reduce``) and take the multiplier's log-scale from
+``_multiplier``, so the coincidence test, the shift rounding and every
+refusal are shared.
+
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
 Im(tau) = t < 1 is summed at the dual tau' = -1/tau = i/t (DLMF 20.7(viii)),
@@ -78,6 +96,7 @@ _EPSILON = 1e-14   # absolute tail bound of every series and product
 _SINE_CANCEL = 0.5
 _LOG_MAX = math.log(np.finfo(float).max)   # e^x overflows a double above this
 _TINY = np.finfo(float).tiny   # the smallest normal double
+_SQUARES_TINY = _TINY / np.finfo(float).eps   # a sum of squares below this may have lost bits
 _COINCIDENT = 1e-9   # an argument this close to pi*Z + pi*tau*Z is a zero of theta1
 _THETA1_UNDERFLOW = "theta1's leading coefficient 2 q^(1/4) underflows past Im(tau) = 902.8"
 # A call of at most this many points runs the Python-complex point kernel, one
@@ -220,6 +239,11 @@ def _coefficients(nome: Nome) -> dict:
     theta1'(0) would be 0 or keep no significant bits, so the family refuses.
     ``wide`` is True where the strip |Im u| <= pi Im(tau)/2 reaches past
     log DBL_MAX (Im tau > 451.9), so e^(iu) overflows at some of its points.
+    ``real``, on a real nome with pi Im(tau) <= log DBL_MAX, holds the
+    arguments of ``_identity_terms`` at the summed nome (i/t when modular);
+    ``_log_abs_real`` builds that record on the first call that needs it and
+    keeps it here under ``identity``, so a nome that never meets the route
+    does not pay for it. None elsewhere.
     """
     _series_domain(nome)
     t = nome.tau.imag
@@ -249,8 +273,76 @@ def _coefficients(nome: Nome) -> dict:
     prime0 = complex(np.sum([c * f for c, f in zip(odd, freqs)])) * (t**-1.5 if modular else 1.0)
     if abs(odd[0]) < _TINY:
         horner[1] = prime0 = None
+    real = None
+    if nome.tau.real == 0 and math.pi * t <= _LOG_MAX:
+        real = (summed, 1.0 / t, t**-0.5) if modular else (summed, t, 1.0)
     return {"horner": horner, "modular": t if modular else None, "prime0": prime0,
-            "wide": 0.5 * math.pi * t > _LOG_MAX}
+            "wide": 0.5 * math.pi * t > _LOG_MAX, "real": real}
+
+
+def _kept(coeffs, lead: float, growth: float = 0.0) -> int:
+    """How many of the Chebyshev terms 2 c_k T_k, k = 1, 2, ..., of the
+    series ``coeffs`` = (c_0, c_1, ...) to sum, where |T_k| <= e^(growth k):
+    up to the last whose bound 2 |c_k| e^(growth k) is not below one ulp of
+    ``lead``. The bounds fall with k, so the count stops at the first that
+    is below."""
+    floor = math.log(math.ulp(lead))
+    for k, c in enumerate(coeffs[1:], 1):
+        if not c or math.log(2.0 * abs(c)) + growth * k < floor:
+            return k - 1
+    return len(coeffs) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_powers(degree: int) -> np.ndarray:
+    """M, read-only, with M[0, k, j] and M[1, k, j] the coefficients of w^j
+    in T_k(1 - 2w) and in T_k(w), k, j <= degree, T_k the Chebyshev
+    polynomials: T_0 = 1, T_1 = c and T_(k+1) = 2c T_k - T_(k-1)."""
+    m = np.zeros((2, degree + 2, degree + 2))
+    m[:, 0, 0] = 1.0
+    m[0, 1, :2] = 1.0, -2.0
+    m[1, 1, 1] = 1.0
+    for k in range(1, degree):
+        m[:, k + 1] = -m[:, k - 1]
+        m[0, k + 1] += 2.0 * m[0, k]
+        m[0, k + 1, 1:] -= 4.0 * m[0, k, :-1]
+        m[1, k + 1, 1:] += 2.0 * m[1, k, :-1]
+    m = m[:, :degree + 1, :degree + 1].copy()
+    m.flags.writeable = False
+    return m
+
+
+def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
+    """The series of Jacobi's addition formula at the summed nome iS, S >= 1,
+    for ``_log_abs_real``, as one (J + 1, 2, 2, 1) array of polynomial
+    coefficients, highest power first. P(x) = theta1(x) / sin(x) = c_0 +
+    sum_k c_k (X^k + X^-k) (``_coefficients``' a_k of theta1) and theta4(x) =
+    1 + sum_k (-1)^k q^(k^2) (X^k + X^-k), X = e^(2ix), are each the
+    Chebyshev sum c_0 + sum_k 2 c_k T_k(cos 2x); at x = iy, cos 2x = cosh 2y.
+    [:, 0] holds P and theta4 as polynomials in w = sin(x)^2 (cos 2x = 1 -
+    2w), times r / theta4(0), r the dual side's t^(-1/2) (1 directly), so
+    that the identity's sum of squares carries both; [:, 1] holds the same
+    two series as polynomials in cosh 2y.
+
+    Each axis sums its Chebyshev terms to the last that is not below one ulp
+    of its series' leading term (``_kept``): on the real axis |T_k| <= 1, and
+    on the imaginary axis the strip |y| <= pi S/2 lets the k-th term grow by
+    up to e^(pi S k), so that theta4's leading term there is 2 q e^(pi S) = 2.
+    Both stop well before ``_n_star``, and no power of cosh 2y that is kept
+    leaves double range. The shorter axis is padded with leading zeros."""
+    odd = [c.real for c in summed[1][1]]
+    tails = list(itertools.accumulate(reversed(odd)))[::-1]   # c_k = sum_{j>k} odd_j, k = 0..
+    even = [1.0] + [0.5 * c.real for c in summed[4][1]]
+    growth = math.pi * s
+    on_real = max(_kept(tails, tails[0]), _kept(even, 1.0))
+    on_imag = max(_kept(tails, tails[0], growth), _kept(even, 2.0, growth))
+    degree = max(on_real, on_imag)
+    cheb = np.array([(ser + [0.0] * degree)[:degree + 1] for ser in (tails, even)])
+    cheb[:, 1:] *= 2.0
+    cheb = cheb * np.array([[[r / (1.0 + 2.0 * sum(even[1:]))]], [[1.0]]])   # (axis, series, k)
+    cheb[0, :, on_real + 1:] = 0.0
+    cheb[1, :, on_imag + 1:] = 0.0
+    return (cheb @ _chebyshev_powers(degree)).transpose(2, 0, 1)[::-1, :, :, None]
 
 
 def _horner(const, coeffs, root, v, odd: bool):
@@ -439,6 +531,73 @@ def _log_abs(series, scale, *_):
     return scale + np.log(np.abs(series))
 
 
+def _log_abs_real(reduced, nome: Nome, terms: dict):
+    """log|theta1| at the array path's reduction ``reduced`` = (u, m, n) on a
+    real nome whose ``terms["real"]`` is set, in real arithmetic: ``_split``'s
+    multiplier scale plus log|theta1(v | iS)| at the point v = x + iy where
+    ``_split`` sums the series, v = u directly and v = iu/t on the dual side.
+    Jacobi's addition formula (DLMF 20.7(iii); Whittaker & Watson 21.22)
+    gives, on a real nome,
+
+        theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
+
+    two non-negative terms: nothing cancels next to the zero at v = 0, and
+    every factor is even or odd in x and in y. One Horner recurrence sums
+    P(x) = theta1(x) / sin(x) and theta4(x) in sin(x)^2 beside R(y) =
+    |theta1(iy)| / |sinh y| and theta4(iy) in cosh 2y (``_identity_terms``),
+    from one real sine, cosh and sinh a point. Below pi S = log DBL_MAX every
+    square stays in double range, and next to v = 0, where the squares
+    underflow, the sum is taken with the larger of |sin x| and |sinh y|
+    factored out. On the dual side u, the call's own, is overwritten."""
+    coeffs = terms.get("identity")
+    if coeffs is None:
+        coeffs = terms["identity"] = _identity_terms(*terms["real"])
+    t = terms["modular"]
+    u, _, n = reduced
+    # The scale first, while few arrays are alive: every array here is as
+    # large as the call, and pages a call touches afresh cost more than the
+    # arithmetic.
+    scale = None if t is None and not n.any() else _multiplier(u, n, nome.tau, t)[0]
+    a, b = u.real.reshape(-1), u.imag.reshape(-1)   # one point axis for the coefficients
+    if t is not None:   # v = (-b + ia)/t up to sign
+        a *= 1.0 / t
+        b *= 1.0 / t
+    x, y = (a, b) if t is None else (b, a)
+    odd = np.empty((2,) + x.shape)   # sinh y, sin x
+    np.sin(x, out=odd[1])
+    powers = np.empty((2, 1) + x.shape)   # sin(x)^2, cosh 2y
+    np.multiply(odd[1], odd[1], out=powers[0, 0])
+    np.multiply(y, 2.0, out=powers[1, 0])
+    np.cosh(powers[1, 0], out=powers[1, 0])
+    acc = coeffs[0] * powers   # one Horner recurrence for both axes' two series
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= powers
+    acc += coeffs[-1]
+    del powers
+    factors = acc[1]
+    factors *= acc[0, ::-1]   # R(y) theta4(x), theta4(iy) P(x)
+    np.sinh(y, out=odd[0])
+    squares = factors * odd
+    squares *= squares
+    total = squares[0] + squares[1]
+    del squares
+    near_zero = not total.min() >= _SQUARES_TINY   # also when a nan makes the min nan
+    if near_zero:
+        low = total < _SQUARES_TINY
+    np.log(total, out=total)
+    total *= 0.5
+    if near_zero and low.any():   # 0 at v = 0 only, where the log is -inf
+        odd = np.abs(odd[:, low])
+        big = odd.max(axis=0)
+        odd = np.divide(odd, big, out=np.zeros_like(odd), where=big > 0)
+        total[low] = np.log(big) + np.log(np.hypot(*(factors[:, low] * odd)))
+    total = total.reshape(u.shape)
+    if scale is not None:
+        total += scale
+    return total
+
+
 # An output form of ``_theta``: ``point`` combines one point's signed (series,
 # scale, phase) into its value, ``finish`` takes the array path's (series,
 # scale, phase, kind, reduction, z) to an array, and a value has the type ``cast``.
@@ -478,7 +637,11 @@ def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
             u = reduced[0] if tested is True else reduced[0][..., tested]
             if (np.abs(u) < _COINCIDENT).any():
                 return None
-        out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
+        terms = _coefficients(nome)
+        if form is _LOG_ABS and terms["real"] is not None:
+            out = _log_abs_real(reduced, nome, terms)
+        else:
+            out = form.finish(*_split(kind, reduced, nome, terms), kind, reduced, z1)
     return out if z.ndim else form.cast(out[0])
 
 
@@ -505,7 +668,10 @@ def log_abs_theta1(z, nome):
 def _log_abs_theta1(z, nome: Nome):
     """``log_abs_theta1`` at a ``Nome``. The Monte Carlo's threads call this
     name: perfbench's tracer rebinds the public one and keeps one span stack,
-    which threads would interleave."""
+    which threads would interleave. On a real nome up to W/L = 225.9 an
+    array call of more than ``_POINT_MAX`` points sums Jacobi's addition
+    formula in real arithmetic (``_log_abs_real``), the Monte Carlo's and the
+    lattice rule's calls among them; others sum the complex series."""
     return _theta(1, z, nome, _LOG_ABS)
 
 

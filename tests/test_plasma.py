@@ -83,6 +83,24 @@ class TestCellsOutOfDoubleRange:
             with pytest.raises(ParameterOutOfRange, match="L\\*W"):
                 closed_form(1, TorusGeometry(L, L, 1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "route, L, N",
+        [("lattice", 1e-300, 1), ("mc", 1e-300, 2), ("lattice", 1e200, 1)],
+        ids=["lattice-area-0", "mc-area-0", "lattice-area-inf"],
+    )
+    def test_numerical_routes_refuse_before_any_numerics(self, route, L, N, monkeypatch):
+        """verify_partition_lattice and verify_partition_mc refuse the cell by
+        name before any theta call or draw, with no warning."""
+        def no_numerics(*args):
+            raise AssertionError("numerics ran")
+
+        monkeypatch.setattr(plasma, "_log_abs_theta1", no_numerics)
+        call = {"lattice": lambda g: verify_partition_lattice(g),
+                "mc": lambda g: verify_partition_mc(g, 100_000, 1)}[route]
+        with pytest.raises(ParameterOutOfRange, match="L\\*W"):
+            call(TorusGeometry(L, L, N))
+
 
 class TestFreeEnergy:
     def test_bulk_term_per_particle(self):

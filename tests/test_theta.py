@@ -448,6 +448,37 @@ def _strip_points(wl: float, k: int = 100):
     return inside, inside + shift
 
 
+def _near_zero_log_error(wl: float) -> float:
+    """The largest error of log|theta1| next to its zeros, relative to
+    max(1, |value|), in one call of more than _POINT_MAX points at W/L = wl:
+    the reduced point u runs over |u| from 1e-300 to 1e-3, at 0 in every
+    direction, at m*pi (u = +-i|u|, m = -1, 1, 2) and on the rows n*pi*tau
+    (u = +-|u|, n = -1, 1, 2), each z built so that the array path reduces
+    it to u bit for bit. The reference is 60-digit mpmath at u, plus the
+    exact quasi-periodicity log-scale pi W/L n^2 + 2n Im(u) of the shift."""
+    gen = np.random.default_rng(int(wl * 1e4))
+    sizes = 10.0 ** -np.linspace(3, 300, 12)
+    points = []   # (z, u, n)
+    for r in sizes:
+        for phase in gen.uniform(0, 2 * math.pi, 2):
+            u = r * cmath.exp(1j * phase)
+            points.append((u, u, 0))
+        for m in (-1, 1, 2):
+            u = 1j * r * gen.choice([-1.0, 1.0])
+            points.append((complex(m * math.pi, u.imag), u, 0))
+        for n in (-1, 1, 2):
+            u = r * gen.choice([-1.0, 1.0])
+            points.append((complex(u, (n * math.pi) * wl), complex(u), n))
+    zs = np.array([z for z, _, _ in points])
+    got = log_abs_theta1(zs, Nome.from_aspect(wl, 1.0))
+    with mp.workdps(60):
+        q = mp.exp(-mp.pi * mp.mpf(wl))
+        ref = np.array([float(mp.log(abs(mp.jtheta(1, mp.mpc(u.real, u.imag), q)))
+                              + mp.pi * mp.mpf(wl) * n * n + 2 * n * mp.mpf(u.imag))
+                        for _, u, n in points])
+    return float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
+
+
 def _trig_sum(kind: int, z, nome: Nome):
     """The earlier engine, kept as a reference: sin/cos of every term at every
     point, contracted with the coefficients by tensordot."""
@@ -508,6 +539,27 @@ class TestSeriesKernel:
                         log_ref = np.array([float(mp.log(abs(v))) for v in exact])
                 got = log_abs_theta1(pts, nome)
                 assert np.max(np.abs(got - log_ref) / np.maximum(np.abs(log_ref), 1.0)) <= 1e-13
+        assert _near_zero_log_error(wl) <= 1e-13, wl
+
+    @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
+    def test_near_zero_control_without_the_imaginary_axis_term(self, wl, monkeypatch):
+        """With the term theta4(a)^2 |theta1(ib)|^2 of Jacobi's addition
+        formula dropped (R(b) = |theta1(ib)| / sinh|b| set to 0), the
+        near-zero inputs of ``test_against_mpmath`` miss at every aspect, on
+        both frames."""
+        build = theta_module._identity_terms
+
+        def dropped(*args):
+            coeffs = build(*args).copy()
+            coeffs[:, 1, 0] = 0.0   # R on the imaginary axis
+            return coeffs
+
+        monkeypatch.setattr(theta_module, "_identity_terms", dropped)
+        _coefficients.cache_clear()
+        try:
+            assert _near_zero_log_error(wl) > 1e-13, wl
+        finally:
+            _coefficients.cache_clear()
 
     @pytest.mark.parametrize("wl", ASPECTS)
     def test_against_trig_sum(self, wl):
@@ -624,15 +676,16 @@ class TestSeriesKernel:
                     1.0, abs(r)), (call.__name__, g, r)
 
     def test_calls_are_picked_by_size(self, monkeypatch):
-        """A finite call of at most _POINT_MAX points never reaches the array
-        path's ``_split``; one of more does."""
+        """A finite call of at most _POINT_MAX points never reaches the
+        reduction that both array routes share, ``_reduce``; one
+        of more does."""
         nome = Nome.from_aspect(0.7, 1.0)
         points = np.linspace(0.1, 1.3, _POINT_MAX + 1) + 0.4j
 
         def array_path(*args):
             raise AssertionError("array path")
 
-        monkeypatch.setattr(theta_module, "_split", array_path)
+        monkeypatch.setattr(theta_module, "_reduce", array_path)
         for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart):
             call(complex(points[0]), nome)
             call(points[:_POINT_MAX], nome)
