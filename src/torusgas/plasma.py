@@ -364,7 +364,7 @@ def verify_partition_lattice(geom: TorusGeometry) -> PartitionCheck:
     points raises QuadratureNonConvergence, and so does N >= 3, before any
     grid: the rule closes for N = 1 and 2 only. A cell whose area L W or
     density leaves (0, inf) raises ParameterOutOfRange first."""
-    geom = _cell(geom, geom.N)
+    _cell(geom, geom.N)
     N = geom.N
     if N > 2:
         raise QuadratureNonConvergence(f"the lattice rule closes for N = 1 and 2 only, got N = {N}")
@@ -406,7 +406,7 @@ def verify_partition_mc(geom: TorusGeometry, samples: int, seed: int) -> Partiti
         raise DimensionMismatch("Monte Carlo check is for N in {2, 3}")
     _check_count(seed, "seed", 0)
     _check_count(samples, "samples", 100_000)
-    geom = _cell(geom, geom.N)
+    _cell(geom, geom.N)
 
     N = geom.N
     L, W = geom.L, geom.W
