@@ -32,18 +32,19 @@ any refusal of theta. The ``geometry-scan`` theta sweep of ``benchmarks/ab.py``
 times calls of 1 to 32 points on both paths.
 
 log|theta1| has two summations, both from the one record per nome that
-``_coefficients`` keeps. On a real nome (Re tau = 0) up to pi Im(tau) = log DBL_MAX (W/L <=
-225.9) the build also holds the series of Jacobi's addition formula
-(DLMF 20.7(iii)),
+``_coefficients`` keeps. On a real nome (Re tau = 0) up to
+pi Im(tau) = log DBL_MAX (W/L <= 225.9) the record also leads to the series
+of Jacobi's addition formula (DLMF 20.7(iii)),
 
     theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
 
 as real polynomials in sin(x)^2 and in cosh 2y, and an array-path call sums
 it at the reduced point (``_log_abs_real``): one real sine, cosh, sinh and
-log a point, no complex exponential or division, about half the complex
-series' time at the Monte Carlo's 12,500-point blocks. Every other call sums
-the complex series: complex nomes, the point kernel's calls of at most
-``_POINT_MAX`` points, and real nomes past the cap, where e^(2|y|) or
+log a point, no complex exponential or division, 0.56-0.62x the complex
+series' time at the Monte Carlo's 12,500-point blocks (W/L 0.02 to 5, on a
+2-core Xeon) and 2-4 us more a call below about 200 points. Every other
+call sums the complex series: complex nomes, the point kernel's calls of at
+most ``_POINT_MAX`` points, and real nomes past the cap, where e^(2|y|) or
 sinh(y)^2 would leave double range. Both routes start from the one
 reduction (``_reduce``) and take the multiplier's log-scale from
 ``_multiplier``, so the coincidence test, the shift rounding and every
@@ -243,8 +244,9 @@ def _coefficients(nome: Nome) -> dict:
     arguments of ``_identity_terms`` at the summed nome (i/t when modular);
     ``_log_abs_real`` builds that record on the first call that needs it and
     keeps it here under ``identity``, so a nome that never meets the route
-    does not pay for it (13-25 us on a 2-core Xeon, about as long as the cold build). Threads that
-    meet it unbuilt at once each build the same array. None elsewhere.
+    does not pay for it (13-25 us on a 2-core Xeon, about as long as the
+    cold build). Threads that meet it unbuilt at once each build the same
+    array. None elsewhere.
     """
     _series_domain(nome)
     t = nome.tau.imag
