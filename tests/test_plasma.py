@@ -96,7 +96,7 @@ class TestCellsOutOfDoubleRange:
             raise AssertionError("numerics ran")
 
         monkeypatch.setattr(plasma, "_log_abs_theta1", no_numerics)
-        call = {"lattice": lambda g: verify_partition_lattice(g),
+        call = {"lattice": verify_partition_lattice,
                 "mc": lambda g: verify_partition_mc(g, 100_000, 1)}[route]
         with pytest.raises(ParameterOutOfRange, match="L\\*W"):
             call(TorusGeometry(L, L, N))
