@@ -34,7 +34,9 @@ even pairs and the change first in odd ones:
     seed-1 estimate's bits. Per W/L in ASPECTS, ``theta1`` in ns per point on
     BLOCK points (the lattice rule's block) and on BIG points, and
     ``log_abs_theta1``, the call the Monte Carlo's integrand makes, in ns per
-    point on MC_BLOCK points (its row block: 1e5 rows in 8 blocks on 2 CPUs).
+    point on MC_BLOCK points (the row block of 1e5 rows in 8 blocks, kept so
+    that records stay comparable) and on MC_ROWS points (its row block since
+    ``plasma._MC_ROWS`` = 25,000: 1e5 rows in 4 blocks on 1 or 2 CPUs).
 
   A θ or ``mode_logdet`` time is the best of REPEATS loops of about LOOP_S
   seconds. θ points lie uniformly over the cell Re u in [0, pi),
@@ -85,6 +87,7 @@ SWEEP = (1, 2, 4, 8, 12, 16, 32)
 BLOCK = 8192
 BIG = 100_000
 MC_BLOCK = 12_500
+MC_ROWS = 25_000
 
 
 def _git(*args: str, **kw) -> subprocess.CompletedProcess:
@@ -289,7 +292,8 @@ def _plasma() -> dict:
     rng = np.random.default_rng(5)
     for wl in ASPECTS:
         nome = Nome.from_aspect(wl, 1.0)
-        for fn, n in ((theta1, BLOCK), (theta1, BIG), (log_abs_theta1, MC_BLOCK)):
+        for fn, n in ((theta1, BLOCK), (theta1, BIG), (log_abs_theta1, MC_BLOCK),
+                      (log_abs_theta1, MC_ROWS)):
             pts = _cell(rng, wl, n)
             layers[f"theta.{fn.__name__}_{n}pt_ns_per_point@W/L={wl}"] = (
                 _best(lambda: fn(pts, nome)) / n * 1e9)

@@ -16,18 +16,21 @@ the nome convention and the overall constant of the product form; the gate's
 ``partition-chain`` criterion holds both candidates to it. The defining
 2N-dimensional integral is checked by a midpoint lattice rule (N = 1 and 2,
 exponentially convergent on the periodic integrand) and by seeded Monte Carlo
-(N = 2, 3). Both assemble the integrand
-in ``_integrand``: at Gamma = 2 it is e^(-beta U) with U a sum of
--log|theta1| terms, so the factors' log|theta1| join the Gaussian's exponent
-and each point takes one real exponential. The Monte Carlo takes log|theta1|
-at every sample; the lattice rule tabulates it once per grid at the
-centre-of-mass sums and pair differences of grid indices, which the grid
-points share. The Monte Carlo splits each batch of draws into even row
-blocks, as many for each CPU the process may run on, and runs them on threads
-(numpy releases the GIL inside the integrand's ufunc loops). Each block draws
-its own rows from the seeded stream into its slice of the batch's coordinates
-and fills its slice of the values; the sums run over the whole batch, so the
-estimate does not depend on the thread count.
+(N = 2, 3). Both assemble the integrand in ``_integrand``: at Gamma = 2 it
+is e^(-beta U) with U a sum of -log|theta1| terms, so the factors' log|theta1|
+join the Gaussian's exponent and each point takes one real exponential. Each
+factor's argument is built as its real and imaginary parts and handed to
+log|theta1| as such (``_log_abs_factor``), with the bits of the complex build
+and no complex array. The Monte Carlo takes log|theta1| at every sample; the
+lattice rule tabulates it once per grid at the centre-of-mass sums and pair
+differences of grid indices, which the grid points share. The Monte Carlo
+splits each batch of draws into even row blocks of at most ``_MC_ROWS`` =
+25,000, as many for each CPU the process may run on (a batch of 1e5 rows is
+4 blocks on 1 or 2 CPUs), and runs them on threads (numpy releases the GIL
+inside the integrand's ufunc loops). Each block draws its own rows from the
+seeded stream into its slice of the batch's coordinates and fills its slice
+of the values; the sums run over the whole batch, so the estimate does not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import DimensionMismatch, PrecisionUnreachable, QuadratureNonConver
 from .errors import _check_count, _check_real
 from .electrostatics import _log_prefactor
 from .geometry import TorusGeometry
-from .theta import Nome, _log_abs_theta1, _q2_product, eta_q, f_N
+from .theta import Nome, _log_abs_theta1_parts, _q2_product, eta_q, f_N
 
 
 @dataclass(frozen=True)
@@ -195,13 +198,19 @@ def partition_integral_closed(N: int, geom: TorusGeometry) -> float:
 
 def _integrand(gaussian, logs) -> np.ndarray:
     """e^(2 exponent), the exponent the Gaussian plus every log|theta1| in
-    ``logs``, one array per factor: each point takes one real exponential.
-    log|theta1| is finite, -inf at a zero or nan at a nan coordinate, so a
-    value that overflows comes from finite coordinates and raises
-    PrecisionUnreachable, while a nan coordinate gives nan.
+    ``logs``, one array per factor, added in place in their order: each point
+    takes one real exponential. log|theta1| is finite, -inf at a zero or nan
+    at a nan coordinate, so a value that overflows comes from finite
+    coordinates and raises PrecisionUnreachable, while a nan coordinate gives
+    nan.
     """
+    logs = iter(logs)
+    exponent = gaussian + next(logs)
+    for log in logs:
+        exponent += log
+    exponent *= 2.0
     with np.errstate(over="ignore"):
-        vals = np.exp(2.0 * sum(logs, gaussian))
+        vals = np.exp(exponent, out=exponent if np.ndim(exponent) else None)
     if np.isinf(vals).any():
         raise PrecisionUnreachable("the integrand of finite coordinates leaves double range")
     return vals
@@ -210,10 +219,22 @@ def _integrand(gaussian, logs) -> np.ndarray:
 def _column_sum(terms: np.ndarray) -> np.ndarray:
     """terms summed over the last axis column by column, in order: on the
     Monte Carlo's (rows, 2 or 3) blocks that is ``np.sum(terms, axis=-1)``
-    bit for bit, without numpy's reduction over a short last axis. Past three
-    columns numpy may sum complex terms in another order. A call of its own,
-    so ``terms`` is freed before the theta factors run."""
+    bit for bit, without numpy's reduction over a short last axis; past
+    seven columns numpy may add real terms in another order. A call of its
+    own, so ``terms`` is freed before the theta factors run."""
     return sum((terms[..., j] for j in range(1, terms.shape[-1])), terms[..., 0])
+
+
+def _log_abs_factor(re, im, L: float, nome: Nome):
+    """log|theta1(pi (re + i im) / L)| from the parts re and im, of one
+    shape, stacked for ``_log_abs_theta1_parts``: each is taken as
+    (pi s) (1/L), the rounding of numpy's complex product and quotient by
+    the real pi and L at finite parts."""
+    parts = np.empty((2,) + np.shape(re))
+    np.multiply(re, math.pi, out=parts[0, ...])
+    np.multiply(im, math.pi, out=parts[1, ...])
+    parts *= 1.0 / L
+    return _log_abs_theta1_parts(parts, nome)
 
 
 def _integrand_batch(
@@ -229,11 +250,15 @@ def _integrand_batch(
     Coordinates outside the cell are wrapped into it first (x mod L, y mod W),
     so the integrand is periodic to the rounding of the coordinates
     themselves; in-cell input, every Monte Carlo draw, skips np.mod, which at
-    about 20 ns an element would cost as much as the theta factors. The
-    centre-of-mass and Gaussian sums run over columns (``_column_sum``). Each
-    factor enters as its log|theta1|, summed into one exponent by
-    ``_integrand``. ``nome`` is ``geom.nome_WL``, read by the caller where
-    given; with it, the call reads no ``TorusGeometry`` property.
+    about 20 ns an element would cost as much as the theta factors. No
+    complex z is formed: the centre of mass is (pi sum (x_j - L/2), pi sum
+    (W/2 - y_j)) / L with the sums over columns (``_column_sum``), a pair is
+    (pi (x_k - x_j), pi (y_k - y_j)) / L, each the parts of the complex build
+    above bit for bit at in-cell coordinates (``_log_abs_factor``), and each
+    factor's log|theta1| is added into the Gaussian's exponent by
+    ``_integrand``, centre of mass first. ``nome`` is ``geom.nome_WL``, read
+    by the caller where given; with it, the call reads no ``TorusGeometry``
+    property.
     """
     L, W = geom.L, geom.W
     if not (0.0 <= x.min() and x.max() < L and 0.0 <= y.min() and y.max() < W):
@@ -241,11 +266,11 @@ def _integrand_batch(
             x, y = np.mod(x, L), np.mod(y, W)
     N = x.shape[-1]
     nome = geom.nome_WL if nome is None else nome
-    z = x + 1j * y
-    com = math.pi * _column_sum(np.conj(z) - (L - 1j * W) / 2.0) / L
-    pairs = (math.pi * (z[..., k] - z[..., j]) / L for j, k in itertools.combinations(range(N), 2))
     gaussian = -math.pi * (N / (L * W)) * _column_sum((y - W / 2.0) ** 2)
-    return _integrand(gaussian, (_log_abs_theta1(u, nome) for u in itertools.chain([com], pairs)))
+    factors = itertools.chain(
+        [(_column_sum(x - L / 2.0), _column_sum(W / 2.0 - y))],
+        ((x[..., k] - x[..., j], y[..., k] - y[..., j]) for j, k in itertools.combinations(range(N), 2)))
+    return _integrand(gaussian, (_log_abs_factor(re, im, L, nome) for re, im in factors))
 
 
 # Points per N = 2 lattice-rule integrand call: small enough that theta's
@@ -253,9 +278,13 @@ def _integrand_batch(
 _LATTICE_BLOCK = 8192
 # Most rows in one Monte Carlo block. Its blocks run on threads, and each
 # ufunc call hands the GIL over once, so fewer and larger blocks overlap
-# better: 16 log|theta1| calls on two threads ran 1.40x faster than on one at
-# 8,192 points a call and 1.63x at 16,384 (W/L = 1, 2-CPU Xeon).
-_MC_ROWS = 16384
+# better, until a block's temporaries outgrow what the allocator keeps between
+# calls and each call pages its arrays in afresh. With log|theta1| summed from
+# real parts, the six plasma-mc configurations (1e5 samples each, best of 5,
+# 8 interleaved rounds, 2-CPU Xeon) took a median 112.9 ms in 8 blocks of
+# 12,500 rows (cap 16,384), 102.1 ms in 6 (cap 20,000) and 97.5 ms in 4 of
+# 25,000; in 2 of 50,000 they took 1.1-1.5x the time of 4, with 2.6x the page faults.
+_MC_ROWS = 25_000
 
 
 def _row_blocks(rows: int, workers: int) -> list[slice]:
@@ -331,14 +360,13 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     ix, iy = np.arange(nx), np.arange(ny)
     sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
     sx, sy = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
-    com = _log_abs_theta1(
-        math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L, nome)
+    com = _log_abs_factor(*np.meshgrid(sx - N * L / 2.0, N * W / 2.0 - sy, indexing="ij"), L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
     if N == 1:
         return float(np.sum(_integrand(gauss, [com])))
     dx, dy = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
-    pair = _log_abs_theta1(math.pi * (dx[:, None] * (L / nx) + 1j * (dy * (W / ny))) / L, nome)
+    pair = _log_abs_factor(*np.meshgrid(dx * (L / nx), dy * (W / ny), indexing="ij"), L, nome)
     # flat table indices: an (i_1, i_2) term plus a (k_1, k_2) term
     com_x = ((ix[:, None] + ix) * com.shape[1]).reshape(-1, 1, 1)
     pair_x = ((ix - ix[:, None] + nx - 1) * pair.shape[1]).reshape(-1, 1, 1)

@@ -38,17 +38,17 @@ of Jacobi's addition formula (DLMF 20.7(iii)),
 
     theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
 
-as real polynomials in sin(x)^2 and in cosh 2y, and an array-path call sums
-it at the reduced point (``_log_abs_real``): one real sine, cosh, sinh and
-log a point, no complex exponential or division, 0.56-0.62x the complex
-series' time at the Monte Carlo's 12,500-point blocks (W/L 0.02 to 5, on a
-2-core Xeon) and 2-4 us more a call below about 200 points. Every other
-call sums the complex series: complex nomes, the point kernel's calls of at
-most ``_POINT_MAX`` points, and real nomes past the cap, where e^(2|y|) or
-sinh(y)^2 would leave double range. Both routes start from the one
-reduction (``_reduce``) and take the multiplier's log-scale from
-``_multiplier``, so the coincidence test, the shift rounding and every
-refusal are shared.
+as real polynomials in sin(x)^2 and in sinh(y)^2, and an array-path call
+sums it in real arithmetic from the argument's real and imaginary parts,
+stacked on a first axis (``_log_abs_real``): no complex array is formed,
+the reduction (``_reduce_real``) gives ``_reduce``'s bits, and a point takes
+one real tan, sinh and log, no sine, no complex exponential or division.
+Every other call sums the complex series: complex nomes, the point kernel's
+calls of at most ``_POINT_MAX`` points, and real nomes past the cap, where
+e^(2|y|) or sinh(y)^2 would leave double range. Both routes take the
+multiplier's log-scale from ``_multiplier`` and test coincidence on the same
+reduced point, before any refusal. ``_log_abs_theta1_parts`` takes the parts
+themselves, so the plasma integrand never forms its complex arguments.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -194,6 +194,44 @@ def _reduce(u, tau):
     return u_red, m, n
 
 
+@functools.lru_cache(maxsize=64)
+def _periods(t: float) -> np.ndarray:
+    """The read-only column (pi, pi t) that ``_reduce_real`` divides by."""
+    periods = np.array([[math.pi], [math.pi * t]])
+    periods.flags.writeable = False
+    return periods
+
+
+def _reduce_real(parts, t: float):
+    """``_reduce`` of u = a + ib on the real nome tau = it, in real
+    arithmetic, from parts, the (2, points) array of a and b: (reduced, n),
+    reduced the real and imaginary parts of the reduced u, stacked alike, and
+    n the shift along pi*tau. Each step takes both parts at once. The parts
+    are ``_reduce``'s bit for bit, and nan where its are. m is rounded from a
+    itself: the complex route rounds it from a - (n pi) 0, which differs from
+    a in the sign of a zero or where n is not finite, and neither changes
+    a - m pi - (n pi) 0. numpy forms the complex shift n*pi*tau as
+    ((n pi) 0 - 0 t, (n pi) t + 0 0), so a nan or inf n makes the real part
+    nan and the imaginary shift is +0 at n = -0; both are kept. parts is not
+    written to."""
+    shift = parts / _periods(t)
+    np.rint(shift, out=shift)   # (m, n)
+    n = shift[1].copy()
+    shift *= math.pi
+    invalid = shift[1] * 0.0   # 0, or nan where n is not finite
+    shift[1] *= t
+    shift[1] += 0.0
+    reduced = parts - shift
+    reduced[0] -= invalid
+    return reduced, n
+
+
+def _real_route(tau: complex) -> bool:
+    """Whether log|theta1| at this tau may sum Jacobi's addition formula in
+    real arithmetic (``_log_abs_real``): a real nome, pi Im(tau) <= log DBL_MAX."""
+    return tau.real == 0 and math.pi * tau.imag <= _LOG_MAX
+
+
 def _shift_exponent(u_red, n, tau):
     """log of the quasi-periodicity multiplier q^(-n^2) e^(-2in u_red).
 
@@ -277,7 +315,7 @@ def _coefficients(nome: Nome) -> dict:
     if abs(odd[0]) < _TINY:
         horner[1] = prime0 = None
     real = None
-    if nome.tau.real == 0 and math.pi * t <= _LOG_MAX:
+    if _real_route(nome.tau):
         real = (summed, 1.0 / t, t**-0.5) if modular else (summed, t, 1.0)
     return {"horner": horner, "modular": t if modular else None, "prime0": prime0,
             "wide": 0.5 * math.pi * t > _LOG_MAX, "real": real}
@@ -298,19 +336,16 @@ def _kept(coeffs, lead: float, growth: float = 0.0) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _chebyshev_powers(degree: int) -> np.ndarray:
-    """M, read-only, with M[0, k, j] and M[1, k, j] the coefficients of w^j
-    in T_k(1 - 2w) and in T_k(w), k, j <= degree, T_k the Chebyshev
-    polynomials: T_0 = 1, T_1 = c and T_(k+1) = 2c T_k - T_(k-1)."""
-    m = np.zeros((2, degree + 2, degree + 2))
-    m[:, 0, 0] = 1.0
-    m[0, 1, :2] = 1.0, -2.0
-    m[1, 1, 1] = 1.0
+    """M, read-only, with M[k, j] the coefficient of w^j in T_k(1 - 2w),
+    k, j <= degree, T_k the Chebyshev polynomials: T_0 = 1, T_1 = c and
+    T_(k+1) = 2c T_k - T_(k-1)."""
+    m = np.zeros((degree + 2, degree + 2))
+    m[0, 0] = 1.0
+    m[1, :2] = 1.0, -2.0
     for k in range(1, degree):
-        m[:, k + 1] = -m[:, k - 1]
-        m[0, k + 1] += 2.0 * m[0, k]
-        m[0, k + 1, 1:] -= 4.0 * m[0, k, :-1]
-        m[1, k + 1, 1:] += 2.0 * m[1, k, :-1]
-    m = m[:, :degree + 1, :degree + 1].copy()
+        m[k + 1] = 2.0 * m[k] - m[k - 1]
+        m[k + 1, 1:] -= 4.0 * m[k, :-1]
+    m = m[:degree + 1, :degree + 1].copy()
     m.flags.writeable = False
     return m
 
@@ -321,18 +356,22 @@ def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
     coefficients, highest power first. P(x) = theta1(x) / sin(x) = c_0 +
     sum_k c_k (X^k + X^-k) (``_coefficients``' a_k of theta1) and theta4(x) =
     1 + sum_k (-1)^k q^(k^2) (X^k + X^-k), X = e^(2ix), are each the
-    Chebyshev sum c_0 + sum_k 2 c_k T_k(cos 2x); at x = iy, cos 2x = cosh 2y.
-    [:, 0] holds P and theta4 as polynomials in w = sin(x)^2 (cos 2x = 1 -
-    2w), times r / theta4(0), r the dual side's t^(-1/2) (1 directly), so
-    that the identity's sum of squares carries both; [:, 1] holds the same
-    two series as polynomials in cosh 2y.
+    Chebyshev sum c_0 + sum_k 2 c_k T_k(cos 2x), a polynomial in w = sin(x)^2
+    (cos 2x = 1 - 2w). [:, 0] holds P and theta4 in w, times r / theta4(0),
+    r the dual side's t^(-1/2) (1 directly), so that the identity's sum of
+    squares carries both; [:, 1] holds the same two series at x = iy, in the
+    other order, theta4(iy) and R(y) = P(iy), as polynomials in s = sinh(y)^2
+    = -sin(iy)^2, whose coefficients are those in w with the odd powers
+    negated: T_k(1 + 2s) has none of a sign other than its own, so the sum at
+    s >= 0 adds like terms. Then [:, 0] times [:, 1] is the identity's two
+    products, theta4(iy) P(x) and R(y) theta4(x), in its order.
 
     Each axis sums its Chebyshev terms to the last that is not below one ulp
     of its series' leading term (``_kept``): on the real axis |T_k| <= 1, and
     on the imaginary axis the strip |y| <= pi S/2 lets the k-th term grow by
     up to e^(pi S k), so that theta4's leading term there is 2 q e^(pi S) = 2.
-    Both stop well before ``_n_star``, and no power of cosh 2y that is kept
-    leaves double range. The shorter axis is padded with leading zeros."""
+    Both stop well before ``_n_star``, and no power of sinh(y)^2 that is
+    kept leaves double range. The shorter axis is padded with leading zeros."""
     odd = [c.real for c in summed[1][1]]
     tails = list(itertools.accumulate(reversed(odd)))[::-1]   # c_k = sum_{j>k} odd_j, k = 0..
     even = [1.0] + [0.5 * c.real for c in summed[4][1]]
@@ -340,12 +379,16 @@ def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
     on_real = max(_kept(tails, tails[0]), _kept(even, 1.0))
     on_imag = max(_kept(tails, tails[0], growth), _kept(even, 2.0, growth))
     degree = max(on_real, on_imag)
-    cheb = np.array([(ser + [0.0] * degree)[:degree + 1] for ser in (tails, even)])
-    cheb[:, 1:] *= 2.0
-    cheb = cheb * np.array([[[r / (1.0 + 2.0 * sum(even[1:]))]], [[1.0]]])   # (axis, series, k)
+    real, imag = ([(ser + [0.0] * degree)[:degree + 1] for ser in pair]
+                  for pair in ((tails, even), (even, tails)))
+    cheb = np.array([real, imag])   # (axis, series, k)
+    cheb[..., 1:] *= 2.0
+    cheb[0] *= r / (1.0 + 2.0 * sum(even[1:]))
     cheb[0, :, on_real + 1:] = 0.0
     cheb[1, :, on_imag + 1:] = 0.0
-    coeffs = (cheb @ _chebyshev_powers(degree)).transpose(2, 0, 1)[::-1, :, :, None]
+    coeffs = cheb @ _chebyshev_powers(degree)   # (axis, series, power of w)
+    coeffs[1, :, 1::2] *= -1.0   # w = -s on the imaginary axis
+    coeffs = coeffs.transpose(2, 0, 1)[::-1, :, :, None]
     coeffs.flags.writeable = False
     return coeffs
 
@@ -406,17 +449,22 @@ def _quiet():
     return np.errstate(invalid="ignore", over="ignore", divide="ignore")
 
 
-def _multiplier(u, n, tau: complex, t):
-    """The quasi-periodicity multiplier of ``_split`` at the reduced u and the
-    shift n, t = ``terms["modular"]``, as (scale, phase) with phase a function;
-    the same arithmetic on numpy arrays and on Python floats."""
+def _multiplier(a, b, n, tau: complex, t):
+    """The quasi-periodicity multiplier of ``_split`` at the reduced u = a + ib
+    and the shift n, t = ``terms["modular"]``, as (scale, phase) with phase a
+    function; the same arithmetic on numpy arrays and on Python floats."""
     if t is None:
         two_n = 2 * n
         c = -math.pi * tau.real   # a zero c is c * n * n for every finite n
-        return (math.pi * tau.imag * n * n + two_n * u.imag,
-                lambda: (c if c == 0 else c * n * n) - two_n * u.real)
-    a, b = u.real, u.imag + math.pi * t * n
-    return (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
+        scale = math.pi * tau.imag * n   # in place from here: pi Im(tau) n^2 + 2n b
+        scale *= n
+        scale += two_n * b
+        return scale, lambda: (c if c == 0 else c * n * n) - two_n * a
+    b = b + math.pi * t * n
+    scale = b - a   # in place from here: (b - a)(b + a) / (pi t)
+    scale *= b + a
+    scale /= math.pi * t
+    return scale, lambda: -2.0 * (a * b / (math.pi * t))
 
 
 def _frame(kind: int, u, t):
@@ -459,7 +507,7 @@ def _split(kind: int, reduced, nome: Nome, terms: dict):
     series = _horner(*horner, *_frame(kind, u, t))
     if t is None and not n.any():
         return series, 0.0, None
-    return (series, *_multiplier(u, n, nome.tau, t))
+    return (series, *_multiplier(u.real, u.imag, n, nome.tau, t))
 
 
 def _point_reduce(z: complex, tau: complex):
@@ -492,7 +540,8 @@ def _point_kernel(kind: int, reduced, nome: Nome, combine):
             series = _point_horner(const, coeffs, *_frame(kind, u, t))
             if kind != 3 and (m + n if kind == 1 else n) % 2:
                 series = -series
-            scale, phase = (0.0, None) if t is None and not n else _multiplier(u, n, nome.tau, t)
+            scale, phase = ((0.0, None) if t is None and not n
+                            else _multiplier(u.real, u.imag, n, nome.tau, t))
             values.append(combine(series, scale, phase))
     except (ArithmeticError, ValueError):
         return None
@@ -536,71 +585,102 @@ def _log_abs(series, scale, *_):
     return scale + np.log(np.abs(series))
 
 
-def _log_abs_real(reduced, nome: Nome, terms: dict):
-    """log|theta1| at the array path's reduction ``reduced`` = (u, m, n) on a
-    real nome whose ``terms["real"]`` is set, in real arithmetic: ``_split``'s
-    multiplier scale plus log|theta1(v | iS)| at the point v = x + iy where
-    ``_split`` sums the series, v = u directly and v = iu/t on the dual side.
-    Jacobi's addition formula (DLMF 20.7(iii); Whittaker & Watson 21.22)
-    gives, on a real nome,
+def _sine_squared(x, out, scratch):
+    """sin(x)^2 into ``out`` as tan(x)^2 / (1 + tan(x)^2), for the reduced
+    |x| <= pi/2; ``scratch``, of x's shape, is overwritten. np.tan costs
+    about a fifth of np.sin a point (1.8 against 10.0 ns, 2-core Xeon)."""
+    np.tan(x, out=out)
+    out *= out
+    np.add(out, 1.0, out=scratch)
+    out /= scratch
+
+
+def _log_abs_real(parts, nome: Nome, tested=None):
+    """log|theta1(a + ib)| on a real nome for which ``_real_route`` holds, in
+    real arithmetic from parts = (a, b) stacked on a first axis, of any
+    shape after it: or None when a ``tested`` point (``_theta``) lies within
+    ``_COINCIDENT`` of the lattice. ``_reduce_real`` reduces the point once,
+    bit for bit as ``_reduce``, for the coincidence test and the sum; the
+    value is ``_split``'s multiplier scale plus log|theta1(v | iS)| at the
+    point v = x + iy where ``_split`` sums the series, v = u directly and
+    v = iu/t on the dual side. Jacobi's addition formula (DLMF 20.7(iii);
+    Whittaker & Watson 21.22) gives, on a real nome,
 
         theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
 
     two non-negative terms: nothing cancels next to the zero at v = 0, and
     every factor is even or odd in x and in y. One Horner recurrence sums
-    P(x) = theta1(x) / sin(x) and theta4(x) in sin(x)^2 beside R(y) =
-    |theta1(iy)| / |sinh y| and theta4(iy) in cosh 2y (``_identity_terms``),
-    from one real sine, cosh and sinh a point. Below pi S = log DBL_MAX every
-    square stays in double range, and next to v = 0, where the squares
-    underflow, the sum is taken with the larger of |sin x| and |sinh y|
-    factored out. On the dual side u, the call's own, is overwritten."""
-    coeffs = terms.get("identity")
-    if coeffs is None:
-        coeffs = terms["identity"] = _identity_terms(*terms["real"])
-    t = terms["modular"]
-    u, _, n = reduced
-    # The scale first, while few arrays are alive: every array here is as
-    # large as the call, and pages a call touches afresh cost more than the
-    # arithmetic.
-    scale = None if t is None and not n.any() else _multiplier(u, n, nome.tau, t)[0]
-    a, b = u.real.reshape(-1), u.imag.reshape(-1)   # one point axis for the coefficients
-    if t is not None:   # v = (-b + ia)/t up to sign
-        a *= 1.0 / t
-        b *= 1.0 / t
-    x, y = (a, b) if t is None else (b, a)
-    odd = np.empty((2,) + x.shape)   # sinh y, sin x
-    np.sin(x, out=odd[1])
-    powers = np.empty((2, 1) + x.shape)   # sin(x)^2, cosh 2y
-    np.multiply(odd[1], odd[1], out=powers[0, 0])
-    np.multiply(y, 2.0, out=powers[1, 0])
-    np.cosh(powers[1, 0], out=powers[1, 0])
-    acc = coeffs[0] * powers   # one Horner recurrence for both axes' two series
-    for c in coeffs[1:-1]:
-        acc += c
-        acc *= powers
-    acc += coeffs[-1]
-    del powers
-    factors = acc[1]
-    factors *= acc[0, ::-1]   # R(y) theta4(x), theta4(iy) P(x)
-    np.sinh(y, out=odd[0])
-    squares = factors * odd
-    squares *= squares
-    total = squares[0] + squares[1]
-    del squares
-    near_zero = not total.min() >= _SQUARES_TINY   # also when a nan makes the min nan
-    if near_zero:
-        low = total < _SQUARES_TINY
-    np.log(total, out=total)
-    total *= 0.5
-    if near_zero and low.any():   # 0 at v = 0 only, where the log is -inf
-        odd = np.abs(odd[:, low])
-        big = odd.max(axis=0)
-        odd = np.divide(odd, big, out=np.zeros_like(odd), where=big > 0)
-        total[low] = np.log(big) + np.log(np.hypot(*(factors[:, low] * odd)))
-    total = total.reshape(u.shape)
-    if scale is not None:
-        total += scale
-    return total
+    P(x) = theta1(x) / sin(x) and theta4(x) in w = sin(x)^2 beside R(y) =
+    |theta1(iy)| / |sinh y| and theta4(iy) in s = sinh(y)^2
+    (``_identity_terms``), and the two squares are (theta4(iy) P(x))^2 w and
+    (R(y) theta4(x))^2 s: one tan (``_sine_squared``), sinh and log a point,
+    no sine. Below pi S = log DBL_MAX every square stays in double range,
+    and next to v = 0, where the squares underflow, the sum is taken with the
+    larger of |sin x| and |sinh y| factored out, from np.sin and np.sinh at
+    those points only. A nan part gives nan. The nome's refusals come after
+    the coincidence test, as on the complex route."""
+    shape = parts.shape[1:]
+    with _quiet():
+        reduced, n = _reduce_real(parts.reshape(2, -1), nome.tau.imag)
+        if tested is not None:
+            u = reduced.reshape(parts.shape)
+            if (np.hypot(*(u if tested is True else u[..., tested])) < _COINCIDENT).any():
+                return None
+        terms = _coefficients(nome)
+        coeffs = terms.get("identity")
+        if coeffs is None:
+            coeffs = terms["identity"] = _identity_terms(*terms["real"])
+        t = terms["modular"]
+        # The scale first, while few arrays are alive: every array here is as
+        # large as the call, and pages a call touches afresh cost more than the
+        # arithmetic.
+        scale = None if t is None and not np.count_nonzero(n) else _multiplier(
+            reduced[0], reduced[1], n, nome.tau, t)[0]
+        if t is not None:   # v = (-b + ia)/t up to sign
+            reduced *= 1.0 / t
+        x, y = (reduced[0], reduced[1]) if t is None else (reduced[1], reduced[0])
+        powers = np.empty((2, 1) + x.shape)   # w = sin(x)^2, s = sinh(y)^2
+        w, s = powers[0, 0], powers[1, 0]
+        _sine_squared(x, w, s)
+        np.sinh(y, out=s)
+        s *= s
+        acc = coeffs[0] * powers   # one Horner recurrence for both axes' two series
+        for k in coeffs[1:-1]:
+            acc += k
+            acc *= powers
+        acc += coeffs[-1]
+        factors = acc[0]
+        factors *= acc[1]   # theta4(iy) P(x), R(y) theta4(x)
+        squares = np.multiply(factors, factors, out=acc[1])
+        squares *= powers[:, 0]
+        total = squares[0] + squares[1]
+        del powers, w, s, squares
+        low = total < _SQUARES_TINY   # underflowed; 0 at v = 0 only, where the log is -inf
+        np.log(total, out=total)
+        total *= 0.5
+        if np.count_nonzero(low):
+            odd = np.abs([np.sin(x[low]), np.sinh(y[low])])
+            big = odd.max(axis=0)
+            odd = np.divide(odd, big, out=np.zeros_like(odd), where=big > 0)
+            total[low] = np.log(big) + np.log(np.hypot(*(factors[:, low] * odd)))
+        if scale is not None:
+            total += scale
+        return total.reshape(shape)
+
+
+def _log_abs_theta1_parts(parts, nome: Nome):
+    """log|theta1(a + ib; q)| from parts = (a, b), the real and imaginary
+    parts stacked on a first axis: the plasma integrand's entry, which
+    builds no complex argument. A call of more than ``_POINT_MAX`` points on
+    a nome of the real route runs ``_log_abs_real`` on the parts; any other
+    call, that of a complex nome, of a real nome past the route's reach or of
+    at most ``_POINT_MAX`` points, runs ``_theta`` on the complex argument the
+    parts make, so every value, refusal and nan is that of ``log_abs_theta1``."""
+    if parts[0].size > _POINT_MAX and _real_route(nome.tau):
+        return _log_abs_real(parts, nome)
+    z = np.empty(parts.shape[1:], dtype=complex)
+    z.real, z.imag = parts
+    return _theta(1, z, nome, _LOG_ABS)
 
 
 # An output form of ``_theta``: ``point`` combines one point's signed (series,
@@ -614,8 +694,10 @@ _LOG_ABS = _Form(_point_log_abs, _log_abs, float)
 def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
     """theta_kind(z; q), kind 1, 3 or 4, in the output ``form``: the one
     dispatcher of the series. A call of at most ``_POINT_MAX`` points runs
-    ``_point_kernel`` with ``form.point`` unless it declines; else ``_reduce``
-    and ``_split`` run under ``_quiet()`` and ``form.finish`` makes the arrays.
+    ``_point_kernel`` with ``form.point`` unless it declines; else log|theta1|
+    on a nome of the real route runs ``_log_abs_real`` on z's real and
+    imaginary parts, and every other call runs ``_reduce`` and ``_split``
+    under ``_quiet()``, and ``form.finish`` makes the arrays.
     A 0-d z gives Python scalars. With ``tested`` (True for every point, or a
     boolean mask over z's last axis) the call gives None when a tested point's
     reduced argument lies within ``_COINCIDENT`` of pi*Z + pi*tau*Z, read off
@@ -636,17 +718,20 @@ def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
     if values is not None:
         return np.array(values, dtype=form.cast).reshape(z.shape) if z.ndim else values[0]
     z1 = np.atleast_1d(z)   # the array path takes a 0-d z as one point
-    with _quiet():
-        reduced = _reduce(z1, nome.tau)
-        if tested is not None:
-            u = reduced[0] if tested is True else reduced[0][..., tested]
-            if (np.abs(u) < _COINCIDENT).any():
-                return None
-        terms = _coefficients(nome)
-        if form is _LOG_ABS and terms["real"] is not None:
-            out = _log_abs_real(reduced, nome, terms)
-        else:
-            out = form.finish(*_split(kind, reduced, nome, terms), kind, reduced, z1)
+    if form is _LOG_ABS and _real_route(nome.tau):
+        # (Re z, Im z) stacked on a first axis, a view of z1 where it is contiguous
+        parts = np.ascontiguousarray(z1).view(np.float64).reshape(-1, 2).T
+        out = _log_abs_real(parts.reshape((2,) + z1.shape), nome, tested)
+        if out is None:
+            return None
+    else:
+        with _quiet():
+            reduced = _reduce(z1, nome.tau)
+            if tested is not None:
+                u = reduced[0] if tested is True else reduced[0][..., tested]
+                if (np.abs(u) < _COINCIDENT).any():
+                    return None
+            out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
     return out if z.ndim else form.cast(out[0])
 
 
@@ -675,8 +760,9 @@ def _log_abs_theta1(z, nome: Nome):
     name: perfbench's tracer rebinds the public one and keeps one span stack,
     which threads would interleave. On a real nome up to W/L = 225.9 an
     array call of more than ``_POINT_MAX`` points sums Jacobi's addition
-    formula in real arithmetic (``_log_abs_real``), the Monte Carlo's and the
-    lattice rule's calls among them; others sum the complex series."""
+    formula in real arithmetic from z's real and imaginary parts
+    (``_log_abs_real``), as the Monte Carlo's and the lattice rule's calls do
+    through ``_log_abs_theta1_parts``; others sum the complex series."""
     return _theta(1, z, nome, _LOG_ABS)
 
 

@@ -27,7 +27,7 @@ from torusgas.plasma import (
     _integrand_batch,
 )
 from torusgas.selftest import check_partition_integrals
-from torusgas.theta import Nome, _log_abs_theta1, _reduce, eta_q, log_abs_theta1
+from torusgas.theta import Nome, _log_abs_theta1, _reduce_real, eta_q, log_abs_theta1
 
 
 class TestClosedFormChain:
@@ -95,7 +95,7 @@ class TestCellsOutOfDoubleRange:
         def no_numerics(*args):
             raise AssertionError("numerics ran")
 
-        monkeypatch.setattr(plasma, "_log_abs_theta1", no_numerics)
+        monkeypatch.setattr(plasma, "_log_abs_theta1_parts", no_numerics)
         call = {"lattice": verify_partition_lattice,
                 "mc": lambda g: verify_partition_mc(g, 100_000, 1)}[route]
         with pytest.raises(ParameterOutOfRange, match="L\\*W"):
@@ -184,10 +184,10 @@ class TestQuadrature:
     def test_three_or_more_particles_refused_before_any_grid(self, N, monkeypatch):
         """The rule closes for N = 1 and 2 only: N >= 3 is refused before
         any log|theta1| table is built."""
-        def refuse(z, nome):
+        def refuse(parts, nome):
             raise AssertionError("a log|theta1| table built for N >= 3")
 
-        monkeypatch.setattr(plasma, "_log_abs_theta1", refuse)
+        monkeypatch.setattr(plasma, "_log_abs_theta1_parts", refuse)
         with pytest.raises(QuadratureNonConvergence):
             verify_partition_lattice(TorusGeometry(1.0, 1.0, N))
 
@@ -196,10 +196,10 @@ class TestQuadrature:
         y, so the rule converges only algebraically and reaches its point cap;
         the criterion fails with it. Every log|theta1| table is taken at
         tau' = -1/tau = iL/W in place of iW/L."""
-        log_abs = plasma._log_abs_theta1
+        log_abs = plasma._log_abs_theta1_parts
         monkeypatch.setattr(
-            plasma, "_log_abs_theta1", lambda z, nome: log_abs(z, Nome.from_tau(-1.0 / nome.tau))
-        )
+            plasma, "_log_abs_theta1_parts",
+            lambda parts, nome: log_abs(parts, Nome.from_tau(-1.0 / nome.tau)))
         with pytest.raises(QuadratureNonConvergence):
             verify_partition_lattice(TorusGeometry(2.0, 1.0, 1))
         with pytest.raises(QuadratureNonConvergence):
@@ -225,14 +225,16 @@ class TestQuadrature:
         geom = TorusGeometry(1.0, WL, 2)
         grid = _grid(16, WL)
         reference = _per_point_sum(geom, *grid)
-        log_abs, calls = plasma._log_abs_theta1, itertools.count()
+        log_abs, calls = plasma._log_abs_theta1_parts, itertools.count()
 
-        def dropped(z, nome):   # two tables per N = 2 grid, the centre of mass first
+        def dropped(parts, nome):   # two tables per N = 2 grid, the centre of mass first
             if next(calls) % 2 == 0:
-                z = z - (geom.N / 2) * ((z[1, 0] - z[0, 0]) + (z[0, 1] - z[0, 0]))
-            return log_abs(z, nome)
+                re, im = parts
+                parts = np.stack([re - (geom.N / 2) * (re[1, 0] - re[0, 0]),
+                                  im - (geom.N / 2) * (im[0, 1] - im[0, 0])])
+            return log_abs(parts, nome)
 
-        monkeypatch.setattr(plasma, "_log_abs_theta1", dropped)
+        monkeypatch.setattr(plasma, "_log_abs_theta1_parts", dropped)
         assert abs(plasma._lattice_sum(geom, *grid) - reference) > 1e-6 * reference
 
     def test_integrand_positive(self):
@@ -304,6 +306,70 @@ class TestQuadrature:
         assert n2.rel_deviation < QUAD_MAX_REL
 
 
+class TestFactorParts:
+    """The integrand and the lattice rule hand log|theta1| the real and
+    imaginary parts of each factor's argument, not a complex array; the parts
+    must be those of the complex build, bit for bit."""
+
+    @staticmethod
+    def _recorded(monkeypatch, run):
+        seen, real = [], plasma._log_abs_theta1_parts
+
+        def recording(parts, nome):
+            seen.append(parts.copy())
+            return real(parts, nome)
+
+        monkeypatch.setattr(plasma, "_log_abs_theta1_parts", recording)
+        run()
+        return seen
+
+    @staticmethod
+    def _same_bits(parts, z):
+        return all(np.array_equal(np.ascontiguousarray(p).view(np.uint64),
+                                  np.ascontiguousarray(q).view(np.uint64))
+                   for p, q in zip(parts, (z.real, z.imag)))
+
+    @pytest.mark.parametrize("rows", [None, 1, 4096])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("WL", [0.05, 0.5, 2.0])
+    def test_integrand_parts_are_the_complex_build(self, WL, N, rows, monkeypatch):
+        """The centre of mass pi sum (conj(z_j) - (L - iW)/2) / L and then the
+        pairs pi (z_k - z_j) / L in (j, k) order, at in-cell coordinates on a
+        cell whose 1/L is inexact, for one configuration and for blocks."""
+        g = TorusGeometry(1.3, 1.3 * WL, N)
+        r = np.random.default_rng(45 + N)
+        shape = (N,) if rows is None else (rows, N)
+        x, y = r.uniform(0.0, g.L, shape), r.uniform(0.0, g.W, shape)
+        seen = self._recorded(monkeypatch, lambda: _integrand_batch(x, y, g))
+        z = x + 1j * y
+        com = math.pi * np.sum(np.conj(z) - (g.L - 1j * g.W) / 2.0, axis=-1) / g.L
+        pairs = [math.pi * (z[..., k] - z[..., j]) / g.L
+                 for j, k in itertools.combinations(range(N), 2)]
+        assert len(seen) == 1 + len(pairs)
+        for parts, u in zip(seen, [com] + pairs):
+            assert self._same_bits(parts, u)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("WL", [0.5, 2.0])
+    def test_lattice_tables_are_the_complex_build(self, WL, N, monkeypatch):
+        """The centre-of-mass table pi (conj(sum x + i sum y) - N (L - iW)/2)
+        / L at the grid's index sums and, at N = 2, the pair table pi (dx + i
+        dy) / L at its index differences."""
+        g = TorusGeometry(1.3, 1.3 * WL, N)
+        nx, ny = _grid(4, WL)
+        seen = self._recorded(monkeypatch, lambda: plasma._lattice_sum(g, nx, ny))
+        L, W = g.L, g.W
+        sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
+        sx, sy = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)
+        tables = [math.pi * (np.conj(sx[:, None] + 1j * sy) - N * (L - 1j * W) / 2.0) / L]
+        if N == 2:
+            dx, dy = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
+            tables.append(math.pi * (dx[:, None] * (L / nx) + 1j * (dy * (W / ny))) / L)
+        assert len(seen) == len(tables)
+        for parts, u in zip(seen, tables):
+            assert self._same_bits(parts, u)
+
+
 class TestIntegrandPeriodicity:
     """The integrand is periodic in every coordinate: it wraps each one into
     the cell, and its theta factors enter as log|theta1|, quasi-periodicity
@@ -361,14 +427,14 @@ class TestIntegrandPeriodicity:
         the centre of mass (every particle moved by W/N). At W/L = 2 theta1 is
         summed directly, so log|theta1| at the reduced argument is the log of
         the series alone, without the scale."""
-        real, calls = plasma._log_abs_theta1, itertools.count()
+        real, calls = plasma._log_abs_theta1_parts, itertools.count()
 
-        def dropped(z, nome):   # the first of the 1 + N(N-1)/2 = 4 calls per integrand
+        def dropped(parts, nome):   # the first of the 1 + N(N-1)/2 = 4 calls per integrand
             if next(calls) % 4 == 0:
-                z = _reduce(z, nome.tau)[0]
-            return real(z, nome)
+                parts = _reduce_real(parts, nome.tau.imag)[0]
+            return real(parts, nome)
 
-        monkeypatch.setattr(plasma, "_log_abs_theta1", dropped)
+        monkeypatch.setattr(plasma, "_log_abs_theta1_parts", dropped)
         assert self._centre_of_mass_shift_gap(TorusGeometry(1.0, 2.0, 3)) > 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -537,7 +603,7 @@ class TestMonteCarloBlocks:
         assert max(sizes) - min(sizes) <= 1
         assert rows < workers or len(blocks) % workers == 0
         if (rows, workers) == (100_000, 2):
-            assert sizes == [12_500] * 8
+            assert sizes == [25_000] * 4
 
     @pytest.mark.parametrize("N, WL, samples",
                              [(2, 1.0, 123_457), (3, 0.5, 100_000), (3, 2.0, 100_001)])

@@ -30,6 +30,7 @@ from torusgas.theta import (
     _log_abs_theta1_apart,
     _n_star,
     _reduce,
+    _reduce_real,
     _shift_exponent,
     _split,
     _terms,
@@ -448,6 +449,21 @@ def _strip_points(wl: float, k: int = 100):
     return inside, inside + shift
 
 
+def _strip_log_error(wl: float) -> float:
+    """The largest error of log|theta1| relative to max(1, |value|) over the
+    two calls of ``_strip_points(wl)``, inside the strip and shifted out of
+    it, against 60-digit mpmath."""
+    nome = Nome.from_aspect(wl, 1.0)
+    worst = 0.0
+    with mp.workdps(60):
+        q = mp.exp(-mp.pi * mp.mpf(wl))
+        for pts in _strip_points(wl):
+            ref = np.array([float(mp.log(abs(mp.jtheta(1, mp.mpc(z.real, z.imag), q)))) for z in pts])
+            got = log_abs_theta1(pts, nome)
+            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0))))
+    return worst
+
+
 def _near_zero_log_error(wl: float) -> float:
     """The largest error of log|theta1| next to its zeros, relative to
     max(1, |value|), in one call of more than _POINT_MAX points at W/L = wl:
@@ -532,13 +548,9 @@ class TestSeriesKernel:
             for pts in _strip_points(wl):
                 zs = [mp.mpc(z.real, z.imag) for z in pts]
                 for kind, theta in KINDS:
-                    exact = [mp.jtheta(kind, z, q) for z in zs]
-                    ref = np.array([complex(v) for v in exact])
+                    ref = np.array([complex(mp.jtheta(kind, z, q)) for z in zs])
                     assert _rel(theta(pts, nome), ref) <= 1e-13, (kind, wl)
-                    if kind == 1:   # log|theta1| from the same 60-digit values
-                        log_ref = np.array([float(mp.log(abs(v))) for v in exact])
-                got = log_abs_theta1(pts, nome)
-                assert np.max(np.abs(got - log_ref) / np.maximum(np.abs(log_ref), 1.0)) <= 1e-13
+        assert _strip_log_error(wl) <= 1e-13, wl
         assert _near_zero_log_error(wl) <= 1e-13, wl
 
     @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
@@ -551,7 +563,7 @@ class TestSeriesKernel:
 
         def dropped(*args):
             coeffs = build(*args).copy()
-            coeffs[:, 1, 0] = 0.0   # R on the imaginary axis
+            coeffs[:, 1, 1] = 0.0   # R on the imaginary axis
             return coeffs
 
         monkeypatch.setattr(theta_module, "_identity_terms", dropped)
@@ -560,6 +572,18 @@ class TestSeriesKernel:
             assert _near_zero_log_error(wl) > 1e-13, wl
         finally:
             _coefficients.cache_clear()
+
+    @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
+    def test_control_without_the_tangent_normalisation(self, wl, monkeypatch):
+        """With sin(x)^2 taken as tan(x)^2, its 1/(1 + tan(x)^2) dropped,
+        the log|theta1| check of ``test_against_mpmath`` misses at every
+        aspect, on both frames."""
+        def unnormalised(x, out, scratch):
+            np.tan(x, out=out)
+            out *= out
+
+        monkeypatch.setattr(theta_module, "_sine_squared", unnormalised)
+        assert _strip_log_error(wl) > 1e-13, wl
 
     @pytest.mark.parametrize("wl", ASPECTS)
     def test_against_trig_sum(self, wl):
@@ -676,9 +700,9 @@ class TestSeriesKernel:
                     1.0, abs(r)), (call.__name__, g, r)
 
     def test_calls_are_picked_by_size(self, monkeypatch):
-        """A finite call of at most _POINT_MAX points never reaches the
-        reduction that both array routes share, ``_reduce``; one
-        of more does."""
+        """A finite call of at most _POINT_MAX points never reaches a
+        reduction of the array path, ``_reduce`` or, for log|theta1| on a
+        real nome, ``_reduce_real``; one of more does."""
         nome = Nome.from_aspect(0.7, 1.0)
         points = np.linspace(0.1, 1.3, _POINT_MAX + 1) + 0.4j
 
@@ -686,6 +710,7 @@ class TestSeriesKernel:
             raise AssertionError("array path")
 
         monkeypatch.setattr(theta_module, "_reduce", array_path)
+        monkeypatch.setattr(theta_module, "_reduce_real", array_path)
         for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart):
             call(complex(points[0]), nome)
             call(points[:_POINT_MAX], nome)
@@ -1077,3 +1102,50 @@ class TestReduceScalar:
             ref = _reduce(np.array([z]), tau)
             assert all(type(v) in (np.complex128, np.float64) for v in got)
             assert self._bits(*got) == self._bits(*(r[0] for r in ref))
+
+
+class TestReduceReal:
+    """log|theta1| on a real nome reduces its real and imaginary parts in real
+    arithmetic; the reduction must be the complex one's, bit for bit."""
+
+    @staticmethod
+    def _bits(v) -> np.ndarray:
+        return np.ascontiguousarray(v).view(np.uint64)
+
+    @classmethod
+    def _same(cls, got, ref) -> bool:
+        """got has ref's bits at every number and a nan at every nan: which
+        nan an operation returns (its sign and payload) is the processor's."""
+        nan = np.isnan(ref)
+        return (np.array_equal(np.isnan(got), nan)
+                and np.array_equal(cls._bits(got[~nan]), cls._bits(ref[~nan])))
+
+    @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
+    def test_matches_the_complex_reduction_bit_for_bit(self, wl):
+        """``_reduce_real`` gives ``_reduce``'s u.real and u.imag bit for bit
+        at tau = i W/L, on both frames (below W/L = 1 the series is summed at
+        the dual nome from the same reduction): inside the strip, shifted out
+        of it by up to 1e4 periods along pi and pi*tau, half-periods (ties of
+        the rounding), and every pairing of +-0, nan, +-inf and two finite
+        parts, a nan where the complex route gives one. The shift n is the
+        complex route's where that is finite; the parts it is given are not
+        written to."""
+        tau = 1j * wl
+        gen = np.random.default_rng(int(wl * 1e4) + 45)
+        inside, _ = _strip_points(wl)
+        k = len(inside)
+        far = inside + (gen.integers(-10**4, 10**4 + 1, k) * math.pi
+                        + gen.integers(-10**4, 10**4 + 1, k) * (math.pi * tau))
+        ties = [s * h * math.pi for s in (1, -1) for h in (0.5, 1.5)]
+        ties += [s * h * math.pi * tau for s in (1, -1) for h in (0.5, 1.5)]
+        special = (0.0, -0.0, math.nan, math.inf, -math.inf, 0.3, -2.0)
+        edges = [complex(r, i) for r in special for i in special]
+        zs = np.concatenate([inside, far, ties, edges])
+        parts = np.stack([zs.real, zs.imag])
+        with np.errstate(invalid="ignore"):
+            u, _, n = _reduce(zs, tau)
+            (a, b), got_n = _reduce_real(parts, wl)
+        assert self._same(a, u.real) and self._same(b, u.imag), wl
+        assert np.array_equal(got_n[np.isfinite(n)], n[np.isfinite(n)])
+        assert np.array_equal(self._bits(parts[0]), self._bits(zs.real))
+        assert np.array_equal(self._bits(parts[1]), self._bits(zs.imag))
