@@ -225,14 +225,12 @@ def _column_sum(terms: np.ndarray) -> np.ndarray:
     return sum((terms[..., j] for j in range(1, terms.shape[-1])), terms[..., 0])
 
 
-def _log_abs_factor(re, im, L: float, nome: Nome):
-    """log|theta1(pi (re + i im) / L)| from the parts re and im, of one
-    shape, stacked for ``_log_abs_theta1_parts``: each is taken as
-    (pi s) (1/L), the rounding of numpy's complex product and quotient by
-    the real pi and L at finite parts."""
-    parts = np.empty((2,) + np.shape(re))
-    np.multiply(re, math.pi, out=parts[0, ...])
-    np.multiply(im, math.pi, out=parts[1, ...])
+def _log_abs_factor(parts: np.ndarray, L: float, nome: Nome):
+    """log|theta1(pi (a + ib) / L)| from parts = (a, b) stacked on a first
+    axis, which it scales in place: each part is taken as (pi s) (1/L), the
+    rounding of numpy's complex product and quotient by the real pi and L at
+    finite parts."""
+    parts *= math.pi
     parts *= 1.0 / L
     return _log_abs_theta1_parts(parts, nome)
 
@@ -268,9 +266,10 @@ def _integrand_batch(
     nome = geom.nome_WL if nome is None else nome
     gaussian = -math.pi * (N / (L * W)) * _column_sum((y - W / 2.0) ** 2)
     factors = itertools.chain(
-        [(_column_sum(x - L / 2.0), _column_sum(W / 2.0 - y))],
-        ((x[..., k] - x[..., j], y[..., k] - y[..., j]) for j, k in itertools.combinations(range(N), 2)))
-    return _integrand(gaussian, (_log_abs_factor(re, im, L, nome) for re, im in factors))
+        [np.stack([_column_sum(x - L / 2.0), _column_sum(W / 2.0 - y)])],
+        (np.stack([x[..., k] - x[..., j], y[..., k] - y[..., j]])
+         for j, k in itertools.combinations(range(N), 2)))
+    return _integrand(gaussian, (_log_abs_factor(parts, L, nome) for parts in factors))
 
 
 # Points per N = 2 lattice-rule integrand call: small enough that theta's
@@ -360,13 +359,15 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     ix, iy = np.arange(nx), np.arange(ny)
     sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
     sx, sy = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
-    com = _log_abs_factor(*np.meshgrid(sx - N * L / 2.0, N * W / 2.0 - sy, indexing="ij"), L, nome)
+    com = _log_abs_factor(np.array(np.meshgrid(sx - N * L / 2.0, N * W / 2.0 - sy, indexing="ij")),
+                          L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
     if N == 1:
         return float(np.sum(_integrand(gauss, [com])))
     dx, dy = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
-    pair = _log_abs_factor(*np.meshgrid(dx * (L / nx), dy * (W / ny), indexing="ij"), L, nome)
+    pair = _log_abs_factor(np.array(np.meshgrid(dx * (L / nx), dy * (W / ny), indexing="ij")),
+                           L, nome)
     # flat table indices: an (i_1, i_2) term plus a (k_1, k_2) term
     com_x = ((ix[:, None] + ix) * com.shape[1]).reshape(-1, 1, 1)
     pair_x = ((ix - ix[:, None] + nx - 1) * pair.shape[1]).reshape(-1, 1, 1)

@@ -456,15 +456,10 @@ def _multiplier(a, b, n, tau: complex, t):
     if t is None:
         two_n = 2 * n
         c = -math.pi * tau.real   # a zero c is c * n * n for every finite n
-        scale = math.pi * tau.imag * n   # in place from here: pi Im(tau) n^2 + 2n b
-        scale *= n
-        scale += two_n * b
-        return scale, lambda: (c if c == 0 else c * n * n) - two_n * a
+        return (math.pi * tau.imag * n * n + two_n * b,
+                lambda: (c if c == 0 else c * n * n) - two_n * a)
     b = b + math.pi * t * n
-    scale = b - a   # in place from here: (b - a)(b + a) / (pi t)
-    scale *= b + a
-    scale /= math.pi * t
-    return scale, lambda: -2.0 * (a * b / (math.pi * t))
+    return (b - a) * (b + a) / (math.pi * t), lambda: -2.0 * (a * b / (math.pi * t))
 
 
 def _frame(kind: int, u, t):
@@ -619,9 +614,9 @@ def _log_abs_real(parts, nome: Nome, tested=None):
     larger of |sin x| and |sinh y| factored out, from np.sin and np.sinh at
     those points only. A nan part gives nan. The nome's refusals come after
     the coincidence test, as on the complex route."""
-    shape = parts.shape[1:]
+    shape, flat = parts.shape[1:], parts.reshape(2, -1)
     with _quiet():
-        reduced, n = _reduce_real(parts.reshape(2, -1), nome.tau.imag)
+        reduced, n = _reduce_real(flat, nome.tau.imag)
         if tested is not None:
             u = reduced.reshape(parts.shape)
             if (np.hypot(*(u if tested is True else u[..., tested])) < _COINCIDENT).any():
@@ -636,14 +631,21 @@ def _log_abs_real(parts, nome: Nome, tested=None):
         # arithmetic.
         scale = None if t is None and not np.count_nonzero(n) else _multiplier(
             reduced[0], reduced[1], n, nome.tau, t)[0]
-        if t is not None:   # v = (-b + ia)/t up to sign
+        del n
+
+        def frame(reduced):   # (x, y): v = u directly, v = (-b + ia)/t up to sign
+            if t is None:
+                return reduced[0], reduced[1]
             reduced *= 1.0 / t
-        x, y = (reduced[0], reduced[1]) if t is None else (reduced[1], reduced[0])
+            return reduced[1], reduced[0]
+
+        x, y = frame(reduced)
         powers = np.empty((2, 1) + x.shape)   # w = sin(x)^2, s = sinh(y)^2
         w, s = powers[0, 0], powers[1, 0]
         _sine_squared(x, w, s)
         np.sinh(y, out=s)
         s *= s
+        del reduced, x, y   # the points next to a zero are reduced again below
         acc = coeffs[0] * powers   # one Horner recurrence for both axes' two series
         for k in coeffs[1:-1]:
             acc += k
@@ -659,7 +661,8 @@ def _log_abs_real(parts, nome: Nome, tested=None):
         np.log(total, out=total)
         total *= 0.5
         if np.count_nonzero(low):
-            odd = np.abs([np.sin(x[low]), np.sinh(y[low])])
+            x, y = frame(_reduce_real(flat[:, low], nome.tau.imag)[0])
+            odd = np.abs([np.sin(x), np.sinh(y)])
             big = odd.max(axis=0)
             odd = np.divide(odd, big, out=np.zeros_like(odd), where=big > 0)
             total[low] = np.log(big) + np.log(np.hypot(*(factors[:, low] * odd)))
