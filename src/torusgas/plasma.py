@@ -359,15 +359,17 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     ix, iy = np.arange(nx), np.arange(ny)
     sums = np.arange(N * (nx - 1) + 1), np.arange(N * (ny - 1) + 1)
     sx, sy = (sums[0] + N / 2.0) * (L / nx), (sums[1] + N / 2.0) * (W / ny)   # sum x_j, sum y_j
-    com = _log_abs_factor(np.array(np.meshgrid(sx - N * L / 2.0, N * W / 2.0 - sy, indexing="ij")),
-                          L, nome)
+    com = np.empty((2, sx.size, sy.size))   # the parts on the (sum x, sum y) grid
+    com[0], com[1] = (sx - N * L / 2.0)[:, None], N * W / 2.0 - sy
+    com = _log_abs_factor(com, L, nome)
     y = (iy + 0.5) * (W / ny) - W / 2.0
     gauss = -math.pi * (N / geom.area) * (y * y)
     if N == 1:
         return float(np.sum(_integrand(gauss, [com])))
     dx, dy = np.arange(1 - nx, nx), np.arange(1 - ny, ny)
-    pair = _log_abs_factor(np.array(np.meshgrid(dx * (L / nx), dy * (W / ny), indexing="ij")),
-                           L, nome)
+    pair = np.empty((2, dx.size, dy.size))
+    pair[0], pair[1] = dx[:, None] * (L / nx), dy * (W / ny)
+    pair = _log_abs_factor(pair, L, nome)
     # flat table indices: an (i_1, i_2) term plus a (k_1, k_2) term
     com_x = ((ix[:, None] + ix) * com.shape[1]).reshape(-1, 1, 1)
     pair_x = ((ix - ix[:, None] + nx - 1) * pair.shape[1]).reshape(-1, 1, 1)
