@@ -278,11 +278,12 @@ _LATTICE_BLOCK = 8192
 # Most rows in one Monte Carlo block. Its blocks run on threads, and each
 # ufunc call hands the GIL over once, so fewer and larger blocks overlap
 # better, until a block's temporaries outgrow what the allocator keeps between
-# calls and each call pages its arrays in afresh. With log|theta1| summed from
-# real parts, the six plasma-mc configurations (1e5 samples each, best of 5,
-# 8 interleaved rounds, 2-CPU Xeon) took a median 112.9 ms in 8 blocks of
-# 12,500 rows (cap 16,384), 102.1 ms in 6 (cap 20,000) and 97.5 ms in 4 of
-# 25,000; in 2 of 50,000 they took 1.1-1.5x the time of 4, with 2.6x the page faults.
+# calls and each call pages its arrays in afresh. The six plasma-mc
+# configurations (1e5 samples each, 14 interleaved rounds in one process,
+# 2-CPU Xeon) took a median 125.4 ms in 8 blocks of 12,500 rows (cap 16,384),
+# 113.9 ms in 6 (cap 20,000) and 108.4 ms in 4 of 25,000 (cap 25,000 or
+# 34,000); 2 blocks of 50,000 took 1.1-1.5x the time of 4, with 2.6x the page
+# faults.
 _MC_ROWS = 25_000
 
 

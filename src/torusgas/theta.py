@@ -362,9 +362,9 @@ def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
     squares carries both; [:, 1] holds the same two series at x = iy, in the
     other order, theta4(iy) and R(y) = P(iy), as polynomials in s = sinh(y)^2
     = -sin(iy)^2, whose coefficients are those in w with the odd powers
-    negated: T_k(1 + 2s) has none of a sign other than its own, so the sum at
-    s >= 0 adds like terms. Then [:, 0] times [:, 1] is the identity's two
-    products, theta4(iy) P(x) and R(y) theta4(x), in its order.
+    negated: T_k(1 + 2s) has no negative coefficient in s, so no Chebyshev
+    term cancels within itself at s >= 0. Then [:, 0] times [:, 1] is the
+    identity's two products, theta4(iy) P(x) and R(y) theta4(x), in its order.
 
     Each axis sums its Chebyshev terms to the last that is not below one ulp
     of its series' leading term (``_kept``): on the real axis |T_k| <= 1, and
@@ -583,7 +583,8 @@ def _log_abs(series, scale, *_):
 def _sine_squared(x, out, scratch):
     """sin(x)^2 into ``out`` as tan(x)^2 / (1 + tan(x)^2), for the reduced
     |x| <= pi/2; ``scratch``, of x's shape, is overwritten. np.tan costs
-    about a fifth of np.sin a point (1.8 against 10.0 ns, 2-core Xeon)."""
+    about a fifth of np.sin a point (1.9 against 10.7 ns at 12,500 points,
+    2-core Xeon)."""
     np.tan(x, out=out)
     out *= out
     np.add(out, 1.0, out=scratch)
