@@ -33,9 +33,11 @@ even pairs and the change first in odd ones:
     at the workload's six (N, W/L) pairs and sample count; it returns the
     seed-1 estimate's bits. Per W/L in ASPECTS, ``theta1`` in ns per point on
     BLOCK points (the lattice rule's block) and on BIG points, and
-    ``log_abs_theta1``, the call the Monte Carlo's integrand makes, in ns per
-    point on MC_BLOCK points (the row block of 1e5 rows in 8 blocks, kept so
-    that records stay comparable) and on MC_ROWS points (its row block since
+    ``theta._log_abs_theta1_parts`` on stacked real and imaginary parts, the
+    call the Monte Carlo's integrand makes (the public ``log_abs_theta1``
+    does not reach its real-arithmetic kernel), in ns per point on MC_BLOCK
+    points (the row block of 1e5 rows in 8 blocks, kept so that records stay
+    comparable) and on MC_ROWS points (its row block since
     ``plasma._MC_ROWS`` = 25,000: 1e5 rows in 4 blocks on 1 or 2 CPUs).
 
   A θ or ``mode_logdet`` time is the best of REPEATS loops of about LOOP_S
@@ -269,7 +271,7 @@ def _scan() -> dict:
 def _plasma() -> dict:
     from torusgas.geometry import TorusGeometry
     from torusgas.plasma import verify_partition_mc
-    from torusgas.theta import Nome, log_abs_theta1, theta1
+    from torusgas.theta import Nome, _log_abs_theta1_parts, theta1
     from workloads import MC_CONFIGS, MC_SAMPLES
 
     layers, estimates = {}, {}
@@ -292,9 +294,11 @@ def _plasma() -> dict:
     rng = np.random.default_rng(5)
     for wl in ASPECTS:
         nome = Nome.from_aspect(wl, 1.0)
-        for fn, n in ((theta1, BLOCK), (theta1, BIG), (log_abs_theta1, MC_BLOCK),
-                      (log_abs_theta1, MC_ROWS)):
+        for fn, n in ((theta1, BLOCK), (theta1, BIG), (_log_abs_theta1_parts, MC_BLOCK),
+                      (_log_abs_theta1_parts, MC_ROWS)):
             pts = _cell(rng, wl, n)
+            if fn is _log_abs_theta1_parts:
+                pts = np.array([pts.real, pts.imag])
             layers[f"theta.{fn.__name__}_{n}pt_ns_per_point@W/L={wl}"] = (
                 _best(lambda: fn(pts, nome)) / n * 1e9)
     return {"layers": layers, "estimates": estimates}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, PrecisionUnreachable, _check_far, _check_finite, _check_real
 from .geometry import ParticleConfig, TorusGeometry, _config_count, _pairs
-from .theta import _log_abs_theta1, _log_abs_theta1_apart, theta1_prime0
+from .theta import _log_abs_theta1_apart, log_abs_theta1, theta1_prime0
 
 
 def _pair_log_theta(d, geom: TorusGeometry, coincident="z - z' lies on the period lattice"):
@@ -117,7 +117,7 @@ def nbody_weight(config: ParticleConfig, geom: TorusGeometry) -> float:
     """
     s = (np.conj(config.zs) - (geom.L - 1j * geom.W) / 2.0).sum()
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = float(np.exp(2.0 * _log_abs_theta1(math.pi * s / geom.L, geom.nome_WL)))
+        weight = float(np.exp(2.0 * log_abs_theta1(math.pi * s / geom.L, geom.nome_WL)))
     return _check_finite(weight, "center-of-mass weight |theta1|^2")
 
 

@@ -31,24 +31,25 @@ too: it reads the reduction the series is summed at, on either path, before
 any refusal of theta. The ``geometry-scan`` theta sweep of ``benchmarks/ab.py``
 times calls of 1 to 32 points on both paths.
 
-log|theta1| has two summations, both from the one record per nome that
-``_coefficients`` keeps. On a real nome (Re tau = 0) up to
-pi Im(tau) = log DBL_MAX (W/L <= 225.9) the record also leads to the series
-of Jacobi's addition formula (DLMF 20.7(iii)),
+log|theta1| takes log|sin v| and log|series| apart where their product
+|sin v series| underflows towards a subnormal: at W/L = 61 theta1's series
+constant 2 q^(1/4) is 3.5e-21, so next to a zero the product keeps few bits
+while each factor keeps all of them. Elsewhere it is the log of the product.
+
+The plasma integrand and the lattice rule enter through a second summation,
+``_log_abs_theta1_parts``, which takes the argument as its real and
+imaginary parts stacked on a first axis, so they never form a complex
+argument. On a real nome (Re tau = 0) up to pi Im(tau) = log DBL_MAX
+(W/L <= 225.9), a call of more than ``_POINT_MAX`` points sums Jacobi's
+addition formula (DLMF 20.7(iii)),
 
     theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
 
-as real polynomials in sin(x)^2 and in sinh(y)^2, and an array-path call
-sums it in real arithmetic from the argument's real and imaginary parts,
-stacked on a first axis (``_log_abs_real``): no complex array is formed,
-the reduction (``_reduce_real``) gives ``_reduce``'s bits, and a point takes
-one real tan, sinh and log, no sine, no complex exponential or division.
-Every other call sums the complex series: complex nomes, the point kernel's
-calls of at most ``_POINT_MAX`` points, and real nomes past the cap, where
-e^(2|y|) or sinh(y)^2 would leave double range. Both routes take the
-multiplier's log-scale from ``_multiplier`` and test coincidence on the same
-reduced point, before any refusal. ``_log_abs_theta1_parts`` takes the parts
-themselves, so the plasma integrand never forms its complex arguments.
+as real polynomials in sin(x)^2 and in sinh(y)^2 (``_log_abs_real``): the
+reduction (``_reduce_real``) gives ``_reduce``'s bits, and a point takes one
+real tan, sinh and log, no sine, no complex exponential or division. Every
+other call of that entry runs ``_theta`` on the complex argument. Both take
+the multiplier's log-scale from ``_multiplier``.
 
 The series and products are summed to one absolute tail bound, 1e-14, which
 towards q -> 1 cancels theta4(0) and theta1'(0) to noise. So a real nome with
@@ -226,12 +227,6 @@ def _reduce_real(parts, t: float):
     return reduced, n
 
 
-def _real_route(tau: complex) -> bool:
-    """Whether log|theta1| at this tau may sum Jacobi's addition formula in
-    real arithmetic (``_log_abs_real``): a real nome, pi Im(tau) <= log DBL_MAX."""
-    return tau.real == 0 and math.pi * tau.imag <= _LOG_MAX
-
-
 def _shift_exponent(u_red, n, tau):
     """log of the quasi-periodicity multiplier q^(-n^2) e^(-2in u_red).
 
@@ -278,13 +273,6 @@ def _coefficients(nome: Nome) -> dict:
     theta1'(0) would be 0 or keep no significant bits, so the family refuses.
     ``wide`` is True where the strip |Im u| <= pi Im(tau)/2 reaches past
     log DBL_MAX (Im tau > 451.9), so e^(iu) overflows at some of its points.
-    ``real``, on a real nome with pi Im(tau) <= log DBL_MAX, holds the
-    arguments of ``_identity_terms`` at the summed nome (i/t when modular);
-    ``_log_abs_real`` builds that record on the first call that needs it and
-    keeps it here under ``identity``, so a nome that never meets the route
-    does not pay for it (13-25 us on a 2-core Xeon, about as long as the
-    cold build). Threads that meet it unbuilt at once each build the same
-    array. None elsewhere.
     """
     _series_domain(nome)
     t = nome.tau.imag
@@ -314,11 +302,8 @@ def _coefficients(nome: Nome) -> dict:
     prime0 = complex(np.sum([c * f for c, f in zip(odd, freqs)])) * (t**-1.5 if modular else 1.0)
     if abs(odd[0]) < _TINY:
         horner[1] = prime0 = None
-    real = None
-    if _real_route(nome.tau):
-        real = (summed, 1.0 / t, t**-0.5) if modular else (summed, t, 1.0)
     return {"horner": horner, "modular": t if modular else None, "prime0": prime0,
-            "wide": 0.5 * math.pi * t > _LOG_MAX, "real": real}
+            "wide": 0.5 * math.pi * t > _LOG_MAX}
 
 
 def _kept(coeffs, lead: float, growth: float = 0.0) -> int:
@@ -350,9 +335,11 @@ def _chebyshev_powers(degree: int) -> np.ndarray:
     return m
 
 
-def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
-    """The series of Jacobi's addition formula at the summed nome iS, S >= 1,
-    for ``_log_abs_real``, as one (J + 1, 2, 2, 1) array of polynomial
+@functools.lru_cache(maxsize=64)
+def _identity_terms(nome: Nome) -> np.ndarray:
+    """The series of Jacobi's addition formula at the summed nome iS of the
+    real nome it (S = t, or 1/t on the dual side t < 1), for
+    ``_log_abs_real``, as one read-only (J + 1, 2, 2, 1) array of polynomial
     coefficients, highest power first. P(x) = theta1(x) / sin(x) = c_0 +
     sum_k c_k (X^k + X^-k) (``_coefficients``' a_k of theta1) and theta4(x) =
     1 + sum_k (-1)^k q^(k^2) (X^k + X^-k), X = e^(2ix), are each the
@@ -372,6 +359,9 @@ def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
     up to e^(pi S k), so that theta4's leading term there is 2 q e^(pi S) = 2.
     Both stop well before ``_n_star``, and no power of sinh(y)^2 that is
     kept leaves double range. The shorter axis is padded with leading zeros."""
+    t = nome.tau.imag
+    s, r = (1.0 / t, t**-0.5) if t < 1.0 else (t, 1.0)
+    summed = _terms(1j * s)
     odd = [c.real for c in summed[1][1]]
     tails = list(itertools.accumulate(reversed(odd)))[::-1]   # c_k = sum_{j>k} odd_j, k = 0..
     even = [1.0] + [0.5 * c.real for c in summed[4][1]]
@@ -394,12 +384,14 @@ def _identity_terms(summed: dict, s: float, r: float) -> np.ndarray:
 
 
 def _horner(const, coeffs, root, v, odd: bool):
-    """const + p(x) + p(1/x) at x = e^(2iv), times sin(v) when ``odd``, by one
-    Horner recurrence on the stacked pair (x, 1/x): one exponential per point.
-    With no coefficients left (all underflowed) x is never formed; with a
-    ``root`` the pair is (root w, root / w) squared, w = e^(iv). The pair is
-    one preallocated (2,) + v.shape array, filled in place through its views
-    w and 1/w; v has at least one dimension."""
+    """(sine, series): series = const + p(x) + p(1/x) at x = e^(2iv) by one
+    Horner recurrence on the stacked pair (x, 1/x), one exponential per
+    point, and sine = sin(v) when ``odd``, else None. With no coefficients
+    left (all underflowed) x is never formed; with a ``root`` the pair is
+    (root w, root / w) squared, w = e^(iv). The pair is one preallocated
+    (2,) + v.shape array, filled in place through its views w and 1/w; v has
+    at least one dimension."""
+    sine = None
     xs = np.empty((2,) + v.shape, dtype=complex)
     w, iw = xs[0], xs[1]
     np.exp(1j * v, out=w)
@@ -418,12 +410,10 @@ def _horner(const, coeffs, root, v, odd: bool):
         series = const + acc[0] + acc[1]
     else:
         series = const + 0.0 * w
-    # Out of place: numpy's in-place complex product rounds a 1-element array
-    # differently from the same product out of place.
-    return sine * series if odd else series
+    return sine, series
 
 
-def _point_horner(const, coeffs, v: complex, odd: bool) -> complex:
+def _point_horner(const, coeffs, v: complex, odd: bool):
     """``_horner`` at one point v in Python complex arithmetic, with no root:
     the same exponential, pair, recurrence and sine switch."""
     w = cmath.exp(1j * v)
@@ -438,8 +428,8 @@ def _point_horner(const, coeffs, v: complex, odd: bool) -> complex:
     else:
         series = const + 0.0 * w
     if not odd:
-        return series
-    return (cmath.sin(v) if abs(v) < _SINE_CANCEL else (w - iw) * -0.5j) * series
+        return None, series
+    return (cmath.sin(v) if abs(v) < _SINE_CANCEL else (w - iw) * -0.5j), series
 
 
 def _quiet():
@@ -475,9 +465,10 @@ def _frame(kind: int, u, t):
 
 def _split(kind: int, reduced, nome: Nome, terms: dict):
     """theta_kind at the reduction ``reduced`` = (u, m, n) of z = u + m*pi +
-    n*pi*tau (``_reduce``), u in the fundamental strip, as (series, scale,
-    phase): the series summed at u and theta_kind(z) = sign * e^(scale + i*
-    phase()) * series with scale real, phase a function called only where a
+    n*pi*tau (``_reduce``), u in the fundamental strip, as (sine, series,
+    scale, phase): ``_horner``'s sine and series summed at u and
+    theta_kind(z) = sign * e^(scale + i*phase()) * sine * series (sine
+    omitted where None) with scale real, phase a function called only where a
     caller needs it, and None where no point is shifted (the direct series is
     theta itself). ``terms`` is ``_coefficients(nome)``. Directly, the
     multiplier is q^(-n^2) e^(-2inu): scale = pi Im(tau) n^2 + 2n Im(u), 0.0
@@ -499,10 +490,10 @@ def _split(kind: int, reduced, nome: Nome, terms: dict):
     if terms["wide"] and (np.abs(u.imag) > _LOG_MAX).any():
         raise PrecisionUnreachable(f"e^(iu) overflows a double at a reduced |Im u| > {_LOG_MAX}")
     t = terms["modular"]
-    series = _horner(*horner, *_frame(kind, u, t))
-    if t is None and not n.any():
-        return series, 0.0, None
-    return (series, *_multiplier(u.real, u.imag, n, nome.tau, t))
+    parts = _horner(*horner, *_frame(kind, u, t))
+    if t is None and not np.count_nonzero(n):
+        return (*parts, 0.0, None)
+    return (*parts, *_multiplier(u.real, u.imag, n, nome.tau, t))
 
 
 def _point_reduce(z: complex, tau: complex):
@@ -516,13 +507,14 @@ def _point_reduce(z: complex, tau: complex):
 
 
 def _point_kernel(kind: int, reduced, nome: Nome, combine):
-    """[combine(series, scale, phase)] over the reductions ``reduced`` by
-    ``_point_reduce``: ``_split`` point by point in Python complex arithmetic,
-    the same frame (``_frame``) and multiplier, each series signed as
-    ``_value`` signs it. Or None, and the call runs the array path, which
-    refuses or sums by name: the nome's strip is wide, theta3/4 sum a
-    subnormal-q root, theta1's leading coefficient underflows, or combine
-    raises ArithmeticError or ValueError (a value out of range, log 0)."""
+    """[combine(sine, series, scale, phase, flip)] over the reductions
+    ``reduced`` by ``_point_reduce``: ``_split`` point by point in Python
+    complex arithmetic, the same frame (``_frame``) and multiplier, flip
+    true where ``_value``'s sign is -1. Or None, and the call runs the array
+    path, which refuses or sums by name: the nome's strip is wide, theta3/4
+    sum a subnormal-q root, theta1's leading coefficient underflows, or
+    combine raises ArithmeticError or ValueError (a value out of range,
+    log 0)."""
     terms = _coefficients(nome)
     horner = terms["horner"][kind]
     if terms["wide"] or horner is None or horner[2] is not None:
@@ -532,37 +524,49 @@ def _point_kernel(kind: int, reduced, nome: Nome, combine):
     values = []
     try:
         for u, m, n in reduced:
-            series = _point_horner(const, coeffs, *_frame(kind, u, t))
-            if kind != 3 and (m + n if kind == 1 else n) % 2:
-                series = -series
+            sine, series = _point_horner(const, coeffs, *_frame(kind, u, t))
+            flip = kind != 3 and (m + n if kind == 1 else n) % 2
             scale, phase = ((0.0, None) if t is None and not n
                             else _multiplier(u.real, u.imag, n, nome.tau, t))
-            values.append(combine(series, scale, phase))
+            values.append(combine(sine, series, scale, phase, flip))
     except (ArithmeticError, ValueError):
         return None
     return values
 
 
-def _point_value(series: complex, scale: float, phase) -> complex:
-    """theta from ``_point_kernel``'s parts; a value out of double range
-    raises OverflowError, so the array path refuses it by name."""
-    value = series if phase is None else cmath.exp(complex(scale, phase())) * series
+def _point_value(sine, series: complex, scale: float, phase, flip) -> complex:
+    """theta from ``_point_kernel``'s parts, the product signed after it is
+    formed, as the array path signs it; a value out of double range raises
+    OverflowError, so the array path refuses it by name."""
+    value = series if sine is None else sine * series
+    if flip:
+        value = -value
+    if phase is not None:
+        value = cmath.exp(complex(scale, phase())) * value
     if not cmath.isfinite(value):
         raise OverflowError(value)
     return value
 
 
-def _point_log_abs(series: complex, scale: float, _) -> float:
-    """log|theta1| from ``_point_kernel``'s parts; log 0 raises ValueError."""
-    return scale + math.log(abs(series))
+def _point_log_abs(sine: complex, series: complex, scale: float, *_) -> float:
+    """log|theta1| from ``_point_kernel``'s parts, as ``_log_abs`` takes it;
+    log 0 raises ValueError."""
+    modulus = abs(sine * series)
+    if modulus < _SQUARES_TINY:
+        return scale + (math.log(abs(sine)) + math.log(abs(series)))
+    return scale + math.log(modulus)
 
 
-def _value(series, scale, phase, kind: int, reduced, z):
+def _value(sine, series, scale, phase, kind: int, reduced, z):
     """theta_kind at the array path's z from ``_split``'s parts at its
-    reduction: sign * e^(scale + i*phase) * series, sign (-1)^(m+n) for theta1
-    and (-1)^n for theta4. A value that overflows a double raises
+    reduction: sign * e^(scale + i*phase) * sine * series, sign (-1)^(m+n)
+    for theta1 and (-1)^n for theta4. A value that overflows a double raises
     PrecisionUnreachable with no numpy warning first."""
     _, m, n = reduced
+    if sine is not None:
+        # Out of place: numpy's in-place complex product rounds a 1-element
+        # array differently from the same product out of place.
+        series = sine * series
     if kind != 3:  # 1 - 2 (k - 2 floor(k/2)) = (-1)^k, exact for every integer-valued k
         k = m + n if kind == 1 else n
         sign = k - 2.0 * np.floor(k / 2)
@@ -574,10 +578,17 @@ def _value(series, scale, phase, kind: int, reduced, z):
     return _check_far(np.exp(scale + 1j * phase()) * series, z, f"theta{kind}")
 
 
-def _log_abs(series, scale, *_):
-    """log|theta1| = scale + log|series| from ``_split``'s parts: the
-    multiplier enters as its real log-scale, so no argument overflows."""
-    return scale + np.log(np.abs(series))
+def _log_abs(sine, series, scale, *_):
+    """log|theta1| = scale + log|sine series| from ``_split``'s parts: the
+    multiplier enters as its real log-scale, so no argument overflows. Where
+    |sine series| < ``_SQUARES_TINY`` the product may be subnormal, so the
+    log is log|sine| + log|series| there."""
+    modulus = np.abs(sine * series)
+    logs = np.log(modulus)
+    low = modulus < _SQUARES_TINY
+    if np.count_nonzero(low):
+        logs[low] = np.log(np.abs(sine[low])) + np.log(np.abs(series[low]))
+    return scale + logs
 
 
 def _sine_squared(x, out, scratch):
@@ -591,16 +602,15 @@ def _sine_squared(x, out, scratch):
     out /= scratch
 
 
-def _log_abs_real(parts, nome: Nome, tested=None):
-    """log|theta1(a + ib)| on a real nome for which ``_real_route`` holds, in
-    real arithmetic from parts = (a, b) stacked on a first axis, of any
-    shape after it: or None when a ``tested`` point (``_theta``) lies within
-    ``_COINCIDENT`` of the lattice. ``_reduce_real`` reduces the point once,
-    bit for bit as ``_reduce``, for the coincidence test and the sum; the
-    value is ``_split``'s multiplier scale plus log|theta1(v | iS)| at the
-    point v = x + iy where ``_split`` sums the series, v = u directly and
-    v = iu/t on the dual side. Jacobi's addition formula (DLMF 20.7(iii);
-    Whittaker & Watson 21.22) gives, on a real nome,
+def _log_abs_real(parts, nome: Nome):
+    """log|theta1(a + ib)| on a real nome, pi Im(tau) <= log DBL_MAX, in real
+    arithmetic from parts = (a, b) stacked on a first axis, of any shape
+    after it: the kernel of ``_log_abs_theta1_parts``. ``_reduce_real``
+    reduces the point bit for bit as ``_reduce``; the value is ``_split``'s
+    multiplier scale plus log|theta1(v | iS)| at the point v = x + iy where
+    ``_split`` sums the series, v = u directly and v = iu/t on the dual side.
+    Jacobi's addition formula (DLMF 20.7(iii); Whittaker & Watson 21.22)
+    gives, on a real nome,
 
         theta4(0)^2 |theta1(x + iy)|^2 = theta1(x)^2 theta4(iy)^2 + theta4(x)^2 |theta1(iy)|^2,
 
@@ -613,19 +623,12 @@ def _log_abs_real(parts, nome: Nome, tested=None):
     no sine. Below pi S = log DBL_MAX every square stays in double range,
     and next to v = 0, where the squares underflow, the sum is taken with the
     larger of |sin x| and |sinh y| factored out, from np.sin and np.sinh at
-    those points only. A nan part gives nan. The nome's refusals come after
-    the coincidence test, as on the complex route."""
+    those points only. A nan part gives nan."""
     shape, flat = parts.shape[1:], parts.reshape(2, -1)
     with _quiet():
         reduced, n = _reduce_real(flat, nome.tau.imag)
-        if tested is not None:
-            u = reduced.reshape(parts.shape)
-            if (np.hypot(*(u if tested is True else u[..., tested])) < _COINCIDENT).any():
-                return None
         terms = _coefficients(nome)
-        coeffs = terms.get("identity")
-        if coeffs is None:
-            coeffs = terms["identity"] = _identity_terms(*terms["real"])
+        coeffs = _identity_terms(nome)
         t = terms["modular"]
         # The scale first, while few arrays are alive: every array here is as
         # large as the call, and pages a call touches afresh cost more than the
@@ -674,22 +677,24 @@ def _log_abs_real(parts, nome: Nome, tested=None):
 
 def _log_abs_theta1_parts(parts, nome: Nome):
     """log|theta1(a + ib; q)| from parts = (a, b), the real and imaginary
-    parts stacked on a first axis: the plasma integrand's entry, which
-    builds no complex argument. A call of more than ``_POINT_MAX`` points on
-    a nome of the real route runs ``_log_abs_real`` on the parts; any other
-    call, that of a complex nome, of a real nome past the route's reach or of
-    at most ``_POINT_MAX`` points, runs ``_theta`` on the complex argument the
-    parts make, so every value, refusal and nan is that of ``log_abs_theta1``."""
-    if parts[0].size > _POINT_MAX and _real_route(nome.tau):
+    parts stacked on a first axis: the entry of the plasma integrand and the
+    lattice rule, which build no complex argument. A call of more than
+    ``_POINT_MAX`` points on a real nome up to pi Im(tau) = log DBL_MAX runs
+    ``_log_abs_real`` on the parts; any other call, that of a complex nome,
+    of a real nome past that reach or of at most ``_POINT_MAX`` points, runs
+    ``_theta`` on the complex argument the parts make, so every value,
+    refusal and nan is that of ``log_abs_theta1``."""
+    if parts[0].size > _POINT_MAX and nome.tau.real == 0 and math.pi * nome.tau.imag <= _LOG_MAX:
         return _log_abs_real(parts, nome)
     z = np.empty(parts.shape[1:], dtype=complex)
     z.real, z.imag = parts
     return _theta(1, z, nome, _LOG_ABS)
 
 
-# An output form of ``_theta``: ``point`` combines one point's signed (series,
-# scale, phase) into its value, ``finish`` takes the array path's (series,
-# scale, phase, kind, reduction, z) to an array, and a value has the type ``cast``.
+# An output form of ``_theta``: ``point`` combines one point's (sine, series,
+# scale, phase, flip) into its value, ``finish`` takes the array path's (sine,
+# series, scale, phase, kind, reduction, z) to an array, and a value has the
+# type ``cast``.
 _Form = collections.namedtuple("_Form", "point finish cast")
 _VALUE = _Form(_point_value, _value, complex)
 _LOG_ABS = _Form(_point_log_abs, _log_abs, float)
@@ -698,10 +703,9 @@ _LOG_ABS = _Form(_point_log_abs, _log_abs, float)
 def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
     """theta_kind(z; q), kind 1, 3 or 4, in the output ``form``: the one
     dispatcher of the series. A call of at most ``_POINT_MAX`` points runs
-    ``_point_kernel`` with ``form.point`` unless it declines; else log|theta1|
-    on a nome of the real route runs ``_log_abs_real`` on z's real and
-    imaginary parts, and every other call runs ``_reduce`` and ``_split``
-    under ``_quiet()``, and ``form.finish`` makes the arrays.
+    ``_point_kernel`` with ``form.point`` unless it declines; every other call
+    runs ``_reduce`` and ``_split`` under ``_quiet()``, and ``form.finish``
+    makes the arrays.
     A 0-d z gives Python scalars. With ``tested`` (True for every point, or a
     boolean mask over z's last axis) the call gives None when a tested point's
     reduced argument lies within ``_COINCIDENT`` of pi*Z + pi*tau*Z, read off
@@ -722,20 +726,13 @@ def _theta(kind: int, z, nome: Nome, form: _Form, tested=None):
     if values is not None:
         return np.array(values, dtype=form.cast).reshape(z.shape) if z.ndim else values[0]
     z1 = np.atleast_1d(z)   # the array path takes a 0-d z as one point
-    if form is _LOG_ABS and _real_route(nome.tau):
-        # (Re z, Im z) stacked on a first axis, a view of z1 where it is contiguous
-        parts = np.ascontiguousarray(z1).view(np.float64).reshape(-1, 2).T
-        out = _log_abs_real(parts.reshape((2,) + z1.shape), nome, tested)
-        if out is None:
-            return None
-    else:
-        with _quiet():
-            reduced = _reduce(z1, nome.tau)
-            if tested is not None:
-                u = reduced[0] if tested is True else reduced[0][..., tested]
-                if (np.abs(u) < _COINCIDENT).any():
-                    return None
-            out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
+    with _quiet():
+        reduced = _reduce(z1, nome.tau)
+        if tested is not None:
+            u = reduced[0] if tested is True else reduced[0][..., tested]
+            if (np.abs(u) < _COINCIDENT).any():
+                return None
+        out = form.finish(*_split(kind, reduced, nome, _coefficients(nome)), kind, reduced, z1)
     return out if z.ndim else form.cast(out[0])
 
 
@@ -756,18 +753,7 @@ def theta4(u, nome):
 
 def log_abs_theta1(z, nome):
     """log|theta1(z; q)|, in log scale throughout: no argument overflows."""
-    return _log_abs_theta1(z, Nome.coerce(nome))
-
-
-def _log_abs_theta1(z, nome: Nome):
-    """``log_abs_theta1`` at a ``Nome``. The Monte Carlo's threads call this
-    name: perfbench's tracer rebinds the public one and keeps one span stack,
-    which threads would interleave. On a real nome up to W/L = 225.9 an
-    array call of more than ``_POINT_MAX`` points sums Jacobi's addition
-    formula in real arithmetic from z's real and imaginary parts
-    (``_log_abs_real``), as the Monte Carlo's and the lattice rule's calls do
-    through ``_log_abs_theta1_parts``; others sum the complex series."""
-    return _theta(1, z, nome, _LOG_ABS)
+    return _theta(1, z, Nome.coerce(nome), _LOG_ABS)
 
 
 def _theta_apart(kind: int, z, nome: Nome, tested=True):

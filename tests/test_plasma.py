@@ -27,7 +27,12 @@ from torusgas.plasma import (
     _integrand_batch,
 )
 from torusgas.selftest import check_partition_integrals
-from torusgas.theta import Nome, _log_abs_theta1, _reduce_real, eta_q, log_abs_theta1
+from torusgas.theta import Nome, _log_abs_theta1_parts, _reduce_real, eta_q
+
+
+def _log_abs_of(u, nome):
+    """log|theta1(u)| by the integrand's entry, on u's real and imaginary parts."""
+    return _log_abs_theta1_parts(np.array([u.real, u.imag]), nome)
 
 
 class TestClosedFormChain:
@@ -253,7 +258,7 @@ class TestQuadrature:
         pairs = (math.pi * (z[..., k] - z[..., j]) / L for j, k in itertools.combinations(range(N), 2))
         gaussian = -math.pi * (N / (L * W)) * np.sum((y - W / 2.0) ** 2, axis=-1)
         return plasma._integrand(
-            gaussian, (_log_abs_theta1(u, geom.nome_WL) for u in itertools.chain([com], pairs)))
+            gaussian, (_log_abs_of(u, geom.nome_WL) for u in itertools.chain([com], pairs)))
 
     @pytest.mark.parametrize("N", range(1, 9))
     @pytest.mark.parametrize("WL", [0.5, 2.0])
@@ -473,10 +478,10 @@ class TestIntegrandPeriodicity:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("N, WL", [(8, 61.0), (2, 400.0), (3, 0.0165)])
     def test_wide_torus_many_particles(self, N, WL):
-        """Every row equals e^(2 log) of the public log|theta1| route bit for
-        bit, the measured agreement: doubling a sum is exact, so the
-        integrand's 2 (gaussian + sum of logs) is the reference's sum of
-        doubled terms. At N = 8, W/L = 61 every row's value is below e^-700
+        """Every row equals e^(2 log) of log|theta1| by its entry
+        ``_log_abs_theta1_parts`` on the complex build's parts bit for bit,
+        the measured agreement: doubling a sum is exact, so the integrand's
+        2 (gaussian + sum of logs) is the reference's sum of doubled terms. At N = 8, W/L = 61 every row's value is below e^-700
         and 176 of 200 rows' 29 |theta1|^2 factors leave double range as a
         running product; at W/L = 400, past the underflow of q, 22 rows do;
         W/L = 0.0165 is at the nome cap. Rows representable as a subnormal
@@ -487,9 +492,9 @@ class TestIntegrandPeriodicity:
         z = x + 1j * y
         log_value = -2.0 * math.pi * (g.N / g.area) * np.sum((y - g.W / 2.0) ** 2, axis=1)
         com = math.pi * np.sum(np.conj(z) - (g.L - 1j * g.W) / 2.0, axis=1) / g.L
-        log_value += 2.0 * log_abs_theta1(com, g.nome_WL)
+        log_value += 2.0 * _log_abs_of(com, g.nome_WL)
         for j, k in itertools.combinations(range(N), 2):
-            log_value += 2.0 * log_abs_theta1(math.pi * (z[:, k] - z[:, j]) / g.L, g.nome_WL)
+            log_value += 2.0 * _log_abs_of(math.pi * (z[:, k] - z[:, j]) / g.L, g.nome_WL)
         if N == 8:
             assert np.max(log_value) < -700.0
         vals = _integrand_batch(x, y, g)

@@ -1,6 +1,7 @@
 """Theta-function core: dual representations, quasi-periodicity, eta and f_N."""
 
 import cmath
+import functools
 import math
 
 import mpmath as mp
@@ -28,6 +29,7 @@ from torusgas.theta import (
     _horner,
     _k_star,
     _log_abs_theta1_apart,
+    _log_abs_theta1_parts,
     _n_star,
     _reduce,
     _reduce_real,
@@ -449,29 +451,41 @@ def _strip_points(wl: float, k: int = 100):
     return inside, inside + shift
 
 
-def _strip_log_error(wl: float) -> float:
-    """The largest error of log|theta1| relative to max(1, |value|) over the
-    two calls of ``_strip_points(wl)``, inside the strip and shifted out of
-    it, against 60-digit mpmath."""
-    nome = Nome.from_aspect(wl, 1.0)
-    worst = 0.0
+def _log_errors(points, ref, nome: Nome):
+    """The largest error of log|theta1| at ``points`` relative to
+    max(1, |ref|), by the public entry and by ``_log_abs_theta1_parts`` on the
+    points' parts, as (public, parts)."""
+    parts = np.array([points.real, points.imag])
+    return tuple(float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
+                 for got in (log_abs_theta1(points, nome), _log_abs_theta1_parts(parts, nome)))
+
+
+@functools.lru_cache(maxsize=None)
+def _strip_log_references(wl: float):
+    """The two calls of ``_strip_points(wl)``, inside the strip and shifted
+    out of it, each with its log|theta1| in 60-digit mpmath."""
     with mp.workdps(60):
         q = mp.exp(-mp.pi * mp.mpf(wl))
-        for pts in _strip_points(wl):
-            ref = np.array([float(mp.log(abs(mp.jtheta(1, mp.mpc(z.real, z.imag), q)))) for z in pts])
-            got = log_abs_theta1(pts, nome)
-            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0))))
-    return worst
+        return tuple((pts, np.array([float(mp.log(abs(mp.jtheta(1, mp.mpc(z.real, z.imag), q))))
+                                     for z in pts]))
+                     for pts in _strip_points(wl))
 
 
-def _near_zero_log_error(wl: float) -> float:
-    """The largest error of log|theta1| next to its zeros, relative to
-    max(1, |value|), in one call of more than _POINT_MAX points at W/L = wl:
-    the reduced point u runs over |u| from 1e-300 to 1e-3, at 0 in every
-    direction, at m*pi (u = +-i|u|, m = -1, 1, 2) and on the rows n*pi*tau
-    (u = +-|u|, n = -1, 1, 2), each z built so that the array path reduces
-    it to u bit for bit. The reference is 60-digit mpmath at u, plus the
-    exact quasi-periodicity log-scale pi W/L n^2 + 2n Im(u) of the shift."""
+def _strip_log_error(wl: float):
+    """``_log_errors`` over the two calls of ``_strip_points(wl)``, the
+    larger of the two per entry, against 60-digit mpmath."""
+    nome = Nome.from_aspect(wl, 1.0)
+    return tuple(map(max, *(_log_errors(pts, ref, nome) for pts, ref in _strip_log_references(wl))))
+
+
+@functools.lru_cache(maxsize=None)
+def _near_zero_log_references(wl: float):
+    """(z, reference) next to the zeros of theta1 at W/L = wl: the reduced
+    point u runs over |u| from 1e-300 to 1e-3, at 0 in every direction, at
+    m*pi (u = +-i|u|, m = -1, 1, 2) and on the rows n*pi*tau (u = +-|u|,
+    n = -1, 1, 2), each z built so that the array path reduces it to u bit
+    for bit. The reference is 60-digit mpmath at u, plus the exact
+    quasi-periodicity log-scale pi W/L n^2 + 2n Im(u) of the shift."""
     gen = np.random.default_rng(int(wl * 1e4))
     sizes = 10.0 ** -np.linspace(3, 300, 12)
     points = []   # (z, u, n)
@@ -485,14 +499,18 @@ def _near_zero_log_error(wl: float) -> float:
         for n in (-1, 1, 2):
             u = r * gen.choice([-1.0, 1.0])
             points.append((complex(u, (n * math.pi) * wl), complex(u), n))
-    zs = np.array([z for z, _, _ in points])
-    got = log_abs_theta1(zs, Nome.from_aspect(wl, 1.0))
     with mp.workdps(60):
         q = mp.exp(-mp.pi * mp.mpf(wl))
         ref = np.array([float(mp.log(abs(mp.jtheta(1, mp.mpc(u.real, u.imag), q)))
                               + mp.pi * mp.mpf(wl) * n * n + 2 * n * mp.mpf(u.imag))
                         for _, u, n in points])
-    return float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
+    return np.array([z for z, _, _ in points]), ref
+
+
+def _near_zero_log_error(wl: float):
+    """``_log_errors`` next to the zeros of theta1 (``_near_zero_log_references``),
+    in one call of more than _POINT_MAX points per entry."""
+    return _log_errors(*_near_zero_log_references(wl), Nome.from_aspect(wl, 1.0))
 
 
 def _trig_sum(kind: int, z, nome: Nome):
@@ -531,8 +549,9 @@ def _conditioning(kind: int, z: complex, nome: Nome):
                               + math.exp(math.log(abs(c)) + j * (log_r - log_x))
                               for j, c in enumerate(reversed(coeffs), 1) if c)
     with np.errstate(all="ignore"):
-        kappa = moduli / abs(_horner(const, coeffs, root, v, False)[0])
-        series, scale, _ = _split(kind, reduced, nome, terms)
+        kappa = moduli / abs(_horner(const, coeffs, root, v, False)[1][0])
+        sine, series, scale, _ = _split(kind, reduced, nome, terms)
+    series = series if sine is None else sine * series
     return kappa, max(1.0, abs(np.ravel(scale)[0]), abs(math.log(abs(series[0]))))
 
 
@@ -550,40 +569,69 @@ class TestSeriesKernel:
                 for kind, theta in KINDS:
                     ref = np.array([complex(mp.jtheta(kind, z, q)) for z in zs])
                     assert _rel(theta(pts, nome), ref) <= 1e-13, (kind, wl)
-        assert _strip_log_error(wl) <= 1e-13, wl
-        assert _near_zero_log_error(wl) <= 1e-13, wl
+        for errors in (_strip_log_error(wl), _near_zero_log_error(wl)):
+            assert max(errors) <= 1e-13, (wl, errors)   # (public, parts) entry
 
     @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
     def test_near_zero_control_without_the_imaginary_axis_term(self, wl, monkeypatch):
         """With the term theta4(a)^2 |theta1(ib)|^2 of Jacobi's addition
         formula dropped (R(b) = |theta1(ib)| / sinh|b| set to 0), the
         near-zero inputs of ``test_against_mpmath`` miss at every aspect, on
-        both frames."""
+        both frames, by the parts entry."""
         build = theta_module._identity_terms
 
-        def dropped(*args):
-            coeffs = build(*args).copy()
+        def dropped(nome):
+            coeffs = build(nome).copy()
             coeffs[:, 1, 1] = 0.0   # R on the imaginary axis
             return coeffs
 
         monkeypatch.setattr(theta_module, "_identity_terms", dropped)
-        _coefficients.cache_clear()
-        try:
-            assert _near_zero_log_error(wl) > 1e-13, wl
-        finally:
-            _coefficients.cache_clear()
+        assert _near_zero_log_error(wl)[1] > 1e-13, wl
 
     @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
     def test_control_without_the_tangent_normalisation(self, wl, monkeypatch):
         """With sin(x)^2 taken as tan(x)^2, its 1/(1 + tan(x)^2) dropped,
         the log|theta1| check of ``test_against_mpmath`` misses at every
-        aspect, on both frames."""
+        aspect, on both frames, by the parts entry."""
         def unnormalised(x, out, scratch):
             np.tan(x, out=out)
             out *= out
 
         monkeypatch.setattr(theta_module, "_sine_squared", unnormalised)
-        assert _strip_log_error(wl) > 1e-13, wl
+        assert _strip_log_error(wl)[1] > 1e-13, wl
+
+    @pytest.mark.parametrize("wl", (NEAR_CAP[0], ASPECTS[-1]))
+    def test_near_zero_control_without_the_sine_log_apart(self, wl, monkeypatch):
+        """With log|theta1| taken as the log of the product sin(v) series
+        everywhere, the near-zero rows of ``test_against_mpmath`` miss by the
+        public entry at the nome cap and at W/L = 61: there theta1's series
+        constant, 2 q^(1/4) directly and its dual's at the cap, is about
+        3.5e-21, so the product is subnormal next to a zero."""
+        def product_log(sine, series, scale, *_):
+            return scale + np.log(np.abs(sine * series))
+
+        form = theta_module._Form(theta_module._point_log_abs, product_log, float)
+        monkeypatch.setattr(theta_module, "_LOG_ABS", form)
+        assert _near_zero_log_error(wl)[0] > 1e-13, wl
+
+    @pytest.mark.parametrize(
+        "z, tau, n",
+        [(complex(1e-300, 2 * math.pi * 61.0), 61j, 2), (1e-300, 61j, 0),
+         (complex(1e-300, 2 * math.pi * 0.0164), 0.0164j, 2), (1e-300, 0.3 + 61j, 0)],
+        ids=["61-two-rows", "61", "cap-two-rows", "skewed-61"],
+    )
+    def test_log_abs_next_to_a_zero_where_the_series_constant_is_tiny(self, z, tau, n):
+        """log|theta1| at u = 1e-300, on the real axis, reduced from z by n
+        rows of pi*tau, where sin(u) series is subnormal: a scalar, a 1-point
+        and a 9-point call agree with 60-digit mpmath at u plus the exact
+        log-scale pi Im(tau) n^2 of the shift to 1e-13 relative. Taken as the
+        log of the product they read 1.7e-5, 6.6e-7, 4.3e-10 and 1.5e-6 off."""
+        nome = Nome.from_tau(tau)
+        with mp.workdps(60):
+            q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+            ref = float(mp.log(abs(mp.jtheta(1, mp.mpf(1e-300), q))) + mp.pi * mp.mpf(tau.imag) * n * n)
+        for arg in (z, np.array([z]), np.full(_POINT_MAX + 1, z)):
+            assert np.max(np.abs(log_abs_theta1(arg, nome) - ref)) <= 1e-13 * abs(ref), (arg, ref)
 
     @pytest.mark.parametrize("wl", ASPECTS)
     def test_against_trig_sum(self, wl):
@@ -700,22 +748,31 @@ class TestSeriesKernel:
                     1.0, abs(r)), (call.__name__, g, r)
 
     def test_calls_are_picked_by_size(self, monkeypatch):
-        """A finite call of at most _POINT_MAX points never reaches a
-        reduction of the array path, ``_reduce`` or, for log|theta1| on a
-        real nome, ``_reduce_real``; one of more does."""
+        """A finite call of at most _POINT_MAX points never reaches the
+        array path's reduction ``_reduce``; one of more does. No call of
+        ``_theta`` reaches the real-coordinate kernel (``_reduce_real``,
+        ``_log_abs_real``) at any size, and ``_log_abs_theta1_parts`` on a
+        real nome reaches ``_log_abs_real`` only above _POINT_MAX."""
         nome = Nome.from_aspect(0.7, 1.0)
         points = np.linspace(0.1, 1.3, _POINT_MAX + 1) + 0.4j
 
-        def array_path(*args):
-            raise AssertionError("array path")
+        def reached(path):
+            def fail(*args):
+                raise AssertionError(path)
+            return fail
 
-        monkeypatch.setattr(theta_module, "_reduce", array_path)
-        monkeypatch.setattr(theta_module, "_reduce_real", array_path)
+        monkeypatch.setattr(theta_module, "_reduce", reached("array path"))
+        monkeypatch.setattr(theta_module, "_reduce_real", reached("real route"))
+        monkeypatch.setattr(theta_module, "_log_abs_real", reached("real route"))
         for call in (theta1, theta3, theta4, log_abs_theta1, _log_abs_theta1_apart):
             call(complex(points[0]), nome)
             call(points[:_POINT_MAX], nome)
             with pytest.raises(AssertionError, match="array path"):
                 call(points, nome)
+        parts = np.array([points.real, points.imag])
+        _log_abs_theta1_parts(parts[:, :_POINT_MAX], nome)
+        with pytest.raises(AssertionError, match="real route"):
+            _log_abs_theta1_parts(parts, nome)
 
     def test_batch_matches_per_point(self):
         """1e5 plasma-like points (n in {-1, 0, 1}) evaluated at once equal the
@@ -748,8 +805,8 @@ class TestSplit:
     def _parts(pts, nome):
         terms = _coefficients(nome)
         reduced = _reduce(np.asarray(pts, dtype=complex), nome.tau)
-        series, scale, _ = _split(1, reduced, nome, terms)
-        return (series, scale, reduced), terms["modular"]
+        sine, series, scale, _ = _split(1, reduced, nome, terms)
+        return (sine * series, scale, reduced), terms["modular"]
 
     @pytest.mark.parametrize("wl", NEAR_CAP + ASPECTS)
     def test_theta1_is_the_complex_multiplier_composition(self, wl):
