@@ -247,11 +247,12 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
 
         4 pi sum_{n=1}^{cutoff} [ sqrt(zeta^2 + ((n-1/2)/L)^2) - (n-1/2)/L ],
 
-    written in the cancellation-free form zeta^2/(sqrt(..) + x). Grows like
-    b(Lambda) L with a log-divergent slope and carries a universal -pi/(6 L)
-    finite-size term; ``fit_pressure`` extracts both. A zeta^2 or x^2 past double
-    range, 2^52 modes (k - 1/2 no longer a double) or a mode count whose
-    arrays the allocator refuses is refused.
+    written in the cancellation-free form zeta (zeta/(hypot(zeta, x) + x)), x =
+    (n-1/2)/L, which forms no zeta^2: at zeta = 1e-160 that square is
+    subnormal. Grows like b(Lambda) L with a log-divergent slope and carries a
+    universal -pi/(6 L) finite-size term; ``fit_pressure`` extracts both. A
+    zeta^2 + x^2 past double range, 2^52 modes (k - 1/2 no longer a double) or
+    a mode count whose arrays the allocator refuses is refused.
     """
     _check_count(cutoff, "cutoff")
     _check_real(L, "L", 0)
@@ -261,12 +262,13 @@ def pressure_sum(zeta: float, L: float, cutoff: int) -> float:
     with np.errstate(over="ignore"):
         try:
             x = (np.arange(1, cutoff + 1) - 0.5) / L
-            s = np.sqrt(zeta * zeta + x * x)
+            s = np.hypot(zeta, x)
         except MemoryError:
             raise PrecisionUnreachable(f"{cutoff} modes do not fit in memory") from None
-    if zeta and not math.isfinite(s[-1]):   # s grows with k; at zeta = 0 the sum is 0
+    x_max = float(x[-1])   # x grows with k; at zeta = 0 the sum is 0
+    if zeta and not math.isfinite(zeta * zeta + x_max * x_max):
         raise PrecisionUnreachable(f"zeta^2 + x^2 at zeta = {zeta!r}, L = {L!r} leaves double range")
-    return float(4.0 * math.pi * np.sum(zeta * zeta / (s + x)))
+    return float(4.0 * math.pi * np.sum(zeta * (zeta / (s + x))))
 
 
 def _least_squares(columns, values) -> tuple[list[float], float]:

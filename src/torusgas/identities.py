@@ -4,15 +4,24 @@ Two families are covered: the theta-Vandermonde factorizations of N x N theta
 determinants and the Frobenius determinant identity for theta4/theta1 kernels.
 Each check returns an :class:`IdentityResidual` rather than a bare bool so
 callers can log and threshold however they need. Both take one configuration
-(N,), with scalar fields, or a (D, N) stack, with one theta call per kind and
-one stacked determinant. ``identity_draws`` drives the gate's loop: per size,
-one ``_draw``, which redraws only the rows that put a theta1 argument of the
-identity within 1e-3 of the lattice, and one stack.
+(N,), with scalar fields, or a (D, N) stack, and are the one-size case of one
+evaluation core, ``_sides``, which takes any number of sizes of both
+identities at one nome: one theta call per Vandermonde size for its columns
+at q^(1/N), one theta1 call at q per identity and one theta3 and one theta4
+call at q for every size together, and one determinant per size.
+
+``identity_draws`` drives the gate's loop one nome at a time. One ``_draw``
+takes the first block of every size from one ``rng.random`` call and tests
+them all by one ``lattice_distance`` call; then, size by size, it redraws
+only the rows that put a theta1 argument of the identity within 1e-3 of the
+lattice. One ``_sides`` call evaluates every size, and one
+``IdentityResidual.from_sides`` makes every size's residual.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +98,110 @@ def _result(one: bool, *sides) -> IdentityResidual:
     return IdentityResidual.from_sides(*((side[0] for side in sides) if one else sides))
 
 
+def _joined(pieces):
+    """The pieces, each flattened, as one flat array in order (a lone piece's view)."""
+    if len(pieces) == 1:
+        return pieces[0] if pieces[0].ndim == 1 else pieces[0].ravel()
+    return np.concatenate([p.ravel() for p in pieces])
+
+
+def _cut(values, pieces):
+    """The flat ``values`` cut back into the shapes of ``pieces``, in order."""
+    start = 0
+    for p in pieces:
+        yield values[start : start + p.size].reshape(p.shape)
+        start += p.size
+
+
+def _columns(X, alpha: complex, nome: Nome):
+    """The (D, N, N) Vandermonde matrices theta_s(pi*(x_j + alpha - l/N); q^(1/N))
+    of the stack X, s = 3 for N odd and 1 for N even: one theta call."""
+    N = X.shape[1]
+    root = nome.root(N)
+    try:
+        return (theta3 if N % 2 else theta1)(
+            math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N), root)
+    except NomeOutOfRange as exc:
+        raise NomeOutOfRange(f"size N = {N} takes q^(1/N) = {root.q:.4g} of q = {nome.q:.4g}: {exc}")
+
+
+def _sides(nome: Nome, vandermonde=(), frobenius=()):
+    """(lhs, rhs, scale, ends): the two sides and the scale of the
+    theta-Vandermonde identity at each (X, alpha) of ``vandermonde`` and then
+    of the Frobenius identity at each (Ws, Zs, alpha) of ``frobenius``, every
+    stack (D, N) of any D and N, all at one nome, as flat arrays in which size
+    i ends at ends[i]: the evaluation behind both public residuals and
+    ``identity_draws``. A side out of double range raises PrecisionUnreachable.
+
+    One theta call per Vandermonde size takes its columns at q^(1/N)
+    (``_columns``). At q, one theta1 call takes every Vandermonde pair and one
+    every Frobenius difference, tested for a lattice coincidence on the w - z
+    columns only; one theta3 call takes the Vandermonde heads of odd N and one
+    theta4 call those of even N with every Frobenius theta4 argument. Each
+    size then takes one determinant. One theta1 call for both identities,
+    8,500 points a gate nome, cost 1.5 ms a gate pass more than the two on a
+    2-core Xeon, in part from page faults as its temporaries grow the heap
+    past glibc's trim threshold.
+
+    theta's array path and the determinants work point by point, so a size's
+    entries are those of its own one-size call wherever each of that call's
+    theta calls holds more than ``theta._POINT_MAX`` points; a smaller call
+    runs theta's point kernel, whose values round apart from the array
+    path's by a few eps.
+    """
+    columns = [_columns(X, alpha, nome) for X, alpha in vandermonde]
+    pairs, diffs, tested = [], [], []   # theta1's arguments at q and the lattice test's mask
+    at_q = {3: [], 4: []}               # theta3's and theta4's arguments at q
+    for X, alpha in vandermonde:
+        iu, ju = _pairs(X.shape[1])
+        pairs.append(math.pi * (X[:, ju] - X[:, iu]))
+        at_q[3 if X.shape[1] % 2 else 4].append(math.pi * (X + alpha).sum(axis=1))
+    for Ws, Zs, alpha in frobenius:
+        D, N = Ws.shape
+        iu, ju = _pairs(N)
+        sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
+        diffs.append(np.concatenate([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]], axis=1))
+        tested.append(np.zeros(diffs[-1].shape, dtype=bool))
+        tested[-1][:, : N * N] = True   # the w - z columns
+        heads = (Ws - Zs).sum(axis=1) - alpha
+        at_q[4].append(np.concatenate([heads[:, None], np.full((D, 1), alpha), sep - alpha],
+                                      axis=1))
+    if vandermonde:
+        t1_pairs = _cut(theta1(_joined(pairs), nome), pairs)
+    if frobenius:
+        t1 = _theta_apart(1, _joined(diffs), nome, _joined(tested))
+        if t1 is None:
+            raise CoincidentPoints("some w_j - z_k lies on the lattice")
+        t1_diffs = _cut(t1, diffs)
+    values = {kind: _cut(theta(_joined(at_q[kind]), nome), at_q[kind])
+              for kind, theta in ((3, theta3), (4, theta4)) if at_q[kind]}
+    lhs, rhs, scale = [], [], []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for mat, (X, _) in zip(columns, vandermonde):
+            N = X.shape[1]
+            head = next(values[3 if N % 2 else 4])
+            lhs.append(np.linalg.det(mat))
+            rhs.append(head * f_N(N, nome) * next(t1_pairs).prod(axis=1))
+            scale.append(np.abs(mat).max(axis=2).prod(axis=1))
+        for Ws, _, alpha in frobenius:
+            D, N = Ws.shape
+            t1, t4 = next(t1_diffs), next(values[4])
+            t1_sep, norm = t1[:, : N * N], t4[:, 1]
+            mat = (t4[:, 2:] / (norm[:, None] * t1_sep)).reshape(D, N, N)
+            F = (-1.0) ** (N * (N - 1) // 2) * t1[:, N * N :].prod(axis=1) / t1_sep.prod(axis=1)
+            lhs.append(t4[:, 0] * F)
+            rhs.append(norm * np.linalg.det(mat))
+            scale.append(np.abs(mat).max(axis=2).prod(axis=1) * np.abs(norm))
+    ends = list(itertools.accumulate(len(side) for side in lhs))
+    lhs, rhs = _joined(lhs), _joined(rhs)
+    v = ends[len(vandermonde) - 1] if vandermonde else 0   # the Vandermonde entries
+    if vandermonde:
+        _finite_sides("theta-Vandermonde identity", lhs[:v], rhs[:v])
+    if frobenius:
+        _finite_sides("Frobenius identity", lhs[v:], rhs[v:])
+    return lhs, rhs, _joined(scale), ends
+
+
 def theta_vandermonde_residual(xs, alpha: complex, nome) -> IdentityResidual:
     """Determinant of theta3/theta1 columns against its factorized form.
 
@@ -98,24 +211,11 @@ def theta_vandermonde_residual(xs, alpha: complex, nome) -> IdentityResidual:
     theta1(pi*(x_k - x_j); q), with theta3 on the right for N odd and theta4
     for N even.
 
-    ``xs`` is one configuration (N,), giving scalar fields, or a (D, N) stack.
+    ``xs`` is one configuration (N,), giving scalar fields, or a (D, N) stack:
+    the one-size case of ``_sides``.
     """
     X, one = _stack(xs, alpha)
-    nome = Nome.coerce(nome)
-    N = X.shape[1]
-    column, head = (theta3, theta3) if N % 2 == 1 else (theta1, theta4)
-    args = math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N)
-    root = nome.root(N)
-    try:
-        mat = column(args, root)
-    except NomeOutOfRange as exc:
-        raise NomeOutOfRange(f"size N = {N} takes q^(1/N) = {root.q:.4g} of q = {nome.q:.4g}: {exc}")
-    iu, ju = _pairs(N)
-    rhs = head(math.pi * (X + alpha).sum(axis=1), nome) * f_N(N, nome)
-    rhs = rhs * theta1(math.pi * (X[:, ju] - X[:, iu]), nome).prod(axis=1)
-    scale = np.abs(mat).max(axis=2).prod(axis=1)
-    lhs, rhs = _finite_sides("theta-Vandermonde identity", np.linalg.det(mat), rhs)
-    return _result(one, lhs, rhs, scale)
+    return _result(one, *_sides(Nome.coerce(nome), [(X, alpha)])[:3])
 
 
 def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
@@ -128,33 +228,15 @@ def frobenius_residual(ws, zs, alpha: complex, nome) -> IdentityResidual:
          theta1(w_j-z_k)) ].
 
     ``ws`` and ``zs`` are one configuration each (N,), giving scalar fields,
-    or (D, N) stacks: one theta1 call, one theta4 call, one determinant. A
-    w_j - z_k within 1e-9 of the lattice raises CoincidentPoints, read off that
-    theta1 call's reduction before any refusal of theta; a coincidence among
-    the w or the z alone is a zero of F.
+    or (D, N) stacks: the one-size case of ``_sides``, one theta1 call, one
+    theta4 call, one determinant. A w_j - z_k within 1e-9 of the lattice
+    raises CoincidentPoints, read off that theta1 call's reduction before any
+    refusal of theta; a coincidence among the w or the z alone is a zero of F.
     """
     if np.shape(ws) != np.shape(zs):
         raise DimensionMismatch(f"ws of shape {np.shape(ws)} but zs of shape {np.shape(zs)}")
     (Ws, one), (Zs, _) = _stack(ws, alpha), _stack(zs, alpha)
-    nome = Nome.coerce(nome)
-    D, N = Ws.shape
-    sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
-    iu, ju = _pairs(N)
-    args = np.hstack([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]])
-    wz = np.arange(args.shape[1]) < N * N   # the w - z columns
-    t1 = _theta_apart(1, args, nome, wz)
-    if t1 is None:
-        raise CoincidentPoints("some w_j - z_k lies on the lattice")
-    t1_sep = t1[:, : N * N]
-    heads = (Ws - Zs).sum(axis=1) - alpha
-    t4 = theta4(np.hstack([heads[:, None], np.full((D, 1), alpha), sep - alpha]), nome)
-    norm = t4[:, 1]
-    mat = (t4[:, 2:] / (norm[:, None] * t1_sep)).reshape(D, N, N)
-    scale = np.abs(mat).max(axis=2).prod(axis=1) * np.abs(norm)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F = (-1.0) ** (N * (N - 1) // 2) * t1[:, N * N :].prod(axis=1) / t1_sep.prod(axis=1)
-        lhs, rhs = _finite_sides("Frobenius identity", t4[:, 0] * F, norm * np.linalg.det(mat))
-    return _result(one, lhs, rhs, scale)
+    return _result(one, *_sides(Nome.coerce(nome), frobenius=[(Ws, Zs, alpha)])[:3])
 
 
 def _filled_level_phase(N: int) -> complex:
@@ -167,27 +249,52 @@ _BOUNDS = (np.array([[0.0], [-0.2]]), np.array([[1.0], [0.2]]))  # (Re, Im) rang
 _MAX_REDRAWS = 1000   # redraws after which a rejected row is refused
 
 
-def _draw(rng: np.random.Generator, D: int, sets: int, N: int, nome, scale: float) -> np.ndarray:
-    """D rows of ``sets`` point sets, shape (D, sets, N), Re in [0, 1) and Im in
-    [-0.2, 0.2], from one ``rng.uniform`` block (D, sets, 2, N): each set its N
-    real parts, then its N imaginary parts. The rows where some theta1
-    argument scale * (p_j - p_k), over the pairs of their sets * N points, lies
-    within 1e-3 of pi*Z + pi*tau*Z are redrawn, in order, as one block; a row
-    still rejected after 1000 redraws raises CoincidentPoints."""
+def _pair_args(P, scale: float):
+    """scale * (p_j - p_k) over the pairs j < k of the points of each row of P."""
+    flat = P.reshape(len(P), math.prod(P.shape[1:]))
+    iu, ju = _pairs(flat.shape[1])
+    return scale * (flat[:, iu] - flat[:, ju])
+
+
+def _complex(B):
+    """The points of a (rows, sets, 2, N) block: each set its N real parts,
+    then its N imaginary parts."""
+    return B[:, :, 0] + 1j * B[:, :, 1]
+
+
+def _draw(rng: np.random.Generator, D: int, blocks, nome) -> list[np.ndarray]:
+    """Per (sets, N, scale) of ``blocks``, D rows of ``sets`` point sets, shape
+    (D, sets, N), Re in [0, 1) and Im in [-0.2, 0.2]. One ``rng.random`` call
+    draws the first (D, sets, 2, N) block of every size, in order, each set its
+    N real parts, then its N imaginary parts, scaled as ``rng.uniform`` scales
+    it, bit for bit; one ``lattice_distance`` call tests them all. Then, block
+    by block, the rows where some theta1 argument scale * (p_j - p_k), over
+    the pairs of their sets * N points, lies within 1e-3 of pi*Z + pi*tau*Z
+    are redrawn, in order, as one ``rng.uniform`` block; a row still rejected
+    after 1000 redraws raises CoincidentPoints. A lone block draws the stream
+    of one ``rng.uniform`` block and its redraws."""
     nome = Nome.coerce(nome)
-    iu, ju = _pairs(sets * N)
-    P = np.empty((D, sets, N), dtype=complex)
-    bad = np.arange(D)
-    for _ in range(1 + _MAX_REDRAWS):
-        U = rng.uniform(*_BOUNDS, (len(bad), sets, 2, N))
-        P[bad] = U[:, :, 0] + 1j * U[:, :, 1]
-        flat = P[bad].reshape(len(bad), sets * N)
-        dist = lattice_distance(scale * (flat[:, iu] - flat[:, ju]), nome)
-        bad = bad[~np.all(dist > 1e-3, axis=1)]
-        if not len(bad):
-            return P
-    what = ("configuration", "species pair")[sets - 1]
-    raise CoincidentPoints(f"could not draw a well-separated {what}")
+    shapes = [(D, sets, 2, N) for sets, N, _ in blocks]
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+    low, high = _BOUNDS
+    U = rng.random(ends[-1])
+    P = [_complex(low + (high - low) * U[a:b].reshape(shape))
+         for a, b, shape in zip([0] + ends, ends, shapes)]
+    args = [_pair_args(p, scale) for p, (_, _, scale) in zip(P, blocks)]
+    near = ~(lattice_distance(_joined(args), nome) > 1e-3)
+    if near.any():
+        for p, (sets, N, scale), rows in zip(P, blocks, _cut(near, args)):
+            bad = np.flatnonzero(rows.any(axis=1))
+            for _ in range(_MAX_REDRAWS):
+                if not len(bad):
+                    break
+                p[bad] = _complex(rng.uniform(low, high, (len(bad), sets, 2, N)))
+                dist = lattice_distance(_pair_args(p[bad], scale), nome)
+                bad = bad[~np.all(dist > 1e-3, axis=1)]
+            if len(bad):
+                what = ("configuration", "species pair")[sets - 1]
+                raise CoincidentPoints(f"could not draw a well-separated {what}")
+    return P
 
 
 def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_sizes, draws: int):
@@ -195,19 +302,26 @@ def identity_draws(rng: np.random.Generator, q, vandermonde_sizes, frobenius_siz
     ``vandermonde_sizes``, then of the Frobenius identity at every size in
     ``frobenius_sizes``, ``draws`` random draws each. Yields
     ``(identity, N, IdentityResidual)`` once per size, the residual a stack
-    over the draws: one ``_draw`` from ``rng``, evaluated as one stack. The
-    draws keep off the lattice each pi (x_j - x_k) of a Vandermonde set and
-    every difference among the 2N points w, z of a Frobenius pair, unscaled.
-    A bad ``draws`` or nome is refused at the call, before the generator runs."""
+    over the draws. Every size is drawn by one ``_draw`` from ``rng`` and
+    evaluated by one ``_sides``, so the nome costs one draw round, one
+    theta call per Vandermonde size and four at q. The draws keep off
+    the lattice each pi (x_j - x_k) of a Vandermonde set and every difference
+    among the 2N points w, z of a Frobenius pair, unscaled. A bad ``draws``
+    or nome is refused at the call, before the generator runs."""
     _check_count(draws, "draws")
     nome = Nome.coerce(q)
+    V, F = list(vandermonde_sizes), list(frobenius_sizes)
 
     def residuals():
-        for N in vandermonde_sizes:
-            X = _draw(rng, draws, 1, N, nome, math.pi)[:, 0]
-            yield "vandermonde", N, theta_vandermonde_residual(X, 0.05 + 0.02j, nome)
-        for N in frobenius_sizes:
-            WZ = _draw(rng, draws, 2, N, nome, 1.0)
-            yield "frobenius", N, frobenius_residual(WZ[:, 0], WZ[:, 1], 0.1 + 0.05j, nome)
+        if not V + F:
+            return
+        P = _draw(rng, draws, [(1, N, math.pi) for N in V] + [(2, N, 1.0) for N in F], nome)
+        lhs, rhs, scale, ends = _sides(nome, [(p[:, 0], 0.05 + 0.02j) for p in P[: len(V)]],
+                                       [(p[:, 0], p[:, 1], 0.1 + 0.05j) for p in P[len(V) :]])
+        r = IdentityResidual.from_sides(lhs, rhs, scale)
+        fields = (r.lhs, r.rhs, r.abs_residual, r.rel_residual, r.scale, r.near_zero)
+        names = [("vandermonde", N) for N in V] + [("frobenius", N) for N in F]
+        for (name, N), a, b in zip(names, [0] + ends, ends):
+            yield name, N, IdentityResidual(*(field[a:b] for field in fields))
 
     return residuals()

@@ -371,18 +371,24 @@ def _lattice_sum(geom: TorusGeometry, nx: int, ny: int) -> float:
     pair = np.empty((2, dx.size, dy.size))
     pair[0], pair[1] = dx[:, None] * (L / nx), dy * (W / ny)
     pair = _log_abs_factor(pair, L, nome)
-    # flat table indices: an (i_1, i_2) term plus a (k_1, k_2) term
-    com_x = ((ix[:, None] + ix) * com.shape[1]).reshape(-1, 1, 1)
-    pair_x = ((ix - ix[:, None] + nx - 1) * pair.shape[1]).reshape(-1, 1, 1)
-    com_y, pair_y, gauss_y = iy[:, None] + iy, iy - iy[:, None] + ny - 1, gauss[:, None] + gauss
+    # flat table indices over one i_1 row (i_2, k_1, k_2); row i_1 adds i_1 table rows
+    com_row = (ix * com.shape[1])[:, None, None] + (iy[:, None] + iy)
+    pair_row = ((ix + nx - 1) * pair.shape[1])[:, None, None] + (iy - iy[:, None] + ny - 1)
+    gauss_y = gauss[:, None] + gauss
     pattern = next((p for p in (nx * ny * ny, ny * ny) if p <= _LATTICE_BLOCK), ny)
     rows = max(1, _LATTICE_BLOCK // pattern) * pattern // ny   # (i_1, i_2, k_1) rows a block
     a_rows, k_rows = max(1, rows // ny), min(rows, ny)
     total = 0.0
     for a, k in itertools.product(range(0, nx * nx, a_rows), range(0, ny, k_rows)):
-        i, j = slice(a, a + a_rows), slice(k, k + k_rows)
-        logs = (com.take(com_x[i] + com_y[j]), pair.take(pair_x[i] + pair_y[j]))
-        total += float(np.sum(_integrand(gauss_y[j], logs)))
+        block, j = range(a, min(a + a_rows, nx * nx)), slice(k, k + k_rows)
+        com_at = np.empty((len(block), len(range(ny)[j]), ny), dtype=com_row.dtype)
+        pair_at = np.empty_like(com_at)
+        for i1 in range(block[0] // nx, block[-1] // nx + 1):   # the block's part of row i_1
+            lo, hi = max(block.start, i1 * nx), min(block.stop, (i1 + 1) * nx)   # (i_1, i_2) pairs
+            i2, out = slice(lo - i1 * nx, hi - i1 * nx), slice(lo - a, hi - a)
+            np.add(com_row[i2, j], i1 * com.shape[1], out=com_at[out])
+            np.subtract(pair_row[i2, j], i1 * pair.shape[1], out=pair_at[out])
+        total += float(np.sum(_integrand(gauss_y[j], (com.take(com_at), pair.take(pair_at)))))
     return total
 
 

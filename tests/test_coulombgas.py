@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -434,6 +435,18 @@ class TestPressure:
 
     def test_positive_terms(self):
         assert pressure_sum(1.0, 4.0, 100) > 0.0
+
+    @pytest.mark.parametrize("zeta, L, cutoff", [(1e-160, 1e300, 8), (0.5, 4.0, 8),
+                                                 (1.0, 16.0, 1280), (3.0, 0.25, 100)])
+    def test_against_mpmath(self, zeta, L, cutoff):
+        """Against 4 pi sum (sqrt(zeta^2 + x^2) - x) at 60 digits, to 1e-14
+        relative: at zeta = 1e-160 zeta^2 is subnormal, so a sum that forms
+        it read 5.6e-6 off; the others are in-domain rows, (16, 1280) a rung
+        of the gate's cutoff-80 ladder."""
+        mp.mp.dps = 60
+        x = [(k - mp.mpf(1) / 2) / mp.mpf(L) for k in range(1, cutoff + 1)]
+        ref = 4 * mp.pi * mp.fsum(mp.sqrt(mp.mpf(zeta) ** 2 + v * v) - v for v in x)
+        assert abs(pressure_sum(zeta, L, cutoff) - ref) <= 1e-14 * ref
 
     def test_one_over_L_coefficient(self):
         fit = fit_pressure(1.0, np.arange(4.0, 17.0), 40)

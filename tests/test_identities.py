@@ -2,14 +2,16 @@
 
 import csv
 import dataclasses
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from torusgas import identities
+from torusgas import identities, theta
 from torusgas.cli import main
 from torusgas.errors import (
     CoincidentPoints,
@@ -33,12 +35,12 @@ from oracles import fourier_det_constant
 
 def _points(rng, D, N, nome):
     """D point sets (D, N) as ``identity_draws`` draws them for Vandermonde."""
-    return _draw(rng, D, 1, N, nome, math.pi)[:, 0]
+    return _draw(rng, D, [(1, N, math.pi)], nome)[0][:, 0]
 
 
 def _species_pairs(rng, D, N, nome):
     """D species pairs (D, 2, N) as ``identity_draws`` draws them for Frobenius."""
-    return _draw(rng, D, 2, N, nome, 1.0)
+    return _draw(rng, D, [(2, N, 1.0)], nome)[0]
 
 
 class TestThetaVandermonde:
@@ -282,15 +284,35 @@ class TestIdentitySuiteControls:
         assert not check_identity_suite().passed
 
     def test_fails_without_frobenius_sign(self, monkeypatch):
-        frobenius = identities.frobenius_residual
+        """The evaluation core's Frobenius lhs, each size's times
+        (-1)^(N(N-1)/2), which undoes the identity's sign."""
+        core = identities._sides
 
-        def unsigned(ws, zs, alpha, nome):
-            r = frobenius(ws, zs, alpha, nome)
-            N = np.shape(ws)[-1]
-            lhs = (-1.0) ** (N * (N - 1) // 2) * r.lhs   # undoes (-1)^(N(N-1)/2)
-            return IdentityResidual.from_sides(lhs, r.rhs, r.scale)
+        def unsigned(nome, vandermonde=(), frobenius=()):
+            lhs, rhs, scale, ends = core(nome, vandermonde, frobenius)
+            starts = [0] + ends
+            for i, (ws, _, _) in enumerate(frobenius, start=len(vandermonde)):
+                N = ws.shape[1]
+                lhs[starts[i] : ends[i]] *= (-1.0) ** (N * (N - 1) // 2)
+            return lhs, rhs, scale, ends
 
-        monkeypatch.setattr(identities, "frobenius_residual", unsigned)
+        monkeypatch.setattr(identities, "_sides", unsigned)
+        assert not check_identity_suite().passed
+
+    @pytest.mark.parametrize("name", ["theta1", "theta3", "theta4", "f_N"])
+    def test_fails_with_a_factor_scaled(self, name, monkeypatch):
+        """Each of theta1, theta3, theta4 and f_N times (1 + 1e-6), rebound in
+        every torusgas module that holds the name."""
+        modules = [m for key, m in sys.modules.items()
+                   if key.split(".")[0] == "torusgas" and hasattr(m, name)]
+        original = getattr(modules[0], name)
+
+        def scaled(*args):
+            return original(*args) * (1.0 + 1e-6)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, scaled)
+        assert identities in modules
         assert not check_identity_suite().passed
 
 
@@ -304,21 +326,24 @@ class _Coarse:
         self.jitter = jitter
         self.values = 0
 
-    def uniform(self, low, high, size):
+    def random(self, size):
         r = np.floor(4.0 * self.rng.random(size)) / 4.0 + self.jitter * self.rng.random(size)
         self.values += r.size
-        return low + (np.asarray(high) - low) * r
+        return r
+
+    def uniform(self, low, high, size):
+        return low + (np.asarray(high) - low) * self.random(size)
 
 
-class _Constant:
+class _Constant(_Coarse):
     """A generator whose every value is the middle of its range."""
 
     def __init__(self):
         self.values = 0
 
-    def uniform(self, low, high, size):
+    def random(self, size):
         self.values += math.prod(np.atleast_1d(size))
-        return np.broadcast_to((np.asarray(low) + high) / 2.0, size)
+        return np.full(size, 0.5)
 
 
 def _block(rng, D, sets, N):
@@ -406,20 +431,154 @@ class TestDrawSeparation:
         """Jittered coarse draws put many differences within a few 1e-3 of a
         lattice point, on both sides of the margin; at q = 0.9 pi*tau = 0.105i
         is near the coarse grid's 0.1 steps in Im. The test reads the draws
-        that ``identity_draws`` hands to each identity."""
+        that ``identity_draws`` hands to the evaluation core, which it does
+        not run (at q = 0.9 the fourth root of q is past theta's cap)."""
         nome = Nome.from_q(q)
-        args = {}
-        monkeypatch.setattr(identities, "theta_vandermonde_residual", lambda xs, alpha, nome:
-                            args.update(vandermonde=_theta1_args(xs, math.pi)))
-        monkeypatch.setattr(identities, "frobenius_residual", lambda ws, zs, alpha, nome:
-                            args.update(frobenius=_theta1_args(np.stack([ws, zs], 1), 1.0)))
+        calls = _recorded(monkeypatch, evaluate=False)
         coarse = _Coarse(8, jitter=3e-3)
         list(identity_draws(coarse, nome, [4], [3], 400))
         assert coarse.values > 400 * 2 * (4 + 2 * 3)   # some rows redrawn
+        ((((X, _),), ((ws, zs, _),)),) = calls
+        args = {"vandermonde": _theta1_args(X, math.pi),
+                "frobenius": _theta1_args(np.stack([ws, zs], 1), 1.0)}
         for identity, theta1_args in args.items():
             dist = lattice_distance(theta1_args, nome)
             assert np.all(dist > 1e-3), identity
             assert np.any(dist < 2e-3), identity       # accepted close to the margin
+
+
+def _recorded(monkeypatch, evaluate=True):
+    """The stacks that ``identity_draws`` hands to the evaluation core, one
+    (vandermonde, frobenius) pair per call; unless ``evaluate``, the core is
+    not run and every side is 0."""
+    calls = []
+    core = identities._sides
+
+    def recording(nome, vandermonde=(), frobenius=()):
+        calls.append((list(vandermonde), list(frobenius)))
+        if evaluate:
+            return core(nome, vandermonde, frobenius)
+        ends = list(itertools.accumulate(len(stack[0]) for stack in [*vandermonde, *frobenius]))
+        return np.zeros(ends[-1], complex), np.zeros(ends[-1], complex), np.ones(ends[-1]), ends
+
+    monkeypatch.setattr(identities, "_sides", recording)
+    return calls
+
+
+def _same_bits(a: IdentityResidual, b: IdentityResidual) -> bool:
+    """Field by field, the same dtype, shape and bytes."""
+    pairs = [(np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name)))
+             for f in dataclasses.fields(a)]
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in pairs)
+
+
+_GATE_SIZES = (range(2, 7), range(1, 5))   # check_identity_suite's sizes
+
+
+def _stream_blocks(rng, D, vandermonde_sizes, frobenius_sizes):
+    """Every size's first block, one ``rng.uniform`` block after another."""
+    return ([_block(rng, D, 1, N)[:, 0] for N in vandermonde_sizes],
+            [_block(rng, D, 2, N) for N in frobenius_sizes])
+
+
+def _rejected(X, scale, nome):
+    """The rows of X with a theta1 argument within 1e-3 of the lattice."""
+    return np.flatnonzero(~np.all(lattice_distance(_theta1_args(X, scale), nome) > 1e-3, axis=1))
+
+
+class TestPerNomeEvaluation:
+    """``identity_draws`` draws and evaluates every size of a nome together."""
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, -0.3])
+    def test_sizes_are_the_public_residuals_bitwise(self, q, monkeypatch):
+        """Each size's residual equals, field by field and bit for bit, the
+        public residual of the same stacked draws."""
+        calls = _recorded(monkeypatch)
+        nome = Nome.from_q(q)
+        rows = list(identity_draws(np.random.default_rng(2024), nome, *_GATE_SIZES, 100))
+        ((vandermonde, frobenius),) = calls
+        public = [theta_vandermonde_residual(X, alpha, nome) for X, alpha in vandermonde]
+        public += [frobenius_residual(ws, zs, alpha, nome) for ws, zs, alpha in frobenius]
+        assert [(name, N) for name, N, _ in rows] == ([("vandermonde", N) for N in _GATE_SIZES[0]]
+                                                      + [("frobenius", N) for N in _GATE_SIZES[1]])
+        for (name, N, r), ref in zip(rows, public, strict=True):
+            assert _same_bits(r, ref), (name, N)
+
+    def test_gate_draws_are_the_per_size_stream(self, monkeypatch):
+        """No row of the gate's draws is rejected, so they are each size's
+        ``rng.uniform`` block in turn, the stream of one draw per size, and the
+        generator ends in the same state."""
+        calls = _recorded(monkeypatch, evaluate=False)
+        rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+        for q in (0.1, 0.3, 0.5):
+            list(identity_draws(rng, q, *_GATE_SIZES, 100))
+            ref_X, ref_WZ = _stream_blocks(ref_rng, 100, *_GATE_SIZES)
+            vandermonde, frobenius = calls[-1]
+            for (X, _), ref in zip(vandermonde, ref_X, strict=True):
+                assert not len(_rejected(ref, math.pi, q))
+                assert np.array_equal(X, ref)
+            for (ws, zs, _), ref in zip(frobenius, ref_WZ, strict=True):
+                assert not len(_rejected(ref, 1.0, q))
+                assert np.array_equal(ws, ref[:, 0]) and np.array_equal(zs, ref[:, 1])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed, rejected", [(2024, ("frobenius", 6, 0)),
+                                                (1, ("vandermonde", 6, 75))])
+    def test_redraws_follow_every_first_block(self, seed, rejected, monkeypatch):
+        """``verify-identities --n 6 --draws 100 --q 0.5``: at seed 2024 one
+        row is rejected, in the last size, and at seed 1 one in the last
+        Vandermonde size. Every size's first block is drawn first; then each
+        size redraws its rejected rows as one ``rng.uniform`` block. At seed 1
+        that differs from redrawing each size before the next is drawn."""
+        calls = _recorded(monkeypatch, evaluate=False)
+        sizes = (range(2, 7), range(1, 7))
+        list(identity_draws(np.random.default_rng(seed), 0.5, *sizes, 100))
+        ((vandermonde, frobenius),) = calls
+        ref_rng = np.random.default_rng(seed)
+        X_blocks, WZ_blocks = _stream_blocks(ref_rng, 100, *sizes)
+        ref = [("vandermonde", N, X[:, None], math.pi) for N, X in zip(sizes[0], X_blocks)]
+        ref += [("frobenius", N, WZ, 1.0) for N, WZ in zip(sizes[1], WZ_blocks)]
+        found = [(name, N, int(row)) for name, N, P, scale in ref
+                 for row in _rejected(P, scale, 0.5)]
+        assert found == [rejected]
+        for name, N, P, scale in ref:
+            bad = _rejected(P, scale, 0.5)
+            if len(bad):
+                P[bad] = _block(ref_rng, len(bad), P.shape[1], N)
+                assert not len(_rejected(P, scale, 0.5))
+        got = [X[:, None] for X, _ in vandermonde]
+        got += [np.stack([ws, zs], 1) for ws, zs, _ in frobenius]
+        for P, (name, N, ref_P, _) in zip(got, ref, strict=True):
+            assert np.array_equal(P, ref_P), (name, N)
+        if rejected[0] == "vandermonde":   # redrawn before the Frobenius blocks, they would move
+            per_size = np.random.default_rng(seed)
+            _stream_blocks(per_size, 100, sizes[0], [])
+            _block(per_size, 1, 1, 6)
+            assert not np.array_equal(_block(per_size, 100, 2, 1), got[len(sizes[0])])
+
+    def test_theta_calls_per_gate_pass(self, monkeypatch):
+        """One identity-suite pass makes at most 27 theta calls, where one
+        call per size and kind made 69: per nome five column calls, one theta1
+        call at q per identity, one theta3 and one theta4 call."""
+        calls = []
+        kernel = theta._theta
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(theta, "_theta", counting)
+        assert check_identity_suite().passed
+        assert len(calls) <= 27, len(calls)
+
+    def test_root_nome_refusal(self):
+        """Size N takes its Vandermonde columns at q^(1/N): at q = 0.9 the cube
+        root is past theta's cap, and the refusal names the size and both nomes."""
+        rows = identity_draws(np.random.default_rng(1), 0.9, range(2, 4), range(1, 4), 100)
+        with pytest.raises(NomeOutOfRange, match=r"^size N = 3 takes q\^\(1/N\) = 0\.9655\+0j "
+                                                 r"of q = 0\.9\+0j: \|q\| = e\^\(-pi \* 0\.0111"):
+            list(rows)
 
 
 class TestDrawCaps:

@@ -222,6 +222,23 @@ class TestQuadrature:
         reference = _per_point_sum(geom, *grid)
         assert abs(plasma._lattice_sum(geom, *grid) - reference) <= 1e-14 * reference
 
+    @pytest.mark.parametrize("WL, value", [(0.5, "0x1.0000000000002p-2"),
+                                           (1.0, "0x1.ffffffffffffep-2"),
+                                           (2.0, "0x1.0000000000001p+0")])
+    def test_pinned_n2_estimates(self, WL, value):
+        """The N = 2 lattice estimates, bit for bit: the table indices may be
+        built in any way that takes the same entries into the same blocks."""
+        assert verify_partition_lattice(TorusGeometry(1.0, WL, 2)).estimate.value.hex() == value
+
+    @pytest.mark.parametrize("nx, ny", [(45, 31), (3, 95)])
+    def test_blocks_within_rows(self, nx, ny):
+        """Grids whose (i_2, k_1, k_2) pattern is larger than a block: blocks of
+        (k_1, k_2) squares that straddle two i_1 rows (45 x 31) and blocks of
+        (k_2) rows within one (i_1, i_2) (3 x 95) sum as the per-point sum."""
+        geom = TorusGeometry(1.0, 1.0, 2)
+        reference = _per_point_sum(geom, nx, ny)
+        assert abs(plasma._lattice_sum(geom, nx, ny) - reference) <= 1e-14 * reference
+
     @pytest.mark.parametrize("WL", [0.5, 2.0])
     def test_dropped_midpoint_offset_misses(self, monkeypatch, WL):
         """Negative control: a centre-of-mass table without the N/2 midpoint
