@@ -100,9 +100,7 @@ def _result(one: bool, *sides) -> IdentityResidual:
 
 def _joined(pieces):
     """The pieces, each flattened, as one flat array in order (a lone piece's view)."""
-    if len(pieces) == 1:
-        return pieces[0] if pieces[0].ndim == 1 else pieces[0].ravel()
-    return np.concatenate([p.ravel() for p in pieces])
+    return pieces[0].ravel() if len(pieces) == 1 else np.concatenate([p.ravel() for p in pieces])
 
 
 def _cut(values, pieces):
