@@ -21,6 +21,7 @@ lattice. One ``_sides`` call evaluates every size, and one
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,11 +105,11 @@ def _joined(pieces):
 
 
 def _cut(values, pieces):
-    """The flat ``values`` cut back into the shapes of ``pieces``, in order."""
-    start = 0
-    for p in pieces:
-        yield values[start : start + p.size].reshape(p.shape)
-        start += p.size
+    """An iterator over the flat ``values`` cut back into the shapes of ``pieces``."""
+    if len(pieces) == 1:
+        return iter((values.reshape(pieces[0].shape),))
+    ends = itertools.accumulate(p.size for p in pieces)
+    return (values[end - p.size : end].reshape(p.shape) for p, end in zip(pieces, ends))
 
 
 def _columns(X, alpha: complex, nome: Nome):
@@ -121,6 +122,19 @@ def _columns(X, alpha: complex, nome: Nome):
             math.pi * (X[:, :, None] + alpha - np.arange(1, N + 1) / N), root)
     except NomeOutOfRange as exc:
         raise NomeOutOfRange(f"size N = {N} takes q^(1/N) = {root.q:.4g} of q = {nome.q:.4g}: {exc}")
+
+
+@functools.lru_cache(maxsize=64)
+def _differences(N: int):
+    """Flat indices into the (2N, 2N) table p_a - p_b of the points p = (w, z)
+    of a Frobenius pair: every w_j - z_k, j major, then w_k - w_j and z_k - z_j
+    over the pairs j < k."""
+    iu, ju = _pairs(N)
+    j, k = np.divmod(np.arange(N * N), N)
+    rows, cols = np.concatenate([j, ju, N + ju]), np.concatenate([N + k, iu, N + iu])
+    flat = rows * (2 * N) + cols
+    flat.setflags(write=False)
+    return flat
 
 
 def _sides(nome: Nome, vandermonde=(), frobenius=()):
@@ -156,9 +170,9 @@ def _sides(nome: Nome, vandermonde=(), frobenius=()):
         at_q[3 if X.shape[1] % 2 else 4].append(math.pi * (X + alpha).sum(axis=1))
     for Ws, Zs, alpha in frobenius:
         D, N = Ws.shape
-        iu, ju = _pairs(N)
-        sep = (Ws[:, :, None] - Zs[:, None, :]).reshape(D, N * N)
-        diffs.append(np.concatenate([sep, Ws[:, ju] - Ws[:, iu], Zs[:, ju] - Zs[:, iu]], axis=1))
+        P = np.concatenate([Ws, Zs], axis=1)
+        diffs.append((P[:, :, None] - P[:, None, :]).reshape(D, 4 * N * N)[:, _differences(N)])
+        sep = diffs[-1][:, : N * N]
         tested.append(np.zeros(diffs[-1].shape, dtype=bool))
         tested[-1][:, : N * N] = True   # the w - z columns
         heads = (Ws - Zs).sum(axis=1) - alpha
