@@ -141,6 +141,8 @@ def verify_identities(n_max, draws, seed, q, out):
     """Random-draw residuals of the determinant identities, in the gate's draw
     order: every Vandermonde size, then every Frobenius size (CSV; exit 1 on
     failure)."""
+    _check_count(n_max, "n")
+    _check_count(seed, "seed", 0)
     nome = Nome.from_q(q)
     rng = np.random.default_rng(seed)
     rows = []
@@ -168,6 +170,7 @@ def verify_identities(n_max, draws, seed, q, out):
 def landau(N, L, grid, m, draws, seed, out):
     """Tabulate |psi_m|^2 on a grid (CSV) and self-test the determinant
     factorization; exit 1 if the factorization ratio drifts."""
+    _check_count(seed, "seed", 0)
     setup = MagneticSetup.plasma_mapping(L=L, N=N)
     spread, _ = _selftest.factorization_spread(setup, np.random.default_rng(seed), draws)
     x, y, z = _grid(setup.L, setup.W2, grid)

@@ -114,13 +114,19 @@ def eigen_roots(n: int, geom: TorusGeometry, k_max: int) -> ModeSpectrum:
     """Analytic inversion of the eigenvalue condition for Fourier mode n.
 
     Returns the +/- i pairs v_k = +/- i sqrt(mu^2 + (2 pi k/W)^2) for
-    k = 0..k_max and the corresponding lambdas 2*pi/v.
+    k = 0..k_max and the corresponding lambdas 2*pi/v. A root whose square
+    leaves double range (a cell near L = 1e-154) raises PrecisionUnreachable.
     """
     _check_mode(n)
     _check_count(k_max, "k_max", 0)
     mu = math.pi * (2 * n + 1) / geom.L
     ks = np.arange(0, k_max + 1)
-    mags = np.sqrt(mu**2 + (2.0 * math.pi * ks / geom.W) ** 2)
+    try:
+        with np.errstate(over="raise"):
+            mags = np.sqrt(mu**2 + (2.0 * math.pi * ks / geom.W) ** 2)
+    except (OverflowError, FloatingPointError):   # mu^2 as a float, the rest as an array
+        raise PrecisionUnreachable(f"the roots of mode {n} at L = {geom.L}, W = {geom.W} "
+                                   f"leave double range when squared") from None
     roots = np.concatenate([1j * mags, -1j * mags])
     lambdas = 2.0 * math.pi / roots
     return ModeSpectrum(n=n, mu=mu, roots=roots, lambdas=lambdas, W=geom.W)

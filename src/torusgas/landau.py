@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterOutOfRange, _check_count, _check_far, _check_real
+from .errors import (
+    DimensionMismatch,
+    ParameterOutOfRange,
+    PrecisionUnreachable,
+    _check_count,
+    _check_far,
+    _check_real,
+)
 from .geometry import _pairs
 from .identities import _filled_level_phase, _finite_sides
 from .theta import Nome, f_N, theta1, theta3
@@ -175,11 +182,16 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
     determinant serves every Slater matrix.
     """
     N, x, y = setup.N, zs.real, zs.imag
+    try:   # each state is periodic in the shorter side, whichever the frame
+        scale = _norm(min(setup.L, setup.W2), setup) ** N / math.sqrt(math.factorial(N))
+    except OverflowError:   # a float power or N! past double range
+        raise PrecisionUnreachable(f"the Slater normalization at N = {N}, L = {setup.L} "
+                                   f"and W2 = {setup.W2} leaves double range") from None
     if setup.W2 >= setup.L:   # direct
-        h, period, phase = setup.W2 / N, setup.L, 1.0
+        h, phase = setup.W2 / N, 1.0
         c, iv = y / h, (-2j * math.pi / setup.L) * x
     else:                     # rotated
-        h, period = setup.L / N, setup.W2
+        h = setup.L / N
         c, iv = x / -h, (-2j * math.pi / setup.W2) * y
         dft = 1j ** ((((N - 1) * (N + 2)) // 2) % 4)
         phase = dft * np.exp(1j * (x * y).sum(axis=-1) / setup.l**2)
@@ -202,7 +214,6 @@ def _slater(zs: np.ndarray, setup: MagneticSetup):
     d *= -ah2
     terms *= np.exp(d, out=d)
     mat = terms.reshape(zs.shape + (width // N, N)).sum(axis=-2)   # psi_m(z_j) / norm
-    scale = _norm(period, setup) ** N / math.sqrt(math.factorial(N))
     return np.linalg.det(mat) * (scale * phase)
 
 

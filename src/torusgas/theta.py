@@ -61,11 +61,17 @@ Over that domain n* <= 28 and the products' k* <= 316.
 A ``Nome`` is its tau, 0 < Im tau < inf (q = 0, tau = i*inf, is refused with
 NomeOutOfRange), and every q-power q^p is e^(i pi tau p), so none underflows
 on the way. The series and product forms refuse |q| > 0.95 with NomeOutOfRange;
-f_N and eta_q take every nome and refuse a value out of double range with
-PrecisionUnreachable. So does theta where it cannot be represented: past
-Im tau = 451.9 at a reduced |Im u| > log DBL_MAX, where e^(iu) overflows, and
-past Im tau = 902.8, where theta1's leading coefficient 2 q^(1/4) is below the
-smallest normal double, for the theta1 family.
+f_N and eta_q take every nome down to the product's bound below and refuse a
+value out of double range with PrecisionUnreachable. So does theta where it
+cannot be represented: past Im tau = 451.9 at a reduced |Im u| > log DBL_MAX,
+where e^(iu) overflows, and past Im tau = 902.8, where theta1's leading
+coefficient 2 q^(1/4) is below the smallest normal double, for the theta1
+family. The product (q^2; q^2)_inf of f_N and eta_q needs k* ~ 5.1/Im(tau)
+factors, so it is refused with PrecisionUnreachable before any factor is built
+below Im(tau) = 3.68e-4 (k* = 13,962), where the modular bound
+-log(t)/2 - pi/(12 t), t = Im(tau), puts a real nome's eta below the smallest
+normal double; complex nomes take the same bound, and f_1 and f_2 take no
+product.
 
 Conventions (q = e^{i*pi*tau}, Im tau > 0):
 
@@ -843,8 +849,19 @@ def _on_lattice(z, nome: Nome) -> bool:
 @functools.lru_cache(maxsize=256)
 def _q2_product(nome: Nome) -> complex:
     """(q^2; q^2)_inf = prod_{k=1..k*} (1 - q^(2k)), q^(2k) = e^(2 i pi tau k);
-    real, as a complex, when Re(tau) = 0."""
-    k = np.arange(1, _k_star(nome.tau.imag) + 1)
+    real, as a complex, when Re(tau) = 0.
+
+    k* grows as 1/Im(tau), so before any factor is built it refuses, with
+    PrecisionUnreachable, every t = Im(tau) at which the modular bound
+    log eta(it) < -log(t)/2 - pi/(12 t) puts a real nome's eta below the
+    smallest normal double: t < 3.68e-4, past k* = 13,962 factors. No
+    representable eta is refused; complex nomes take the same bound."""
+    t = nome.tau.imag
+    if -0.5 * math.log(t) - math.pi / (12.0 * t) < math.log(_TINY):
+        raise PrecisionUnreachable(f"(q^2; q^2)_inf at Im(tau) = {t} is refused below Im(tau) "
+                                   f"= 3.68e-4, where a real nome's eta is below the smallest "
+                                   f"normal double")
+    k = np.arange(1, _k_star(t) + 1)
     return np.prod(1.0 - np.exp(2j * math.pi * nome.tau * k)).item()
 
 
@@ -870,14 +887,17 @@ def f_N(N: int, nome):
     fractional q-power e^(-i pi tau (N-1)(N-2)/24) taken on the tau branch.
 
     A float for a real nome (Re tau = 0), else complex.
-    A value that overflows a double raises PrecisionUnreachable.
+    A value that overflows a double raises PrecisionUnreachable, and so does
+    the product's bound Im(tau) >= 3.68e-4 (``_q2_product``), which N = 1 and
+    2 (e = 0) do not meet: they take no product.
     """
     _check_count(N)
     nome = Nome.coerce(nome)
     e = (N - 1) * (N - 2)
     try:
-        value = (N ** (N / 2.0) * cmath.exp(-1j * math.pi * nome.tau * e / 24.0)
-                 * _q2_product(nome) ** (-e / 2.0))
+        value = N ** (N / 2.0) * cmath.exp(-1j * math.pi * nome.tau * e / 24.0)
+        if e:   # N = 1 and 2 take no product
+            value *= _q2_product(nome) ** (-e / 2.0)
     except (OverflowError, ZeroDivisionError):  # a power out of range, or 0 ** -x
         value = complex(math.inf)
     if not cmath.isfinite(value):

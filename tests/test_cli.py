@@ -19,14 +19,20 @@ from torusgas import cli, plasma, selftest
 from torusgas.cli import main, run
 from torusgas.coulombgas import eigen_roots
 from torusgas.electrostatics import phi_periodic, phi_quasi
-from torusgas.errors import NomeOutOfRange, ParameterOutOfRange, PrecisionUnreachable
+from torusgas.errors import NomeOutOfRange
 from torusgas.geometry import TorusGeometry
 from torusgas.identities import identity_draws
 from torusgas.landau import MagneticSetup, psi_lll
 from torusgas.plasma import MC_MAX_PULL, QUAD_MAX_REL, IntegralEstimate, PartitionCheck
 from torusgas.theta import Nome, eta_q
 
+import cli_cases
+
 runner = CliRunner()
+
+
+def _case_id(case: cli_cases.Case) -> str:
+    return case.id
 
 
 class TestTheta:
@@ -378,122 +384,64 @@ class TestEntryPoint:
         assert info.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["tcg", "--W", "0.02"],
-            ["ocp", "--N", "1", "--W", "0.0193"],
-            ["ocp", "--N", "1", "--W", "0.0165"],
-            ["ocp", "--N", "1", "--W", "61"],
-            ["greens", "--W", "0.0193", "--grid", "2"],
-        ],
-        ids=["tcg-theta4", "ocp-theta1-prime", "ocp-lowest-aspect", "ocp-highest-aspect",
-             "greens-theta1-prime"],
-    )
-    def test_near_cap_exits_zero(self, args, monkeypatch, capsys):
+    @staticmethod
+    def _exits_as_listed(case, monkeypatch, capsys) -> str:
+        """Its stdout, once ``run`` has exited with the row's code; an exit-2
+        row raises its named error, or click's usage error, and its stderr
+        starts ``error: `` or ``Usage: ``."""
+        monkeypatch.setattr(sys, "argv", ["torusgas", *case.args])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == case.code
+        out, err = capsys.readouterr()
+        if case.error is not None:
+            assert isinstance(runner.invoke(main, case.args, standalone_mode=False).exception,
+                              case.error)
+            assert err.startswith(cli_cases.stderr_prefix(case))
+            assert case.error is not click.UsageError or "\nError: " in err
+        return out
+
+    @staticmethod
+    def _assert_finite(out: str) -> None:
+        """Every number a JSON or CSV report prints is finite, and an N = 1
+        lattice rule closes on the closed form."""
+        if out.startswith("{"):
+            payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} printed"))
+            if "quadrature" in payload:
+                assert payload["quadrature"]["rel_deviation"] < QUAD_MAX_REL
+        else:
+            rows = list(csv.reader(out.splitlines()))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    @pytest.mark.parametrize("case", cli_cases.SUBCOMMANDS, ids=_case_id)
+    def test_subcommands_exit_zero(self, case, monkeypatch, capsys):
+        """The subcommands that share the gate's loops, at the gate's sizes and
+        nomes and at both ends of the accepted W/L range; ``greens --zp inf``
+        prints nan."""
+        self._exits_as_listed(case, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("case", cli_cases.NEAR_CAP, ids=_case_id)
+    def test_near_cap_exits_zero(self, case, monkeypatch, capsys):
         """Near the nome cap the direct theta4(0) and theta1'(0) series cancel
         to noise; on the modular route these runs finish with exit 0, and the
         N = 1 lattice rule closes on the closed form at both ends of the
         accepted W/L range."""
-        monkeypatch.setattr(sys, "argv", ["torusgas", *args])
-        with pytest.raises(SystemExit) as info:
-            run()
-        assert info.value.code == 0
-        out = capsys.readouterr().out
-        if args[0] == "greens":
-            rows = list(csv.reader(out.splitlines()))[1:]
-            assert all(math.isfinite(float(v)) for row in rows for v in row)
-        else:
-            payload = json.loads(out)
-            if args[0] == "ocp":
-                assert payload["quadrature"]["rel_deviation"] < QUAD_MAX_REL
-            else:
-                assert math.isfinite(payload["log_xi2_closed"])
+        self._assert_finite(self._exits_as_listed(case, monkeypatch, capsys))
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["ocp", "--N", "1", "--W", "400"],
-            ["ocp", "--N", "2", "--seed", "1", "--samples", "100000", "--W", "400"],
-            ["casimir", "--L", "1", "--W", "1000"],
-            ["casimir", "--L", "1000", "--W", "1"],
-            ["casimir", "--L", "1e200", "--W", "1e200"],
-        ],
-        ids=["ocp-lattice", "ocp-monte-carlo", "casimir-W/L", "casimir-L/W", "casimir-huge-cell"],
-    )
-    def test_far_aspect_exits_zero(self, args, monkeypatch, capsys):
+    @pytest.mark.parametrize("case", cli_cases.FAR_ASPECT, ids=_case_id)
+    def test_far_aspect_exits_zero(self, case, monkeypatch, capsys):
         """Past W/L = 237 q = e^(-pi W/L) underflows to 0; the closed forms
         take their q-powers from tau, so these runs finish, and the N = 1
-        lattice rule closes on the closed form. The casimir report reads only
-        W/L, so a cell whose area L W overflows is no error there."""
-        monkeypatch.setattr(sys, "argv", ["torusgas", *args])
-        with pytest.raises(SystemExit) as info:
-            run()
-        assert info.value.code == 0
-        payload = json.loads(capsys.readouterr().out)
-        if "quadrature" in payload:
-            assert payload["quadrature"]["rel_deviation"] < 1e-12
-        for value in payload.values():
-            assert not isinstance(value, float) or math.isfinite(value)
+        lattice rule closes on the closed form."""
+        self._assert_finite(self._exits_as_listed(case, monkeypatch, capsys))
 
-    @pytest.mark.parametrize(
-        "args, error",
-        [
-            (["ocp", "--L", "-1"], ParameterOutOfRange),
-            (["tcg", "--zeta", "0"], ParameterOutOfRange),
-            (["landau", "--N", "0"], ParameterOutOfRange),
-            (["landau", "--draws", "0"], ParameterOutOfRange),
-            (["ocp", "--N", "1", "--W", "1000"], PrecisionUnreachable),
-            (["greens", "--W", "1000", "--grid", "2"], PrecisionUnreachable),
-            (["tcg", "--zeta", "5", "--W", "3"], PrecisionUnreachable),
-            (["ocp", "--N", "2", "--seed", "1", "--samples", "100000", "--W", "500"],
-             PrecisionUnreachable),
-            (["ocp", "--N", "6", "--W", "300"], PrecisionUnreachable),
-            (["casimir", "--L", "1", "--W", "3000"], PrecisionUnreachable),
-            (["theta", "--q", "0", "--z", "0.5"], NomeOutOfRange),
-            (["theta", "--q", "0.99"], NomeOutOfRange),
-            (["theta", "--q", "-0.3"], NomeOutOfRange),
-            (["verify-identities", "--seed", "1", "--q", "0.97", "--n", "2"], NomeOutOfRange),
-            (["theta", "--q", "0.3", "--z", "1+"], click.UsageError),
-            (["landau", "--N", "3", "--L", "nan"], ParameterOutOfRange),
-            (["casimir", "--L", "inf", "--W", "1"], ParameterOutOfRange),
-            (["landau", "--N", "3", "--m", "5"], ParameterOutOfRange),
-            (["ocp", "--N", "2"], ParameterOutOfRange),
-            (["verify-identities", "--seed", "1", "--draws", "-1"], ParameterOutOfRange),
-            (["verify-identities", "--seed", "1", "--draws", "0"], ParameterOutOfRange),
-            (["greens", "--grid", "0"], ParameterOutOfRange),
-            (["landau", "--grid", "-1"], ParameterOutOfRange),
-            (["tcg", "--grid-m", "18"], ParameterOutOfRange),
-            (["ocp", "--N", "4", "--L", "1e150", "--W", "1e150"], PrecisionUnreachable),
-            (["ocp", "--N", "4", "--L", "1e-150", "--W", "1e-150"], PrecisionUnreachable),
-            (["ocp", "--N", "1", "--L", "1e200", "--W", "1e200"], ParameterOutOfRange),
-            (["ocp", "--N", "1", "--L", "1e-300", "--W", "1e-300"], ParameterOutOfRange),
-        ],
-        ids=["ocp-negative-L", "tcg-zero-zeta", "landau-zero-N", "landau-zero-draws",
-             "ocp-theta1-underflow", "greens-theta1-underflow", "tcg-xi-overflow",
-             "ocp-strip-overflow", "ocp-f_N-overflow", "casimir-eta-underflow",
-             "theta-zero-nome", "theta-overlarge-nome", "theta-complex-nome-eta",
-             "verify-identities-overlarge-nome", "theta-bad-z", "landau-nan-L", "casimir-inf-L",
-             "landau-level-index", "ocp-n2-requires-seed", "verify-identities-negative-draws",
-             "verify-identities-zero-draws", "greens-zero-grid", "landau-negative-grid",
-             "tcg-coarse-oracle-grid", "ocp-product-overflow", "ocp-middle-underflow",
-             "ocp-area-overflow", "ocp-area-underflow"],
-    )
-    def test_domain_errors_exit_two(self, args, error, monkeypatch, capsys):
+    @pytest.mark.parametrize("case", cli_cases.REFUSALS, ids=_case_id)
+    def test_domain_errors_exit_two(self, case, monkeypatch, capsys):
         """Out-of-range input, or a value out of double range, ends in a named
         error, which ``run`` maps to exit 2 (a raw ValueError, OverflowError
         or ZeroDivisionError would exit 1, a middle form of 0.0 exit 0);
         a malformed option is click's usage error, also exit 2."""
-        assert isinstance(runner.invoke(main, args, standalone_mode=False).exception, error)
-        monkeypatch.setattr(sys, "argv", ["torusgas", *args])
-        with pytest.raises(SystemExit) as info:
-            run()
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        if error is click.UsageError:
-            assert err.startswith("Usage: ") and "\nError: " in err
-        else:
-            assert err.startswith("error: ")
+        self._exits_as_listed(case, monkeypatch, capsys)
 
     @staticmethod
     def _loaded_after(imports: str, package: str) -> list[str]:

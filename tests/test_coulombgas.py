@@ -386,6 +386,8 @@ class TestNamedErrors:
             (lambda: pressure_sum(0.5, 4.0, 2**52), PrecisionUnreachable),
             (lambda: pressure_sum(0.5, 4.0, 2**51), PrecisionUnreachable),
             (lambda: fit_pressure(0.5, [4.0, 5.0, 1e300], 8), PrecisionUnreachable),
+            (lambda: eigen_roots(0, TorusGeometry(1e-170, 1e-170, 1), 3), PrecisionUnreachable),
+            (lambda: eigen_roots(0, TorusGeometry(1.0, 1e-160, 1), 3), PrecisionUnreachable),
         ],
         ids=["eigen_roots-k_max", "log_xi2_closed-zeta", "pressure_sum-cutoff",
              "log_xi2_asymptotic-zeta", "g_fourier-outside-period", "kernel_from_fourier-jump",
@@ -394,7 +396,8 @@ class TestNamedErrors:
              "pressure_sum-nan-zeta", "fit_pressure-nan-zeta", "pressure_sum-inf-L",
              "pressure_sum-x2-overflow", "pressure_sum-subnormal-L", "pressure_sum-2^52-modes",
              "pressure_sum-2^51-modes-past-memory",
-             "fit_pressure-2^52-modes"],
+             "fit_pressure-2^52-modes", "eigen_roots-mu-squared-overflow",
+             "eigen_roots-root-squared-overflow"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:

@@ -104,6 +104,11 @@ class TestNamedErrors:
              PrecisionUnreachable),
             (lambda: partition_integral_closed(200, TorusGeometry(1.0, 1.0, 200)),
              PrecisionUnreachable),
+            (lambda: slater_state([0.1, 0.2, 0.3], MagneticSetup.plasma_mapping(1e300, 3)),
+             PrecisionUnreachable),
+            (lambda: factorization_ratio([[0.1, 0.2, 0.3]],
+                                         MagneticSetup.plasma_mapping(1e-300, 3)),
+             PrecisionUnreachable),
         ],
         ids=["TorusGeometry-L", "TorusGeometry-N", "MagneticSetup-N", "MagneticSetup-l",
              "flux_constraint-N", "ocp_log_boltzmann-coincident", "ParticleConfig-count",
@@ -118,7 +123,8 @@ class TestNamedErrors:
              "fourier_det_constant-fractional-N", "psi_lll-fractional-m", "TorusGeometry-bool-N",
              "TorusGeometry-nan-L", "TorusGeometry-inf-L", "plasma_mapping-nan-L",
              "from_flux-inf-l", "partition_integral_closed-underflow",
-             "partition_integral_closed-factorial-overflow"],
+             "partition_integral_closed-factorial-overflow",
+             "slater_state-normalization-overflow", "factorization_ratio-normalization-overflow"],
     )
     def test_out_of_range_argument(self, call, error):
         with pytest.raises(error) as info:

@@ -351,6 +351,49 @@ class TestFN:
         assert abs(got - ref) < 1e-12 * abs(ref)
 
 
+class TestProductBound:
+    """(q^2; q^2)_inf takes k* ~ 5.1/Im(tau) factors. Below Im(tau) = 3.68e-4,
+    where eta(it) = t^(-1/2) eta(i/t) < t^(-1/2) e^(-pi/(12 t)) is below the
+    smallest normal double, it is refused before any factor is built."""
+
+    @staticmethod
+    def _modular(t):
+        """eta(it) from its dual, whose product is 1 to e^(-2 pi/t)."""
+        return math.exp(-0.5 * math.log(t) - math.pi / (12.0 * t))
+
+    def test_refused_by_name(self):
+        with pytest.raises(PrecisionUnreachable):
+            eta_q(Nome.from_tau(1e-320j))
+
+    def test_edge(self):
+        """eta at 3.68e-4 is 5.7e-308, a normal double, and eta_q returns it;
+        at 3.67e-4 it is below the smallest normal double, and refused."""
+        assert eta_q(Nome.from_tau(3.68e-4j)) == pytest.approx(self._modular(3.68e-4), rel=1e-11)
+        assert self._modular(3.67e-4) < np.finfo(float).tiny
+        with pytest.raises(PrecisionUnreachable):
+            eta_q(Nome.from_tau(3.67e-4j))
+
+    @pytest.mark.parametrize("N, nome, value", [
+        (2, Nome.from_tau(1e-320j), 2.0),
+        (1, Nome.from_aspect(1e-60, 1.0), 1.0),
+    ], ids=["f2", "f1"])
+    def test_f1_and_f2_take_no_product(self, N, nome, value):
+        assert f_N(N, nome) == value
+
+    def test_refused_without_allocating(self, monkeypatch):
+        """At Im(tau) = 1e-9 the product would take 5.1e9 factors."""
+        arange = np.arange
+
+        def bounded(*args, **kwargs):
+            start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+            assert stop - start <= 2**16, f"an arange of {stop - start} elements"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module.np, "arange", bounded)
+        with pytest.raises(PrecisionUnreachable):
+            eta_q(Nome.from_tau(1e-9j))
+
+
 class TestNamedErrors:
     @pytest.mark.parametrize(
         "call",
